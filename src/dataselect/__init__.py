@@ -5,6 +5,10 @@ under interchangeable representations (term distributions, weighted word
 embeddings, autoencoder codes) and similarity metrics (Jensen-Shannon
 divergence, cosine, proxy domain-discriminator distance), then evaluate the
 resulting selections with a reproducible classifier-and-statistics harness.
+
+Representations are matrices with one row per document, built for a whole
+corpus by ``build_representation_space``; subsets and domains are pooled
+from those rows by ``RepresentationSpace.aggregate``.
 """
 
 from .autoencoder import AEModel, AETrainConfig, corrupt, encode, gradient_check
@@ -13,7 +17,6 @@ from .corpus import (
     Corpus,
     Document,
     PreprocessOptions,
-    SparseCounts,
     TfidfModel,
     Vocabulary,
     build_vocabulary,
@@ -21,11 +24,9 @@ from .corpus import (
     load_stopwords,
     preprocess,
     save_corpus,
-    term_counts,
-    tfidf_features,
     tokenize_corpus,
 )
-from .embeddings import EmbeddingTable, load_embeddings, lookup
+from .embeddings import EmbeddingTable, load_embeddings
 from .errors import ConfigError, DataError, DataSelectError, NumericalError, ParseError
 from .evaluation import (
     ClassifierConfig,
@@ -40,17 +41,7 @@ from .evaluation import (
     t_test,
     train_classifier,
 )
-from .representations import (
-    DenseRepresentation,
-    RepresentationSpace,
-    TermDistribution,
-    UnigramProbabilities,
-    ae_representation,
-    build_representation_space,
-    domain_representation,
-    sif_embedding,
-    term_distribution,
-)
+from .representations import RepresentationSpace, TermDistribution, build_representation_space
 from .selection import (
     SelectionConfig,
     SelectionResult,
@@ -65,7 +56,6 @@ from .similarity import (
     SimilarityScore,
     cosine,
     js_divergence,
-    kl_divergence,
     proxy_a_distance,
     proxy_a_scores,
 )

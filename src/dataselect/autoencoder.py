@@ -3,8 +3,10 @@
 Inputs are corrupted with masking noise (independent zeroing of components)
 and the network reconstructs the clean input through a sigmoid hidden and
 output layer, minimizing sigmoid cross-entropy against inputs in [0, 1].
-Inputs outside [0, 1] are min-max rescaled once over the whole dataset;
-in-range inputs are used as-is so that training and encoding agree.
+Training rejects data outside [0, 1] with a DataError instead of rescaling
+it: the model stores no input scale, so ``encode`` could not apply a rescale
+and would disagree with training. The pipeline's inputs are L2-normalized,
+non-negative tf-idf rows, which always lie in range.
 
 Reproducibility contract: all randomness flows through one generator seeded
 from the config, consumed in a fixed order -- (1) hidden-weight init
@@ -129,17 +131,6 @@ def loss_and_gradients(
     return loss, {"W": grad_W, "b": grad_b, "W_out": grad_W_out, "b_out": grad_b_out}
 
 
-def _scale_unit(X: np.ndarray | sp.spmatrix) -> np.ndarray | sp.spmatrix:
-    lo, hi = float(X.min()), float(X.max())
-    if lo >= 0.0 and hi <= 1.0:
-        return X
-    if sp.issparse(X):
-        X = X.toarray()
-    if hi == lo:
-        return np.zeros_like(np.asarray(X, dtype=np.float64))
-    return (np.asarray(X, dtype=np.float64) - lo) / (hi - lo)
-
-
 def train(
     data: np.ndarray | sp.spmatrix, config: AETrainConfig
 ) -> tuple[AEModel, list[float]]:
@@ -155,7 +146,9 @@ def train(
         n, d = data.shape
     if n == 0 or d == 0:
         raise DataError("training data must be non-empty")
-    data = _scale_unit(data)
+    lo, hi = float(data.min()), float(data.max())
+    if not (0.0 <= lo and hi <= 1.0):
+        raise DataError(f"training data must lie in [0, 1], got values in [{lo}, {hi}]")
     h = config.hidden_dim
     rng = np.random.default_rng(config.seed)
     lim = np.sqrt(6.0 / (d + h))

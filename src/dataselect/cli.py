@@ -5,7 +5,9 @@ accuracy table with baselines and significance), ``sweep`` (training-size
 curve data), and ``generate`` (synthetic corpora). Configuration comes from
 an optional plain-text ``key = value`` file; command-line flags override
 file values, and defaults follow the standard experimental setup (vocabulary
-10000, s=20, m=20000, n=2000 ternary / 1600 binary, 10 runs).
+10000, s=20, m=20000, n=2000 ternary / 1600 binary, 10 runs). Each
+``RunConfig`` field is both a config-file key and, on the subcommands it
+names, a flag ``--`` plus the field name with ``_`` turned into ``-``.
 
 All randomness derives from one base seed through named substreams
 (selection, classifier, autoencoder, generator), so every command is a pure
@@ -21,9 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import types
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -38,7 +42,7 @@ from .corpus import (
     tokenize_corpus,
 )
 from .embeddings import load_embeddings
-from .errors import ConfigError, DataError, DataSelectError, NumericalError
+from .errors import ConfigError, DataSelectError, NumericalError
 from .evaluation import (
     ClassifierConfig,
     ExperimentResources,
@@ -50,6 +54,7 @@ from .evaluation import (
 )
 from .representations import EMBEDDING, REPRESENTATION_KINDS
 from .selection import STRATEGIES, SelectionConfig
+from .similarity import METRIC_ORIENTATION
 from .synthetic import DomainSpec, benchmark_suite, generate
 
 BASELINES = ("random", "balanced")
@@ -62,43 +67,62 @@ def substream_seed(base_seed: int, name: str) -> int:
     )
 
 
+COMMANDS = ("select", "evaluate", "sweep", "generate")
+
+
+def _option(default, *, help=None, choices=None, commands=COMMANDS):
+    """Declare a ``RunConfig`` field with its flag's choices and help text.
+
+    The flag is added to every subcommand in ``commands``; an empty tuple
+    makes the field a config-file-only key.
+    """
+    return field(
+        default=default, metadata={"help": help, "choices": choices, "commands": commands}
+    )
+
+
 @dataclass
 class RunConfig:
-    task: str = "ternary"
-    corpus: str | None = None
-    target: str | None = None
-    strategy: str = "subset"
-    strategies: tuple[str, ...] = ("domain", "instance", "subset")
-    representation: str = "term_dist"
-    metric: str | None = None
-    n: int | None = None
-    s: int = 20
-    m: int = 20000
-    a: float = 1e-5
-    vocab_cap: int = 10000
-    ae_hidden: int = 1000
-    ae_epochs: int = 50
-    ae_masking: float = 0.8
-    ae_lr: float = 1e-3
-    ae_batch: int = 64
-    runs: int = 10
-    seed: int = 0
-    out: str = "out"
-    embeddings: str | None = None
-    stopwords: str | None = None
-    lowercase: bool = True
-    allow_proxy_a_subsets: bool = False
+    """Every setting of a run; each field is declared once, with ``_option``.
+
+    A field's type gives the parser of its config-file value and its flag.
+    """
+
+    task: str = _option("ternary", choices=("binary", "ternary"))
+    corpus: str | None = _option(None, help="corpus JSONL path")
+    target: str | None = _option(None, help="target domain name")
+    strategy: str = _option("subset", choices=STRATEGIES, commands=("select",))
+    strategies: tuple[str, ...] = _option(
+        ("domain", "instance", "subset"), commands=("evaluate", "sweep")
+    )
+    representation: str = _option("term_dist", choices=REPRESENTATION_KINDS)
+    metric: str | None = _option(None, choices=tuple(METRIC_ORIENTATION))
+    n: int | None = _option(None)
+    s: int = _option(20)
+    m: int = _option(20000)
+    a: float = _option(1e-5, help="embedding weighting smoothing factor")
+    vocab_cap: int = _option(10000)
+    ae_hidden: int = _option(1000)
+    ae_epochs: int = _option(50)
+    ae_masking: float = _option(0.8)
+    ae_lr: float = _option(1e-3)
+    ae_batch: int = _option(64)
+    runs: int = _option(10)
+    seed: int = _option(0)
+    out: str = _option("out", help="output directory")
+    embeddings: str | None = _option(None, help="word-vector file (token + floats per line)")
+    stopwords: str | None = _option(None, help="stopword list override, one token per line")
+    lowercase: bool = _option(True, commands=())
+    allow_proxy_a_subsets: bool = _option(False, commands=())
 
     def __post_init__(self):
-        if self.task not in ("binary", "ternary"):
-            raise ConfigError(f"task must be binary or ternary, got {self.task!r}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
+        for f in fields(self):
+            value, choices = getattr(self, f.name), f.metadata["choices"]
+            if choices and value is not None and value not in choices:
+                raise ConfigError(f"{f.name} must be one of {choices}, got {value!r}")
         for strategy in self.strategies:
             if strategy not in STRATEGIES:
                 raise ConfigError(f"unknown strategy {strategy!r}")
-        if self.representation not in REPRESENTATION_KINDS:
-            raise ConfigError(f"unknown representation {self.representation!r}")
 
     @property
     def resolved_n(self) -> int:
@@ -123,16 +147,20 @@ def _parse_bool(value: str) -> bool:
         raise ConfigError(f"expected a boolean, got {value!r}") from None
 
 
-_FIELD_PARSERS = {
-    "task": str, "corpus": str, "target": str, "strategy": str,
-    "strategies": lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
-    "representation": str, "metric": str,
-    "n": int, "s": int, "m": int, "a": float, "vocab_cap": int,
-    "ae_hidden": int, "ae_epochs": int, "ae_masking": float,
-    "ae_lr": float, "ae_batch": int,
-    "runs": int, "seed": int, "out": str, "embeddings": str, "stopwords": str,
-    "lowercase": _parse_bool, "allow_proxy_a_subsets": _parse_bool,
-}
+def _parse_list(value: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in value.split(",") if s.strip())
+
+
+def _value_parser(hint):
+    """Parser of a field's text value, from the field's type (``X | None`` as X)."""
+    if get_origin(hint) in (Union, types.UnionType):
+        (hint,) = [t for t in get_args(hint) if t is not type(None)]
+    if get_origin(hint) is tuple:
+        return _parse_list
+    return _parse_bool if hint is bool else hint
+
+
+_PARSERS = {name: _value_parser(hint) for name, hint in get_type_hints(RunConfig).items()}
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -148,7 +176,7 @@ def load_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        parser = _FIELD_PARSERS.get(key)
+        parser = _PARSERS.get(key)
         if parser is None:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
@@ -160,7 +188,7 @@ def load_config_file(path: str | Path) -> dict:
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in _FIELD_PARSERS:
+    for key in _PARSERS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -274,12 +302,10 @@ def _evaluate_rows(config: RunConfig, corpus: Corpus) -> tuple[list[ExperimentRe
     for strategy in BASELINES + tuple(s for s in config.strategies if s not in BASELINES):
         results.append(
             run_experiment(
-                corpus,
-                config.target,
+                context,
                 _selection_config(config, strategy),
                 runs=config.runs,
                 base_seed=selection_seed,
-                context=context,
             )
         )
     by_strategy = {r.strategy: r for r in results}
@@ -363,12 +389,10 @@ def cmd_sweep(config: RunConfig, n_values: list[int]) -> int:
     for n in n_values:
         for strategy in config.strategies:
             result = run_experiment(
-                corpus,
-                config.target,
+                context,
                 _selection_config(config, strategy, n=n),
                 runs=config.runs,
                 base_seed=selection_seed,
-                context=context,
             )
             lines.append(
                 _format_row([str(n), strategy, f"{result.mean:.6f}", f"{result.std:.6f}"])
@@ -450,28 +474,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--corpus", help="corpus JSONL path")
-    parser.add_argument("--target", help="target domain name")
-    parser.add_argument("--task", choices=["binary", "ternary"])
-    parser.add_argument("--representation", choices=list(REPRESENTATION_KINDS))
-    parser.add_argument("--metric", choices=["jensen_shannon", "cosine", "proxy_a"])
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--s", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--a", type=float, help="embedding weighting smoothing factor")
-    parser.add_argument("--vocab-cap", dest="vocab_cap", type=int)
-    parser.add_argument("--ae-hidden", dest="ae_hidden", type=int)
-    parser.add_argument("--ae-epochs", dest="ae_epochs", type=int)
-    parser.add_argument("--ae-masking", dest="ae_masking", type=float)
-    parser.add_argument("--ae-lr", dest="ae_lr", type=float)
-    parser.add_argument("--ae-batch", dest="ae_batch", type=int)
-    parser.add_argument("--runs", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--embeddings", help="word-vector file (token + floats per line)")
-    parser.add_argument("--stopwords", help="stopword list override, one token per line")
+    for f in fields(RunConfig):
+        if command in f.metadata["commands"]:
+            parser.add_argument(
+                "--" + f.name.replace("_", "-"),
+                dest=f.name,
+                type=_PARSERS[f.name],
+                choices=f.metadata["choices"],
+                help=f.metadata["help"],
+            )
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -479,18 +492,15 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_select = sub.add_parser("select", help="write a training selection")
-    _add_common_flags(p_select)
-    p_select.add_argument("--strategy", choices=list(STRATEGIES))
+    _add_run_flags(p_select, "select")
     p_select.set_defaults(func=lambda a: cmd_select(build_run_config(a)))
 
     p_eval = sub.add_parser("evaluate", help="run the multi-seed evaluation protocol")
-    _add_common_flags(p_eval)
-    p_eval.add_argument("--strategies", type=_FIELD_PARSERS["strategies"])
+    _add_run_flags(p_eval, "evaluate")
     p_eval.set_defaults(func=lambda a: cmd_evaluate(build_run_config(a)))
 
     p_sweep = sub.add_parser("sweep", help="accuracy vs number of training examples")
-    _add_common_flags(p_sweep)
-    p_sweep.add_argument("--strategies", type=_FIELD_PARSERS["strategies"])
+    _add_run_flags(p_sweep, "sweep")
     p_sweep.add_argument(
         "--n-values", required=True,
         type=lambda v: [int(x) for x in v.split(",") if x.strip()],
@@ -499,7 +509,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=lambda a: cmd_sweep(build_run_config(a), a.n_values))
 
     p_gen = sub.add_parser("generate", help="write synthetic corpora")
-    _add_common_flags(p_gen)
+    _add_run_flags(p_gen, "generate")
     p_gen.add_argument("--catalog", action="store_true", help="write the builtin scenarios")
     p_gen.add_argument("--spec", help="JSON domain-spec file")
     p_gen.set_defaults(func=lambda a: cmd_generate(build_run_config(a), a.spec, a.catalog))

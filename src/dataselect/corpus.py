@@ -267,53 +267,6 @@ def build_vocabulary(
     return Vocabulary.from_frequencies(freq, cap)
 
 
-@dataclass(frozen=True)
-class SparseCounts:
-    """In-vocabulary token counts for one document (or a pooled group).
-
-    ``total`` counts every token including out-of-vocabulary ones, so
-    ``counts.sum() <= total`` with equality iff nothing fell outside the
-    vocabulary.
-    """
-
-    indices: np.ndarray  # strictly increasing vocabulary positions
-    counts: np.ndarray   # positive counts aligned with indices
-    total: int           # all tokens, including OOV
-    size: int            # vocabulary size |V|
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.counts):
-            raise DataError("indices and counts length mismatch")
-        if len(self.indices) and (np.diff(self.indices) <= 0).any():
-            raise DataError("indices must be strictly increasing")
-        if len(self.counts) and (self.counts <= 0).any():
-            raise DataError("counts must be positive")
-        if int(self.counts.sum()) > self.total:
-            raise DataError("in-vocabulary counts exceed the total token count")
-
-    @property
-    def in_vocab_total(self) -> int:
-        return int(self.counts.sum())
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.size, dtype=np.float64)
-        dense[self.indices] = self.counts
-        return dense
-
-
-def term_counts(tokens: Sequence[str], vocab: Vocabulary) -> SparseCounts:
-    """Count in-vocabulary tokens; the total records OOV tokens as well."""
-    index = vocab.index
-    raw: Counter = Counter(index[t] for t in tokens if t in index)
-    if raw:
-        idx = np.array(sorted(raw), dtype=np.int64)
-        cnt = np.array([raw[i] for i in idx], dtype=np.int64)
-    else:
-        idx = np.empty(0, dtype=np.int64)
-        cnt = np.empty(0, dtype=np.int64)
-    return SparseCounts(indices=idx, counts=cnt, total=len(tokens), size=len(vocab))
-
-
 def counts_matrix(
     token_lists: Sequence[Sequence[str]], vocab: Vocabulary
 ) -> sp.csr_matrix:
@@ -423,25 +376,3 @@ class TfidfModel:
             shape=(len(token_lists), self.n_features),
         )
 
-
-def tfidf_features(
-    corpus: Corpus,
-    doc_ids: Sequence[str],
-    ngram_max: int = 2,
-    options: PreprocessOptions = DEFAULT_OPTIONS,
-    token_lists: dict[str, list[str]] | None = None,
-) -> tuple[sp.csr_matrix, TfidfModel]:
-    """Fit tf-idf on the named documents and return their feature rows.
-
-    The returned model applies the fitted feature space to evaluation data,
-    dropping n-grams never seen during fitting.
-    """
-    if not doc_ids:
-        raise DataError("cannot fit tf-idf features on an empty document list")
-    docs_tokens = []
-    for doc_id in doc_ids:
-        doc = corpus.get(doc_id)
-        tokens = token_lists[doc.id] if token_lists is not None else preprocess(doc.text, options)
-        docs_tokens.append(tokens)
-    model = TfidfModel.fit(docs_tokens, ngram_max=ngram_max)
-    return model.transform(docs_tokens), model

@@ -1,4 +1,4 @@
-"""Pre-trained word-vector ingestion and lookup.
+"""Pre-trained word-vector ingestion.
 
 The expected file format is plain text: one token followed by a fixed number
 of floats per line, whitespace-separated, no header. Dimensionality is
@@ -74,7 +74,3 @@ def load_embeddings(
         raise DataError(f"embedding file is empty: {path}")
     return EmbeddingTable(entries, dim)
 
-
-def lookup(table: EmbeddingTable, token: str) -> np.ndarray | None:
-    """Exact-match vector lookup; absent tokens return None."""
-    return table.entries.get(token)

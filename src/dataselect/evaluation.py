@@ -208,7 +208,6 @@ class ExperimentContext:
 
     corpus: Corpus
     target_domain: str
-    representation: str
     vocab: Vocabulary
     token_lists: dict[str, list[str]]
     space: RepresentationSpace
@@ -290,7 +289,6 @@ def prepare_context(
     return ExperimentContext(
         corpus=corpus,
         target_domain=target_domain,
-        representation=representation,
         vocab=vocab,
         token_lists=token_lists,
         space=space,
@@ -378,16 +376,13 @@ class ExperimentResult:
 
 
 def run_experiment(
-    corpus: Corpus,
-    target_domain: str,
+    context: ExperimentContext,
     selection_config: sel.SelectionConfig,
     runs: int = 10,
     base_seed: int = 0,
-    resources: ExperimentResources | None = None,
-    context: ExperimentContext | None = None,
 ) -> ExperimentResult:
-    """Select, train, and score ``runs`` times; run i reseeds the selection
-    with ``base_seed + i``.
+    """Select, train, and score ``runs`` times inside a prepared context; run i
+    reseeds the selection with ``base_seed + i``.
 
     Classifier training uses a fixed seed, so strategies whose selection is
     deterministic (for example instance ranking) produce identical
@@ -396,17 +391,9 @@ def run_experiment(
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
-    if context is None:
-        context = prepare_context(
-            corpus, target_domain, selection_config.representation, resources
-        )
-    elif context.representation != selection_config.representation:
-        raise ConfigError(
-            f"context was prepared for {context.representation!r}, "
-            f"config asks for {selection_config.representation!r}"
-        )
+    target_domain = context.target_domain
     eval_docs = [
-        d for d in corpus.domain_documents(target_domain) if d.label is not None
+        d for d in context.corpus.domain_documents(target_domain) if d.label is not None
     ]
     if not eval_docs:
         raise DataError(f"target domain {target_domain!r} has no labeled documents")

@@ -1,17 +1,19 @@
 """Document, subset, and domain representations.
 
-Three interchangeable views back the similarity metrics: normalized term
-distributions over the shared vocabulary, frequency-weighted means of
-pre-trained word embeddings, and hidden-layer codes of a denoising
-autoencoder. Instances with no usable tokens are flagged empty so callers
-can exclude them instead of propagating NaNs.
+Three interchangeable views back the similarity metrics. Each view is one
+matrix with a row per document: in-vocabulary term counts (sparse) for term
+distributions, frequency-weighted means of pre-trained word embeddings, and
+hidden-layer codes of a denoising autoencoder. Subsets and domains are
+pooled from those rows by ``RepresentationSpace.aggregate`` alone: counts are
+summed before normalizing, dense rows are averaged. Groups with no usable
+tokens are flagged empty so callers can exclude them instead of propagating
+NaNs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,7 +23,6 @@ from .corpus import (
     DEFAULT_OPTIONS,
     Corpus,
     PreprocessOptions,
-    SparseCounts,
     TfidfModel,
     Vocabulary,
     counts_matrix,
@@ -57,136 +58,6 @@ class TermDistribution:
             raise DataError("term distribution has negative entries")
 
 
-def term_distribution(counts: SparseCounts | Iterable[SparseCounts]) -> TermDistribution:
-    """Normalize one or more count vectors (summed first) into a distribution."""
-    if isinstance(counts, SparseCounts):
-        counts = [counts]
-    else:
-        counts = list(counts)
-    if not counts:
-        raise DataError("term_distribution requires at least one count vector")
-    size = counts[0].size
-    dense = np.zeros(size, dtype=np.float64)
-    for c in counts:
-        if c.size != size:
-            raise DataError("count vectors span different vocabulary sizes")
-        dense[c.indices] += c.counts
-    total = dense.sum()
-    if total == 0:
-        return TermDistribution(probs=dense, empty=True)
-    return TermDistribution(probs=dense / total)
-
-
-@dataclass(frozen=True)
-class DenseRepresentation:
-    """Fixed-width real vector for a document or a domain."""
-
-    vec: np.ndarray
-    source: str  # "embedding" or "autoencoder"
-
-    def __post_init__(self):
-        if self.source not in (EMBEDDING, AUTOENCODER):
-            raise DataError(f"unknown representation source {self.source!r}")
-        if not np.isfinite(self.vec).all():
-            raise DataError("dense representation has non-finite entries")
-
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
-
-
-@dataclass(frozen=True)
-class UnigramProbabilities:
-    """Reference word-frequency distribution of one domain.
-
-    ``total`` is the number of counted reference tokens; tokens unseen in the
-    reference get the floor probability ``1 / (total + 1)`` so inverse-
-    frequency weights stay finite.
-    """
-
-    probs: dict[str, float]
-    total: int
-
-    def probability(self, token: str) -> float:
-        p = self.probs.get(token, 0.0)
-        return p if p > 0.0 else 1.0 / (self.total + 1)
-
-    @classmethod
-    def from_token_lists(
-        cls,
-        token_lists: Iterable[Sequence[str]],
-        vocabulary: Vocabulary | None = None,
-    ) -> "UnigramProbabilities":
-        """Count tokens (restricted to the vocabulary when given) and normalize."""
-        freq: dict[str, int] = {}
-        total = 0
-        for tokens in token_lists:
-            for t in tokens:
-                if vocabulary is not None and t not in vocabulary:
-                    continue
-                freq[t] = freq.get(t, 0) + 1
-                total += 1
-        probs = {t: c / total for t, c in freq.items()} if total else {}
-        return cls(probs=probs, total=total)
-
-
-def sif_embedding(
-    tokens: Sequence[str],
-    table: EmbeddingTable,
-    p: UnigramProbabilities,
-    a: float = 1e-5,
-) -> DenseRepresentation:
-    """Smoothed inverse-frequency weighted average of word vectors.
-
-    Every in-table token occurrence contributes ``sqrt(a / p(token))`` times
-    its vector; the sum is divided by the number of in-table occurrences.
-    Documents with no in-table token map to the zero vector.
-    """
-    if a <= 0:
-        raise ConfigError(f"smoothing factor a must be positive, got {a}")
-    acc = np.zeros(table.dim, dtype=np.float64)
-    n_in = 0
-    for token in tokens:
-        vec = table.entries.get(token)
-        if vec is None:
-            continue
-        acc += np.sqrt(a / p.probability(token)) * vec
-        n_in += 1
-    if n_in:
-        acc /= n_in
-    return DenseRepresentation(vec=acc, source=EMBEDDING)
-
-
-def domain_representation(doc_reps: Sequence[DenseRepresentation]) -> DenseRepresentation:
-    """Componentwise mean of document representations."""
-    if not doc_reps:
-        raise DataError("cannot aggregate an empty list of representations")
-    source = doc_reps[0].source
-    dim = doc_reps[0].dim
-    for rep in doc_reps:
-        if rep.dim != dim:
-            raise DataError(f"mixed representation dims: {rep.dim} vs {dim}")
-        if rep.source != source:
-            raise DataError(f"mixed representation sources: {rep.source} vs {source}")
-    mean = np.mean([rep.vec for rep in doc_reps], axis=0)
-    return DenseRepresentation(vec=mean, source=source)
-
-
-def ae_representation(
-    doc_features: np.ndarray | sp.spmatrix, model: ae.AEModel
-) -> DenseRepresentation:
-    """Hidden-layer code of the uncorrupted feature vector."""
-    if sp.issparse(doc_features):
-        doc_features = doc_features.toarray().ravel()
-    doc_features = np.asarray(doc_features, dtype=np.float64)
-    if doc_features.ndim != 1 or doc_features.shape[0] != model.input_dim:
-        raise DataError(
-            f"feature vector of length {doc_features.shape[-1]} does not match "
-            f"autoencoder input dim {model.input_dim}"
-        )
-    return DenseRepresentation(vec=ae.encode(model, doc_features), source=AUTOENCODER)
-
-
 # ---------------------------------------------------------------------------
 # Whole-corpus representation spaces
 # ---------------------------------------------------------------------------
@@ -213,21 +84,18 @@ def ae_input_features(
 class RepresentationSpace:
     """Per-document representations for a whole corpus under one view.
 
-    ``counts`` holds in-vocabulary count rows for the term-distribution view;
-    ``vectors`` holds dense rows for the embedding and autoencoder views.
-    Rows are aligned with ``doc_ids``.
+    ``matrix`` holds one row per document, aligned with ``doc_ids``: a CSR
+    matrix of in-vocabulary counts for the term-distribution view, a dense
+    array for the embedding and autoencoder views.
     """
 
     kind: str
     doc_ids: list[str]
     index: dict[str, int]
-    counts: sp.csr_matrix | None = None
-    vectors: np.ndarray | None = None
+    matrix: sp.csr_matrix | np.ndarray
 
     def rows(self, ids: Sequence[str]) -> sp.csr_matrix | np.ndarray:
-        positions = [self.index[i] for i in ids]
-        data = self.counts if self.kind == TERM_DIST else self.vectors
-        return data[positions]
+        return self.matrix[[self.index[i] for i in ids]]
 
     def aggregate(self, ids: Sequence[str]) -> TermDistribution | np.ndarray:
         """Group representation: pooled-count distribution or mean vector."""
@@ -256,10 +124,15 @@ def build_representation_space(
 ) -> RepresentationSpace:
     """Compute one representation row per document of the corpus.
 
-    The embedding view weights each word by the inverse of its frequency in
-    the document's own domain. The autoencoder view encodes shared-vocabulary
-    tf-idf rows (pass ``ae_features`` to reuse the matrix the model was
-    trained on).
+    The embedding view is the smoothed inverse-frequency (SIF) mean of word
+    vectors: every token that is in the vocabulary and in the table adds
+    ``sqrt(sif_a / p)`` times its vector, where ``p`` is the token's share of
+    the in-vocabulary tokens of the document's own domain, and the sum is
+    divided by the number of such tokens (documents without any map to the
+    zero vector). Only vocabulary tokens count, so table rows outside the
+    vocabulary never contribute; the CLI loads the table restricted to the
+    vocabulary. The autoencoder view encodes shared-vocabulary tf-idf rows
+    (pass ``ae_features`` to reuse the matrix the model was trained on).
     """
     if kind not in REPRESENTATION_KINDS:
         raise ConfigError(f"unknown representation kind {kind!r}")
@@ -269,47 +142,71 @@ def build_representation_space(
     index = {doc_id: i for i, doc_id in enumerate(doc_ids)}
 
     if kind == TERM_DIST:
-        counts = counts_matrix([token_lists[i] for i in doc_ids], vocab)
-        return RepresentationSpace(kind=kind, doc_ids=doc_ids, index=index, counts=counts)
-
-    if kind == EMBEDDING:
+        matrix = counts_matrix([token_lists[i] for i in doc_ids], vocab)
+    elif kind == EMBEDDING:
         if embedding_table is None:
             raise ConfigError("embedding representation requires an embedding table")
-        domain_p = {
-            domain: UnigramProbabilities.from_token_lists(
-                [token_lists[d.id] for d in corpus.domain_documents(domain)], vocab
-            )
-            for domain in sorted(corpus.domains)
-        }
-        vectors = np.zeros((len(doc_ids), embedding_table.dim), dtype=np.float64)
-        for i, doc in enumerate(corpus):
-            rep = sif_embedding(
-                token_lists[doc.id], embedding_table, domain_p[doc.domain], a=sif_a
-            )
-            vectors[i] = rep.vec
-        return RepresentationSpace(kind=kind, doc_ids=doc_ids, index=index, vectors=vectors)
-
-    if ae_model is None:
-        raise ConfigError("autoencoder representation requires a trained model")
-    if ae_features is None:
-        ae_features, _ = ae_input_features(corpus, vocab, options, token_lists)
-    if ae_features.shape[1] != ae_model.input_dim:
-        raise DataError(
-            f"feature space of width {ae_features.shape[1]} does not match "
-            f"autoencoder input dim {ae_model.input_dim}"
+        if sif_a <= 0:
+            raise ConfigError(f"smoothing factor a must be positive, got {sif_a}")
+        domain_code = {domain: i for i, domain in enumerate(sorted(corpus.domains))}
+        domains = np.array([domain_code[doc.domain] for doc in corpus], dtype=np.int64)
+        matrix = _sif_rows(
+            [token_lists[i] for i in doc_ids], domains, vocab, embedding_table, sif_a
         )
-    vectors = ae.encode(ae_model, ae_features)
-    return RepresentationSpace(kind=kind, doc_ids=doc_ids, index=index, vectors=vectors)
+    else:
+        if ae_model is None:
+            raise ConfigError("autoencoder representation requires a trained model")
+        if ae_features is None:
+            ae_features, _ = ae_input_features(corpus, vocab, options, token_lists)
+        if ae_features.shape[1] != ae_model.input_dim:
+            raise DataError(
+                f"feature space of width {ae_features.shape[1]} does not match "
+                f"autoencoder input dim {ae_model.input_dim}"
+            )
+        matrix = ae.encode(ae_model, ae_features)
+    return RepresentationSpace(kind=kind, doc_ids=doc_ids, index=index, matrix=matrix)
 
 
-def export_representations_tsv(
-    space: RepresentationSpace, path: str | Path, ids: Sequence[str] | None = None
-) -> None:
-    """Dump rows as TSV: document id followed by the vector components."""
-    ids = list(ids) if ids is not None else space.doc_ids
-    rows = space.rows(ids)
-    if sp.issparse(rows):
-        rows = rows.toarray()
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for doc_id, row in zip(ids, np.asarray(rows)):
-            fh.write(doc_id + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
+def _sif_rows(
+    token_lists: list[list[str]],
+    domains: np.ndarray,
+    vocab: Vocabulary,
+    table: EmbeddingTable,
+    a: float,
+) -> np.ndarray:
+    """SIF rows for documents whose domain codes are ``domains``.
+
+    Per-domain probabilities are column sums of the count matrix over the
+    domain's documents, divided by the domain's in-vocabulary token total.
+    A document's tokens all occur in its own domain, so ``p > 0`` for every
+    weighted token. Rows are accumulated one token position at a time across
+    all documents, which sums each document in token order, exactly as a
+    per-document loop would.
+    """
+    n = len(token_lists)
+    membership = sp.csr_matrix(
+        (np.ones(n), (domains, np.arange(n))), shape=(int(domains.max(initial=0)) + 1, n)
+    )
+    domain_counts = (membership @ counts_matrix(token_lists, vocab)).toarray()
+    probs = domain_counts / np.maximum(domain_counts.sum(axis=1, keepdims=True), 1.0)
+
+    in_table = {token: j for token, j in vocab.index.items() if token in table}
+    vectors = np.zeros((len(vocab), table.dim), dtype=np.float64)
+    for token, j in in_table.items():
+        vectors[j] = table.entries[token]
+    sequences = [[in_table[t] for t in tokens if t in in_table] for tokens in token_lists]
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    tokens = np.array([j for seq in sequences for j in seq], dtype=np.int64)
+    docs = np.repeat(np.arange(n), lengths)
+    weights = np.sqrt(a / probs[domains[docs], tokens])
+    positions = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    by_position = np.argsort(positions, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(positions))))
+
+    out = np.zeros((n, table.dim), dtype=np.float64)
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        at = by_position[start:end]  # at most one token per document
+        out[docs[at]] += weights[at, None] * vectors[tokens[at]]
+    nonempty = lengths > 0
+    out[nonempty] /= lengths[nonempty, None]
+    return out

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Document, SparseCounts
+from .corpus import Document
 from .errors import ConfigError, DataError
 from .representations import (
     AUTOENCODER,
@@ -31,7 +31,6 @@ from .representations import (
 )
 from .similarity import (
     COSINE,
-    HIGHER,
     JENSEN_SHANNON,
     LOWER,
     METRIC_ORIENTATION,
@@ -123,33 +122,6 @@ class SelectionResult:
 # ---------------------------------------------------------------------------
 # Representation plumbing
 # ---------------------------------------------------------------------------
-
-def _stack_reprs(reprs) -> sp.csr_matrix | np.ndarray:
-    """Normalize per-instance representations to a counts CSR or dense matrix."""
-    if sp.issparse(reprs):
-        return reprs.tocsr()
-    if isinstance(reprs, np.ndarray):
-        return np.atleast_2d(np.asarray(reprs, dtype=np.float64))
-    reprs = list(reprs)
-    if not reprs:
-        raise DataError("no per-instance representations supplied")
-    if isinstance(reprs[0], SparseCounts):
-        size = reprs[0].size
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        for c in reprs:
-            if c.size != size:
-                raise DataError("count vectors span different vocabulary sizes")
-            indices.extend(c.indices.tolist())
-            data.extend(c.counts.tolist())
-            indptr.append(len(indices))
-        return sp.csr_matrix(
-            (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
-            shape=(len(reprs), size),
-        )
-    return np.vstack([_as_vector(r) for r in reprs])
-
 
 def _score_rows(
     rows,
@@ -324,7 +296,8 @@ def select_instance_level(
     """
     if not pool:
         raise DataError("selection pool is empty")
-    rows = _stack_reprs(per_instance_reprs)
+    rows = per_instance_reprs
+    rows = rows.tocsr() if sp.issparse(rows) else np.asarray(rows, dtype=np.float64)
     if rows.shape[0] != len(pool):
         raise DataError(
             f"{rows.shape[0]} representations for {len(pool)} pool documents"
@@ -389,7 +362,8 @@ def subset_select(
         raise ConfigError(
             "proxy_a subset scoring is non-standard; pass allow_proxy_a=True to enable it"
         )
-    rows = _stack_reprs(per_instance_reprs)
+    rows = per_instance_reprs
+    rows = rows.tocsr() if sp.issparse(rows) else np.asarray(rows, dtype=np.float64)
     if rows.shape[0] != len(pool):
         raise DataError(
             f"{rows.shape[0]} representations for {len(pool)} pool documents"

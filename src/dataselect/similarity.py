@@ -3,22 +3,28 @@
 Jensen-Shannon divergence operates on term distributions (natural log, so
 the range is [0, ln 2]), cosine similarity on dense vectors, and the proxy
 distance scores come from a logistic-regression domain discriminator trained
-to separate source from target examples. One shared row kernel backs both
-the scalar metrics and the batched scoring used during selection, so scores
-are bit-identical across those paths.
+to separate source from target examples.
+
+Each metric has a scalar form (``js_divergence``, ``cosine``) and a batched
+form used during selection (``js_to_target``, ``cosine_to_target``). The
+scalar forms and the dense batched paths share one row kernel per metric, so
+they agree bit for bit. Sparse JS rows are scored on their support only; that
+sum runs in another order, so it agrees with the dense kernel to within
+1e-12 rather than exactly. Every batched path gives a row the same score
+however the rows are chunked or ordered.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
+from .autoencoder import sigmoid
 from .errors import ConfigError, DataError
-from .representations import DenseRepresentation, TermDistribution
+from .representations import TermDistribution
 
 JENSEN_SHANNON = "jensen_shannon"
 COSINE = "cosine"
@@ -51,31 +57,14 @@ class DomainDiscriminator:
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         """Predicted probability of belonging to the target domain."""
-        return _sigmoid(np.asarray(X, dtype=np.float64) @ self.weights + self.bias)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _as_probs(dist: TermDistribution | np.ndarray) -> np.ndarray:
-    if isinstance(dist, TermDistribution):
-        return dist.probs
-    return np.asarray(dist, dtype=np.float64)
+        return sigmoid(np.asarray(X, dtype=np.float64) @ self.weights + self.bias)
 
 
 def _is_empty(dist) -> bool:
     return isinstance(dist, TermDistribution) and dist.empty
 
 
-def _as_vector(rep: DenseRepresentation | TermDistribution | np.ndarray) -> np.ndarray:
-    if isinstance(rep, DenseRepresentation):
-        return rep.vec
+def _as_vector(rep: TermDistribution | np.ndarray) -> np.ndarray:
     if isinstance(rep, TermDistribution):
         return rep.probs
     return np.asarray(rep, dtype=np.float64)
@@ -84,23 +73,6 @@ def _as_vector(rep: DenseRepresentation | TermDistribution | np.ndarray) -> np.n
 # ---------------------------------------------------------------------------
 # Divergences
 # ---------------------------------------------------------------------------
-
-def kl_divergence(P: TermDistribution | np.ndarray, Q: TermDistribution | np.ndarray) -> float:
-    """KL divergence sum(p * ln(p / q)) in nats; zero-probability p terms drop out.
-
-    A support violation (p > 0 where q = 0) returns infinity with a warning;
-    it cannot happen inside the Jensen-Shannon computation.
-    """
-    p, q = _as_probs(P), _as_probs(Q)
-    if p.shape != q.shape:
-        raise DataError(f"distributions differ in length: {p.shape} vs {q.shape}")
-    support = p > 0
-    if (q[support] == 0).any():
-        warnings.warn("KL support violation (p > 0 where q = 0); returning inf")
-        return float("inf")
-    ps, qs = p[support], q[support]
-    return float(np.sum(ps * (np.log(ps) - np.log(qs))))
-
 
 def _js_rows_from_probs(P: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Row-wise JS divergence between probability rows of P and q.
@@ -124,7 +96,7 @@ def js_divergence(P: TermDistribution | np.ndarray, Q: TermDistribution | np.nda
     """
     if _is_empty(P) or _is_empty(Q):
         return SimilarityScore(float("nan"), JENSEN_SHANNON, LOWER, empty=True)
-    p, q = _as_probs(P), _as_probs(Q)
+    p, q = _as_vector(P), _as_vector(Q)
     if p.shape != q.shape:
         raise DataError(f"distributions differ in length: {p.shape} vs {q.shape}")
     value = float(_js_rows_from_probs(p[None, :], q)[0])
@@ -158,29 +130,26 @@ def js_to_target(rows: sp.spmatrix | np.ndarray, target: TermDistribution) -> np
 
 def _js_csr_to_target(rows: sp.csr_matrix, q: np.ndarray) -> np.ndarray:
     # On the row's support: p*ln(p/m) + q*ln(q/m); off-support the q-side
-    # telescopes to ln2 * (1 - covered q mass). Row segments are reduced
-    # left-to-right (np.add.reduceat), independent of neighboring rows.
+    # telescopes to ln2 * (1 - covered q mass). Each non-empty row's segment
+    # is reduced left-to-right (np.add.reduceat over the starts of the
+    # non-empty rows only), independent of neighboring rows.
     indptr, cols, data = rows.indptr, rows.indices, rows.data
-    n = rows.shape[0]
-    out = np.full(n, np.nan)
-    if len(data) == 0:
-        return out
-    starts = indptr[:-1]
-    empty = indptr[:-1] == indptr[1:]
-    row_sums = np.add.reduceat(data, np.minimum(starts, len(data) - 1))
-    row_sums[empty] = 0.0
     lengths = np.diff(indptr)
-    p = data / np.repeat(np.where(row_sums > 0, row_sums, 1.0), lengths)
+    nonempty = np.flatnonzero(lengths)
+    out = np.full(rows.shape[0], np.nan)
+    if len(nonempty) == 0:
+        return out
+    starts = indptr[nonempty]
+    p = data / np.repeat(np.add.reduceat(data, starts), lengths[nonempty])
     qv = q[cols]
     mv = 0.5 * (p + qv)
     log_mv = np.log(mv)  # mv > 0 since p > 0 on the support
     terms = p * (np.log(p) - log_mv) + np.where(
         qv > 0, qv * (np.log(np.where(qv > 0, qv, 1.0)) - log_mv), 0.0
     )
-    term_sums = np.add.reduceat(terms, np.minimum(starts, len(data) - 1))
-    q_covered = np.add.reduceat(qv, np.minimum(starts, len(data) - 1))
-    js = 0.5 * (term_sums + LN2 * (1.0 - q_covered))
-    out[~empty] = js[~empty]
+    term_sums = np.add.reduceat(terms, starts)
+    q_covered = np.add.reduceat(qv, starts)
+    out[nonempty] = 0.5 * (term_sums + LN2 * (1.0 - q_covered))
     return out
 
 
@@ -188,10 +157,7 @@ def _js_csr_to_target(rows: sp.csr_matrix, q: np.ndarray) -> np.ndarray:
 # Cosine
 # ---------------------------------------------------------------------------
 
-def cosine(
-    a: DenseRepresentation | TermDistribution | np.ndarray,
-    b: DenseRepresentation | TermDistribution | np.ndarray,
-) -> SimilarityScore:
+def cosine(a: TermDistribution | np.ndarray, b: TermDistribution | np.ndarray) -> SimilarityScore:
     """Cosine similarity; either vector having zero norm yields 0."""
     va, vb = _as_vector(a), _as_vector(b)
     if va.shape != vb.shape:
@@ -251,7 +217,7 @@ def fit_logistic_regression(
 
     def gradient(w, b):
         margins = s * (X @ w + b)
-        gz = -s * _sigmoid(-margins)
+        gz = -s * sigmoid(-margins)
         return X.T @ gz + l2 * w, float(gz.sum())
 
     obj = objective(w, b)
@@ -274,13 +240,8 @@ def fit_logistic_regression(
     return w, b, trace
 
 
-def _rep_matrix(reps) -> np.ndarray:
-    if sp.issparse(reps):
-        reps = reps.toarray()
-    if isinstance(reps, np.ndarray):
-        X = np.asarray(reps, dtype=np.float64)
-    else:
-        X = np.vstack([_as_vector(r) for r in reps])
+def _rep_matrix(reps: sp.spmatrix | np.ndarray) -> np.ndarray:
+    X = np.asarray(reps.toarray() if sp.issparse(reps) else reps, dtype=np.float64)
     if not np.isfinite(X).all():
         raise DataError("representations contain non-finite values")
     return X

@@ -1,8 +1,15 @@
 import json
 
 import pytest
+from hypothesis import settings
 
 from dataselect.corpus import Corpus, Document
+
+# Property tests replay the same examples on every run and keep no database.
+settings.register_profile(
+    "dataselect", derandomize=True, max_examples=150, deadline=None, database=None
+)
+settings.load_profile("dataselect")
 
 
 def make_corpus(rows):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dataselect.autoencoder import (
     AEModel,
@@ -212,12 +213,16 @@ class TestTrain:
         for key in params:
             assert np.allclose(model.parameters()[key], params[key], atol=1e-9)
 
-    def test_out_of_range_data_is_rescaled(self):
-        data = np.array([[0.0, 5.0], [5.0, 0.0], [2.5, 2.5], [1.0, 4.0]])
-        config = AETrainConfig(epochs=2, masking_prob=0.0, hidden_dim=2,
+    def test_out_of_range_data_rejected(self):
+        # encode() never rescales its input, so training must not either
+        config = AETrainConfig(epochs=1, masking_prob=0.0, hidden_dim=2,
                                batch_size=2, seed=0)
-        _, losses = train(data, config)
-        assert all(np.isfinite(losses))
+        for bad in (5.0, -0.5, np.nan):
+            data = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, bad]])
+            with pytest.raises(DataError, match=r"\[0, 1\]"):
+                train(data, config)
+        with pytest.raises(DataError):
+            train(sp.csr_matrix([[0.0, 2.0], [1.0, 0.0]]), config)
 
 
 class TestCheckpoint:

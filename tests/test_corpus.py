@@ -10,11 +10,10 @@ from dataselect.corpus import (
     TfidfModel,
     Vocabulary,
     build_vocabulary,
+    counts_matrix,
     default_stopwords,
     load_corpus,
     preprocess,
-    term_counts,
-    tfidf_features,
 )
 from dataselect.errors import ConfigError, DataError, ParseError
 
@@ -174,48 +173,45 @@ class TestTermCounts:
         return Vocabulary.from_frequencies({"movie": 5, "best": 3}, cap=2)
 
     def test_basic_counting(self, vocab):
-        counts = term_counts(["movie", "movie", "best"], vocab)
+        counts = counts_matrix([["movie", "movie", "best"]], vocab)
         assert counts.indices.tolist() == [0, 1]
-        assert counts.counts.tolist() == [2, 1]
-        assert counts.total == 3
+        assert counts.data.tolist() == [2, 1]
 
     def test_all_oov(self, vocab):
-        counts = term_counts(["alien", "words"], vocab)
-        assert counts.indices.size == 0
-        assert counts.total == 2
+        counts = counts_matrix([["alien", "words"]], vocab)
+        assert counts.shape == (1, 2)
+        assert counts.nnz == 0
 
     def test_empty(self, vocab):
-        counts = term_counts([], vocab)
-        assert counts.indices.size == 0
-        assert counts.total == 0
+        counts = counts_matrix([[]], vocab)
+        assert counts.shape == (1, 2)
+        assert counts.nnz == 0
 
     def test_in_vocab_total_never_exceeds_total(self, vocab):
         rng = np.random.default_rng(0)
         universe = ["movie", "best", "oov1", "oov2"]
-        for _ in range(50):
-            tokens = list(rng.choice(universe, size=rng.integers(0, 12)))
-            counts = term_counts(tokens, vocab)
-            assert counts.in_vocab_total <= counts.total
+        token_lists = [list(rng.choice(universe, size=rng.integers(0, 12))) for _ in range(50)]
+        in_vocab = counts_matrix(token_lists, vocab).sum(axis=1).A1
+        for tokens, total in zip(token_lists, in_vocab):
             oov = sum(1 for t in tokens if t not in vocab.index)
-            assert counts.in_vocab_total == counts.total - oov
+            assert total == len(tokens) - oov
+
+
+def tfidf_rows(texts, ngram_max):
+    """Fit tf-idf on the texts (no stopwords) and return their rows and the model."""
+    token_lists = [preprocess(t, PreprocessOptions(stopwords=frozenset())) for t in texts]
+    model = TfidfModel.fit(token_lists, ngram_max=ngram_max)
+    return model.transform(token_lists), model
 
 
 class TestTfidf:
     def test_single_document_idf_one_and_unit_norm(self):
-        corpus = make_corpus([("1", "alpha beta alpha", "x", None)])
-        matrix, model = tfidf_features(
-            corpus, ["1"], ngram_max=1, options=PreprocessOptions(stopwords=frozenset())
-        )
+        matrix, model = tfidf_rows(["alpha beta alpha"], ngram_max=1)
         assert np.allclose(model.idf, 1.0)
         assert math.isclose(np.linalg.norm(matrix.toarray()), 1.0, abs_tol=1e-12)
 
     def test_identical_documents_identical_rows(self):
-        corpus = make_corpus(
-            [("1", "same words here", "x", None), ("2", "same words here", "x", None)]
-        )
-        matrix, _ = tfidf_features(
-            corpus, ["1", "2"], ngram_max=2, options=PreprocessOptions(stopwords=frozenset())
-        )
+        matrix, _ = tfidf_rows(["same words here", "same words here"], ngram_max=2)
         dense = matrix.toarray()
         assert np.array_equal(dense[0], dense[1])
 
@@ -236,13 +232,7 @@ class TestTfidf:
             norm = math.sqrt(sum(w * w for w in weights.values()))
             expected[name] = {t: w / norm for t, w in weights.items()}
 
-        corpus = make_corpus(
-            [(name, " ".join(tokens), "x", None) for name, tokens in docs.items()]
-        )
-        matrix, model = tfidf_features(
-            corpus, ["A", "B", "C"], ngram_max=1,
-            options=PreprocessOptions(stopwords=frozenset()),
-        )
+        matrix, model = tfidf_rows([" ".join(tokens) for tokens in docs.values()], ngram_max=1)
         dense = matrix.toarray()
         for row, name in enumerate(["A", "B", "C"]):
             for token, value in expected[name].items():
@@ -258,32 +248,23 @@ class TestTfidf:
         )
 
     def test_bigram_features_present(self):
-        corpus = make_corpus([("1", "not good", "x", None), ("2", "very good", "x", None)])
-        _, model = tfidf_features(
-            corpus, ["1", "2"], ngram_max=2, options=PreprocessOptions(stopwords=frozenset())
-        )
+        _, model = tfidf_rows(["not good", "very good"], ngram_max=2)
         assert "not good" in model.feature_index
         assert "very good" in model.feature_index
 
     def test_unseen_ngrams_dropped_at_transform(self):
-        corpus = make_corpus([("1", "alpha beta", "x", None)])
-        _, model = tfidf_features(
-            corpus, ["1"], ngram_max=1, options=PreprocessOptions(stopwords=frozenset())
-        )
+        _, model = tfidf_rows(["alpha beta"], ngram_max=1)
         out = model.transform([["alpha", "zeta"]])
         assert out.shape[1] == model.n_features
         assert out[0, model.feature_index["alpha"]] > 0
         assert out.nnz == 1
 
-    def test_empty_doc_list_is_error(self, tiny_corpus):
+    def test_empty_doc_list_is_error(self):
         with pytest.raises(DataError):
-            tfidf_features(tiny_corpus, [], ngram_max=1)
+            TfidfModel.fit([], ngram_max=1)
 
     def test_empty_document_maps_to_zero_vector(self):
-        corpus = make_corpus([("1", "alpha", "x", None), ("2", "", "x", None)])
-        matrix, _ = tfidf_features(
-            corpus, ["1", "2"], ngram_max=1, options=PreprocessOptions(stopwords=frozenset())
-        )
+        matrix, _ = tfidf_rows(["alpha", ""], ngram_max=1)
         assert matrix[1].nnz == 0
 
     def test_l2_norm_is_one_for_nonempty_rows(self):

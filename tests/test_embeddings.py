@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dataselect.corpus import Vocabulary
-from dataselect.embeddings import EmbeddingTable, load_embeddings, lookup
+from dataselect.embeddings import EmbeddingTable, load_embeddings
 from dataselect.errors import DataError, ParseError
 
 
@@ -63,13 +63,15 @@ class TestLookup:
         return EmbeddingTable({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}, dim=2)
 
     def test_hit(self, table):
-        assert np.array_equal(lookup(table, "a"), [1.0, 0.0])
+        assert "a" in table
+        assert np.array_equal(table.entries["a"], [1.0, 0.0])
 
     def test_miss_is_none(self, table):
-        assert lookup(table, "zzz") is None
+        assert "zzz" not in table
+        assert table.entries.get("zzz") is None
 
     def test_miss_after_restriction(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", ["a 1 0", "b 0 1"])
         vocab = Vocabulary.from_frequencies({"a": 1}, cap=10)
         table = load_embeddings(path, restrict_to=vocab)
-        assert lookup(table, "b") is None
+        assert table.entries.get("b") is None

@@ -215,30 +215,30 @@ def resources():
 class TestRunExperiment:
 
     def test_deterministic_strategy_gives_identical_runs(self, corpus, resources):
+        context = prepare_context(corpus, "tgt", "term_dist", resources)
         config = SelectionConfig(n=40, strategy="instance")
-        result = run_experiment(corpus, "tgt", config, runs=4, base_seed=0,
-                                resources=resources)
+        result = run_experiment(context, config, runs=4, base_seed=0)
         assert len(set(result.accuracies)) == 1
 
     def test_mean_matches_recomputation(self, corpus, resources):
+        context = prepare_context(corpus, "tgt", "term_dist", resources)
         config = SelectionConfig(n=40, strategy="random")
-        result = run_experiment(corpus, "tgt", config, runs=5, base_seed=3,
-                                resources=resources)
+        result = run_experiment(context, config, runs=5, base_seed=3)
         assert result.mean == pytest.approx(sum(result.accuracies) / 5, abs=1e-12)
         assert result.seeds == [3, 4, 5, 6, 7]
 
     def test_unknown_target_domain(self, corpus, resources):
         with pytest.raises(ConfigError, match="unknown target domain"):
-            run_experiment(corpus, "nope", SelectionConfig(n=5, strategy="random"),
-                           runs=1, base_seed=0, resources=resources)
+            prepare_context(corpus, "nope", "term_dist", resources)
 
     def test_context_reuse_matches_fresh(self, corpus, resources):
         config = SelectionConfig(n=30, strategy="subset", s=5, m=20)
-        fresh = run_experiment(corpus, "tgt", config, runs=2, base_seed=1,
-                               resources=resources)
+        fresh = run_experiment(
+            prepare_context(corpus, "tgt", "term_dist", resources), config, runs=2, base_seed=1
+        )
         context = prepare_context(corpus, "tgt", "term_dist", resources)
-        reused = run_experiment(corpus, "tgt", config, runs=2, base_seed=1,
-                                context=context)
+        run_experiment(context, SelectionConfig(n=30, strategy="instance"), runs=1)
+        reused = run_experiment(context, config, runs=2, base_seed=1)
         assert fresh.accuracies == reused.accuracies
 
     def test_selection_never_includes_target_documents(self, corpus, resources):

@@ -75,28 +75,28 @@ class TestSelectBalanced:
         pool = make_pool(400, domains=("a", "b", "c", "d"))
         result = select_balanced(pool, 40, seed=0)
         by_domain = {}
-        lookup = {d.id: d.domain for d in pool}
+        domain_of = {d.id: d.domain for d in pool}
         for doc_id in result.chosen:
-            by_domain[lookup[doc_id]] = by_domain.get(lookup[doc_id], 0) + 1
+            by_domain[domain_of[doc_id]] = by_domain.get(domain_of[doc_id], 0) + 1
         assert by_domain == {"a": 10, "b": 10, "c": 10, "d": 10}
 
     def test_remainder_goes_to_lexicographically_first(self):
         pool = make_pool(300, domains=("c", "a", "b"))
         result = select_balanced(pool, 10, seed=0)
-        lookup = {d.id: d.domain for d in pool}
+        domain_of = {d.id: d.domain for d in pool}
         counts = {}
         for doc_id in result.chosen:
-            counts[lookup[doc_id]] = counts.get(lookup[doc_id], 0) + 1
+            counts[domain_of[doc_id]] = counts.get(domain_of[doc_id], 0) + 1
         assert counts == {"a": 4, "b": 3, "c": 3}
 
     def test_shortfall_redistribution(self):
         pool = [Document(id=f"a{i}", text="x", domain="aa", label=None) for i in range(3)]
         pool += [Document(id=f"b{i}", text="x", domain="bb", label=None) for i in range(50)]
         result = select_balanced(pool, 10, seed=0)
-        lookup = {d.id: d.domain for d in pool}
+        domain_of = {d.id: d.domain for d in pool}
         counts = {}
         for doc_id in result.chosen:
-            counts[lookup[doc_id]] = counts.get(lookup[doc_id], 0) + 1
+            counts[domain_of[doc_id]] = counts.get(domain_of[doc_id], 0) + 1
         assert counts == {"aa": 3, "bb": 7}
 
     def test_deterministic(self):
