@@ -41,8 +41,10 @@ def load_embeddings(
 ) -> EmbeddingTable:
     """Parse an embedding file, optionally keeping only in-vocabulary rows.
 
-    Restriction controls memory on large vector files; it never changes the
-    vectors themselves.
+    Restriction controls memory and time on large vector files; it never
+    changes the vectors themselves. Every line's component count is checked,
+    but only kept lines are parsed as floats, so a non-numeric component on a
+    line the restriction drops is not reported.
     """
     path = Path(path)
     if not path.exists():
@@ -63,13 +65,12 @@ def load_embeddings(
                 raise ParseError(
                     f"expected {dim} vector components, found {len(values)}", line=lineno
                 )
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError:
-                raise ParseError("non-numeric vector component", line=lineno) from None
             if restrict_to is not None and token not in restrict_to:
                 continue
-            entries[token] = vec
+            try:
+                entries[token] = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError:
+                raise ParseError("non-numeric vector component", line=lineno) from None
     if dim is None:
         raise DataError(f"embedding file is empty: {path}")
     return EmbeddingTable(entries, dim)

@@ -47,7 +47,12 @@ STRATEGIES = ("random", "balanced", "domain", "instance", "subset")
 
 _DEFAULT_METRIC = {TERM_DIST: JENSEN_SHANNON, EMBEDDING: COSINE, AUTOENCODER: COSINE}
 
-_SCORE_CHUNK = 2048
+# Candidates scored per batch. At 256 a batch of term-distribution aggregates
+# (s=20) holds about 60k nonzeros, so each temporary of the JS kernel (about
+# 0.5 MB) stays in cache; at 2048 they were about 4 MB each and a third of
+# the subset search went to system time allocating them. 128 and 512 were
+# slower. Every candidate is scored on its own, so the value changes no score.
+_SCORE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -437,8 +442,14 @@ def _draw_subsets(rng: np.random.Generator, n_avail: int, size: int, m: int) -> 
     if size >= n_avail:
         return np.tile(np.arange(n_avail), (m, 1))
     if size * size > n_avail:
-        keys = rng.random((m, n_avail))
-        return np.argsort(keys, axis=1)[:, :size]
+        # Keys are drawn in row blocks to bound memory; the generator
+        # continues one stream, so the draw equals a one-shot (m, n_avail) one.
+        out = np.empty((m, size), dtype=np.intp)
+        for start in range(0, m, _SCORE_CHUNK):
+            stop = min(start + _SCORE_CHUNK, m)
+            keys = rng.random((stop - start, n_avail))
+            out[start:stop] = np.argsort(keys, axis=1)[:, :size]
+        return out
     cand = rng.integers(0, n_avail, size=(m, size))
     while True:
         srt = np.sort(cand, axis=1)
@@ -451,26 +462,30 @@ def _draw_subsets(rng: np.random.Generator, n_avail: int, size: int, m: int) -> 
 def _candidate_scores(
     rows, candidates: np.ndarray, target_repr, metric: str, *, item_scores=None
 ) -> np.ndarray:
-    """Score each candidate subset's aggregate representation, chunked."""
+    """Score each candidate subset's aggregate representation, in batches.
+
+    Sparse and dense rows share one aggregation path: a 0/1 ``picker`` CSR
+    with one row per candidate gives ``agg = picker @ rows``, the member sum
+    accumulated in member order. Term-distribution sums are scored as counts;
+    dense sums are divided by ``size``, which is the member mean bit for bit
+    (``rows[block].mean(axis=1)`` sums in the same order and divides by the
+    same count). Every candidate is scored on its own, so the batch size does
+    not change any score.
+    """
     if item_scores is not None:
         return item_scores[candidates].mean(axis=1)
     n_cand, size = candidates.shape
     out = np.empty(n_cand, dtype=np.float64)
-    sparse_rows = sp.issparse(rows)
+    dense_rows = not sp.issparse(rows)
     for start in range(0, n_cand, _SCORE_CHUNK):
         block = candidates[start : start + _SCORE_CHUNK]
-        if sparse_rows:
-            picker = sp.csr_matrix(
-                (
-                    np.ones(block.size),
-                    block.ravel(),
-                    np.arange(0, block.size + 1, size),
-                ),
-                shape=(block.shape[0], rows.shape[0]),
-            )
-            agg = picker @ rows
-        else:
-            agg = rows[block].mean(axis=1)
+        picker = sp.csr_matrix(
+            (np.ones(block.size), block.ravel(), np.arange(0, block.size + 1, size)),
+            shape=(block.shape[0], rows.shape[0]),
+        )
+        agg = picker @ rows
+        if dense_rows:
+            agg /= size
         out[start : start + block.shape[0]] = _score_rows(agg, target_repr, metric)
     return out
 

@@ -10,8 +10,11 @@ form used during selection (``js_to_target``, ``cosine_to_target``). The
 scalar forms and the dense batched paths share one row kernel per metric, so
 they agree bit for bit. Sparse JS rows are scored on their support only; that
 sum runs in another order, so it agrees with the dense kernel to within
-1e-12 rather than exactly. Every batched path gives a row the same score
-however the rows are chunked or ordered.
+1e-12 rather than exactly. The sparse kernel takes ``ln q`` once per call and
+gathers it per nonzero, so each nonzero costs two logs (``ln p`` and
+``ln m``); where ``q`` is zero the gathered term is +0.0, as ``m = p/2`` makes
+``ln m`` negative. Every batched path gives a row the same score however the
+rows are chunked or ordered.
 """
 
 from __future__ import annotations
@@ -133,6 +136,11 @@ def _js_csr_to_target(rows: sp.csr_matrix, q: np.ndarray) -> np.ndarray:
     # telescopes to ln2 * (1 - covered q mass). Each non-empty row's segment
     # is reduced left-to-right (np.add.reduceat over the starts of the
     # non-empty rows only), independent of neighboring rows.
+    #
+    # ln q is taken once per call over the vocabulary (with ln 1 = 0 where
+    # q == 0) and gathered, so each nonzero costs two logs: ln p and ln m.
+    # Where q == 0 the gathered term q*(0 - ln m) is +0.0, because
+    # m = p/2 <= 1/2 makes ln m negative, so no mask is needed.
     indptr, cols, data = rows.indptr, rows.indices, rows.data
     lengths = np.diff(indptr)
     nonempty = np.flatnonzero(lengths)
@@ -140,13 +148,12 @@ def _js_csr_to_target(rows: sp.csr_matrix, q: np.ndarray) -> np.ndarray:
     if len(nonempty) == 0:
         return out
     starts = indptr[nonempty]
+    log_q = np.log(np.where(q > 0, q, 1.0))
     p = data / np.repeat(np.add.reduceat(data, starts), lengths[nonempty])
     qv = q[cols]
     mv = 0.5 * (p + qv)
     log_mv = np.log(mv)  # mv > 0 since p > 0 on the support
-    terms = p * (np.log(p) - log_mv) + np.where(
-        qv > 0, qv * (np.log(np.where(qv > 0, qv, 1.0)) - log_mv), 0.0
-    )
+    terms = p * (np.log(p) - log_mv) + qv * (log_q[cols] - log_mv)
     term_sums = np.add.reduceat(terms, starts)
     q_covered = np.add.reduceat(qv, starts)
     out[nonempty] = 0.5 * (term_sums + LN2 * (1.0 - q_covered))

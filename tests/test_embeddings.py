@@ -43,6 +43,25 @@ class TestLoadEmbeddings:
         with pytest.raises(ParseError, match="non-numeric"):
             load_embeddings(path)
 
+    def test_filtered_line_is_not_parsed(self, tmp_path):
+        path = write_vectors(tmp_path / "v.txt", ["a 1 0", "b 1 zero"])
+        vocab = Vocabulary.from_frequencies({"a": 1}, cap=10)
+        table = load_embeddings(path, restrict_to=vocab)
+        assert len(table) == 1
+        assert np.array_equal(table.entries["a"], [1.0, 0.0])
+
+    def test_malformed_kept_line_still_raises(self, tmp_path):
+        path = write_vectors(tmp_path / "v.txt", ["b 1 0", "a 1 zero"])
+        vocab = Vocabulary.from_frequencies({"a": 1}, cap=10)
+        with pytest.raises(ParseError, match="line 2: non-numeric"):
+            load_embeddings(path, restrict_to=vocab)
+
+    def test_filtered_line_dimension_still_checked(self, tmp_path):
+        path = write_vectors(tmp_path / "v.txt", ["a 1 0", "b 1 2 3"])
+        vocab = Vocabulary.from_frequencies({"a": 1}, cap=10)
+        with pytest.raises(ParseError, match="line 2"):
+            load_embeddings(path, restrict_to=vocab)
+
     def test_empty_file_is_error(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", [])
         with pytest.raises(DataError):

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
+from dataselect import selection
 from dataselect.corpus import Document
 from dataselect.errors import ConfigError, DataError
 from dataselect.representations import TermDistribution
@@ -12,7 +16,7 @@ from dataselect.selection import (
     select_random,
     subset_select,
 )
-from dataselect.similarity import cosine, js_divergence, js_to_target
+from dataselect.similarity import cosine, cosine_to_target, js_divergence, js_to_target
 
 
 def make_pool(n, domains=("src",), prefix="p"):
@@ -102,6 +106,24 @@ class TestSelectBalanced:
     def test_deterministic(self):
         pool = make_pool(60, domains=("a", "b"))
         assert select_balanced(pool, 11, seed=5).chosen == select_balanced(pool, 11, seed=5).chosen
+
+
+class TestQuotaAllocation:
+    @given(
+        st.dictionaries(
+            st.text("abcdef", min_size=1, max_size=3), st.integers(1, 40), min_size=1, max_size=8
+        ),
+        st.integers(1, 200),
+    )
+    def test_balanced_quotas(self, available, n):
+        alloc = selection._quota_allocation(available, n)
+        assert sorted(alloc) == sorted(available)
+        assert sum(alloc.values()) == min(n, sum(available.values()))
+        assert all(alloc[d] <= available[d] for d in available)
+        uncapped = [alloc[d] for d in sorted(available) if alloc[d] < available[d]]
+        if uncapped:
+            assert max(uncapped) - min(uncapped) <= 1
+            assert uncapped == sorted(uncapped, reverse=True)  # extras go first
 
 
 class TestSelectDomainLevel:
@@ -312,6 +334,64 @@ class TestSubsetSelect:
         )
         assert len(result.chosen) == 8
         assert result.shortfall == 12
+
+
+def candidate_case(sparse_rows):
+    """90 pool rows, the first 10 empty; 600 candidates of 5 drawn from the whole
+    pool, then 9 drawn from the empty rows only."""
+    rows = random_counts(90, 16, seed=12, zero_rows=range(10))
+    rng = np.random.default_rng(13)
+    candidates = np.vstack(
+        [rng.permuted(np.tile(np.arange(90), (600, 1)), axis=1)[:, :5],
+         rng.permuted(np.tile(np.arange(10), (9, 1)), axis=1)[:, :5]]
+    )
+    return (sp.csr_matrix(rows) if sparse_rows else rows), candidates, target_dist(16)
+
+
+class TestCandidateScores:
+    @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
+    @pytest.mark.parametrize("sparse_rows", [False, True])
+    def test_batch_size_changes_no_score(self, monkeypatch, metric, sparse_rows):
+        rows, candidates, target = candidate_case(sparse_rows)
+        results = []
+        for chunk in (1, 7, 256, 4096):
+            monkeypatch.setattr(selection, "_SCORE_CHUNK", chunk)
+            results.append(selection._candidate_scores(rows, candidates, target, metric))
+        if metric == "jensen_shannon":
+            assert np.isnan(results[0][-9:]).all()  # aggregates of empty rows only
+        for scores in results[1:]:
+            assert np.array_equal(scores, results[0], equal_nan=True)
+
+    def test_dense_aggregate_is_member_mean(self, monkeypatch):
+        rows, candidates, target = candidate_case(sparse_rows=False)
+        rows = rows + np.random.default_rng(14).random(rows.shape) / 3  # inexact sums
+        score_rows = selection._score_rows
+        aggregates = []
+
+        def record(agg, *args, **kwargs):
+            aggregates.append(agg)
+            return score_rows(agg, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "_SCORE_CHUNK", 7)
+        monkeypatch.setattr(selection, "_score_rows", record)
+        scores = selection._candidate_scores(rows, candidates, target.probs, "cosine")
+        oracle = rows[candidates].mean(axis=1)
+        assert np.array_equal(np.vstack(aggregates), oracle)
+        assert np.array_equal(scores, cosine_to_target(oracle, target.probs))
+
+
+class TestDrawSubsets:
+    @pytest.mark.parametrize("chunk", [7, 256])
+    def test_random_key_blocks_match_one_shot_draw(self, monkeypatch, chunk):
+        monkeypatch.setattr(selection, "_SCORE_CHUNK", chunk)
+        n_avail, size, m = 399, 20, 1000
+        assert size * size > n_avail  # the random-key branch
+        rng = np.random.default_rng(17)
+        drawn = selection._draw_subsets(rng, n_avail, size, m)
+        oracle_rng = np.random.default_rng(17)
+        oracle = np.argsort(oracle_rng.random((m, n_avail)), axis=1)[:, :size]
+        assert np.array_equal(drawn, oracle)
+        assert rng.random() == oracle_rng.random()  # same generator state after
 
 
 class TestSelectionConfig:

@@ -12,6 +12,7 @@ from dataselect.errors import ConfigError, DataError
 from dataselect.similarity import (
     LN2,
     DomainDiscriminator,
+    _js_csr_to_target,
     cosine,
     cosine_to_target,
     fit_logistic_regression,
@@ -222,6 +223,59 @@ class TestKernelProperties:
         perm = data.draw(st.permutations(range(n)))
         batch_invariant(cosine_to_target, rows, target, split, perm)
         batch_invariant(cosine_to_target, sp.csr_matrix(rows), target, split, perm)
+
+
+def three_log_js(rows, q):
+    """The sparse JS kernel with ln q taken per nonzero under a q > 0 mask."""
+    indptr, cols, data = rows.indptr, rows.indices, rows.data
+    lengths = np.diff(indptr)
+    nonempty = np.flatnonzero(lengths)
+    out = np.full(rows.shape[0], np.nan)
+    if len(nonempty) == 0:
+        return out
+    starts = indptr[nonempty]
+    p = data / np.repeat(np.add.reduceat(data, starts), lengths[nonempty])
+    qv = q[cols]
+    log_mv = np.log(0.5 * (p + qv))
+    terms = p * (np.log(p) - log_mv) + np.where(
+        qv > 0, qv * (np.log(np.where(qv > 0, qv, 1.0)) - log_mv), 0.0
+    )
+    out[nonempty] = 0.5 * (
+        np.add.reduceat(terms, starts) + LN2 * (1.0 - np.add.reduceat(qv, starts))
+    )
+    return out
+
+
+@st.composite
+def counts_over_target_zeros(draw):
+    """Count rows whose support covers columns where the target is zero."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(2, 8))
+    counts = draw(arrays(np.float64, (n, d), elements=COUNT))
+    q = draw(
+        arrays(np.float64, d, elements=COUNT).filter(lambda v: v.sum() > 0 and (v == 0).any())
+    )
+    zero = int(np.flatnonzero(q == 0)[0])
+    counts[draw(st.integers(0, n - 1)), zero] = 1.0
+    return counts, q / q.sum()
+
+
+class TestGatheredLogKernel:
+    @given(counts_over_target_zeros())
+    def test_matches_three_log_formula_bitwise(self, case):
+        counts, q = case
+        rows = sp.csr_matrix(counts)
+        np.testing.assert_array_equal(_js_csr_to_target(rows, q), three_log_js(rows, q))
+
+    def test_matches_three_log_formula_on_long_rows(self):
+        rng = np.random.default_rng(31)
+        counts = (rng.random((300, 500)) < 0.05) * rng.integers(1, 6, size=(300, 500))
+        counts[::17] = 0
+        raw = rng.random(500)
+        raw[rng.random(500) < 0.3] = 0.0
+        q = raw / raw.sum()
+        rows = sp.csr_matrix(counts.astype(float))
+        assert (q[rows.indices] == 0).any()
+        np.testing.assert_array_equal(_js_csr_to_target(rows, q), three_log_js(rows, q))
 
 
 class TestCosine:
