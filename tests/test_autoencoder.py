@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dataselect import autoencoder
 from dataselect.autoencoder import (
     AEModel,
     AETrainConfig,
@@ -11,9 +12,13 @@ from dataselect.autoencoder import (
     load_model,
     loss_and_gradients,
     save_model,
+    sigmoid,
     train,
 )
+from dataselect.corpus import PreprocessOptions, build_vocabulary, tokenize_corpus
 from dataselect.errors import ConfigError, DataError, NumericalError
+from dataselect.representations import ae_input_features
+from dataselect.synthetic import DomainSpec, generate
 
 
 def small_model(seed=5, d=4, h=3, scale=0.6):
@@ -24,6 +29,66 @@ def small_model(seed=5, d=4, h=3, scale=0.6):
         W_out=rng.normal(scale=scale, size=(d, h)),
         b_out=rng.normal(scale=scale, size=d),
     )
+
+
+def masked_sigmoid(z):
+    """The boolean-mask sigmoid the in-place one replaced."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def allocating_adam_step(p, m, v, g, t, config, buf1, buf2):
+    """The whole-array Adam update the blocked one replaced."""
+    m[...] = config.beta1 * m + (1.0 - config.beta1) * g
+    v[...] = config.beta2 * v + (1.0 - config.beta2) * g * g
+    m_hat = m / (1.0 - config.beta1**t)
+    v_hat = v / (1.0 - config.beta2**t)
+    p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+
+
+class TestSigmoid:
+    SPECIAL = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 36.5, -36.5]
+
+    @pytest.mark.parametrize("z", SPECIAL)
+    def test_zero_d_matches_masked(self, z):
+        want = masked_sigmoid(np.array(z))
+        for arg in (np.array(z), z):  # a Python float is taken as 0-d
+            got = sigmoid(arg)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_one_and_two_d_match_masked(self):
+        rng = np.random.default_rng(8)
+        flat = np.concatenate([self.SPECIAL, rng.normal(scale=20.0, size=200)])
+        assert np.array_equal(sigmoid(flat), masked_sigmoid(flat), equal_nan=True)
+        grid = rng.permutation(np.concatenate([flat, rng.normal(size=9)])).reshape(11, 20)
+        assert np.array_equal(sigmoid(grid), masked_sigmoid(grid), equal_nan=True)
+
+
+class TestAdamStep:
+    SHAPES = [(37, 53), (41,)]  # 1961 and 41 elements: no block size below divides them
+
+    @pytest.mark.parametrize("block", [1, 7, 16384, 10**6])
+    def test_matches_allocating_update(self, monkeypatch, block):
+        monkeypatch.setattr(autoencoder, "_ADAM_BLOCK", block)
+        config = AETrainConfig(learning_rate=3e-3)
+        rng = np.random.default_rng(block)
+        for shape in self.SHAPES:
+            p = rng.normal(size=shape)
+            blocked = [p.copy(), np.zeros(shape), np.zeros(shape)]
+            oracle = [p.copy(), np.zeros(shape), np.zeros(shape)]
+            buf = min(block, p.size)
+            buf1, buf2 = np.empty(buf), np.empty(buf)
+            for t in range(1, 6):
+                g = rng.normal(scale=10.0 ** rng.integers(-6, 1), size=shape)
+                autoencoder._adam_step(*blocked, g, t, config, buf1, buf2)
+                allocating_adam_step(*oracle, g, t, config, None, None)
+            for got, want in zip(blocked, oracle):
+                assert np.array_equal(got, want)
 
 
 class TestCorrupt:
@@ -212,6 +277,28 @@ class TestTrain:
         assert np.allclose(losses, expected_losses, atol=1e-6)
         for key in params:
             assert np.allclose(model.parameters()[key], params[key], atol=1e-9)
+
+    def test_bit_identical_to_masked_sigmoid_and_allocating_adam(self, monkeypatch):
+        shape = dict(docs_per_label=10, lexicon_size=10, shared_vocab_size=25,
+                     private_vocab_size=8, doc_length=(3, 12))
+        corpus = generate(
+            [DomainSpec(name="near", overlap=0.7, seed=1, **shape)],
+            DomainSpec(name="tgt", seed=2, **shape),
+        )
+        options = PreprocessOptions(stopwords=frozenset())
+        token_lists = tokenize_corpus(corpus, options)
+        vocab = build_vocabulary(corpus, cap=50, token_lists=token_lists)
+        features, _ = ae_input_features(corpus, vocab, options, token_lists=token_lists)
+        config = AETrainConfig(epochs=3, masking_prob=0.5, learning_rate=1e-2,
+                               batch_size=7, seed=4, hidden_dim=9)
+        monkeypatch.setattr(autoencoder, "_ADAM_BLOCK", 13)
+        model, losses = train(features, config)
+        monkeypatch.setattr(autoencoder, "sigmoid", masked_sigmoid)
+        monkeypatch.setattr(autoencoder, "_adam_step", allocating_adam_step)
+        oracle_model, oracle_losses = train(features, config)
+        assert losses == oracle_losses
+        for key, value in model.parameters().items():
+            assert np.array_equal(value, oracle_model.parameters()[key])
 
     def test_out_of_range_data_rejected(self):
         # encode() never rescales its input, so training must not either

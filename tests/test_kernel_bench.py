@@ -1,4 +1,5 @@
-"""Kernel microbenchmarks: one subset-search round of candidate scoring.
+"""Kernel microbenchmarks: one subset-search round of candidate scoring and
+one autoencoder minibatch (forward/backward and one Adam update).
 
 Marked ``bench`` and deselected by default; run them with
 
@@ -7,20 +8,23 @@ Marked ``bench`` and deselected by default; run them with
 The pools are the size of the ``graded`` catalog scenario's source pool
 (about 7,000 documents over a 1,260-token vocabulary, about 15 distinct
 tokens per document) and of a 100-d dense embedding pool. One round scores
-20,000 random 20-document candidates, the default ``m`` and ``s``.
+20,000 random 20-document candidates, the default ``m`` and ``s``. The
+autoencoder cases use that vocabulary with the default hidden size (1,000)
+and batch size (64).
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dataselect import selection
+from dataselect import autoencoder, selection
 from dataselect.representations import TermDistribution
 
 pytestmark = pytest.mark.bench
 
 POOL, VOCAB, DIM = 7000, 1260, 100
 M, S = 20000, 20
+HIDDEN, BATCH = 1000, 64
 
 
 def round_candidates(rng):
@@ -57,3 +61,46 @@ def test_dense_cosine_round(benchmark):
         iterations=1,
     )
     assert scores.shape == (M,)
+
+
+def test_adam_step(benchmark):
+    rng = np.random.default_rng(0)
+    config = autoencoder.AETrainConfig()
+    p = rng.uniform(-0.05, 0.05, size=(HIDDEN, VOCAB))
+    m, v = np.zeros_like(p), np.zeros_like(p)
+    g = rng.normal(scale=1e-3, size=p.shape)
+    block = min(autoencoder._ADAM_BLOCK, p.size)
+    buf1, buf2 = np.empty(block), np.empty(block)
+    benchmark.pedantic(
+        autoencoder._adam_step,
+        args=(p, m, v, g, 1, config, buf1, buf2),
+        rounds=5,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    assert np.isfinite(p).all()
+
+
+def test_ae_loss_and_gradients_batch(benchmark):
+    rng = np.random.default_rng(0)
+    lim = np.sqrt(6.0 / (VOCAB + HIDDEN))
+    model = autoencoder.AEModel(
+        W=rng.uniform(-lim, lim, size=(HIDDEN, VOCAB)),
+        b=np.zeros(HIDDEN),
+        W_out=rng.uniform(-lim, lim, size=(VOCAB, HIDDEN)),
+        b_out=np.zeros(VOCAB),
+    )
+    batch = sp.random(
+        BATCH, VOCAB, density=15 / VOCAB, format="csr", random_state=1
+    ).toarray()
+    corrupted = autoencoder.corrupt(batch, 0.8, rng)
+    loss, grads = benchmark.pedantic(
+        autoencoder.loss_and_gradients,
+        args=(model, corrupted, batch),
+        rounds=5,
+        iterations=1,
+        # the first few calls in a process run about 5x slower than the
+        # steady state that training reaches
+        warmup_rounds=3,
+    )
+    assert np.isfinite(loss) and grads["W"].shape == (HIDDEN, VOCAB)

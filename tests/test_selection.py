@@ -393,6 +393,26 @@ class TestDrawSubsets:
         assert np.array_equal(drawn, oracle)
         assert rng.random() == oracle_rng.random()  # same generator state after
 
+    @pytest.mark.parametrize("n_avail", [6800, 5500, 1000, 401])
+    def test_rejection_rechecks_match_whole_array_loop(self, n_avail):
+        size, m = 20, 5000
+        assert size * size <= n_avail  # the rejection branch
+
+        def whole_array_draw(rng):
+            cand = rng.integers(0, n_avail, size=(m, size))
+            while True:
+                srt = np.sort(cand, axis=1)
+                bad = (np.diff(srt, axis=1) == 0).any(axis=1)
+                if not bad.any():
+                    return cand
+                cand[bad] = rng.integers(0, n_avail, size=(int(bad.sum()), size))
+
+        rng = np.random.default_rng(n_avail)
+        drawn = selection._draw_subsets(rng, n_avail, size, m)
+        oracle_rng = np.random.default_rng(n_avail)
+        assert np.array_equal(drawn, whole_array_draw(oracle_rng))
+        assert rng.random() == oracle_rng.random()  # same generator state after
+
 
 class TestSelectionConfig:
     def test_defaults(self):

@@ -315,6 +315,47 @@ class TestLogisticRegression:
         diffs = np.diff(trace)
         assert np.all(diffs <= 1e-8)
 
+    def test_matches_fit_that_recomputes_margins(self):
+        from dataselect.autoencoder import sigmoid
+
+        def recomputing_fit(X, y, l2=1.0, tol=1e-8, max_iter=500):
+            s = np.where(y > 0, 1.0, -1.0)
+            w, b = np.zeros(X.shape[1]), 0.0
+
+            def objective(w, b):
+                margins = s * (X @ w + b)
+                return float(np.sum(np.logaddexp(0.0, -margins)) + 0.5 * l2 * np.dot(w, w))
+
+            def gradient(w, b):
+                gz = -s * sigmoid(-(s * (X @ w + b)))
+                return X.T @ gz + l2 * w, float(gz.sum())
+
+            obj = objective(w, b)
+            trace = [obj]
+            for _ in range(max_iter):
+                gw, gb = gradient(w, b)
+                gnorm_sq = float(np.dot(gw, gw) + gb * gb)
+                if np.sqrt(gnorm_sq) < tol:
+                    break
+                step = 1.0
+                while True:
+                    w_new, b_new = w - step * gw, b - step * gb
+                    obj_new = objective(w_new, b_new)
+                    if obj_new <= obj - 1e-4 * step * gnorm_sq or step < 1e-20:
+                        break
+                    step *= 0.5
+                w, b, obj = w_new, b_new, obj_new
+                trace.append(obj)
+            return w, b, trace
+
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(120, 6))
+        y = (X[:, 0] - X[:, 2] + rng.normal(size=120) > 0).astype(int)
+        for max_iter in (3, 60):
+            w, b, trace = fit_logistic_regression(X, y, l2=0.1, max_iter=max_iter)
+            w_o, b_o, trace_o = recomputing_fit(X, y, l2=0.1, max_iter=max_iter)
+            assert np.array_equal(w, w_o) and b == b_o and trace == trace_o
+
     def test_ranking_invariant_to_constant_feature(self):
         rng = np.random.default_rng(13)
         Xs = rng.normal(size=(60, 3))
@@ -366,6 +407,13 @@ class TestProxyA:
         rng = np.random.default_rng(17)
         with pytest.warns(UserWarning, match="fewer source"):
             proxy_a_scores(rng.normal(size=(5, 2)), rng.normal(size=(9, 2)), seed=0)
+
+    def test_sparse_scores_match_dense_discriminator(self):
+        rng = np.random.default_rng(23)
+        Xs = sp.random(50, 8, density=0.4, format="csr", random_state=3)
+        Xt = sp.random(30, 8, density=0.4, format="csr", random_state=4)
+        disc = train_domain_discriminator(Xs, Xt, seed=2)
+        assert np.array_equal(proxy_a_scores(Xs, Xt, seed=2), disc.scores(Xs.toarray()))
 
     def test_discriminator_metadata(self):
         rng = np.random.default_rng(18)
