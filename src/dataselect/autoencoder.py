@@ -22,6 +22,14 @@ textbook expressions (``m = b1*m + (1-b1)*g``,
 ``v = b2*v + ((1-b2)*g)*g``, ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``), so
 every parameter and loss is bit-identical to an allocating update and the
 contract above is unchanged.
+
+``encode`` streams its input in row blocks of about ``_ENCODE_BLOCK`` rows:
+sparse input is converted to CSR once and densified one block at a time, and
+each block's ``sigmoid(block @ W.T + b)`` is written into one preallocated
+``(n, h)`` output. Memory above the output is a few block-sized temporaries
+instead of the dense input plus three whole ``(n, h)`` arrays. At the default
+hidden size the codes equal the whole-matrix product's bit for bit (see
+``encode`` for the split rule and where that holds).
 """
 
 from __future__ import annotations
@@ -45,17 +53,29 @@ CHECKPOINT_VERSION = 1
 # 32768: 13-14 ms, 131072: 14-17 ms. 16384 is the smaller end of the plateau.
 _ADAM_BLOCK = 16384
 
+# Rows per encode block. A 256-row block of the pipeline's inputs (about 1,280
+# tf-idf columns) densifies to 2.6 MB and its codes (h=1000) take 2 MB, so the
+# block's temporaries stay cache-sized, as selection._SCORE_CHUNK keeps the
+# subset search's. Encoding the 8,400 x 1,260 graded seed-0 pool, the traced
+# peak above the 67 MB of codes was 236 MB whole and is 5 MB in these blocks.
+_ENCODE_BLOCK = 256
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function, stable for large |z|: 1/(1+e^-z) for z >= 0 and
     e^z/(1+e^z) below, both from ``e = exp(-|z|)``. Always returns an ndarray.
+
+    ``out`` (float64, the shape of ``z``) receives the result and may be ``z``
+    itself; by default a new array is allocated.
     """
     z = np.asarray(z, dtype=np.float64)
-    out = np.abs(z, out=np.empty_like(z))
+    pos = z >= 0  # taken before ``out`` is written, which may overwrite z
+    if out is None:
+        out = np.empty_like(z)
+    np.abs(z, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     den = out + 1.0
-    pos = z >= 0
     np.divide(out, den, out=out, where=~pos)
     np.divide(1.0, den, out=out, where=pos)
     return out
@@ -205,10 +225,10 @@ def train(
     epoch. Training is bit-reproducible for a fixed seed and data order.
     """
     if sp.issparse(data):
-        n, d = data.shape
+        data = data.tocsr()  # minibatches are row gathers; COO has none
     else:
         data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        n, d = data.shape
+    n, d = data.shape
     if n == 0 or d == 0:
         raise DataError("training data must be non-empty")
     lo, hi = float(data.min()), float(data.max())
@@ -255,22 +275,61 @@ def train(
     return model, losses
 
 
+def _row_blocks(n: int, block: int):
+    """Yield ``(start, stop)`` of ``ceil(n / block)`` contiguous row blocks
+    whose sizes differ by at most one, but never a block of fewer than 2 rows
+    when ``n >= 2`` (a 1-row product goes to BLAS gemv, which sums in another
+    order than gemm). ``n <= block`` gives the single block ``(0, n)``.
+    """
+    count = max(1, min(-(-n // block), n // 2))
+    base, extra = divmod(n, count)
+    start = 0
+    for i in range(count):
+        stop = start + base + (i < extra)
+        yield start, stop
+        start = stop
+
+
 def encode(model: AEModel, x: np.ndarray | sp.spmatrix) -> np.ndarray:
     """Hidden activation sigma(Wx + b) of the uncorrupted input.
 
-    Accepts one vector (d,) or a batch (n, d); the result matches the input's
-    arrangement.
+    Accepts one vector (d,) or a batch (n, d), dense or sparse; the result
+    matches the input's arrangement. The batch is encoded in row blocks of
+    about ``_ENCODE_BLOCK`` rows into one preallocated ``(n, h)`` array, and
+    sparse input is densified one block at a time, so memory above the codes
+    stays a few blocks' worth however large ``n`` is.
+
+    The ``n`` rows are split evenly into ``ceil(n / _ENCODE_BLOCK)`` blocks.
+    With ``n <= _ENCODE_BLOCK`` that is one block, the whole-matrix
+    computation exactly. Otherwise every block has more than half the block
+    size, so no block is a 1-row product: numpy sends those to gemv, whose
+    sums differ in the last bits from the gemm rows of a larger product. With
+    OpenBLAS (SkylakeX kernels), blocks of 2 rows or more gave codes
+    ``np.array_equal`` to the whole-matrix product at the default hidden size
+    (h=1000) over inputs 1,260-1,281 wide. At h = 300-900, 1100 and 1500 a
+    few of the last hidden units differed in the last bits, because the BLAS
+    edge kernel sums them in an order that depends on the row count. The
+    codes are deterministic either way.
     """
     if sp.issparse(x):
-        x = x.toarray()
-    x = np.asarray(x, dtype=np.float64)
+        x = x.tocsr().astype(np.float64, copy=False)
+    else:
+        x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    if x2.shape[1] != model.input_dim:
-        raise DataError(
-            f"input has dimension {x2.shape[1]}, model expects {model.input_dim}"
-        )
-    codes = sigmoid(x2 @ model.W.T + model.b)
+    if single:
+        x = x[None, :]
+    n, d = x.shape
+    if d != model.input_dim:
+        raise DataError(f"input has dimension {d}, model expects {model.input_dim}")
+    codes = np.empty((n, model.hidden_dim))
+    for start, stop in _row_blocks(n, _ENCODE_BLOCK):
+        block = x[start:stop]
+        if sp.issparse(block):
+            block = block.toarray()
+        out = codes[start:stop]
+        np.matmul(block, model.W.T, out=out)
+        out += model.b
+        sigmoid(out, out=out)
     return codes[0] if single else codes
 
 

@@ -44,7 +44,10 @@ def load_embeddings(
     Restriction controls memory and time on large vector files; it never
     changes the vectors themselves. Every line's component count is checked,
     but only kept lines are parsed as floats, so a non-numeric component on a
-    line the restriction drops is not reported.
+    line the restriction drops is not reported. A kept line with a non-finite
+    component (``nan``, ``inf`` or an overflowing literal such as ``1e999``,
+    all of which Python's ``float`` accepts) is a ParseError: its SIF rows
+    would be NaN, and cosine scores NaN rows as 0.0 without a warning.
     """
     path = Path(path)
     if not path.exists():
@@ -68,9 +71,12 @@ def load_embeddings(
             if restrict_to is not None and token not in restrict_to:
                 continue
             try:
-                entries[token] = np.array([float(v) for v in values], dtype=np.float64)
+                vector = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError:
                 raise ParseError("non-numeric vector component", line=lineno) from None
+            if not np.isfinite(vector).all():
+                raise ParseError("non-finite vector component", line=lineno)
+            entries[token] = vector
     if dim is None:
         raise DataError(f"embedding file is empty: {path}")
     return EmbeddingTable(entries, dim)

@@ -475,7 +475,10 @@ def _candidate_scores(
     dense sums are divided by ``size``, which is the member mean bit for bit
     (``rows[block].mean(axis=1)`` sums in the same order and divides by the
     same count). Every candidate is scored on its own, so the batch size does
-    not change any score.
+    not change any score. Singleton candidates (``s=1``) are their member's
+    row and are scored as such, so each gets its instance score bit for bit:
+    the sparse product emits a row's columns in reverse order, and JS summed
+    in that order can break a tie the other way than instance ranking does.
     """
     if item_scores is not None:
         return item_scores[candidates].mean(axis=1)
@@ -484,13 +487,16 @@ def _candidate_scores(
     dense_rows = not sp.issparse(rows)
     for start in range(0, n_cand, _SCORE_CHUNK):
         block = candidates[start : start + _SCORE_CHUNK]
-        picker = sp.csr_matrix(
-            (np.ones(block.size), block.ravel(), np.arange(0, block.size + 1, size)),
-            shape=(block.shape[0], rows.shape[0]),
-        )
-        agg = picker @ rows
-        if dense_rows:
-            agg /= size
+        if size == 1:
+            agg = rows[block[:, 0]]
+        else:
+            picker = sp.csr_matrix(
+                (np.ones(block.size), block.ravel(), np.arange(0, block.size + 1, size)),
+                shape=(block.shape[0], rows.shape[0]),
+            )
+            agg = picker @ rows
+            if dense_rows:
+                agg /= size
         out[start : start + block.shape[0]] = _score_rows(agg, target_repr, metric)
     return out
 

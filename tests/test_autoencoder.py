@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -50,6 +52,34 @@ def allocating_adam_step(p, m, v, g, t, config, buf1, buf2):
     p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
 
 
+def whole_matrix_encode(model, x):
+    """The one-shot encode the blocked one replaced."""
+    if sp.issparse(x):
+        x = x.toarray()
+    x = np.asarray(x, dtype=np.float64)
+    codes = sigmoid(np.atleast_2d(x) @ model.W.T + model.b)
+    return codes[0] if x.ndim == 1 else codes
+
+
+def pipeline_sized_model(seed=0, d=1260, h=1000):
+    """The default hidden size over a graded-sized vocabulary, Glorot init."""
+    rng = np.random.default_rng(seed)
+    lim = np.sqrt(6.0 / (d + h))
+    return AEModel(
+        W=rng.uniform(-lim, lim, size=(h, d)),
+        b=rng.normal(scale=0.1, size=h),
+        W_out=np.zeros((d, h)),
+        b_out=np.zeros(d),
+    )
+
+
+def tfidf_like_rows(n, d, seed):
+    """Sparse non-negative rows with about 15 nonzeros each, L2-normalized."""
+    rows = sp.random(n, d, density=15 / d, format="csr", random_state=seed)
+    norms = np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1))).ravel()
+    return sp.diags(1.0 / np.where(norms > 0, norms, 1.0)) @ rows
+
+
 class TestSigmoid:
     SPECIAL = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 36.5, -36.5]
 
@@ -67,6 +97,19 @@ class TestSigmoid:
         assert np.array_equal(sigmoid(flat), masked_sigmoid(flat), equal_nan=True)
         grid = rng.permutation(np.concatenate([flat, rng.normal(size=9)])).reshape(11, 20)
         assert np.array_equal(sigmoid(grid), masked_sigmoid(grid), equal_nan=True)
+
+    def test_in_place_matches_allocating(self):
+        rng = np.random.default_rng(9)
+        grid = rng.permutation(
+            np.concatenate([self.SPECIAL, rng.normal(scale=20.0, size=209)])
+        ).reshape(11, 20)
+        want = sigmoid(grid)
+        z = grid.copy()
+        assert sigmoid(z, out=z) is z
+        assert np.array_equal(z, want, equal_nan=True)
+        out = np.empty_like(grid)
+        assert sigmoid(grid, out=out) is out
+        assert np.array_equal(out, want, equal_nan=True)
 
 
 class TestAdamStep:
@@ -144,6 +187,75 @@ class TestEncode:
     def test_dim_mismatch(self):
         with pytest.raises(DataError):
             encode(small_model(), np.zeros(9))
+
+    def test_dim_mismatch_sparse(self):
+        with pytest.raises(DataError):
+            encode(small_model(), sp.csr_matrix(np.zeros((2, 9))))
+
+
+class TestBlockedEncode:
+    """Blocked encode against the whole-matrix expression, bit for bit, at the
+    pipeline's sizes (d=1260, h=1000; see the ``encode`` docstring)."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return pipeline_sized_model()
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return tfidf_like_rows(2 * 256 + 1, 1260, seed=3)
+
+    @pytest.mark.parametrize("block", [2, 3, 7, 256])
+    def test_matches_whole_matrix(self, monkeypatch, model, rows, block):
+        monkeypatch.setattr(autoencoder, "_ENCODE_BLOCK", block)
+        for n in sorted({1, 2, block - 1, block, block + 1, 2 * block + 1} - {0}):
+            part = rows[:n]
+            want = whole_matrix_encode(model, part)
+            for x in (part.toarray(), part, part.tocoo()):
+                got = encode(model, x)
+                assert got.shape == (n, model.hidden_dim)
+                assert np.array_equal(got, want), (n, type(x).__name__)
+        vector = rows[5].toarray()[0]
+        got = encode(model, vector)
+        assert got.shape == (model.hidden_dim,)
+        assert np.array_equal(got, whole_matrix_encode(model, vector))
+
+    def test_integer_sparse_input(self, model):
+        x = sp.random(9, 1260, density=0.01, format="csr", random_state=4,
+                      data_rvs=lambda k: np.ones(k, dtype=np.int64))
+        x = x.astype(np.int64)
+        assert np.array_equal(encode(model, x), whole_matrix_encode(model, x))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 256])
+    def test_row_blocks_split_evenly(self, block):
+        for n in range(0, 3 * block + 3):
+            blocks = list(autoencoder._row_blocks(n, block))
+            sizes = [stop - start for start, stop in blocks]
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert max(sizes) - min(sizes) <= 1
+            if n <= block:
+                assert blocks == [(0, n)]
+            if n >= 2:
+                assert min(sizes) >= 2  # never a 1-row (gemv) product
+            if block >= 4:
+                assert len(blocks) == -(-n // block) or n <= block
+
+    def test_peak_memory_is_block_sized(self):
+        # Encoding whole densified the input (n x d) and held three (n x h)
+        # arrays; in row blocks the traced peak above the codes must stay
+        # under a quarter of one dense (n x h) temporary.
+        n, d, h = 4000, 1300, 1000
+        model = pipeline_sized_model(d=d, h=h)
+        x = tfidf_like_rows(n, d, seed=5)
+        tracemalloc.start()
+        try:
+            codes = encode(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert codes.shape == (n, h)
+        assert peak - codes.nbytes < n * h * 8 / 4
 
 
 class TestGradients:
@@ -299,6 +411,16 @@ class TestTrain:
         assert losses == oracle_losses
         for key, value in model.parameters().items():
             assert np.array_equal(value, oracle_model.parameters()[key])
+
+    def test_coo_input_matches_dense(self):
+        data = tfidf_like_rows(30, 40, seed=6)
+        config = AETrainConfig(epochs=2, masking_prob=0.5, hidden_dim=5,
+                               batch_size=4, seed=2)
+        model, losses = train(data.tocoo(), config)
+        dense_model, dense_losses = train(data.toarray(), config)
+        assert losses == dense_losses
+        for key, value in model.parameters().items():
+            assert np.array_equal(value, dense_model.parameters()[key])
 
     def test_out_of_range_data_rejected(self):
         # encode() never rescales its input, so training must not either

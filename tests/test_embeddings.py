@@ -56,6 +56,18 @@ class TestLoadEmbeddings:
         with pytest.raises(ParseError, match="line 2: non-numeric"):
             load_embeddings(path, restrict_to=vocab)
 
+    @pytest.mark.parametrize("bad", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_kept_component_reports_line(self, tmp_path, bad):
+        path = write_vectors(tmp_path / "v.txt", ["a 1 0", f"b 0.5 {bad}"])
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            load_embeddings(path)
+
+    def test_non_finite_on_filtered_line_is_not_parsed(self, tmp_path):
+        path = write_vectors(tmp_path / "v.txt", ["a 1 0", "b nan inf"])
+        vocab = Vocabulary.from_frequencies({"a": 1}, cap=10)
+        table = load_embeddings(path, restrict_to=vocab)
+        assert len(table) == 1
+
     def test_filtered_line_dimension_still_checked(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", ["a 1 0", "b 1 2 3"])
         vocab = Vocabulary.from_frequencies({"a": 1}, cap=10)

@@ -1,5 +1,6 @@
-"""Kernel microbenchmarks: one subset-search round of candidate scoring and
-one autoencoder minibatch (forward/backward and one Adam update).
+"""Kernel microbenchmarks: one subset-search round of candidate scoring, one
+autoencoder minibatch (forward/backward and one Adam update) and one encode
+of a whole pool.
 
 Marked ``bench`` and deselected by default; run them with
 
@@ -10,7 +11,7 @@ The pools are the size of the ``graded`` catalog scenario's source pool
 tokens per document) and of a 100-d dense embedding pool. One round scores
 20,000 random 20-document candidates, the default ``m`` and ``s``. The
 autoencoder cases use that vocabulary with the default hidden size (1,000)
-and batch size (64).
+and batch size (64); the encode case encodes the whole sparse pool.
 """
 
 import numpy as np
@@ -104,3 +105,19 @@ def test_ae_loss_and_gradients_batch(benchmark):
         warmup_rounds=3,
     )
     assert np.isfinite(loss) and grads["W"].shape == (HIDDEN, VOCAB)
+
+
+def test_ae_encode_pool(benchmark):
+    rng = np.random.default_rng(0)
+    lim = np.sqrt(6.0 / (VOCAB + HIDDEN))
+    model = autoencoder.AEModel(
+        W=rng.uniform(-lim, lim, size=(HIDDEN, VOCAB)),
+        b=np.zeros(HIDDEN),
+        W_out=np.zeros((VOCAB, HIDDEN)),
+        b_out=np.zeros(VOCAB),
+    )
+    pool = sp.random(POOL, VOCAB, density=15 / VOCAB, format="csr", random_state=1)
+    codes = benchmark.pedantic(
+        autoencoder.encode, args=(model, pool), rounds=5, iterations=1, warmup_rounds=1
+    )
+    assert codes.shape == (POOL, HIDDEN)

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dataselect import selection
 from dataselect.corpus import Document
@@ -279,6 +280,47 @@ class TestSubsetSelect:
             instance = select_instance_level(pool, target, rows, metric, 30)
             subset = subset_select(1, 30, 200, pool, target, rows, metric, seed=seed)
             assert set(subset.chosen) == set(instance.chosen)
+
+    @given(st.data())
+    def test_singleton_exhaustive_equals_instance_ranking_property(self, data):
+        metric = data.draw(st.sampled_from(["jensen_shannon", "cosine"]), label="metric")
+        n_pool, d = data.draw(st.integers(1, 14)), data.draw(st.integers(1, 6))
+        # few distinct values, so rows tie often and ids must break the ties
+        value = st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0])
+        if metric == "cosine":
+            value = value | st.sampled_from([-1.0, -2.5, 0.5])
+        rows = data.draw(arrays(np.float64, (n_pool, d), elements=value), label="rows")
+        if metric == "jensen_shannon":
+            raw = data.draw(
+                arrays(np.float64, d, elements=value).filter(lambda v: v.sum() > 0),
+                label="target",
+            )
+            target = TermDistribution(probs=raw / raw.sum())
+        else:
+            target = data.draw(arrays(np.float64, d, elements=value), label="target")
+        if data.draw(st.booleans(), label="sparse"):
+            rows = sp.csr_matrix(rows)
+        ids = data.draw(st.permutations(range(n_pool)), label="ids")
+        pool = [Document(id=f"p{i:02d}", text="x", domain="src", label=None) for i in ids]
+        n = data.draw(st.integers(1, n_pool + 2), label="n")
+        m = data.draw(st.integers(n_pool, n_pool + 3), label="m")
+        instance = select_instance_level(pool, target, rows, metric, n)
+        subset = subset_select(1, n, m, pool, target, rows, metric, seed=0)
+        assert subset.chosen == instance.chosen
+        assert subset.shortfall == instance.shortfall
+        assert subset.subset_scores == [instance.item_scores[i] for i in instance.chosen]
+
+    def test_singleton_tie_breaks_like_instance_ranking(self):
+        # Mirror-image rows against a symmetric target tie exactly; JS summed
+        # over the aggregate's reversed columns broke the tie toward p1.
+        rows = sp.csr_matrix([[6.0, 2.0, 1.0, 7.0, 1.0], [1.0, 7.0, 1.0, 2.0, 6.0]])
+        target = TermDistribution(probs=np.array([0.3, 0.1, 0.2, 0.1, 0.3]))
+        pool = make_pool(2)
+        instance = select_instance_level(pool, target, rows, "jensen_shannon", 1)
+        subset = subset_select(1, 1, 2, pool, target, rows, "jensen_shannon", seed=0)
+        assert instance.chosen == ["p0000"]
+        assert subset.chosen == instance.chosen
+        assert subset.subset_scores == [instance.item_scores["p0000"]]
 
     def test_iterations_are_pairwise_disjoint(self):
         size = 12

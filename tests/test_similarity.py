@@ -7,12 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dataselect import similarity
 from dataselect.representations import TermDistribution
 from dataselect.errors import ConfigError, DataError
 from dataselect.similarity import (
     LN2,
     DomainDiscriminator,
     _js_csr_to_target,
+    _js_rows_from_probs,
     cosine,
     cosine_to_target,
     fit_logistic_regression,
@@ -276,6 +278,60 @@ class TestGatheredLogKernel:
         rows = sp.csr_matrix(counts.astype(float))
         assert (q[rows.indices] == 0).any()
         np.testing.assert_array_equal(_js_csr_to_target(rows, q), three_log_js(rows, q))
+
+
+def whole_matrix_cosine(rows, target):
+    """cosine_to_target's block expression over every row at once."""
+    if sp.issparse(rows):
+        rows = rows.toarray()
+    dots = (rows * target).sum(axis=1)
+    denom = np.sqrt((rows * rows).sum(axis=1)) * np.sqrt(float((target * target).sum()))
+    return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+
+
+def whole_matrix_js(counts, target):
+    """The dense js_to_target block expression over every row at once."""
+    sums = counts.sum(axis=1, keepdims=True)
+    P = np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)
+    return _js_rows_from_probs(P, target.probs)
+
+
+class TestRowBlocks:
+    """The dense batched paths give every row the score of one whole-matrix
+    pass, whatever ``_ROW_BLOCK`` is; cosine takes dense, CSR and COO rows."""
+
+    @staticmethod
+    def sizes(block):
+        return sorted({1, 2, block - 1, block, block + 1, 2 * block + 1} - {0})
+
+    @pytest.mark.parametrize("block", [2, 3, 7, 256])
+    def test_cosine_matches_whole_matrix(self, monkeypatch, block):
+        monkeypatch.setattr(similarity, "_ROW_BLOCK", block)
+        rng = np.random.default_rng(block)
+        rows = rng.normal(size=(2 * block + 1, 37)) * (rng.random((2 * block + 1, 37)) < 0.4)
+        rows[::5] = 0.0  # zero rows score 0.0
+        target = rng.normal(size=37)
+        for n in self.sizes(block):
+            part = rows[:n]
+            want = whole_matrix_cosine(part, target)
+            for x in (part, sp.csr_matrix(part), sp.coo_matrix(part)):
+                np.testing.assert_array_equal(cosine_to_target(x, target), want)
+
+    @pytest.mark.parametrize("block", [2, 3, 7, 256])
+    def test_dense_js_matches_whole_matrix(self, monkeypatch, block):
+        monkeypatch.setattr(similarity, "_ROW_BLOCK", block)
+        rng = np.random.default_rng(block)
+        counts = rng.integers(0, 4, size=(2 * block + 1, 29)) * (
+            rng.random((2 * block + 1, 29)) < 0.3
+        )
+        counts = counts.astype(float)
+        counts[::6] = 0.0  # empty rows score NaN
+        target = TermDistribution(probs=random_distributions(block, 1, 29)[0])
+        for n in self.sizes(block):
+            part = counts[:n]
+            np.testing.assert_array_equal(
+                js_to_target(part, target), whole_matrix_js(part, target)
+            )
 
 
 class TestCosine:
