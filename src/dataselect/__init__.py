@@ -11,7 +11,7 @@ corpus by ``build_representation_space``; subsets and domains are pooled
 from those rows by ``RepresentationSpace.aggregate``.
 """
 
-from .autoencoder import AEModel, AETrainConfig, corrupt, encode, gradient_check
+from .autoencoder import AEModel, AETrainConfig, corrupt, encode
 from .autoencoder import train as train_autoencoder
 from .corpus import (
     Corpus,

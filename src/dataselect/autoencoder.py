@@ -35,14 +35,11 @@ hidden size the codes equal the whole-matrix product's bit for bit (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, NumericalError
-
-CHECKPOINT_VERSION = 1
 
 # Elements per Adam block. 16384 float64s are 128 KB per operand, so one
 # block of p, m, v, g and the two scratch buffers (768 KB) stays in a 2 MB
@@ -331,64 +328,3 @@ def encode(model: AEModel, x: np.ndarray | sp.spmatrix) -> np.ndarray:
         out += model.b
         sigmoid(out, out=out)
     return codes[0] if single else codes
-
-
-def gradient_check(model: AEModel, x: np.ndarray, h_step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    The loss is the clean-input reconstruction objective at ``x``. Intended
-    for tiny models; cost is two forward passes per parameter.
-    """
-    if not 1e-7 <= h_step <= 1e-3:
-        raise ConfigError(f"h_step must be in [1e-7, 1e-3], got {h_step}")
-    x = np.asarray(x, dtype=np.float64)
-    _, grads = loss_and_gradients(model, x, x)
-    worst = 0.0
-    for key, param in model.parameters().items():
-        flat = param.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h_step
-            plus, _ = loss_and_gradients(model, x, x)
-            flat[i] = orig - h_step
-            minus, _ = loss_and_gradients(model, x, x)
-            flat[i] = orig
-            numeric = (plus - minus) / (2.0 * h_step)
-            analytic = grads[key].reshape(-1)[i]
-            denom = max(abs(analytic) + abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic - numeric) / denom)
-    return worst
-
-
-def save_model(model: AEModel, path: str | Path) -> None:
-    """Write a versioned checkpoint (npz with dims and row-major parameters)."""
-    np.savez(
-        path,
-        version=np.int64(CHECKPOINT_VERSION),
-        dims=np.array([model.input_dim, model.hidden_dim], dtype=np.int64),
-        W=model.W,
-        b=model.b,
-        W_out=model.W_out,
-        b_out=model.b_out,
-    )
-
-
-def load_model(path: str | Path) -> AEModel:
-    """Load a checkpoint, validating version and dimension consistency."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
-    with np.load(path) as blob:
-        try:
-            version = int(blob["version"])
-            d, h = (int(v) for v in blob["dims"])
-            model = AEModel(
-                W=blob["W"], b=blob["b"], W_out=blob["W_out"], b_out=blob["b_out"]
-            )
-        except KeyError as exc:
-            raise DataError(f"checkpoint missing field {exc}") from None
-    if version != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
-    if (model.input_dim, model.hidden_dim) != (d, h):
-        raise DataError("checkpoint dims header disagrees with parameter shapes")
-    return model

@@ -102,7 +102,11 @@ class RunConfig:
     m: int = _option(20000)
     a: float = _option(1e-5, help="embedding weighting smoothing factor")
     vocab_cap: int = _option(10000)
-    ae_hidden: int = _option(1000)
+    ae_hidden: int = _option(
+        1000,
+        help="autoencoder hidden units; sizes other than 1000 may give codes that "
+        "differ in the last bits across BLAS builds (reruns on one host are identical)",
+    )
     ae_epochs: int = _option(50)
     ae_masking: float = _option(0.8)
     ae_lr: float = _option(1e-3)

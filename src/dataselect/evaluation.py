@@ -7,6 +7,15 @@ Accuracy is measured on every labeled document of the target domain, and
 experiments report the mean and standard deviation over independently
 reseeded selection runs plus a pooled-variance two-sample Student t test
 against baselines.
+
+One-vs-rest training is one independent binary SGD run per class. Each
+class's weights, bias and hinge test depend only on that class, while the
+visiting order and the step schedule (learning rate, decay scale and its
+running sum) depend only on the step, so every class shares one order and
+one schedule computed before the loop. The binary task trains its first
+class only and negates it for the second. Both are exact: per class, every
+floating-point operation is the one a joint multi-class loop would do, in
+the same order, and negation commutes with IEEE rounding.
 """
 
 from __future__ import annotations
@@ -49,6 +58,21 @@ class ClassifierConfig:
     l2: float = 1e-4
     seed: int = 0
 
+    def __post_init__(self):
+        # the comparisons are negated so that NaN fails them too
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.learning_rate > 0.0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.l2 >= 0.0:
+            raise ConfigError(f"l2 must be >= 0, got {self.l2}")
+        # lr_t <= learning_rate, so this keeps every per-step decay 1 - lr_t*l2
+        # positive
+        if not self.learning_rate * self.l2 < 1.0:
+            raise ConfigError(
+                f"learning_rate * l2 must be < 1, got {self.learning_rate * self.l2}"
+            )
+
 
 class LinearModel:
     """One-vs-rest linear classifier: per-class weights over a feature space."""
@@ -79,6 +103,19 @@ def train_classifier(
     The returned weights are the average of all SGD iterates, which is far
     more stable than the final iterate. Training is deterministic for a
     fixed seed, data, and config.
+
+    Each class is trained by its own loop over one shared visiting order
+    (``epochs`` permutations from the seed) and one shared step schedule:
+    ``lr_t = lr / (1 + (lr*l2)*t)``, the decay scale as a sequential product
+    of ``1 - lr_t*l2`` and its running sum, all computed before the loop. A
+    loop that updated every class at each step would do the same operations
+    per class in the same order, so the weights are bit-identical to it. (Its
+    one matrix-vector product per step is one dot product per class here;
+    with the OpenBLAS that numpy ships the two round alike, which the tests
+    check against a copy of such a loop.) With two classes the targets of the
+    second are the negated targets of the first; negation is exact under
+    rounding, so the second class's iterates are the exact negations of the
+    first's and only the first is trained.
     """
     X = features.tocsr() if sp.issparse(features) else sp.csr_matrix(np.atleast_2d(features))
     n, n_features = X.shape
@@ -90,44 +127,74 @@ def train_classifier(
     if len(classes) == 1:
         warnings.warn(f"training set has a single class {classes[0]!r}; constant predictor")
         return LinearModel(np.zeros((1, n_features)), np.zeros(1), classes)
-    n_classes = len(classes)
-    class_index = {c: i for i, c in enumerate(classes)}
-    Y = -np.ones((n, n_classes))
-    for i, label in enumerate(labels):
-        Y[i, class_index[label]] = 1.0
 
     lr0, l2 = config.learning_rate, config.l2
     rng = np.random.default_rng(config.seed)
+    order = np.concatenate([rng.permutation(n) for _ in range(config.epochs)])
 
-    # w is kept as scale * V so the per-step L2 decay and iterate averaging
-    # stay O(nnz): sum_t w_t = csum * V - V_lag  (see the per-step updates).
-    V = np.zeros((n_classes, n_features))
-    V_lag = np.zeros((n_classes, n_features))
-    scale = 1.0
-    csum = 0.0
-    bias = np.zeros(n_classes)
-    bias_sum = np.zeros(n_classes)
-    t = 0
-    for _ in range(config.epochs):
-        for i in rng.permutation(n):
-            t += 1
-            lr = lr0 / (1.0 + lr0 * l2 * t)
-            start, end = X.indptr[i], X.indptr[i + 1]
-            cols = X.indices[start:end]
-            vals = X.data[start:end]
-            z = scale * (V[:, cols] @ vals) + bias
-            violated = Y[i] * z < 1.0
-            scale *= 1.0 - lr * l2
-            if violated.any():
-                rows = np.flatnonzero(violated)
-                delta = (lr * Y[i, rows] / scale)[:, None] * vals[None, :]
-                V[np.ix_(rows, cols)] += delta
-                V_lag[np.ix_(rows, cols)] += csum * delta
-                bias[rows] += lr * Y[i, rows]
-            csum += scale
+    # The step schedule depends only on t, so it is shared by every class.
+    # ufunc.accumulate runs sequentially, which reproduces the scalar
+    # recurrences scale_t = scale_{t-1} * (1 - lr_t*l2) from scale_0 = 1 and
+    # csum_t = csum_{t-1} + scale_t from csum_0 = 0 bit for bit.
+    lr = lr0 / (1.0 + (lr0 * l2) * np.arange(1.0, len(order) + 1.0))
+    scale = np.multiply.accumulate(np.concatenate(([1.0], 1.0 - lr * l2)))
+    csum = np.add.accumulate(np.concatenate(([0.0], scale[1:])))
+    schedule = (order, lr, scale, csum)
+    rows = [
+        (X.indices[start:end], X.data[start:end])
+        for start, end in zip(X.indptr[:-1].tolist(), X.indptr[1:].tolist())
+    ]
+    targets = [[1.0 if label == c else -1.0 for label in labels] for c in classes]
+
+    if len(classes) == 2:
+        w, b = _train_binary(rows, targets[0], schedule, n_features)
+        # 0.0 - x rather than -x: it negates every nonzero x but keeps a zero
+        # +0.0, as training the second class would leave it
+        return LinearModel(np.vstack([w, 0.0 - w]), np.array([b, 0.0 - b]), classes)
+    fits = [_train_binary(rows, y, schedule, n_features) for y in targets]
+    return LinearModel(
+        np.vstack([w for w, _ in fits]), np.array([b for _, b in fits]), classes
+    )
+
+
+def _train_binary(rows, y, schedule, n_features):
+    """Averaged hinge-loss SGD for one class against the rest.
+
+    ``rows`` holds each training row's ``(indices, data)`` and ``y`` the +1/-1
+    targets. ``schedule`` holds, per step t = 1..T, the row visited
+    (``order[t-1]``) and the learning rate (``lr[t-1]``), and for t = 0..T
+    the decay scale and its running sum (``scale[t]``, ``csum[t]``).
+
+    w is kept as scale * V so the per-step L2 decay and iterate averaging stay
+    O(nnz): sum_t w_t = csum * V - V_lag.
+    """
+    order, lr, scale, csum = schedule
+    n, steps = len(rows), len(order)
+    V = np.zeros(n_features)
+    V_lag = np.zeros(n_features)
+    bias = 0.0
+    bias_sum = 0.0
+    # The loop reads Python floats fastest; converting one epoch at a time
+    # keeps those lists O(n) rather than O(epochs * n).
+    for a in range(0, steps, n):
+        b = a + n
+        for i, lr_t, s_before, s_after, c_before in zip(
+            order[a:b].tolist(),
+            lr[a:b].tolist(),
+            scale[a:b].tolist(),
+            scale[a + 1 : b + 1].tolist(),
+            csum[a:b].tolist(),
+        ):
+            cols, vals = rows[i]
+            y_i = y[i]
+            v = V.take(cols)
+            if y_i * (s_before * float(v.dot(vals)) + bias) < 1.0:
+                delta = (lr_t * y_i / s_after) * vals
+                V.put(cols, v + delta)
+                V_lag.put(cols, V_lag.take(cols) + c_before * delta)
+                bias += lr_t * y_i
             bias_sum += bias
-    weights = (csum * V - V_lag) / t
-    return LinearModel(weights, bias_sum / t, classes)
+    return (csum[-1] * V - V_lag) / steps, bias_sum / steps
 
 
 def evaluate(model: LinearModel, features, labels: list[str]) -> float:

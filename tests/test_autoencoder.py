@@ -10,10 +10,7 @@ from dataselect.autoencoder import (
     AETrainConfig,
     corrupt,
     encode,
-    gradient_check,
-    load_model,
     loss_and_gradients,
-    save_model,
     sigmoid,
     train,
 )
@@ -21,6 +18,33 @@ from dataselect.corpus import PreprocessOptions, build_vocabulary, tokenize_corp
 from dataselect.errors import ConfigError, DataError, NumericalError
 from dataselect.representations import ae_input_features
 from dataselect.synthetic import DomainSpec, generate
+
+
+def gradient_check(model: AEModel, x: np.ndarray, h_step: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    The loss is the clean-input reconstruction objective at ``x``. For tiny
+    models only: it costs two forward passes per parameter.
+    """
+    if not 1e-7 <= h_step <= 1e-3:
+        raise ConfigError(f"h_step must be in [1e-7, 1e-3], got {h_step}")
+    x = np.asarray(x, dtype=np.float64)
+    _, grads = loss_and_gradients(model, x, x)
+    worst = 0.0
+    for key, param in model.parameters().items():
+        flat = param.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h_step
+            plus, _ = loss_and_gradients(model, x, x)
+            flat[i] = orig - h_step
+            minus, _ = loss_and_gradients(model, x, x)
+            flat[i] = orig
+            numeric = (plus - minus) / (2.0 * h_step)
+            analytic = grads[key].reshape(-1)[i]
+            denom = max(abs(analytic) + abs(numeric), 1e-8)
+            worst = max(worst, abs(analytic - numeric) / denom)
+    return worst
 
 
 def small_model(seed=5, d=4, h=3, scale=0.6):
@@ -241,6 +265,15 @@ class TestBlockedEncode:
             if block >= 4:
                 assert len(blocks) == -(-n // block) or n <= block
 
+    def test_reruns_identical_at_non_default_hidden(self):
+        # At h=500 blocked codes may differ from a whole-matrix product in the
+        # last bits (see ``encode``), but train + encode reruns are identical.
+        x = tfidf_like_rows(2 * 256 + 1, 1281, seed=6)
+        config = AETrainConfig(epochs=1, hidden_dim=500, seed=3)
+        runs = [encode(train(x, config)[0], x) for _ in range(2)]
+        assert runs[0].shape == (2 * 256 + 1, 500)
+        assert np.array_equal(runs[0], runs[1])
+
     def test_peak_memory_is_block_sized(self):
         # Encoding whole densified the input (n x d) and held three (n x h)
         # arrays; in row blocks the traced peak above the codes must stay
@@ -432,29 +465,3 @@ class TestTrain:
                 train(data, config)
         with pytest.raises(DataError):
             train(sp.csr_matrix([[0.0, 2.0], [1.0, 0.0]]), config)
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        model = small_model(seed=33)
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        loaded = load_model(path)
-        for key, value in model.parameters().items():
-            assert np.array_equal(value, loaded.parameters()[key])
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError):
-            load_model(tmp_path / "nope.npz")
-
-    def test_dims_validated(self, tmp_path):
-        model = small_model()
-        path = tmp_path / "model.npz"
-        np.savez(
-            path,
-            version=np.int64(1),
-            dims=np.array([99, 98]),
-            W=model.W, b=model.b, W_out=model.W_out, b_out=model.b_out,
-        )
-        with pytest.raises(DataError, match="dims"):
-            load_model(path)

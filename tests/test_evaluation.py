@@ -49,6 +49,54 @@ def naive_averaged_sgd(X, labels, config):
     return W_sum / t, b_sum / t, classes
 
 
+def joint_averaged_sgd(X, labels, config):
+    """Copy of the one-loop trainer that updates every class at each step.
+
+    It keeps w as scale * V with the scalar scale and scale-sum recurrences
+    inside the loop; train_classifier must match it bit for bit.
+    """
+    X = X.tocsr()
+    n, n_features = X.shape
+    classes = sorted(set(labels))
+    index = {c: i for i, c in enumerate(classes)}
+    Y = -np.ones((n, len(classes)))
+    for i, label in enumerate(labels):
+        Y[i, index[label]] = 1.0
+    lr0, l2 = config.learning_rate, config.l2
+    rng = np.random.default_rng(config.seed)
+    V = np.zeros((len(classes), n_features))
+    V_lag = np.zeros((len(classes), n_features))
+    scale = 1.0
+    csum = 0.0
+    bias = np.zeros(len(classes))
+    bias_sum = np.zeros(len(classes))
+    t = 0
+    for _ in range(config.epochs):
+        for i in rng.permutation(n):
+            t += 1
+            lr = lr0 / (1.0 + lr0 * l2 * t)
+            start, end = X.indptr[i], X.indptr[i + 1]
+            cols = X.indices[start:end]
+            vals = X.data[start:end]
+            z = scale * (V[:, cols] @ vals) + bias
+            violated = Y[i] * z < 1.0
+            scale *= 1.0 - lr * l2
+            if violated.any():
+                rows = np.flatnonzero(violated)
+                delta = (lr * Y[i, rows] / scale)[:, None] * vals[None, :]
+                V[np.ix_(rows, cols)] += delta
+                V_lag[np.ix_(rows, cols)] += csum * delta
+                bias[rows] += lr * Y[i, rows]
+            csum += scale
+            bias_sum += bias
+    return (csum * V - V_lag) / t, bias_sum / t
+
+
+def bitwise_equal(a, b):
+    # stricter than np.array_equal: the sign of a zero must match too
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def sparse(rows):
     return sp.csr_matrix(np.asarray(rows, dtype=np.float64))
 
@@ -103,6 +151,74 @@ class TestTrainClassifier:
     def test_label_count_mismatch(self):
         with pytest.raises(DataError):
             train_classifier(sparse(np.zeros((3, 2))), ["positive"])
+
+    @staticmethod
+    def mixed_rows(rng, n, d):
+        """CSR rows with empty, 1-nonzero, typical and >1,000-nonzero rows."""
+        nnz = rng.choice([0, 1, 3, 22, 1200], size=n, p=[0.1, 0.15, 0.3, 0.35, 0.1])
+        nnz[:4] = [0, 1, 22, 1200]
+        X = sp.lil_matrix((n, d))
+        for i, k in enumerate(nnz):
+            cols = rng.choice(d, size=k, replace=False)
+            vals = rng.random(k) + 0.01
+            X[i, cols] = vals / np.linalg.norm(vals) if k else vals
+        return X.tocsr()
+
+    @pytest.mark.parametrize("names", [("negative", "positive"),
+                                       ("negative", "neutral", "positive")])
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize("rates", [(0.1, 1e-4), (0.37, 0.013)])
+    def test_bit_identical_to_joint_loop(self, names, epochs, seed, rates):
+        rng = np.random.default_rng(seed)
+        X = self.mixed_rows(rng, 60, 2000)
+        labels = list(rng.choice(names, size=60))
+        config = ClassifierConfig(
+            epochs=epochs, learning_rate=rates[0], l2=rates[1], seed=seed
+        )
+        model = train_classifier(X, labels, config)
+        W_ref, b_ref = joint_averaged_sgd(X, labels, config)
+        assert model.classes == sorted(names)
+        assert bitwise_equal(model.weights, W_ref)
+        assert bitwise_equal(model.biases, b_ref)
+        if len(names) == 2:
+            assert np.array_equal(model.weights[1], -model.weights[0])
+            assert np.array_equal(model.biases[1], -model.biases[0])
+
+    @pytest.mark.parametrize("names", [("negative", "positive"),
+                                       ("negative", "neutral", "positive")])
+    def test_dense_input_bit_identical_to_joint_loop(self, names):
+        rng = np.random.default_rng(11)
+        dense = (rng.random((40, 30)) < 0.3) * rng.random((40, 30))
+        dense[5] = 0.0
+        labels = list(rng.choice(names, size=40))
+        config = ClassifierConfig(epochs=2, seed=4)
+        model = train_classifier(dense, labels, config)
+        W_ref, b_ref = joint_averaged_sgd(sparse(dense), labels, config)
+        assert bitwise_equal(model.weights, W_ref)
+        assert bitwise_equal(model.biases, b_ref)
+
+
+class TestClassifierConfig:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"epochs": 0}, "epochs"),
+        ({"epochs": -2}, "epochs"),
+        ({"learning_rate": 0.0}, "learning_rate"),
+        ({"learning_rate": -1.0}, "learning_rate"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"l2": -1e-4}, "l2"),
+        ({"l2": float("nan")}, "l2"),
+        ({"l2": 20.0}, r"learning_rate \* l2"),
+        ({"learning_rate": 2.0, "l2": 0.5}, r"learning_rate \* l2"),
+        ({"learning_rate": float("inf"), "l2": 0.0}, r"learning_rate \* l2"),
+    ])
+    def test_rejects_values_that_break_training(self, kwargs, field):
+        with pytest.raises(ConfigError, match=field):
+            ClassifierConfig(**kwargs)
+
+    def test_accepts_boundary_values(self):
+        ClassifierConfig(epochs=1, learning_rate=1e-9, l2=0.0)
+        ClassifierConfig(learning_rate=1.0, l2=0.999)
 
 
 class TestEvaluate:

@@ -1,6 +1,6 @@
 """Kernel microbenchmarks: one subset-search round of candidate scoring, one
-autoencoder minibatch (forward/backward and one Adam update) and one encode
-of a whole pool.
+autoencoder minibatch (forward/backward and one Adam update), one encode
+of a whole pool and one sentiment-classifier fit.
 
 Marked ``bench`` and deselected by default; run them with
 
@@ -11,14 +11,17 @@ The pools are the size of the ``graded`` catalog scenario's source pool
 tokens per document) and of a 100-d dense embedding pool. One round scores
 20,000 random 20-document candidates, the default ``m`` and ``s``. The
 autoencoder cases use that vocabulary with the default hidden size (1,000)
-and batch size (64); the encode case encodes the whole sparse pool.
+and batch size (64); the encode case encodes the whole sparse pool. The
+classifier case fits the default 10-epoch SGD on a binary training set of the
+``blended`` scenario's shape: n=1,600 documents over about 15,000 tf-idf
+uni/bigram features, about 22 L2-normalized nonzeros per row.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dataselect import autoencoder, selection
+from dataselect import autoencoder, evaluation, selection
 from dataselect.representations import TermDistribution
 
 pytestmark = pytest.mark.bench
@@ -121,3 +124,16 @@ def test_ae_encode_pool(benchmark):
         autoencoder.encode, args=(model, pool), rounds=5, iterations=1, warmup_rounds=1
     )
     assert codes.shape == (POOL, HIDDEN)
+
+
+def test_train_classifier_binary(benchmark):
+    n, features = 1600, 15000
+    rng = np.random.default_rng(0)
+    rows = sp.random(n, features, density=22 / features, format="csr", random_state=1)
+    norms = np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1))).ravel()
+    rows = sp.csr_matrix(sp.diags(1.0 / np.where(norms > 0, norms, 1.0)) @ rows)
+    labels = list(rng.choice(["negative", "positive"], size=n))
+    model = benchmark.pedantic(
+        evaluation.train_classifier, args=(rows, labels), rounds=5, iterations=1
+    )
+    assert model.weights.shape == (2, features)
