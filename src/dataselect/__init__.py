@@ -16,6 +16,7 @@ from .autoencoder import train as train_autoencoder
 from .corpus import (
     Corpus,
     Document,
+    EncodedCorpus,
     PreprocessOptions,
     TfidfModel,
     Vocabulary,

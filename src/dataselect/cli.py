@@ -219,9 +219,8 @@ def _build_context(config: RunConfig, corpus: Corpus, labeled_pool_only: bool):
         raise ConfigError("a target domain is required (target = ... or --target)")
     if config.target not in corpus.domains:
         raise ConfigError(f"unknown target domain {config.target!r}")
-    options = _preprocess_options(config)
-    token_lists = tokenize_corpus(corpus, options)
-    vocab = build_vocabulary(corpus, config.vocab_cap, token_lists=token_lists)
+    encoded = tokenize_corpus(corpus, _preprocess_options(config))
+    vocab = build_vocabulary(encoded, config.vocab_cap)
     table = None
     if config.representation == EMBEDDING:
         if not config.embeddings:
@@ -231,8 +230,6 @@ def _build_context(config: RunConfig, corpus: Corpus, labeled_pool_only: bool):
             )
         table = load_embeddings(config.embeddings, restrict_to=vocab)
     resources = ExperimentResources(
-        options=options,
-        vocab_cap=config.vocab_cap,
         sif_a=config.a,
         embedding_table=table,
         ae_config=AETrainConfig(
@@ -247,11 +244,11 @@ def _build_context(config: RunConfig, corpus: Corpus, labeled_pool_only: bool):
     )
     return prepare_context(
         corpus,
+        encoded,
+        vocab,
         config.target,
         config.representation,
         resources,
-        token_lists=token_lists,
-        vocab=vocab,
         labeled_pool_only=labeled_pool_only,
     )
 

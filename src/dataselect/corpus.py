@@ -1,8 +1,22 @@
-"""Multi-domain corpus ingestion, preprocessing, and sparse text features.
+"""Multi-domain corpus ingestion, preprocessing, and the encoded corpus.
 
 The canonical corpus format is JSONL with one object per line:
 ``{"id": str, "text": str, "domain": str, "label": str|null}`` where the
 label, when present, is one of ``negative`` / ``neutral`` / ``positive``.
+
+Every document is tokenized once, by ``tokenize_corpus``, into an
+``EncodedCorpus``: the sorted table of distinct tokens, each document's
+token ids (one flat array plus offsets) and one documents x n-gram count
+matrix over every unigram and bigram. The vocabulary, in-vocabulary term
+counts and every tf-idf matrix are column gathers of that matrix.
+
+Gram order: a token is a ``\\w+`` run or a ``<...>`` placeholder, and every
+such character sorts above the space that joins a bigram. So the bigram
+"a b" sorts like the pair (rank(a), rank(b)) and the unigram u like
+(rank(u), -1), rank being the position in the sorted token table, and the
+integer keys of those pairs order the count-matrix columns exactly as
+Python's ``sorted`` orders the gram strings. The grams of any set of
+documents are therefore already in sorted string order.
 """
 
 from __future__ import annotations
@@ -10,11 +24,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,10 +105,8 @@ class Corpus:
             raise DataError(f"unknown domain {domain!r}") from None
 
 
-def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
+def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus from the canonical JSONL format, preserving file order."""
-    if format != "jsonl":
-        raise ConfigError(f"unsupported corpus format {format!r}")
     path = Path(path)
     if not path.exists():
         raise DataError(f"corpus file not found: {path}")
@@ -180,9 +192,6 @@ class PreprocessOptions:
     """
 
     lowercase: bool = True
-    replace_urls: bool = True
-    replace_users: bool = True
-    replace_hashtags: bool = True
     stopwords: frozenset[str] | None = None
 
     def stopword_set(self) -> frozenset[str]:
@@ -199,12 +208,9 @@ def preprocess(text: str, options: PreprocessOptions = DEFAULT_OPTIONS) -> list[
     Splitting keeps placeholder tokens and maximal ``\\w+`` runs; punctuation
     acts purely as a separator.
     """
-    if options.replace_urls:
-        text = _URL_RE.sub(" <url> ", text)
-    if options.replace_users:
-        text = _USER_RE.sub(" <user> ", text)
-    if options.replace_hashtags:
-        text = _HASHTAG_RE.sub(" <hashtag> ", text)
+    text = _URL_RE.sub(" <url> ", text)
+    text = _USER_RE.sub(" <user> ", text)
+    text = _HASHTAG_RE.sub(" <hashtag> ", text)
     if options.lowercase:
         text = text.lower()
     tokens = _TOKEN_RE.findall(text)
@@ -214,18 +220,89 @@ def preprocess(text: str, options: PreprocessOptions = DEFAULT_OPTIONS) -> list[
 
 def tokenize_corpus(
     corpus: Corpus, options: PreprocessOptions = DEFAULT_OPTIONS
-) -> dict[str, list[str]]:
-    """Preprocess every document once; returns id -> token list."""
-    return {doc.id: preprocess(doc.text, options) for doc in corpus}
+) -> EncodedCorpus:
+    """Preprocess every document once and encode the corpus, rows in corpus order.
+
+    This is the only pass over the token strings; everything downstream
+    reads the integer arrays of the result.
+    """
+    seen: dict[str, int] = {}  # token -> id in first-seen order
+    first_ids = array("q")
+    lengths = []
+    for doc in corpus:
+        tokens = preprocess(doc.text, options)
+        first_ids.extend([seen.setdefault(t, len(seen)) for t in tokens])
+        lengths.append(len(tokens))
+    unigrams = {token: i for i, token in enumerate(sorted(seen))}
+    # seen iterates in first-seen order, so this maps first-seen ids to ids
+    rank = np.fromiter(map(unigrams.__getitem__, seen), dtype=np.int64, count=len(seen))
+    token_ids = rank[np.frombuffer(first_ids, dtype=np.int64)]
+    lengths = np.array(lengths, dtype=np.int64)
+    docs = np.repeat(np.arange(len(lengths)), lengths)
+    pairs = docs[1:] == docs[:-1]  # adjacent positions within one document
+    stride = len(unigrams) + 1
+    keys = np.concatenate(
+        (token_ids * stride, (token_ids[:-1] * stride + token_ids[1:] + 1)[pairs])
+    )
+    grams, columns = np.unique(keys, return_inverse=True)
+    counts = sp.csr_matrix(
+        (np.ones(len(keys)), (np.concatenate((docs, docs[1:][pairs])), columns)),
+        shape=(len(lengths), len(grams)),
+    )
+    counts.sum_duplicates()
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    return EncodedCorpus(unigrams, token_ids, offsets, grams, counts)
 
 
 # ---------------------------------------------------------------------------
-# Vocabulary and counts
+# The encoded corpus, the vocabulary and column gathers
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class EncodedCorpus:
+    """A tokenized corpus as integer arrays, one row per document in corpus order.
+
+    ``unigrams`` maps every distinct token to its id, which is its rank in
+    sorted order (the dict iterates in that order). Document i's tokens are
+    ``token_ids[offsets[i]:offsets[i + 1]]``. ``counts`` is the documents x
+    n-gram count matrix: column j counts the gram whose key is ``grams[j]``,
+    ``a * (V + 1)`` for the unigram a and ``a * (V + 1) + b + 1`` for the
+    bigram "a b" (V unigrams). Keys sort like the gram strings (see the
+    module docstring), so the columns are in sorted string order.
+    """
+
+    unigrams: dict[str, int]
+    token_ids: np.ndarray
+    offsets: np.ndarray
+    grams: np.ndarray
+    counts: sp.csr_matrix
+
+    def ids(self, tokens: Iterable[str]) -> np.ndarray:
+        """Unigram id of each token; -1 for a token no document holds."""
+        return np.array([self.unigrams.get(t, -1) for t in tokens], dtype=np.int64)
+
+    def columns(self, tokens: Iterable[str]) -> np.ndarray:
+        """Count-matrix column of each token's unigram; -1 for a token no document holds."""
+        ids = self.ids(tokens)
+        stride = len(self.unigrams) + 1
+        return np.where(ids >= 0, np.searchsorted(self.grams, ids * stride), -1)
+
+
+def _gather_columns(counts: sp.csr_matrix, columns: np.ndarray) -> sp.csr_matrix:
+    """``counts[:, columns]`` with sorted indices; a column of -1 stays all zero."""
+    present = np.flatnonzero(columns >= 0)
+    picked = counts[:, columns[present]]
+    out = sp.csr_matrix(
+        (picked.data, present[picked.indices], picked.indptr),
+        shape=(counts.shape[0], len(columns)),
+    )
+    out.sort_indices()
+    return out
+
+
+@dataclass(frozen=True)
 class Vocabulary:
-    """Most frequent tokens across all domains, capped at ``cap`` entries.
+    """Most frequent tokens across all domains.
 
     Tokens are ordered by descending corpus frequency with lexicographic
     tie-breaking, which makes construction order-independent.
@@ -233,7 +310,6 @@ class Vocabulary:
 
     tokens: tuple[str, ...]
     index: dict[str, int]
-    cap: int
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -241,138 +317,71 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.index
 
-    @classmethod
-    def from_frequencies(cls, frequencies: Counter, cap: int) -> "Vocabulary":
-        if cap < 1:
-            raise ConfigError(f"vocabulary cap must be >= 1, got {cap}")
-        ranked = sorted(frequencies.items(), key=lambda kv: (-kv[1], kv[0]))
-        tokens = tuple(tok for tok, _ in ranked[:cap])
-        return cls(tokens=tokens, index={t: i for i, t in enumerate(tokens)}, cap=cap)
+
+def build_vocabulary(encoded: EncodedCorpus, cap: int) -> Vocabulary:
+    """Build the shared vocabulary of the ``cap`` most frequent tokens."""
+    if cap < 1:
+        raise ConfigError(f"vocabulary cap must be >= 1, got {cap}")
+    frequency = np.bincount(encoded.token_ids, minlength=len(encoded.unigrams))
+    # ids are in token order, so a stable sort by -frequency breaks ties by token
+    top = np.argsort(-frequency, kind="stable")[:cap]
+    table = list(encoded.unigrams)
+    tokens = tuple(table[i] for i in top.tolist())
+    return Vocabulary(tokens=tokens, index={t: i for i, t in enumerate(tokens)})
 
 
-def build_vocabulary(
-    corpus: Corpus,
-    cap: int,
-    options: PreprocessOptions = DEFAULT_OPTIONS,
-    token_lists: dict[str, list[str]] | None = None,
-) -> Vocabulary:
-    """Build the shared vocabulary of the ``cap`` most frequent tokens.
-
-    Pass ``token_lists`` (from :func:`tokenize_corpus`) to avoid retokenizing.
-    """
-    freq: Counter = Counter()
-    for doc in corpus:
-        tokens = token_lists[doc.id] if token_lists is not None else preprocess(doc.text, options)
-        freq.update(tokens)
-    return Vocabulary.from_frequencies(freq, cap)
-
-
-def counts_matrix(
-    token_lists: Sequence[Sequence[str]], vocab: Vocabulary
-) -> sp.csr_matrix:
-    """Stack per-document in-vocabulary counts into a CSR matrix (docs x |V|)."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[int] = []
-    index = vocab.index
-    for tokens in token_lists:
-        raw = Counter(index[t] for t in tokens if t in index)
-        for i in sorted(raw):
-            indices.append(i)
-            data.append(raw[i])
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64), np.array(indptr)),
-        shape=(len(token_lists), len(vocab)),
-    )
+def term_counts(encoded: EncodedCorpus, vocab: Vocabulary) -> sp.csr_matrix:
+    """In-vocabulary term counts, documents x |V| in vocabulary order."""
+    return _gather_columns(encoded.counts, encoded.columns(vocab.tokens))
 
 
 # ---------------------------------------------------------------------------
 # tf-idf features
 # ---------------------------------------------------------------------------
 
-def _ngrams(tokens: Sequence[str], ngram_max: int) -> Iterator[str]:
-    yield from tokens
-    if ngram_max >= 2:
-        for i in range(len(tokens) - 1):
-            yield tokens[i] + " " + tokens[i + 1]
-
-
+@dataclass(frozen=True)
 class TfidfModel:
-    """tf-idf vectorizer over uni/bigram features.
+    """tf-idf over columns of an encoded corpus's count matrix.
 
     idf uses the smoothed form ``ln((1 + N) / (1 + df)) + 1`` and every
-    document vector is L2-normalized. The feature space is whatever the model
-    was fitted on; transforming new documents drops unseen n-grams.
+    document vector is L2-normalized. Feature j is count-matrix column
+    ``columns[j]``; transforming documents drops every other column.
+
+    Each row is divided by ``math.sqrt(np.dot(row, row))`` of that row alone.
+    A vectorized norm (a segmented sum of squares) adds the squares in
+    another order, can differ in the last bit and so change the classifier
+    trained on the rows.
     """
 
-    def __init__(self, feature_index: dict[str, int], idf: np.ndarray, ngram_max: int):
-        self.feature_index = feature_index
-        self.idf = idf
-        self.ngram_max = ngram_max
-
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_index)
+    columns: np.ndarray
+    idf: np.ndarray
 
     @classmethod
-    def fit(
-        cls,
-        token_lists: Sequence[Sequence[str]],
-        ngram_max: int = 2,
-        vocabulary: Vocabulary | None = None,
-    ) -> "TfidfModel":
-        """Fit the feature space and idf weights on the given documents.
+    def fit(cls, counts: sp.csr_matrix, columns: np.ndarray | None = None) -> "TfidfModel":
+        """Fit idf weights on the documents whose count rows are ``counts``.
 
-        With ``vocabulary`` given, the feature space is exactly the vocabulary's
-        unigrams in vocabulary order (used for fixed-width inputs such as
-        autoencoder features); otherwise it is the sorted set of n-grams
-        observed in the fitted documents.
+        The features are ``columns`` in the given order (a fixed-width input
+        such as the autoencoder's vocabulary; -1 marks a token no document
+        holds) or else every column that some given document holds, which is
+        their sorted gram order.
         """
-        if ngram_max not in (1, 2):
-            raise ConfigError(f"ngram_max must be 1 or 2, got {ngram_max}")
-        if not token_lists:
+        n_docs = counts.shape[0]
+        if n_docs == 0:
             raise DataError("cannot fit tf-idf on an empty document list")
-        if vocabulary is not None:
-            if ngram_max != 1:
-                raise ConfigError("a fixed vocabulary implies unigram features")
-            feature_index = dict(vocabulary.index)
-        else:
-            seen: set[str] = set()
-            for tokens in token_lists:
-                seen.update(_ngrams(tokens, ngram_max))
-            feature_index = {g: i for i, g in enumerate(sorted(seen))}
-        df = np.zeros(len(feature_index), dtype=np.int64)
-        for tokens in token_lists:
-            for g in set(_ngrams(tokens, ngram_max)):
-                j = feature_index.get(g)
-                if j is not None:
-                    df[j] += 1
-        n_docs = len(token_lists)
-        idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
-        return cls(feature_index, idf, ngram_max)
+        # a canonical CSR row holds each column once: this is document frequency
+        df = np.bincount(counts.indices, minlength=counts.shape[1])
+        if columns is None:
+            columns = np.flatnonzero(df)
+        # column -1 reads the appended 0
+        idf = np.log((1.0 + n_docs) / (1.0 + np.append(df, 0)[columns])) + 1.0
+        return cls(columns, idf)
 
-    def transform(self, token_lists: Sequence[Sequence[str]]) -> sp.csr_matrix:
-        """Map documents to L2-normalized tf-idf rows; unknown n-grams are dropped."""
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        for tokens in token_lists:
-            tf: Counter = Counter()
-            for g in _ngrams(tokens, self.ngram_max):
-                j = self.feature_index.get(g)
-                if j is not None:
-                    tf[j] += 1
-            row_idx = sorted(tf)
-            row = np.array([tf[j] * self.idf[j] for j in row_idx], dtype=np.float64)
-            norm = math.sqrt(float(np.dot(row, row)))
-            if norm > 0.0:
-                row /= norm
-            indices.extend(row_idx)
-            data.extend(row.tolist())
-            indptr.append(len(indices))
-        return sp.csr_matrix(
-            (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
-            shape=(len(token_lists), self.n_features),
-        )
-
+    def transform(self, counts: sp.csr_matrix) -> sp.csr_matrix:
+        """Map count rows to L2-normalized tf-idf rows; other columns are dropped."""
+        rows = _gather_columns(counts, self.columns)
+        data = rows.data * self.idf[rows.indices]
+        indptr = rows.indptr.tolist()
+        for start, end in zip(indptr[:-1], indptr[1:]):
+            row = data[start:end]
+            row /= math.sqrt(float(np.dot(row, row)))  # an empty row stays empty
+        return sp.csr_matrix((data, rows.indices, rows.indptr), shape=rows.shape)

@@ -16,6 +16,14 @@ one schedule computed before the loop. The binary task trains its first
 class only and negates it for the second. Both are exact: per class, every
 floating-point operation is the one a joint multi-class loop would do, in
 the same order, and negation commutes with IEEE rounding.
+
+Features come from the corpus encoded once by ``corpus.tokenize_corpus``:
+a run's training rows and the target's labeled rows are row slices of its
+documents x n-gram count matrix (the target's taken once per experiment),
+the run's tf-idf features are the columns its training rows hold, and
+transforming is a column gather, an idf scale and a per-row L2
+normalization. The norm stays one ``np.dot`` per row, because a vectorized
+norm sums the squares in another order and would change the last bits.
 """
 
 from __future__ import annotations
@@ -29,16 +37,7 @@ from scipy.special import betainc
 
 from . import selection as sel
 from .autoencoder import AEModel, AETrainConfig, train as ae_train
-from .corpus import (
-    DEFAULT_OPTIONS,
-    Corpus,
-    Document,
-    PreprocessOptions,
-    TfidfModel,
-    Vocabulary,
-    build_vocabulary,
-    tokenize_corpus,
-)
+from .corpus import Corpus, Document, EncodedCorpus, TfidfModel, Vocabulary
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, DataError, DataSelectError
 from .representations import (
@@ -252,16 +251,13 @@ def t_test(runs_a: list[float], runs_b: list[float]) -> SignificanceResult:
 
 @dataclass
 class ExperimentResources:
-    """Shared inputs for experiments: preprocessing, feature, and model knobs.
+    """Shared inputs for experiments: representation and model knobs.
 
     ``ae_model`` may be supplied directly; otherwise an autoencoder is
     trained on all domains (target included, as unlabeled text) the first
     time the autoencoder representation is requested.
     """
 
-    options: PreprocessOptions = DEFAULT_OPTIONS
-    vocab_cap: int = 10000
-    ngram_max: int = 2
     sif_a: float = 1e-5
     embedding_table: EmbeddingTable | None = None
     ae_model: AEModel | None = None
@@ -275,8 +271,7 @@ class ExperimentContext:
 
     corpus: Corpus
     target_domain: str
-    vocab: Vocabulary
-    token_lists: dict[str, list[str]]
+    encoded: EncodedCorpus
     space: RepresentationSpace
     pool_docs: list[Document]
     pool_rows: object
@@ -302,17 +297,18 @@ class ExperimentContext:
 
 def prepare_context(
     corpus: Corpus,
+    encoded: EncodedCorpus,
+    vocab: Vocabulary,
     target_domain: str,
     representation: str,
     resources: ExperimentResources | None = None,
-    token_lists: dict[str, list[str]] | None = None,
-    vocab: Vocabulary | None = None,
     labeled_pool_only: bool = True,
 ) -> ExperimentContext:
-    """Tokenize, build the vocabulary and representation space, and split the pool.
+    """Build the representation space and split the pool.
 
-    The selection pool is every labeled non-target document (pass
-    ``labeled_pool_only=False`` to keep unlabeled candidates, e.g. when
+    ``encoded`` is ``tokenize_corpus(corpus)`` and ``vocab`` the vocabulary
+    built from it. The selection pool is every labeled non-target document
+    (pass ``labeled_pool_only=False`` to keep unlabeled candidates, e.g. when
     selecting data for annotation). Domain and target representations
     aggregate all documents of the domain, labeled or not, so unlabeled text
     still informs similarity.
@@ -322,24 +318,20 @@ def prepare_context(
         raise ConfigError(f"unknown target domain {target_domain!r}")
     if not (corpus.domains - {target_domain}):
         raise DataError("no source domains besides the target")
-    if token_lists is None:
-        token_lists = tokenize_corpus(corpus, resources.options)
-    if vocab is None:
-        vocab = build_vocabulary(corpus, resources.vocab_cap, token_lists=token_lists)
     if representation == EMBEDDING and resources.embedding_table is None:
         raise ConfigError("embedding representation requires an embeddings file")
     ae_model = resources.ae_model
     ae_features = None
     if representation == AUTOENCODER:
-        ae_features, _ = ae_input_features(corpus, vocab, token_lists=token_lists)
+        ae_features = ae_input_features(encoded, vocab)
         if ae_model is None:
             ae_model, _ = ae_train(ae_features, resources.ae_config)
             resources.ae_model = ae_model
     space = build_representation_space(
         corpus,
+        encoded,
         representation,
         vocab,
-        token_lists=token_lists,
         embedding_table=resources.embedding_table,
         ae_model=ae_model,
         ae_features=ae_features,
@@ -356,8 +348,7 @@ def prepare_context(
     return ExperimentContext(
         corpus=corpus,
         target_domain=target_domain,
-        vocab=vocab,
-        token_lists=token_lists,
+        encoded=encoded,
         space=space,
         pool_docs=pool_docs,
         pool_rows=space.rows([d.id for d in pool_docs]),
@@ -464,9 +455,9 @@ def run_experiment(
     ]
     if not eval_docs:
         raise DataError(f"target domain {target_domain!r} has no labeled documents")
-    eval_tokens = [context.token_lists[d.id] for d in eval_docs]
+    counts, row = context.encoded.counts, context.space.index
+    eval_rows = counts[[row[d.id] for d in eval_docs]]
     eval_labels = [d.label for d in eval_docs]
-    ngram_max = context.resources.ngram_max
     clf_config = context.resources.classifier
 
     accuracies: list[float] = []
@@ -475,14 +466,11 @@ def run_experiment(
         seed = base_seed + run
         try:
             result = run_selection(context, selection_config, seed)
-            train_docs = [context.corpus.get(i) for i in result.chosen]
-            train_tokens = [context.token_lists[d.id] for d in train_docs]
-            train_labels = [d.label for d in train_docs]
-            tfidf = TfidfModel.fit(train_tokens, ngram_max=ngram_max)
-            model = train_classifier(
-                tfidf.transform(train_tokens), train_labels, clf_config
-            )
-            accuracy = evaluate(model, tfidf.transform(eval_tokens), eval_labels)
+            train_labels = [context.corpus.get(i).label for i in result.chosen]
+            train_rows = counts[[row[i] for i in result.chosen]]
+            tfidf = TfidfModel.fit(train_rows)
+            model = train_classifier(tfidf.transform(train_rows), train_labels, clf_config)
+            accuracy = evaluate(model, tfidf.transform(eval_rows), eval_labels)
         except DataSelectError as exc:
             exc.args = (f"run {run}: {exc}",)
             raise

@@ -8,6 +8,11 @@ pooled from those rows by ``RepresentationSpace.aggregate`` alone: counts are
 summed before normalizing, dense rows are averaged. Groups with no usable
 tokens are flagged empty so callers can exclude them instead of propagating
 NaNs.
+
+Every view reads the ``EncodedCorpus`` and never the token strings: term
+counts are the vocabulary's columns of its count matrix, the autoencoder
+input is a unigram tf-idf of those columns, and SIF weights walk its flat
+token ids.
 """
 
 from __future__ import annotations
@@ -19,15 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autoencoder as ae
-from .corpus import (
-    DEFAULT_OPTIONS,
-    Corpus,
-    PreprocessOptions,
-    TfidfModel,
-    Vocabulary,
-    counts_matrix,
-    tokenize_corpus,
-)
+from .corpus import Corpus, EncodedCorpus, TfidfModel, Vocabulary, term_counts
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, DataError
 
@@ -62,22 +59,14 @@ class TermDistribution:
 # Whole-corpus representation spaces
 # ---------------------------------------------------------------------------
 
-def ae_input_features(
-    corpus: Corpus,
-    vocab: Vocabulary,
-    options: PreprocessOptions = DEFAULT_OPTIONS,
-    token_lists: dict[str, list[str]] | None = None,
-) -> tuple[sp.csr_matrix, TfidfModel]:
+def ae_input_features(encoded: EncodedCorpus, vocab: Vocabulary) -> sp.csr_matrix:
     """Shared-vocabulary unigram tf-idf rows for every document, in corpus order.
 
     This fixed-width feature space is the autoencoder's input; idf statistics
     come from all domains.
     """
-    if token_lists is None:
-        token_lists = tokenize_corpus(corpus, options)
-    ordered = [token_lists[doc.id] for doc in corpus]
-    model = TfidfModel.fit(ordered, ngram_max=1, vocabulary=vocab)
-    return model.transform(ordered), model
+    model = TfidfModel.fit(encoded.counts, columns=encoded.columns(vocab.tokens))
+    return model.transform(encoded.counts)
 
 
 @dataclass
@@ -113,10 +102,9 @@ class RepresentationSpace:
 
 def build_representation_space(
     corpus: Corpus,
+    encoded: EncodedCorpus,
     kind: str,
     vocab: Vocabulary,
-    options: PreprocessOptions = DEFAULT_OPTIONS,
-    token_lists: dict[str, list[str]] | None = None,
     embedding_table: EmbeddingTable | None = None,
     ae_model: ae.AEModel | None = None,
     ae_features: sp.csr_matrix | None = None,
@@ -124,25 +112,24 @@ def build_representation_space(
 ) -> RepresentationSpace:
     """Compute one representation row per document of the corpus.
 
-    The embedding view is the smoothed inverse-frequency (SIF) mean of word
-    vectors: every token that is in the vocabulary and in the table adds
-    ``sqrt(sif_a / p)`` times its vector, where ``p`` is the token's share of
-    the in-vocabulary tokens of the document's own domain, and the sum is
-    divided by the number of such tokens (documents without any map to the
-    zero vector). Only vocabulary tokens count, so table rows outside the
-    vocabulary never contribute; the CLI loads the table restricted to the
-    vocabulary. The autoencoder view encodes shared-vocabulary tf-idf rows
-    (pass ``ae_features`` to reuse the matrix the model was trained on).
+    ``encoded`` is ``tokenize_corpus(corpus)``. The embedding view is the
+    smoothed inverse-frequency (SIF) mean of word vectors: every token that
+    is in the vocabulary and in the table adds ``sqrt(sif_a / p)`` times its
+    vector, where ``p`` is the token's share of the in-vocabulary tokens of
+    the document's own domain, and the sum is divided by the number of such
+    tokens (documents without any map to the zero vector). Only vocabulary
+    tokens count, so table rows outside the vocabulary never contribute; the
+    CLI loads the table restricted to the vocabulary. The autoencoder view
+    encodes ``ae_features``, the ``ae_input_features`` rows the model was
+    trained on.
     """
     if kind not in REPRESENTATION_KINDS:
         raise ConfigError(f"unknown representation kind {kind!r}")
-    if token_lists is None:
-        token_lists = tokenize_corpus(corpus, options)
     doc_ids = [doc.id for doc in corpus]
     index = {doc_id: i for i, doc_id in enumerate(doc_ids)}
 
     if kind == TERM_DIST:
-        matrix = counts_matrix([token_lists[i] for i in doc_ids], vocab)
+        matrix = term_counts(encoded, vocab)
     elif kind == EMBEDDING:
         if embedding_table is None:
             raise ConfigError("embedding representation requires an embedding table")
@@ -150,14 +137,12 @@ def build_representation_space(
             raise ConfigError(f"smoothing factor a must be positive, got {sif_a}")
         domain_code = {domain: i for i, domain in enumerate(sorted(corpus.domains))}
         domains = np.array([domain_code[doc.domain] for doc in corpus], dtype=np.int64)
-        matrix = _sif_rows(
-            [token_lists[i] for i in doc_ids], domains, vocab, embedding_table, sif_a
-        )
+        matrix = _sif_rows(encoded, domains, vocab, embedding_table, sif_a)
     else:
-        if ae_model is None:
-            raise ConfigError("autoencoder representation requires a trained model")
-        if ae_features is None:
-            ae_features, _ = ae_input_features(corpus, vocab, options, token_lists)
+        if ae_model is None or ae_features is None:
+            raise ConfigError(
+                "autoencoder representation requires a trained model and its input features"
+            )
         if ae_features.shape[1] != ae_model.input_dim:
             raise DataError(
                 f"feature space of width {ae_features.shape[1]} does not match "
@@ -168,7 +153,7 @@ def build_representation_space(
 
 
 def _sif_rows(
-    token_lists: list[list[str]],
+    encoded: EncodedCorpus,
     domains: np.ndarray,
     vocab: Vocabulary,
     table: EmbeddingTable,
@@ -176,28 +161,34 @@ def _sif_rows(
 ) -> np.ndarray:
     """SIF rows for documents whose domain codes are ``domains``.
 
-    Per-domain probabilities are column sums of the count matrix over the
+    Per-domain probabilities are column sums of the term counts over the
     domain's documents, divided by the domain's in-vocabulary token total.
     A document's tokens all occur in its own domain, so ``p > 0`` for every
     weighted token. Rows are accumulated one token position at a time across
     all documents, which sums each document in token order, exactly as a
     per-document loop would.
     """
-    n = len(token_lists)
+    n = len(domains)
     membership = sp.csr_matrix(
         (np.ones(n), (domains, np.arange(n))), shape=(int(domains.max(initial=0)) + 1, n)
     )
-    domain_counts = (membership @ counts_matrix(token_lists, vocab)).toarray()
+    domain_counts = (membership @ term_counts(encoded, vocab)).toarray()
     probs = domain_counts / np.maximum(domain_counts.sum(axis=1, keepdims=True), 1.0)
 
-    in_table = {token: j for token, j in vocab.index.items() if token in table}
+    in_table = np.array([token in table for token in vocab.tokens], dtype=bool)
     vectors = np.zeros((len(vocab), table.dim), dtype=np.float64)
-    for token, j in in_table.items():
-        vectors[j] = table.entries[token]
-    sequences = [[in_table[t] for t in tokens if t in in_table] for tokens in token_lists]
-    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
-    tokens = np.array([j for seq in sequences for j in seq], dtype=np.int64)
-    docs = np.repeat(np.arange(n), lengths)
+    for j in np.flatnonzero(in_table).tolist():
+        vectors[j] = table.entries[vocab.tokens[j]]
+    # vocabulary position of each unigram id whose token has a vector, else -1
+    ids = encoded.ids(vocab.tokens)
+    keep = in_table & (ids >= 0)
+    position = np.full(len(encoded.unigrams), -1, dtype=np.int64)
+    position[ids[keep]] = np.flatnonzero(keep)
+    occurrences = position[encoded.token_ids]
+    weighted = occurrences >= 0
+    docs = np.repeat(np.arange(n), np.diff(encoded.offsets))[weighted]
+    tokens = occurrences[weighted]
+    lengths = np.bincount(docs, minlength=n)
     weights = np.sqrt(a / probs[domains[docs], tokens])
     positions = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     by_position = np.argsort(positions, kind="stable")

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import settings
 
-from dataselect.corpus import Corpus, Document
+from dataselect.corpus import Corpus, Document, Vocabulary
 
 # Property tests replay the same examples on every run and keep no database.
 settings.register_profile(
@@ -15,6 +15,22 @@ settings.load_profile("dataselect")
 def make_corpus(rows):
     """rows: iterable of (id, text, domain, label-or-None)."""
     return Corpus(Document(id=i, text=t, domain=d, label=l) for i, t, d, l in rows)
+
+
+def vocabulary(tokens):
+    """A vocabulary of exactly ``tokens``, in the given order."""
+    tokens = tuple(tokens)
+    return Vocabulary(tokens=tokens, index={t: i for i, t in enumerate(tokens)})
+
+
+def gram_strings(encoded):
+    """The gram string of every count-matrix column, decoded from its key."""
+    table = list(encoded.unigrams)
+    first, second = divmod(encoded.grams, len(table) + 1)
+    return [
+        table[a] if b == 0 else table[a] + " " + table[b - 1]
+        for a, b in zip(first.tolist(), second.tolist())
+    ]
 
 
 def write_jsonl(path, rows):

@@ -431,9 +431,8 @@ class TestTrain:
             DomainSpec(name="tgt", seed=2, **shape),
         )
         options = PreprocessOptions(stopwords=frozenset())
-        token_lists = tokenize_corpus(corpus, options)
-        vocab = build_vocabulary(corpus, cap=50, token_lists=token_lists)
-        features, _ = ae_input_features(corpus, vocab, options, token_lists=token_lists)
+        encoded = tokenize_corpus(corpus, options)
+        features = ae_input_features(encoded, build_vocabulary(encoded, cap=50))
         config = AETrainConfig(epochs=3, masking_prob=0.5, learning_rate=1e-2,
                                batch_size=7, seed=4, hidden_dim=9)
         monkeypatch.setattr(autoencoder, "_ADAM_BLOCK", 13)

@@ -8,16 +8,25 @@ from dataselect.corpus import (
     Document,
     PreprocessOptions,
     TfidfModel,
-    Vocabulary,
     build_vocabulary,
-    counts_matrix,
     default_stopwords,
     load_corpus,
     preprocess,
+    term_counts,
+    tokenize_corpus,
 )
 from dataselect.errors import ConfigError, DataError, ParseError
 
-from conftest import make_corpus, write_jsonl
+from conftest import gram_strings, make_corpus, vocabulary, write_jsonl
+
+NO_STOP = PreprocessOptions(stopwords=frozenset())
+
+
+def encode(texts, options=NO_STOP):
+    """The encoded corpus of documents ``d0, d1, ...`` with the given texts."""
+    return tokenize_corpus(
+        make_corpus((f"d{i}", text, "x", None) for i, text in enumerate(texts)), options
+    )
 
 
 class TestLoadCorpus:
@@ -111,13 +120,6 @@ class TestPreprocess:
     def test_punctuation_separates(self):
         assert preprocess("good,bad!plot?") == ["good", "bad", "plot"]
 
-    def test_placeholder_substitution_can_be_disabled(self):
-        options = PreprocessOptions(
-            replace_urls=False, replace_users=False, replace_hashtags=False,
-            stopwords=frozenset(),
-        )
-        assert preprocess("see www.x.co @bob", options) == ["see", "www", "x", "co", "bob"]
-
     def test_stopwords_removed_after_substitution(self):
         # "was" inside a hashtag disappears with the tag, not as a stopword
         assert preprocess("#was movie") == ["<hashtag>", "movie"]
@@ -125,29 +127,24 @@ class TestPreprocess:
 
 class TestVocabulary:
     def test_frequency_ranking(self):
-        corpus = make_corpus([("1", "a a a b b c", "x", None)])
-        options = PreprocessOptions(stopwords=frozenset())
-        vocab = build_vocabulary(corpus, cap=2, options=options)
+        vocab = build_vocabulary(encode(["a a a b b c"]), cap=2)
         assert vocab.tokens == ("a", "b")
 
     def test_lexicographic_tie_break(self):
-        corpus = make_corpus([("1", "b a b a", "x", None)])
-        options = PreprocessOptions(stopwords=frozenset())
-        vocab = build_vocabulary(corpus, cap=1, options=options)
+        vocab = build_vocabulary(encode(["b a b a"]), cap=1)
         assert vocab.tokens == ("a",)
 
     def test_cap_bounds_size(self):
-        corpus = make_corpus([("1", " ".join(f"tok{i}" for i in range(50)), "x", None)])
-        vocab = build_vocabulary(corpus, cap=10)
+        vocab = build_vocabulary(encode([" ".join(f"tok{i}" for i in range(50))]), cap=10)
         assert len(vocab) == 10
 
     def test_empty_corpus_is_valid(self):
-        vocab = build_vocabulary(Corpus([]), cap=5)
+        vocab = build_vocabulary(tokenize_corpus(Corpus([])), cap=5)
         assert len(vocab) == 0
 
     def test_cap_must_be_positive(self):
         with pytest.raises(ConfigError):
-            build_vocabulary(Corpus([]), cap=0)
+            build_vocabulary(tokenize_corpus(Corpus([])), cap=0)
 
     def test_permutation_invariance(self):
         rows = [
@@ -155,35 +152,33 @@ class TestVocabulary:
             ("2", "banana cherry", "y", None),
             ("3", "cherry cherry apple", "x", None),
         ]
-        options = PreprocessOptions(stopwords=frozenset())
-        forward = build_vocabulary(make_corpus(rows), cap=3, options=options)
-        backward = build_vocabulary(make_corpus(rows[::-1]), cap=3, options=options)
+        forward = build_vocabulary(tokenize_corpus(make_corpus(rows), NO_STOP), cap=3)
+        backward = build_vocabulary(tokenize_corpus(make_corpus(rows[::-1]), NO_STOP), cap=3)
         assert forward.tokens == backward.tokens
 
     def test_counts_across_all_domains(self):
         rows = [("1", "a a", "x", None), ("2", "b b b", "y", None)]
-        options = PreprocessOptions(stopwords=frozenset())
-        vocab = build_vocabulary(make_corpus(rows), cap=1, options=options)
+        vocab = build_vocabulary(tokenize_corpus(make_corpus(rows), NO_STOP), cap=1)
         assert vocab.tokens == ("b",)
 
 
 class TestTermCounts:
     @pytest.fixture
     def vocab(self):
-        return Vocabulary.from_frequencies({"movie": 5, "best": 3}, cap=2)
+        return vocabulary(["movie", "best"])
 
     def test_basic_counting(self, vocab):
-        counts = counts_matrix([["movie", "movie", "best"]], vocab)
+        counts = term_counts(encode(["movie movie best"]), vocab)
         assert counts.indices.tolist() == [0, 1]
         assert counts.data.tolist() == [2, 1]
 
     def test_all_oov(self, vocab):
-        counts = counts_matrix([["alien", "words"]], vocab)
+        counts = term_counts(encode(["alien words"]), vocab)
         assert counts.shape == (1, 2)
         assert counts.nnz == 0
 
     def test_empty(self, vocab):
-        counts = counts_matrix([[]], vocab)
+        counts = term_counts(encode([""]), vocab)
         assert counts.shape == (1, 2)
         assert counts.nnz == 0
 
@@ -191,27 +186,30 @@ class TestTermCounts:
         rng = np.random.default_rng(0)
         universe = ["movie", "best", "oov1", "oov2"]
         token_lists = [list(rng.choice(universe, size=rng.integers(0, 12))) for _ in range(50)]
-        in_vocab = counts_matrix(token_lists, vocab).sum(axis=1).A1
+        in_vocab = term_counts(encode(map(" ".join, token_lists)), vocab).sum(axis=1).A1
         for tokens, total in zip(token_lists, in_vocab):
             oov = sum(1 for t in tokens if t not in vocab.index)
             assert total == len(tokens) - oov
 
 
-def tfidf_rows(texts, ngram_max):
-    """Fit tf-idf on the texts (no stopwords) and return their rows and the model."""
-    token_lists = [preprocess(t, PreprocessOptions(stopwords=frozenset())) for t in texts]
-    model = TfidfModel.fit(token_lists, ngram_max=ngram_max)
-    return model.transform(token_lists), model
+def tfidf_rows(texts):
+    """Fit uni/bigram tf-idf on the texts (no stopwords); their rows, the model
+    and each feature's gram string."""
+    encoded = encode(texts)
+    model = TfidfModel.fit(encoded.counts)
+    grams = gram_strings(encoded)
+    features = {grams[c]: j for j, c in enumerate(model.columns.tolist())}
+    return model.transform(encoded.counts), model, features
 
 
 class TestTfidf:
     def test_single_document_idf_one_and_unit_norm(self):
-        matrix, model = tfidf_rows(["alpha beta alpha"], ngram_max=1)
+        matrix, model, _ = tfidf_rows(["alpha beta alpha"])
         assert np.allclose(model.idf, 1.0)
         assert math.isclose(np.linalg.norm(matrix.toarray()), 1.0, abs_tol=1e-12)
 
     def test_identical_documents_identical_rows(self):
-        matrix, _ = tfidf_rows(["same words here", "same words here"], ngram_max=2)
+        matrix, _, _ = tfidf_rows(["same words here", "same words here"])
         dense = matrix.toarray()
         assert np.array_equal(dense[0], dense[1])
 
@@ -232,39 +230,37 @@ class TestTfidf:
             norm = math.sqrt(sum(w * w for w in weights.values()))
             expected[name] = {t: w / norm for t, w in weights.items()}
 
-        matrix, model = tfidf_rows([" ".join(tokens) for tokens in docs.values()], ngram_max=1)
-        dense = matrix.toarray()
+        # unigram features, as for the autoencoder's fixed vocabulary
+        encoded = encode(" ".join(tokens) for tokens in docs.values())
+        features = ["cat", "dog", "bird", "fish"]
+        model = TfidfModel.fit(encoded.counts, columns=encoded.columns(features))
+        dense = model.transform(encoded.counts).toarray()
         for row, name in enumerate(["A", "B", "C"]):
             for token, value in expected[name].items():
-                assert dense[row, model.feature_index[token]] == pytest.approx(
-                    value, abs=1e-9
-                )
+                assert dense[row, features.index(token)] == pytest.approx(value, abs=1e-9)
         # frozen spot checks from the same hand computation
-        assert dense[0, model.feature_index["cat"]] == pytest.approx(
-            2 / math.sqrt(5), abs=1e-12
-        )
-        assert dense[0, model.feature_index["dog"]] == pytest.approx(
-            1 / math.sqrt(5), abs=1e-12
-        )
+        assert dense[0, 0] == pytest.approx(2 / math.sqrt(5), abs=1e-12)
+        assert dense[0, 1] == pytest.approx(1 / math.sqrt(5), abs=1e-12)
 
     def test_bigram_features_present(self):
-        _, model = tfidf_rows(["not good", "very good"], ngram_max=2)
-        assert "not good" in model.feature_index
-        assert "very good" in model.feature_index
+        _, _, features = tfidf_rows(["not good", "very good"])
+        assert "not good" in features
+        assert "very good" in features
 
     def test_unseen_ngrams_dropped_at_transform(self):
-        _, model = tfidf_rows(["alpha beta"], ngram_max=1)
-        out = model.transform([["alpha", "zeta"]])
-        assert out.shape[1] == model.n_features
-        assert out[0, model.feature_index["alpha"]] > 0
+        encoded = encode(["alpha beta", "alpha zeta"])
+        model = TfidfModel.fit(encoded.counts[:1])
+        out = model.transform(encoded.counts[1:])
+        assert out.shape[1] == len(model.columns) == 3  # alpha, "alpha beta", beta
+        assert out[0, 0] > 0
         assert out.nnz == 1
 
     def test_empty_doc_list_is_error(self):
         with pytest.raises(DataError):
-            TfidfModel.fit([], ngram_max=1)
+            TfidfModel.fit(encode(["alpha"]).counts[:0])
 
     def test_empty_document_maps_to_zero_vector(self):
-        matrix, _ = tfidf_rows(["alpha", ""], ngram_max=1)
+        matrix, _, _ = tfidf_rows(["alpha", ""])
         assert matrix[1].nnz == 0
 
     def test_l2_norm_is_one_for_nonempty_rows(self):
@@ -273,8 +269,8 @@ class TestTfidf:
         lists = [
             list(rng.choice(tokens, size=rng.integers(1, 8))) for _ in range(20)
         ]
-        model = TfidfModel.fit(lists, ngram_max=2)
-        matrix = model.transform(lists)
+        encoded = encode(map(" ".join, lists))
+        matrix = TfidfModel.fit(encoded.counts).transform(encoded.counts)
         norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
         assert np.allclose(norms, 1.0, atol=1e-12)
 

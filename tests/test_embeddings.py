@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dataselect.corpus import Vocabulary
 from dataselect.embeddings import EmbeddingTable, load_embeddings
 from dataselect.errors import DataError, ParseError
+
+from conftest import vocabulary
 
 
 def write_vectors(path, lines):
@@ -21,7 +22,7 @@ class TestLoadEmbeddings:
 
     def test_vocabulary_restriction(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", ["a 1 0", "b 0 1"])
-        vocab = Vocabulary.from_frequencies({"a": 1}, cap=10)
+        vocab = vocabulary(["a"])
         table = load_embeddings(path, restrict_to=vocab)
         assert len(table) == 1
         assert "b" not in table
@@ -29,7 +30,7 @@ class TestLoadEmbeddings:
     def test_restriction_preserves_vectors(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", ["a 0.25 -1.5", "b 3 4"])
         full = load_embeddings(path)
-        vocab = Vocabulary.from_frequencies({"a": 1}, cap=10)
+        vocab = vocabulary(["a"])
         restricted = load_embeddings(path, restrict_to=vocab)
         assert np.array_equal(full.entries["a"], restricted.entries["a"])
 
@@ -45,14 +46,14 @@ class TestLoadEmbeddings:
 
     def test_filtered_line_is_not_parsed(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", ["a 1 0", "b 1 zero"])
-        vocab = Vocabulary.from_frequencies({"a": 1}, cap=10)
+        vocab = vocabulary(["a"])
         table = load_embeddings(path, restrict_to=vocab)
         assert len(table) == 1
         assert np.array_equal(table.entries["a"], [1.0, 0.0])
 
     def test_malformed_kept_line_still_raises(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", ["b 1 0", "a 1 zero"])
-        vocab = Vocabulary.from_frequencies({"a": 1}, cap=10)
+        vocab = vocabulary(["a"])
         with pytest.raises(ParseError, match="line 2: non-numeric"):
             load_embeddings(path, restrict_to=vocab)
 
@@ -64,13 +65,13 @@ class TestLoadEmbeddings:
 
     def test_non_finite_on_filtered_line_is_not_parsed(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", ["a 1 0", "b nan inf"])
-        vocab = Vocabulary.from_frequencies({"a": 1}, cap=10)
+        vocab = vocabulary(["a"])
         table = load_embeddings(path, restrict_to=vocab)
         assert len(table) == 1
 
     def test_filtered_line_dimension_still_checked(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", ["a 1 0", "b 1 2 3"])
-        vocab = Vocabulary.from_frequencies({"a": 1}, cap=10)
+        vocab = vocabulary(["a"])
         with pytest.raises(ParseError, match="line 2"):
             load_embeddings(path, restrict_to=vocab)
 
@@ -103,6 +104,6 @@ class TestLookup:
 
     def test_miss_after_restriction(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", ["a 1 0", "b 0 1"])
-        vocab = Vocabulary.from_frequencies({"a": 1}, cap=10)
+        vocab = vocabulary(["a"])
         table = load_embeddings(path, restrict_to=vocab)
         assert table.entries.get("b") is None

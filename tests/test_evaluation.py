@@ -14,7 +14,7 @@ from dataselect.evaluation import (
     t_test,
     train_classifier,
 )
-from dataselect.corpus import PreprocessOptions
+from dataselect.corpus import PreprocessOptions, build_vocabulary, tokenize_corpus
 from dataselect.selection import SelectionConfig
 from dataselect.synthetic import DomainSpec, generate
 
@@ -323,40 +323,43 @@ def corpus():
 
 
 @pytest.fixture(scope="module")
-def resources():
-    return ExperimentResources(options=PreprocessOptions(stopwords=frozenset()),
-                               vocab_cap=2000)
+def prepare(corpus):
+    """A fresh term-distribution context for a target domain, built without
+    stopwords over a 2,000-token vocabulary."""
+    encoded = tokenize_corpus(corpus, PreprocessOptions(stopwords=frozenset()))
+    vocab = build_vocabulary(encoded, 2000)
+    return lambda target="tgt": prepare_context(
+        corpus, encoded, vocab, target, "term_dist", ExperimentResources()
+    )
 
 
 class TestRunExperiment:
 
-    def test_deterministic_strategy_gives_identical_runs(self, corpus, resources):
-        context = prepare_context(corpus, "tgt", "term_dist", resources)
+    def test_deterministic_strategy_gives_identical_runs(self, prepare):
+        context = prepare()
         config = SelectionConfig(n=40, strategy="instance")
         result = run_experiment(context, config, runs=4, base_seed=0)
         assert len(set(result.accuracies)) == 1
 
-    def test_mean_matches_recomputation(self, corpus, resources):
-        context = prepare_context(corpus, "tgt", "term_dist", resources)
+    def test_mean_matches_recomputation(self, prepare):
+        context = prepare()
         config = SelectionConfig(n=40, strategy="random")
         result = run_experiment(context, config, runs=5, base_seed=3)
         assert result.mean == pytest.approx(sum(result.accuracies) / 5, abs=1e-12)
         assert result.seeds == [3, 4, 5, 6, 7]
 
-    def test_unknown_target_domain(self, corpus, resources):
+    def test_unknown_target_domain(self, prepare):
         with pytest.raises(ConfigError, match="unknown target domain"):
-            prepare_context(corpus, "nope", "term_dist", resources)
+            prepare("nope")
 
-    def test_context_reuse_matches_fresh(self, corpus, resources):
+    def test_context_reuse_matches_fresh(self, prepare):
         config = SelectionConfig(n=30, strategy="subset", s=5, m=20)
-        fresh = run_experiment(
-            prepare_context(corpus, "tgt", "term_dist", resources), config, runs=2, base_seed=1
-        )
-        context = prepare_context(corpus, "tgt", "term_dist", resources)
+        fresh = run_experiment(prepare(), config, runs=2, base_seed=1)
+        context = prepare()
         run_experiment(context, SelectionConfig(n=30, strategy="instance"), runs=1)
         reused = run_experiment(context, config, runs=2, base_seed=1)
         assert fresh.accuracies == reused.accuracies
 
-    def test_selection_never_includes_target_documents(self, corpus, resources):
-        context = prepare_context(corpus, "tgt", "term_dist", resources)
+    def test_selection_never_includes_target_documents(self, prepare):
+        context = prepare()
         assert all(doc.domain != "tgt" for doc in context.pool_docs)

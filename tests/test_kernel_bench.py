@@ -1,6 +1,7 @@
 """Kernel microbenchmarks: one subset-search round of candidate scoring, one
 autoencoder minibatch (forward/backward and one Adam update), one encode
-of a whole pool and one sentiment-classifier fit.
+of a whole pool, one sentiment-classifier fit and one tf-idf fit with its
+transforms.
 
 Marked ``bench`` and deselected by default; run them with
 
@@ -14,14 +15,17 @@ autoencoder cases use that vocabulary with the default hidden size (1,000)
 and batch size (64); the encode case encodes the whole sparse pool. The
 classifier case fits the default 10-epoch SGD on a binary training set of the
 ``blended`` scenario's shape: n=1,600 documents over about 15,000 tf-idf
-uni/bigram features, about 22 L2-normalized nonzeros per row.
+uni/bigram features, about 22 L2-normalized nonzeros per row. The tf-idf
+case fits on 1,600 random labeled source documents of the seed-0 ``blended``
+scenario and transforms them and the scenario's labeled target documents.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dataselect import autoencoder, evaluation, selection
+from dataselect import autoencoder, evaluation, selection, synthetic
+from dataselect.corpus import TfidfModel, tokenize_corpus
 from dataselect.representations import TermDistribution
 
 pytestmark = pytest.mark.bench
@@ -137,3 +141,20 @@ def test_train_classifier_binary(benchmark):
         evaluation.train_classifier, args=(rows, labels), rounds=5, iterations=1
     )
     assert model.weights.shape == (2, features)
+
+
+def test_tfidf_fit_transform(benchmark):
+    scenario = synthetic.benchmark_suite(0)["blended"]
+    docs = list(scenario.corpus)
+    counts = tokenize_corpus(scenario.corpus).counts
+    labeled = [i for i, d in enumerate(docs) if d.label is not None]
+    source = [i for i in labeled if docs[i].domain != scenario.target_domain]
+    train = counts[np.random.default_rng(0).choice(source, size=1600, replace=False)]
+    target = counts[[i for i in labeled if docs[i].domain == scenario.target_domain]]
+
+    def fit_transform():
+        model = TfidfModel.fit(train)
+        return model.transform(train), model.transform(target)
+
+    train_rows, target_rows = benchmark.pedantic(fit_transform, rounds=5, iterations=1)
+    assert train_rows.shape[0] == 1600 and target_rows.shape[1] == train_rows.shape[1]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dataselect.autoencoder import AEModel, AETrainConfig, encode, train
-from dataselect.corpus import PreprocessOptions, Vocabulary, build_vocabulary, tokenize_corpus
+from dataselect.corpus import PreprocessOptions, build_vocabulary, preprocess, tokenize_corpus
 from dataselect.embeddings import EmbeddingTable
 from dataselect.errors import ConfigError, DataError
 from dataselect.representations import (
@@ -15,19 +15,23 @@ from dataselect.representations import (
 )
 from dataselect.synthetic import DomainSpec, generate
 
-from conftest import make_corpus
+from conftest import make_corpus, vocabulary
 
 NO_STOP = PreprocessOptions(stopwords=frozenset())
+
+
+def build(corpus, kind, vocab, **kwargs):
+    """``build_representation_space`` on the corpus encoded without stopwords."""
+    return build_representation_space(
+        corpus, tokenize_corpus(corpus, NO_STOP), kind, vocab, **kwargs
+    )
 
 
 def term_space(texts, tokens):
     """Term-distribution space over docs ``d0, d1, ...`` of one domain; the
     vocabulary is ``tokens`` in the given order."""
     corpus = make_corpus((f"d{i}", text, "x", None) for i, text in enumerate(texts))
-    vocab = Vocabulary.from_frequencies(
-        {t: len(tokens) - i for i, t in enumerate(tokens)}, cap=len(tokens)
-    )
-    return build_representation_space(corpus, "term_dist", vocab, options=NO_STOP)
+    return build(corpus, "term_dist", vocabulary(tokens))
 
 
 def dense_space(vecs):
@@ -42,18 +46,17 @@ def sif_space(rows, table, a=1e-5, vocab=None):
     """Embedding space over ``rows`` of (id, text, domain)."""
     corpus = make_corpus((i, text, domain, None) for i, text, domain in rows)
     if vocab is None:
-        vocab = build_vocabulary(corpus, cap=1000, options=NO_STOP)
-    return build_representation_space(
-        corpus, "embedding", vocab, options=NO_STOP, embedding_table=table, sif_a=a
-    )
+        vocab = build_vocabulary(tokenize_corpus(corpus, NO_STOP), cap=1000)
+    return build(corpus, "embedding", vocab, embedding_table=table, sif_a=a)
 
 
-def sif_per_document(corpus, token_lists, vocab, table, a):
+def sif_per_document(corpus, vocab, table, a):
     """Reference SIF: a per-document loop over tokens, in token order.
 
     p is the token's share of the in-vocabulary tokens of the document's own
     domain; tokens outside the vocabulary or the table contribute nothing.
     """
+    token_lists = {doc.id: preprocess(doc.text, NO_STOP) for doc in corpus}
     out = np.zeros((len(corpus), table.dim))
     for i, doc in enumerate(corpus):
         domain_tokens = [
@@ -146,7 +149,7 @@ class TestSifEmbedding:
 
     def test_table_tokens_outside_vocabulary_ignored(self, table):
         # "cold" has a vector but is not in the vocabulary: p(hot) = 2 / 2
-        vocab = Vocabulary.from_frequencies({"hot": 2}, cap=1)
+        vocab = vocabulary(["hot"])
         space = sif_space([("q", "hot cold", "x"), ("r", "hot", "x")], table, vocab=vocab)
         expected = math.sqrt(1e-5) * np.array([1.0, 0.0])
         assert np.allclose(space.rows(["q"])[0], expected, atol=1e-12)
@@ -218,9 +221,8 @@ class TestAERepresentation:
     @staticmethod
     def codes(model, features):
         corpus = make_corpus((f"d{i}", "x", "x", None) for i in range(len(features)))
-        vocab = Vocabulary.from_frequencies({"x": 1}, cap=1)
-        space = build_representation_space(
-            corpus, "autoencoder", vocab, options=NO_STOP,
+        space = build(
+            corpus, "autoencoder", vocabulary(["x"]),
             ae_model=model, ae_features=np.asarray(features, dtype=np.float64),
         )
         return space.rows(space.doc_ids)
@@ -258,10 +260,10 @@ class TestRepresentationSpace:
 
     @pytest.fixture
     def vocab(self):
-        return Vocabulary.from_frequencies({"hot": 3, "cold": 3, "warm": 1}, cap=3)
+        return vocabulary(["cold", "hot", "warm"])
 
     def test_term_dist_space(self, corpus, vocab):
-        space = build_representation_space(corpus, "term_dist", vocab, options=NO_STOP)
+        space = build(corpus, "term_dist", vocab)
         dist = space.aggregate(["a1", "a2"])
         # pooled counts: hot 2 + cold 3 over 5
         expected = np.zeros(3)
@@ -277,11 +279,8 @@ class TestRepresentationSpace:
              "warm": np.array([1.0, 1.0])},
             dim=2,
         )
-        space = build_representation_space(
-            corpus, "embedding", vocab, options=NO_STOP, embedding_table=table
-        )
-        token_lists = tokenize_corpus(corpus, NO_STOP)
-        oracle = sif_per_document(corpus, token_lists, vocab, table, 1e-5)
+        space = build(corpus, "embedding", vocab, embedding_table=table)
+        oracle = sif_per_document(corpus, vocab, table, 1e-5)
         assert np.array_equal(space.matrix, oracle)
 
         shape = dict(docs_per_label=20, lexicon_size=12, shared_vocab_size=30,
@@ -291,40 +290,42 @@ class TestRepresentationSpace:
              DomainSpec(name="far", overlap=0.2, seed=2, **shape)],
             DomainSpec(name="tgt", seed=3, **shape),
         )
-        token_lists = tokenize_corpus(big, NO_STOP)
-        big_vocab = build_vocabulary(big, cap=60, token_lists=token_lists)
+        encoded = tokenize_corpus(big, NO_STOP)
+        big_vocab = build_vocabulary(encoded, cap=60)
         rng = np.random.default_rng(4)
-        all_tokens = sorted({t for tokens in token_lists.values() for t in tokens})
         table = EmbeddingTable(
-            {t: rng.normal(size=7) for t in all_tokens if rng.random() < 0.7}, dim=7
+            {t: rng.normal(size=7) for t in encoded.unigrams if rng.random() < 0.7}, dim=7
         )
         space = build_representation_space(
-            big, "embedding", big_vocab, token_lists=token_lists,
-            embedding_table=table, sif_a=1e-3,
+            big, encoded, "embedding", big_vocab, embedding_table=table, sif_a=1e-3
         )
-        oracle = sif_per_document(big, token_lists, big_vocab, table, 1e-3)
+        oracle = sif_per_document(big, big_vocab, table, 1e-3)
         assert np.array_equal(space.matrix, oracle)
 
     def test_autoencoder_space_matches_direct_encode(self, corpus, vocab):
-        features, _ = ae_input_features(corpus, vocab, options=NO_STOP)
+        features = ae_input_features(tokenize_corpus(corpus, NO_STOP), vocab)
         model, _ = train(
             features,
             AETrainConfig(epochs=2, masking_prob=0.5, hidden_dim=4, batch_size=2, seed=1),
         )
-        space = build_representation_space(
-            corpus, "autoencoder", vocab, options=NO_STOP,
-            ae_model=model, ae_features=features,
-        )
+        space = build(corpus, "autoencoder", vocab, ae_model=model, ae_features=features)
         direct = encode(model, features[0])
         assert np.allclose(space.rows(["a1"])[0], direct, atol=1e-12)
 
     def test_missing_embedding_table_is_config_error(self, corpus, vocab):
         with pytest.raises(ConfigError):
-            build_representation_space(corpus, "embedding", vocab, options=NO_STOP)
+            build(corpus, "embedding", vocab)
+
+    def test_autoencoder_needs_model_and_its_features(self, corpus, vocab):
+        features = ae_input_features(tokenize_corpus(corpus, NO_STOP), vocab)
+        model, _ = train(features, AETrainConfig(epochs=1, hidden_dim=2, seed=1))
+        for kwargs in ({"ae_features": features}, {"ae_model": model}):
+            with pytest.raises(ConfigError):
+                build(corpus, "autoencoder", vocab, **kwargs)
 
     def test_empty_aggregate_flagged(self, corpus, vocab):
-        space = build_representation_space(corpus, "term_dist", vocab, options=NO_STOP)
+        space = build(corpus, "term_dist", vocab)
         empty_corpus = make_corpus([("z1", "zzz yyy", "gamma", None)])
-        gamma = build_representation_space(empty_corpus, "term_dist", vocab, options=NO_STOP)
+        gamma = build(empty_corpus, "term_dist", vocab)
         assert gamma.aggregate(["z1"]).empty
         assert not space.aggregate(["a1"]).empty

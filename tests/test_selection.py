@@ -494,10 +494,9 @@ class TestMonotonicityHarness:
                                  private_vocab_size=20)
         corpus = generate(specs, target_spec)
         options = PreprocessOptions(stopwords=frozenset())
-        token_lists = tokenize_corpus(corpus, options)
-        vocab = build_vocabulary(corpus, 5000, token_lists=token_lists)
-        space = build_representation_space(corpus, "term_dist", vocab,
-                                           token_lists=token_lists)
+        encoded = tokenize_corpus(corpus, options)
+        vocab = build_vocabulary(encoded, 5000)
+        space = build_representation_space(corpus, encoded, "term_dist", vocab)
         pool = [d for d in corpus if d.domain != "tgt"]
         target = space.aggregate([d.id for d in corpus.domain_documents("tgt")])
         rows = space.rows([d.id for d in pool])

@@ -67,10 +67,9 @@ class TestGenerate:
         specs = [spec("dup", 1.0, seed=10), spec("none", 0.0, seed=11)]
         target = spec("tgt", 1.0, seed=12)
         corpus = generate(specs, target)
-        token_lists = tokenize_corpus(corpus, NO_STOP)
-        vocab = build_vocabulary(corpus, 5000, token_lists=token_lists)
-        space = build_representation_space(corpus, "term_dist", vocab,
-                                           token_lists=token_lists)
+        encoded = tokenize_corpus(corpus, NO_STOP)
+        vocab = build_vocabulary(encoded, 5000)
+        space = build_representation_space(corpus, encoded, "term_dist", vocab)
         target_dist = space.aggregate([d.id for d in corpus.domain_documents("tgt")])
         js = {
             name: js_divergence(
@@ -87,20 +86,21 @@ class TestGenerate:
             source = spec("zero", 0.0, seed=100 + seed, docs_per_label=200)
             target = spec("tgt", 1.0, seed=200 + seed, docs_per_label=200)
             corpus = generate([source], target)
-            token_lists = tokenize_corpus(corpus, NO_STOP)
-            train_docs = corpus.domain_documents("zero")
-            eval_docs = corpus.domain_documents("tgt")
-            tfidf = TfidfModel.fit([token_lists[d.id] for d in train_docs], ngram_max=1)
+            encoded = tokenize_corpus(corpus, NO_STOP)
+            docs = list(corpus)
+            train = [i for i, d in enumerate(docs) if d.domain == "zero"]
+            held_out = [i for i, d in enumerate(docs) if d.domain == "tgt"]
+            tfidf = TfidfModel.fit(encoded.counts[train])
             model = train_classifier(
-                tfidf.transform([token_lists[d.id] for d in train_docs]),
-                [d.label for d in train_docs],
+                tfidf.transform(encoded.counts[train]),
+                [docs[i].label for i in train],
                 ClassifierConfig(seed=seed),
             )
             accuracies.append(
                 evaluate(
                     model,
-                    tfidf.transform([token_lists[d.id] for d in eval_docs]),
-                    [d.label for d in eval_docs],
+                    tfidf.transform(encoded.counts[held_out]),
+                    [docs[i].label for i in held_out],
                 )
             )
         assert abs(float(np.mean(accuracies)) - 0.5) < 0.05
@@ -182,10 +182,9 @@ class TestBenchmarkSuite:
     def test_graded_js_monotone_in_overlap(self, suite):
         scenario = suite["graded"]
         corpus = scenario.corpus
-        token_lists = tokenize_corpus(corpus, NO_STOP)
-        vocab = build_vocabulary(corpus, 10_000, token_lists=token_lists)
-        space = build_representation_space(corpus, "term_dist", vocab,
-                                           token_lists=token_lists)
+        encoded = tokenize_corpus(corpus, NO_STOP)
+        vocab = build_vocabulary(encoded, 10_000)
+        space = build_representation_space(corpus, encoded, "term_dist", vocab)
         target_dist = space.aggregate(
             [d.id for d in corpus.domain_documents(scenario.target_domain)]
         )
