@@ -8,7 +8,7 @@ resulting selections with a reproducible classifier-and-statistics harness.
 
 Representations are matrices with one row per document, built for a whole
 corpus by ``build_representation_space``; subsets and domains are pooled
-from those rows by ``RepresentationSpace.aggregate``.
+from those rows by ``representations.pool_groups``.
 """
 
 from .autoencoder import AEModel, AETrainConfig, corrupt, encode
@@ -53,7 +53,6 @@ from .selection import (
     subset_select,
 )
 from .similarity import (
-    DomainDiscriminator,
     SimilarityScore,
     cosine,
     js_divergence,

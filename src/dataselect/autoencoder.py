@@ -126,6 +126,11 @@ class AETrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        # the comparisons are negated so that NaN fails them too
+        if not self.hidden_dim >= 1:
+            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        if not self.learning_rate > 0.0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 def corrupt(x: np.ndarray, masking_prob: float, rng: np.random.Generator) -> np.ndarray:

@@ -275,9 +275,8 @@ def _json_dump(obj, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_select(config: RunConfig) -> int:
-    corpus = _load_corpus(config)
-    context = _build_context(config, corpus, labeled_pool_only=False)
     sel_config = _selection_config(config, config.strategy)
+    context = _build_context(config, _load_corpus(config), labeled_pool_only=False)
     result = run_selection(context, sel_config, substream_seed(config.seed, "selection"))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -296,19 +295,15 @@ def _format_row(columns: list[str]) -> str:
     return "\t".join(columns) + "\n"
 
 
-def _evaluate_rows(config: RunConfig, corpus: Corpus) -> tuple[list[ExperimentResult], dict]:
-    context = _build_context(config, corpus, labeled_pool_only=True)
+def _evaluate_rows(config: RunConfig) -> tuple[list[ExperimentResult], dict]:
+    strategies = BASELINES + tuple(s for s in config.strategies if s not in BASELINES)
+    sel_configs = [_selection_config(config, strategy) for strategy in strategies]
+    context = _build_context(config, _load_corpus(config), labeled_pool_only=True)
     selection_seed = substream_seed(config.seed, "selection")
-    results: list[ExperimentResult] = []
-    for strategy in BASELINES + tuple(s for s in config.strategies if s not in BASELINES):
-        results.append(
-            run_experiment(
-                context,
-                _selection_config(config, strategy),
-                runs=config.runs,
-                base_seed=selection_seed,
-            )
-        )
+    results = [
+        run_experiment(context, sel_config, runs=config.runs, base_seed=selection_seed)
+        for sel_config in sel_configs
+    ]
     by_strategy = {r.strategy: r for r in results}
     significance: dict = {}
     for result in results:
@@ -333,8 +328,7 @@ def _evaluate_rows(config: RunConfig, corpus: Corpus) -> tuple[list[ExperimentRe
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    corpus = _load_corpus(config)
-    results, significance = _evaluate_rows(config, corpus)
+    results, significance = _evaluate_rows(config)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     header = [
@@ -383,21 +377,23 @@ def cmd_sweep(config: RunConfig, n_values: list[int]) -> int:
         raise ConfigError("sweep requires at least one n value")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ConfigError(f"n values must be strictly ascending, got {n_values}")
-    corpus = _load_corpus(config)
-    context = _build_context(config, corpus, labeled_pool_only=True)
+    sel_configs = [
+        _selection_config(config, strategy, n=n)
+        for n in n_values
+        for strategy in config.strategies
+    ]
+    context = _build_context(config, _load_corpus(config), labeled_pool_only=True)
     selection_seed = substream_seed(config.seed, "selection")
     lines = [_format_row(["n", "strategy", "mean_acc", "std"])]
-    for n in n_values:
-        for strategy in config.strategies:
-            result = run_experiment(
-                context,
-                _selection_config(config, strategy, n=n),
-                runs=config.runs,
-                base_seed=selection_seed,
+    for sel_config in sel_configs:
+        result = run_experiment(
+            context, sel_config, runs=config.runs, base_seed=selection_seed
+        )
+        lines.append(
+            _format_row(
+                [str(sel_config.n), sel_config.strategy, f"{result.mean:.6f}", f"{result.std:.6f}"]
             )
-            lines.append(
-                _format_row([str(n), strategy, f"{result.mean:.6f}", f"{result.std:.6f}"])
-            )
+        )
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.tsv").write_text("".join(lines), encoding="utf-8")

@@ -24,6 +24,13 @@ the run's tf-idf features are the columns its training rows hold, and
 transforming is a column gather, an idf scale and a per-row L2
 normalization. The norm stays one ``np.dot`` per row, because a vectorized
 norm sums the squares in another order and would change the last bits.
+
+Selection runs inside an ``ExperimentContext``, which computes the scores
+the strategies rank: one per pool document (cached for JS and cosine,
+recomputed per run seed for proxy-A, the only metric that also reads the
+target's own rows) and one per source domain (cached), the domains pooled by
+``representations.pool_groups`` like the subset search's candidates.
+``run_selection`` hands each strategy its scores.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .representations import (
     RepresentationSpace,
     ae_input_features,
     build_representation_space,
+    pool_groups,
 )
 from .similarity import PROXY_A
 
@@ -267,7 +275,11 @@ class ExperimentResources:
 
 @dataclass
 class ExperimentContext:
-    """Everything reusable across runs and strategies for one target domain."""
+    """Everything reusable across runs and strategies for one target domain.
+
+    The context computes every score the strategies rank, each through
+    ``selection._score_rows``: pool item scores and source-domain scores.
+    """
 
     corpus: Corpus
     target_domain: str
@@ -276,23 +288,51 @@ class ExperimentContext:
     pool_docs: list[Document]
     pool_rows: object
     target_repr: object
-    target_rows: object
     resources: ExperimentResources
-    _instance_scores: dict = field(default_factory=dict)
+    _item_scores: dict = field(default_factory=dict)
+    _domain_scores: dict = field(default_factory=dict)
 
-    def instance_scores(self, metric: str) -> np.ndarray:
-        """Per-pool-document scores against the target, cached per metric.
+    def item_scores(self, metric: str, seed: int) -> np.ndarray:
+        """Per-pool-document scores against the target.
 
-        Only the seed-free metrics are cacheable; the proxy metric depends on
-        the run seed and is recomputed by the caller.
+        JS and cosine scores are cached per metric. Proxy-A scores depend on
+        the run ``seed`` (the discriminator's balancing subsample) and on the
+        target's own rows, so they are computed afresh on every call.
         """
         if metric == PROXY_A:
-            raise ConfigError("proxy scores are seed-dependent and not cached")
-        if metric not in self._instance_scores:
-            self._instance_scores[metric] = sel._score_rows(
+            target_ids = [d.id for d in self.corpus.domain_documents(self.target_domain)]
+            return sel._score_rows(
+                self.pool_rows, self.target_repr, metric,
+                seed=seed, target_rows=self.space.rows(target_ids),
+            )
+        if metric not in self._item_scores:
+            self._item_scores[metric] = sel._score_rows(
                 self.pool_rows, self.target_repr, metric
             )
-        return self._instance_scores[metric]
+        return self._item_scores[metric]
+
+    def domain_scores(self, metric: str) -> dict[str, float]:
+        """Score of each source domain's pooled documents, cached per metric.
+
+        Every domain is pooled by one ``pool_groups`` call and all are scored
+        in one ``_score_rows`` call. Pooled term counts are densified first:
+        the dense JS kernel scores a row exactly as the scalar
+        ``js_divergence`` of its ``aggregate`` does, the sparse one only to
+        1e-12. An empty domain scores NaN.
+        """
+        if metric not in self._domain_scores:
+            domains = sorted(self.corpus.domains - {self.target_domain})
+            groups = [
+                [self.space.index[doc.id] for doc in self.corpus.domain_documents(d)]
+                for d in domains
+            ]
+            indptr = np.cumsum([0] + [len(g) for g in groups])
+            pooled = pool_groups(self.space.matrix, np.concatenate(groups), indptr)
+            if sp.issparse(pooled):
+                pooled = pooled.toarray()
+            scores = sel._score_rows(pooled, self.target_repr, metric)
+            self._domain_scores[metric] = dict(zip(domains, scores.tolist()))
+        return self._domain_scores[metric]
 
 
 def prepare_context(
@@ -353,7 +393,6 @@ def prepare_context(
         pool_docs=pool_docs,
         pool_rows=space.rows([d.id for d in pool_docs]),
         target_repr=space.aggregate(target_ids),
-        target_rows=space.rows(target_ids),
         resources=resources,
     )
 
@@ -369,41 +408,22 @@ def run_selection(
         return sel.select_balanced(pool, config.n, seed)
     metric = config.resolved_metric
     if config.strategy == "domain":
-        source_domains = sorted(context.corpus.domains - {context.target_domain})
-        per_domain = {
-            d: context.space.aggregate(
-                [doc.id for doc in context.corpus.domain_documents(d)]
-            )
-            for d in source_domains
-        }
         return sel.select_domain_level(
-            pool, context.target_repr, per_domain, metric, config.n, seed
+            pool, context.domain_scores(metric), metric, config.n, seed
         )
-    rows = context.pool_rows
-    target_rows = context.target_rows if metric == PROXY_A else None
+    scores = context.item_scores(metric, seed)
     if config.strategy == "instance":
-        scores = None if metric == PROXY_A else context.instance_scores(metric)
-        return sel.select_instance_level(
-            pool,
-            context.target_repr,
-            rows,
-            metric,
-            config.n,
-            seed=seed,
-            target_instance_reprs=target_rows,
-            scores=scores,
-        )
+        return sel.select_instance_level(pool, scores, metric, config.n)
     return sel.subset_select(
         config.s,
         config.n,
         config.m,
         pool,
         context.target_repr,
-        rows,
+        context.pool_rows,
+        scores,
         metric,
         seed,
-        allow_proxy_a=config.allow_proxy_a_subsets,
-        target_instance_reprs=target_rows,
     )
 
 

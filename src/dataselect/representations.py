@@ -3,11 +3,15 @@
 Three interchangeable views back the similarity metrics. Each view is one
 matrix with a row per document: in-vocabulary term counts (sparse) for term
 distributions, frequency-weighted means of pre-trained word embeddings, and
-hidden-layer codes of a denoising autoencoder. Subsets and domains are
-pooled from those rows by ``RepresentationSpace.aggregate`` alone: counts are
-summed before normalizing, dense rows are averaged. Groups with no usable
-tokens are flagged empty so callers can exclude them instead of propagating
-NaNs.
+hidden-layer codes of a denoising autoencoder. Every group of rows -- a
+candidate subset, a source domain, the target domain -- is pooled by one
+primitive, ``pool_groups``: a 0/1 ``picker`` matrix with one row per group
+times the representation matrix. That sums term counts (normalized only
+afterwards) and, divided by the group size, averages dense rows; the mean is
+bit-identical to ``rows.mean(axis=0)``, which also adds the members in order
+and divides once. ``RepresentationSpace.aggregate`` wraps it for one group and
+flags a group with no usable tokens empty, so callers can exclude it instead
+of propagating NaNs.
 
 Every view reads the ``EncodedCorpus`` and never the token strings: term
 counts are the vocabulary's columns of its count matrix, the autoencoder
@@ -90,14 +94,37 @@ class RepresentationSpace:
         """Group representation: pooled-count distribution or mean vector."""
         if not ids:
             raise DataError("cannot aggregate an empty id list")
-        rows = self.rows(ids)
+        members = np.array([self.index[i] for i in ids])
+        pooled = pool_groups(self.matrix, members, np.array([0, len(members)]))
         if self.kind == TERM_DIST:
-            pooled = np.asarray(rows.sum(axis=0)).ravel()
+            pooled = pooled.toarray().ravel()
             total = pooled.sum()
             if total == 0:
                 return TermDistribution(probs=pooled, empty=True)
             return TermDistribution(probs=pooled / total)
-        return np.asarray(rows).mean(axis=0)
+        return pooled[0]
+
+
+def pool_groups(
+    matrix: sp.csr_matrix | np.ndarray, members: np.ndarray, indptr: np.ndarray
+) -> sp.csr_matrix | np.ndarray:
+    """Pool the rows ``members[indptr[k]:indptr[k + 1]]`` of ``matrix`` into row k.
+
+    ``picker @ matrix`` with a 0/1 ``picker`` CSR holding one row per group
+    adds each group's members in member order: sparse count rows come back
+    summed (CSR), dense rows summed and then divided by the group size, which
+    is their mean bit for bit.
+    """
+    picker = sp.csr_matrix(
+        (np.ones(len(members)), members, indptr), shape=(len(indptr) - 1, matrix.shape[0])
+    )
+    pooled = picker @ matrix
+    if not sp.issparse(matrix):
+        sizes = np.diff(indptr)
+        # equal sizes (a batch of subset candidates) divide as one scalar,
+        # which costs about half of dividing by a column of sizes
+        pooled /= sizes[0] if (sizes == sizes[0]).all() else sizes[:, None]
+    return pooled
 
 
 def build_representation_space(

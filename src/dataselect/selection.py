@@ -6,9 +6,21 @@ from the most target-similar domain), instance ranking, and iterative
 subset selection (repeatedly keep the most target-similar of ``m`` random
 size-``s`` groups, removing winners from the pool between rounds).
 
-All strategies are deterministic for a fixed seed, never select
-target-domain documents (the pool excludes them by construction), and
-return at most ``min(n, pool size)`` unique ids.
+The similarity-guided strategies rank scores they are given; they call no
+metric themselves. ``evaluation.ExperimentContext`` computes the scores of
+every scope through ``_score_rows``: one per pool document (item scores) and
+one per source domain, pooled by ``representations.pool_groups``. Only the
+subset search scores the candidate groups it draws, each pooled by the same
+primitive; a singleton's score is its member's item score, and a proxy-A
+subset scores as its members' mean. ``_rank`` is the one ranking rule: best
+oriented score first, NaN last, ties by name. Instance ranking drops NaN
+(empty) items and the domain choice drops NaN domains; truncating the final
+subset round keeps NaN members, ranked last.
+
+Which metric may score which representation and strategy is decided once,
+by ``SelectionConfig``. All strategies are deterministic for a fixed seed,
+never select target-domain documents (the pool excludes them by
+construction), and return at most ``min(n, pool size)`` unique ids.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from .representations import (
     EMBEDDING,
     REPRESENTATION_KINDS,
     TERM_DIST,
-    TermDistribution,
+    pool_groups,
 )
 from .similarity import (
     COSINE,
@@ -36,9 +48,7 @@ from .similarity import (
     METRIC_ORIENTATION,
     PROXY_A,
     _as_vector,
-    cosine,
     cosine_to_target,
-    js_divergence,
     js_to_target,
     proxy_a_scores,
 )
@@ -58,7 +68,12 @@ _SCORE_CHUNK = 256
 @dataclass(frozen=True)
 class SelectionConfig:
     """Selection parameters; ``metric=None`` picks the customary metric for the
-    representation (term_dist -> jensen_shannon, dense kinds -> cosine)."""
+    representation (term_dist -> jensen_shannon, dense kinds -> cosine).
+
+    The metric's pairing rules live here alone: jensen_shannon needs term
+    distributions, proxy_a scores examples and not domains, and a proxy_a
+    subset search needs ``allow_proxy_a_subsets``.
+    """
 
     n: int
     strategy: str
@@ -80,6 +95,17 @@ class SelectionConfig:
             raise ConfigError(f"unknown metric {self.metric!r}")
         if self.strategy == "subset" and (self.s < 1 or self.m < 1):
             raise ConfigError("subset selection requires s >= 1 and m >= 1")
+        metric = self.resolved_metric
+        if metric == JENSEN_SHANNON and self.representation != TERM_DIST:
+            raise ConfigError(
+                f"jensen_shannon needs the term_dist representation, not {self.representation}"
+            )
+        if metric == PROXY_A and self.strategy == "domain":
+            raise ConfigError("proxy_a is only defined per example; use the instance level")
+        if metric == PROXY_A and self.strategy == "subset" and not self.allow_proxy_a_subsets:
+            raise ConfigError(
+                "proxy_a subset scoring is non-standard; set allow_proxy_a_subsets to enable it"
+            )
 
     @property
     def resolved_metric(self) -> str:
@@ -125,35 +151,34 @@ class SelectionResult:
 
 
 # ---------------------------------------------------------------------------
-# Representation plumbing
+# Scoring and ranking
 # ---------------------------------------------------------------------------
 
-def _score_rows(
-    rows,
-    target_repr,
-    metric: str,
-    *,
-    seed: int | None = None,
-    target_rows=None,
-) -> np.ndarray:
-    """Score representation rows against the target; NaN marks unusable rows."""
+def _score_rows(rows, target_repr, metric: str, *, seed: int = 0, target_rows=None) -> np.ndarray:
+    """Score representation rows against the target; NaN marks unusable rows.
+
+    Proxy-A fits a discriminator of these rows against ``target_rows``,
+    balanced by a ``seed``-drawn subsample.
+    """
     if metric == JENSEN_SHANNON:
-        if not isinstance(target_repr, TermDistribution):
-            raise ConfigError("jensen_shannon requires term-distribution representations")
         return js_to_target(rows, target_repr)
     if metric == COSINE:
         return cosine_to_target(rows, _as_vector(target_repr))
     if metric == PROXY_A:
-        if target_rows is None:
-            raise ConfigError(
-                "proxy_a scoring needs per-example target representations"
-            )
-        return proxy_a_scores(rows, target_rows, seed=seed if seed is not None else 0)
+        return proxy_a_scores(rows, target_rows, seed=seed)
     raise ConfigError(f"unknown metric {metric!r}")
 
 
-def _orientation_key(scores: np.ndarray, orientation: str) -> np.ndarray:
-    return scores if orientation == LOWER else -scores
+def _sort_key(scores: np.ndarray, orientation: str) -> np.ndarray:
+    """Ascending key: the more similar, the lower; NaN as +inf."""
+    key = scores if orientation == LOWER else -scores
+    return np.where(np.isnan(key), np.inf, key)
+
+
+def _rank(scores: np.ndarray, orientation: str, names: Sequence[str]) -> list[int]:
+    """Positions of ``scores``, most similar first; NaN last, ties by name."""
+    key = _sort_key(scores, orientation).tolist()
+    return sorted(range(len(key)), key=lambda j: (key[j], names[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,38 +259,25 @@ def _quota_allocation(available: dict[str, int], n: int) -> dict[str, int]:
 
 def select_domain_level(
     pool: Sequence[Document],
-    target_repr,
-    per_domain_reprs: dict,
+    domain_scores: dict[str, float],
     metric: str,
     n: int,
     seed: int,
 ) -> SelectionResult:
     """Sample ``n`` examples from the single most target-similar source domain.
 
-    Ties rank lexicographically; a too-small winner is NOT topped up from the
-    runner-up (the shortfall is recorded instead).
+    ``domain_scores`` holds each source domain's score; a NaN score (a domain
+    with no usable representation) is skipped. Ties rank lexicographically; a
+    too-small winner is NOT topped up from the runner-up (the shortfall is
+    recorded instead).
     """
     if not pool:
         raise DataError("selection pool is empty")
-    if metric == PROXY_A:
-        raise ConfigError("proxy_a is only defined per example; use the instance level")
-    orientation = METRIC_ORIENTATION[metric]
-    scored: list[tuple[float, str]] = []
-    domain_scores: dict[str, float] = {}
-    for domain in sorted(per_domain_reprs):
-        rep = per_domain_reprs[domain]
-        if metric == JENSEN_SHANNON:
-            score = js_divergence(rep, target_repr)
-            if score.empty:
-                continue
-            value = score.value
-        else:
-            value = cosine(rep, target_repr).value
-        domain_scores[domain] = value
-        scored.append((value if orientation == LOWER else -value, domain))
-    if not scored:
+    usable = {d: v for d, v in sorted(domain_scores.items()) if not math.isnan(v)}
+    if not usable:
         raise DataError("no source domain has a usable representation")
-    best = min(scored)[1]
+    names = list(usable)
+    best = names[_rank(np.array(list(usable.values())), METRIC_ORIENTATION[metric], names)[0]]
     members = [i for i, doc in enumerate(pool) if doc.domain == best]
     if not members:
         raise DataError(f"most similar domain {best!r} has no documents in the pool")
@@ -275,58 +287,34 @@ def select_domain_level(
     return SelectionResult(
         chosen=[pool[i].id for i in picked],
         strategy="domain",
-        config={"n": n, "metric": metric, "chosen_domain": best, "domain_scores": domain_scores},
+        config={"n": n, "metric": metric, "chosen_domain": best, "domain_scores": usable},
         seed=seed,
         shortfall=n - take,
     )
 
 
 def select_instance_level(
-    pool: Sequence[Document],
-    target_repr,
-    per_instance_reprs,
-    metric: str,
-    n: int,
-    *,
-    seed: int | None = None,
-    target_instance_reprs=None,
-    scores: np.ndarray | None = None,
+    pool: Sequence[Document], scores: np.ndarray, metric: str, n: int
 ) -> SelectionResult:
-    """Rank individual examples by target similarity and take the top ``n``.
+    """Rank individual examples by their scores and take the top ``n``.
 
-    Empty-flagged instances are excluded; ties break on document id. The
-    proxy metric additionally needs per-example target representations and a
-    seed for the discriminator's balancing subsample. Pass ``scores`` to
-    reuse already-computed per-instance scores.
+    ``scores`` holds one score per pool document; NaN (empty) instances are
+    excluded, and ties break on document id.
     """
     if not pool:
         raise DataError("selection pool is empty")
-    rows = per_instance_reprs
-    rows = rows.tocsr() if sp.issparse(rows) else np.asarray(rows, dtype=np.float64)
-    if rows.shape[0] != len(pool):
-        raise DataError(
-            f"{rows.shape[0]} representations for {len(pool)} pool documents"
-        )
-    if scores is None:
-        scores = _score_rows(
-            rows, target_repr, metric, seed=seed, target_rows=target_instance_reprs
-        )
-    elif len(scores) != len(pool):
+    if len(scores) != len(pool):
         raise DataError(f"{len(scores)} scores for {len(pool)} pool documents")
-    orientation = METRIC_ORIENTATION[metric]
-    key = _orientation_key(scores, orientation)
-    order = sorted(
-        (i for i in range(len(pool)) if not math.isnan(scores[i])),
-        key=lambda i: (key[i], pool[i].id),
-    )
-    picked = order[:n]
+    ids = [doc.id for doc in pool]
+    ranked = _rank(scores, METRIC_ORIENTATION[metric], ids)
+    picked = [i for i in ranked if not math.isnan(scores[i])][:n]
     return SelectionResult(
-        chosen=[pool[i].id for i in picked],
+        chosen=[ids[i] for i in picked],
         strategy="instance",
         config={"n": n, "metric": metric},
-        seed=seed,
+        seed=None,
         shortfall=max(0, n - len(picked)),
-        item_scores={pool[i].id: float(scores[i]) for i in picked},
+        item_scores={ids[i]: float(scores[i]) for i in picked},
     )
 
 
@@ -337,11 +325,9 @@ def subset_select(
     pool: Sequence[Document],
     target_repr,
     per_instance_reprs,
+    item_scores: np.ndarray,
     metric: str,
     seed: int,
-    *,
-    allow_proxy_a: bool = False,
-    target_instance_reprs=None,
 ) -> SelectionResult:
     """Iterative subset selection.
 
@@ -350,11 +336,12 @@ def subset_select(
     scores each subset's pooled representation against the target, keeps the
     best one, and removes its members from the pool. Rounds repeat until ``n``
     examples are gathered; the final round's winner is truncated to exactly
-    ``n`` by per-item score, best first.
+    ``n`` by ``item_scores`` (one per pool document), best first.
 
     With ``s=1`` and ``m`` at least the remaining pool size, the candidate
-    set is enumerated exhaustively (one singleton per remaining document, in
-    id order), which makes the procedure equal to instance-level ranking.
+    set is enumerated exhaustively (one singleton per remaining document,
+    ranked by ``_rank``), which makes the procedure equal to instance-level
+    ranking.
 
     Term-distribution subsets pool raw counts before normalizing; dense
     subsets average member vectors.
@@ -363,25 +350,15 @@ def subset_select(
         raise ConfigError("subset selection requires s >= 1, m >= 1, n >= 1")
     if not pool:
         raise DataError("selection pool is empty")
-    if metric == PROXY_A and not allow_proxy_a:
-        raise ConfigError(
-            "proxy_a subset scoring is non-standard; pass allow_proxy_a=True to enable it"
-        )
     rows = per_instance_reprs
     rows = rows.tocsr() if sp.issparse(rows) else np.asarray(rows, dtype=np.float64)
-    if rows.shape[0] != len(pool):
+    if rows.shape[0] != len(pool) or len(item_scores) != len(pool):
         raise DataError(
-            f"{rows.shape[0]} representations for {len(pool)} pool documents"
+            f"{rows.shape[0]} representations and {len(item_scores)} scores "
+            f"for {len(pool)} pool documents"
         )
     orientation = METRIC_ORIENTATION[metric]
     rng = np.random.default_rng(seed)
-
-    item_scores: np.ndarray | None = None
-    if metric == PROXY_A:
-        # one discriminator scores every example; a subset scores as the mean
-        item_scores = _score_rows(
-            rows, target_repr, metric, seed=seed, target_rows=target_instance_reprs
-        )
 
     available = np.arange(len(pool))
     chosen: list[int] = []
@@ -390,29 +367,22 @@ def subset_select(
 
     while len(chosen) < n and len(available):
         size = min(s, len(available))
-        exhaustive = s == 1 and m >= len(available)
-        if exhaustive:
-            in_avail = np.array(
-                sorted(range(len(available)), key=lambda j: pool[available[j]].id)
-            ).reshape(-1, 1)
+        if s == 1 and m >= len(available):
+            ids = [pool[i].id for i in available]
+            in_avail = np.array(_rank(item_scores[available], orientation, ids))[:, None]
         else:
             in_avail = _draw_subsets(rng, len(available), size, m)
         candidates = available[in_avail]
-        scores = _candidate_scores(
-            rows, candidates, target_repr, metric, item_scores=item_scores
-        )
-        key = _orientation_key(scores, orientation)
-        key = np.where(np.isnan(key), np.inf, key)
+        scores = _candidate_scores(rows, item_scores, candidates, target_repr, metric)
+        key = _sort_key(scores, orientation)
         best = int(np.argmin(key))
         if not np.isfinite(key[best]):
             break  # every candidate aggregate was empty; nothing usable remains
         members = candidates[best]
         room = n - len(chosen)
         if len(members) > room:
-            members = _truncate_by_item_score(
-                members, rows, pool, target_repr, metric, orientation, room,
-                item_scores=item_scores, seed=seed,
-            )
+            ids = [pool[i].id for i in members]
+            members = members[_rank(item_scores[members], orientation, ids)[:room]]
         chosen.extend(int(i) for i in members)
         iteration_members.append([pool[int(i)].id for i in members])
         subset_scores.append(float(scores[best]))
@@ -465,59 +435,26 @@ def _draw_subsets(rng: np.random.Generator, n_avail: int, size: int, m: int) -> 
 
 
 def _candidate_scores(
-    rows, candidates: np.ndarray, target_repr, metric: str, *, item_scores=None
+    rows, item_scores: np.ndarray, candidates: np.ndarray, target_repr, metric: str
 ) -> np.ndarray:
-    """Score each candidate subset's aggregate representation, in batches.
+    """Score each candidate subset (a row of ``candidates``), in batches.
 
-    Sparse and dense rows share one aggregation path: a 0/1 ``picker`` CSR
-    with one row per candidate gives ``agg = picker @ rows``, the member sum
-    accumulated in member order. Term-distribution sums are scored as counts;
-    dense sums are divided by ``size``, which is the member mean bit for bit
-    (``rows[block].mean(axis=1)`` sums in the same order and divides by the
-    same count). Every candidate is scored on its own, so the batch size does
-    not change any score. Singleton candidates (``s=1``) are their member's
-    row and are scored as such, so each gets its instance score bit for bit:
-    the sparse product emits a row's columns in reverse order, and JS summed
-    in that order can break a tie the other way than instance ranking does.
+    Each batch is pooled by ``pool_groups`` and scored by ``_score_rows``:
+    term-distribution sums are scored as counts, dense rows as member means.
+    Every candidate is scored on its own, so the batch size does not change
+    any score. A proxy-A subset scores as the mean of its members'
+    ``item_scores``, and so does a singleton (``s=1``) under any metric: the
+    mean of one score is that score, so a singleton ranks exactly as its
+    member does in instance ranking (the sparse product emits a row's columns
+    in reverse order, and JS summed in that order can break a tie the other
+    way).
     """
-    if item_scores is not None:
+    if metric == PROXY_A or candidates.shape[1] == 1:
         return item_scores[candidates].mean(axis=1)
-    n_cand, size = candidates.shape
-    out = np.empty(n_cand, dtype=np.float64)
-    dense_rows = not sp.issparse(rows)
-    for start in range(0, n_cand, _SCORE_CHUNK):
+    out = np.empty(len(candidates), dtype=np.float64)
+    for start in range(0, len(candidates), _SCORE_CHUNK):
         block = candidates[start : start + _SCORE_CHUNK]
-        if size == 1:
-            agg = rows[block[:, 0]]
-        else:
-            picker = sp.csr_matrix(
-                (np.ones(block.size), block.ravel(), np.arange(0, block.size + 1, size)),
-                shape=(block.shape[0], rows.shape[0]),
-            )
-            agg = picker @ rows
-            if dense_rows:
-                agg /= size
-        out[start : start + block.shape[0]] = _score_rows(agg, target_repr, metric)
+        indptr = np.arange(0, block.size + 1, block.shape[1])
+        pooled = pool_groups(rows, block.ravel(), indptr)
+        out[start : start + len(block)] = _score_rows(pooled, target_repr, metric)
     return out
-
-
-def _truncate_by_item_score(
-    members: np.ndarray,
-    rows,
-    pool: Sequence[Document],
-    target_repr,
-    metric: str,
-    orientation: str,
-    room: int,
-    *,
-    item_scores=None,
-    seed: int | None = None,
-) -> np.ndarray:
-    if item_scores is not None:
-        scores = item_scores[members]
-    else:
-        scores = _score_rows(rows[members], target_repr, metric, seed=seed)
-    key = _orientation_key(scores, orientation)
-    key = np.where(np.isnan(key), np.inf, key)
-    ranked = sorted(range(len(members)), key=lambda j: (key[j], pool[int(members[j])].id))
-    return members[ranked[:room]]

@@ -63,20 +63,6 @@ class SimilarityScore:
     empty: bool = False
 
 
-@dataclass(frozen=True)
-class DomainDiscriminator:
-    """Logistic-regression separator between source (0) and target (1) examples."""
-
-    weights: np.ndarray
-    bias: float
-    representation_kind: str
-    seed: int
-
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        """Predicted probability of belonging to the target domain."""
-        return sigmoid(np.asarray(X, dtype=np.float64) @ self.weights + self.bias)
-
-
 def _is_empty(dist) -> bool:
     return isinstance(dist, TermDistribution) and dist.empty
 
@@ -271,38 +257,6 @@ def _rep_matrix(reps: sp.spmatrix | np.ndarray) -> np.ndarray:
     return X
 
 
-def train_domain_discriminator(
-    source_reps,
-    target_reps,
-    seed: int = 0,
-    l2: float = 1.0,
-    representation_kind: str = "unknown",
-) -> DomainDiscriminator:
-    """Balance the two sides by subsampling source examples down to the target
-    count, then fit the logistic separator (source = 0, target = 1).
-    """
-    return _fit_discriminator(
-        _rep_matrix(source_reps), _rep_matrix(target_reps), seed, l2, representation_kind
-    )
-
-
-def _fit_discriminator(
-    Xs: np.ndarray, Xt: np.ndarray, seed: int, l2: float, representation_kind: str
-) -> DomainDiscriminator:
-    # Takes matrices _rep_matrix already densified and checked, so that
-    # proxy_a_scores densifies and checks its source pool once: a second
-    # isfinite pass over it raised peak RSS on blended-proxy by about 5 MB.
-    Xs_bal = _balance_source(Xs, Xt.shape[0], np.random.default_rng(seed))
-    if min(Xs_bal.shape[0], Xt.shape[0]) < 2:
-        raise DataError("need at least 2 examples per class to train the discriminator")
-    X = np.vstack([Xs_bal, Xt])
-    y = np.concatenate([np.zeros(Xs_bal.shape[0]), np.ones(Xt.shape[0])])
-    w, b, _ = fit_logistic_regression(X, y, l2=l2)
-    return DomainDiscriminator(
-        weights=w, bias=b, representation_kind=representation_kind, seed=seed
-    )
-
-
 def _balance_source(Xs: np.ndarray, n_target: int, rng: np.random.Generator) -> np.ndarray:
     if Xs.shape[0] > n_target:
         keep = rng.choice(Xs.shape[0], size=n_target, replace=False)
@@ -319,18 +273,24 @@ def proxy_a_scores(
     target_reps,
     seed: int = 0,
     l2: float = 1.0,
-    representation_kind: str = "unknown",
 ) -> np.ndarray:
     """Per-source-example probability of belonging to the target domain.
 
-    The discriminator is trained on a class-balanced subsample, but every
-    source example is scored, sampled or not.
+    Source examples are subsampled down to the target count (seeded), a
+    logistic separator is fit (source = 0, target = 1), and every source
+    example is scored, sampled or not.
     """
-    Xs = _rep_matrix(source_reps)  # densified and checked once, for fitting and scoring
-    discriminator = _fit_discriminator(
-        Xs, _rep_matrix(target_reps), seed, l2, representation_kind
-    )
-    return discriminator.scores(Xs)
+    # The source pool is densified and checked once, for fitting and scoring:
+    # a second isfinite pass over it raised peak RSS on blended-proxy by
+    # about 5 MB.
+    Xs, Xt = _rep_matrix(source_reps), _rep_matrix(target_reps)
+    Xs_bal = _balance_source(Xs, Xt.shape[0], np.random.default_rng(seed))
+    if min(Xs_bal.shape[0], Xt.shape[0]) < 2:
+        raise DataError("need at least 2 examples per class to train the discriminator")
+    X = np.vstack([Xs_bal, Xt])
+    y = np.concatenate([np.zeros(Xs_bal.shape[0]), np.ones(Xt.shape[0])])
+    w, b, _ = fit_logistic_regression(X, y, l2=l2)
+    return sigmoid(Xs @ w + b)
 
 
 def proxy_a_distance(

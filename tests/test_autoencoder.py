@@ -324,6 +324,27 @@ class TestGradients:
             gradient_check(small_model(), np.zeros(4), h_step=1e-2)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("hidden_dim", 0),
+            ("hidden_dim", -3),
+            ("hidden_dim", float("nan")),
+            ("learning_rate", 0.0),
+            ("learning_rate", -1e-3),
+            ("learning_rate", float("nan")),
+        ],
+    )
+    def test_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            AETrainConfig(**{field: value})
+
+    def test_smallest_accepted(self):
+        config = AETrainConfig(hidden_dim=1, learning_rate=5e-324)
+        assert config.hidden_dim == 1
+
+
 class TestTrain:
     def test_loss_decreases_on_repeated_vector(self):
         x = np.tile(np.array([0.9, 0.1, 0.8, 0.2, 0.7, 0.3]), (16, 1))

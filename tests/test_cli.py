@@ -106,6 +106,26 @@ class TestExitCodes:
         assert cli.main(["select", "--n", "many"] + args) == 1
         assert cli.main(["select", "--bogus-flag"] + args) == 1
         assert cli.main(["select", "--corpus", str(data["corpus"]), "--out", str(tmp_path)]) == 1
+        assert cli.main(["select", "--ae-hidden", "0"] + args) == 1
+        assert cli.main(["select", "--ae-lr", "0"] + args) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--strategy", "domain", "--representation", "autoencoder",
+             "--metric", "jensen_shannon"],
+            ["evaluate", "--strategies", "instance", "--representation", "embedding",
+             "--metric", "jensen_shannon"],
+            ["evaluate", "--strategies", "domain", "--metric", "proxy_a"],
+            ["sweep", "--n-values", "4", "--strategies", "subset", "--metric", "proxy_a"],
+        ],
+    )
+    def test_bad_metric_pairing_is_one_before_loading(self, tmp_path, argv):
+        missing = tmp_path / "missing.jsonl"  # loading it would exit 2
+        out = tmp_path / "out"
+        argv = argv + ["--corpus", str(missing), "--target", "tgt", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert not any(tmp_path.iterdir())
 
     def test_missing_corpus_is_two(self, tmp_path):
         missing = tmp_path / "missing.jsonl"

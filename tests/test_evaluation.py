@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from dataselect.corpus import Corpus, Document
 from dataselect.errors import ConfigError, DataError
 from dataselect.evaluation import (
     ClassifierConfig,
+    ExperimentContext,
     ExperimentResources,
     evaluate,
     prepare_context,
@@ -15,7 +21,9 @@ from dataselect.evaluation import (
     train_classifier,
 )
 from dataselect.corpus import PreprocessOptions, build_vocabulary, tokenize_corpus
-from dataselect.selection import SelectionConfig
+from dataselect.representations import RepresentationSpace, TermDistribution
+from dataselect.selection import SelectionConfig, select_domain_level
+from dataselect.similarity import cosine, js_divergence
 from dataselect.synthetic import DomainSpec, generate
 
 
@@ -363,3 +371,88 @@ class TestRunExperiment:
     def test_selection_never_includes_target_documents(self, prepare):
         context = prepare()
         assert all(doc.domain != "tgt" for doc in context.pool_docs)
+
+
+def scalar_domain_scores(space, corpus, target_domain, metric):
+    """Target aggregate and domain scores as they were computed before the
+    context scored all domains at once: each domain's rows are copied out and
+    pooled, then scored by the scalar metric; an empty domain is skipped."""
+
+    def aggregate(ids):
+        rows = space.matrix[[space.index[i] for i in ids]]
+        if space.kind == "term_dist":
+            pooled = np.asarray(rows.sum(axis=0)).ravel()
+            total = pooled.sum()
+            if total == 0:
+                return TermDistribution(probs=pooled, empty=True)
+            return TermDistribution(probs=pooled / total)
+        return np.asarray(rows).mean(axis=0)
+
+    def ids(domain):
+        return [doc.id for doc in corpus.domain_documents(domain)]
+
+    target = aggregate(ids(target_domain))
+    scores = {}
+    for domain in sorted(corpus.domains - {target_domain}):
+        if metric == "jensen_shannon":
+            score = js_divergence(aggregate(ids(domain)), target)
+            if not score.empty:
+                scores[domain] = score.value
+        else:
+            scores[domain] = cosine(aggregate(ids(domain)), target).value
+    return target, scores
+
+
+class TestContextScores:
+    @given(st.data())
+    def test_domain_scores_match_scalar_loop(self, data):
+        kind = data.draw(st.sampled_from(["term_dist", "embedding"]), label="kind")
+        sizes = data.draw(st.lists(st.integers(1, 8), min_size=2, max_size=4), label="sizes")
+        domains = ["tgt", "a", "b", "c"][: len(sizes)]
+        labels = [domain for domain, size in zip(domains, sizes) for _ in range(size)]
+        order = data.draw(st.permutations(range(len(labels))), label="row order")
+        docs = [
+            Document(id=f"d{i:02d}", text="x", domain=labels[j], label="positive")
+            for i, j in enumerate(order)
+        ]
+        shape = (len(docs), data.draw(st.integers(1, 8), label="width"))
+        if kind == "term_dist":
+            counts = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 7.0])
+            full = arrays(np.float64, shape, elements=counts, fill=st.nothing())
+            matrix = sp.csr_matrix(data.draw(full, label="counts"))
+            metric = "jensen_shannon"
+        else:
+            value = st.floats(-1e3, 1e3, allow_nan=False) | st.just(0.0)
+            full = arrays(np.float64, shape, elements=value, fill=st.nothing())
+            matrix = data.draw(full, label="rows")
+            matrix[data.draw(arrays(bool, shape[0]), label="empty rows")] = 0.0
+            metric = "cosine"
+        corpus = Corpus(docs)
+        ids = [doc.id for doc in docs]
+        space = RepresentationSpace(
+            kind=kind, doc_ids=ids, index={d: i for i, d in enumerate(ids)}, matrix=matrix
+        )
+        target, expected = scalar_domain_scores(space, corpus, "tgt", metric)
+        assume(kind != "term_dist" or not target.empty)
+        pool = [doc for doc in docs if doc.domain != "tgt"]
+        context = ExperimentContext(
+            corpus=corpus, target_domain="tgt", encoded=None, space=space, pool_docs=pool,
+            pool_rows=space.rows([doc.id for doc in pool]),
+            target_repr=space.aggregate([doc.id for doc in corpus.domain_documents("tgt")]),
+            resources=ExperimentResources(),
+        )
+        if kind == "term_dist":
+            assert np.array_equal(context.target_repr.probs, target.probs)
+        else:
+            assert np.array_equal(context.target_repr, target)
+
+        scores = context.domain_scores(metric)
+        assert {d: v for d, v in scores.items() if not math.isnan(v)} == expected
+        if not expected:
+            with pytest.raises(DataError, match="usable"):
+                select_domain_level(pool, scores, metric, 1, seed=0)
+            return
+        sign = 1.0 if metric == "jensen_shannon" else -1.0
+        best = min((sign * v, d) for d, v in expected.items())[1]
+        chosen = select_domain_level(pool, scores, metric, 1, seed=0).config["chosen_domain"]
+        assert chosen == best

@@ -3,6 +3,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dataselect.autoencoder import AEModel, AETrainConfig, encode, train
 from dataselect.corpus import PreprocessOptions, build_vocabulary, preprocess, tokenize_corpus
@@ -195,6 +198,20 @@ class TestDomainRepresentation:
         a = space.aggregate(space.doc_ids)
         b = space.aggregate(space.doc_ids[::-1])
         assert np.allclose(a, b, atol=1e-12)
+
+    @given(st.data())
+    def test_equals_mean_of_copied_rows(self, data):
+        n, d = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 6))
+        value = st.floats(-1e6, 1e6, allow_nan=False) | st.just(0.0)
+        # every element is drawn (no fill value), so the rows differ
+        full = arrays(np.float64, (n, d), elements=value, fill=st.nothing())
+        matrix = data.draw(full, label="matrix")
+        zero = data.draw(arrays(bool, n), label="empty rows")
+        matrix[zero] = 0.0
+        order = data.draw(st.permutations(range(n)), label="order")
+        picked = order[: data.draw(st.integers(1, n), label="group size")]
+        pooled = dense_space(matrix).aggregate([f"d{i}" for i in picked])
+        assert np.array_equal(pooled, matrix[picked].mean(axis=0))
 
     def test_empty_list_error(self):
         with pytest.raises(DataError):

@@ -17,7 +17,12 @@ from dataselect.selection import (
     select_random,
     subset_select,
 )
-from dataselect.similarity import cosine, cosine_to_target, js_divergence, js_to_target
+from dataselect.similarity import (
+    cosine_to_target,
+    js_divergence,
+    js_to_target,
+    proxy_a_scores,
+)
 
 
 def make_pool(n, domains=("src",), prefix="p"):
@@ -43,6 +48,30 @@ def target_dist(size, seed=99):
     rng = np.random.default_rng(seed)
     raw = rng.random(size) + 0.05
     return TermDistribution(probs=raw / raw.sum())
+
+
+def scored(rows, target, metric):
+    """Item scores of ``rows``, as the experiment context computes them."""
+    return selection._score_rows(rows, target, metric)
+
+
+def rescoring_truncation(members, rows, pool, target, metric, room):
+    """Final-round truncation as it was before item scores were passed in:
+    the winner's rows are scored again, NaN ranks last, ties break on id."""
+    picked = rows[members]
+    if metric == "jensen_shannon":
+        scores = js_to_target(picked, target)
+        key = scores
+    else:
+        scores = cosine_to_target(picked, target)
+        key = -scores
+    key = np.where(np.isnan(key), np.inf, key)
+    ranked = sorted(range(len(members)), key=lambda j: (key[j], pool[int(members[j])].id))
+    return members[ranked[:room]]
+
+
+def js_scores(reprs, target):
+    return {d: js_divergence(rep, target).value for d, rep in reprs.items()}
 
 
 class TestSelectRandom:
@@ -133,9 +162,9 @@ class TestSelectDomainLevel:
         target = target_dist(size)
         pool = make_pool(20, domains=("near", "off"))
         far = TermDistribution(probs=np.ones(size) / size)
+        reprs = {"near": TermDistribution(probs=target.probs.copy()), "off": far}
         result = select_domain_level(
-            pool, target, {"near": TermDistribution(probs=target.probs.copy()), "off": far},
-            "jensen_shannon", 5, seed=0,
+            pool, js_scores(reprs, target), "jensen_shannon", 5, seed=0
         )
         assert result.config["chosen_domain"] == "near"
         assert all(doc_id.startswith("p") for doc_id in result.chosen)
@@ -148,7 +177,7 @@ class TestSelectDomainLevel:
         same = TermDistribution(probs=target.probs.copy())
         pool = make_pool(10, domains=("zeta", "beta"))
         result = select_domain_level(
-            pool, target, {"zeta": same, "beta": same}, "jensen_shannon", 3, seed=1
+            pool, js_scores({"zeta": same, "beta": same}, target), "jensen_shannon", 3, seed=1
         )
         assert result.config["chosen_domain"] == "beta"
 
@@ -167,7 +196,9 @@ class TestSelectDomainLevel:
         ordered = sorted(reprs, key=lambda d: js_divergence(reprs[d], target).value)
         assert ordered[0] == "close"  # generator-controlled distances
         pool = make_pool(30, domains=("far", "mid", "close"))
-        result = select_domain_level(pool, target, reprs, "jensen_shannon", 5, seed=0)
+        result = select_domain_level(
+            pool, js_scores(reprs, target), "jensen_shannon", 5, seed=0
+        )
         assert result.config["chosen_domain"] == "close"
 
     def test_no_spill_into_runner_up(self):
@@ -179,13 +210,24 @@ class TestSelectDomainLevel:
             "near": TermDistribution(probs=target.probs.copy()),
             "far": TermDistribution(probs=np.ones(size) / size),
         }
-        result = select_domain_level(pool, target, reprs, "jensen_shannon", 5, seed=0)
+        result = select_domain_level(
+            pool, js_scores(reprs, target), "jensen_shannon", 5, seed=0
+        )
         assert result.chosen == ["n1"]
         assert result.shortfall == 4
 
     def test_proxy_a_is_rejected(self):
-        with pytest.raises(ConfigError):
-            select_domain_level(make_pool(4), target_dist(4), {}, "proxy_a", 2, seed=0)
+        with pytest.raises(ConfigError, match="proxy_a"):
+            SelectionConfig(n=2, strategy="domain", metric="proxy_a")
+
+    def test_empty_domains_skipped(self):
+        pool = make_pool(10, domains=("empty", "full"))
+        scores = {"empty": float("nan"), "full": 0.4}
+        result = select_domain_level(pool, scores, "jensen_shannon", 3, seed=0)
+        assert result.config["chosen_domain"] == "full"
+        assert result.config["domain_scores"] == {"full": 0.4}
+        with pytest.raises(DataError, match="usable"):
+            select_domain_level(pool, {"empty": float("nan")}, "jensen_shannon", 3, seed=0)
 
 
 class TestSelectInstanceLevel:
@@ -195,7 +237,7 @@ class TestSelectInstanceLevel:
         target_vec = rng.random(6)
         rows[13] = 2.0 * target_vec  # scaled copy: cosine similarity exactly 1
         pool = make_pool(20)
-        result = select_instance_level(pool, target_vec, rows, "cosine", 5)
+        result = select_instance_level(pool, scored(rows, target_vec, "cosine"), "cosine", 5)
         assert result.chosen[0] == pool[13].id
         assert result.item_scores[pool[13].id] == pytest.approx(1.0, abs=1e-12)
 
@@ -204,7 +246,9 @@ class TestSelectInstanceLevel:
         rows = random_counts(12, size, seed=3)
         target = target_dist(size)
         pool = make_pool(12)
-        result = select_instance_level(pool, target, rows, "jensen_shannon", 50)
+        result = select_instance_level(
+            pool, scored(rows, target, "jensen_shannon"), "jensen_shannon", 50
+        )
         assert len(result.chosen) == 12
         scores = js_to_target(rows, target)
         by_id = {pool[i].id: scores[i] for i in range(12)}
@@ -216,7 +260,9 @@ class TestSelectInstanceLevel:
         rows = random_counts(50, size, seed=4, zero_rows=(7, 31))
         target = target_dist(size)
         pool = make_pool(50)
-        result = select_instance_level(pool, target, rows, "jensen_shannon", 20)
+        result = select_instance_level(
+            pool, scored(rows, target, "jensen_shannon"), "jensen_shannon", 20
+        )
 
         oracle = []
         for i in range(50):
@@ -232,7 +278,9 @@ class TestSelectInstanceLevel:
         size = 6
         rows = random_counts(5, size, seed=5, zero_rows=(0, 1, 2))
         pool = make_pool(5)
-        result = select_instance_level(pool, target_dist(size), rows, "jensen_shannon", 5)
+        result = select_instance_level(
+            pool, scored(rows, target_dist(size), "jensen_shannon"), "jensen_shannon", 5
+        )
         assert len(result.chosen) == 2
         assert result.shortfall == 3
 
@@ -246,7 +294,10 @@ class TestSubsetSelect:
         s = n = 10
         m = 5
         seed = 42
-        result = subset_select(s, n, m, pool, target, rows, "jensen_shannon", seed)
+        result = subset_select(
+            s, n, m, pool, target, rows, scored(rows, target, "jensen_shannon"),
+            "jensen_shannon", seed,
+        )
         assert len(result.iteration_members) == 1
 
         # replay the documented draw order and score the candidates directly
@@ -277,8 +328,9 @@ class TestSubsetSelect:
                 rows = sp.csr_matrix(rows)
             target = target_dist(size)
             pool = make_pool(80)
-            instance = select_instance_level(pool, target, rows, metric, 30)
-            subset = subset_select(1, 30, 200, pool, target, rows, metric, seed=seed)
+            scores = scored(rows, target, metric)
+            instance = select_instance_level(pool, scores, metric, 30)
+            subset = subset_select(1, 30, 200, pool, target, rows, scores, metric, seed=seed)
             assert set(subset.chosen) == set(instance.chosen)
 
     @given(st.data())
@@ -304,8 +356,9 @@ class TestSubsetSelect:
         pool = [Document(id=f"p{i:02d}", text="x", domain="src", label=None) for i in ids]
         n = data.draw(st.integers(1, n_pool + 2), label="n")
         m = data.draw(st.integers(n_pool, n_pool + 3), label="m")
-        instance = select_instance_level(pool, target, rows, metric, n)
-        subset = subset_select(1, n, m, pool, target, rows, metric, seed=0)
+        scores = scored(rows, target, metric)
+        instance = select_instance_level(pool, scores, metric, n)
+        subset = subset_select(1, n, m, pool, target, rows, scores, metric, seed=0)
         assert subset.chosen == instance.chosen
         assert subset.shortfall == instance.shortfall
         assert subset.subset_scores == [instance.item_scores[i] for i in instance.chosen]
@@ -316,8 +369,9 @@ class TestSubsetSelect:
         rows = sp.csr_matrix([[6.0, 2.0, 1.0, 7.0, 1.0], [1.0, 7.0, 1.0, 2.0, 6.0]])
         target = TermDistribution(probs=np.array([0.3, 0.1, 0.2, 0.1, 0.3]))
         pool = make_pool(2)
-        instance = select_instance_level(pool, target, rows, "jensen_shannon", 1)
-        subset = subset_select(1, 1, 2, pool, target, rows, "jensen_shannon", seed=0)
+        scores = scored(rows, target, "jensen_shannon")
+        instance = select_instance_level(pool, scores, "jensen_shannon", 1)
+        subset = subset_select(1, 1, 2, pool, target, rows, scores, "jensen_shannon", seed=0)
         assert instance.chosen == ["p0000"]
         assert subset.chosen == instance.chosen
         assert subset.subset_scores == [instance.item_scores["p0000"]]
@@ -327,7 +381,8 @@ class TestSubsetSelect:
         rows = random_counts(100, size, seed=7)
         target = target_dist(size)
         pool = make_pool(100)
-        result = subset_select(7, 20, 30, pool, target, rows, "jensen_shannon", seed=3)
+        scores = scored(rows, target, "jensen_shannon")
+        result = subset_select(7, 20, 30, pool, target, rows, scores, "jensen_shannon", seed=3)
         seen = set()
         for members in result.iteration_members:
             assert not (set(members) & seen)
@@ -338,7 +393,8 @@ class TestSubsetSelect:
         rows = random_counts(100, size, seed=8)
         target = target_dist(size)
         pool = make_pool(100)
-        result = subset_select(7, 20, 30, pool, target, rows, "jensen_shannon", seed=4)
+        scores = scored(rows, target, "jensen_shannon")
+        result = subset_select(7, 20, 30, pool, target, rows, scores, "jensen_shannon", seed=4)
         assert len(result.chosen) == 20
         assert len(set(result.chosen)) == 20
         assert [len(m) for m in result.iteration_members] == [7, 7, 6]
@@ -348,31 +404,81 @@ class TestSubsetSelect:
         rows = random_counts(50, size, seed=9)
         target = target_dist(size)
         pool = make_pool(50)
-        a = subset_select(5, 15, 20, pool, target, rows, "jensen_shannon", seed=11)
-        b = subset_select(5, 15, 20, pool, target, rows, "jensen_shannon", seed=11)
+        scores = scored(rows, target, "jensen_shannon")
+        a = subset_select(5, 15, 20, pool, target, rows, scores, "jensen_shannon", seed=11)
+        b = subset_select(5, 15, 20, pool, target, rows, scores, "jensen_shannon", seed=11)
         assert a.chosen == b.chosen
         assert a.subset_scores == b.subset_scores
 
     def test_proxy_a_needs_explicit_flag(self):
-        rows = np.random.default_rng(0).random((10, 3))
         with pytest.raises(ConfigError, match="proxy_a"):
-            subset_select(2, 4, 5, make_pool(10), rows.mean(axis=0), rows, "proxy_a", 0)
+            SelectionConfig(n=4, strategy="subset", metric="proxy_a")
+        SelectionConfig(n=4, strategy="subset", metric="proxy_a", allow_proxy_a_subsets=True)
 
     def test_proxy_a_with_flag(self):
         rng = np.random.default_rng(1)
         rows = rng.random((30, 3))
         target_rows = rng.random((15, 3)) + 1.0
-        result = subset_select(
-            3, 9, 10, make_pool(30), None, rows, "proxy_a", 0,
-            allow_proxy_a=True, target_instance_reprs=target_rows,
-        )
+        scores = proxy_a_scores(rows, target_rows, seed=0)
+        result = subset_select(3, 9, 10, make_pool(30), None, rows, scores, "proxy_a", 0)
         assert len(result.chosen) == 9
+        for members, score in zip(result.iteration_members, result.subset_scores):
+            index = [int(doc_id[1:]) for doc_id in members]
+            assert score == scores[index].mean()
+
+    @given(st.data())
+    def test_truncation_matches_rescoring_copy(self, data):
+        """One round (m=1) whose winner holds more members than ``n``: it is
+        truncated by the given item scores exactly as the old code did by
+        re-scoring the winner's rows, and empty (NaN) members rank last."""
+        metric = data.draw(st.sampled_from(["jensen_shannon", "cosine"]), label="metric")
+        n_pool, d = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 5))
+        # zero rows are empty members; few distinct values make ties
+        value = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
+        rows = data.draw(arrays(np.float64, (n_pool, d), elements=value), label="rows")
+        raw = data.draw(
+            arrays(np.float64, d, elements=value).filter(lambda v: v.sum() > 0), label="target"
+        )
+        target = TermDistribution(probs=raw / raw.sum())
+        if metric == "cosine":
+            target = raw
+        if data.draw(st.booleans(), label="sparse"):
+            rows = sp.csr_matrix(rows)
+        ids = data.draw(st.permutations(range(n_pool)), label="ids")
+        pool = [Document(id=f"p{i:02d}", text="x", domain="src", label=None) for i in ids]
+        s = data.draw(st.integers(2, n_pool), label="s")
+        room = data.draw(st.integers(1, s - 1), label="n")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+
+        result = subset_select(
+            s, room, 1, pool, target, rows, scored(rows, target, metric), metric, seed
+        )
+        (members,) = selection._draw_subsets(np.random.default_rng(seed), n_pool, s, 1)
+        empty = {pool[i].id for i in range(n_pool) if rows[i].sum() == 0}
+        if metric == "jensen_shannon" and {pool[i].id for i in members} <= empty:
+            assert result.chosen == []  # the winner's aggregate is empty
+            return
+        expected = rescoring_truncation(members, rows, pool, target, metric, room)
+        assert result.chosen == [pool[i].id for i in expected]
+        if metric == "jensen_shannon":
+            kept_empty = [doc_id in empty for doc_id in result.chosen]
+            assert kept_empty == sorted(kept_empty)
+
+    def test_truncation_keeps_empty_member_last(self):
+        rows = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+        pool = make_pool(3)
+        target = TermDistribution(probs=np.array([0.5, 0.5]))
+        scores = scored(rows, target, "jensen_shannon")
+        result = subset_select(3, 2, 1, pool, target, rows, scores, "jensen_shannon", 0)
+        assert result.chosen == ["p0001", "p0000"]
 
     def test_pool_smaller_than_n(self):
         size = 6
         rows = random_counts(8, size, seed=10)
+        target = target_dist(size)
         result = subset_select(
-            3, 20, 10, make_pool(8), target_dist(size), rows, "jensen_shannon", 0
+            3, 20, 10, make_pool(8), target, rows, scored(rows, target, "jensen_shannon"),
+            "jensen_shannon", 0,
         )
         assert len(result.chosen) == 8
         assert result.shortfall == 12
@@ -398,7 +504,9 @@ class TestCandidateScores:
         results = []
         for chunk in (1, 7, 256, 4096):
             monkeypatch.setattr(selection, "_SCORE_CHUNK", chunk)
-            results.append(selection._candidate_scores(rows, candidates, target, metric))
+            results.append(
+                selection._candidate_scores(rows, None, candidates, target, metric)
+            )
         if metric == "jensen_shannon":
             assert np.isnan(results[0][-9:]).all()  # aggregates of empty rows only
         for scores in results[1:]:
@@ -416,7 +524,7 @@ class TestCandidateScores:
 
         monkeypatch.setattr(selection, "_SCORE_CHUNK", 7)
         monkeypatch.setattr(selection, "_score_rows", record)
-        scores = selection._candidate_scores(rows, candidates, target.probs, "cosine")
+        scores = selection._candidate_scores(rows, None, candidates, target.probs, "cosine")
         oracle = rows[candidates].mean(axis=1)
         assert np.array_equal(np.vstack(aggregates), oracle)
         assert np.array_equal(scores, cosine_to_target(oracle, target.probs))
@@ -476,6 +584,14 @@ class TestSelectionConfig:
         with pytest.raises(ConfigError):
             SelectionConfig(n=1, strategy="subset", s=0)
 
+    @pytest.mark.parametrize("representation", ["embedding", "autoencoder"])
+    @pytest.mark.parametrize("strategy", ["random", "domain", "instance"])
+    def test_jensen_shannon_needs_term_distributions(self, representation, strategy):
+        with pytest.raises(ConfigError, match="jensen_shannon"):
+            SelectionConfig(
+                n=1, strategy=strategy, representation=representation, metric="jensen_shannon"
+            )
+
 
 class TestMonotonicityHarness:
     def test_subset_selection_tracks_target_closer_than_random(self):
@@ -500,6 +616,7 @@ class TestMonotonicityHarness:
         pool = [d for d in corpus if d.domain != "tgt"]
         target = space.aggregate([d.id for d in corpus.domain_documents("tgt")])
         rows = space.rows([d.id for d in pool])
+        item_scores = scored(rows, target, "jensen_shannon")
 
         def selected_js(result):
             agg = space.aggregate(result.chosen)
@@ -511,7 +628,9 @@ class TestMonotonicityHarness:
             random_js.append(selected_js(select_random(pool, 60, seed)))
             subset_js.append(
                 selected_js(
-                    subset_select(10, 60, 50, pool, target, rows, "jensen_shannon", seed)
+                    subset_select(
+                        10, 60, 50, pool, target, rows, item_scores, "jensen_shannon", seed
+                    )
                 )
             )
         assert float(np.mean(subset_js)) <= float(np.mean(random_js))

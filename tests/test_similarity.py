@@ -12,7 +12,6 @@ from dataselect.representations import TermDistribution
 from dataselect.errors import ConfigError, DataError
 from dataselect.similarity import (
     LN2,
-    DomainDiscriminator,
     _js_csr_to_target,
     _js_rows_from_probs,
     cosine,
@@ -22,7 +21,6 @@ from dataselect.similarity import (
     js_to_target,
     proxy_a_distance,
     proxy_a_scores,
-    train_domain_discriminator,
 )
 
 # Frozen from a 50-digit direct-summation oracle (mpmath); see
@@ -465,21 +463,11 @@ class TestProxyA:
             proxy_a_scores(rng.normal(size=(5, 2)), rng.normal(size=(9, 2)), seed=0)
 
     def test_sparse_scores_match_dense_discriminator(self):
-        rng = np.random.default_rng(23)
         Xs = sp.random(50, 8, density=0.4, format="csr", random_state=3)
         Xt = sp.random(30, 8, density=0.4, format="csr", random_state=4)
-        disc = train_domain_discriminator(Xs, Xt, seed=2)
-        assert np.array_equal(proxy_a_scores(Xs, Xt, seed=2), disc.scores(Xs.toarray()))
-
-    def test_discriminator_metadata(self):
-        rng = np.random.default_rng(18)
-        disc = train_domain_discriminator(
-            rng.normal(size=(20, 2)), rng.normal(size=(20, 2)), seed=7,
-            representation_kind="embedding",
-        )
-        assert isinstance(disc, DomainDiscriminator)
-        assert disc.representation_kind == "embedding"
-        assert disc.seed == 7
+        sparse = proxy_a_scores(Xs, Xt, seed=2)
+        assert np.array_equal(sparse, proxy_a_scores(Xs.toarray(), Xt.toarray(), seed=2))
+        assert not np.array_equal(sparse, proxy_a_scores(Xs, Xt, seed=3))
 
 
 class TestProxyADistance:
