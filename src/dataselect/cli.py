@@ -208,15 +208,23 @@ def _preprocess_options(config: RunConfig) -> PreprocessOptions:
     return PreprocessOptions(lowercase=config.lowercase, stopwords=stop)
 
 
-def _load_corpus(config: RunConfig) -> Corpus:
+def _build_context(config: RunConfig, labeled_pool_only: bool):
+    # the training configs check their values before the corpus loads, as
+    # SelectionConfig does, so a bad value exits 1 before any file is read
+    ae_config = AETrainConfig(
+        epochs=config.ae_epochs,
+        masking_prob=config.ae_masking,
+        learning_rate=config.ae_lr,
+        batch_size=config.ae_batch,
+        hidden_dim=config.ae_hidden,
+        seed=substream_seed(config.seed, "autoencoder"),
+    )
+    classifier = ClassifierConfig(seed=substream_seed(config.seed, "classifier"))
     if not config.corpus:
         raise ConfigError("a corpus path is required (corpus = ... or --corpus)")
-    return load_corpus(config.corpus)
-
-
-def _build_context(config: RunConfig, corpus: Corpus, labeled_pool_only: bool):
     if not config.target:
         raise ConfigError("a target domain is required (target = ... or --target)")
+    corpus = load_corpus(config.corpus)
     if config.target not in corpus.domains:
         raise ConfigError(f"unknown target domain {config.target!r}")
     encoded = tokenize_corpus(corpus, _preprocess_options(config))
@@ -230,17 +238,7 @@ def _build_context(config: RunConfig, corpus: Corpus, labeled_pool_only: bool):
             )
         table = load_embeddings(config.embeddings, restrict_to=vocab)
     resources = ExperimentResources(
-        sif_a=config.a,
-        embedding_table=table,
-        ae_config=AETrainConfig(
-            epochs=config.ae_epochs,
-            masking_prob=config.ae_masking,
-            learning_rate=config.ae_lr,
-            batch_size=config.ae_batch,
-            hidden_dim=config.ae_hidden,
-            seed=substream_seed(config.seed, "autoencoder"),
-        ),
-        classifier=ClassifierConfig(seed=substream_seed(config.seed, "classifier")),
+        sif_a=config.a, embedding_table=table, ae_config=ae_config, classifier=classifier
     )
     return prepare_context(
         corpus,
@@ -276,7 +274,7 @@ def _json_dump(obj, path: Path) -> None:
 
 def cmd_select(config: RunConfig) -> int:
     sel_config = _selection_config(config, config.strategy)
-    context = _build_context(config, _load_corpus(config), labeled_pool_only=False)
+    context = _build_context(config, labeled_pool_only=False)
     result = run_selection(context, sel_config, substream_seed(config.seed, "selection"))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -298,7 +296,7 @@ def _format_row(columns: list[str]) -> str:
 def _evaluate_rows(config: RunConfig) -> tuple[list[ExperimentResult], dict]:
     strategies = BASELINES + tuple(s for s in config.strategies if s not in BASELINES)
     sel_configs = [_selection_config(config, strategy) for strategy in strategies]
-    context = _build_context(config, _load_corpus(config), labeled_pool_only=True)
+    context = _build_context(config, labeled_pool_only=True)
     selection_seed = substream_seed(config.seed, "selection")
     results = [
         run_experiment(context, sel_config, runs=config.runs, base_seed=selection_seed)
@@ -382,7 +380,7 @@ def cmd_sweep(config: RunConfig, n_values: list[int]) -> int:
         for n in n_values
         for strategy in config.strategies
     ]
-    context = _build_context(config, _load_corpus(config), labeled_pool_only=True)
+    context = _build_context(config, labeled_pool_only=True)
     selection_seed = substream_seed(config.seed, "selection")
     lines = [_format_row(["n", "strategy", "mean_acc", "std"])]
     for sel_config in sel_configs:

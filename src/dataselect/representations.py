@@ -5,13 +5,24 @@ matrix with a row per document: in-vocabulary term counts (sparse) for term
 distributions, frequency-weighted means of pre-trained word embeddings, and
 hidden-layer codes of a denoising autoencoder. Every group of rows -- a
 candidate subset, a source domain, the target domain -- is pooled by one
-primitive, ``pool_groups``: a 0/1 ``picker`` matrix with one row per group
-times the representation matrix. That sums term counts (normalized only
-afterwards) and, divided by the group size, averages dense rows; the mean is
-bit-identical to ``rows.mean(axis=0)``, which also adds the members in order
-and divides once. ``RepresentationSpace.aggregate`` wraps it for one group and
-flags a group with no usable tokens empty, so callers can exclude it instead
-of propagating NaNs.
+primitive, ``pool_groups``: the product of a 0/1 ``picker`` matrix with one
+row per group and the representation matrix. That sums term counts
+(normalized only afterwards) and, divided by the group size, averages dense
+rows; each group's members are added in member order and divided once, which
+is ``rows.mean(axis=0)`` bit for bit when rows have two or more columns
+(numpy adds a single column pairwise). ``RepresentationSpace.aggregate`` wraps
+it for one group and flags a group with no usable tokens empty, so callers can
+exclude it instead of propagating NaNs.
+
+``pool_groups`` runs the product with scipy's own sparse kernels, called
+directly on the picker's arrays (``csr_matmat`` for sparse rows,
+``csr_matvecs`` for dense ones). The sum of the members' nonzeros bounds a
+pooled sparse row, so the output buffers are sized without scipy's symbolic
+pass, and no sparse object is built for the picker. The subset search pools
+80 rounds of 20,000 candidates, and that work around the kernel was about a
+fifth of its time. The kernels are private to scipy, so they are called in
+this one function only, and a property test pins its output, column order
+included, to the ``picker @ matrix`` product it replaces.
 
 Every view reads the ``EncodedCorpus`` and never the token strings: term
 counts are the vocabulary's columns of its count matrix, the autoencoder
@@ -26,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import autoencoder as ae
 from .corpus import Corpus, EncodedCorpus, TfidfModel, Vocabulary, term_counts
@@ -36,6 +48,8 @@ TERM_DIST = "term_dist"
 EMBEDDING = "embedding"
 AUTOENCODER = "autoencoder"
 REPRESENTATION_KINDS = (TERM_DIST, EMBEDDING, AUTOENCODER)
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True)
@@ -110,20 +124,55 @@ def pool_groups(
 ) -> sp.csr_matrix | np.ndarray:
     """Pool the rows ``members[indptr[k]:indptr[k + 1]]`` of ``matrix`` into row k.
 
-    ``picker @ matrix`` with a 0/1 ``picker`` CSR holding one row per group
-    adds each group's members in member order: sparse count rows come back
-    summed (CSR), dense rows summed and then divided by the group size, which
-    is their mean bit for bit.
+    The result is ``picker @ matrix`` for a 0/1 ``picker`` CSR holding one row
+    per group, which adds each group's members in member order: sparse count
+    rows come back summed (CSR), dense rows summed and then divided by the
+    group size once.
+
+    The product runs the kernels scipy's ``@`` runs (``_matmul_sparse`` and
+    ``_matmul_multivector`` of scipy 1.17) on the picker's arrays:
+    ``csr_matmat`` for sparse input, into buffers sized by the members' summed
+    nonzeros (an upper bound, so no symbolic pass), and ``csr_matvecs`` into
+    one zeroed ``(groups, d)`` array for dense input. The output is ``@``'s
+    bit for bit: the same indptr, each row's columns in reverse order of first
+    appearance, explicit zeros dropped, and the same sums.
     """
-    picker = sp.csr_matrix(
-        (np.ones(len(members)), members, indptr), shape=(len(indptr) - 1, matrix.shape[0])
+    members, indptr = np.asarray(members), np.asarray(indptr)
+    n_groups = len(indptr) - 1
+    ones = np.ones(len(members))
+    if sp.issparse(matrix):
+        matrix = matrix.tocsr()  # as ``@`` converts its right operand
+        n_cols = matrix.shape[1]
+        bound = int(np.diff(matrix.indptr)[members].sum())
+        # int32 indices unless a size or the matrix's own index arrays need
+        # int64, as scipy picks them; all index arrays share the one dtype
+        wide = max(bound, n_groups, *matrix.shape) > _INT32_MAX or not all(
+            np.can_cast(a.dtype, np.int32) for a in (matrix.indptr, matrix.indices)
+        )
+        idx = np.int64 if wide else np.int32
+        out_indptr = np.empty(n_groups + 1, dtype=idx)
+        out_indices = np.empty(bound, dtype=idx)
+        out_data = np.empty(bound)
+        _sparsetools.csr_matmat(
+            n_groups, n_cols,
+            indptr.astype(idx, copy=False), members.astype(idx, copy=False), ones,
+            matrix.indptr.astype(idx, copy=False), matrix.indices.astype(idx, copy=False),
+            np.asarray(matrix.data, dtype=np.float64),
+            out_indptr, out_indices, out_data,
+        )
+        return sp.csr_matrix((out_data, out_indices, out_indptr), shape=(n_groups, n_cols))
+    rows = np.ascontiguousarray(matrix, dtype=np.float64)
+    idx = np.int64 if max(len(members), *rows.shape) > _INT32_MAX else np.int32
+    pooled = np.zeros((n_groups, rows.shape[1]))
+    _sparsetools.csr_matvecs(
+        n_groups, rows.shape[0], rows.shape[1],
+        indptr.astype(idx, copy=False), members.astype(idx, copy=False), ones,
+        rows.ravel(), pooled.ravel(),
     )
-    pooled = picker @ matrix
-    if not sp.issparse(matrix):
-        sizes = np.diff(indptr)
-        # equal sizes (a batch of subset candidates) divide as one scalar,
-        # which costs about half of dividing by a column of sizes
-        pooled /= sizes[0] if (sizes == sizes[0]).all() else sizes[:, None]
+    sizes = np.diff(indptr)
+    # equal sizes (a batch of subset candidates) divide as one scalar, which
+    # costs about half of dividing by a column of sizes
+    pooled /= sizes[0] if (sizes == sizes[0]).all() else sizes[:, None]
     return pooled
 
 

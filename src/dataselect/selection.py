@@ -60,8 +60,9 @@ _DEFAULT_METRIC = {TERM_DIST: JENSEN_SHANNON, EMBEDDING: COSINE, AUTOENCODER: CO
 # Candidates scored per batch. At 256 a batch of term-distribution aggregates
 # (s=20) holds about 60k nonzeros, so each temporary of the JS kernel (about
 # 0.5 MB) stays in cache; at 2048 they were about 4 MB each and a third of
-# the subset search went to system time allocating them. 128 and 512 were
-# slower. Every candidate is scored on its own, so the value changes no score.
+# the subset search went to system time allocating them. 128, 512 and 1,024
+# were slower, with pooling by scipy's product kernels called directly too.
+# Every candidate is scored on its own, so the value changes no score.
 _SCORE_CHUNK = 256
 
 

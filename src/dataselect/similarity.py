@@ -13,8 +13,11 @@ sum runs in another order, so it agrees with the dense kernel to within
 1e-12 rather than exactly. The sparse kernel takes ``ln q`` once per call and
 gathers it per nonzero, so each nonzero costs two logs (``ln p`` and
 ``ln m``); where ``q`` is zero the gathered term is +0.0, as ``m = p/2`` makes
-``ln m`` negative. Every batched path gives a row the same score however the
-rows are chunked or ordered.
+``ln m`` negative. Both gathers (``q`` and ``ln q``) are ``take`` calls with
+the row's column indices converted to ``intp`` once, since fancy-indexing with
+a CSR's int32 indices casts them again for every gather; the gathered values,
+and so the scores, are the same whatever the index dtype. Every batched path
+gives a row the same score however the rows are chunked or ordered.
 
 The dense batched paths (``cosine_to_target`` and dense ``js_to_target``)
 walk their rows in blocks of ``_ROW_BLOCK`` rows, densifying sparse cosine
@@ -140,7 +143,9 @@ def _js_csr_to_target(rows: sp.csr_matrix, q: np.ndarray) -> np.ndarray:
     # q == 0) and gathered, so each nonzero costs two logs: ln p and ln m.
     # Where q == 0 the gathered term q*(0 - ln m) is +0.0, because
     # m = p/2 <= 1/2 makes ln m negative, so no mask is needed.
-    indptr, cols, data = rows.indptr, rows.indices, rows.data
+    #
+    # The column indices are converted to intp once for both ``take`` gathers.
+    indptr, cols, data = rows.indptr, rows.indices.astype(np.intp, copy=False), rows.data
     lengths = np.diff(indptr)
     nonempty = np.flatnonzero(lengths)
     out = np.full(rows.shape[0], np.nan)
@@ -149,10 +154,10 @@ def _js_csr_to_target(rows: sp.csr_matrix, q: np.ndarray) -> np.ndarray:
     starts = indptr[nonempty]
     log_q = np.log(np.where(q > 0, q, 1.0))
     p = data / np.repeat(np.add.reduceat(data, starts), lengths[nonempty])
-    qv = q[cols]
+    qv = q.take(cols)
     mv = 0.5 * (p + qv)
     log_mv = np.log(mv)  # mv > 0 since p > 0 on the support
-    terms = p * (np.log(p) - log_mv) + qv * (log_q[cols] - log_mv)
+    terms = p * (np.log(p) - log_mv) + qv * (log_q.take(cols) - log_mv)
     term_sums = np.add.reduceat(terms, starts)
     q_covered = np.add.reduceat(qv, starts)
     out[nonempty] = 0.5 * (term_sums + LN2 * (1.0 - q_covered))

@@ -127,6 +127,21 @@ class TestExitCodes:
         assert cli.main(argv) == 1
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--ae-hidden", "0"],
+            ["evaluate", "--ae-lr", "-1"],
+            ["sweep", "--n-values", "4", "--ae-batch", "0"],
+        ],
+    )
+    def test_bad_training_value_is_one_before_loading(self, tmp_path, argv):
+        missing = tmp_path / "missing.jsonl"  # loading it would exit 2
+        out = tmp_path / "out"
+        argv = argv + ["--corpus", str(missing), "--target", "tgt", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert not any(tmp_path.iterdir())
+
     def test_missing_corpus_is_two(self, tmp_path):
         missing = tmp_path / "missing.jsonl"
         assert cli.main(["select", "--corpus", str(missing), "--target", "tgt",

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -15,6 +16,7 @@ from dataselect.representations import (
     RepresentationSpace,
     ae_input_features,
     build_representation_space,
+    pool_groups,
 )
 from dataselect.synthetic import DomainSpec, generate
 
@@ -211,7 +213,14 @@ class TestDomainRepresentation:
         order = data.draw(st.permutations(range(n)), label="order")
         picked = order[: data.draw(st.integers(1, n), label="group size")]
         pooled = dense_space(matrix).aggregate([f"d{i}" for i in picked])
-        assert np.array_equal(pooled, matrix[picked].mean(axis=0))
+        # the members added in order, then divided once; numpy's mean adds a
+        # one-column matrix pairwise, which rounds differently from 8 rows on
+        total = np.zeros(d)
+        for i in picked:
+            total += matrix[i]
+        assert np.array_equal(pooled, total / len(picked))
+        if d > 1:
+            assert np.array_equal(pooled, matrix[picked].mean(axis=0))
 
     def test_empty_list_error(self):
         with pytest.raises(DataError):
@@ -346,3 +355,73 @@ class TestRepresentationSpace:
         gamma = build(empty_corpus, "term_dist", vocab)
         assert gamma.aggregate(["z1"]).empty
         assert not space.aggregate(["a1"]).empty
+
+
+def picker_pool(matrix, members, indptr):
+    """The ``picker @ matrix`` code ``pool_groups`` replaced, kept as its oracle."""
+    picker = sp.csr_matrix(
+        (np.ones(len(members)), members, indptr), shape=(len(indptr) - 1, matrix.shape[0])
+    )
+    pooled = picker @ matrix
+    if not sp.issparse(matrix):
+        sizes = np.diff(indptr)
+        pooled /= sizes[0] if (sizes == sizes[0]).all() else sizes[:, None]
+    return pooled
+
+
+def as_format(values, fmt):
+    """``values`` as the representation matrix format ``fmt``."""
+    if fmt == "dense":
+        return values
+    if fmt == "dense32":
+        return values.astype(np.float32)
+    if fmt == "csr64":
+        matrix = sp.csr_matrix(values)
+        matrix.indices = matrix.indices.astype(np.int64)
+        matrix.indptr = matrix.indptr.astype(np.int64)
+        return matrix
+    return {"csr": sp.csr_matrix, "csc": sp.csc_matrix, "coo": sp.coo_matrix}[fmt](values)
+
+
+@st.composite
+def pooling_cases(draw):
+    """A matrix with frequent empty rows (and entries that can cancel to zero)
+    and groups of its rows: single-member groups, rows shared by several groups
+    and repeated members all occur, with equal or unequal group sizes."""
+    n, d = draw(st.integers(1, 10)), draw(st.integers(1, 8))
+    values = draw(
+        arrays(np.float64, (n, d), elements=st.sampled_from([0.0, 0.0, 0.0, 1.0, 3.0, 0.1, -0.1]))
+    )
+    n_groups = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        sizes = [draw(st.integers(1, 6))] * n_groups
+    else:
+        sizes = draw(st.lists(st.integers(1, 6), min_size=n_groups, max_size=n_groups))
+    members = np.array(draw(st.lists(st.integers(0, n - 1), min_size=sum(sizes),
+                                     max_size=sum(sizes))))
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    fmt = draw(st.sampled_from(["csr", "csc", "coo", "csr64", "dense", "dense32"]))
+    return as_format(values, fmt), members, indptr
+
+
+class TestPoolGroups:
+    @given(pooling_cases())
+    def test_equals_picker_product(self, case):
+        matrix, members, indptr = case
+        pooled, oracle = pool_groups(matrix, members, indptr), picker_pool(*case)
+        assert type(pooled) is type(oracle) and pooled.shape == oracle.shape
+        if sp.issparse(oracle):
+            # bit for bit, the column order within each row included
+            assert np.array_equal(pooled.indptr, oracle.indptr)
+            assert np.array_equal(pooled.indices, oracle.indices)
+            assert np.array_equal(pooled.data, oracle.data)
+            assert pooled.data.dtype == oracle.data.dtype
+        else:
+            assert pooled.dtype == oracle.dtype
+            assert pooled.tobytes() == oracle.tobytes()
+
+    def test_columns_keep_reverse_first_appearance(self):
+        matrix = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 5.0, 0.0]]))
+        pooled = pool_groups(matrix, np.array([0, 1]), np.array([0, 2]))
+        assert pooled.indices.tolist() == [1, 2, 0]
+        assert pooled.data.tolist() == [5.0, 2.0, 1.0]

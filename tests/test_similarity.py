@@ -139,13 +139,18 @@ class TestBatchedKernels:
         mask = ~np.isnan(dense)
         assert np.allclose(dense[mask], sparse[mask], atol=1e-12)
 
-    def test_sparse_path_batch_invariant(self):
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_sparse_path_batch_invariant(self, index_dtype):
         rng = np.random.default_rng(24)
         counts = sp.csr_matrix(
             ((rng.random((50, 20)) < 0.3) * rng.integers(1, 4, size=(50, 20))).astype(float)
         )
         target = TermDistribution(probs=random_distributions(25, 1, 20)[0])
+        int32_scores = js_to_target(counts, target)
+        counts.indices = counts.indices.astype(index_dtype)
+        counts.indptr = counts.indptr.astype(index_dtype)
         full = js_to_target(counts, target)
+        assert np.array_equal(full, int32_scores, equal_nan=True)
         single = np.array([js_to_target(counts[i], target)[0] for i in range(50)])
         mask = ~np.isnan(full)
         assert np.array_equal(full[mask], single[mask])
