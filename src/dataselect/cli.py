@@ -25,7 +25,7 @@ import json
 import sys
 import types
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -36,6 +36,7 @@ from .corpus import (
     Corpus,
     PreprocessOptions,
     build_vocabulary,
+    check_vocab_cap,
     load_corpus,
     load_stopwords,
     save_corpus,
@@ -47,12 +48,13 @@ from .evaluation import (
     ClassifierConfig,
     ExperimentResources,
     ExperimentResult,
+    check_runs,
     prepare_context,
     run_experiment,
     run_selection,
     t_test,
 )
-from .representations import EMBEDDING, REPRESENTATION_KINDS
+from .representations import EMBEDDING, REPRESENTATION_KINDS, check_sif_a
 from .selection import STRATEGIES, SelectionConfig
 from .similarity import METRIC_ORIENTATION
 from .synthetic import DomainSpec, benchmark_suite, generate
@@ -209,8 +211,8 @@ def _preprocess_options(config: RunConfig) -> PreprocessOptions:
 
 
 def _build_context(config: RunConfig, labeled_pool_only: bool):
-    # the training configs check their values before the corpus loads, as
-    # SelectionConfig does, so a bad value exits 1 before any file is read
+    # bad training and run values are rejected before the corpus loads, as
+    # SelectionConfig's are, so they exit 1 before any file is read
     ae_config = AETrainConfig(
         epochs=config.ae_epochs,
         masking_prob=config.ae_masking,
@@ -220,6 +222,9 @@ def _build_context(config: RunConfig, labeled_pool_only: bool):
         seed=substream_seed(config.seed, "autoencoder"),
     )
     classifier = ClassifierConfig(seed=substream_seed(config.seed, "classifier"))
+    check_runs(config.runs)
+    check_vocab_cap(config.vocab_cap)
+    check_sif_a(config.a)
     if not config.corpus:
         raise ConfigError("a corpus path is required (corpus = ... or --corpus)")
     if not config.target:
@@ -281,7 +286,7 @@ def cmd_select(config: RunConfig) -> int:
     (out / "selection_ids.txt").write_text(
         "".join(doc_id + "\n" for doc_id in result.chosen), encoding="utf-8"
     )
-    _json_dump({"config": config.echo(), "result": result.to_dict()}, out / "selection.json")
+    _json_dump({"config": config.echo(), "result": asdict(result)}, out / "selection.json")
     print(
         f"selected {len(result.chosen)} of {sel_config.n} requested "
         f"({config.strategy}, {sel_config.resolved_metric}) -> {out}/selection_ids.txt"
@@ -361,7 +366,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     _json_dump(
         {
             "config": config.echo(),
-            "results": [r.to_dict() for r in results],
+            "results": [asdict(r) for r in results],
             "significance": significance,
         },
         out / "results.json",

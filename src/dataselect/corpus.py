@@ -66,18 +66,19 @@ class Corpus:
     """An ordered collection of documents grouped by domain.
 
     Document order is preserved exactly as constructed, so reloading the
-    same file yields an identical corpus.
+    same file yields an identical corpus. A document's position is its corpus
+    row: its row in every per-document matrix built from the corpus.
     """
 
     def __init__(self, documents: Iterable[Document]):
         self.documents: list[Document] = list(documents)
         self._by_id: dict[str, Document] = {}
-        self._by_domain: dict[str, list[Document]] = {}
-        for doc in self.documents:
+        self._by_domain: dict[str, list[int]] = {}
+        for row, doc in enumerate(self.documents):
             if doc.id in self._by_id:
                 raise DataError(f"duplicate document id {doc.id!r}")
             self._by_id[doc.id] = doc
-            self._by_domain.setdefault(doc.domain, []).append(doc)
+            self._by_domain.setdefault(doc.domain, []).append(row)
 
     @property
     def domains(self) -> set[str]:
@@ -98,11 +99,15 @@ class Corpus:
         except KeyError:
             raise DataError(f"unknown document id {doc_id!r}") from None
 
-    def domain_documents(self, domain: str) -> list[Document]:
+    def domain_rows(self, domain: str) -> np.ndarray:
+        """Corpus rows of the domain's documents, ascending."""
         try:
-            return list(self._by_domain[domain])
+            return np.array(self._by_domain[domain], dtype=np.intp)
         except KeyError:
             raise DataError(f"unknown domain {domain!r}") from None
+
+    def domain_documents(self, domain: str) -> list[Document]:
+        return [self.documents[row] for row in self.domain_rows(domain).tolist()]
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -318,10 +323,14 @@ class Vocabulary:
         return token in self.index
 
 
-def build_vocabulary(encoded: EncodedCorpus, cap: int) -> Vocabulary:
-    """Build the shared vocabulary of the ``cap`` most frequent tokens."""
+def check_vocab_cap(cap: int) -> None:
     if cap < 1:
         raise ConfigError(f"vocabulary cap must be >= 1, got {cap}")
+
+
+def build_vocabulary(encoded: EncodedCorpus, cap: int) -> Vocabulary:
+    """Build the shared vocabulary of the ``cap`` most frequent tokens."""
+    check_vocab_cap(cap)
     frequency = np.bincount(encoded.token_ids, minlength=len(encoded.unigrams))
     # ids are in token order, so a stable sort by -frequency breaks ties by token
     top = np.argsort(-frequency, kind="stable")[:cap]

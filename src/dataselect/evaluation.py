@@ -31,6 +31,12 @@ recomputed per run seed for proxy-A, the only metric that also reads the
 target's own rows) and one per source domain (cached), the domains pooled by
 ``representations.pool_groups`` like the subset search's candidates.
 ``run_selection`` hands each strategy its scores.
+
+A document has one address, its corpus row: its row of the representation
+matrix and of the encoded count matrix. The context keeps the pool's rows as
+an int array and copies no representation row. JS and cosine score each row
+of the matrix on its own, so the pool's scores are the matrix's scores
+gathered at the pool rows, bit for bit; proxy-A gathers the rows it fits on.
 """
 
 from __future__ import annotations
@@ -279,6 +285,7 @@ class ExperimentContext:
 
     The context computes every score the strategies rank, each through
     ``selection._score_rows``: pool item scores and source-domain scores.
+    ``pool_index`` holds each pool document's corpus row.
     """
 
     corpus: Corpus
@@ -286,7 +293,7 @@ class ExperimentContext:
     encoded: EncodedCorpus
     space: RepresentationSpace
     pool_docs: list[Document]
-    pool_rows: object
+    pool_index: np.ndarray
     target_repr: object
     resources: ExperimentResources
     _item_scores: dict = field(default_factory=dict)
@@ -295,20 +302,19 @@ class ExperimentContext:
     def item_scores(self, metric: str, seed: int) -> np.ndarray:
         """Per-pool-document scores against the target.
 
-        JS and cosine scores are cached per metric. Proxy-A scores depend on
-        the run ``seed`` (the discriminator's balancing subsample) and on the
-        target's own rows, so they are computed afresh on every call.
+        JS and cosine score every row of the matrix, each on its own, and are
+        cached per metric. Proxy-A scores depend on the run ``seed`` (the
+        discriminator's balancing subsample) and on the target's own rows, so
+        they are computed afresh on every call.
         """
         if metric == PROXY_A:
-            target_ids = [d.id for d in self.corpus.domain_documents(self.target_domain)]
             return sel._score_rows(
-                self.pool_rows, self.target_repr, metric,
-                seed=seed, target_rows=self.space.rows(target_ids),
+                self.space.matrix[self.pool_index], self.target_repr, metric, seed=seed,
+                target_rows=self.space.matrix[self.corpus.domain_rows(self.target_domain)],
             )
         if metric not in self._item_scores:
-            self._item_scores[metric] = sel._score_rows(
-                self.pool_rows, self.target_repr, metric
-            )
+            scores = sel._score_rows(self.space.matrix, self.target_repr, metric)
+            self._item_scores[metric] = scores[self.pool_index]
         return self._item_scores[metric]
 
     def domain_scores(self, metric: str) -> dict[str, float]:
@@ -322,10 +328,7 @@ class ExperimentContext:
         """
         if metric not in self._domain_scores:
             domains = sorted(self.corpus.domains - {self.target_domain})
-            groups = [
-                [self.space.index[doc.id] for doc in self.corpus.domain_documents(d)]
-                for d in domains
-            ]
+            groups = [self.corpus.domain_rows(d) for d in domains]
             indptr = np.cumsum([0] + [len(g) for g in groups])
             pooled = pool_groups(self.space.matrix, np.concatenate(groups), indptr)
             if sp.issparse(pooled):
@@ -377,22 +380,23 @@ def prepare_context(
         ae_features=ae_features,
         sif_a=resources.sif_a,
     )
-    pool_docs = [
-        doc
-        for doc in corpus
-        if doc.domain != target_domain and (doc.label is not None or not labeled_pool_only)
-    ]
+    pool_index = np.flatnonzero(
+        [
+            doc.domain != target_domain and (doc.label is not None or not labeled_pool_only)
+            for doc in corpus
+        ]
+    )
+    pool_docs = [corpus.documents[row] for row in pool_index.tolist()]
     if not pool_docs:
         raise DataError("selection pool is empty (no labeled source documents)")
-    target_ids = [d.id for d in corpus.domain_documents(target_domain)]
     return ExperimentContext(
         corpus=corpus,
         target_domain=target_domain,
         encoded=encoded,
         space=space,
         pool_docs=pool_docs,
-        pool_rows=space.rows([d.id for d in pool_docs]),
-        target_repr=space.aggregate(target_ids),
+        pool_index=pool_index,
+        target_repr=space.aggregate([d.id for d in corpus.domain_documents(target_domain)]),
         resources=resources,
     )
 
@@ -420,7 +424,8 @@ def run_selection(
         config.m,
         pool,
         context.target_repr,
-        context.pool_rows,
+        context.space.matrix,
+        context.pool_index,
         scores,
         metric,
         seed,
@@ -439,18 +444,10 @@ class ExperimentResult:
     seeds: list[int]
     config: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "target_domain": self.target_domain,
-            "strategy": self.strategy,
-            "representation": self.representation,
-            "metric": self.metric,
-            "accuracies": self.accuracies,
-            "mean": self.mean,
-            "std": self.std,
-            "seeds": self.seeds,
-            "config": self.config,
-        }
+
+def check_runs(runs: int) -> None:
+    if runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {runs}")
 
 
 def run_experiment(
@@ -467,27 +464,26 @@ def run_experiment(
     accuracies in every run. tf-idf features are fitted per run on the
     selected documents only; target-domain n-grams unseen there are dropped.
     """
-    if runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {runs}")
+    check_runs(runs)
     target_domain = context.target_domain
-    eval_docs = [
-        d for d in context.corpus.domain_documents(target_domain) if d.label is not None
+    docs, counts = context.corpus.documents, context.encoded.counts
+    eval_index = [
+        row for row in context.corpus.domain_rows(target_domain).tolist()
+        if docs[row].label is not None
     ]
-    if not eval_docs:
+    if not eval_index:
         raise DataError(f"target domain {target_domain!r} has no labeled documents")
-    counts, row = context.encoded.counts, context.space.index
-    eval_rows = counts[[row[d.id] for d in eval_docs]]
-    eval_labels = [d.label for d in eval_docs]
+    eval_rows = counts[eval_index]
+    eval_labels = [docs[row].label for row in eval_index]
     clf_config = context.resources.classifier
 
     accuracies: list[float] = []
-    seeds: list[int] = []
-    for run in range(runs):
-        seed = base_seed + run
+    seeds = list(range(base_seed, base_seed + runs))
+    for run, seed in enumerate(seeds):
         try:
             result = run_selection(context, selection_config, seed)
             train_labels = [context.corpus.get(i).label for i in result.chosen]
-            train_rows = counts[[row[i] for i in result.chosen]]
+            train_rows = counts[[context.space.index[i] for i in result.chosen]]
             tfidf = TfidfModel.fit(train_rows)
             model = train_classifier(tfidf.transform(train_rows), train_labels, clf_config)
             accuracy = evaluate(model, tfidf.transform(eval_rows), eval_labels)
@@ -495,7 +491,6 @@ def run_experiment(
             exc.args = (f"run {run}: {exc}",)
             raise
         accuracies.append(accuracy)
-        seeds.append(seed)
     return ExperimentResult(
         target_domain=target_domain,
         strategy=selection_config.strategy,

@@ -101,9 +101,6 @@ class RepresentationSpace:
     index: dict[str, int]
     matrix: sp.csr_matrix | np.ndarray
 
-    def rows(self, ids: Sequence[str]) -> sp.csr_matrix | np.ndarray:
-        return self.matrix[[self.index[i] for i in ids]]
-
     def aggregate(self, ids: Sequence[str]) -> TermDistribution | np.ndarray:
         """Group representation: pooled-count distribution or mean vector."""
         if not ids:
@@ -176,6 +173,13 @@ def pool_groups(
     return pooled
 
 
+def check_sif_a(a: float) -> None:
+    # a NaN or infinite a would make every SIF row non-finite, which cosine
+    # scores 0.0 without an error
+    if not 0.0 < a < np.inf:
+        raise ConfigError(f"smoothing factor a must be finite and > 0, got {a}")
+
+
 def build_representation_space(
     corpus: Corpus,
     encoded: EncodedCorpus,
@@ -209,8 +213,7 @@ def build_representation_space(
     elif kind == EMBEDDING:
         if embedding_table is None:
             raise ConfigError("embedding representation requires an embedding table")
-        if sif_a <= 0:
-            raise ConfigError(f"smoothing factor a must be positive, got {sif_a}")
+        check_sif_a(sif_a)
         domain_code = {domain: i for i, domain in enumerate(sorted(corpus.domains))}
         domains = np.array([domain_code[doc.domain] for doc in corpus], dtype=np.int64)
         matrix = _sif_rows(encoded, domains, vocab, embedding_table, sif_a)

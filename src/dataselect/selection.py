@@ -11,8 +11,10 @@ metric themselves. ``evaluation.ExperimentContext`` computes the scores of
 every scope through ``_score_rows``: one per pool document (item scores) and
 one per source domain, pooled by ``representations.pool_groups``. Only the
 subset search scores the candidate groups it draws, each pooled by the same
-primitive; a singleton's score is its member's item score, and a proxy-A
-subset scores as its members' mean. ``_rank`` is the one ranking rule: best
+primitive straight from the representation matrix: pool document i is row
+``pool_index[i]`` of the matrix, its corpus row, and no pool rows are copied
+out. A singleton's score is its member's item score, and a proxy-A subset
+scores as its members' mean. ``_rank`` is the one ranking rule: best
 oriented score first, NaN last, ties by name. Instance ranking drops NaN
 (empty) items and the domain choice drops NaN domains; truncating the final
 subset round keeps NaN members, ranked last.
@@ -26,11 +28,10 @@ construction), and return at most ``min(n, pool size)`` unique ids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Document
 from .errors import ConfigError, DataError
@@ -113,16 +114,7 @@ class SelectionConfig:
         return self.metric if self.metric is not None else _DEFAULT_METRIC[self.representation]
 
     def echo(self) -> dict:
-        return {
-            "n": self.n,
-            "strategy": self.strategy,
-            "representation": self.representation,
-            "metric": self.resolved_metric,
-            "s": self.s,
-            "m": self.m,
-            "seed": self.seed,
-            "allow_proxy_a_subsets": self.allow_proxy_a_subsets,
-        }
+        return {**asdict(self), "metric": self.resolved_metric}
 
 
 @dataclass
@@ -137,18 +129,6 @@ class SelectionResult:
     item_scores: dict[str, float] | None = None
     subset_scores: list[float] | None = None
     iteration_members: list[list[str]] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "chosen": self.chosen,
-            "strategy": self.strategy,
-            "config": self.config,
-            "seed": self.seed,
-            "shortfall": self.shortfall,
-            "item_scores": self.item_scores,
-            "subset_scores": self.subset_scores,
-            "iteration_members": self.iteration_members,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +305,8 @@ def subset_select(
     m: int,
     pool: Sequence[Document],
     target_repr,
-    per_instance_reprs,
+    matrix,
+    pool_index: np.ndarray,
     item_scores: np.ndarray,
     metric: str,
     seed: int,
@@ -339,6 +320,11 @@ def subset_select(
     examples are gathered; the final round's winner is truncated to exactly
     ``n`` by ``item_scores`` (one per pool document), best first.
 
+    ``matrix`` is the representation matrix of the whole corpus and
+    ``pool_index`` holds each pool document's corpus row, so ``pool[i]`` is
+    represented by ``matrix[pool_index[i]]``. Candidates are pooled straight
+    from those rows; ``pool_groups`` converts the matrix as it needs.
+
     With ``s=1`` and ``m`` at least the remaining pool size, the candidate
     set is enumerated exhaustively (one singleton per remaining document,
     ranked by ``_rank``), which makes the procedure equal to instance-level
@@ -351,11 +337,9 @@ def subset_select(
         raise ConfigError("subset selection requires s >= 1, m >= 1, n >= 1")
     if not pool:
         raise DataError("selection pool is empty")
-    rows = per_instance_reprs
-    rows = rows.tocsr() if sp.issparse(rows) else np.asarray(rows, dtype=np.float64)
-    if rows.shape[0] != len(pool) or len(item_scores) != len(pool):
+    if len(pool_index) != len(pool) or len(item_scores) != len(pool):
         raise DataError(
-            f"{rows.shape[0]} representations and {len(item_scores)} scores "
+            f"{len(pool_index)} rows and {len(item_scores)} scores "
             f"for {len(pool)} pool documents"
         )
     orientation = METRIC_ORIENTATION[metric]
@@ -367,14 +351,15 @@ def subset_select(
     subset_scores: list[float] = []
 
     while len(chosen) < n and len(available):
-        size = min(s, len(available))
         if s == 1 and m >= len(available):
             ids = [pool[i].id for i in available]
             in_avail = np.array(_rank(item_scores[available], orientation, ids))[:, None]
         else:
-            in_avail = _draw_subsets(rng, len(available), size, m)
+            in_avail = _draw_subsets(rng, len(available), min(s, len(available)), m)
         candidates = available[in_avail]
-        scores = _candidate_scores(rows, item_scores, candidates, target_repr, metric)
+        scores = _candidate_scores(
+            matrix, pool_index, item_scores, candidates, target_repr, metric
+        )
         key = _sort_key(scores, orientation)
         best = int(np.argmin(key))
         if not np.isfinite(key[best]):
@@ -387,8 +372,7 @@ def subset_select(
         chosen.extend(int(i) for i in members)
         iteration_members.append([pool[int(i)].id for i in members])
         subset_scores.append(float(scores[best]))
-        keep = ~np.isin(available, members)
-        available = available[keep]
+        available = available[~np.isin(available, members)]
 
     return SelectionResult(
         chosen=[pool[i].id for i in chosen],
@@ -436,11 +420,13 @@ def _draw_subsets(rng: np.random.Generator, n_avail: int, size: int, m: int) -> 
 
 
 def _candidate_scores(
-    rows, item_scores: np.ndarray, candidates: np.ndarray, target_repr, metric: str
+    matrix, pool_index: np.ndarray, item_scores: np.ndarray, candidates: np.ndarray,
+    target_repr, metric: str,
 ) -> np.ndarray:
-    """Score each candidate subset (a row of ``candidates``), in batches.
+    """Score each candidate subset, a row of pool positions, in batches.
 
-    Each batch is pooled by ``pool_groups`` and scored by ``_score_rows``:
+    Each batch pools its members' rows of ``matrix`` (pool position i is row
+    ``pool_index[i]``) by ``pool_groups`` and is scored by ``_score_rows``:
     term-distribution sums are scored as counts, dense rows as member means.
     Every candidate is scored on its own, so the batch size does not change
     any score. A proxy-A subset scores as the mean of its members'
@@ -456,6 +442,6 @@ def _candidate_scores(
     for start in range(0, len(candidates), _SCORE_CHUNK):
         block = candidates[start : start + _SCORE_CHUNK]
         indptr = np.arange(0, block.size + 1, block.shape[1])
-        pooled = pool_groups(rows, block.ravel(), indptr)
+        pooled = pool_groups(matrix, pool_index[block.ravel()], indptr)
         out[start : start + len(block)] = _score_rows(pooled, target_repr, metric)
     return out

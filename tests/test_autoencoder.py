@@ -372,6 +372,7 @@ class TestTrain:
         for key, value in model_a.parameters().items():
             assert np.array_equal(value, model_b.parameters()[key])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence is the point
     def test_nonfinite_loss_aborts(self):
         data = np.random.default_rng(0).random((8, 4))
         config = AETrainConfig(epochs=3, masking_prob=0.0, hidden_dim=2,

@@ -68,6 +68,15 @@ SPEC = {
     ],
 }
 
+# a value of each run setting checked before the corpus loads, on every
+# subcommand that loads one
+BAD_RUN_VALUES = [
+    command + bad
+    for command in (["select"], ["evaluate"], ["sweep", "--n-values", "4"])
+    for bad in (["--a", "nan"], ["--a", "inf"], ["--a", "0"], ["--runs", "0"],
+                ["--vocab-cap", "0"])
+]
+
 SMALL = ["--task", "binary", "--n", "10", "--s", "3", "--m", "20", "--runs", "2"]
 
 
@@ -133,7 +142,8 @@ class TestExitCodes:
             ["select", "--ae-hidden", "0"],
             ["evaluate", "--ae-lr", "-1"],
             ["sweep", "--n-values", "4", "--ae-batch", "0"],
-        ],
+        ]
+        + BAD_RUN_VALUES,
     )
     def test_bad_training_value_is_one_before_loading(self, tmp_path, argv):
         missing = tmp_path / "missing.jsonl"  # loading it would exit 2
@@ -142,11 +152,19 @@ class TestExitCodes:
         assert cli.main(argv) == 1
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", BAD_RUN_VALUES)
+    def test_bad_run_value_is_one_with_a_corpus(self, data, tmp_path, argv):
+        argv = argv + ["--corpus", str(data["corpus"]), "--target", "tgt",
+                       "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert not any(tmp_path.iterdir())
+
     def test_missing_corpus_is_two(self, tmp_path):
         missing = tmp_path / "missing.jsonl"
         assert cli.main(["select", "--corpus", str(missing), "--target", "tgt",
                          "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence is the point
     def test_numerical_failure_is_three(self, data, tmp_path):
         args = base_args(data, tmp_path) + [
             "--representation", "autoencoder", "--ae-lr", "1e308", "--ae-hidden", "4",

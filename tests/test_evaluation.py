@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,22 +10,24 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dataselect import evaluation, selection
 from dataselect.corpus import Corpus, Document
+from dataselect.embeddings import EmbeddingTable
 from dataselect.errors import ConfigError, DataError
 from dataselect.evaluation import (
     ClassifierConfig,
-    ExperimentContext,
     ExperimentResources,
     evaluate,
     prepare_context,
     run_experiment,
+    run_selection,
     t_test,
     train_classifier,
 )
 from dataselect.corpus import PreprocessOptions, build_vocabulary, tokenize_corpus
-from dataselect.representations import RepresentationSpace, TermDistribution
+from dataselect.representations import RepresentationSpace, TermDistribution, pool_groups
 from dataselect.selection import SelectionConfig, select_domain_level
-from dataselect.similarity import cosine, js_divergence
+from dataselect.similarity import METRIC_ORIENTATION, cosine, js_divergence
 from dataselect.synthetic import DomainSpec, generate
 
 
@@ -373,6 +377,27 @@ class TestRunExperiment:
         assert all(doc.domain != "tgt" for doc in context.pool_docs)
 
 
+class TestContextMemory:
+    def test_no_pool_sized_copy_is_retained(self, corpus):
+        """Beyond the representation matrix, the context keeps per-document
+        ids and row numbers only, far less than a copy of the pool's rows."""
+        encoded = tokenize_corpus(corpus, PreprocessOptions(stopwords=frozenset()))
+        vocab = build_vocabulary(encoded, 2000)
+        rng = np.random.default_rng(0)
+        dim = 256
+        table = EmbeddingTable({t: rng.normal(size=dim) for t in vocab.tokens}, dim=dim)
+        resources = ExperimentResources(embedding_table=table)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            context = prepare_context(corpus, encoded, vocab, "tgt", "embedding", resources)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        pool_rows_nbytes = len(context.pool_docs) * dim * 8
+        assert retained - context.space.matrix.nbytes < pool_rows_nbytes / 4
+
+
 def scalar_domain_scores(space, corpus, target_domain, metric):
     """Target aggregate and domain scores as they were computed before the
     context scored all domains at once: each domain's rows are copied out and
@@ -403,7 +428,121 @@ def scalar_domain_scores(space, corpus, target_domain, metric):
     return target, scores
 
 
+def space_over(docs, kind, matrix):
+    ids = [doc.id for doc in docs]
+    return RepresentationSpace(
+        kind=kind, doc_ids=ids, index={d: i for i, d in enumerate(ids)}, matrix=matrix
+    )
+
+
+def context_over(corpus, space):
+    """``prepare_context`` for target ``tgt`` over a given representation space."""
+    with mock.patch.object(evaluation, "build_representation_space", return_value=space):
+        return prepare_context(corpus, None, None, "tgt", "term_dist")
+
+
+def copied_rows_subset_select(s, n, m, pool, target_repr, rows, item_scores, metric, seed):
+    """``subset_select`` as it was when the context copied the pool's rows out
+    of the representation matrix: ``rows[i]`` is ``pool[i]``'s row."""
+    orientation = METRIC_ORIENTATION[metric]
+    rng = np.random.default_rng(seed)
+    available = np.arange(len(pool))
+    chosen, iteration_members, subset_scores = [], [], []
+    while len(chosen) < n and len(available):
+        size = min(s, len(available))
+        if s == 1 and m >= len(available):
+            ids = [pool[i].id for i in available]
+            in_avail = np.array(selection._rank(item_scores[available], orientation, ids))
+            in_avail = in_avail[:, None]
+        else:
+            in_avail = selection._draw_subsets(rng, len(available), size, m)
+        candidates = available[in_avail]
+        if metric == "proxy_a" or candidates.shape[1] == 1:
+            scores = item_scores[candidates].mean(axis=1)
+        else:
+            scores = np.empty(len(candidates))
+            for start in range(0, len(candidates), selection._SCORE_CHUNK):
+                block = candidates[start : start + selection._SCORE_CHUNK]
+                indptr = np.arange(0, block.size + 1, block.shape[1])
+                pooled = pool_groups(rows, block.ravel(), indptr)
+                scores[start : start + len(block)] = selection._score_rows(
+                    pooled, target_repr, metric
+                )
+        key = selection._sort_key(scores, orientation)
+        best = int(np.argmin(key))
+        if not np.isfinite(key[best]):
+            break
+        members = candidates[best]
+        room = n - len(chosen)
+        if len(members) > room:
+            ids = [pool[i].id for i in members]
+            members = members[selection._rank(item_scores[members], orientation, ids)[:room]]
+        chosen.extend(int(i) for i in members)
+        iteration_members.append([pool[int(i)].id for i in members])
+        subset_scores.append(float(scores[best]))
+        available = available[~np.isin(available, members)]
+    return [pool[i].id for i in chosen], subset_scores, iteration_members
+
+
 class TestContextScores:
+    @given(st.data())
+    def test_pool_rows_address_the_matrix_like_copied_rows(self, data):
+        """Pool rows interleaved with target and unlabeled rows: item scores
+        and subset selections read from the whole matrix equal those of the
+        pool's rows copied out of it, bit for bit."""
+        kind, metric = data.draw(
+            st.sampled_from(
+                [("term_dist", "jensen_shannon"), ("embedding", "cosine"),
+                 ("term_dist", "cosine")]
+            ),
+            label="case",
+        )
+        roles = data.draw(
+            st.lists(st.sampled_from(["tgt", "a", "a?", "b", "b?"]), max_size=14), label="roles"
+        )
+        roles = ["tgt", "a"] + roles  # a target row and a labeled pool row at least
+        order = data.draw(st.permutations(range(len(roles))), label="row order")
+        docs = [
+            Document(
+                id=f"d{i:02d}", text="x", domain=roles[j].rstrip("?"),
+                label=None if roles[j].endswith("?") else "positive",
+            )
+            for i, j in enumerate(order)
+        ]
+        shape = (len(docs), data.draw(st.integers(1, 6), label="width"))
+        if kind == "term_dist":
+            counts = st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0])
+            full = arrays(np.float64, shape, elements=counts, fill=st.nothing())
+            matrix = sp.csr_matrix(data.draw(full, label="counts"))
+        else:
+            value = st.floats(-1e3, 1e3, allow_nan=False) | st.just(0.0)
+            full = arrays(np.float64, shape, elements=value, fill=st.nothing())
+            matrix = data.draw(full, label="rows")
+        corpus = Corpus(docs)
+        space = space_over(docs, kind, matrix)
+        context = context_over(corpus, space)
+        assume(kind != "term_dist" or not context.target_repr.empty)
+        pool = context.pool_docs
+        assert pool == [doc for doc in docs if doc.domain != "tgt" and doc.label is not None]
+        copied = matrix[[space.index[doc.id] for doc in pool]]
+
+        expected = selection._score_rows(copied, context.target_repr, metric)
+        assert bitwise_equal(context.item_scores(metric, seed=0), expected)
+
+        s = data.draw(st.integers(1, 4), label="s")
+        m = data.draw(st.integers(1, 6), label="m")
+        n = data.draw(st.integers(1, len(pool) + 1), label="n")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        config = SelectionConfig(n=n, strategy="subset", representation=kind, metric=metric,
+                                 s=s, m=m)
+        result = run_selection(context, config, seed)
+        chosen, subset_scores, members = copied_rows_subset_select(
+            s, n, m, pool, context.target_repr, copied, expected, metric, seed
+        )
+        assert result.chosen == chosen
+        assert bitwise_equal(np.array(result.subset_scores), np.array(subset_scores))
+        assert result.iteration_members == members
+
     @given(st.data())
     def test_domain_scores_match_scalar_loop(self, data):
         kind = data.draw(st.sampled_from(["term_dist", "embedding"]), label="kind")
@@ -428,19 +567,11 @@ class TestContextScores:
             matrix[data.draw(arrays(bool, shape[0]), label="empty rows")] = 0.0
             metric = "cosine"
         corpus = Corpus(docs)
-        ids = [doc.id for doc in docs]
-        space = RepresentationSpace(
-            kind=kind, doc_ids=ids, index={d: i for i, d in enumerate(ids)}, matrix=matrix
-        )
+        space = space_over(docs, kind, matrix)
         target, expected = scalar_domain_scores(space, corpus, "tgt", metric)
         assume(kind != "term_dist" or not target.empty)
         pool = [doc for doc in docs if doc.domain != "tgt"]
-        context = ExperimentContext(
-            corpus=corpus, target_domain="tgt", encoded=None, space=space, pool_docs=pool,
-            pool_rows=space.rows([doc.id for doc in pool]),
-            target_repr=space.aggregate([doc.id for doc in corpus.domain_documents("tgt")]),
-            resources=ExperimentResources(),
-        )
+        context = context_over(corpus, space)
         if kind == "term_dist":
             assert np.array_equal(context.target_repr.probs, target.probs)
         else:

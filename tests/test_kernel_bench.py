@@ -50,7 +50,7 @@ def test_sparse_js_round(benchmark):
     candidates = round_candidates(rng)
     scores = benchmark.pedantic(
         selection._candidate_scores,
-        args=(rows, None, candidates, target, "jensen_shannon"),
+        args=(rows, np.arange(POOL), None, candidates, target, "jensen_shannon"),
         rounds=5,
         iterations=1,
     )
@@ -64,7 +64,7 @@ def test_dense_cosine_round(benchmark):
     candidates = round_candidates(rng)
     scores = benchmark.pedantic(
         selection._candidate_scores,
-        args=(rows, None, candidates, target, "cosine"),
+        args=(rows, np.arange(POOL), None, candidates, target, "cosine"),
         rounds=5,
         iterations=1,
     )

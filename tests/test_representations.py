@@ -126,7 +126,7 @@ class TestSifEmbedding:
             [("q", "hot", "x"), ("r", " ".join(["hot"] * 9 + ["filler"] * 90), "x")], table
         )
         expected = math.sqrt(1e-5 / 0.1) * np.array([1.0, 0.0])
-        assert np.allclose(space.rows(["q"])[0], expected, atol=1e-12)
+        assert np.allclose(space.matrix[0], expected, atol=1e-12)
 
     def test_two_tokens_hand_computed(self, table):
         # weighted sum over occurrences divided by the in-table count;
@@ -141,38 +141,44 @@ class TestSifEmbedding:
         expected = (
             w_hot * np.array([1.0, 0.0]) + w_cold * np.array([0.0, 1.0])
         ) / 2
-        assert np.allclose(space.rows(["q"])[0], expected, atol=1e-9)
+        assert np.allclose(space.matrix[0], expected, atol=1e-9)
 
     def test_oov_tokens_skipped(self, table):
         space = sif_space([("q", "hot unknowable", "x"), ("r", "hot", "x")], table)
-        with_oov, only = space.rows(["q", "r"])
+        with_oov, only = space.matrix
         assert np.allclose(with_oov, only)
 
     def test_no_table_tokens_gives_zero_vector(self, table):
         space = sif_space([("q", "nothing matches", "x"), ("r", "hot", "x")], table)
-        assert np.all(space.rows(["q"])[0] == 0)
+        assert np.all(space.matrix[0] == 0)
 
     def test_table_tokens_outside_vocabulary_ignored(self, table):
         # "cold" has a vector but is not in the vocabulary: p(hot) = 2 / 2
         vocab = vocabulary(["hot"])
         space = sif_space([("q", "hot cold", "x"), ("r", "hot", "x")], table, vocab=vocab)
         expected = math.sqrt(1e-5) * np.array([1.0, 0.0])
-        assert np.allclose(space.rows(["q"])[0], expected, atol=1e-12)
+        assert np.allclose(space.matrix[0], expected, atol=1e-12)
 
     def test_nonpositive_smoothing_rejected(self, table):
         with pytest.raises(ConfigError):
             sif_space([("q", "hot", "x")], table, a=0.0)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -1.0])
+    def test_nonfinite_or_negative_smoothing_rejected(self, table, a):
+        # a NaN or infinite a would make every row non-finite without an error
+        with pytest.raises(ConfigError, match="finite and > 0"):
+            sif_space([("q", "hot", "x")], table, a=a)
+
     def test_token_order_invariance(self, table):
         space = sif_space([("q", "hot cold hot", "x"), ("r", "cold hot hot", "x")], table)
-        ab, ba = space.rows(["q", "r"])
+        ab, ba = space.matrix
         assert np.allclose(ab, ba, atol=1e-12)
 
     def test_scaling_embeddings_scales_output(self, table):
         rows = [("q", "hot cold", "x"), ("r", "hot hot hot cold filler", "x")]
         scaled = EmbeddingTable({k: 3.0 * v for k, v in table.entries.items()}, dim=2)
-        base = sif_space(rows, table).rows(["q"])[0]
-        big = sif_space(rows, scaled).rows(["q"])[0]
+        base = sif_space(rows, table).matrix[0]
+        big = sif_space(rows, scaled).matrix[0]
         assert np.allclose(big, 3.0 * base, atol=1e-12)
 
 
@@ -251,7 +257,7 @@ class TestAERepresentation:
             corpus, "autoencoder", vocabulary(["x"]),
             ae_model=model, ae_features=np.asarray(features, dtype=np.float64),
         )
-        return space.rows(space.doc_ids)
+        return space.matrix
 
     def test_zero_input_gives_sigmoid_bias(self, model):
         code = self.codes(model, np.zeros((1, 6)))[0]
@@ -336,7 +342,7 @@ class TestRepresentationSpace:
         )
         space = build(corpus, "autoencoder", vocab, ae_model=model, ae_features=features)
         direct = encode(model, features[0])
-        assert np.allclose(space.rows(["a1"])[0], direct, atol=1e-12)
+        assert np.allclose(space.matrix[space.index["a1"]], direct, atol=1e-12)
 
     def test_missing_embedding_table_is_config_error(self, corpus, vocab):
         with pytest.raises(ConfigError):

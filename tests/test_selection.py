@@ -50,6 +50,11 @@ def target_dist(size, seed=99):
     return TermDistribution(probs=raw / raw.sum())
 
 
+def every_row(rows):
+    """Pool rows of a matrix that holds the pool alone, in pool order."""
+    return np.arange(rows.shape[0])
+
+
 def scored(rows, target, metric):
     """Item scores of ``rows``, as the experiment context computes them."""
     return selection._score_rows(rows, target, metric)
@@ -295,8 +300,8 @@ class TestSubsetSelect:
         m = 5
         seed = 42
         result = subset_select(
-            s, n, m, pool, target, rows, scored(rows, target, "jensen_shannon"),
-            "jensen_shannon", seed,
+            s, n, m, pool, target, rows, every_row(rows),
+            scored(rows, target, "jensen_shannon"), "jensen_shannon", seed,
         )
         assert len(result.iteration_members) == 1
 
@@ -330,7 +335,9 @@ class TestSubsetSelect:
             pool = make_pool(80)
             scores = scored(rows, target, metric)
             instance = select_instance_level(pool, scores, metric, 30)
-            subset = subset_select(1, 30, 200, pool, target, rows, scores, metric, seed=seed)
+            subset = subset_select(
+                1, 30, 200, pool, target, rows, every_row(rows), scores, metric, seed=seed,
+            )
             assert set(subset.chosen) == set(instance.chosen)
 
     @given(st.data())
@@ -358,7 +365,9 @@ class TestSubsetSelect:
         m = data.draw(st.integers(n_pool, n_pool + 3), label="m")
         scores = scored(rows, target, metric)
         instance = select_instance_level(pool, scores, metric, n)
-        subset = subset_select(1, n, m, pool, target, rows, scores, metric, seed=0)
+        subset = subset_select(
+            1, n, m, pool, target, rows, every_row(rows), scores, metric, seed=0,
+        )
         assert subset.chosen == instance.chosen
         assert subset.shortfall == instance.shortfall
         assert subset.subset_scores == [instance.item_scores[i] for i in instance.chosen]
@@ -371,7 +380,9 @@ class TestSubsetSelect:
         pool = make_pool(2)
         scores = scored(rows, target, "jensen_shannon")
         instance = select_instance_level(pool, scores, "jensen_shannon", 1)
-        subset = subset_select(1, 1, 2, pool, target, rows, scores, "jensen_shannon", seed=0)
+        subset = subset_select(
+            1, 1, 2, pool, target, rows, every_row(rows), scores, "jensen_shannon", seed=0,
+        )
         assert instance.chosen == ["p0000"]
         assert subset.chosen == instance.chosen
         assert subset.subset_scores == [instance.item_scores["p0000"]]
@@ -382,7 +393,9 @@ class TestSubsetSelect:
         target = target_dist(size)
         pool = make_pool(100)
         scores = scored(rows, target, "jensen_shannon")
-        result = subset_select(7, 20, 30, pool, target, rows, scores, "jensen_shannon", seed=3)
+        result = subset_select(
+            7, 20, 30, pool, target, rows, every_row(rows), scores, "jensen_shannon", seed=3,
+        )
         seen = set()
         for members in result.iteration_members:
             assert not (set(members) & seen)
@@ -394,7 +407,9 @@ class TestSubsetSelect:
         target = target_dist(size)
         pool = make_pool(100)
         scores = scored(rows, target, "jensen_shannon")
-        result = subset_select(7, 20, 30, pool, target, rows, scores, "jensen_shannon", seed=4)
+        result = subset_select(
+            7, 20, 30, pool, target, rows, every_row(rows), scores, "jensen_shannon", seed=4,
+        )
         assert len(result.chosen) == 20
         assert len(set(result.chosen)) == 20
         assert [len(m) for m in result.iteration_members] == [7, 7, 6]
@@ -405,8 +420,12 @@ class TestSubsetSelect:
         target = target_dist(size)
         pool = make_pool(50)
         scores = scored(rows, target, "jensen_shannon")
-        a = subset_select(5, 15, 20, pool, target, rows, scores, "jensen_shannon", seed=11)
-        b = subset_select(5, 15, 20, pool, target, rows, scores, "jensen_shannon", seed=11)
+        a = subset_select(
+            5, 15, 20, pool, target, rows, every_row(rows), scores, "jensen_shannon", seed=11,
+        )
+        b = subset_select(
+            5, 15, 20, pool, target, rows, every_row(rows), scores, "jensen_shannon", seed=11,
+        )
         assert a.chosen == b.chosen
         assert a.subset_scores == b.subset_scores
 
@@ -420,7 +439,9 @@ class TestSubsetSelect:
         rows = rng.random((30, 3))
         target_rows = rng.random((15, 3)) + 1.0
         scores = proxy_a_scores(rows, target_rows, seed=0)
-        result = subset_select(3, 9, 10, make_pool(30), None, rows, scores, "proxy_a", 0)
+        result = subset_select(
+            3, 9, 10, make_pool(30), None, rows, every_row(rows), scores, "proxy_a", 0,
+        )
         assert len(result.chosen) == 9
         for members, score in zip(result.iteration_members, result.subset_scores):
             index = [int(doc_id[1:]) for doc_id in members]
@@ -451,7 +472,8 @@ class TestSubsetSelect:
         seed = data.draw(st.integers(0, 2**16), label="seed")
 
         result = subset_select(
-            s, room, 1, pool, target, rows, scored(rows, target, metric), metric, seed
+            s, room, 1, pool, target, rows, every_row(rows), scored(rows, target, metric),
+            metric, seed,
         )
         (members,) = selection._draw_subsets(np.random.default_rng(seed), n_pool, s, 1)
         empty = {pool[i].id for i in range(n_pool) if rows[i].sum() == 0}
@@ -469,7 +491,9 @@ class TestSubsetSelect:
         pool = make_pool(3)
         target = TermDistribution(probs=np.array([0.5, 0.5]))
         scores = scored(rows, target, "jensen_shannon")
-        result = subset_select(3, 2, 1, pool, target, rows, scores, "jensen_shannon", 0)
+        result = subset_select(
+            3, 2, 1, pool, target, rows, every_row(rows), scores, "jensen_shannon", 0,
+        )
         assert result.chosen == ["p0001", "p0000"]
 
     def test_pool_smaller_than_n(self):
@@ -477,8 +501,8 @@ class TestSubsetSelect:
         rows = random_counts(8, size, seed=10)
         target = target_dist(size)
         result = subset_select(
-            3, 20, 10, make_pool(8), target, rows, scored(rows, target, "jensen_shannon"),
-            "jensen_shannon", 0,
+            3, 20, 10, make_pool(8), target, rows, every_row(rows),
+            scored(rows, target, "jensen_shannon"), "jensen_shannon", 0,
         )
         assert len(result.chosen) == 8
         assert result.shortfall == 12
@@ -505,7 +529,9 @@ class TestCandidateScores:
         for chunk in (1, 7, 256, 4096):
             monkeypatch.setattr(selection, "_SCORE_CHUNK", chunk)
             results.append(
-                selection._candidate_scores(rows, None, candidates, target, metric)
+                selection._candidate_scores(
+                    rows, every_row(rows), None, candidates, target, metric,
+                )
             )
         if metric == "jensen_shannon":
             assert np.isnan(results[0][-9:]).all()  # aggregates of empty rows only
@@ -524,7 +550,9 @@ class TestCandidateScores:
 
         monkeypatch.setattr(selection, "_SCORE_CHUNK", 7)
         monkeypatch.setattr(selection, "_score_rows", record)
-        scores = selection._candidate_scores(rows, None, candidates, target.probs, "cosine")
+        scores = selection._candidate_scores(
+            rows, every_row(rows), None, candidates, target.probs, "cosine",
+        )
         oracle = rows[candidates].mean(axis=1)
         assert np.array_equal(np.vstack(aggregates), oracle)
         assert np.array_equal(scores, cosine_to_target(oracle, target.probs))
@@ -615,8 +643,8 @@ class TestMonotonicityHarness:
         space = build_representation_space(corpus, encoded, "term_dist", vocab)
         pool = [d for d in corpus if d.domain != "tgt"]
         target = space.aggregate([d.id for d in corpus.domain_documents("tgt")])
-        rows = space.rows([d.id for d in pool])
-        item_scores = scored(rows, target, "jensen_shannon")
+        pool_index = np.array([space.index[d.id] for d in pool])
+        item_scores = scored(space.matrix, target, "jensen_shannon")[pool_index]
 
         def selected_js(result):
             agg = space.aggregate(result.chosen)
@@ -629,7 +657,8 @@ class TestMonotonicityHarness:
             subset_js.append(
                 selected_js(
                     subset_select(
-                        10, 60, 50, pool, target, rows, item_scores, "jensen_shannon", seed
+                        10, 60, 50, pool, target, space.matrix, pool_index, item_scores,
+                        "jensen_shannon", seed,
                     )
                 )
             )
