@@ -23,13 +23,13 @@ textbook expressions (``m = b1*m + (1-b1)*g``,
 every parameter and loss is bit-identical to an allocating update and the
 contract above is unchanged.
 
-``encode`` streams its input in row blocks of about ``_ENCODE_BLOCK`` rows:
-sparse input is converted to CSR once and densified one block at a time, and
-each block's ``sigmoid(block @ W.T + b)`` is written into one preallocated
-``(n, h)`` output. Memory above the output is a few block-sized temporaries
-instead of the dense input plus three whole ``(n, h)`` arrays. At the default
-hidden size the codes equal the whole-matrix product's bit for bit (see
-``encode`` for the split rule and where that holds).
+Row blocks: every walk over a matrix's rows in blocks -- ``encode`` here,
+the dense batched scores in ``similarity``, and the candidate scoring and
+random-key draws of the subset search in ``selection`` -- takes its blocks
+from ``_row_blocks``, about ``_BLOCK_ROWS`` rows each. A block bounds memory
+and changes no output: every score is computed per row and the key draws
+continue one generator stream. Only ``encode``'s BLAS products can see the
+block size, and at the default hidden size they do not (see ``encode``).
 """
 
 from __future__ import annotations
@@ -50,12 +50,17 @@ from .errors import ConfigError, DataError, NumericalError
 # 32768: 13-14 ms, 131072: 14-17 ms. 16384 is the smaller end of the plateau.
 _ADAM_BLOCK = 16384
 
-# Rows per encode block. A 256-row block of the pipeline's inputs (about 1,280
-# tf-idf columns) densifies to 2.6 MB and its codes (h=1000) take 2 MB, so the
-# block's temporaries stay cache-sized, as selection._SCORE_CHUNK keeps the
-# subset search's. Encoding the 8,400 x 1,260 graded seed-0 pool, the traced
-# peak above the 67 MB of codes was 236 MB whole and is 5 MB in these blocks.
-_ENCODE_BLOCK = 256
+# Rows per block of every ``_row_blocks`` walk. 256 of the pipeline's widest
+# rows (about 1,280 tf-idf columns) densify to 2.6 MB and their codes (h=1000)
+# take 2 MB, so a block's temporaries stay cache-sized. Encoding the
+# 8,400 x 1,260 graded seed-0 pool traced a peak above the 67 MB of codes of
+# 236 MB whole and 5 MB in these blocks; scoring its 8,400 x 1,000 codes, a
+# 33 MB peak in 4096-row blocks and 2.2 MB in these. A block of 256 subset
+# candidates (term distributions, s=20) holds about 60k nonzeros, so each JS
+# temporary (about 0.5 MB) stays in cache; at 2048 they were about 4 MB each
+# and a third of the subset search went to system time allocating them, and
+# 128, 512 and 1,024 were slower.
+_BLOCK_ROWS = 256
 
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -277,13 +282,14 @@ def train(
     return model, losses
 
 
-def _row_blocks(n: int, block: int):
-    """Yield ``(start, stop)`` of ``ceil(n / block)`` contiguous row blocks
-    whose sizes differ by at most one, but never a block of fewer than 2 rows
-    when ``n >= 2`` (a 1-row product goes to BLAS gemv, which sums in another
-    order than gemm). ``n <= block`` gives the single block ``(0, n)``.
+def _row_blocks(n: int):
+    """Yield ``(start, stop)`` of ``ceil(n / _BLOCK_ROWS)`` contiguous row
+    blocks whose sizes differ by at most one, but never a block of fewer than
+    2 rows when ``n >= 2`` (a 1-row product goes to BLAS gemv, which sums in
+    another order than gemm). ``n <= _BLOCK_ROWS`` gives the single block
+    ``(0, n)``.
     """
-    count = max(1, min(-(-n // block), n // 2))
+    count = max(1, min(-(-n // _BLOCK_ROWS), n // 2))
     base, extra = divmod(n, count)
     start = 0
     for i in range(count):
@@ -297,12 +303,12 @@ def encode(model: AEModel, x: np.ndarray | sp.spmatrix) -> np.ndarray:
 
     Accepts one vector (d,) or a batch (n, d), dense or sparse; the result
     matches the input's arrangement. The batch is encoded in row blocks of
-    about ``_ENCODE_BLOCK`` rows into one preallocated ``(n, h)`` array, and
-    sparse input is densified one block at a time, so memory above the codes
-    stays a few blocks' worth however large ``n`` is.
+    ``_row_blocks`` into one preallocated ``(n, h)`` array, and sparse input
+    is densified one block at a time, so memory above the codes stays a few
+    blocks' worth however large ``n`` is.
 
-    The ``n`` rows are split evenly into ``ceil(n / _ENCODE_BLOCK)`` blocks.
-    With ``n <= _ENCODE_BLOCK`` that is one block, the whole-matrix
+    The ``n`` rows are split evenly into ``ceil(n / _BLOCK_ROWS)`` blocks.
+    With ``n <= _BLOCK_ROWS`` that is one block, the whole-matrix
     computation exactly. Otherwise every block has more than half the block
     size, so no block is a 1-row product: numpy sends those to gemv, whose
     sums differ in the last bits from the gemm rows of a larger product. With
@@ -324,7 +330,7 @@ def encode(model: AEModel, x: np.ndarray | sp.spmatrix) -> np.ndarray:
     if d != model.input_dim:
         raise DataError(f"input has dimension {d}, model expects {model.input_dim}")
     codes = np.empty((n, model.hidden_dim))
-    for start, stop in _row_blocks(n, _ENCODE_BLOCK):
+    for start, stop in _row_blocks(n):
         block = x[start:stop]
         if sp.issparse(block):
             block = block.toarray()

@@ -405,15 +405,14 @@ def cmd_sweep(config: RunConfig, n_values: list[int]) -> int:
 
 
 def _domain_spec_from_dict(obj: dict, default_seed: int) -> DomainSpec:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"a domain spec must be an object, got {obj!r}")
     allowed = {f.name for f in fields(DomainSpec)}
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown domain-spec keys: {sorted(unknown)}")
-    values = dict(obj)
-    if "doc_length" in values:
-        values["doc_length"] = tuple(values["doc_length"])
-    if "labels" in values:
-        values["labels"] = tuple(values["labels"])
+    # JSON lists become the tuples of doc_length and labels
+    values = {key: tuple(v) if isinstance(v, list) else v for key, v in obj.items()}
     values.setdefault("seed", default_seed)
     try:
         return DomainSpec(**values)
@@ -451,8 +450,9 @@ def cmd_generate(config: RunConfig, spec_file: str | None, catalog: bool) -> int
         spec_obj = json.loads(spec_path.read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{spec_path}: invalid JSON ({exc.msg})") from None
-    if not isinstance(spec_obj, dict) or "target" not in spec_obj or "sources" not in spec_obj:
-        raise ConfigError(f"{spec_path}: expected an object with 'target' and 'sources'")
+    if not (isinstance(spec_obj, dict) and "target" in spec_obj
+            and isinstance(spec_obj.get("sources"), list)):
+        raise ConfigError(f"{spec_path}: expected an object with 'target' and a list 'sources'")
     target = _domain_spec_from_dict(spec_obj["target"], generator_seed)
     sources = [
         _domain_spec_from_dict(source, substream_seed(generator_seed, f"source{i}"))

@@ -21,6 +21,7 @@ documents are therefore already in sorted string order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -53,6 +54,9 @@ class Document:
     label: str | None = None
 
     def __post_init__(self):
+        # ids are written one per line, so an id must be one non-empty line
+        if self.id.splitlines() != [self.id]:
+            raise DataError(f"document id {self.id!r} is not one non-empty line")
         if not self.domain:
             raise DataError(f"document {self.id!r} has an empty domain")
         if self.label is not None and self.label not in LABELS:
@@ -163,19 +167,10 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 # Preprocessing
 # ---------------------------------------------------------------------------
 
-def _load_default_stopwords() -> frozenset[str]:
+@functools.cache
+def default_stopwords() -> frozenset[str]:
     text = resources.files("dataselect.data").joinpath("stopwords_en.txt").read_text("utf-8")
     return frozenset(line.strip() for line in text.splitlines() if line.strip())
-
-
-_DEFAULT_STOPWORDS: frozenset[str] | None = None
-
-
-def default_stopwords() -> frozenset[str]:
-    global _DEFAULT_STOPWORDS
-    if _DEFAULT_STOPWORDS is None:
-        _DEFAULT_STOPWORDS = _load_default_stopwords()
-    return _DEFAULT_STOPWORDS
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:

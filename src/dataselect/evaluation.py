@@ -49,7 +49,7 @@ import scipy.sparse as sp
 from scipy.special import betainc
 
 from . import selection as sel
-from .autoencoder import AEModel, AETrainConfig, train as ae_train
+from .autoencoder import AETrainConfig, train as ae_train
 from .corpus import Corpus, Document, EncodedCorpus, TfidfModel, Vocabulary
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, DataError, DataSelectError
@@ -267,14 +267,12 @@ def t_test(runs_a: list[float], runs_b: list[float]) -> SignificanceResult:
 class ExperimentResources:
     """Shared inputs for experiments: representation and model knobs.
 
-    ``ae_model`` may be supplied directly; otherwise an autoencoder is
-    trained on all domains (target included, as unlabeled text) the first
-    time the autoencoder representation is requested.
+    The autoencoder representation trains its model on all domains (target
+    included, as unlabeled text) with ``ae_config``.
     """
 
     sif_a: float = 1e-5
     embedding_table: EmbeddingTable | None = None
-    ae_model: AEModel | None = None
     ae_config: AETrainConfig = field(default_factory=AETrainConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
 
@@ -363,13 +361,10 @@ def prepare_context(
         raise DataError("no source domains besides the target")
     if representation == EMBEDDING and resources.embedding_table is None:
         raise ConfigError("embedding representation requires an embeddings file")
-    ae_model = resources.ae_model
-    ae_features = None
+    ae_model = ae_features = None
     if representation == AUTOENCODER:
         ae_features = ae_input_features(encoded, vocab)
-        if ae_model is None:
-            ae_model, _ = ae_train(ae_features, resources.ae_config)
-            resources.ae_model = ae_model
+        ae_model, _ = ae_train(ae_features, resources.ae_config)
     space = build_representation_space(
         corpus,
         encoded,

@@ -4,9 +4,10 @@ Three interchangeable views back the similarity metrics. Each view is one
 matrix with a row per document: in-vocabulary term counts (sparse) for term
 distributions, frequency-weighted means of pre-trained word embeddings, and
 hidden-layer codes of a denoising autoencoder. Every group of rows -- a
-candidate subset, a source domain, the target domain -- is pooled by one
-primitive, ``pool_groups``: the product of a 0/1 ``picker`` matrix with one
-row per group and the representation matrix. That sums term counts
+candidate subset, a source domain, the target domain, and inside SIF a
+domain's term counts and a document's weighted word vectors -- is pooled by
+one primitive, ``pool_groups``: the product of a 0/1 ``picker`` matrix with
+one row per group and the matrix whose rows it pools. That sums term counts
 (normalized only afterwards) and, divided by the group size, averages dense
 rows; each group's members are added in member order and divided once, which
 is ``rows.mean(axis=0)`` bit for bit when rows have two or more columns
@@ -26,8 +27,10 @@ included, to the ``picker @ matrix`` product it replaces.
 
 Every view reads the ``EncodedCorpus`` and never the token strings: term
 counts are the vocabulary's columns of its count matrix, the autoencoder
-input is a unigram tf-idf of those columns, and SIF weights walk its flat
-token ids.
+input is a unigram tf-idf of those columns, and SIF reads its flat token ids.
+SIF weights each distinct (domain, token) pair once and pools every
+document's pairs in token order, so its rows equal a per-document loop over
+the tokens bit for bit.
 """
 
 from __future__ import annotations
@@ -169,7 +172,8 @@ def pool_groups(
     sizes = np.diff(indptr)
     # equal sizes (a batch of subset candidates) divide as one scalar, which
     # costs about half of dividing by a column of sizes
-    pooled /= sizes[0] if (sizes == sizes[0]).all() else sizes[:, None]
+    if n_groups:
+        pooled /= sizes[0] if (sizes == sizes[0]).all() else sizes[:, None]
     return pooled
 
 
@@ -214,9 +218,7 @@ def build_representation_space(
         if embedding_table is None:
             raise ConfigError("embedding representation requires an embedding table")
         check_sif_a(sif_a)
-        domain_code = {domain: i for i, domain in enumerate(sorted(corpus.domains))}
-        domains = np.array([domain_code[doc.domain] for doc in corpus], dtype=np.int64)
-        matrix = _sif_rows(encoded, domains, vocab, embedding_table, sif_a)
+        matrix = _sif_rows(corpus, encoded, vocab, embedding_table, sif_a)
     else:
         if ae_model is None or ae_features is None:
             raise ConfigError(
@@ -232,30 +234,36 @@ def build_representation_space(
 
 
 def _sif_rows(
+    corpus: Corpus,
     encoded: EncodedCorpus,
-    domains: np.ndarray,
     vocab: Vocabulary,
     table: EmbeddingTable,
     a: float,
 ) -> np.ndarray:
-    """SIF rows for documents whose domain codes are ``domains``.
+    """SIF rows of the corpus's documents, both sums pooled by ``pool_groups``.
 
-    Per-domain probabilities are column sums of the term counts over the
-    domain's documents, divided by the domain's in-vocabulary token total.
-    A document's tokens all occur in its own domain, so ``p > 0`` for every
-    weighted token. Rows are accumulated one token position at a time across
-    all documents, which sums each document in token order, exactly as a
-    per-document loop would.
+    Per-domain probabilities are the domain's pooled term counts divided by
+    its in-vocabulary token total; a document's tokens all occur in its own
+    domain, so ``p > 0`` for every weighted token. Each distinct (domain,
+    token) pair is weighted once, and a document's row pools the pairs of its
+    weighted tokens in token order, which adds them as a per-document loop
+    would. Documents without one stay the zero vector.
     """
-    n = len(domains)
-    membership = sp.csr_matrix(
-        (np.ones(n), (domains, np.arange(n))), shape=(int(domains.max(initial=0)) + 1, n)
-    )
-    domain_counts = (membership @ term_counts(encoded, vocab)).toarray()
+    n, width = len(corpus), len(vocab)
+    domains = sorted(corpus.domains)
+    groups = [corpus.domain_rows(domain) for domain in domains]
+    sizes = [len(group) for group in groups]
+    # the empty array keeps an empty corpus (no groups) working
+    members = np.concatenate([np.empty(0, dtype=np.intp), *groups])
+    domain_counts = pool_groups(
+        term_counts(encoded, vocab), members, np.cumsum([0] + sizes)
+    ).toarray()
     probs = domain_counts / np.maximum(domain_counts.sum(axis=1, keepdims=True), 1.0)
+    domain_of = np.empty(n, dtype=np.int64)
+    domain_of[members] = np.repeat(np.arange(len(domains)), sizes)
 
     in_table = np.array([token in table for token in vocab.tokens], dtype=bool)
-    vectors = np.zeros((len(vocab), table.dim), dtype=np.float64)
+    vectors = np.zeros((width, table.dim), dtype=np.float64)
     for j in np.flatnonzero(in_table).tolist():
         vectors[j] = table.entries[vocab.tokens[j]]
     # vocabulary position of each unigram id whose token has a vector, else -1
@@ -266,17 +274,15 @@ def _sif_rows(
     occurrences = position[encoded.token_ids]
     weighted = occurrences >= 0
     docs = np.repeat(np.arange(n), np.diff(encoded.offsets))[weighted]
-    tokens = occurrences[weighted]
-    lengths = np.bincount(docs, minlength=n)
-    weights = np.sqrt(a / probs[domains[docs], tokens])
-    positions = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    by_position = np.argsort(positions, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(positions))))
+    pairs, pair_rows = np.unique(
+        domain_of[docs] * width + occurrences[weighted], return_inverse=True
+    )
+    pair_domains, pair_tokens = np.divmod(pairs, width)
+    pair_vectors = np.sqrt(a / probs[pair_domains, pair_tokens])[:, None] * vectors[pair_tokens]
 
-    out = np.zeros((n, table.dim), dtype=np.float64)
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        at = by_position[start:end]  # at most one token per document
-        out[docs[at]] += weights[at, None] * vectors[tokens[at]]
+    lengths = np.bincount(docs, minlength=n)
     nonempty = lengths > 0
-    out[nonempty] /= lengths[nonempty, None]
+    out = np.zeros((n, table.dim), dtype=np.float64)
+    indptr = np.concatenate(([0], np.cumsum(lengths[nonempty])))
+    out[nonempty] = pool_groups(pair_vectors, pair_rows, indptr)
     return out

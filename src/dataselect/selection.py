@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .autoencoder import _row_blocks
 from .corpus import Document
 from .errors import ConfigError, DataError
 from .representations import (
@@ -57,14 +58,6 @@ from .similarity import (
 STRATEGIES = ("random", "balanced", "domain", "instance", "subset")
 
 _DEFAULT_METRIC = {TERM_DIST: JENSEN_SHANNON, EMBEDDING: COSINE, AUTOENCODER: COSINE}
-
-# Candidates scored per batch. At 256 a batch of term-distribution aggregates
-# (s=20) holds about 60k nonzeros, so each temporary of the JS kernel (about
-# 0.5 MB) stays in cache; at 2048 they were about 4 MB each and a third of
-# the subset search went to system time allocating them. 128, 512 and 1,024
-# were slower, with pooling by scipy's product kernels called directly too.
-# Every candidate is scored on its own, so the value changes no score.
-_SCORE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -400,8 +393,7 @@ def _draw_subsets(rng: np.random.Generator, n_avail: int, size: int, m: int) -> 
         # Keys are drawn in row blocks to bound memory; the generator
         # continues one stream, so the draw equals a one-shot (m, n_avail) one.
         out = np.empty((m, size), dtype=np.intp)
-        for start in range(0, m, _SCORE_CHUNK):
-            stop = min(start + _SCORE_CHUNK, m)
+        for start, stop in _row_blocks(m):
             keys = rng.random((stop - start, n_avail))
             out[start:stop] = np.argsort(keys, axis=1)[:, :size]
         return out
@@ -423,25 +415,23 @@ def _candidate_scores(
     matrix, pool_index: np.ndarray, item_scores: np.ndarray, candidates: np.ndarray,
     target_repr, metric: str,
 ) -> np.ndarray:
-    """Score each candidate subset, a row of pool positions, in batches.
+    """Score each candidate subset, a row of pool positions, in row blocks.
 
-    Each batch pools its members' rows of ``matrix`` (pool position i is row
+    Each block pools its members' rows of ``matrix`` (pool position i is row
     ``pool_index[i]``) by ``pool_groups`` and is scored by ``_score_rows``:
     term-distribution sums are scored as counts, dense rows as member means.
-    Every candidate is scored on its own, so the batch size does not change
-    any score. A proxy-A subset scores as the mean of its members'
-    ``item_scores``, and so does a singleton (``s=1``) under any metric: the
-    mean of one score is that score, so a singleton ranks exactly as its
-    member does in instance ranking (the sparse product emits a row's columns
-    in reverse order, and JS summed in that order can break a tie the other
-    way).
+    A proxy-A subset scores as the mean of its members' ``item_scores``, and
+    so does a singleton (``s=1``) under any metric: the mean of one score is
+    that score, so a singleton ranks exactly as its member does in instance
+    ranking (the sparse product emits a row's columns in reverse order, and
+    JS summed in that order can break a tie the other way).
     """
     if metric == PROXY_A or candidates.shape[1] == 1:
         return item_scores[candidates].mean(axis=1)
     out = np.empty(len(candidates), dtype=np.float64)
-    for start in range(0, len(candidates), _SCORE_CHUNK):
-        block = candidates[start : start + _SCORE_CHUNK]
+    for start, stop in _row_blocks(len(candidates)):
+        block = candidates[start:stop]
         indptr = np.arange(0, block.size + 1, block.shape[1])
         pooled = pool_groups(matrix, pool_index[block.ravel()], indptr)
-        out[start : start + len(block)] = _score_rows(pooled, target_repr, metric)
+        out[start:stop] = _score_rows(pooled, target_repr, metric)
     return out

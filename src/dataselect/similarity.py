@@ -20,11 +20,9 @@ and so the scores, are the same whatever the index dtype. Every batched path
 gives a row the same score however the rows are chunked or ordered.
 
 The dense batched paths (``cosine_to_target`` and dense ``js_to_target``)
-walk their rows in blocks of ``_ROW_BLOCK`` rows, densifying sparse cosine
-input one block at a time. Each row's score comes from elementwise operations
-and a reduction along that row alone, so it is the same in a block of any
-size, a block of one row included: the block size bounds memory and changes
-no score.
+walk their rows in ``autoencoder._row_blocks``, densifying sparse cosine input
+one block at a time; each row is scored by elementwise operations and a
+reduction along that row alone.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .autoencoder import sigmoid
+from .autoencoder import _row_blocks, sigmoid
 from .errors import ConfigError, DataError
 from .representations import TermDistribution
 
@@ -49,13 +47,6 @@ LOWER = "lower_is_more_similar"
 METRIC_ORIENTATION = {JENSEN_SHANNON: LOWER, COSINE: HIGHER, PROXY_A: HIGHER}
 
 LN2 = float(np.log(2.0))
-
-# Rows per block of the dense batched paths. 256 of the pipeline's widest rows
-# (about 1,280 columns) are 2.6 MB per temporary, cache-sized as
-# selection._SCORE_CHUNK keeps the subset search's. Scoring the 8,400 x 1,000
-# autoencoder codes of graded seed 0 traced a 33 MB peak in 4096-row blocks
-# and 2.2 MB in these.
-_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -123,13 +114,12 @@ def js_to_target(rows: sp.spmatrix | np.ndarray, target: TermDistribution) -> np
     if sp.issparse(rows):
         return _js_csr_to_target(rows.tocsr(), target.probs)
     rows = np.asarray(rows, dtype=np.float64)
-    n = rows.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, _ROW_BLOCK):
-        block = rows[start : start + _ROW_BLOCK]
+    out = np.empty(rows.shape[0], dtype=np.float64)
+    for start, stop in _row_blocks(rows.shape[0]):
+        block = rows[start:stop]
         sums = block.sum(axis=1, keepdims=True)
         P = np.divide(block, sums, out=np.zeros_like(block), where=sums > 0)
-        out[start : start + block.shape[0]] = _js_rows_from_probs(P, target.probs)
+        out[start:stop] = _js_rows_from_probs(P, target.probs)
     return out
 
 
@@ -188,18 +178,15 @@ def cosine_to_target(rows: sp.spmatrix | np.ndarray, target: np.ndarray) -> np.n
     target_norm = np.sqrt(float((target * target).sum()))
     if sp.issparse(rows):
         rows = rows.tocsr()  # row slices; COO has none
-    n = rows.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, _ROW_BLOCK):
-        block = rows[start : start + _ROW_BLOCK]
+    out = np.empty(rows.shape[0], dtype=np.float64)
+    for start, stop in _row_blocks(rows.shape[0]):
+        block = rows[start:stop]
         if sp.issparse(block):
             block = block.toarray()
         block = np.asarray(block, dtype=np.float64)
         dots = (block * target).sum(axis=1)
         denom = np.sqrt((block * block).sum(axis=1)) * target_norm
-        out[start : start + block.shape[0]] = np.divide(
-            dots, denom, out=np.zeros_like(dots), where=denom > 0
-        )
+        out[start:stop] = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
     return out
 
 

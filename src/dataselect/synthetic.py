@@ -17,6 +17,7 @@ noise rate.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,10 @@ from .corpus import Corpus, Document
 from .errors import ConfigError, DataError
 
 _SENTIMENT_PREFIX = {"negative": "badtok", "positive": "goodtok", "neutral": "neutok"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,17 @@ class DomainSpec:
     topical_affinity: float | None = None
 
     def __post_init__(self):
-        if not self.name or not self.name.replace("_", "").isalnum():
+        for name in ("shared_vocab_size", "private_vocab_size", "docs_per_label",
+                     "lexicon_size", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not (isinstance(self.doc_length, tuple) and len(self.doc_length) == 2
+                and all(map(_is_int, self.doc_length))):
+            raise ConfigError(f"doc_length must be two integers, got {self.doc_length!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if (not isinstance(self.name, str) or not self.name
+                or not self.name.replace("_", "").isalnum()):
             raise ConfigError(f"domain name must be alphanumeric, got {self.name!r}")
         if not 0.0 <= self.overlap <= 1.0:
             raise ConfigError(f"overlap must be in [0, 1], got {self.overlap}")
@@ -76,6 +91,9 @@ class DomainSpec:
         for label in self.labels:
             if label not in _SENTIMENT_PREFIX:
                 raise ConfigError(f"unsupported label {label!r}")
+        # label noise draws a different label, so each domain needs two
+        if len(set(self.labels)) != len(self.labels) or len(self.labels) < 2:
+            raise ConfigError(f"labels must be two or more distinct labels, got {self.labels}")
 
     @property
     def resolved_topical_affinity(self) -> float:

@@ -231,7 +231,7 @@ class TestBlockedEncode:
 
     @pytest.mark.parametrize("block", [2, 3, 7, 256])
     def test_matches_whole_matrix(self, monkeypatch, model, rows, block):
-        monkeypatch.setattr(autoencoder, "_ENCODE_BLOCK", block)
+        monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", block)
         for n in sorted({1, 2, block - 1, block, block + 1, 2 * block + 1} - {0}):
             part = rows[:n]
             want = whole_matrix_encode(model, part)
@@ -251,9 +251,10 @@ class TestBlockedEncode:
         assert np.array_equal(encode(model, x), whole_matrix_encode(model, x))
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 256])
-    def test_row_blocks_split_evenly(self, block):
+    def test_row_blocks_split_evenly(self, monkeypatch, block):
+        monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", block)
         for n in range(0, 3 * block + 3):
-            blocks = list(autoencoder._row_blocks(n, block))
+            blocks = list(autoencoder._row_blocks(n))
             sizes = [stop - start for start, stop in blocks]
             assert blocks[0][0] == 0 and blocks[-1][1] == n
             assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))

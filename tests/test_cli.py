@@ -68,6 +68,15 @@ SPEC = {
     ],
 }
 
+# generate specs whose shape or field types are wrong
+BAD_SPECS = [
+    {**SPEC, "sources": 5},
+    {**SPEC, "sources": [5]},
+    {**SPEC, "target": {**SPEC["target"], "doc_length": 5}},
+    {**SPEC, "target": {**SPEC["target"], "docs_per_label": 1.5}},
+    {**SPEC, "target": "x"},
+]
+
 # a value of each run setting checked before the corpus loads, on every
 # subcommand that loads one
 BAD_RUN_VALUES = [
@@ -158,6 +167,28 @@ class TestExitCodes:
                        "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 1
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("spec", BAD_SPECS)
+    def test_bad_generate_spec_is_one(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        argv = ["generate", "--spec", str(path), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+    @pytest.mark.parametrize("doc_id", ["", "a\nb"])
+    def test_id_that_is_not_one_line_is_two(self, data, tmp_path, capsys, doc_id):
+        lines = data["corpus"].read_text("utf-8").splitlines(keepends=True)
+        first = json.loads(lines[0])
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({**first, "id": doc_id}) + "\n" + "".join(lines[1:]),
+                          encoding="utf-8")
+        argv = ["select", "--corpus", str(corpus), "--target", "tgt",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("data error: line 1: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
     def test_missing_corpus_is_two(self, tmp_path):
         missing = tmp_path / "missing.jsonl"

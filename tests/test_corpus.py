@@ -81,6 +81,18 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="label"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("doc_id", ["", "a\nb", "a\rb", "a\u2028b"])
+    def test_id_must_be_one_nonempty_line(self, tmp_path, doc_id):
+        # ids are written one per line, as selection_ids.txt
+        with pytest.raises(DataError, match="one non-empty line"):
+            Document(id=doc_id, text="t", domain="d")
+        path = write_jsonl(
+            tmp_path / "c.jsonl",
+            [{"id": "ok", "text": "x", "domain": "a"}, {"id": doc_id, "text": "x", "domain": "a"}],
+        )
+        with pytest.raises(ParseError, match="line 2.*one non-empty line"):
+            load_corpus(path)
+
     def test_reload_is_identical(self, tmp_path):
         rows = [
             {"id": f"r{i}", "text": f"text {i}", "domain": "books" if i % 2 else "dvd",

@@ -460,14 +460,9 @@ def copied_rows_subset_select(s, n, m, pool, target_repr, rows, item_scores, met
         if metric == "proxy_a" or candidates.shape[1] == 1:
             scores = item_scores[candidates].mean(axis=1)
         else:
-            scores = np.empty(len(candidates))
-            for start in range(0, len(candidates), selection._SCORE_CHUNK):
-                block = candidates[start : start + selection._SCORE_CHUNK]
-                indptr = np.arange(0, block.size + 1, block.shape[1])
-                pooled = pool_groups(rows, block.ravel(), indptr)
-                scores[start : start + len(block)] = selection._score_rows(
-                    pooled, target_repr, metric
-                )
+            indptr = np.arange(0, candidates.size + 1, candidates.shape[1])
+            pooled = pool_groups(rows, candidates.ravel(), indptr)
+            scores = selection._score_rows(pooled, target_repr, metric)
         key = selection._sort_key(scores, orientation)
         best = int(np.argmin(key))
         if not np.isfinite(key[best]):

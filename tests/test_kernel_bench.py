@@ -18,6 +18,8 @@ classifier case fits the default 10-epoch SGD on a binary training set of the
 uni/bigram features, about 22 L2-normalized nonzeros per row. The tf-idf
 case fits on 1,600 random labeled source documents of the seed-0 ``blended``
 scenario and transforms them and the scenario's labeled target documents.
+The SIF case builds the embedding space of the seed-0 ``blended`` scenario
+(7,400 documents) from a 100-d table over every vocabulary token.
 """
 
 import numpy as np
@@ -25,8 +27,9 @@ import pytest
 import scipy.sparse as sp
 
 from dataselect import autoencoder, evaluation, selection, synthetic
-from dataselect.corpus import TfidfModel, tokenize_corpus
-from dataselect.representations import TermDistribution
+from dataselect.corpus import TfidfModel, build_vocabulary, tokenize_corpus
+from dataselect.embeddings import EmbeddingTable
+from dataselect.representations import TermDistribution, build_representation_space
 
 pytestmark = pytest.mark.bench
 
@@ -158,3 +161,20 @@ def test_tfidf_fit_transform(benchmark):
 
     train_rows, target_rows = benchmark.pedantic(fit_transform, rounds=5, iterations=1)
     assert train_rows.shape[0] == 1600 and target_rows.shape[1] == train_rows.shape[1]
+
+
+def test_sif_rows(benchmark):
+    corpus = synthetic.benchmark_suite(0)["blended"].corpus
+    encoded = tokenize_corpus(corpus)
+    vocab = build_vocabulary(encoded, 10000)
+    rng = np.random.default_rng(0)
+    table = EmbeddingTable({t: rng.standard_normal(DIM) for t in vocab.tokens}, dim=DIM)
+    space = benchmark.pedantic(
+        build_representation_space,
+        args=(corpus, encoded, "embedding", vocab),
+        kwargs={"embedding_table": table},
+        rounds=5,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    assert space.matrix.shape == (len(corpus), DIM)

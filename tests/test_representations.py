@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dataselect.autoencoder import AEModel, AETrainConfig, encode, train
-from dataselect.corpus import PreprocessOptions, build_vocabulary, preprocess, tokenize_corpus
+from dataselect.corpus import (
+    PreprocessOptions,
+    build_vocabulary,
+    preprocess,
+    term_counts,
+    tokenize_corpus,
+)
 from dataselect.embeddings import EmbeddingTable
 from dataselect.errors import ConfigError, DataError
 from dataselect.representations import (
@@ -180,6 +186,85 @@ class TestSifEmbedding:
         base = sif_space(rows, table).matrix[0]
         big = sif_space(rows, scaled).matrix[0]
         assert np.allclose(big, 3.0 * base, atol=1e-12)
+
+
+def positionwise_sif_rows(corpus, encoded, vocab, table, a):
+    """SIF as computed before both sums were pooled by ``pool_groups``, kept as
+    the oracle: per-domain counts through a hand-built membership matrix, and
+    rows accumulated one token position at a time across all documents."""
+    domain_code = {domain: i for i, domain in enumerate(sorted(corpus.domains))}
+    domains = np.array([domain_code[doc.domain] for doc in corpus], dtype=np.int64)
+    n = len(domains)
+    membership = sp.csr_matrix(
+        (np.ones(n), (domains, np.arange(n))), shape=(int(domains.max(initial=0)) + 1, n)
+    )
+    domain_counts = (membership @ term_counts(encoded, vocab)).toarray()
+    probs = domain_counts / np.maximum(domain_counts.sum(axis=1, keepdims=True), 1.0)
+
+    in_table = np.array([token in table for token in vocab.tokens], dtype=bool)
+    vectors = np.zeros((len(vocab), table.dim), dtype=np.float64)
+    for j in np.flatnonzero(in_table).tolist():
+        vectors[j] = table.entries[vocab.tokens[j]]
+    ids = encoded.ids(vocab.tokens)
+    keep = in_table & (ids >= 0)
+    position = np.full(len(encoded.unigrams), -1, dtype=np.int64)
+    position[ids[keep]] = np.flatnonzero(keep)
+    occurrences = position[encoded.token_ids]
+    weighted = occurrences >= 0
+    docs = np.repeat(np.arange(n), np.diff(encoded.offsets))[weighted]
+    tokens = occurrences[weighted]
+    lengths = np.bincount(docs, minlength=n)
+    weights = np.sqrt(a / probs[domains[docs], tokens])
+    positions = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    by_position = np.argsort(positions, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(positions))))
+
+    out = np.zeros((n, table.dim), dtype=np.float64)
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        at = by_position[start:end]  # at most one token per document
+        out[docs[at]] += weights[at, None] * vectors[tokens[at]]
+    nonempty = lengths > 0
+    out[nonempty] /= lengths[nonempty, None]
+    return out
+
+
+SIF_WORDS = [f"w{i}" for i in range(6)]
+
+
+@st.composite
+def sif_cases(draw):
+    """Corpora with empty documents, documents without an in-table token,
+    repeated tokens and one-document domains, or no documents at all; the
+    vocabulary may miss corpus tokens and hold unseen ones, and the table
+    holds tokens outside it."""
+    rows = [
+        (f"d{i}", " ".join(draw(st.lists(st.sampled_from(SIF_WORDS), max_size=9))),
+         draw(st.sampled_from(["a", "b", "c"])), None)
+        for i in range(draw(st.integers(0, 8)))
+    ]
+    vocab = vocabulary(draw(st.lists(st.sampled_from(SIF_WORDS + ["unseen"]), min_size=1,
+                                     unique=True)))
+    dim = draw(st.integers(1, 4))
+    component = st.sampled_from([0.1, -0.3, 1 / 3, 2.5, -7.1, 1e-3, 0.0])
+    entries = draw(st.dictionaries(
+        st.sampled_from(SIF_WORDS + ["x0", "x1"]),
+        arrays(np.float64, dim, elements=component),
+    ))
+    a = draw(st.sampled_from([1e-5, 1e-3]))
+    return make_corpus(rows), vocab, EmbeddingTable(entries, dim=dim), a
+
+
+class TestSifRows:
+    @given(sif_cases())
+    def test_bytes_equal_positionwise_sums(self, case):
+        corpus, vocab, table, a = case
+        encoded = tokenize_corpus(corpus, NO_STOP)
+        space = build_representation_space(
+            corpus, encoded, "embedding", vocab, embedding_table=table, sif_a=a
+        )
+        oracle = positionwise_sif_rows(corpus, encoded, vocab, table, a)
+        assert space.matrix.dtype == oracle.dtype and space.matrix.shape == oracle.shape
+        assert space.matrix.tobytes() == oracle.tobytes()
 
 
 class TestDomainRepresentation:

@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dataselect import selection
+from dataselect import autoencoder, selection
 from dataselect.corpus import Document
 from dataselect.errors import ConfigError, DataError
-from dataselect.representations import TermDistribution
+from dataselect.representations import TermDistribution, pool_groups
 from dataselect.selection import (
     SelectionConfig,
     select_balanced,
@@ -526,17 +526,20 @@ class TestCandidateScores:
     def test_batch_size_changes_no_score(self, monkeypatch, metric, sparse_rows):
         rows, candidates, target = candidate_case(sparse_rows)
         results = []
-        for chunk in (1, 7, 256, 4096):
-            monkeypatch.setattr(selection, "_SCORE_CHUNK", chunk)
+        for block in (2, 3, 7, 256):
+            monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", block)
             results.append(
                 selection._candidate_scores(
                     rows, every_row(rows), None, candidates, target, metric,
                 )
             )
+        indptr = np.arange(0, candidates.size + 1, candidates.shape[1])
+        whole = selection._score_rows(pool_groups(rows, candidates.ravel(), indptr),
+                                      target, metric)
         if metric == "jensen_shannon":
-            assert np.isnan(results[0][-9:]).all()  # aggregates of empty rows only
-        for scores in results[1:]:
-            assert np.array_equal(scores, results[0], equal_nan=True)
+            assert np.isnan(whole[-9:]).all()  # aggregates of empty rows only
+        for scores in results:
+            assert np.array_equal(scores, whole, equal_nan=True)
 
     def test_dense_aggregate_is_member_mean(self, monkeypatch):
         rows, candidates, target = candidate_case(sparse_rows=False)
@@ -548,7 +551,7 @@ class TestCandidateScores:
             aggregates.append(agg)
             return score_rows(agg, *args, **kwargs)
 
-        monkeypatch.setattr(selection, "_SCORE_CHUNK", 7)
+        monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", 7)
         monkeypatch.setattr(selection, "_score_rows", record)
         scores = selection._candidate_scores(
             rows, every_row(rows), None, candidates, target.probs, "cosine",
@@ -559,9 +562,9 @@ class TestCandidateScores:
 
 
 class TestDrawSubsets:
-    @pytest.mark.parametrize("chunk", [7, 256])
-    def test_random_key_blocks_match_one_shot_draw(self, monkeypatch, chunk):
-        monkeypatch.setattr(selection, "_SCORE_CHUNK", chunk)
+    @pytest.mark.parametrize("block", [2, 3, 7, 256])
+    def test_random_key_blocks_match_one_shot_draw(self, monkeypatch, block):
+        monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", block)
         n_avail, size, m = 399, 20, 1000
         assert size * size > n_avail  # the random-key branch
         rng = np.random.default_rng(17)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dataselect import similarity
+from dataselect import autoencoder, similarity
 from dataselect.representations import TermDistribution
 from dataselect.errors import ConfigError, DataError
 from dataselect.similarity import (
@@ -301,7 +301,7 @@ def whole_matrix_js(counts, target):
 
 class TestRowBlocks:
     """The dense batched paths give every row the score of one whole-matrix
-    pass, whatever ``_ROW_BLOCK`` is; cosine takes dense, CSR and COO rows."""
+    pass, whatever ``autoencoder._BLOCK_ROWS`` is; cosine takes dense, CSR and COO rows."""
 
     @staticmethod
     def sizes(block):
@@ -309,7 +309,7 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("block", [2, 3, 7, 256])
     def test_cosine_matches_whole_matrix(self, monkeypatch, block):
-        monkeypatch.setattr(similarity, "_ROW_BLOCK", block)
+        monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", block)
         rng = np.random.default_rng(block)
         rows = rng.normal(size=(2 * block + 1, 37)) * (rng.random((2 * block + 1, 37)) < 0.4)
         rows[::5] = 0.0  # zero rows score 0.0
@@ -322,7 +322,7 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("block", [2, 3, 7, 256])
     def test_dense_js_matches_whole_matrix(self, monkeypatch, block):
-        monkeypatch.setattr(similarity, "_ROW_BLOCK", block)
+        monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", block)
         rng = np.random.default_rng(block)
         counts = rng.integers(0, 4, size=(2 * block + 1, 29)) * (
             rng.random((2 * block + 1, 29)) < 0.3

@@ -149,6 +149,21 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             DomainSpec(name="bad name!")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"docs_per_label": 1.5}, {"docs_per_label": True}, {"seed": 2.0}, {"seed": -1},
+         {"doc_length": 5}, {"doc_length": (5,)}, {"doc_length": (5, 9.0)},
+         {"doc_length": (False, 9)}, {"name": 5}, {"labels": ()}, {"labels": ("negative",)},
+         {"labels": ("negative", "negative")}],
+    )
+    def test_bad_field_values_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            DomainSpec(**{"name": "x", **bad})
+
+    def test_numpy_ints_are_ints(self):
+        spec = DomainSpec(name="x", docs_per_label=np.int64(3), doc_length=(np.int32(2), 4))
+        assert len(generate([], spec)) == 6
+
 
 @pytest.fixture(scope="module")
 def suite():
