@@ -302,18 +302,22 @@ class ExperimentContext:
 
         JS and cosine score every row of the matrix, each on its own, and are
         cached per metric. Proxy-A scores depend on the run ``seed`` (the
-        discriminator's balancing subsample) and on the target's own rows, so
-        they are computed afresh on every call.
+        discriminator's balancing subsample) and on the target's own rows;
+        they are cached per ``(metric, seed)``, so each seed is fitted once
+        however many selections rank its scores.
         """
+        key = (metric, seed) if metric == PROXY_A else metric
+        if key in self._item_scores:
+            return self._item_scores[key]
         if metric == PROXY_A:
-            return sel._score_rows(
+            scores = sel._score_rows(
                 self.space.matrix[self.pool_index], self.target_repr, metric, seed=seed,
                 target_rows=self.space.matrix[self.corpus.domain_rows(self.target_domain)],
             )
-        if metric not in self._item_scores:
-            scores = sel._score_rows(self.space.matrix, self.target_repr, metric)
-            self._item_scores[metric] = scores[self.pool_index]
-        return self._item_scores[metric]
+        else:
+            scores = sel._score_rows(self.space.matrix, self.target_repr, metric)[self.pool_index]
+        self._item_scores[key] = scores
+        return scores
 
     def domain_scores(self, metric: str) -> dict[str, float]:
         """Score of each source domain's pooled documents, cached per metric.

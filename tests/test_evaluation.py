@@ -372,6 +372,27 @@ class TestRunExperiment:
         reused = run_experiment(context, config, runs=2, base_seed=1)
         assert fresh.accuracies == reused.accuracies
 
+    def test_proxy_a_is_fitted_once_per_seed(self, prepare, monkeypatch):
+        fitted = []
+        real = selection.proxy_a_scores
+
+        def counting(rows, target_rows, seed=0):
+            fitted.append(seed)
+            return real(rows, target_rows, seed=seed)
+
+        configs = [
+            SelectionConfig(n=20, strategy="instance", metric="proxy_a"),
+            SelectionConfig(n=40, strategy="instance", metric="proxy_a"),
+            SelectionConfig(n=20, strategy="subset", metric="proxy_a", s=5, m=10,
+                            allow_proxy_a_subsets=True),
+        ]
+        monkeypatch.setattr(selection, "proxy_a_scores", counting)
+        context = prepare()
+        shared = [run_selection(context, c, seed).chosen for c in configs for seed in range(3)]
+        assert sorted(fitted) == [0, 1, 2]
+        fresh = [run_selection(prepare(), c, seed).chosen for c in configs for seed in range(3)]
+        assert shared == fresh
+
     def test_selection_never_includes_target_documents(self, prepare):
         context = prepare()
         assert all(doc.domain != "tgt" for doc in context.pool_docs)

@@ -1,7 +1,7 @@
 """Kernel microbenchmarks: one subset-search round of candidate scoring, one
 autoencoder minibatch (forward/backward and one Adam update), one encode
-of a whole pool, one sentiment-classifier fit and one tf-idf fit with its
-transforms.
+of a whole pool, one sentiment-classifier fit, one tf-idf fit with its
+transforms, one SIF space build and one proxy-A discriminator fit.
 
 Marked ``bench`` and deselected by default; run them with
 
@@ -19,7 +19,10 @@ uni/bigram features, about 22 L2-normalized nonzeros per row. The tf-idf
 case fits on 1,600 random labeled source documents of the seed-0 ``blended``
 scenario and transforms them and the scenario's labeled target documents.
 The SIF case builds the embedding space of the seed-0 ``blended`` scenario
-(7,400 documents) from a 100-d table over every vocabulary token.
+(7,400 documents) from a 100-d table over every vocabulary token. The
+proxy-A case fits one discriminator on that scenario's term-distribution
+rows (the labeled source pool, balanced against the target domain's rows)
+and scores the pool, as one ``blended-proxy`` run does.
 """
 
 import numpy as np
@@ -178,3 +181,19 @@ def test_sif_rows(benchmark):
         warmup_rounds=1,
     )
     assert space.matrix.shape == (len(corpus), DIM)
+
+
+def test_proxy_a_fit(benchmark):
+    scenario = synthetic.benchmark_suite(0)["blended"]
+    encoded = tokenize_corpus(scenario.corpus)
+    vocab = build_vocabulary(encoded, 10000)
+    context = evaluation.prepare_context(
+        scenario.corpus, encoded, vocab, scenario.target_domain, "term_dist"
+    )
+    matrix = context.space.matrix
+    pool = matrix[context.pool_index]
+    target = matrix[scenario.corpus.domain_rows(scenario.target_domain)]
+    scores = benchmark.pedantic(
+        selection.proxy_a_scores, args=(pool, target), rounds=3, iterations=1
+    )
+    assert scores.shape == (len(context.pool_index),)

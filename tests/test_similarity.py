@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis.extra.numpy import arrays
 from dataselect import autoencoder, similarity
 from dataselect.representations import TermDistribution
 from dataselect.errors import ConfigError, DataError
+from dataselect.selection import _rank
 from dataselect.similarity import (
+    HIGHER,
     LN2,
     _js_csr_to_target,
     _js_rows_from_probs,
@@ -374,7 +377,8 @@ class TestLogisticRegression:
         diffs = np.diff(trace)
         assert np.all(diffs <= 1e-8)
 
-    def test_matches_fit_that_recomputes_margins(self):
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_matches_fit_that_recomputes_margins(self, layout):
         from dataselect.autoencoder import sigmoid
 
         def recomputing_fit(X, y, l2=1.0, tol=1e-8, max_iter=500):
@@ -410,6 +414,8 @@ class TestLogisticRegression:
         rng = np.random.default_rng(22)
         X = rng.normal(size=(120, 6))
         y = (X[:, 0] - X[:, 2] + rng.normal(size=120) > 0).astype(int)
+        if layout == "csr":
+            X = sp.csr_matrix(np.where(rng.random(X.shape) < 0.5, X, 0.0))
         for max_iter in (3, 60):
             w, b, trace = fit_logistic_regression(X, y, l2=0.1, max_iter=max_iter)
             w_o, b_o, trace_o = recomputing_fit(X, y, l2=0.1, max_iter=max_iter)
@@ -468,11 +474,43 @@ class TestProxyA:
             proxy_a_scores(rng.normal(size=(5, 2)), rng.normal(size=(9, 2)), seed=0)
 
     def test_sparse_scores_match_dense_discriminator(self):
+        # The CSR products sum in another order than the dense ones, so the
+        # two fits agree to the solver's tolerance, not bit for bit (here the
+        # CSR fit meets tol=1e-8 early, the dense one runs all 500 iterations).
         Xs = sp.random(50, 8, density=0.4, format="csr", random_state=3)
         Xt = sp.random(30, 8, density=0.4, format="csr", random_state=4)
         sparse = proxy_a_scores(Xs, Xt, seed=2)
-        assert np.array_equal(sparse, proxy_a_scores(Xs.toarray(), Xt.toarray(), seed=2))
+        dense = proxy_a_scores(Xs.toarray(), Xt.toarray(), seed=2)
+        names = [f"s{i:02d}" for i in range(50)]
+        assert _rank(sparse, HIGHER, names) == _rank(dense, HIGHER, names)
+        assert np.max(np.abs(sparse - dense)) <= 1e-7
         assert not np.array_equal(sparse, proxy_a_scores(Xs, Xt, seed=3))
+
+    @pytest.mark.parametrize("score", [proxy_a_scores, proxy_a_distance])
+    def test_non_finite_sparse_values_rejected(self, score):
+        Xs = sp.random(20, 6, density=0.5, format="csr", random_state=5)
+        Xt = sp.random(20, 6, density=0.5, format="csr", random_state=6)
+        Xs.data[3] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            score(Xs, Xt, seed=0)
+
+    def test_memory_grows_with_nonzeros(self):
+        # Dense, this pool is 2,000 x 20,000 float64 = 320 MB; as CSR it is
+        # under 1 MB, and nothing in the fit or the scoring may densify it.
+        cols = 20_000
+        source = sp.random(2000, cols, density=40 / cols, format="csr", random_state=7)
+        target = sp.random(200, cols, density=40 / cols, format="csr", random_state=8)
+        csr_bytes = sum(
+            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in (source, target)
+        )
+        tracemalloc.start()
+        try:
+            scores = proxy_a_scores(source, target, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (2000,) and np.isfinite(scores).all()
+        assert peak < 2 * csr_bytes
 
 
 class TestProxyADistance:
@@ -507,6 +545,27 @@ class TestProxyADistance:
     def test_needs_two_per_class(self):
         with pytest.raises(DataError):
             proxy_a_distance(np.zeros((1, 2)), np.zeros((1, 2)), heldout_fraction=0.5, seed=0)
+
+    @pytest.mark.parametrize("case", ["identical", "indistinguishable", "separable", "sparse"])
+    def test_sparse_input_gives_dense_distance(self, case):
+        rng = np.random.default_rng(23)
+        if case == "identical":
+            Xs = rng.normal(size=(12, 3))
+            Xt = Xs.copy()
+        elif case == "indistinguishable":
+            Xs, Xt = rng.normal(size=(200, 4)), rng.normal(size=(200, 4))
+        elif case == "separable":
+            Xs = rng.normal(loc=-4.0, scale=0.3, size=(100, 2))
+            Xt = rng.normal(loc=4.0, scale=0.3, size=(100, 2))
+        else:
+            Xs = sp.random(50, 8, density=0.4, random_state=3).toarray()
+            Xt = sp.random(30, 8, density=0.4, random_state=4).toarray()
+        for seed in range(3):
+            dense = proxy_a_distance(Xs, Xt, heldout_fraction=0.25, seed=seed)
+            sparse = proxy_a_distance(
+                sp.csr_matrix(Xs), sp.csr_matrix(Xt), heldout_fraction=0.25, seed=seed
+            )
+            assert sparse == dense
 
     def test_bad_heldout_fraction(self):
         with pytest.raises(ConfigError):
