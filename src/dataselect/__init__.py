@@ -31,7 +31,6 @@ from .embeddings import EmbeddingTable, load_embeddings
 from .errors import ConfigError, DataError, DataSelectError, NumericalError, ParseError
 from .evaluation import (
     ClassifierConfig,
-    ExperimentResources,
     ExperimentResult,
     LinearModel,
     SignificanceResult,

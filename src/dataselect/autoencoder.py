@@ -50,6 +50,12 @@ from .errors import ConfigError, DataError, NumericalError
 # 32768: 13-14 ms, 131072: 14-17 ms. 16384 is the smaller end of the plateau.
 _ADAM_BLOCK = 16384
 
+# Adam's moment decays and denominator floor, the defaults of Kingma & Ba
+# (ICLR 2015); no caller of the pipeline tunes them.
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
 # Rows per block of every ``_row_blocks`` walk. 256 of the pipeline's widest
 # rows (about 1,280 tf-idf columns) densify to 2.6 MB and their codes (h=1000)
 # take 2 MB, so a block's temporaries stay cache-sized. Encoding the
@@ -120,9 +126,6 @@ class AETrainConfig:
     batch_size: int = 64
     seed: int = 0
     hidden_dim: int = 1000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 <= self.masking_prob < 1.0:
@@ -134,8 +137,8 @@ class AETrainConfig:
         # the comparisons are negated so that NaN fails them too
         if not self.hidden_dim >= 1:
             raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if not self.learning_rate > 0.0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 def corrupt(x: np.ndarray, masking_prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -195,8 +198,8 @@ def _adam_step(
     ``min(_ADAM_BLOCK, p.size)`` elements. Each element sees the operations
     of the allocating update in the same order, so the result is bit-identical.
     """
-    b1, b2 = config.beta1, config.beta2
-    lr, eps = config.learning_rate, config.eps
+    b1, b2, eps = _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS
+    lr = config.learning_rate
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     pf, mf, vf, gf = p.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)

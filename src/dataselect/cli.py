@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import types
 import zlib
@@ -46,7 +47,6 @@ from .embeddings import load_embeddings
 from .errors import ConfigError, DataSelectError, NumericalError
 from .evaluation import (
     ClassifierConfig,
-    ExperimentResources,
     ExperimentResult,
     check_runs,
     prepare_context,
@@ -126,9 +126,11 @@ class RunConfig:
             value, choices = getattr(self, f.name), f.metadata["choices"]
             if choices and value is not None and value not in choices:
                 raise ConfigError(f"{f.name} must be one of {choices}, got {value!r}")
-        for strategy in self.strategies:
+        for i, strategy in enumerate(self.strategies):
             if strategy not in STRATEGIES:
                 raise ConfigError(f"unknown strategy {strategy!r}")
+            if strategy in self.strategies[:i]:
+                raise ConfigError(f"strategy {strategy!r} is listed twice")
 
     @property
     def resolved_n(self) -> int:
@@ -185,6 +187,8 @@ def load_config_file(path: str | Path) -> dict:
         parser = _PARSERS.get(key)
         if parser is None:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is set twice")
         try:
             values[key] = parser(value)
         except (ValueError, TypeError):
@@ -221,7 +225,6 @@ def _build_context(config: RunConfig, labeled_pool_only: bool):
         hidden_dim=config.ae_hidden,
         seed=substream_seed(config.seed, "autoencoder"),
     )
-    classifier = ClassifierConfig(seed=substream_seed(config.seed, "classifier"))
     check_runs(config.runs)
     check_vocab_cap(config.vocab_cap)
     check_sif_a(config.a)
@@ -242,18 +245,30 @@ def _build_context(config: RunConfig, labeled_pool_only: bool):
                 "(embeddings = ... or --embeddings)"
             )
         table = load_embeddings(config.embeddings, restrict_to=vocab)
-    resources = ExperimentResources(
-        sif_a=config.a, embedding_table=table, ae_config=ae_config, classifier=classifier
-    )
     return prepare_context(
         corpus,
         encoded,
         vocab,
         config.target,
         config.representation,
-        resources,
         labeled_pool_only=labeled_pool_only,
+        embedding_table=table,
+        ae_config=ae_config,
+        sif_a=config.a,
     )
+
+
+def _run_experiments(
+    config: RunConfig, sel_configs: list[SelectionConfig]
+) -> list[ExperimentResult]:
+    """Run every selection config ``config.runs`` times in one shared context."""
+    context = _build_context(config, labeled_pool_only=True)
+    classifier = ClassifierConfig(seed=substream_seed(config.seed, "classifier"))
+    selection_seed = substream_seed(config.seed, "selection")
+    return [
+        run_experiment(context, sel_config, config.runs, selection_seed, classifier)
+        for sel_config in sel_configs
+    ]
 
 
 def _selection_config(config: RunConfig, strategy: str, n: int | None = None) -> SelectionConfig:
@@ -269,8 +284,16 @@ def _selection_config(config: RunConfig, strategy: str, n: int | None = None) ->
     )
 
 
+def _out_dir(config: RunConfig) -> Path:
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _json_dump(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(
+        json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +304,7 @@ def cmd_select(config: RunConfig) -> int:
     sel_config = _selection_config(config, config.strategy)
     context = _build_context(config, labeled_pool_only=False)
     result = run_selection(context, sel_config, substream_seed(config.seed, "selection"))
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config)
     (out / "selection_ids.txt").write_text(
         "".join(doc_id + "\n" for doc_id in result.chosen), encoding="utf-8"
     )
@@ -298,70 +320,36 @@ def _format_row(columns: list[str]) -> str:
     return "\t".join(columns) + "\n"
 
 
-def _evaluate_rows(config: RunConfig) -> tuple[list[ExperimentResult], dict]:
-    strategies = BASELINES + tuple(s for s in config.strategies if s not in BASELINES)
-    sel_configs = [_selection_config(config, strategy) for strategy in strategies]
-    context = _build_context(config, labeled_pool_only=True)
-    selection_seed = substream_seed(config.seed, "selection")
-    results = [
-        run_experiment(context, sel_config, runs=config.runs, base_seed=selection_seed)
-        for sel_config in sel_configs
-    ]
-    by_strategy = {r.strategy: r for r in results}
-    significance: dict = {}
-    for result in results:
-        if result.strategy in BASELINES:
-            continue
-        entry = {}
-        for baseline_key, baseline in (("rand", "random"), ("all", "balanced")):
-            if config.runs < 2:
-                entry[baseline_key] = "insufficient_runs"
-                continue
-            test = t_test(result.accuracies, by_strategy[baseline].accuracies)
-            entry[baseline_key] = {
-                "t": test.t,
-                "df": test.df,
-                "p": test.p,
-                "significantly_better": bool(
-                    test.significant and result.mean > by_strategy[baseline].mean
-                ),
-            }
-        significance[result.strategy] = entry
-    return results, significance
-
-
 def cmd_evaluate(config: RunConfig) -> int:
-    results, significance = _evaluate_rows(config)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    strategies = BASELINES + tuple(s for s in config.strategies if s not in BASELINES)
+    results = _run_experiments(config, [_selection_config(config, s) for s in strategies])
+    by_strategy = {r.strategy: r for r in results}
     header = [
         "target_domain", "strategy", "representation", "metric",
         "mean_acc", "std", "p_vs_rand", "p_vs_all", "signif",
     ]
     lines = [_format_row(header)]
+    significance: dict = {}
     for result in results:
-        entry = significance.get(result.strategy)
-        if entry is None:
-            p_rand = p_all = ""
-            marks = ""
-        elif entry["rand"] == "insufficient_runs":
-            p_rand = p_all = "insufficient_runs"
-            marks = ""
-        else:
-            p_rand = f"{entry['rand']['p']:.6g}"
-            p_all = f"{entry['all']['p']:.6g}"
-            marks = ("*" if entry["rand"]["significantly_better"] else "") + (
-                "+" if entry["all"]["significantly_better"] else ""
-            )
-        lines.append(
-            _format_row(
-                [
-                    result.target_domain, result.strategy, result.representation,
-                    result.metric, f"{result.mean:.6f}", f"{result.std:.6f}",
-                    p_rand, p_all, marks,
-                ]
-            )
-        )
+        p_values, marks = ["", ""], ""
+        if result.strategy not in BASELINES:
+            entry = significance[result.strategy] = {}
+            for i, (key, baseline, mark) in enumerate(zip(("rand", "all"), BASELINES, "*+")):
+                if config.runs < 2:
+                    entry[key] = p_values[i] = "insufficient_runs"
+                    continue
+                test = t_test(result.accuracies, by_strategy[baseline].accuracies)
+                better = test.significant and result.mean > by_strategy[baseline].mean
+                # strict JSON has no infinity, the t of zero pooled variance
+                t = test.t if math.isfinite(test.t) else None
+                entry[key] = {"t": t, "df": test.df, "p": test.p, "significantly_better": better}
+                p_values[i] = f"{test.p:.6g}"
+                marks += mark if better else ""
+        lines.append(_format_row([
+            result.target_domain, result.strategy, result.representation, result.metric,
+            f"{result.mean:.6f}", f"{result.std:.6f}", *p_values, marks,
+        ]))
+    out = _out_dir(config)
     (out / "results.tsv").write_text("".join(lines), encoding="utf-8")
     _json_dump(
         {
@@ -385,20 +373,12 @@ def cmd_sweep(config: RunConfig, n_values: list[int]) -> int:
         for n in n_values
         for strategy in config.strategies
     ]
-    context = _build_context(config, labeled_pool_only=True)
-    selection_seed = substream_seed(config.seed, "selection")
-    lines = [_format_row(["n", "strategy", "mean_acc", "std"])]
-    for sel_config in sel_configs:
-        result = run_experiment(
-            context, sel_config, runs=config.runs, base_seed=selection_seed
-        )
-        lines.append(
-            _format_row(
-                [str(sel_config.n), sel_config.strategy, f"{result.mean:.6f}", f"{result.std:.6f}"]
-            )
-        )
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    results = _run_experiments(config, sel_configs)
+    lines = [_format_row(["n", "strategy", "mean_acc", "std"])] + [
+        _format_row([str(c.n), c.strategy, f"{r.mean:.6f}", f"{r.std:.6f}"])
+        for c, r in zip(sel_configs, results)
+    ]
+    out = _out_dir(config)
     (out / "sweep.tsv").write_text("".join(lines), encoding="utf-8")
     print(f"wrote {out}/sweep.tsv ({len(lines) - 1} data rows)")
     return 0
@@ -436,6 +416,8 @@ def _write_corpus_files(corpus: Corpus, out_dir: Path) -> list[Path]:
 def cmd_generate(config: RunConfig, spec_file: str | None, catalog: bool) -> int:
     out = Path(config.out)
     generator_seed = substream_seed(config.seed, "generator")
+    if catalog and spec_file:
+        raise ConfigError("generate takes --catalog or a spec file, not both")
     if catalog:
         for name, scenario in benchmark_suite(generator_seed).items():
             written = _write_corpus_files(scenario.corpus, out / name)

@@ -26,11 +26,15 @@ normalization. The norm stays one ``np.dot`` per row, because a vectorized
 norm sums the squares in another order and would change the last bits.
 
 Selection runs inside an ``ExperimentContext``, which computes the scores
-the strategies rank: one per pool document (cached for JS and cosine,
-recomputed per run seed for proxy-A, the only metric that also reads the
+the strategies rank: one per pool document (cached for JS and cosine, which
+``selection._score_rows`` computes; fitted per run seed by
+``selection.proxy_a_scores`` for proxy-A, the only metric that also reads the
 target's own rows) and one per source domain (cached), the domains pooled by
 ``representations.pool_groups`` like the subset search's candidates.
-``run_selection`` hands each strategy its scores.
+``run_selection`` hands each strategy its scores. Every setting is an
+argument of the function that uses it: the representation's (embedding
+table, autoencoder training, SIF smoothing) of ``prepare_context`` and the
+classifier's of ``run_experiment``.
 
 A document has one address, its corpus row: its row of the representation
 matrix and of the encoded count matrix. The context keeps the pool's rows as
@@ -264,26 +268,14 @@ def t_test(runs_a: list[float], runs_b: list[float]) -> SignificanceResult:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ExperimentResources:
-    """Shared inputs for experiments: representation and model knobs.
-
-    The autoencoder representation trains its model on all domains (target
-    included, as unlabeled text) with ``ae_config``.
-    """
-
-    sif_a: float = 1e-5
-    embedding_table: EmbeddingTable | None = None
-    ae_config: AETrainConfig = field(default_factory=AETrainConfig)
-    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
-
-
-@dataclass
 class ExperimentContext:
     """Everything reusable across runs and strategies for one target domain.
 
-    The context computes every score the strategies rank, each through
-    ``selection._score_rows``: pool item scores and source-domain scores.
-    ``pool_index`` holds each pool document's corpus row.
+    The context computes every score the strategies rank: pool item scores
+    and source-domain scores, through ``selection._score_rows``, except the
+    proxy-A item scores, which ``selection.proxy_a_scores`` fits. It holds no
+    settings; ``prepare_context`` consumed them. ``pool_index`` holds each
+    pool document's corpus row.
     """
 
     corpus: Corpus
@@ -293,7 +285,6 @@ class ExperimentContext:
     pool_docs: list[Document]
     pool_index: np.ndarray
     target_repr: object
-    resources: ExperimentResources
     _item_scores: dict = field(default_factory=dict)
     _domain_scores: dict = field(default_factory=dict)
 
@@ -310,10 +301,8 @@ class ExperimentContext:
         if key in self._item_scores:
             return self._item_scores[key]
         if metric == PROXY_A:
-            scores = sel._score_rows(
-                self.space.matrix[self.pool_index], self.target_repr, metric, seed=seed,
-                target_rows=self.space.matrix[self.corpus.domain_rows(self.target_domain)],
-            )
+            target_rows = self.space.matrix[self.corpus.domain_rows(self.target_domain)]
+            scores = sel.proxy_a_scores(self.space.matrix[self.pool_index], target_rows, seed=seed)
         else:
             scores = sel._score_rows(self.space.matrix, self.target_repr, metric)[self.pool_index]
         self._item_scores[key] = scores
@@ -346,8 +335,11 @@ def prepare_context(
     vocab: Vocabulary,
     target_domain: str,
     representation: str,
-    resources: ExperimentResources | None = None,
     labeled_pool_only: bool = True,
+    *,
+    embedding_table: EmbeddingTable | None = None,
+    ae_config: AETrainConfig = AETrainConfig(),
+    sif_a: float = 1e-5,
 ) -> ExperimentContext:
     """Build the representation space and split the pool.
 
@@ -356,28 +348,28 @@ def prepare_context(
     (pass ``labeled_pool_only=False`` to keep unlabeled candidates, e.g. when
     selecting data for annotation). Domain and target representations
     aggregate all documents of the domain, labeled or not, so unlabeled text
-    still informs similarity.
+    still informs similarity. The autoencoder representation trains its
+    model with ``ae_config`` on all domains, the target's text included.
     """
-    resources = resources or ExperimentResources()
     if target_domain not in corpus.domains:
         raise ConfigError(f"unknown target domain {target_domain!r}")
     if not (corpus.domains - {target_domain}):
         raise DataError("no source domains besides the target")
-    if representation == EMBEDDING and resources.embedding_table is None:
+    if representation == EMBEDDING and embedding_table is None:
         raise ConfigError("embedding representation requires an embeddings file")
     ae_model = ae_features = None
     if representation == AUTOENCODER:
         ae_features = ae_input_features(encoded, vocab)
-        ae_model, _ = ae_train(ae_features, resources.ae_config)
+        ae_model, _ = ae_train(ae_features, ae_config)
     space = build_representation_space(
         corpus,
         encoded,
         representation,
         vocab,
-        embedding_table=resources.embedding_table,
+        embedding_table=embedding_table,
         ae_model=ae_model,
         ae_features=ae_features,
-        sif_a=resources.sif_a,
+        sif_a=sif_a,
     )
     pool_index = np.flatnonzero(
         [
@@ -396,7 +388,6 @@ def prepare_context(
         pool_docs=pool_docs,
         pool_index=pool_index,
         target_repr=space.aggregate([d.id for d in corpus.domain_documents(target_domain)]),
-        resources=resources,
     )
 
 
@@ -454,6 +445,7 @@ def run_experiment(
     selection_config: sel.SelectionConfig,
     runs: int = 10,
     base_seed: int = 0,
+    classifier: ClassifierConfig = ClassifierConfig(),
 ) -> ExperimentResult:
     """Select, train, and score ``runs`` times inside a prepared context; run i
     reseeds the selection with ``base_seed + i``.
@@ -474,7 +466,6 @@ def run_experiment(
         raise DataError(f"target domain {target_domain!r} has no labeled documents")
     eval_rows = counts[eval_index]
     eval_labels = [docs[row].label for row in eval_index]
-    clf_config = context.resources.classifier
 
     accuracies: list[float] = []
     seeds = list(range(base_seed, base_seed + runs))
@@ -484,7 +475,7 @@ def run_experiment(
             train_labels = [context.corpus.get(i).label for i in result.chosen]
             train_rows = counts[[context.space.index[i] for i in result.chosen]]
             tfidf = TfidfModel.fit(train_rows)
-            model = train_classifier(tfidf.transform(train_rows), train_labels, clf_config)
+            model = train_classifier(tfidf.transform(train_rows), train_labels, classifier)
             accuracy = evaluate(model, tfidf.transform(eval_rows), eval_labels)
         except DataSelectError as exc:
             exc.args = (f"run {run}: {exc}",)

@@ -8,16 +8,18 @@ size-``s`` groups, removing winners from the pool between rounds).
 
 The similarity-guided strategies rank scores they are given; they call no
 metric themselves. ``evaluation.ExperimentContext`` computes the scores of
-every scope through ``_score_rows``: one per pool document (item scores) and
-one per source domain, pooled by ``representations.pool_groups``. Only the
-subset search scores the candidate groups it draws, each pooled by the same
-primitive straight from the representation matrix: pool document i is row
-``pool_index[i]`` of the matrix, its corpus row, and no pool rows are copied
-out. A singleton's score is its member's item score, and a proxy-A subset
-scores as its members' mean. ``_rank`` is the one ranking rule: best
-oriented score first, NaN last, ties by name. Instance ranking drops NaN
-(empty) items and the domain choice drops NaN domains; truncating the final
-subset round keeps NaN members, ranked last.
+every scope: one per pool document (item scores) and one per source domain,
+pooled by ``representations.pool_groups``. JS and cosine go through
+``_score_rows``; proxy-A item scores come from ``proxy_a_scores``, which the
+context calls through this module. Only the subset search scores the
+candidate groups it draws, each pooled by the same primitive straight from
+the representation matrix: pool document i is row ``pool_index[i]`` of the
+matrix, its corpus row, and no pool rows are copied out. A singleton's
+score is its member's item score, and a proxy-A subset scores as its
+members' mean. ``_rank`` is the one ranking rule: best oriented score first,
+NaN last, ties by name. Instance ranking drops NaN (empty) items and the
+domain choice drops NaN domains; truncating the final subset round keeps NaN
+members, ranked last.
 
 Which metric may score which representation and strategy is decided once,
 by ``SelectionConfig``. All strategies are deterministic for a fixed seed,
@@ -128,18 +130,17 @@ class SelectionResult:
 # Scoring and ranking
 # ---------------------------------------------------------------------------
 
-def _score_rows(rows, target_repr, metric: str, *, seed: int = 0, target_rows=None) -> np.ndarray:
+def _score_rows(rows, target_repr, metric: str) -> np.ndarray:
     """Score representation rows against the target; NaN marks unusable rows.
 
-    Proxy-A fits a discriminator of these rows against ``target_rows``,
-    balanced by a ``seed``-drawn subsample.
+    Proxy-A is not scored here: it fits a discriminator against the target's
+    own rows, which ``ExperimentContext.item_scores`` passes to
+    ``proxy_a_scores`` itself.
     """
     if metric == JENSEN_SHANNON:
         return js_to_target(rows, target_repr)
     if metric == COSINE:
         return cosine_to_target(rows, _as_vector(target_repr))
-    if metric == PROXY_A:
-        return proxy_a_scores(rows, target_rows, seed=seed)
     raise ConfigError(f"unknown metric {metric!r}")
 
 

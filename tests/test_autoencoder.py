@@ -69,11 +69,12 @@ def masked_sigmoid(z):
 
 def allocating_adam_step(p, m, v, g, t, config, buf1, buf2):
     """The whole-array Adam update the blocked one replaced."""
-    m[...] = config.beta1 * m + (1.0 - config.beta1) * g
-    v[...] = config.beta2 * v + (1.0 - config.beta2) * g * g
-    m_hat = m / (1.0 - config.beta1**t)
-    v_hat = v / (1.0 - config.beta2**t)
-    p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    b1, b2, eps = autoencoder._ADAM_BETA1, autoencoder._ADAM_BETA2, autoencoder._ADAM_EPS
+    m[...] = b1 * m + (1.0 - b1) * g
+    v[...] = b2 * v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def whole_matrix_encode(model, x):

@@ -6,6 +6,7 @@ the set of config-file keys, and byte-identical output files on reruns.
 """
 
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from dataselect import cli
 from dataselect.corpus import load_corpus, preprocess
 from dataselect.errors import ConfigError
+from dataselect.evaluation import t_test
 
 COMMON_FLAGS = {
     "-h", "--help", "--config", "--corpus", "--target", "--task", "--representation",
@@ -89,6 +91,10 @@ BAD_RUN_VALUES = [
 SMALL = ["--task", "binary", "--n", "10", "--s", "3", "--m", "20", "--runs", "2"]
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def read_tree(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*"))
             if p.is_file()}
@@ -151,6 +157,7 @@ class TestExitCodes:
             ["select", "--ae-hidden", "0"],
             ["evaluate", "--ae-lr", "-1"],
             ["sweep", "--n-values", "4", "--ae-batch", "0"],
+            ["select", "--ae-lr", "inf"],
         ]
         + BAD_RUN_VALUES,
     )
@@ -167,6 +174,27 @@ class TestExitCodes:
                        "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 1
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--catalog", "--spec", "missing.json"],
+            ["evaluate", "--strategies", "instance,instance"],
+            ["sweep", "--n-values", "4", "--strategies", "random,domain,random"],
+        ],
+    )
+    def test_conflicting_or_repeated_input_is_one_before_writing(self, data, tmp_path, argv):
+        argv = argv + ["--corpus", str(data["corpus"]), "--target", "tgt",
+                       "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_listed_baseline_is_run_once(self, data, tmp_path):
+        argv = ["evaluate", "--strategies", "instance,random"] + base_args(data, tmp_path)
+        argv += ["--runs", "1"]
+        assert cli.main(argv) == 0
+        rows = (tmp_path / "results.tsv").read_text("utf-8").splitlines()
+        assert [r.split("\t")[1] for r in rows[1:]] == ["random", "balanced", "instance"]
 
     @pytest.mark.parametrize("spec", BAD_SPECS)
     def test_bad_generate_spec_is_one(self, tmp_path, capsys, spec):
@@ -236,7 +264,8 @@ class TestConfiguration:
             assert type(values[key]) is type(parsed), key
 
     @pytest.mark.parametrize(
-        "line", ["colour = blue", "n = ten", "lowercase = maybe", "no equals sign"]
+        "line",
+        ["colour = blue", "n = ten", "lowercase = maybe", "no equals sign", "n = 5\nn = 7"],
     )
     def test_bad_config_lines_rejected(self, tmp_path, line):
         path = tmp_path / "bad.conf"
@@ -273,6 +302,8 @@ class TestReruns:
         assert [r.split("\t")[1] for r in rows[1:]] == [
             "random", "balanced", "domain", "instance", "subset",
         ]
+        json.loads((tmp_path / "results.json").read_text("utf-8"),
+                   parse_constant=reject_constant)
 
     def test_sweep(self, data, tmp_path):
         argv = ["sweep", "--n-values", "4,8", "--strategies", "random,instance"]
@@ -283,3 +314,62 @@ class TestReruns:
         self.rerun_is_identical(argv, tmp_path)
         assert sorted(read_tree(tmp_path)) == ["all.jsonl", "far.jsonl", "near.jsonl",
                                                "tgt.jsonl"]
+
+
+class TestEvaluateOutputs:
+    """The significance columns of ``results.tsv``, the ``significance`` entries
+    of ``results.json`` and ``sweep.tsv``'s means, recomputed from the
+    accuracies the run wrote."""
+
+    STRATEGIES = ["--strategies", "domain,instance,subset"]
+
+    def evaluate(self, data, out, *extra):
+        assert cli.main(["evaluate"] + self.STRATEGIES + base_args(data, out) + list(extra)) == 0
+        rows = [r.split("\t") for r in (out / "results.tsv").read_text("utf-8").splitlines()]
+        return rows[0], rows[1:], json.loads((out / "results.json").read_text("utf-8"))
+
+    def test_significance_matches_t_tests_of_the_written_accuracies(self, data, tmp_path):
+        header, rows, written = self.evaluate(data, tmp_path)
+        assert header[6:] == ["p_vs_rand", "p_vs_all", "signif"]
+        results = {r["strategy"]: r for r in written["results"]}
+        assert [row[1] for row in rows] == list(results)
+        assert set(written["significance"]) == {"domain", "instance", "subset"}
+        for row in rows:
+            strategy = row[1]
+            if strategy in cli.BASELINES:
+                assert row[6:] == ["", "", ""]
+                continue
+            result, marks = results[strategy], ""
+            for column, key, baseline, mark in ((6, "rand", "random", "*"),
+                                                (7, "all", "balanced", "+")):
+                test = t_test(result["accuracies"], results[baseline]["accuracies"])
+                better = test.significant and result["mean"] > results[baseline]["mean"]
+                entry = written["significance"][strategy][key]
+                assert row[column] == f"{test.p:.6g}"
+                assert (entry["df"], entry["p"], entry["significantly_better"]) == (
+                    test.df, test.p, better
+                )
+                assert entry["t"] == (test.t if math.isfinite(test.t) else None)
+                marks += mark if better else ""
+            assert row[8] == marks
+
+    def test_one_run_is_insufficient_for_significance(self, data, tmp_path):
+        _, rows, written = self.evaluate(data, tmp_path, "--runs", "1")
+        for row in rows:
+            if row[1] in cli.BASELINES:
+                assert row[6:] == ["", "", ""]
+            else:
+                assert row[6:] == ["insufficient_runs", "insufficient_runs", ""]
+                assert written["significance"][row[1]] == {
+                    "rand": "insufficient_runs", "all": "insufficient_runs",
+                }
+
+    def test_sweep_at_one_n_matches_evaluate(self, data, tmp_path):
+        _, rows, _ = self.evaluate(data, tmp_path / "evaluate")
+        strategies = ",".join(row[1] for row in rows)
+        argv = ["sweep", "--n-values", "10", "--strategies", strategies]
+        assert cli.main(argv + base_args(data, tmp_path / "sweep")) == 0
+        sweep = [r.split("\t") for r in
+                 (tmp_path / "sweep" / "sweep.tsv").read_text("utf-8").splitlines()]
+        assert sweep[0] == ["n", "strategy", "mean_acc", "std"]
+        assert sweep[1:] == [["10", row[1], row[4], row[5]] for row in rows]

@@ -16,7 +16,6 @@ from dataselect.embeddings import EmbeddingTable
 from dataselect.errors import ConfigError, DataError
 from dataselect.evaluation import (
     ClassifierConfig,
-    ExperimentResources,
     evaluate,
     prepare_context,
     run_experiment,
@@ -340,9 +339,7 @@ def prepare(corpus):
     stopwords over a 2,000-token vocabulary."""
     encoded = tokenize_corpus(corpus, PreprocessOptions(stopwords=frozenset()))
     vocab = build_vocabulary(encoded, 2000)
-    return lambda target="tgt": prepare_context(
-        corpus, encoded, vocab, target, "term_dist", ExperimentResources()
-    )
+    return lambda target="tgt": prepare_context(corpus, encoded, vocab, target, "term_dist")
 
 
 class TestRunExperiment:
@@ -407,11 +404,12 @@ class TestContextMemory:
         rng = np.random.default_rng(0)
         dim = 256
         table = EmbeddingTable({t: rng.normal(size=dim) for t in vocab.tokens}, dim=dim)
-        resources = ExperimentResources(embedding_table=table)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            context = prepare_context(corpus, encoded, vocab, "tgt", "embedding", resources)
+            context = prepare_context(
+                corpus, encoded, vocab, "tgt", "embedding", embedding_table=table
+            )
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
