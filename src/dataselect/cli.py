@@ -69,10 +69,11 @@ def substream_seed(base_seed: int, name: str) -> int:
     )
 
 
-COMMANDS = ("select", "evaluate", "sweep", "generate")
+RUN_COMMANDS = ("select", "evaluate", "sweep")
+COMMANDS = RUN_COMMANDS + ("generate",)  # generate reads only --seed and --out
 
 
-def _option(default, *, help=None, choices=None, commands=COMMANDS):
+def _option(default, *, help=None, choices=None, commands=RUN_COMMANDS):
     """Declare a ``RunConfig`` field with its flag's choices and help text.
 
     The flag is added to every subcommand in ``commands``; an empty tuple
@@ -114,8 +115,8 @@ class RunConfig:
     ae_lr: float = _option(1e-3)
     ae_batch: int = _option(64)
     runs: int = _option(10)
-    seed: int = _option(0)
-    out: str = _option("out", help="output directory")
+    seed: int = _option(0, commands=COMMANDS)
+    out: str = _option("out", help="output directory", commands=COMMANDS)
     embeddings: str | None = _option(None, help="word-vector file (token + floats per line)")
     stopwords: str | None = _option(None, help="stopword list override, one token per line")
     lowercase: bool = _option(True, commands=())

@@ -28,7 +28,7 @@ SUBCOMMAND_FLAGS = {
     "select": COMMON_FLAGS | {"--strategy"},
     "evaluate": COMMON_FLAGS | {"--strategies"},
     "sweep": COMMON_FLAGS | {"--strategies", "--n-values"},
-    "generate": COMMON_FLAGS | {"--catalog", "--spec"},
+    "generate": {"-h", "--help", "--config", "--seed", "--out", "--catalog", "--spec"},
 }
 
 # key -> (config-file text, parsed value)
@@ -184,9 +184,17 @@ class TestExitCodes:
         ],
     )
     def test_conflicting_or_repeated_input_is_one_before_writing(self, data, tmp_path, argv):
-        argv = argv + ["--corpus", str(data["corpus"]), "--target", "tgt",
-                       "--out", str(tmp_path / "out")]
+        if argv[0] != "generate":  # which takes no corpus flags
+            argv = argv + ["--corpus", str(data["corpus"]), "--target", "tgt"]
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_generate_rejects_run_flags(self, tmp_path, capsys):
+        argv = ["generate", "--catalog", "--seed", "3", "--runs", "0", "--ae-lr", "-1",
+                "--n", "5", "--corpus", str(tmp_path / "nothing.jsonl"),
+                "--out", str(tmp_path / "x")]
         assert cli.main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_listed_baseline_is_run_once(self, data, tmp_path):

@@ -1,4 +1,5 @@
-"""Kernel microbenchmarks: one subset-search round of candidate scoring, one
+"""Kernel microbenchmarks: one subset-search round of candidate scoring
+(serially and split over every CPU the process may use), one
 autoencoder minibatch (forward/backward and one Adam update), one encode
 of a whole pool, one sentiment-classifier fit, one tf-idf fit with its
 transforms, one SIF space build and one proxy-A discriminator fit.
@@ -41,11 +42,17 @@ M, S = 20000, 20
 HIDDEN, BATCH = 1000, 64
 
 
+# serial and on every CPU the process may use, the split the search takes
+ROUND_WORKERS = sorted({1, selection._WORKERS})
+
+
 def round_candidates(rng):
     return selection._draw_subsets(rng, POOL, S, M)
 
 
-def test_sparse_js_round(benchmark):
+@pytest.mark.parametrize("workers", ROUND_WORKERS)
+def test_sparse_js_round(benchmark, monkeypatch, workers):
+    monkeypatch.setattr(selection, "_WORKERS", workers)
     rng = np.random.default_rng(0)
     rows = sp.random(
         POOL, VOCAB, density=15 / VOCAB, format="csr", random_state=1,
@@ -63,7 +70,9 @@ def test_sparse_js_round(benchmark):
     assert scores.shape == (M,)
 
 
-def test_dense_cosine_round(benchmark):
+@pytest.mark.parametrize("workers", ROUND_WORKERS)
+def test_dense_cosine_round(benchmark, monkeypatch, workers):
+    monkeypatch.setattr(selection, "_WORKERS", workers)
     rng = np.random.default_rng(0)
     rows = rng.standard_normal((POOL, DIM))
     target = rng.standard_normal(DIM)

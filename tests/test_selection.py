@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -524,15 +527,19 @@ class TestCandidateScores:
     @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
     @pytest.mark.parametrize("sparse_rows", [False, True])
     def test_batch_size_changes_no_score(self, monkeypatch, metric, sparse_rows):
+        """Neither the block size nor the number of threads that share the
+        blocks changes a bit of any score."""
         rows, candidates, target = candidate_case(sparse_rows)
         results = []
         for block in (2, 3, 7, 256):
             monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", block)
-            results.append(
-                selection._candidate_scores(
-                    rows, every_row(rows), None, candidates, target, metric,
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(selection, "_WORKERS", workers)
+                results.append(
+                    selection._candidate_scores(
+                        rows, every_row(rows), None, candidates, target, metric,
+                    )
                 )
-            )
         indptr = np.arange(0, candidates.size + 1, candidates.shape[1])
         whole = selection._score_rows(pool_groups(rows, candidates.ravel(), indptr),
                                       target, metric)
@@ -552,6 +559,9 @@ class TestCandidateScores:
             return score_rows(agg, *args, **kwargs)
 
         monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", 7)
+        # aggregates are recorded in call order, which helper threads would
+        # interleave; the split itself is covered by the test above
+        monkeypatch.setattr(selection, "_WORKERS", 1)
         monkeypatch.setattr(selection, "_score_rows", record)
         scores = selection._candidate_scores(
             rows, every_row(rows), None, candidates, target.probs, "cosine",
@@ -559,6 +569,78 @@ class TestCandidateScores:
         oracle = rows[candidates].mean(axis=1)
         assert np.array_equal(np.vstack(aggregates), oracle)
         assert np.array_equal(scores, cosine_to_target(oracle, target.probs))
+
+    @pytest.mark.parametrize("sparse_rows", [True, False])
+    def test_thread_count_changes_no_selection(self, monkeypatch, sparse_rows):
+        rows = random_counts(300, 16, seed=15, zero_rows=range(5))
+        target = target_dist(16)
+        if sparse_rows:
+            rows, target_repr, metric = sp.csr_matrix(rows), target, "jensen_shannon"
+        else:
+            rows, target_repr, metric = rows / 3, target.probs, "cosine"
+        monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", 7)
+        results = []
+        for workers in (1, 3):
+            monkeypatch.setattr(selection, "_WORKERS", workers)
+            results.append(subset_select(
+                6, 40, 200, make_pool(300), target_repr, rows, every_row(rows),
+                scored(rows, target_repr, metric), metric, 0,
+            ))
+        serial, split = results
+        assert split.chosen == serial.chosen
+        assert split.subset_scores == serial.subset_scores
+        assert split.iteration_members == serial.iteration_members
+
+    def test_more_threads_than_cpus_write_every_row(self, monkeypatch):
+        """Eight threads that switch every microsecond still write each
+        candidate's score to its own row."""
+        rows, candidates, target = candidate_case(sparse_rows=True)
+        monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", 2)
+        results = []
+        for workers in (1, 8):
+            monkeypatch.setattr(selection, "_WORKERS", workers)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                results.append(selection._candidate_scores(
+                    rows, every_row(rows), None, candidates, target, "jensen_shannon",
+                ))
+            finally:
+                sys.setswitchinterval(interval)
+        assert np.array_equal(results[1], results[0], equal_nan=True)
+
+    def test_helper_error_propagates_and_threads_end(self, monkeypatch):
+        rows, candidates, target = candidate_case(sparse_rows=True)
+        score_rows = selection._score_rows
+
+        def fail_off_main_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper share failed")
+            return score_rows(*args)
+
+        monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(selection, "_WORKERS", 3)
+        monkeypatch.setattr(selection, "_score_rows", fail_off_main_thread)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper share failed"):
+            selection._candidate_scores(
+                rows, every_row(rows), None, candidates, target, "jensen_shannon",
+            )
+        assert threading.active_count() == threads
+
+    def test_one_worker_starts_no_executor(self, monkeypatch):
+        rows, candidates, target = candidate_case(sparse_rows=True)
+
+        def no_executor(*args):
+            raise AssertionError("an executor was created")
+
+        monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(selection, "_WORKERS", 1)
+        monkeypatch.setattr(selection, "ThreadPoolExecutor", no_executor)
+        scores = selection._candidate_scores(
+            rows, every_row(rows), None, candidates, target, "jensen_shannon",
+        )
+        assert scores.shape == (len(candidates),)
 
 
 class TestDrawSubsets:
