@@ -2,12 +2,16 @@
 
 Subcommands: ``select`` (write a selection), ``evaluate`` (multi-run
 accuracy table with baselines and significance), ``sweep`` (training-size
-curve data), and ``generate`` (synthetic corpora). Configuration comes from
+curve data), and ``generate`` (synthetic corpora). The command runs as
+``dataselect`` or, from a source checkout, ``python -m dataselect`` with
+``src`` on ``PYTHONPATH``. Configuration comes from
 an optional plain-text ``key = value`` file; command-line flags override
 file values, and defaults follow the standard experimental setup (vocabulary
 10000, s=20, m=20000, n=2000 ternary / 1600 binary, 10 runs). Each
 ``RunConfig`` field is both a config-file key and, on the subcommands it
 names, a flag ``--`` plus the field name with ``_`` turned into ``-``.
+``generate`` reads only ``seed`` and ``out``, and its config file may set
+no other key.
 
 All randomness derives from one base seed through named substreams
 (selection, classifier, autoencoder, generator), so every command is a pure
@@ -197,8 +201,15 @@ def load_config_file(path: str | Path) -> dict:
     return values
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
+def build_run_config(args: argparse.Namespace, command: str) -> RunConfig:
+    """The file's values, overridden by the flags given. A ``generate`` config
+    file may set only the keys ``generate`` reads (those it has flags for)."""
     values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    if command == "generate":
+        read = {f.name for f in fields(RunConfig) if command in f.metadata["commands"]}
+        for key in values:
+            if key not in read:
+                raise ConfigError(f"{args.config}: generate does not read config key {key!r}")
     for key in _PARSERS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -476,11 +487,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_select = sub.add_parser("select", help="write a training selection")
     _add_run_flags(p_select, "select")
-    p_select.set_defaults(func=lambda a: cmd_select(build_run_config(a)))
+    p_select.set_defaults(func=lambda a: cmd_select(build_run_config(a, "select")))
 
     p_eval = sub.add_parser("evaluate", help="run the multi-seed evaluation protocol")
     _add_run_flags(p_eval, "evaluate")
-    p_eval.set_defaults(func=lambda a: cmd_evaluate(build_run_config(a)))
+    p_eval.set_defaults(func=lambda a: cmd_evaluate(build_run_config(a, "evaluate")))
 
     p_sweep = sub.add_parser("sweep", help="accuracy vs number of training examples")
     _add_run_flags(p_sweep, "sweep")
@@ -489,13 +500,15 @@ def make_parser() -> argparse.ArgumentParser:
         type=lambda v: [int(x) for x in v.split(",") if x.strip()],
         help="comma-separated ascending sizes, e.g. 500,1000,2000",
     )
-    p_sweep.set_defaults(func=lambda a: cmd_sweep(build_run_config(a), a.n_values))
+    p_sweep.set_defaults(func=lambda a: cmd_sweep(build_run_config(a, "sweep"), a.n_values))
 
     p_gen = sub.add_parser("generate", help="write synthetic corpora")
     _add_run_flags(p_gen, "generate")
     p_gen.add_argument("--catalog", action="store_true", help="write the builtin scenarios")
     p_gen.add_argument("--spec", help="JSON domain-spec file")
-    p_gen.set_defaults(func=lambda a: cmd_generate(build_run_config(a), a.spec, a.catalog))
+    p_gen.set_defaults(
+        func=lambda a: cmd_generate(build_run_config(a, "generate"), a.spec, a.catalog)
+    )
 
     return parser
 

@@ -7,7 +7,11 @@ the set of config-file keys, and byte-identical output files on reruns.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,24 @@ class TestExitCodes:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_generate_rejects_config_keys_it_does_not_read(self, tmp_path, capsys):
+        config = tmp_path / "bad.conf"
+        config.write_text(
+            f"seed = 3\nruns = 0\nae_lr = -1\nn = 5\ncorpus = {tmp_path / 'nothing.jsonl'}\n",
+            encoding="utf-8",
+        )
+        argv = ["generate", "--catalog", "--config", str(config), "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 1
+        assert "generate does not read config key 'runs'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.conf"]
+
+    def test_generate_reads_seed_and_out_from_config(self, tmp_path):
+        out = tmp_path / "from_file"
+        config = tmp_path / "gen.conf"
+        config.write_text(f"seed = 3\nout = {out}\n", encoding="utf-8")
+        assert cli.main(["generate", "--catalog", "--config", str(config)]) == 0
+        assert (out / "graded" / "all.jsonl").is_file()
+
     def test_listed_baseline_is_run_once(self, data, tmp_path):
         argv = ["evaluate", "--strategies", "instance,random"] + base_args(data, tmp_path)
         argv += ["--runs", "1"]
@@ -238,6 +260,28 @@ class TestExitCodes:
             "--ae-epochs", "2", "--ae-batch", "8",
         ]
         assert cli.main(["select"] + args) == 3
+
+
+class TestModuleEntryPoint:
+    """``python -m dataselect`` runs ``cli.main`` from a source checkout."""
+
+    def run(self, tmp_path, *argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        return subprocess.run(
+            [sys.executable, "-m", "dataselect", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_generate_catalog_exits_zero(self, tmp_path):
+        proc = self.run(tmp_path, "generate", "--catalog", "--out", str(tmp_path / "cat"))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "cat" / "graded" / "all.jsonl").is_file()
+
+    def test_unknown_flag_exits_one(self, tmp_path):
+        proc = self.run(tmp_path, "generate", "--catalog", "--no-such-flag")
+        assert proc.returncode == 1
+        assert "unrecognized arguments: --no-such-flag" in proc.stderr
+        assert not any(tmp_path.iterdir())
 
 
 class TestConfiguration:

@@ -1,5 +1,6 @@
 """Kernel microbenchmarks: one subset-search round of candidate scoring
-(serially and split over every CPU the process may use), one
+(serially and split over every CPU the process may use), one bounded round
+that scores only the candidates that may win (JS and dense cosine), one
 autoencoder minibatch (forward/backward and one Adam update), one encode
 of a whole pool, one sentiment-classifier fit, one tf-idf fit with its
 transforms, one SIF space build and one proxy-A discriminator fit.
@@ -12,6 +13,9 @@ The pools are the size of the ``graded`` catalog scenario's source pool
 (about 7,000 documents over a 1,260-token vocabulary, about 15 distinct
 tokens per document) and of a 100-d dense embedding pool. One round scores
 20,000 random 20-document candidates, the default ``m`` and ``s``. The
+bounded rounds are the first round of the seed-0 ``graded`` term-distribution
+search and of the seed-0 ``blended`` search over SIF rows of a random 100-d
+table over every vocabulary token. The
 autoencoder cases use that vocabulary with the default hidden size (1,000)
 and batch size (64); the encode case encodes the whole sparse pool. The
 classifier case fits the default 10-epoch SGD on a binary training set of the
@@ -84,6 +88,52 @@ def test_dense_cosine_round(benchmark, monkeypatch, workers):
         iterations=1,
     )
     assert scores.shape == (M,)
+
+
+def first_round(scenario, representation):
+    """The first subset-search round of a seed-0 catalog scenario's pool: every
+    pool document available, M candidates of S."""
+    scenario = synthetic.benchmark_suite(0)[scenario]
+    encoded = tokenize_corpus(scenario.corpus)
+    vocab = build_vocabulary(encoded, 10000)
+    table = None
+    if representation == "embedding":
+        rng = np.random.default_rng(0)
+        table = EmbeddingTable({t: rng.standard_normal(DIM) for t in vocab.tokens}, dim=DIM)
+    context = evaluation.prepare_context(
+        scenario.corpus, encoded, vocab, scenario.target_domain, representation,
+        embedding_table=table,
+    )
+    available = np.arange(len(context.pool_index))
+    candidates = selection._draw_subsets(np.random.default_rng(0), len(available), S, M)
+    return context, available, candidates
+
+
+def test_pruned_js_round(benchmark):
+    context, available, candidates = first_round("graded", "term_dist")
+    scores = benchmark.pedantic(
+        selection._round_scores,
+        args=(context.space.matrix, context.pool_index, None, available, candidates,
+              context.target_repr, "jensen_shannon", None),
+        rounds=5,
+        iterations=1,
+    )
+    assert 0 < np.count_nonzero(~np.isnan(scores)) < M
+
+
+def test_pruned_cosine_round(benchmark):
+    context, available, candidates = first_round("blended", "embedding")
+    projections = selection._cosine_projections(
+        context.space.matrix, context.pool_index, context.target_repr
+    )
+    scores = benchmark.pedantic(
+        selection._round_scores,
+        args=(context.space.matrix, context.pool_index, None, available, candidates,
+              context.target_repr, "cosine", projections),
+        rounds=5,
+        iterations=1,
+    )
+    assert 0 < np.count_nonzero(~np.isnan(scores)) < M
 
 
 def test_adam_step(benchmark):

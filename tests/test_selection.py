@@ -643,6 +643,173 @@ class TestCandidateScores:
         assert scores.shape == (len(candidates),)
 
 
+def exhaustive_subset_select(s, n, m, pool, target_repr, matrix, pool_index, item_scores,
+                             metric, seed):
+    """The subset search with every candidate of every round scored: the loop
+    of ``subset_select`` before rounds were bounded."""
+    orientation = selection.METRIC_ORIENTATION[metric]
+    rng = np.random.default_rng(seed)
+    available = np.arange(len(pool))
+    chosen, iteration_members, subset_scores = [], [], []
+    while len(chosen) < n and len(available):
+        if s == 1 and m >= len(available):
+            ids = [pool[i].id for i in available]
+            in_avail = np.array(selection._rank(item_scores[available], orientation, ids))[:, None]
+        else:
+            in_avail = selection._draw_subsets(rng, len(available), min(s, len(available)), m)
+        candidates = available[in_avail]
+        scores = selection._candidate_scores(
+            matrix, pool_index, item_scores, candidates, target_repr, metric
+        )
+        key = selection._sort_key(scores, orientation)
+        best = int(np.argmin(key))
+        if not np.isfinite(key[best]):
+            break
+        members = candidates[best]
+        room = n - len(chosen)
+        if len(members) > room:
+            ids = [pool[i].id for i in members]
+            members = members[selection._rank(item_scores[members], orientation, ids)[:room]]
+        chosen.extend(int(i) for i in members)
+        iteration_members.append([pool[int(i)].id for i in members])
+        subset_scores.append(float(scores[best]))
+        available = available[~np.isin(available, members)]
+    return [pool[i].id for i in chosen], subset_scores, iteration_members, max(0, n - len(chosen))
+
+
+def bound_case(data, metric):
+    """Pool rows with empty rows, duplicates and columns only non-pool rows use;
+    a target with zeros; candidates drawn from a subset of the pool."""
+    n_pool, d = data.draw(st.integers(2, 12), label="n_pool"), data.draw(st.integers(1, 6))
+    if metric == "jensen_shannon":
+        value = st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0])
+    else:
+        value = st.sampled_from([0.0, 0.0, 1.0, 2.0, -1.0, 0.5, -2.5])
+    rows = data.draw(arrays(np.float64, (n_pool, d), elements=value), label="rows")
+    if metric == "cosine" and data.draw(st.booleans(), label="anti-aligned"):
+        rows = np.abs(rows)
+        target = -np.abs(data.draw(arrays(np.float64, d, elements=value), label="target"))
+    else:
+        extra = data.draw(st.integers(0, 3), label="columns the pool lacks")
+        outside = data.draw(arrays(np.float64, (2, d + extra), elements=value), label="outside")
+        rows = np.vstack([np.hstack([rows, np.zeros((n_pool, extra))]), outside])
+        target = data.draw(arrays(np.float64, d + extra, elements=value), label="target")
+    if metric == "jensen_shannon":
+        raw = np.abs(target)
+        if raw.sum() == 0:
+            raw[0] = 1.0
+        target = TermDistribution(probs=raw / raw.sum())
+        if data.draw(st.booleans(), label="sparse"):
+            rows = sp.csr_matrix(rows)
+    available = np.array(sorted(data.draw(
+        st.lists(st.integers(0, n_pool - 1), min_size=2, unique=True), label="available"
+    )))
+    return rows, np.arange(n_pool), target, available
+
+
+class TestRoundBounds:
+    @given(st.data())
+    def test_js_lower_bound_never_exceeds_the_score(self, data):
+        rows, pool_index, target, available = bound_case(data, "jensen_shannon")
+        size = data.draw(st.integers(2, len(available)), label="s")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        candidates = available[selection._draw_subsets(rng, len(available), size, 30)]
+        bounds = selection._js_lower_bounds(rows, pool_index, available, candidates, target)
+        scores = selection._candidate_scores(
+            rows, pool_index, None, candidates, target, "jensen_shannon"
+        )
+        if bounds is None:  # every available document is empty
+            assert np.isnan(scores).all()
+            return
+        assert np.array_equal(np.isnan(bounds), np.isnan(scores))
+        usable = ~np.isnan(scores)
+        assert (bounds[usable] <= scores[usable] + 1e-12).all()
+
+    @given(st.data())
+    def test_cosine_upper_bound_never_falls_below_the_score(self, data):
+        rows, pool_index, target, available = bound_case(data, "cosine")
+        size = data.draw(st.integers(2, len(available)), label="s")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        candidates = available[selection._draw_subsets(rng, len(available), size, 30)]
+        directions = data.draw(st.integers(1, 16), label="directions")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection, "_COSINE_DIRECTIONS", directions)
+            projections = selection._cosine_projections(rows, pool_index, target)
+        scores = selection._candidate_scores(rows, pool_index, None, candidates, target, "cosine")
+        if projections is None:  # a zero target: every cosine is 0
+            assert not target.any() and not scores.any()
+            return
+        bounds = selection._cosine_upper_bounds(projections, candidates)
+        assert (bounds >= scores - 1e-12).all()
+
+    @given(st.data())
+    def test_pruned_search_equals_exhaustive_loop(self, data):
+        """Winners, recorded scores, members and shortfall of the bounded search
+        equal the exhaustive loop's, with duplicate documents (exact ties) and
+        a truncated final round, for blocks small enough that rounds prune."""
+        metric = data.draw(st.sampled_from(["jensen_shannon", "cosine"]), label="metric")
+        s = data.draw(st.sampled_from([2, 3, 20]), label="s")
+        n_pool, d = data.draw(st.integers(s + 1, 3 * s + 6), label="n_pool"), data.draw(
+            st.integers(2, 8), label="d"
+        )
+        value = st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0])
+        if metric == "cosine":
+            value = value | st.sampled_from([-1.0, 0.5, 1.25])
+        distinct = data.draw(
+            arrays(np.float64, (data.draw(st.integers(1, n_pool)), d), elements=value),
+            label="distinct rows",
+        )
+        copies = data.draw(
+            st.lists(st.integers(0, len(distinct) - 1), min_size=n_pool, max_size=n_pool),
+            label="row of each document",
+        )
+        rows = distinct[copies]
+        raw = data.draw(arrays(np.float64, d, elements=value), label="target")
+        if metric == "jensen_shannon":
+            raw = np.abs(raw)
+            if raw.sum() == 0:
+                raw[0] = 1.0
+            target = TermDistribution(probs=raw / raw.sum())
+        else:
+            target = raw
+        if data.draw(st.booleans(), label="sparse"):
+            rows = sp.csr_matrix(rows)
+        pool = make_pool(n_pool)
+        n = data.draw(st.integers(1, n_pool + 3), label="n")
+        m = data.draw(st.integers(1, 40), label="m")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        item_scores = scored(rows, target, metric)
+        args = (s, n, m, pool, target, rows, every_row(rows), item_scores, metric, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(autoencoder, "_BLOCK_ROWS", data.draw(st.integers(1, 4), label="block"))
+            mp.setattr(selection, "_WORKERS", data.draw(st.integers(1, 3), label="workers"))
+            got = subset_select(*args)
+        want = exhaustive_subset_select(*args)
+        assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == want
+
+    @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
+    def test_round_leaves_candidates_unscored(self, monkeypatch, metric):
+        monkeypatch.setattr(selection, "_WORKERS", 2)  # 512 candidates scored first
+        rows = random_counts(400, 12, seed=16, zero_rows=range(3))
+        target = target_dist(12) if metric == "jensen_shannon" else target_dist(12).probs
+        candidates = selection._draw_subsets(np.random.default_rng(17), 400, 5, 4000)
+        projections = None
+        if metric == "cosine":
+            projections = selection._cosine_projections(rows, every_row(rows), target)
+        scores = selection._round_scores(
+            rows, every_row(rows), None, np.arange(400), candidates, target, metric,
+            projections,
+        )
+        every = selection._candidate_scores(rows, every_row(rows), None, candidates, target, metric)
+        scored_rows = ~np.isnan(scores)
+        assert scored_rows.sum() < len(candidates) // 2
+        assert np.array_equal(scores[scored_rows], every[scored_rows])
+        orientation = selection.METRIC_ORIENTATION[metric]
+        assert np.argmin(selection._sort_key(scores, orientation)) == np.argmin(
+            selection._sort_key(every, orientation)
+        )
+
+
 class TestDrawSubsets:
     @pytest.mark.parametrize("block", [2, 3, 7, 256])
     def test_random_key_blocks_match_one_shot_draw(self, monkeypatch, block):
