@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -808,6 +809,29 @@ class TestRoundBounds:
         assert np.argmin(selection._sort_key(scores, orientation)) == np.argmin(
             selection._sort_key(every, orientation)
         )
+
+    def test_cosine_directions_capture_the_top_of_the_scatter(self):
+        rng = np.random.default_rng(19)
+        rows = rng.standard_normal((500, 60)) * np.geomspace(10.0, 0.1, 60)
+        target = rng.standard_normal(60)
+        projections = selection._cosine_projections(rows, every_row(rows), target)
+        unit = target / np.linalg.norm(target)
+        flat = rows - np.outer(rows @ unit, unit)
+        top = np.linalg.eigvalsh(flat.T @ flat)[::-1][: selection._COSINE_DIRECTIONS].sum()
+        assert np.allclose(projections[:, 0], rows @ unit)
+        assert (projections[:, 1:] ** 2).sum() >= 0.99 * top
+
+    def test_cosine_directions_form_no_d_by_d_array(self):
+        d = 3000
+        rows = np.random.default_rng(20).standard_normal((40, d))
+        tracemalloc.start()
+        try:
+            projections = selection._cosine_projections(rows, every_row(rows), rows[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert projections.shape == (40, selection._COSINE_DIRECTIONS + 1)
+        assert peak < d * d * 8 / 10
 
 
 class TestDrawSubsets:
