@@ -4,10 +4,11 @@ Subcommands: ``select`` (write a selection), ``evaluate`` (multi-run
 accuracy table with baselines and significance), ``sweep`` (training-size
 curve data), and ``generate`` (synthetic corpora). The command runs as
 ``dataselect`` or, from a source checkout, ``python -m dataselect`` with
-``src`` on ``PYTHONPATH``. Configuration comes from
-an optional plain-text ``key = value`` file; command-line flags override
-file values, and defaults follow the standard experimental setup (vocabulary
-10000, s=20, m=20000, n=2000 ternary / 1600 binary, 10 runs). Each
+``src`` on ``PYTHONPATH``. Configuration comes from an optional plain-text
+``key = value`` file; command-line flags override file values. Library
+settings (the subset search's, the autoencoder's, tokenization's and the
+SIF smoothing) take the library's defaults, read from the dataclass field
+or constant that owns each; the rest are defaulted in ``RunConfig``. Each
 ``RunConfig`` field is both a config-file key and, on the subcommands it
 names, a flag ``--`` plus the field name with ``_`` turned into ``-``.
 ``generate`` reads only ``seed`` and ``out``, and its config file may set
@@ -58,7 +59,7 @@ from .evaluation import (
     run_selection,
     t_test,
 )
-from .representations import EMBEDDING, REPRESENTATION_KINDS, check_sif_a
+from .representations import EMBEDDING, REPRESENTATION_KINDS, SIF_A, check_sif_a
 from .selection import STRATEGIES, SelectionConfig
 from .similarity import METRIC_ORIENTATION
 from .synthetic import DomainSpec, benchmark_suite, generate
@@ -102,29 +103,29 @@ class RunConfig:
     strategies: tuple[str, ...] = _option(
         ("domain", "instance", "subset"), commands=("evaluate", "sweep")
     )
-    representation: str = _option("term_dist", choices=REPRESENTATION_KINDS)
+    representation: str = _option(SelectionConfig.representation, choices=REPRESENTATION_KINDS)
     metric: str | None = _option(None, choices=tuple(METRIC_ORIENTATION))
     n: int | None = _option(None)
-    s: int = _option(20)
-    m: int = _option(20000)
-    a: float = _option(1e-5, help="embedding weighting smoothing factor")
+    s: int = _option(SelectionConfig.s)
+    m: int = _option(SelectionConfig.m)
+    a: float = _option(SIF_A, help="embedding weighting smoothing factor")
     vocab_cap: int = _option(10000)
     ae_hidden: int = _option(
-        1000,
+        AETrainConfig.hidden_dim,
         help="autoencoder hidden units; sizes other than 1000 may give codes that "
         "differ in the last bits across BLAS builds (reruns on one host are identical)",
     )
-    ae_epochs: int = _option(50)
-    ae_masking: float = _option(0.8)
-    ae_lr: float = _option(1e-3)
-    ae_batch: int = _option(64)
+    ae_epochs: int = _option(AETrainConfig.epochs)
+    ae_masking: float = _option(AETrainConfig.masking_prob)
+    ae_lr: float = _option(AETrainConfig.learning_rate)
+    ae_batch: int = _option(AETrainConfig.batch_size)
     runs: int = _option(10)
     seed: int = _option(0, commands=COMMANDS)
     out: str = _option("out", help="output directory", commands=COMMANDS)
     embeddings: str | None = _option(None, help="word-vector file (token + floats per line)")
     stopwords: str | None = _option(None, help="stopword list override, one token per line")
-    lowercase: bool = _option(True, commands=())
-    allow_proxy_a_subsets: bool = _option(False, commands=())
+    lowercase: bool = _option(PreprocessOptions.lowercase, commands=())
+    allow_proxy_a_subsets: bool = _option(SelectionConfig.allow_proxy_a_subsets, commands=())
 
     def __post_init__(self):
         for f in fields(self):
@@ -378,6 +379,8 @@ def cmd_evaluate(config: RunConfig) -> int:
 def cmd_sweep(config: RunConfig, n_values: list[int]) -> int:
     if not n_values:
         raise ConfigError("sweep requires at least one n value")
+    if not config.strategies:
+        raise ConfigError("sweep requires at least one strategy")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ConfigError(f"n values must be strictly ascending, got {n_values}")
     sel_configs = [

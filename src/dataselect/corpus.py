@@ -94,9 +94,6 @@ class Corpus:
     def __iter__(self) -> Iterator[Document]:
         return iter(self.documents)
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._by_id
-
     def get(self, doc_id: str) -> Document:
         try:
             return self._by_id[doc_id]

@@ -59,7 +59,7 @@ from .embeddings import EmbeddingTable
 from .errors import ConfigError, DataError, DataSelectError
 from .representations import (
     AUTOENCODER,
-    EMBEDDING,
+    SIF_A,
     RepresentationSpace,
     ae_input_features,
     build_representation_space,
@@ -339,7 +339,7 @@ def prepare_context(
     *,
     embedding_table: EmbeddingTable | None = None,
     ae_config: AETrainConfig = AETrainConfig(),
-    sif_a: float = 1e-5,
+    sif_a: float = SIF_A,
 ) -> ExperimentContext:
     """Build the representation space and split the pool.
 
@@ -349,14 +349,15 @@ def prepare_context(
     selecting data for annotation). Domain and target representations
     aggregate all documents of the domain, labeled or not, so unlabeled text
     still informs similarity. The autoencoder representation trains its
-    model with ``ae_config`` on all domains, the target's text included.
+    model with ``ae_config`` on all domains, the target's text included; the
+    embedding representation weights ``embedding_table``'s vectors with SIF
+    smoothing ``sif_a``. Both default to the library's own settings,
+    ``AETrainConfig()`` and ``representations.SIF_A``.
     """
     if target_domain not in corpus.domains:
         raise ConfigError(f"unknown target domain {target_domain!r}")
     if not (corpus.domains - {target_domain}):
         raise DataError("no source domains besides the target")
-    if representation == EMBEDDING and embedding_table is None:
-        raise ConfigError("embedding representation requires an embeddings file")
     ae_model = ae_features = None
     if representation == AUTOENCODER:
         ae_features = ae_input_features(encoded, vocab)
@@ -443,7 +444,7 @@ def check_runs(runs: int) -> None:
 def run_experiment(
     context: ExperimentContext,
     selection_config: sel.SelectionConfig,
-    runs: int = 10,
+    runs: int,
     base_seed: int = 0,
     classifier: ClassifierConfig = ClassifierConfig(),
 ) -> ExperimentResult:

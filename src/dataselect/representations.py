@@ -52,6 +52,9 @@ EMBEDDING = "embedding"
 AUTOENCODER = "autoencoder"
 REPRESENTATION_KINDS = (TERM_DIST, EMBEDDING, AUTOENCODER)
 
+# the SIF smoothing factor a of Arora, Liang & Ma (ICLR 2017)
+SIF_A = 1e-5
+
 _INT32_MAX = int(np.iinfo(np.int32).max)
 
 
@@ -192,7 +195,7 @@ def build_representation_space(
     embedding_table: EmbeddingTable | None = None,
     ae_model: ae.AEModel | None = None,
     ae_features: sp.csr_matrix | None = None,
-    sif_a: float = 1e-5,
+    sif_a: float = SIF_A,
 ) -> RepresentationSpace:
     """Compute one representation row per document of the corpus.
 

@@ -467,10 +467,12 @@ def _draw_subsets(rng: np.random.Generator, n_avail: int, size: int, m: int) -> 
     subset is small relative to the pool, rows are drawn with replacement and
     rows containing duplicates are redrawn (rejection sampling); once the
     pool shrinks near the subset size, random-key sorting takes over. Both
-    paths are deterministic for a fixed generator state.
+    paths are deterministic for a fixed generator state. A subset of the
+    whole pool is the only one there is, so it is returned once, not ``m``
+    times; that draw consumes nothing from the generator.
     """
     if size >= n_avail:
-        return np.tile(np.arange(n_avail), (m, 1))
+        return np.arange(n_avail)[None, :]
     if size * size > n_avail:
         # Keys are drawn in row blocks to bound memory; the generator
         # continues one stream, so the draw equals a one-shot (m, n_avail) one.

@@ -54,6 +54,9 @@ METRIC_ORIENTATION = {JENSEN_SHANNON: LOWER, COSINE: HIGHER, PROXY_A: HIGHER}
 
 LN2 = float(np.log(2.0))
 
+# the logistic fit stops once its gradient norm falls below this
+_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SimilarityScore:
@@ -212,7 +215,6 @@ def fit_logistic_regression(
     X: sp.spmatrix | np.ndarray,
     y: np.ndarray,
     l2: float = 1.0,
-    tol: float = 1e-8,
     max_iter: int = 500,
 ) -> tuple[np.ndarray, float, list[float]]:
     """Full-batch gradient descent with Armijo backtracking on the L2-regularized
@@ -221,7 +223,7 @@ def fit_logistic_regression(
 
     ``X`` may be dense or sparse; sparse input is fitted as CSR, never
     densified. Its products sum in another order than the dense ones, so a
-    CSR fit and a dense fit of the same rows agree to within ``tol`` rather
+    CSR fit and a dense fit of the same rows agree to within ``_TOL`` rather
     than bit for bit (and may stop at different iterations).
     """
     X = _float_rows(X)
@@ -246,7 +248,7 @@ def fit_logistic_regression(
     for _ in range(max_iter):
         gw, gb = gradient(w, margins)
         gnorm_sq = float(np.dot(gw, gw) + gb * gb)
-        if np.sqrt(gnorm_sq) < tol:
+        if np.sqrt(gnorm_sq) < _TOL:
             break
         step = 1.0
         while True:
@@ -291,7 +293,6 @@ def proxy_a_scores(
     source_reps,
     target_reps,
     seed: int = 0,
-    l2: float = 1.0,
 ) -> np.ndarray:
     """Per-source-example probability of belonging to the target domain.
 
@@ -308,7 +309,7 @@ def proxy_a_scores(
         raise DataError("need at least 2 examples per class to train the discriminator")
     X = _vstack([Xs_bal, Xt])
     y = np.concatenate([np.zeros(Xs_bal.shape[0]), np.ones(Xt.shape[0])])
-    w, b, _ = fit_logistic_regression(X, y, l2=l2)
+    w, b, _ = fit_logistic_regression(X, y)
     return sigmoid(Xs @ w + b)
 
 
@@ -317,7 +318,6 @@ def proxy_a_distance(
     target_reps,
     heldout_fraction: float = 0.25,
     seed: int = 0,
-    l2: float = 1.0,
 ) -> float:
     """Empirical domain distance 2 * (1 - 2 * heldout_error), clamped to [0, 2].
 
@@ -342,7 +342,7 @@ def proxy_a_distance(
     t_train, t_held = split(Xt)
     X = _vstack([s_train, t_train])
     y = np.concatenate([np.zeros(s_train.shape[0]), np.ones(t_train.shape[0])])
-    w, b, _ = fit_logistic_regression(X, y, l2=l2)
+    w, b, _ = fit_logistic_regression(X, y)
     held = _vstack([s_held, t_held])
     truth = np.concatenate([np.zeros(s_held.shape[0]), np.ones(t_held.shape[0])])
     predicted = (held @ w + b >= 0).astype(np.float64)

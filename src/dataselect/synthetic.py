@@ -195,10 +195,8 @@ def generate(specs: list[DomainSpec], target: DomainSpec) -> Corpus:
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
     corpus: Corpus
     target_domain: str
-    description: str
 
 
 def _child_seed(seed: int, index: int) -> int:
@@ -255,16 +253,11 @@ def benchmark_suite(seed: int = 0) -> dict[str, Scenario]:
     blended_sources, blended_target = blended_specs(seed)
     return {
         "graded": Scenario(
-            name="graded",
             corpus=generate(graded_sources, graded_target),
             target_domain=graded_target.name,
-            description="5 distinct source domains with lexicon overlaps "
-            "0.9/0.6/0.4/0.2/0.0",
         ),
         "blended": Scenario(
-            name="blended",
             corpus=generate(blended_sources, blended_target),
             target_domain=blended_target.name,
-            description="8 blended source domains with heavy topical mixing",
         ),
     }

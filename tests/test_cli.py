@@ -5,6 +5,7 @@ flags over config-file values, the set of flags each subcommand accepts,
 the set of config-file keys, and byte-identical output files on reruns.
 """
 
+import inspect
 import json
 import math
 import os
@@ -16,10 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dataselect import cli
-from dataselect.corpus import load_corpus, preprocess
+from dataselect import cli, evaluation
+from dataselect.autoencoder import AETrainConfig
+from dataselect.corpus import PreprocessOptions, load_corpus, preprocess
 from dataselect.errors import ConfigError
 from dataselect.evaluation import t_test
+from dataselect.selection import STRATEGIES, SelectionConfig
 
 COMMON_FLAGS = {
     "-h", "--help", "--config", "--corpus", "--target", "--task", "--representation",
@@ -185,6 +188,7 @@ class TestExitCodes:
             ["generate", "--catalog", "--spec", "missing.json"],
             ["evaluate", "--strategies", "instance,instance"],
             ["sweep", "--n-values", "4", "--strategies", "random,domain,random"],
+            ["sweep", "--n-values", "4", "--strategies", ","],
         ],
     )
     def test_conflicting_or_repeated_input_is_one_before_writing(self, data, tmp_path, argv):
@@ -300,6 +304,24 @@ class TestConfiguration:
         assert echo["out"] == str(out)
         assert len((out / "selection_ids.txt").read_text("utf-8").splitlines()) == 5
         assert not (tmp_path / "from_file").exists()
+
+    def test_no_flags_hand_the_library_its_defaults(self, data, monkeypatch):
+        # a RunConfig default written as a literal other than its owner's
+        # default fails one of these comparisons
+        config = cli.RunConfig()
+        for strategy in STRATEGIES:
+            assert cli._selection_config(config, strategy) == SelectionConfig(
+                n=config.resolved_n, strategy=strategy
+            )
+        assert cli._preprocess_options(config) == PreprocessOptions()
+        captured = {}
+        monkeypatch.setattr(cli, "prepare_context", lambda *a, **kwargs: captured.update(kwargs))
+        cli._build_context(
+            cli.RunConfig(corpus=str(data["corpus"]), target="tgt"), labeled_pool_only=True
+        )
+        library = inspect.signature(evaluation.prepare_context).parameters
+        assert captured["ae_config"] == AETrainConfig(seed=cli.substream_seed(0, "autoencoder"))
+        assert captured["sif_a"] == library["sif_a"].default
 
     def test_config_keys_are_the_run_config_fields(self):
         assert {f.name for f in fields(cli.RunConfig)} == set(CONFIG_KEYS)

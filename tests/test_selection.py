@@ -511,6 +511,37 @@ class TestSubsetSelect:
         assert len(result.chosen) == 8
         assert result.shortfall == 12
 
+    @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
+    def test_drained_pool_scores_its_one_candidate_once(self, monkeypatch, metric):
+        """The round that takes the whole remaining pool scores that one
+        candidate once and ends as the search did when it scored m copies."""
+        rows = random_counts(45, 8, seed=21, zero_rows=(4,))
+        target = target_dist(8) if metric == "jensen_shannon" else target_dist(8).probs
+        args = (20, 60, 300, make_pool(45), target, rows, every_row(rows),
+                scored(rows, target, metric), metric, 5)
+        draw = selection._draw_subsets
+
+        def tiled_draw(rng, n_avail, size, m):  # m copies of the whole pool
+            if size >= n_avail:
+                return np.tile(np.arange(n_avail), (m, 1))
+            return draw(rng, n_avail, size, m)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection, "_draw_subsets", tiled_draw)
+            want = exhaustive_subset_select(*args)
+        shapes = []
+        round_scores = selection._round_scores
+
+        def recording_round_scores(*round_args):
+            shapes.append(round_args[4].shape)
+            return round_scores(*round_args)
+
+        monkeypatch.setattr(selection, "_round_scores", recording_round_scores)
+        got = subset_select(*args)
+        assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == want
+        assert shapes == [(300, 20), (300, 20), (1, 5)]
+        assert got.shortfall == 15
+
 
 def candidate_case(sparse_rows):
     """90 pool rows, the first 10 empty; 600 candidates of 5 drawn from the whole
