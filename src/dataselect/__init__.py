@@ -3,7 +3,7 @@
 Score candidate examples, subsets, or whole domains against a target domain
 under interchangeable representations (term distributions, weighted word
 embeddings, autoencoder codes) and similarity metrics (Jensen-Shannon
-divergence, cosine, proxy domain-discriminator distance), then evaluate the
+divergence, cosine, proxy-A domain-discriminator scores), then evaluate the
 resulting selections with a reproducible classifier-and-statistics harness.
 
 Representations are matrices with one row per document, built for a whole
@@ -51,13 +51,7 @@ from .selection import (
     select_random,
     subset_select,
 )
-from .similarity import (
-    SimilarityScore,
-    cosine,
-    js_divergence,
-    proxy_a_distance,
-    proxy_a_scores,
-)
+from .similarity import SimilarityScore, cosine, js_divergence, proxy_a_scores
 from .synthetic import DomainSpec, Scenario, benchmark_suite, generate
 
 __version__ = "0.1.0"

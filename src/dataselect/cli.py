@@ -12,7 +12,9 @@ or constant that owns each; the rest are defaulted in ``RunConfig``. Each
 ``RunConfig`` field is both a config-file key and, on the subcommands it
 names, a flag ``--`` plus the field name with ``_`` turned into ``-``.
 ``generate`` reads only ``seed`` and ``out``, and its config file may set
-no other key.
+no other key. ``task`` only sets the default ``n`` (2,000 for ternary,
+1,600 for binary); the classifier trains on whatever labels the corpus
+holds.
 
 All randomness derives from one base seed through named substreams
 (selection, classifier, autoencoder, generator), so every command is a pure
@@ -96,7 +98,10 @@ class RunConfig:
     A field's type gives the parser of its config-file value and its flag.
     """
 
-    task: str = _option("ternary", choices=("binary", "ternary"))
+    task: str = _option(
+        "ternary", choices=("binary", "ternary"), help="sets only the default --n (2000 "
+        "ternary, 1600 binary); the classifier trains on whatever labels the corpus holds",
+    )
     corpus: str | None = _option(None, help="corpus JSONL path")
     target: str | None = _option(None, help="target domain name")
     strategy: str = _option("subset", choices=STRATEGIES, commands=("select",))
@@ -292,7 +297,6 @@ def _selection_config(config: RunConfig, strategy: str, n: int | None = None) ->
         metric=config.metric,
         s=config.s,
         m=config.m,
-        seed=config.seed,
         allow_proxy_a_subsets=config.allow_proxy_a_subsets,
     )
 

@@ -130,8 +130,6 @@ def load_corpus(path: str | Path) -> Corpus:
             fields = {key: _require_str(obj, key, lineno) for key in ("id", "text", "domain")}
             try:
                 doc = Document(label=obj.get("label"), **fields)
-            except ParseError:
-                raise
             except DataError as exc:
                 raise ParseError(str(exc), line=lineno) from None
             documents.append(doc)

@@ -142,7 +142,6 @@ class SelectionConfig:
     metric: str | None = None
     s: int = 20
     m: int = 20000
-    seed: int = 0
     allow_proxy_a_subsets: bool = False
 
     def __post_init__(self):
@@ -197,14 +196,19 @@ class SelectionResult:
 def _score_rows(rows, target_repr, metric: str) -> np.ndarray:
     """Score representation rows against the target; NaN marks unusable rows.
 
-    Proxy-A is not scored here: it fits a discriminator against the target's
-    own rows, which ``ExperimentContext.item_scores`` passes to
-    ``proxy_a_scores`` itself.
+    A target vector with no nonzero entry is a ``DataError`` under cosine, as
+    an empty target distribution is under JS: it has no direction, and every
+    row would score 0. Proxy-A is not scored here: it fits a discriminator
+    against the target's own rows, which ``ExperimentContext.item_scores``
+    passes to ``proxy_a_scores`` itself.
     """
     if metric == JENSEN_SHANNON:
         return js_to_target(rows, target_repr)
     if metric == COSINE:
-        return cosine_to_target(rows, _as_vector(target_repr))
+        target = _as_vector(target_repr)
+        if not target.any():
+            raise DataError("target vector is all zeros; cosine cannot rank against it")
+        return cosine_to_target(rows, target)
     raise ConfigError(f"unknown metric {metric!r}")
 
 
@@ -630,7 +634,8 @@ def _js_lower_bounds(
 def _cosine_projections(matrix: np.ndarray, pool_index: np.ndarray, target) -> np.ndarray | None:
     """Each pool row's projections on the unit target and on up to
     ``_COSINE_DIRECTIONS`` orthonormal directions orthogonal to it, or None
-    when the target has no direction (cosine then scores every row 0).
+    when the target has no finite direction (the round then goes unbounded,
+    and ``_score_rows`` rejects an all-zero target).
 
     The directions approximate the top eigenvectors of the scatter of the
     pool rows with their target component removed, the directions in which

@@ -1,9 +1,9 @@
 """Domain-similarity metrics.
 
 Jensen-Shannon divergence operates on term distributions (natural log, so
-the range is [0, ln 2]), cosine similarity on dense vectors, and the proxy
-distance scores come from a logistic-regression domain discriminator trained
-to separate source from target examples.
+the range is [0, ln 2]), cosine similarity on dense vectors, and proxy-A
+scores are a logistic-regression domain discriminator's probability that a
+source example belongs to the target domain.
 
 Each metric has a scalar form (``js_divergence``, ``cosine``) and a batched
 form used during selection (``js_to_target``, ``cosine_to_target``). The
@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autoencoder import _row_blocks, sigmoid
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .representations import TermDistribution
 
 JENSEN_SHANNON = "jensen_shannon"
@@ -200,7 +200,7 @@ def cosine_to_target(rows: sp.spmatrix | np.ndarray, target: np.ndarray) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# Logistic-regression discriminator and proxy distance
+# Logistic-regression discriminator and proxy-A scores
 # ---------------------------------------------------------------------------
 
 def _float_rows(X: sp.spmatrix | np.ndarray) -> sp.csr_matrix | np.ndarray:
@@ -270,25 +270,6 @@ def _rep_matrix(reps: sp.spmatrix | np.ndarray) -> sp.csr_matrix | np.ndarray:
     return X
 
 
-def _vstack(blocks: list) -> sp.csr_matrix | np.ndarray:
-    if any(sp.issparse(block) for block in blocks):
-        return sp.vstack(blocks, format="csr")
-    return np.vstack(blocks)
-
-
-def _balance_source(
-    Xs: sp.csr_matrix | np.ndarray, n_target: int, rng: np.random.Generator
-) -> sp.csr_matrix | np.ndarray:
-    if Xs.shape[0] > n_target:
-        keep = rng.choice(Xs.shape[0], size=n_target, replace=False)
-        return Xs[keep]
-    if Xs.shape[0] < n_target:
-        warnings.warn(
-            "fewer source than target examples; using all source examples unsampled"
-        )
-    return Xs
-
-
 def proxy_a_scores(
     source_reps,
     target_reps,
@@ -304,47 +285,19 @@ def proxy_a_scores(
     # Sparse rows stay CSR throughout: only the balanced rows are copied to
     # fit on, and the pool is scored by a sparse matrix-vector product.
     Xs, Xt = _rep_matrix(source_reps), _rep_matrix(target_reps)
-    Xs_bal = _balance_source(Xs, Xt.shape[0], np.random.default_rng(seed))
-    if min(Xs_bal.shape[0], Xt.shape[0]) < 2:
+    n_target = Xt.shape[0]
+    Xs_bal = Xs
+    if Xs.shape[0] > n_target:
+        Xs_bal = Xs[np.random.default_rng(seed).choice(Xs.shape[0], size=n_target, replace=False)]
+    elif Xs.shape[0] < n_target:
+        warnings.warn("fewer source than target examples; using all source examples unsampled")
+    if min(Xs_bal.shape[0], n_target) < 2:
         raise DataError("need at least 2 examples per class to train the discriminator")
-    X = _vstack([Xs_bal, Xt])
-    y = np.concatenate([np.zeros(Xs_bal.shape[0]), np.ones(Xt.shape[0])])
+    if sp.issparse(Xs_bal) or sp.issparse(Xt):
+        X = sp.vstack([Xs_bal, Xt], format="csr")
+    else:
+        X = np.vstack([Xs_bal, Xt])
+    y = np.concatenate([np.zeros(Xs_bal.shape[0]), np.ones(n_target)])
     w, b, _ = fit_logistic_regression(X, y)
     return sigmoid(Xs @ w + b)
 
-
-def proxy_a_distance(
-    source_reps,
-    target_reps,
-    heldout_fraction: float = 0.25,
-    seed: int = 0,
-) -> float:
-    """Empirical domain distance 2 * (1 - 2 * heldout_error), clamped to [0, 2].
-
-    The balanced binary set is split per class; the discriminator trains on
-    the remainder and the error is measured on the held-out part.
-    """
-    if not 0.0 < heldout_fraction < 1.0:
-        raise ConfigError(f"heldout_fraction must be in (0, 1), got {heldout_fraction}")
-    Xs, Xt = _rep_matrix(source_reps), _rep_matrix(target_reps)
-    rng = np.random.default_rng(seed)
-    Xs_bal = _balance_source(Xs, Xt.shape[0], rng)
-
-    def split(X):
-        n = X.shape[0]
-        if n < 2:
-            raise DataError("need at least 2 examples per class to hold one out")
-        n_held = min(n - 1, max(1, round(heldout_fraction * n)))
-        perm = rng.permutation(n)
-        return X[perm[n_held:]], X[perm[:n_held]]
-
-    s_train, s_held = split(Xs_bal)
-    t_train, t_held = split(Xt)
-    X = _vstack([s_train, t_train])
-    y = np.concatenate([np.zeros(s_train.shape[0]), np.ones(t_train.shape[0])])
-    w, b, _ = fit_logistic_regression(X, y)
-    held = _vstack([s_held, t_held])
-    truth = np.concatenate([np.zeros(s_held.shape[0]), np.ones(t_held.shape[0])])
-    predicted = (held @ w + b >= 0).astype(np.float64)
-    error = float(np.mean(predicted != truth))
-    return float(np.clip(2.0 * (1.0 - 2.0 * error), 0.0, 2.0))

@@ -252,6 +252,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("data error: line 1: ")
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
+    @pytest.mark.parametrize("strategy", ["instance", "domain"])
+    def test_cosine_against_an_all_zero_target_is_two(self, data, tmp_path, capsys, strategy):
+        # no corpus token has a vector, so the target's embedding is all zeros
+        vectors = tmp_path / "oov.txt"
+        vectors.write_text("unseenword 1 2 3 4\n", encoding="utf-8")
+        argv = ["select", "--strategy", strategy, "--representation", "embedding",
+                "--embeddings", str(vectors)] + base_args(data, tmp_path / "out")
+        assert cli.main(argv) == 2
+        assert "target vector is all zeros" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["oov.txt"]
+
     def test_missing_corpus_is_two(self, tmp_path):
         missing = tmp_path / "missing.jsonl"
         assert cli.main(["select", "--corpus", str(missing), "--target", "tgt",

@@ -83,6 +83,26 @@ def js_scores(reprs, target):
     return {d: js_divergence(rep, target).value for d, rep in reprs.items()}
 
 
+EMPTY_TARGET = TermDistribution(probs=np.zeros(4), empty=True)
+
+
+class TestScoreRows:
+    @pytest.mark.parametrize("sparse_rows", [False, True])
+    @pytest.mark.parametrize(
+        "metric, target, message",
+        [
+            ("jensen_shannon", EMPTY_TARGET, "target distribution is empty"),
+            ("cosine", EMPTY_TARGET, "target vector is all zeros"),
+            ("cosine", np.zeros(4), "target vector is all zeros"),
+        ],
+        ids=["js", "cosine-term_dist", "cosine-vector"],
+    )
+    def test_target_without_mass_is_rejected(self, metric, target, message, sparse_rows):
+        rows = sp.csr_matrix(np.eye(4)) if sparse_rows else np.eye(4)
+        with pytest.raises(DataError, match=message):
+            selection._score_rows(rows, target, metric)
+
+
 class TestSelectRandom:
     def test_exhausts_small_pool(self):
         pool = make_pool(5)
@@ -360,7 +380,9 @@ class TestSubsetSelect:
             )
             target = TermDistribution(probs=raw / raw.sum())
         else:
-            target = data.draw(arrays(np.float64, d, elements=value), label="target")
+            target = data.draw(
+                arrays(np.float64, d, elements=value).filter(lambda v: v.any()), label="target"
+            )
         if data.draw(st.booleans(), label="sparse"):
             rows = sp.csr_matrix(rows)
         ids = data.draw(st.permutations(range(n_pool)), label="ids")
@@ -767,10 +789,12 @@ class TestRoundBounds:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(selection, "_COSINE_DIRECTIONS", directions)
             projections = selection._cosine_projections(rows, pool_index, target)
-        scores = selection._candidate_scores(rows, pool_index, None, candidates, target, "cosine")
-        if projections is None:  # a zero target: every cosine is 0
-            assert not target.any() and not scores.any()
+        if projections is None:  # a zero target, which cosine scoring rejects
+            assert not target.any()
+            with pytest.raises(DataError, match="all zeros"):
+                selection._candidate_scores(rows, pool_index, None, candidates, target, "cosine")
             return
+        scores = selection._candidate_scores(rows, pool_index, None, candidates, target, "cosine")
         bounds = selection._cosine_upper_bounds(projections, candidates)
         assert (bounds >= scores - 1e-12).all()
 
@@ -797,10 +821,10 @@ class TestRoundBounds:
         )
         rows = distinct[copies]
         raw = data.draw(arrays(np.float64, d, elements=value), label="target")
+        if not raw.any():  # both metrics reject an all-zero target (see TestScoreRows)
+            raw[0] = 1.0
         if metric == "jensen_shannon":
             raw = np.abs(raw)
-            if raw.sum() == 0:
-                raw[0] = 1.0
             target = TermDistribution(probs=raw / raw.sum())
         else:
             target = raw

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from dataselect import autoencoder, similarity
 from dataselect.representations import TermDistribution
-from dataselect.errors import ConfigError, DataError
+from dataselect.errors import DataError
 from dataselect.selection import _rank
 from dataselect.similarity import (
     HIGHER,
@@ -22,7 +22,6 @@ from dataselect.similarity import (
     fit_logistic_regression,
     js_divergence,
     js_to_target,
-    proxy_a_distance,
     proxy_a_scores,
 )
 
@@ -473,6 +472,13 @@ class TestProxyA:
         with pytest.warns(UserWarning, match="fewer source"):
             proxy_a_scores(rng.normal(size=(5, 2)), rng.normal(size=(9, 2)), seed=0)
 
+    @pytest.mark.parametrize("n_source", [1, 5])
+    def test_needs_two_per_class(self, n_source):
+        # five source rows are balanced down to the one target row
+        rng = np.random.default_rng(18)
+        with pytest.raises(DataError, match="at least 2 examples per class"):
+            proxy_a_scores(rng.normal(size=(n_source, 2)), rng.normal(size=(1, 2)), seed=0)
+
     def test_sparse_scores_match_dense_discriminator(self):
         # The CSR products sum in another order than the dense ones, so the
         # two fits agree to the solver's tolerance, not bit for bit (here the
@@ -486,7 +492,7 @@ class TestProxyA:
         assert np.max(np.abs(sparse - dense)) <= 1e-7
         assert not np.array_equal(sparse, proxy_a_scores(Xs, Xt, seed=3))
 
-    @pytest.mark.parametrize("score", [proxy_a_scores, proxy_a_distance])
+    @pytest.mark.parametrize("score", [proxy_a_scores])
     def test_non_finite_sparse_values_rejected(self, score):
         Xs = sp.random(20, 6, density=0.5, format="csr", random_state=5)
         Xt = sp.random(20, 6, density=0.5, format="csr", random_state=6)
@@ -511,62 +517,3 @@ class TestProxyA:
             tracemalloc.stop()
         assert scores.shape == (2000,) and np.isfinite(scores).all()
         assert peak < 2 * csr_bytes
-
-
-class TestProxyADistance:
-    def test_identical_matrices_give_exactly_zero(self):
-        X = np.random.default_rng(19).normal(size=(12, 3))
-        assert proxy_a_distance(X, X.copy(), heldout_fraction=0.25, seed=0) == 0.0
-
-    def test_identical_distribution_near_zero(self):
-        values = []
-        for seed in range(10):
-            rng = np.random.default_rng(2000 + seed)
-            Xs = rng.normal(size=(200, 4))
-            Xt = rng.normal(size=(200, 4))
-            values.append(proxy_a_distance(Xs, Xt, heldout_fraction=0.25, seed=seed))
-        assert abs(float(np.mean(values))) < 0.2
-
-    def test_separable_clusters_near_two(self):
-        rng = np.random.default_rng(20)
-        Xs = rng.normal(loc=-4.0, scale=0.3, size=(100, 2))
-        Xt = rng.normal(loc=4.0, scale=0.3, size=(100, 2))
-        assert proxy_a_distance(Xs, Xt, heldout_fraction=0.25, seed=0) > 1.8
-
-    def test_bounds_respected(self):
-        rng = np.random.default_rng(21)
-        for seed in range(5):
-            value = proxy_a_distance(
-                rng.normal(size=(30, 2)), rng.normal(size=(30, 2)),
-                heldout_fraction=0.3, seed=seed,
-            )
-            assert 0.0 <= value <= 2.0
-
-    def test_needs_two_per_class(self):
-        with pytest.raises(DataError):
-            proxy_a_distance(np.zeros((1, 2)), np.zeros((1, 2)), heldout_fraction=0.5, seed=0)
-
-    @pytest.mark.parametrize("case", ["identical", "indistinguishable", "separable", "sparse"])
-    def test_sparse_input_gives_dense_distance(self, case):
-        rng = np.random.default_rng(23)
-        if case == "identical":
-            Xs = rng.normal(size=(12, 3))
-            Xt = Xs.copy()
-        elif case == "indistinguishable":
-            Xs, Xt = rng.normal(size=(200, 4)), rng.normal(size=(200, 4))
-        elif case == "separable":
-            Xs = rng.normal(loc=-4.0, scale=0.3, size=(100, 2))
-            Xt = rng.normal(loc=4.0, scale=0.3, size=(100, 2))
-        else:
-            Xs = sp.random(50, 8, density=0.4, random_state=3).toarray()
-            Xt = sp.random(30, 8, density=0.4, random_state=4).toarray()
-        for seed in range(3):
-            dense = proxy_a_distance(Xs, Xt, heldout_fraction=0.25, seed=seed)
-            sparse = proxy_a_distance(
-                sp.csr_matrix(Xs), sp.csr_matrix(Xt), heldout_fraction=0.25, seed=seed
-            )
-            assert sparse == dense
-
-    def test_bad_heldout_fraction(self):
-        with pytest.raises(ConfigError):
-            proxy_a_distance(np.zeros((4, 2)), np.zeros((4, 2)), heldout_fraction=0.0, seed=0)
