@@ -62,8 +62,8 @@ from .evaluation import (
     t_test,
 )
 from .representations import EMBEDDING, REPRESENTATION_KINDS, SIF_A, check_sif_a
-from .selection import STRATEGIES, SelectionConfig
-from .similarity import METRIC_ORIENTATION
+from .selection import STRATEGIES, SelectionConfig, check_cosine_target
+from .similarity import COSINE, METRIC_ORIENTATION
 from .synthetic import DomainSpec, benchmark_suite, generate
 
 BASELINES = ("random", "balanced")
@@ -279,8 +279,14 @@ def _build_context(config: RunConfig, labeled_pool_only: bool):
 def _run_experiments(
     config: RunConfig, sel_configs: list[SelectionConfig]
 ) -> list[ExperimentResult]:
-    """Run every selection config ``config.runs`` times in one shared context."""
+    """Run every selection config ``config.runs`` times in one shared context.
+
+    A cosine target that cannot rank is rejected once, before any run, so no
+    baseline trains first and the error names no run.
+    """
     context = _build_context(config, labeled_pool_only=True)
+    if any(c.strategy not in BASELINES and c.resolved_metric == COSINE for c in sel_configs):
+        check_cosine_target(context.target_repr)
     classifier = ClassifierConfig(seed=substream_seed(config.seed, "classifier"))
     selection_seed = substream_seed(config.seed, "selection")
     return [

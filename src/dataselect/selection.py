@@ -34,14 +34,17 @@ A round needs only its best candidate, so a JS round and a dense cosine round
 (s >= 2) first bound every candidate from a few numbers per document, without
 pooling it, and score only the candidates that may win (``_round_scores``).
 JS is convex in P, so its tangent plane at P0, the pooled distribution of the
-still-available documents, lies below it (``_js_lower_bounds``). A dense
-cosine is at most ``A / sqrt(A^2 + |B|^2)``, where A is the candidate mean's
-projection on the unit target and B its projections on a few orthonormal
-directions orthogonal to it (``_cosine_upper_bounds``). A candidate is skipped
-only when its bound is worse than an already-scored candidate's key by more
-than ``_PRUNE_SLACK``, far above the bounds' rounding, so every candidate that
-could win or tie is scored with the bits an exhaustive round gives it, and
-the winners, recorded scores and ids are unchanged. Sparse cosine, proxy-A
+still-available documents, lies below it. At the pool's rare columns that a
+candidate misses, JS takes its exact value, above the plane's, so each
+candidate keeps the larger of the plane and this support-aware bound
+(``_js_lower_bounds``). A dense cosine is at most ``A / sqrt(A^2 + |B|^2)``,
+where A is the candidate mean's projection on the unit target and B its
+projections on a few orthonormal directions orthogonal to it
+(``_cosine_upper_bounds``). A candidate is skipped only when its bound is
+worse than an already-scored candidate's key by more than ``_PRUNE_SLACK``,
+far above the bounds' rounding, so every candidate that could win or tie is
+scored with the bits an exhaustive round gives it, and the winners, recorded
+scores and ids are unchanged. Sparse cosine, proxy-A
 and singleton rounds score every candidate.
 
 Which metric may score which representation and strategy is decided once,
@@ -56,7 +59,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,12 +78,12 @@ from .representations import (
 from .similarity import (
     COSINE,
     JENSEN_SHANNON,
+    LN2,
     LOWER,
     METRIC_ORIENTATION,
     PROXY_A,
     _as_vector,
     cosine_to_target,
-    js_divergence,
     js_to_target,
     proxy_a_scores,
 )
@@ -193,22 +196,28 @@ class SelectionResult:
 # Scoring and ranking
 # ---------------------------------------------------------------------------
 
+def check_cosine_target(target_repr) -> np.ndarray:
+    """The target as a vector, or a ``DataError`` when no entry is nonzero: such
+    a target has no direction, and cosine would score every row 0."""
+    target = _as_vector(target_repr)
+    if not target.any():
+        raise DataError("target vector is all zeros; cosine cannot rank against it")
+    return target
+
+
 def _score_rows(rows, target_repr, metric: str) -> np.ndarray:
     """Score representation rows against the target; NaN marks unusable rows.
 
-    A target vector with no nonzero entry is a ``DataError`` under cosine, as
-    an empty target distribution is under JS: it has no direction, and every
-    row would score 0. Proxy-A is not scored here: it fits a discriminator
-    against the target's own rows, which ``ExperimentContext.item_scores``
-    passes to ``proxy_a_scores`` itself.
+    A target vector with no nonzero entry is a ``DataError`` under cosine
+    (``check_cosine_target``), as an empty target distribution is under JS.
+    Proxy-A is not scored here: it fits a discriminator against the target's
+    own rows, which ``ExperimentContext.item_scores`` passes to
+    ``proxy_a_scores`` itself.
     """
     if metric == JENSEN_SHANNON:
         return js_to_target(rows, target_repr)
     if metric == COSINE:
-        target = _as_vector(target_repr)
-        if not target.any():
-            raise DataError("target vector is all zeros; cosine cannot rank against it")
-        return cosine_to_target(rows, target)
+        return cosine_to_target(rows, check_cosine_target(target_repr))
     raise ConfigError(f"unknown metric {metric!r}")
 
 
@@ -396,14 +405,18 @@ def subset_select(
     subsets average member vectors.
 
     A JS round and a dense cosine round with subsets of two or more skip the
-    candidates that provably cannot win (``_round_scores``): each candidate's
-    JS is bounded from below by the tangent plane of ``JS(., q)`` at the
-    pooled distribution of the available documents, and each dense cosine
-    from above through the candidate mean's projections on the unit target
-    and on ``_COSINE_DIRECTIONS`` orthonormal directions orthogonal to it,
-    taken once per search from the pool rows' scatter. A candidate whose
-    bound is worse than the best key among the first-scored candidates by
-    more than ``_PRUNE_SLACK`` is not scored. No candidate that could win or
+    candidates that provably cannot win (``_round_scores``). Each candidate's
+    JS is bounded from below by the larger of two bounds: the tangent plane
+    of ``JS(., q)`` at the pooled distribution of the available documents,
+    and the plane with the exact JS term at each column of R the candidate
+    misses, R being the columns whose pool document frequency times ``s`` is
+    below the pool size (any R keeps it valid). R, the pool rows and their
+    token totals are taken once per search (``_js_pool``). Each dense cosine
+    is bounded from above through the candidate mean's projections on the
+    unit target and on ``_COSINE_DIRECTIONS`` orthonormal directions
+    orthogonal to it, taken once per search from the pool rows' scatter. A
+    candidate whose bound is worse than the best key among the first-scored
+    candidates by more than ``_PRUNE_SLACK`` is not scored. No candidate that could win or
     tie is skipped, and the scored ones get the bits an exhaustive round
     gives them, so the result is that of scoring every candidate.
     """
@@ -419,9 +432,11 @@ def subset_select(
     orientation = METRIC_ORIENTATION[metric]
     rng = np.random.default_rng(seed)
 
-    projections = None
-    if metric == COSINE and s > 1 and not sp.issparse(matrix):
-        projections = _cosine_projections(matrix, pool_index, target_repr)
+    bounding = None
+    if s > 1 and metric == JENSEN_SHANNON:
+        bounding = _js_pool(matrix, pool_index, s)
+    elif s > 1 and metric == COSINE and not sp.issparse(matrix):
+        bounding = _cosine_projections(matrix, pool_index, target_repr)
     available = np.arange(len(pool))
     chosen: list[int] = []
     iteration_members: list[list[str]] = []
@@ -437,7 +452,7 @@ def subset_select(
             candidates = available[_draw_subsets(rng, len(available), min(s, len(available)), m)]
         scores = _round_scores(
             matrix, pool_index, item_scores, available, candidates, target_repr, metric,
-            projections,
+            bounding,
         )
         key = _sort_key(scores, orientation)
         best = int(np.argmin(key))
@@ -554,13 +569,19 @@ def _candidate_scores(
 
 def _round_scores(
     matrix, pool_index: np.ndarray, item_scores: np.ndarray, available: np.ndarray,
-    candidates: np.ndarray, target_repr, metric: str, projections: np.ndarray | None,
+    candidates: np.ndarray, target_repr, metric: str, bounding: _JsPool | np.ndarray | None,
 ) -> np.ndarray:
     """Scores of one round's candidates; NaN for those that provably cannot win.
 
-    A JS round, and a dense cosine round given the search's ``projections``,
-    bounds every candidate's ``_sort_key`` from below without pooling it
-    (``_js_lower_bounds``, ``_cosine_upper_bounds``). The ``_WORKERS`` blocks'
+    ``bounding`` holds what the search computed once for its bounds: the
+    ``_JsPool`` of a JS search, the projections of a dense cosine search, or
+    None. Given it, a round of subsets of two or more bounds every
+    candidate's ``_sort_key`` from below without pooling it. JS takes the
+    larger of the tangent plane at P0 and the support-aware bound on the
+    pool's rare columns R, whose pooled sum of the members' ``D_j`` is the
+    pooled mean times the subset size, because ``pool_groups`` averages
+    dense rows (``_js_lower_bounds``). Cosine goes through the projections
+    (``_cosine_upper_bounds``). The ``_WORKERS`` blocks'
     worth of best-bounded candidates are scored first; their best key is the
     incumbent. Every other candidate whose bound exceeds the incumbent by more
     than ``_PRUNE_SLACK`` is left unscored (NaN), and the rest, NaN bounds
@@ -570,11 +591,11 @@ def _round_scores(
     best, ties included, is scored. Other rounds score every candidate.
     """
     bounds = None
-    if candidates.shape[1] > 1:
+    if candidates.shape[1] > 1 and bounding is not None:
         if metric == JENSEN_SHANNON:
-            bounds = _js_lower_bounds(matrix, pool_index, available, candidates, target_repr)
-        elif projections is not None:
-            bounds = -_cosine_upper_bounds(projections, candidates)
+            bounds = _js_lower_bounds(bounding, available, candidates, target_repr)
+        else:
+            bounds = -_cosine_upper_bounds(bounding, candidates)
     if bounds is None:
         return _candidate_scores(matrix, pool_index, item_scores, candidates, target_repr, metric)
 
@@ -595,26 +616,64 @@ def _round_scores(
     return out
 
 
+class _JsPool(NamedTuple):
+    """The part of the JS bound that stays fixed through one search: the pool
+    rows as CSR, in pool order, their token totals ``T_j``, the column numbers
+    of R, and the pool rows on R's columns with every nonzero set to 1."""
+
+    rows: sp.csr_matrix
+    totals: np.ndarray
+    rare: np.ndarray
+    rare_rows: sp.csr_matrix
+
+
+def _js_pool(matrix, pool_index: np.ndarray, s: int) -> _JsPool:
+    """``_JsPool`` of the pool documents, R being the columns whose pool
+    document frequency times ``s`` is below the pool size: the columns a
+    size-``s`` candidate most likely misses. Any R keeps the bound valid."""
+    rows = matrix.tocsr()[pool_index] if sp.issparse(matrix) else sp.csr_matrix(matrix[pool_index])
+    frequency = np.bincount(rows.indices, minlength=rows.shape[1])
+    rare = np.flatnonzero(frequency * s < rows.shape[0])
+    totals = np.asarray(rows.sum(axis=1), dtype=np.float64).ravel()
+    return _JsPool(rows, totals, rare, (rows[:, rare] != 0).astype(np.float64))
+
+
 def _js_lower_bounds(
-    matrix, pool_index: np.ndarray, available: np.ndarray, candidates: np.ndarray, target
+    pool: _JsPool, available: np.ndarray, candidates: np.ndarray, target
 ) -> np.ndarray | None:
     """A lower bound on each candidate's JS divergence to ``target``, or None.
 
-    JS(., q) is convex in P, so its tangent plane at any P0 lies below it:
-    ``JS(P) >= JS(P0) - g.P0 + g.P`` with ``g = 0.5 ln(2 P0 / (P0 + q))``,
-    the gradient at P0. P0 is the pooled distribution of the ``available``
-    documents, whose support holds every candidate's, so ``g`` is set to 0
-    where P0 is 0. A candidate pooling count rows ``c_i`` with token totals
-    ``T_i`` has ``g.P = sum(g.c_i) / sum(T_i)``: two numbers per document,
-    pooled for every candidate of the round in one call. (In row blocks, a
-    20,000-candidate round took 2.5 ms against 1.3 ms whole, and the search's
-    traced allocation peak was the same either way.) An empty candidate
-    (every ``T_i`` 0, a NaN score) gets a NaN bound; None means every
-    available document is empty.
+    Write ``JS(P, q) = sum_i phi_i(P_i)`` with ``phi_i(p) = p/2 ln(2p/(p+q_i))
+    + q_i/2 ln(2q_i/(p+q_i))``, each ``phi_i`` convex and ``phi_i(0) = q_i
+    ln2/2``. P0 is the pooled distribution of the ``available`` documents,
+    whose support holds every candidate's, and ``g_i = 0.5 ln(2 P0_i / (P0_i +
+    q_i))`` is the gradient there, set to 0 where P0 is 0.
+
+    - The tangent plane at P0 lies below JS: ``JS(P) >= sum_i a_i + g.P``,
+      with the intercept ``a_i = phi_i(0) + d_i`` and ``d_i = -q_i/2 ln(1 +
+      P0_i/q_i) <= 0`` (0 where q is 0).
+    - At a column of R that P misses, JS takes the exact ``phi_i(0)``, above
+      the plane's ``a_i``; at one it covers, the plane's ``phi_i(0) + d_i +
+      g_i P_i`` stays. P's support is the union of its members', and
+      every ``d_i`` is at most 0, so ``sum_{i in R, P_i > 0} d_i`` is at least
+      the sum over members of ``D_j``, the ``d_i`` of R's columns that member
+      j holds. This gives ``JS(P) >= sum_{i not in R} a_i + sum_{i in R}
+      phi_i(0) + g.P + sum_j D_j``. R is any set of columns (``_js_pool``
+      picks the rare ones), so the bound holds for every R.
+
+    Each candidate gets the larger of the two. A candidate pooling count rows
+    ``c_j`` with token totals ``T_j`` has ``g.P = sum(g.c_j) / sum(T_j)``,
+    so three numbers per document, pooled for every candidate of the round
+    in one call, give both bounds. ``pool_groups`` averages dense rows, which
+    leaves the ratio as it is but makes the pooled D the members' mean, so it
+    is multiplied by the subset size. (In row blocks, a 20,000-candidate
+    round took 2.5 ms against 1.3 ms whole, and the search's traced
+    allocation peak was the same either way.) An empty candidate (every
+    ``T_j`` 0, a NaN score) gets a NaN bound; None means every available
+    document is empty.
     """
-    rows = pool_index[available]
-    pooled = pool_groups(matrix, rows, np.array([0, len(rows)]))
-    p0 = pooled.toarray().ravel() if sp.issparse(pooled) else pooled.ravel()
+    pooled = pool_groups(pool.rows, available, np.array([0, len(available)]))
+    p0 = pooled.toarray().ravel()
     total = p0.sum()
     if not total > 0:
         return None
@@ -623,12 +682,17 @@ def _js_lower_bounds(
     g = np.zeros_like(p0)
     support = p0 > 0
     g[support] = 0.5 * np.log(2.0 * p0[support] / (p0[support] + q[support]))
-    base = js_divergence(p0, q).value - float(g @ p0)
-    per_doc = (matrix @ np.column_stack([g, np.ones_like(g)]))[pool_index]
-    sums = _pool_candidates(per_doc, candidates)
+    d = np.zeros_like(p0)
+    held = q > 0
+    d[held] = -0.5 * q[held] * np.log1p(p0[held] / q[held])
+    plane = 0.5 * LN2 * q.sum() + d.sum()
+    d_rare = d[pool.rare]
+    per_doc = np.column_stack([pool.rows @ g, pool.totals, pool.rare_rows @ d_rare])
+    means = _pool_candidates(per_doc, candidates)
     out = np.full(len(candidates), np.nan)
-    np.divide(sums[:, 0], sums[:, 1], out=out, where=sums[:, 1] > 0)
-    return base + out
+    np.divide(means[:, 0], means[:, 1], out=out, where=means[:, 1] > 0)
+    support_aware = (plane - d_rare.sum()) + candidates.shape[1] * means[:, 2]
+    return out + np.maximum(plane, support_aware)
 
 
 def _cosine_projections(matrix: np.ndarray, pool_index: np.ndarray, target) -> np.ndarray | None:

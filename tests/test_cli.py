@@ -263,6 +263,23 @@ class TestExitCodes:
         assert "target vector is all zeros" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["oov.txt"]
 
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_all_zero_cosine_target_fails_before_any_run(
+        self, data, tmp_path, capsys, monkeypatch, command
+    ):
+        vectors = tmp_path / "oov.txt"
+        vectors.write_text("unseenword 1 2 3 4\n", encoding="utf-8")
+        trained = []
+        monkeypatch.setattr(evaluation, "train_classifier", lambda *a: trained.append(a))
+        sizes = ["--n-values", "4"] if command == "sweep" else []
+        argv = [command, *sizes, "--strategies", "domain,instance", "--representation",
+                "embedding", "--embeddings", str(vectors)] + base_args(data, tmp_path / "out")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: target vector is all zeros")
+        assert trained == []
+        assert [p.name for p in tmp_path.iterdir()] == ["oov.txt"]
+
     def test_missing_corpus_is_two(self, tmp_path):
         missing = tmp_path / "missing.jsonl"
         assert cli.main(["select", "--corpus", str(missing), "--target", "tgt",

@@ -731,15 +731,28 @@ def exhaustive_subset_select(s, n, m, pool, target_repr, matrix, pool_index, ite
     return [pool[i].id for i in chosen], subset_scores, iteration_members, max(0, n - len(chosen))
 
 
-def bound_case(data, metric):
-    """Pool rows with empty rows, duplicates and columns only non-pool rows use;
-    a target with zeros; candidates drawn from a subset of the pool."""
-    n_pool, d = data.draw(st.integers(2, 12), label="n_pool"), data.draw(st.integers(1, 6))
+def bound_case(data, metric, s=2):
+    """Pool rows with empty rows, duplicate documents and columns only non-pool
+    rows use; a target with zeros; at least ``s`` available pool positions.
+    The pool holds ``s`` to ``3 s + 6`` documents, over up to 40 columns at
+    ``s`` = 20, so candidates cover some columns and miss others; its rows are
+    drawn densely or mostly zero."""
+    n_pool = data.draw(st.integers(s, 3 * s + 6), label="n_pool")
+    d = data.draw(st.integers(1, 40 if s >= 20 else 6), label="d")
     if metric == "jensen_shannon":
         value = st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0])
     else:
         value = st.sampled_from([0.0, 0.0, 1.0, 2.0, -1.0, 0.5, -2.5])
-    rows = data.draw(arrays(np.float64, (n_pool, d), elements=value), label="rows")
+    fill = st.just(0.0) if data.draw(st.booleans(), label="mostly zero") else None
+    distinct = data.draw(
+        arrays(np.float64, (data.draw(st.integers(1, n_pool)), d), elements=value, fill=fill),
+        label="distinct rows",
+    )
+    copies = data.draw(
+        st.lists(st.integers(0, len(distinct) - 1), min_size=n_pool, max_size=n_pool),
+        label="row of each document",
+    )
+    rows = distinct[copies]
     if metric == "cosine" and data.draw(st.booleans(), label="anti-aligned"):
         rows = np.abs(rows)
         target = -np.abs(data.draw(arrays(np.float64, d, elements=value), label="target"))
@@ -756,19 +769,40 @@ def bound_case(data, metric):
         if data.draw(st.booleans(), label="sparse"):
             rows = sp.csr_matrix(rows)
     available = np.array(sorted(data.draw(
-        st.lists(st.integers(0, n_pool - 1), min_size=2, unique=True), label="available"
+        st.lists(st.integers(0, n_pool - 1), min_size=max(s, 2), unique=True), label="available"
     )))
     return rows, np.arange(n_pool), target, available
+
+
+def tangent_plane_bounds(rows, pool_index, available, candidates, target):
+    """The tangent plane of JS(., q) at P0, the pooled distribution of the
+    available documents, evaluated at each candidate's pooled distribution:
+    the JS bound of the subset search before it used the candidates' support."""
+    dense = rows.toarray() if sp.issparse(rows) else rows
+    p0 = dense[pool_index[available]].sum(axis=0)
+    p0 = p0 / p0.sum()
+    q = target.probs
+    g = np.zeros_like(p0)
+    g[p0 > 0] = 0.5 * np.log(2 * p0[p0 > 0] / (p0[p0 > 0] + q[p0 > 0]))
+    sums = dense[pool_index[candidates]].sum(axis=1)
+    totals = sums.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        return js_divergence(p0, q).value - g @ p0 + (sums @ g) / totals
 
 
 class TestRoundBounds:
     @given(st.data())
     def test_js_lower_bound_never_exceeds_the_score(self, data):
-        rows, pool_index, target, available = bound_case(data, "jensen_shannon")
-        size = data.draw(st.integers(2, len(available)), label="s")
+        """The support-aware bound lies below every candidate's score and never
+        below the tangent plane alone, with R the pool's rare columns for s and
+        candidates of s or of any other size."""
+        s = data.draw(st.sampled_from([2, 3, 20]), label="s")
+        rows, pool_index, target, available = bound_case(data, "jensen_shannon", s)
+        size = data.draw(st.just(s) | st.integers(2, len(available)), label="size")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
         candidates = available[selection._draw_subsets(rng, len(available), size, 30)]
-        bounds = selection._js_lower_bounds(rows, pool_index, available, candidates, target)
+        pool = selection._js_pool(rows, pool_index, s)
+        bounds = selection._js_lower_bounds(pool, available, candidates, target)
         scores = selection._candidate_scores(
             rows, pool_index, None, candidates, target, "jensen_shannon"
         )
@@ -778,6 +812,8 @@ class TestRoundBounds:
         assert np.array_equal(np.isnan(bounds), np.isnan(scores))
         usable = ~np.isnan(scores)
         assert (bounds[usable] <= scores[usable] + 1e-12).all()
+        plane = tangent_plane_bounds(rows, pool_index, available, candidates, target)
+        assert (bounds[usable] >= plane[usable] - 1e-12).all()
 
     @given(st.data())
     def test_cosine_upper_bound_never_falls_below_the_score(self, data):
@@ -849,12 +885,13 @@ class TestRoundBounds:
         rows = random_counts(400, 12, seed=16, zero_rows=range(3))
         target = target_dist(12) if metric == "jensen_shannon" else target_dist(12).probs
         candidates = selection._draw_subsets(np.random.default_rng(17), 400, 5, 4000)
-        projections = None
         if metric == "cosine":
-            projections = selection._cosine_projections(rows, every_row(rows), target)
+            bounding = selection._cosine_projections(rows, every_row(rows), target)
+        else:
+            bounding = selection._js_pool(rows, every_row(rows), 5)
         scores = selection._round_scores(
             rows, every_row(rows), None, np.arange(400), candidates, target, metric,
-            projections,
+            bounding,
         )
         every = selection._candidate_scores(rows, every_row(rows), None, candidates, target, metric)
         scored_rows = ~np.isnan(scores)
@@ -864,6 +901,43 @@ class TestRoundBounds:
         assert np.argmin(selection._sort_key(scores, orientation)) == np.argmin(
             selection._sort_key(every, orientation)
         )
+
+    def test_support_aware_js_round_scores_fewer_than_the_plane(self, monkeypatch):
+        """On sparse rows over many columns, where a 20-document candidate misses
+        most of them, the support-aware bound leaves more candidates unscored
+        than the tangent plane alone, and the round keeps the exhaustive one's
+        scores and winner."""
+        monkeypatch.setattr(selection, "_WORKERS", 2)  # 512 candidates scored first
+        rng = np.random.default_rng(21)
+        zipf = 1.0 / np.arange(1, 601)
+        target = TermDistribution(probs=zipf / zipf.sum())
+        # 8 tokens per document, drawn from the target's profile in odd
+        # documents and from a shuffled one in even documents
+        near = rng.choice(600, size=(2000, 8), p=target.probs)
+        far = rng.choice(600, size=(2000, 8), p=rng.permutation(target.probs))
+        cols = np.where(np.arange(2000)[:, None] % 2 == 1, near, far).ravel()
+        rows = sp.csr_matrix(
+            (np.ones(cols.size), (np.repeat(np.arange(2000), 8), cols)), shape=(2000, 600)
+        )
+        candidates = selection._draw_subsets(np.random.default_rng(23), 2000, 20, 4000)
+        pool = selection._js_pool(rows, every_row(rows), 20)
+        plane_only = pool._replace(rare=pool.rare[:0], rare_rows=pool.rare_rows[:, :0])
+
+        def round_scores(bounding):
+            return selection._round_scores(
+                rows, every_row(rows), None, np.arange(2000), candidates, target,
+                "jensen_shannon", bounding,
+            )
+
+        scores, plane_scores = round_scores(pool), round_scores(plane_only)
+        every = selection._candidate_scores(
+            rows, every_row(rows), None, candidates, target, "jensen_shannon"
+        )
+        scored_rows = ~np.isnan(scores)
+        assert len(pool.rare) > 0
+        assert scored_rows.sum() < (~np.isnan(plane_scores)).sum()
+        assert np.array_equal(scores[scored_rows], every[scored_rows])
+        assert np.nanargmin(scores) == np.argmin(every)
 
     def test_cosine_directions_capture_the_top_of_the_scatter(self):
         rng = np.random.default_rng(19)
