@@ -43,6 +43,7 @@ from .autoencoder import AETrainConfig
 from .corpus import (
     Corpus,
     PreprocessOptions,
+    _text_lines,
     build_vocabulary,
     check_vocab_cap,
     load_corpus,
@@ -142,6 +143,11 @@ class RunConfig:
                 raise ConfigError(f"unknown strategy {strategy!r}")
             if strategy in self.strategies[:i]:
                 raise ConfigError(f"strategy {strategy!r} is listed twice")
+        if self.seed < 0:  # ``np.random.SeedSequence`` takes no negative entropy
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        out = Path(self.out)
+        if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+            raise ConfigError(f"out must name a directory, but {self.out} is not one")
 
     @property
     def resolved_n(self) -> int:
@@ -185,10 +191,8 @@ _PARSERS = {name: _value_parser(hint) for name, hint in get_type_hints(RunConfig
 def load_config_file(path: str | Path) -> dict:
     """Parse a ``key = value`` config file ('#' starts a comment)."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text("utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_text_lines(path, "config file", ConfigError), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -451,10 +455,8 @@ def cmd_generate(config: RunConfig, spec_file: str | None, catalog: bool) -> int
     if not spec_file:
         raise ConfigError("generate needs either --catalog or a spec file")
     spec_path = Path(spec_file)
-    if not spec_path.exists():
-        raise ConfigError(f"spec file not found: {spec_path}")
     try:
-        spec_obj = json.loads(spec_path.read_text("utf-8"))
+        spec_obj = json.loads("".join(_text_lines(spec_path, "spec file", ConfigError)))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{spec_path}: invalid JSON ({exc.msg})") from None
     if not (isinstance(spec_obj, dict) and "target" in spec_obj

@@ -111,28 +111,37 @@ class Corpus:
         return [self.documents[row] for row in self.domain_rows(domain).tolist()]
 
 
+def _text_lines(path: Path, what: str, error: type[Exception] = DataError) -> Iterator[str]:
+    """The lines of the UTF-8 text file ``path``, read as they are consumed;
+    ``error``, naming the file as ``what``, when it is not a regular file (a
+    missing path or a directory, say) or not UTF-8."""
+    if not path.is_file():
+        raise error(f"{what} not found or not a regular file: {path}")
+    try:
+        with path.open(encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        raise error(f"{what} is not UTF-8 text: {path}") from None
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus from the canonical JSONL format, preserving file order."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"corpus file not found: {path}")
     documents = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from None
-            if not isinstance(obj, dict):
-                raise ParseError("expected a JSON object", line=lineno)
-            fields = {key: _require_str(obj, key, lineno) for key in ("id", "text", "domain")}
-            try:
-                doc = Document(label=obj.get("label"), **fields)
-            except DataError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            documents.append(doc)
+    for lineno, line in enumerate(_text_lines(Path(path), "corpus file"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from None
+        if not isinstance(obj, dict):
+            raise ParseError("expected a JSON object", line=lineno)
+        fields = {key: _require_str(obj, key, lineno) for key in ("id", "text", "domain")}
+        try:
+            doc = Document(label=obj.get("label"), **fields)
+        except DataError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        documents.append(doc)
     return Corpus(documents)
 
 
@@ -170,11 +179,8 @@ def default_stopwords() -> frozenset[str]:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword list, one token per line (UTF-8)."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"stopword file not found: {path}")
     return frozenset(
-        line.strip() for line in path.read_text("utf-8").splitlines() if line.strip()
+        line.strip() for line in _text_lines(Path(path), "stopword file") if line.strip()
     )
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, _text_lines
 from .errors import DataError, ParseError
 
 
@@ -50,33 +50,30 @@ def load_embeddings(
     would be NaN, and cosine scores NaN rows as 0.0 without a warning.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"embedding file not found: {path}")
     entries: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                if not values:
-                    raise ParseError("no vector components", line=lineno)
-                dim = len(values)
-            elif len(values) != dim:
-                raise ParseError(
-                    f"expected {dim} vector components, found {len(values)}", line=lineno
-                )
-            if restrict_to is not None and token not in restrict_to:
-                continue
-            try:
-                vector = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError:
-                raise ParseError("non-numeric vector component", line=lineno) from None
-            if not np.isfinite(vector).all():
-                raise ParseError("non-finite vector component", line=lineno)
-            entries[token] = vector
+    for lineno, line in enumerate(_text_lines(path, "embedding file"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if dim is None:
+            if not values:
+                raise ParseError("no vector components", line=lineno)
+            dim = len(values)
+        elif len(values) != dim:
+            raise ParseError(
+                f"expected {dim} vector components, found {len(values)}", line=lineno
+            )
+        if restrict_to is not None and token not in restrict_to:
+            continue
+        try:
+            vector = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError:
+            raise ParseError("non-numeric vector component", line=lineno) from None
+        if not np.isfinite(vector).all():
+            raise ParseError("non-finite vector component", line=lineno)
+        entries[token] = vector
     if dim is None:
         raise DataError(f"embedding file is empty: {path}")
     return EmbeddingTable(entries, dim)

@@ -33,13 +33,14 @@ do the proxy-A and singleton rounds, which only average item scores.
 A round needs only its best candidate, so a JS round and a dense cosine round
 (s >= 2) first bound every candidate from a few numbers per document, without
 pooling it, and score only the candidates that may win (``_round_scores``).
-JS is convex in P, so its tangent plane at P0, the pooled distribution of the
-still-available documents, lies below it. At the pool's rare columns that a
-candidate misses, JS takes its exact value, above the plane's, so each
-candidate keeps the larger of the plane and this support-aware bound
-(``_js_lower_bounds``). A dense cosine is at most ``A / sqrt(A^2 + |B|^2)``,
-where A is the candidate mean's projection on the unit target and B its
-projections on a few orthonormal directions orthogonal to it
+Each search builds its bound once, as a function of a round's candidates
+(``_js_bound``, ``_cosine_bound``). JS is convex in P, so its tangent plane
+at P0, the pooled distribution of the whole pool, lies below it in every
+round. At the pool's rare columns that a candidate misses, JS takes its exact
+value, above the plane's, so each candidate keeps the larger of the plane and
+this support-aware bound. A dense cosine is at most ``A / sqrt(A^2 +
+|B|^2)``, where A is the candidate mean's projection on the unit target and B
+its projections on a few orthonormal directions orthogonal to it
 (``_cosine_upper_bounds``). A candidate is skipped only when its bound is
 worse than an already-scored candidate's key by more than ``_PRUNE_SLACK``,
 far above the bounds' rounding, so every candidate that could win or tie is
@@ -59,7 +60,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,6 +93,9 @@ STRATEGIES = ("random", "balanced", "domain", "instance", "subset")
 
 _DEFAULT_METRIC = {TERM_DIST: JENSEN_SHANNON, EMBEDDING: COSINE, AUTOENCODER: COSINE}
 
+# A subset search's bound: a round's candidates to a lower bound on each ``_sort_key``.
+_Bound = Callable[[np.ndarray], np.ndarray]
+
 # Threads that score one subset round's candidate blocks: the CPUs this
 # process may run on, read once.
 _WORKERS = (
@@ -101,11 +105,13 @@ _WORKERS = (
 # A candidate stays unscored only when its key bound is worse than the
 # round's incumbent by more than this. The bounds hold in real arithmetic;
 # the slack absorbs their rounding, a few units in the last place of keys no
-# larger than 1 (JS <= ln 2, |cosine| <= 1). In five rounds each of the graded
-# (JS) and blended (cosine) seed-0 and seed-10 pools, no candidate came
-# closer to its bound than 0.09 nats (JS) or 4.4e-5 (cosine), so the slack
-# costs no pruning there. With a slack of -1e-3 the bounded search picks other
-# winners than the exhaustive one in the tests.
+# larger than 1 (JS <= ln 2, |cosine| <= 1). In in-process searches (s=20,
+# m=20,000, n=1,600) on the seed-0 and seed-10 pools, no candidate of the first
+# five rounds came closer to its bound than 0.021 nats (JS, graded and blended)
+# or 6.2e-4 (cosine, blended SIF rows), and no scored candidate of any round
+# closer than 0.051 nats or 0.10, so the slack costs no pruning there. With a
+# slack of -1e-3 the bounded search picks other winners than the exhaustive
+# one in the tests.
 _PRUNE_SLACK = 1e-9
 
 # Directions orthogonal to the target on which the dense cosine bound measures
@@ -405,18 +411,18 @@ def subset_select(
     subsets average member vectors.
 
     A JS round and a dense cosine round with subsets of two or more skip the
-    candidates that provably cannot win (``_round_scores``). Each candidate's
-    JS is bounded from below by the larger of two bounds: the tangent plane
-    of ``JS(., q)`` at the pooled distribution of the available documents,
-    and the plane with the exact JS term at each column of R the candidate
-    misses, R being the columns whose pool document frequency times ``s`` is
-    below the pool size (any R keeps it valid). R, the pool rows and their
-    token totals are taken once per search (``_js_pool``). Each dense cosine
-    is bounded from above through the candidate mean's projections on the
-    unit target and on ``_COSINE_DIRECTIONS`` orthonormal directions
-    orthogonal to it, taken once per search from the pool rows' scatter. A
-    candidate whose bound is worse than the best key among the first-scored
-    candidates by more than ``_PRUNE_SLACK`` is not scored. No candidate that could win or
+    candidates that provably cannot win (``_round_scores``), through a bound
+    the search builds once, before its first round. Each candidate's JS is
+    bounded from below by the larger of two bounds: the tangent plane of
+    ``JS(., q)`` at the pooled distribution of the whole pool, and the plane
+    with the exact JS term at each column of R the candidate misses, R being
+    the columns whose pool document frequency times ``s`` is below the pool
+    size (any R keeps it valid; ``_js_bound``). Each dense cosine is bounded
+    from above through the candidate mean's projections on the unit target
+    and on ``_COSINE_DIRECTIONS`` orthonormal directions orthogonal to it,
+    taken from the pool rows' scatter (``_cosine_bound``). A candidate whose
+    bound is worse than the best key among the first-scored candidates by
+    more than ``_PRUNE_SLACK`` is not scored. No candidate that could win or
     tie is skipped, and the scored ones get the bits an exhaustive round
     gives them, so the result is that of scoring every candidate.
     """
@@ -432,11 +438,11 @@ def subset_select(
     orientation = METRIC_ORIENTATION[metric]
     rng = np.random.default_rng(seed)
 
-    bounding = None
+    bound = None
     if s > 1 and metric == JENSEN_SHANNON:
-        bounding = _js_pool(matrix, pool_index, s)
+        bound = _js_bound(matrix, pool_index, s, target_repr)
     elif s > 1 and metric == COSINE and not sp.issparse(matrix):
-        bounding = _cosine_projections(matrix, pool_index, target_repr)
+        bound = _cosine_bound(matrix, pool_index, target_repr)
     available = np.arange(len(pool))
     chosen: list[int] = []
     iteration_members: list[list[str]] = []
@@ -451,8 +457,7 @@ def subset_select(
         else:
             candidates = available[_draw_subsets(rng, len(available), min(s, len(available)), m)]
         scores = _round_scores(
-            matrix, pool_index, item_scores, available, candidates, target_repr, metric,
-            bounding,
+            matrix, pool_index, item_scores, candidates, target_repr, metric, bound
         )
         key = _sort_key(scores, orientation)
         best = int(np.argmin(key))
@@ -568,35 +573,24 @@ def _candidate_scores(
 
 
 def _round_scores(
-    matrix, pool_index: np.ndarray, item_scores: np.ndarray, available: np.ndarray,
-    candidates: np.ndarray, target_repr, metric: str, bounding: _JsPool | np.ndarray | None,
+    matrix, pool_index: np.ndarray, item_scores: np.ndarray, candidates: np.ndarray,
+    target_repr, metric: str, bound: _Bound | None,
 ) -> np.ndarray:
     """Scores of one round's candidates; NaN for those that provably cannot win.
 
-    ``bounding`` holds what the search computed once for its bounds: the
-    ``_JsPool`` of a JS search, the projections of a dense cosine search, or
-    None. Given it, a round of subsets of two or more bounds every
-    candidate's ``_sort_key`` from below without pooling it. JS takes the
-    larger of the tangent plane at P0 and the support-aware bound on the
-    pool's rare columns R, whose pooled sum of the members' ``D_j`` is the
-    pooled mean times the subset size, because ``pool_groups`` averages
-    dense rows (``_js_lower_bounds``). Cosine goes through the projections
-    (``_cosine_upper_bounds``). The ``_WORKERS`` blocks'
-    worth of best-bounded candidates are scored first; their best key is the
-    incumbent. Every other candidate whose bound exceeds the incumbent by more
-    than ``_PRUNE_SLACK`` is left unscored (NaN), and the rest, NaN bounds
-    included, are scored. Each score is ``_candidate_scores``'s for that
-    candidate alone, so a scored candidate gets the same bits as in an
-    exhaustive round, and every candidate whose key could reach the round's
-    best, ties included, is scored. Other rounds score every candidate.
+    ``bound`` is the search's bound (``_js_bound``, ``_cosine_bound``) or
+    None: a function from a round's candidates to a lower bound on each one's
+    ``_sort_key``, found without pooling it. Given it, a round of subsets of
+    two or more scores the ``_WORKERS`` blocks' worth of best-bounded
+    candidates first; their best key is the incumbent. Every other candidate
+    whose bound exceeds the incumbent by more than ``_PRUNE_SLACK`` is left
+    unscored (NaN), and the rest, NaN bounds included, are scored. Each score
+    is ``_candidate_scores``'s for that candidate alone, so a scored candidate
+    gets the same bits as in an exhaustive round, and every candidate whose
+    key could reach the round's best, ties included, is scored. Other rounds
+    score every candidate.
     """
-    bounds = None
-    if candidates.shape[1] > 1 and bounding is not None:
-        if metric == JENSEN_SHANNON:
-            bounds = _js_lower_bounds(bounding, available, candidates, target_repr)
-        else:
-            bounds = -_cosine_upper_bounds(bounding, candidates)
-    if bounds is None:
+    if bound is None or candidates.shape[1] == 1:
         return _candidate_scores(matrix, pool_index, item_scores, candidates, target_repr, metric)
 
     def score(which):
@@ -604,6 +598,7 @@ def _round_scores(
             matrix, pool_index, item_scores, candidates[which], target_repr, metric
         )
 
+    bounds = bound(candidates)
     out = np.full(len(candidates), np.nan)
     first = min(len(candidates), _WORKERS * autoencoder._BLOCK_ROWS)
     best_bounded = np.argpartition(bounds, first - 1)[:first]
@@ -616,38 +611,16 @@ def _round_scores(
     return out
 
 
-class _JsPool(NamedTuple):
-    """The part of the JS bound that stays fixed through one search: the pool
-    rows as CSR, in pool order, their token totals ``T_j``, the column numbers
-    of R, and the pool rows on R's columns with every nonzero set to 1."""
-
-    rows: sp.csr_matrix
-    totals: np.ndarray
-    rare: np.ndarray
-    rare_rows: sp.csr_matrix
-
-
-def _js_pool(matrix, pool_index: np.ndarray, s: int) -> _JsPool:
-    """``_JsPool`` of the pool documents, R being the columns whose pool
-    document frequency times ``s`` is below the pool size: the columns a
-    size-``s`` candidate most likely misses. Any R keeps the bound valid."""
-    rows = matrix.tocsr()[pool_index] if sp.issparse(matrix) else sp.csr_matrix(matrix[pool_index])
-    frequency = np.bincount(rows.indices, minlength=rows.shape[1])
-    rare = np.flatnonzero(frequency * s < rows.shape[0])
-    totals = np.asarray(rows.sum(axis=1), dtype=np.float64).ravel()
-    return _JsPool(rows, totals, rare, (rows[:, rare] != 0).astype(np.float64))
-
-
-def _js_lower_bounds(
-    pool: _JsPool, available: np.ndarray, candidates: np.ndarray, target
-) -> np.ndarray | None:
-    """A lower bound on each candidate's JS divergence to ``target``, or None.
+def _js_bound(matrix, pool_index: np.ndarray, s: int, target) -> _Bound | None:
+    """A function from a round's candidates to a lower bound on each one's JS
+    divergence to ``target``, built once per search; None when every pool
+    document is empty.
 
     Write ``JS(P, q) = sum_i phi_i(P_i)`` with ``phi_i(p) = p/2 ln(2p/(p+q_i))
     + q_i/2 ln(2q_i/(p+q_i))``, each ``phi_i`` convex and ``phi_i(0) = q_i
-    ln2/2``. P0 is the pooled distribution of the ``available`` documents,
-    whose support holds every candidate's, and ``g_i = 0.5 ln(2 P0_i / (P0_i +
-    q_i))`` is the gradient there, set to 0 where P0 is 0.
+    ln2/2``. P0 is the pooled distribution of the whole pool, whose support
+    holds every candidate's in every round, and ``g_i = 0.5 ln(2 P0_i / (P0_i
+    + q_i))`` is the gradient there, set to 0 where P0 is 0.
 
     - The tangent plane at P0 lies below JS: ``JS(P) >= sum_i a_i + g.P``,
       with the intercept ``a_i = phi_i(0) + d_i`` and ``d_i = -q_i/2 ln(1 +
@@ -658,22 +631,23 @@ def _js_lower_bounds(
       every ``d_i`` is at most 0, so ``sum_{i in R, P_i > 0} d_i`` is at least
       the sum over members of ``D_j``, the ``d_i`` of R's columns that member
       j holds. This gives ``JS(P) >= sum_{i not in R} a_i + sum_{i in R}
-      phi_i(0) + g.P + sum_j D_j``. R is any set of columns (``_js_pool``
-      picks the rare ones), so the bound holds for every R.
+      phi_i(0) + g.P + sum_j D_j``. R is any set of columns; here it holds
+      those whose pool document frequency times ``s`` is below the pool size,
+      the columns a size-``s`` candidate most likely misses.
 
     Each candidate gets the larger of the two. A candidate pooling count rows
-    ``c_j`` with token totals ``T_j`` has ``g.P = sum(g.c_j) / sum(T_j)``,
-    so three numbers per document, pooled for every candidate of the round
-    in one call, give both bounds. ``pool_groups`` averages dense rows, which
-    leaves the ratio as it is but makes the pooled D the members' mean, so it
-    is multiplied by the subset size. (In row blocks, a 20,000-candidate
-    round took 2.5 ms against 1.3 ms whole, and the search's traced
-    allocation peak was the same either way.) An empty candidate (every
-    ``T_j`` 0, a NaN score) gets a NaN bound; None means every available
-    document is empty.
+    ``c_j`` with token totals ``T_j`` has ``g.P = sum(g.c_j) / sum(T_j)``, so
+    the three numbers ``[g.c_j, T_j, D_j]`` per pool document, taken here
+    from the pool rows, give both bounds; the function pools them for every
+    candidate of a round in one call. ``pool_groups`` averages dense rows,
+    which leaves the ratio as it is but makes the pooled D the members' mean,
+    so it is multiplied by the subset size. (In row blocks, a 20,000-candidate
+    round took 2.5 ms against 1.3 ms whole, and the search's traced allocation
+    peak was the same either way.) An empty candidate (every ``T_j`` 0, a NaN
+    score) gets a NaN bound.
     """
-    pooled = pool_groups(pool.rows, available, np.array([0, len(available)]))
-    p0 = pooled.toarray().ravel()
+    rows = matrix.tocsr()[pool_index] if sp.issparse(matrix) else sp.csr_matrix(matrix[pool_index])
+    p0 = np.asarray(rows.sum(axis=0), dtype=np.float64).ravel()
     total = p0.sum()
     if not total > 0:
         return None
@@ -686,13 +660,31 @@ def _js_lower_bounds(
     held = q > 0
     d[held] = -0.5 * q[held] * np.log1p(p0[held] / q[held])
     plane = 0.5 * LN2 * q.sum() + d.sum()
-    d_rare = d[pool.rare]
-    per_doc = np.column_stack([pool.rows @ g, pool.totals, pool.rare_rows @ d_rare])
-    means = _pool_candidates(per_doc, candidates)
-    out = np.full(len(candidates), np.nan)
-    np.divide(means[:, 0], means[:, 1], out=out, where=means[:, 1] > 0)
-    support_aware = (plane - d_rare.sum()) + candidates.shape[1] * means[:, 2]
-    return out + np.maximum(plane, support_aware)
+    rare = np.flatnonzero(np.bincount(rows.indices, minlength=rows.shape[1]) * s < rows.shape[0])
+    per_doc = np.column_stack([
+        rows @ g,
+        np.asarray(rows.sum(axis=1), dtype=np.float64).ravel(),
+        (rows[:, rare] != 0).astype(np.float64) @ d[rare],
+    ])
+    missed = plane - d[rare].sum()
+
+    def bound(candidates: np.ndarray) -> np.ndarray:
+        means = _pool_candidates(per_doc, candidates)
+        out = np.full(len(candidates), np.nan)
+        np.divide(means[:, 0], means[:, 1], out=out, where=means[:, 1] > 0)
+        return out + np.maximum(plane, missed + candidates.shape[1] * means[:, 2])
+
+    return bound
+
+
+def _cosine_bound(matrix: np.ndarray, pool_index: np.ndarray, target) -> _Bound | None:
+    """A function from a round's candidates to minus ``_cosine_upper_bounds``,
+    a lower bound on each one's ``_sort_key``, from the pool rows'
+    ``_cosine_projections`` taken once per search; None when those are."""
+    projections = _cosine_projections(matrix, pool_index, target)
+    if projections is None:
+        return None
+    return lambda candidates: -_cosine_upper_bounds(projections, candidates)
 
 
 def _cosine_projections(matrix: np.ndarray, pool_index: np.ndarray, target) -> np.ndarray | None:

@@ -280,6 +280,58 @@ class TestExitCodes:
         assert trained == []
         assert [p.name for p in tmp_path.iterdir()] == ["oov.txt"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--seed", "-1"],
+            ["evaluate", "--seed", "-1"],
+            ["sweep", "--n-values", "4", "--seed", "-1"],
+            ["generate", "--catalog", "--seed", "-1"],
+            ["select", "--config", "negative.conf"],
+        ],
+    )
+    def test_negative_seed_is_one_before_reading(self, tmp_path, capsys, argv):
+        (tmp_path / "negative.conf").write_text("seed = -1\n", encoding="utf-8")
+        argv = [str(tmp_path / a) if a.endswith(".conf") else a for a in argv]
+        if argv[0] != "generate":  # loading the missing corpus would exit 2
+            argv += ["--corpus", str(tmp_path / "missing.jsonl"), "--target", "tgt"]
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["negative.conf"]
+
+    @pytest.mark.parametrize(
+        "flag, kind, code",
+        [
+            ("--corpus", "not-utf8", 2),
+            ("--corpus", "directory", 2),
+            ("--embeddings", "not-utf8", 2),
+            ("--embeddings", "directory", 2),
+            ("--stopwords", "directory", 2),
+            ("--config", "directory", 1),
+            ("--config", "not-utf8", 1),
+            ("--out", "file", 1),
+        ],
+    )
+    def test_unreadable_input_is_a_one_line_error(self, data, tmp_path, capsys, flag, kind,
+                                                   code):
+        """An input that is a directory, not UTF-8, or an ``--out`` that is a
+        file gives a typed error naming it; an untyped one would propagate
+        out of ``main``."""
+        bad = tmp_path / kind
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"seed = 1\n\xff\xfe = 2\n" if kind == "not-utf8" else b"taken\n")
+        before = read_tree(tmp_path)
+        argv = ["select", "--representation", "embedding", "--embeddings", str(data["vectors"])]
+        argv += base_args(data, tmp_path / "out") + [flag, str(bad)]
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("data error: " if code == 2 else "error: ")
+        assert str(bad) in err and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == [kind]
+        assert read_tree(tmp_path) == before
+
     def test_missing_corpus_is_two(self, tmp_path):
         missing = tmp_path / "missing.jsonl"
         assert cli.main(["select", "--corpus", str(missing), "--target", "tgt",

@@ -106,19 +106,20 @@ def first_round(scenario, representation):
         scenario.corpus, encoded, vocab, scenario.target_domain, representation,
         embedding_table=table,
     )
-    available = np.arange(len(context.pool_index))
-    candidates = selection._draw_subsets(np.random.default_rng(0), len(available), S, M)
-    return context, available, candidates
+    candidates = selection._draw_subsets(np.random.default_rng(0), len(context.pool_index), S, M)
+    return context, candidates
 
 
 @pytest.mark.parametrize("scenario", ["graded", "blended"])
 def test_pruned_js_round(benchmark, scenario):
-    context, available, candidates = first_round(scenario, "term_dist")
-    pool = selection._js_pool(context.space.matrix, context.pool_index, S)
+    context, candidates = first_round(scenario, "term_dist")
+    bound = selection._js_bound(
+        context.space.matrix, context.pool_index, S, context.target_repr
+    )
     scores = benchmark.pedantic(
         selection._round_scores,
-        args=(context.space.matrix, context.pool_index, None, available, candidates,
-              context.target_repr, "jensen_shannon", pool),
+        args=(context.space.matrix, context.pool_index, None, candidates,
+              context.target_repr, "jensen_shannon", bound),
         rounds=5,
         iterations=1,
     )
@@ -126,14 +127,12 @@ def test_pruned_js_round(benchmark, scenario):
 
 
 def test_pruned_cosine_round(benchmark):
-    context, available, candidates = first_round("blended", "embedding")
-    projections = selection._cosine_projections(
-        context.space.matrix, context.pool_index, context.target_repr
-    )
+    context, candidates = first_round("blended", "embedding")
+    bound = selection._cosine_bound(context.space.matrix, context.pool_index, context.target_repr)
     scores = benchmark.pedantic(
         selection._round_scores,
-        args=(context.space.matrix, context.pool_index, None, available, candidates,
-              context.target_repr, "cosine", projections),
+        args=(context.space.matrix, context.pool_index, None, candidates,
+              context.target_repr, "cosine", bound),
         rounds=5,
         iterations=1,
     )

@@ -555,7 +555,7 @@ class TestSubsetSelect:
         round_scores = selection._round_scores
 
         def recording_round_scores(*round_args):
-            shapes.append(round_args[4].shape)
+            shapes.append(round_args[3].shape)
             return round_scores(*round_args)
 
         monkeypatch.setattr(selection, "_round_scores", recording_round_scores)
@@ -774,45 +774,47 @@ def bound_case(data, metric, s=2):
     return rows, np.arange(n_pool), target, available
 
 
-def tangent_plane_bounds(rows, pool_index, available, candidates, target):
+def tangent_plane_bounds(rows, pool_index, candidates, target):
     """The tangent plane of JS(., q) at P0, the pooled distribution of the
-    available documents, evaluated at each candidate's pooled distribution:
-    the JS bound of the subset search before it used the candidates' support."""
+    whole pool, evaluated at each candidate's pooled distribution: the JS
+    bound of the subset search before it used the candidates' support."""
     dense = rows.toarray() if sp.issparse(rows) else rows
-    p0 = dense[pool_index[available]].sum(axis=0)
+    pool_rows = dense[pool_index]
+    p0 = pool_rows.sum(axis=0)
     p0 = p0 / p0.sum()
     q = target.probs
     g = np.zeros_like(p0)
     g[p0 > 0] = 0.5 * np.log(2 * p0[p0 > 0] / (p0[p0 > 0] + q[p0 > 0]))
-    sums = dense[pool_index[candidates]].sum(axis=1)
-    totals = sums.sum(axis=1)
+    along = (pool_rows @ g)[candidates].sum(axis=1)
+    totals = pool_rows.sum(axis=1)[candidates].sum(axis=1)
     with np.errstate(invalid="ignore"):
-        return js_divergence(p0, q).value - g @ p0 + (sums @ g) / totals
+        return js_divergence(p0, q).value - g @ p0 + along / totals
 
 
 class TestRoundBounds:
     @given(st.data())
     def test_js_lower_bound_never_exceeds_the_score(self, data):
-        """The support-aware bound lies below every candidate's score and never
-        below the tangent plane alone, with R the pool's rare columns for s and
-        candidates of s or of any other size."""
+        """The support-aware bound, built from the whole pool, lies below the
+        score of every candidate drawn from the documents still available and
+        never below the tangent plane at the whole pool's P0, with R the pool's
+        rare columns for s and candidates of s or of any other size."""
         s = data.draw(st.sampled_from([2, 3, 20]), label="s")
         rows, pool_index, target, available = bound_case(data, "jensen_shannon", s)
         size = data.draw(st.just(s) | st.integers(2, len(available)), label="size")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
         candidates = available[selection._draw_subsets(rng, len(available), size, 30)]
-        pool = selection._js_pool(rows, pool_index, s)
-        bounds = selection._js_lower_bounds(pool, available, candidates, target)
+        bound = selection._js_bound(rows, pool_index, s, target)
         scores = selection._candidate_scores(
             rows, pool_index, None, candidates, target, "jensen_shannon"
         )
-        if bounds is None:  # every available document is empty
+        if bound is None:  # every pool document is empty
             assert np.isnan(scores).all()
             return
+        bounds = bound(candidates)
         assert np.array_equal(np.isnan(bounds), np.isnan(scores))
         usable = ~np.isnan(scores)
         assert (bounds[usable] <= scores[usable] + 1e-12).all()
-        plane = tangent_plane_bounds(rows, pool_index, available, candidates, target)
+        plane = tangent_plane_bounds(rows, pool_index, candidates, target)
         assert (bounds[usable] >= plane[usable] - 1e-12).all()
 
     @given(st.data())
@@ -880,18 +882,59 @@ class TestRoundBounds:
         assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == want
 
     @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
+    def test_search_builds_its_bound_once_and_it_holds_every_round(self, monkeypatch, metric):
+        """A search of several s=20 rounds, on sparse count rows under JS and
+        dense rows under cosine, builds its bound once, and in every round each
+        candidate's bound lies below its key."""
+        rng = np.random.default_rng(24)
+        rows = sp.csr_matrix(
+            (np.ones(600 * 6), (np.repeat(np.arange(600), 6), rng.integers(0, 300, 600 * 6))),
+            shape=(600, 300),
+        )
+        target = target_dist(300)
+        if metric == "cosine":
+            rows, target = rng.standard_normal((600, 40)), rng.standard_normal(40)
+        builder_name = "_js_bound" if metric == "jensen_shannon" else "_cosine_bound"
+        builder, builds, rounds = getattr(selection, builder_name), [], []
+
+        def recording_builder(*args):
+            builds.append(args)
+            bound = builder(*args)
+
+            def recording_bound(candidates):
+                rounds.append((candidates, bound(candidates)))
+                return rounds[-1][1]
+
+            return recording_bound
+
+        monkeypatch.setattr(selection, builder_name, recording_builder)
+        monkeypatch.setattr(selection, "_WORKERS", 1)  # 256 candidates scored first
+        subset_select(20, 100, 1000, make_pool(600), target, rows, every_row(rows),
+                      scored(rows, target, metric), metric, 3)
+        assert len(builds) == 1
+        assert len(rounds) == 5
+        orientation = selection.METRIC_ORIENTATION[metric]
+        for candidates, bounds in rounds:
+            scores = selection._candidate_scores(
+                rows, every_row(rows), None, candidates, target, metric
+            )
+            key = selection._sort_key(scores, orientation)
+            usable = np.isfinite(key)
+            assert usable.any()
+            assert (bounds[usable] <= key[usable] + 1e-12).all()
+
+    @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
     def test_round_leaves_candidates_unscored(self, monkeypatch, metric):
         monkeypatch.setattr(selection, "_WORKERS", 2)  # 512 candidates scored first
         rows = random_counts(400, 12, seed=16, zero_rows=range(3))
         target = target_dist(12) if metric == "jensen_shannon" else target_dist(12).probs
         candidates = selection._draw_subsets(np.random.default_rng(17), 400, 5, 4000)
         if metric == "cosine":
-            bounding = selection._cosine_projections(rows, every_row(rows), target)
+            bound = selection._cosine_bound(rows, every_row(rows), target)
         else:
-            bounding = selection._js_pool(rows, every_row(rows), 5)
+            bound = selection._js_bound(rows, every_row(rows), 5, target)
         scores = selection._round_scores(
-            rows, every_row(rows), None, np.arange(400), candidates, target, metric,
-            bounding,
+            rows, every_row(rows), None, candidates, target, metric, bound
         )
         every = selection._candidate_scores(rows, every_row(rows), None, candidates, target, metric)
         scored_rows = ~np.isnan(scores)
@@ -920,21 +963,20 @@ class TestRoundBounds:
             (np.ones(cols.size), (np.repeat(np.arange(2000), 8), cols)), shape=(2000, 600)
         )
         candidates = selection._draw_subsets(np.random.default_rng(23), 2000, 20, 4000)
-        pool = selection._js_pool(rows, every_row(rows), 20)
-        plane_only = pool._replace(rare=pool.rare[:0], rare_rows=pool.rare_rows[:, :0])
 
-        def round_scores(bounding):
+        def round_scores(bound):
             return selection._round_scores(
-                rows, every_row(rows), None, np.arange(2000), candidates, target,
-                "jensen_shannon", bounding,
+                rows, every_row(rows), None, candidates, target, "jensen_shannon", bound
             )
 
-        scores, plane_scores = round_scores(pool), round_scores(plane_only)
+        scores = round_scores(selection._js_bound(rows, every_row(rows), 20, target))
+        plane_scores = round_scores(
+            lambda batch: tangent_plane_bounds(rows, every_row(rows), batch, target)
+        )
         every = selection._candidate_scores(
             rows, every_row(rows), None, candidates, target, "jensen_shannon"
         )
         scored_rows = ~np.isnan(scores)
-        assert len(pool.rare) > 0
         assert scored_rows.sum() < (~np.isnan(plane_scores)).sum()
         assert np.array_equal(scores[scored_rows], every[scored_rows])
         assert np.nanargmin(scores) == np.argmin(every)
