@@ -30,9 +30,6 @@ from ``_row_blocks``, about ``_BLOCK_ROWS`` rows each. A block bounds memory
 and changes no output: every score is computed per row and the key draws
 continue one generator stream. Only ``encode``'s BLAS products can see the
 block size, and at the default hidden size they do not (see ``encode``).
-The subset search's candidate blocks may be scored on several threads at
-once (``selection._candidate_scores``); each block still writes only its own
-rows.
 """
 
 from __future__ import annotations

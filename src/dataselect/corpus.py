@@ -126,30 +126,30 @@ def _text_lines(path: Path, what: str, error: type[Exception] = DataError) -> It
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus from the canonical JSONL format, preserving file order."""
+    path = Path(path)
     documents = []
-    for lineno, line in enumerate(_text_lines(Path(path), "corpus file"), start=1):
+    for lineno, line in enumerate(_text_lines(path, "corpus file"), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from None
-        if not isinstance(obj, dict):
-            raise ParseError("expected a JSON object", line=lineno)
-        fields = {key: _require_str(obj, key, lineno) for key in ("id", "text", "domain")}
-        try:
-            doc = Document(label=obj.get("label"), **fields)
+            documents.append(_parse_document(line))
         except DataError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        documents.append(doc)
+            raise ParseError(str(exc), path, lineno) from None
     return Corpus(documents)
 
 
-def _require_str(obj: dict, key: str, lineno: int) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str):
-        raise ParseError(f"missing or non-string field {key!r}", line=lineno)
-    return value
+def _parse_document(line: str) -> Document:
+    """One corpus line as a Document; a DataError says what is wrong with it."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"invalid JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise DataError("expected a JSON object")
+    for key in ("id", "text", "domain"):
+        if not isinstance(obj.get(key), str):
+            raise DataError(f"missing or non-string field {key!r}")
+    return Document(obj["id"], obj["text"], obj["domain"], obj.get("label"))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

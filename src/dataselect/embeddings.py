@@ -47,7 +47,9 @@ def load_embeddings(
     line the restriction drops is not reported. A kept line with a non-finite
     component (``nan``, ``inf`` or an overflowing literal such as ``1e999``,
     all of which Python's ``float`` accepts) is a ParseError: its SIF rows
-    would be NaN, and cosine scores NaN rows as 0.0 without a warning.
+    would be NaN, and cosine scores NaN rows as 0.0 without a warning. So is
+    a kept token's second line: the file would give one token two vectors.
+    A token seen twice only on dropped lines is not reported.
     """
     path = Path(path)
     entries: dict[str, np.ndarray] = {}
@@ -59,20 +61,22 @@ def load_embeddings(
         token, values = parts[0], parts[1:]
         if dim is None:
             if not values:
-                raise ParseError("no vector components", line=lineno)
+                raise ParseError("no vector components", path, lineno)
             dim = len(values)
         elif len(values) != dim:
             raise ParseError(
-                f"expected {dim} vector components, found {len(values)}", line=lineno
+                f"expected {dim} vector components, found {len(values)}", path, lineno
             )
         if restrict_to is not None and token not in restrict_to:
             continue
+        if token in entries:
+            raise ParseError(f"duplicate token {token!r}", path, lineno)
         try:
             vector = np.array([float(v) for v in values], dtype=np.float64)
         except ValueError:
-            raise ParseError("non-numeric vector component", line=lineno) from None
+            raise ParseError("non-numeric vector component", path, lineno) from None
         if not np.isfinite(vector).all():
-            raise ParseError("non-finite vector component", line=lineno)
+            raise ParseError("non-finite vector component", path, lineno)
         entries[token] = vector
     if dim is None:
         raise DataError(f"embedding file is empty: {path}")

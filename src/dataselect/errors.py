@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericalError -> 3.
 """
 
+import os
+
 
 class DataSelectError(Exception):
     """Base class for all toolkit errors."""
@@ -18,13 +20,13 @@ class DataError(DataSelectError):
 
 
 class ParseError(DataError):
-    """A file failed to parse; carries the offending line number."""
+    """A file failed to parse; carries the file's path and the offending line
+    number, both of which the message names."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, path: str | os.PathLike, line: int):
+        self.path = path
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(f"{path}, line {line}: {message}")
 
 
 class NumericalError(DataSelectError):

@@ -21,14 +21,11 @@ NaN last, ties by name. Instance ranking drops NaN (empty) items and the
 domain choice drops NaN domains; truncating the final subset round keeps NaN
 members, ranked last.
 
-A subset round's candidate scoring is the one step that starts threads of
-its own: ``_candidate_scores`` splits the round's row blocks into one share
-per CPU this process may use (``_WORKERS``), and the calling thread scores
-one share while helper threads score the rest. Every candidate's score
-depends on its own row alone and each block writes its own slice of the
-output, so the scores are bit-identical for any split. The candidate draws
-stay serial, since the generator stream must be consumed in order, and so
-do the proxy-A and singleton rounds, which only average item scores.
+This module starts no threads of its own. A subset round draws its
+candidates from one generator stream, in order, and ``_candidate_scores``
+scores them in row blocks, one block after another on the calling thread;
+every candidate's score depends on its own row alone, so the block size
+changes no bit.
 
 A round needs only its best candidate, so a JS round and a dense cosine round
 (s >= 2) first bound every candidate from a few numbers per document, without
@@ -57,8 +54,6 @@ construction), and return at most ``min(n, pool size)`` unique ids.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -95,12 +90,6 @@ _DEFAULT_METRIC = {TERM_DIST: JENSEN_SHANNON, EMBEDDING: COSINE, AUTOENCODER: CO
 
 # A subset search's bound: a round's candidates to a lower bound on each ``_sort_key``.
 _Bound = Callable[[np.ndarray], np.ndarray]
-
-# Threads that score one subset round's candidate blocks: the CPUs this
-# process may run on, read once.
-_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
 
 # A candidate stays unscored only when its key bound is worse than the
 # round's incumbent by more than this. The bounds hold in real arithmetic;
@@ -534,41 +523,17 @@ def _candidate_scores(
     ranking (the sparse product emits a row's columns in reverse order, and
     JS summed in that order can break a tie the other way).
 
-    The row blocks are split into ``min(_WORKERS, blocks)`` interleaved
-    shares, ``blocks[k::workers]``. The calling thread scores share 0 and
-    helper threads of an executor that lives only for this call score the
-    others; a helper's error is raised here. Each block writes a disjoint
-    slice of the output and every score depends on its own row alone, so
-    any split gives the same bits. With one worker no executor is created.
-    The split pays only while another CPU is free: on a 2-vCPU host whose
-    second CPU was busy, a round took 1-4% longer split than serially.
-
-    The shares are coarse because the work per block is small: on a 2-vCPU
-    host, handing single blocks from a producer thread to a consumer took
-    10.7-21.9 s for a graded seed-0 search that took 13.2-15.0 s serially.
-    The caller keeps share 0 because one more pool thread adds a malloc
-    arena: the benchmark's ``graded-subset`` peaked at 103 MB that way,
-    against 97 MB with share 0 on the caller and 92 MB serially.
+    The blocks are scored one after another on the calling thread. With the
+    search's bounds leaving 5-25% of a round's candidates to score, splitting
+    the blocks over both CPUs of a 2-vCPU host was no faster and raised the
+    benchmark's peak RSS by about 10 MB.
     """
     if metric == PROXY_A or candidates.shape[1] == 1:
         return item_scores[candidates].mean(axis=1)
     out = np.empty(len(candidates), dtype=np.float64)
-
-    def score(blocks):
-        for start, stop in blocks:
-            pooled = _pool_candidates(matrix, pool_index[candidates[start:stop]])
-            out[start:stop] = _score_rows(pooled, target_repr, metric)
-
-    blocks = list(_row_blocks(len(candidates)))
-    workers = min(_WORKERS, len(blocks))
-    if workers == 1:
-        score(blocks)
-        return out
-    with ThreadPoolExecutor(workers - 1) as executor:
-        helpers = [executor.submit(score, blocks[k::workers]) for k in range(1, workers)]
-        score(blocks[::workers])
-        for helper in helpers:
-            helper.result()
+    for start, stop in _row_blocks(len(candidates)):
+        pooled = _pool_candidates(matrix, pool_index[candidates[start:stop]])
+        out[start:stop] = _score_rows(pooled, target_repr, metric)
     return out
 
 
@@ -581,7 +546,7 @@ def _round_scores(
     ``bound`` is the search's bound (``_js_bound``, ``_cosine_bound``) or
     None: a function from a round's candidates to a lower bound on each one's
     ``_sort_key``, found without pooling it. Given it, a round of subsets of
-    two or more scores the ``_WORKERS`` blocks' worth of best-bounded
+    two or more scores one block (``autoencoder._BLOCK_ROWS``) of best-bounded
     candidates first; their best key is the incumbent. Every other candidate
     whose bound exceeds the incumbent by more than ``_PRUNE_SLACK`` is left
     unscored (NaN), and the rest, NaN bounds included, are scored. Each score
@@ -600,7 +565,7 @@ def _round_scores(
 
     bounds = bound(candidates)
     out = np.full(len(candidates), np.nan)
-    first = min(len(candidates), _WORKERS * autoencoder._BLOCK_ROWS)
+    first = min(len(candidates), autoencoder._BLOCK_ROWS)
     best_bounded = np.argpartition(bounds, first - 1)[:first]
     score(best_bounded)
     incumbent = _sort_key(out[best_bounded], METRIC_ORIENTATION[metric]).min()

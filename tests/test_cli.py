@@ -249,7 +249,7 @@ class TestExitCodes:
         argv = ["select", "--corpus", str(corpus), "--target", "tgt",
                 "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 2
-        assert capsys.readouterr().err.startswith("data error: line 1: ")
+        assert capsys.readouterr().err.startswith(f"data error: {corpus}, line 1: ")
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
     @pytest.mark.parametrize("strategy", ["instance", "domain"])

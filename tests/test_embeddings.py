@@ -75,6 +75,26 @@ class TestLoadEmbeddings:
         with pytest.raises(ParseError, match="line 2"):
             load_embeddings(path, restrict_to=vocab)
 
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_kept_token_seen_twice_reports_its_second_line(self, tmp_path, restrict):
+        path = write_vectors(tmp_path / "v.txt", ["good 1 0", "bad 0 1", "good -1 0"])
+        vocab = vocabulary(["good"]) if restrict else None
+        with pytest.raises(ParseError, match="line 3: duplicate token 'good'"):
+            load_embeddings(path, restrict_to=vocab)
+
+    def test_token_seen_twice_on_dropped_lines_still_loads(self, tmp_path):
+        path = write_vectors(tmp_path / "v.txt", ["bad 0 1", "good 1 0", "bad 0 2"])
+        table = load_embeddings(path, restrict_to=vocabulary(["good"]))
+        assert list(table.entries) == ["good"]
+        assert np.array_equal(table.entries["good"], [1.0, 0.0])
+
+    def test_parse_error_names_the_file(self, tmp_path):
+        path = write_vectors(tmp_path / "v.txt", ["a 1 0", "b 1 zero"])
+        with pytest.raises(ParseError, match="line 2") as error:
+            load_embeddings(path)
+        assert str(error.value).startswith(f"{path}, line 2: ")
+        assert (error.value.path, error.value.line) == (path, 2)
+
     def test_empty_file_is_error(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", [])
         with pytest.raises(DataError):

@@ -1,9 +1,8 @@
-"""Kernel microbenchmarks: one subset-search round of candidate scoring
-(serially and split over every CPU the process may use), one bounded round
-that scores only the candidates that may win (JS and dense cosine), one
-autoencoder minibatch (forward/backward and one Adam update), one encode
-of a whole pool, one sentiment-classifier fit, one tf-idf fit with its
-transforms, one SIF space build and one proxy-A discriminator fit.
+"""Kernel microbenchmarks: one subset-search round of candidate scoring, one
+bounded round that scores only the candidates that may win (JS and dense
+cosine), one autoencoder minibatch (forward/backward and one Adam update),
+one encode of a whole pool, one sentiment-classifier fit, one tf-idf fit
+with its transforms, one SIF space build and one proxy-A discriminator fit.
 
 Marked ``bench`` and deselected by default; run them with
 
@@ -48,17 +47,11 @@ M, S = 20000, 20
 HIDDEN, BATCH = 1000, 64
 
 
-# serial and on every CPU the process may use, the split the search takes
-ROUND_WORKERS = sorted({1, selection._WORKERS})
-
-
 def round_candidates(rng):
     return selection._draw_subsets(rng, POOL, S, M)
 
 
-@pytest.mark.parametrize("workers", ROUND_WORKERS)
-def test_sparse_js_round(benchmark, monkeypatch, workers):
-    monkeypatch.setattr(selection, "_WORKERS", workers)
+def test_sparse_js_round(benchmark):
     rng = np.random.default_rng(0)
     rows = sp.random(
         POOL, VOCAB, density=15 / VOCAB, format="csr", random_state=1,
@@ -76,9 +69,7 @@ def test_sparse_js_round(benchmark, monkeypatch, workers):
     assert scores.shape == (M,)
 
 
-@pytest.mark.parametrize("workers", ROUND_WORKERS)
-def test_dense_cosine_round(benchmark, monkeypatch, workers):
-    monkeypatch.setattr(selection, "_WORKERS", workers)
+def test_dense_cosine_round(benchmark):
     rng = np.random.default_rng(0)
     rows = rng.standard_normal((POOL, DIM))
     target = rng.standard_normal(DIM)

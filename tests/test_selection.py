@@ -1,4 +1,3 @@
-import sys
 import threading
 import tracemalloc
 
@@ -581,19 +580,16 @@ class TestCandidateScores:
     @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
     @pytest.mark.parametrize("sparse_rows", [False, True])
     def test_batch_size_changes_no_score(self, monkeypatch, metric, sparse_rows):
-        """Neither the block size nor the number of threads that share the
-        blocks changes a bit of any score."""
+        """The block size changes no bit of any score."""
         rows, candidates, target = candidate_case(sparse_rows)
         results = []
         for block in (2, 3, 7, 256):
             monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", block)
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(selection, "_WORKERS", workers)
-                results.append(
-                    selection._candidate_scores(
-                        rows, every_row(rows), None, candidates, target, metric,
-                    )
+            results.append(
+                selection._candidate_scores(
+                    rows, every_row(rows), None, candidates, target, metric,
                 )
+            )
         indptr = np.arange(0, candidates.size + 1, candidates.shape[1])
         whole = selection._score_rows(pool_groups(rows, candidates.ravel(), indptr),
                                       target, metric)
@@ -613,9 +609,6 @@ class TestCandidateScores:
             return score_rows(agg, *args, **kwargs)
 
         monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", 7)
-        # aggregates are recorded in call order, which helper threads would
-        # interleave; the split itself is covered by the test above
-        monkeypatch.setattr(selection, "_WORKERS", 1)
         monkeypatch.setattr(selection, "_score_rows", record)
         scores = selection._candidate_scores(
             rows, every_row(rows), None, candidates, target.probs, "cosine",
@@ -624,77 +617,26 @@ class TestCandidateScores:
         assert np.array_equal(np.vstack(aggregates), oracle)
         assert np.array_equal(scores, cosine_to_target(oracle, target.probs))
 
-    @pytest.mark.parametrize("sparse_rows", [True, False])
-    def test_thread_count_changes_no_selection(self, monkeypatch, sparse_rows):
-        rows = random_counts(300, 16, seed=15, zero_rows=range(5))
+    @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
+    def test_search_starts_no_thread(self, monkeypatch, metric):
+        """An s=20 search whose rounds score many blocks, bounded (JS) and
+        unbounded (sparse cosine), runs on the calling thread alone, as
+        perfbench's span recorder, which keeps one span stack, needs."""
+
+        def no_thread(thread):
+            raise AssertionError("a thread was started")
+
+        rows = sp.csr_matrix(random_counts(300, 16, seed=15, zero_rows=range(5)))
         target = target_dist(16)
-        if sparse_rows:
-            rows, target_repr, metric = sp.csr_matrix(rows), target, "jensen_shannon"
-        else:
-            rows, target_repr, metric = rows / 3, target.probs, "cosine"
+        target_repr = target if metric == "jensen_shannon" else target.probs
+        args = (20, 60, 200, make_pool(300), target_repr, rows, every_row(rows),
+                scored(rows, target_repr, metric), metric, 0)
         monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", 7)
-        results = []
-        for workers in (1, 3):
-            monkeypatch.setattr(selection, "_WORKERS", workers)
-            results.append(subset_select(
-                6, 40, 200, make_pool(300), target_repr, rows, every_row(rows),
-                scored(rows, target_repr, metric), metric, 0,
-            ))
-        serial, split = results
-        assert split.chosen == serial.chosen
-        assert split.subset_scores == serial.subset_scores
-        assert split.iteration_members == serial.iteration_members
-
-    def test_more_threads_than_cpus_write_every_row(self, monkeypatch):
-        """Eight threads that switch every microsecond still write each
-        candidate's score to its own row."""
-        rows, candidates, target = candidate_case(sparse_rows=True)
-        monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", 2)
-        results = []
-        for workers in (1, 8):
-            monkeypatch.setattr(selection, "_WORKERS", workers)
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                results.append(selection._candidate_scores(
-                    rows, every_row(rows), None, candidates, target, "jensen_shannon",
-                ))
-            finally:
-                sys.setswitchinterval(interval)
-        assert np.array_equal(results[1], results[0], equal_nan=True)
-
-    def test_helper_error_propagates_and_threads_end(self, monkeypatch):
-        rows, candidates, target = candidate_case(sparse_rows=True)
-        score_rows = selection._score_rows
-
-        def fail_off_main_thread(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("helper share failed")
-            return score_rows(*args)
-
-        monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", 7)
-        monkeypatch.setattr(selection, "_WORKERS", 3)
-        monkeypatch.setattr(selection, "_score_rows", fail_off_main_thread)
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="helper share failed"):
-            selection._candidate_scores(
-                rows, every_row(rows), None, candidates, target, "jensen_shannon",
-            )
-        assert threading.active_count() == threads
-
-    def test_one_worker_starts_no_executor(self, monkeypatch):
-        rows, candidates, target = candidate_case(sparse_rows=True)
-
-        def no_executor(*args):
-            raise AssertionError("an executor was created")
-
-        monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", 7)
-        monkeypatch.setattr(selection, "_WORKERS", 1)
-        monkeypatch.setattr(selection, "ThreadPoolExecutor", no_executor)
-        scores = selection._candidate_scores(
-            rows, every_row(rows), None, candidates, target, "jensen_shannon",
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        got = subset_select(*args)
+        assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == (
+            exhaustive_subset_select(*args)
         )
-        assert scores.shape == (len(candidates),)
 
 
 def exhaustive_subset_select(s, n, m, pool, target_repr, matrix, pool_index, item_scores,
@@ -876,7 +818,6 @@ class TestRoundBounds:
         args = (s, n, m, pool, target, rows, every_row(rows), item_scores, metric, seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(autoencoder, "_BLOCK_ROWS", data.draw(st.integers(1, 4), label="block"))
-            mp.setattr(selection, "_WORKERS", data.draw(st.integers(1, 3), label="workers"))
             got = subset_select(*args)
         want = exhaustive_subset_select(*args)
         assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == want
@@ -908,7 +849,6 @@ class TestRoundBounds:
             return recording_bound
 
         monkeypatch.setattr(selection, builder_name, recording_builder)
-        monkeypatch.setattr(selection, "_WORKERS", 1)  # 256 candidates scored first
         subset_select(20, 100, 1000, make_pool(600), target, rows, every_row(rows),
                       scored(rows, target, metric), metric, 3)
         assert len(builds) == 1
@@ -924,8 +864,7 @@ class TestRoundBounds:
             assert (bounds[usable] <= key[usable] + 1e-12).all()
 
     @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
-    def test_round_leaves_candidates_unscored(self, monkeypatch, metric):
-        monkeypatch.setattr(selection, "_WORKERS", 2)  # 512 candidates scored first
+    def test_round_leaves_candidates_unscored(self, metric):
         rows = random_counts(400, 12, seed=16, zero_rows=range(3))
         target = target_dist(12) if metric == "jensen_shannon" else target_dist(12).probs
         candidates = selection._draw_subsets(np.random.default_rng(17), 400, 5, 4000)
@@ -945,12 +884,11 @@ class TestRoundBounds:
             selection._sort_key(every, orientation)
         )
 
-    def test_support_aware_js_round_scores_fewer_than_the_plane(self, monkeypatch):
+    def test_support_aware_js_round_scores_fewer_than_the_plane(self):
         """On sparse rows over many columns, where a 20-document candidate misses
         most of them, the support-aware bound leaves more candidates unscored
         than the tangent plane alone, and the round keeps the exhaustive one's
         scores and winner."""
-        monkeypatch.setattr(selection, "_WORKERS", 2)  # 512 candidates scored first
         rng = np.random.default_rng(21)
         zipf = 1.0 / np.arange(1, 601)
         target = TermDistribution(probs=zipf / zipf.sum())
