@@ -176,6 +176,15 @@ def _parse_list(value: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in value.split(",") if s.strip())
 
 
+def _parse_int_list(value: str) -> list[int]:
+    try:
+        return [int(x) for x in value.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {value!r}"
+        ) from None
+
+
 def _value_parser(hint):
     """Parser of a field's text value, from the field's type (``X | None`` as X)."""
     if get_origin(hint) in (Union, types.UnionType):
@@ -512,7 +521,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_sweep, "sweep")
     p_sweep.add_argument(
         "--n-values", required=True,
-        type=lambda v: [int(x) for x in v.split(",") if x.strip()],
+        type=_parse_int_list,
         help="comma-separated ascending sizes, e.g. 500,1000,2000",
     )
     p_sweep.set_defaults(func=lambda a: cmd_sweep(build_run_config(a, "sweep"), a.n_values))

@@ -63,10 +63,14 @@ def load_embeddings(
             if not values:
                 raise ParseError("no vector components", path, lineno)
             dim = len(values)
+            first = lineno, parts
         elif len(values) != dim:
-            raise ParseError(
-                f"expected {dim} vector components, found {len(values)}", path, lineno
-            )
+            message = f"expected {dim} vector components, found {len(values)}"
+            if lineno == first[0] + 1 and _looks_like_header(first[1]):
+                message += (
+                    f"; line {first[0]} looks like a word2vec 'count dim' header; remove it"
+                )
+            raise ParseError(message, path, lineno)
         if restrict_to is not None and token not in restrict_to:
             continue
         if token in entries:
@@ -82,3 +86,7 @@ def load_embeddings(
         raise DataError(f"embedding file is empty: {path}")
     return EmbeddingTable(entries, dim)
 
+
+def _looks_like_header(fields: list[str]) -> bool:
+    """Whether a line's fields are a word2vec text header: two integers."""
+    return len(fields) == 2 and all(f.isascii() and f.isdigit() for f in fields)

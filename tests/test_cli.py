@@ -197,6 +197,15 @@ class TestExitCodes:
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert not any(tmp_path.iterdir())
 
+    def test_non_integer_n_value_names_the_flag(self, tmp_path, capsys):
+        argv = ["sweep", "--n-values", "1,x", "--corpus", str(tmp_path / "missing.jsonl"),
+                "--target", "tgt", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: argument --n-values: expected comma-separated integers, got '1,x'\n"
+        )
+        assert not any(tmp_path.iterdir())
+
     def test_generate_rejects_run_flags(self, tmp_path, capsys):
         argv = ["generate", "--catalog", "--seed", "3", "--runs", "0", "--ae-lr", "-1",
                 "--n", "5", "--corpus", str(tmp_path / "nothing.jsonl"),

@@ -95,6 +95,23 @@ class TestLoadEmbeddings:
         assert str(error.value).startswith(f"{path}, line 2: ")
         assert (error.value.path, error.value.line) == (path, 2)
 
+    @pytest.mark.parametrize(
+        "lines, hint",
+        [
+            (["2 3", "a 1 0 0", "b 0 1 0"], True),
+            (["2 3", "a 1 0"], True),  # the header's dim need not match
+            (["a 3", "b 1 0 0"], False),  # a token, not a count
+            (["2 3.5", "a 1 0 0"], False),
+            (["2 3", "a 1", "b 1 0 0"], False),  # the mismatch is not on line 2
+        ],
+    )
+    def test_word2vec_header_is_named(self, tmp_path, lines, hint):
+        path = write_vectors(tmp_path / "v.txt", lines)
+        with pytest.raises(ParseError, match="expected 1 vector components") as error:
+            load_embeddings(path)
+        named = "line 1 looks like a word2vec 'count dim' header; remove it"
+        assert str(error.value).endswith(named) == hint
+
     def test_empty_file_is_error(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", [])
         with pytest.raises(DataError):

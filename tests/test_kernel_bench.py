@@ -1,8 +1,9 @@
-"""Kernel microbenchmarks: one subset-search round of candidate scoring, one
-bounded round that scores only the candidates that may win (JS and dense
-cosine), one autoencoder minibatch (forward/backward and one Adam update),
-one encode of a whole pool, one sentiment-classifier fit, one tf-idf fit
-with its transforms, one SIF space build and one proxy-A discriminator fit.
+"""Kernel microbenchmarks: one draw of a subset-search round's candidates,
+one round of candidate scoring, one bounded round that scores only the
+candidates that may win (JS and dense cosine), one autoencoder minibatch
+(forward/backward and one Adam update), one encode of a whole pool, one
+sentiment-classifier fit, one tf-idf fit with its transforms, one SIF space
+build and one proxy-A discriminator fit.
 
 Marked ``bench`` and deselected by default; run them with
 
@@ -10,13 +11,15 @@ Marked ``bench`` and deselected by default; run them with
 
 The pools are the size of the ``graded`` catalog scenario's source pool
 (about 7,000 documents over a 1,260-token vocabulary, about 15 distinct
-tokens per document) and of a 100-d dense embedding pool. One round scores
-20,000 random 20-document candidates, the default ``m`` and ``s``. The
-bounded rounds are the first round of the seed-0 ``graded`` and ``blended``
-term-distribution searches (``blended`` is where the support-aware JS bound
-cuts the most scoring: its whole seed-0 search scores 22% of its candidates,
-against 89% under the tangent plane alone) and of the seed-0 ``blended``
-search over SIF rows of a random 100-d table over every vocabulary token.
+tokens per document) and of a 100-d dense embedding pool. One round draws
+and scores 20,000 random 20-document candidates, the default ``m`` and ``s``
+(the draw takes the rejection path, as every round of such a pool does
+while at least 400 documents remain). The bounded rounds are the first round
+of the seed-0 ``graded`` and ``blended`` term-distribution searches
+(``blended`` is where the support-aware JS bound cuts the most scoring: its
+whole seed-0 search scores 22% of its candidates, against 89% under the
+tangent plane alone) and of the seed-0 ``blended`` search over SIF rows of a
+random 100-d table over every vocabulary token.
 The autoencoder cases use that vocabulary with the default hidden size
 (1,000) and batch size (64); the encode case encodes the whole sparse pool.
 The classifier case fits the default 10-epoch SGD on a binary training set
@@ -49,6 +52,12 @@ HIDDEN, BATCH = 1000, 64
 
 def round_candidates(rng):
     return selection._draw_subsets(rng, POOL, S, M)
+
+
+def test_draw_round(benchmark):
+    rng = np.random.default_rng(0)
+    candidates = benchmark.pedantic(round_candidates, args=(rng,), rounds=5, iterations=1)
+    assert candidates.shape == (M, S)
 
 
 def test_sparse_js_round(benchmark):

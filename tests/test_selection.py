@@ -1,5 +1,7 @@
+import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -617,26 +619,132 @@ class TestCandidateScores:
         assert np.array_equal(np.vstack(aggregates), oracle)
         assert np.array_equal(scores, cosine_to_target(oracle, target.probs))
 
+
+def thread_search_args(metric):
+    """An s=20 search of rounds that score many 7-row blocks: bounded under JS,
+    unbounded under cosine (sparse rows)."""
+    rows = sp.csr_matrix(random_counts(300, 16, seed=15, zero_rows=range(5)))
+    target = target_dist(16)
+    target_repr = target if metric == "jensen_shannon" else target.probs
+    return (20, 60, 200, make_pool(300), target_repr, rows, every_row(rows),
+            scored(rows, target_repr, metric), metric, 0)
+
+
+def record_submissions(monkeypatch):
+    """Patch the search's executor to record the function and arguments of
+    every call submitted to it, whether or not the call gets to run."""
+    submitted = []
+
+    class RecordingExecutor(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append((fn, args))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(selection, "ThreadPoolExecutor", RecordingExecutor)
+    return submitted
+
+
+class TestDrawPrefetch:
     @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
-    def test_search_starts_no_thread(self, monkeypatch, metric):
-        """An s=20 search whose rounds score many blocks, bounded (JS) and
-        unbounded (sparse cosine), runs on the calling thread alone, as
-        perfbench's span recorder, which keeps one span stack, needs."""
+    def test_only_the_draw_leaves_the_calling_thread(self, monkeypatch, metric):
+        """Every scoring call runs on the calling thread, as perfbench's span
+        recorder, which keeps one span stack, needs; the helper runs
+        ``_draw_subsets`` alone and has ended when the search returns."""
+        args = thread_search_args(metric)
+        want = exhaustive_subset_select(*args)
+        threads = {}
 
-        def no_thread(thread):
-            raise AssertionError("a thread was started")
+        def recorded(name):
+            inner = getattr(selection, name)
 
-        rows = sp.csr_matrix(random_counts(300, 16, seed=15, zero_rows=range(5)))
-        target = target_dist(16)
-        target_repr = target if metric == "jensen_shannon" else target.probs
-        args = (20, 60, 200, make_pool(300), target_repr, rows, every_row(rows),
-                scored(rows, target_repr, metric), metric, 0)
+            def call(*call_args):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return inner(*call_args)
+
+            monkeypatch.setattr(selection, name, call)
+            return call
+
+        for name in ("_candidate_scores", "js_to_target", "cosine_to_target"):
+            recorded(name)
+        draw = recorded("_draw_subsets")
+        submitted = record_submissions(monkeypatch)
         monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", 7)
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        before = threading.active_count()
         got = subset_select(*args)
+        assert threading.active_count() == before
+        assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == want
+        caller = threading.get_ident()
+        scorer = "js_to_target" if metric == "jensen_shannon" else "cosine_to_target"
+        assert threads["_candidate_scores"] == threads[scorer] == {caller}
+        assert caller not in threads["_draw_subsets"]
+        assert [fn for fn, _ in submitted] == [draw] * len(got.iteration_members)
+
+    @pytest.mark.parametrize("failing_call", [1, 3])
+    def test_helper_error_propagates_and_its_thread_ends(self, monkeypatch, failing_call):
+        args = thread_search_args("jensen_shannon")
+        draw = selection._draw_subsets
+        calls = []
+
+        def failing_draw(*draw_args):
+            calls.append(threading.get_ident())
+            if len(calls) == failing_call:
+                raise RuntimeError("draw failed")
+            return draw(*draw_args)
+
+        monkeypatch.setattr(selection, "_draw_subsets", failing_draw)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            subset_select(*args)
+        assert threading.active_count() == before
+        assert len(calls) == failing_call and threading.get_ident() not in calls
+
+    @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
+    @pytest.mark.parametrize(
+        "s, n, m, n_pool",
+        [
+            (20, 50, 200, 300),  # the third round is truncated to 10 members
+            (20, 60, 300, 45),  # the pool drains after rounds of 20, 20 and 5
+            (7, 40, 30, 40),  # the pool drains on a truncated round
+            (1, 35, 30, 40),  # s=1 draws ten rounds, then ranks the last 30
+            (1, 12, 50, 40),  # s=1 exhaustive from the first round
+        ],
+    )
+    def test_prefetched_search_equals_serial_loop(self, s, n, m, n_pool, metric):
+        rows = random_counts(n_pool, 8, seed=n_pool + s, zero_rows=(4,))
+        target = target_dist(8) if metric == "jensen_shannon" else target_dist(8).probs
+        args = (s, n, m, make_pool(n_pool), target, rows, every_row(rows),
+                scored(rows, target, metric), metric, 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch between the two threads often
+        try:
+            got = subset_select(*args)
+        finally:
+            sys.setswitchinterval(interval)
         assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == (
             exhaustive_subset_select(*args)
         )
+
+    def test_search_stopping_on_empty_candidates_discards_its_pending_draw(
+        self, monkeypatch
+    ):
+        """Once only empty documents remain, a round's candidates all score NaN
+        and the search stops, with the next round's draw already submitted."""
+        rows = random_counts(60, 8, seed=16, zero_rows=range(10, 60))
+        target = target_dist(8)
+        args = (5, 60, 40, make_pool(60), target, rows, every_row(rows),
+                scored(rows, target, "jensen_shannon"), "jensen_shannon", 4)
+        want = exhaustive_subset_select(*args)
+        submitted = record_submissions(monkeypatch)
+        before = threading.active_count()
+        got = subset_select(*args)
+        assert threading.active_count() == before
+        assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == want
+        rounds = len(got.iteration_members)
+        assert got.shortfall > 0 and set(got.chosen) >= {f"p{i:04d}" for i in range(10)}
+        # each scored round's draw, the stopping round's and the discarded
+        # one, which may be cancelled before it starts
+        assert len(submitted) == rounds + 2
+        assert submitted[-1][1][1:] == (60 - 5 * (rounds + 1), 5, 40)
 
 
 def exhaustive_subset_select(s, n, m, pool, target_repr, matrix, pool_index, item_scores,
@@ -975,6 +1083,39 @@ class TestDrawSubsets:
         oracle_rng = np.random.default_rng(n_avail)
         assert np.array_equal(drawn, whole_array_draw(oracle_rng))
         assert rng.random() == oracle_rng.random()  # same generator state after
+
+    @given(st.data())
+    def test_blocked_draw_equals_whole_array_draw(self, data):
+        """Draws of either branch, of size 1 and of m that is not a multiple of
+        the block, equal those of the draw that checked each pass's redrawn
+        rows as one array, and leave the generator in the same state."""
+
+        def whole_array_draw(rng, n_avail, size, m):
+            if size >= n_avail:
+                return np.arange(n_avail)[None, :]
+            if size * size > n_avail:
+                return np.argsort(rng.random((m, n_avail)), axis=1)[:, :size]
+            cand = rng.integers(0, n_avail, size=(m, size))
+            redo = np.arange(m)
+            while True:
+                srt = cand[redo]
+                srt.sort(axis=1)
+                redo = redo[(np.diff(srt, axis=1) == 0).any(axis=1)]
+                if redo.size == 0:
+                    return cand
+                cand[redo] = rng.integers(0, n_avail, size=(redo.size, size))
+
+        n_avail = data.draw(st.integers(1, 500), label="n_avail")
+        size = data.draw(st.integers(1, min(n_avail, 30)) | st.just(1), label="size")
+        m = data.draw(st.integers(1, 700), label="m")
+        block = data.draw(st.sampled_from([2, 3, 7, 256]), label="block")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(autoencoder, "_BLOCK_ROWS", block)
+            drawn = selection._draw_subsets(rng, n_avail, size, m)
+        assert np.array_equal(drawn, whole_array_draw(oracle_rng, n_avail, size, m))
+        assert rng.random() == oracle_rng.random()
 
 
 class TestSelectionConfig:
