@@ -17,7 +17,6 @@ from .corpus import (
     Corpus,
     Document,
     EncodedCorpus,
-    PreprocessOptions,
     TfidfModel,
     Vocabulary,
     build_vocabulary,

@@ -6,11 +6,12 @@ curve data), and ``generate`` (synthetic corpora). The command runs as
 ``dataselect`` or, from a source checkout, ``python -m dataselect`` with
 ``src`` on ``PYTHONPATH``. Configuration comes from an optional plain-text
 ``key = value`` file; command-line flags override file values. Library
-settings (the subset search's, the autoencoder's, tokenization's and the
-SIF smoothing) take the library's defaults, read from the dataclass field
-or constant that owns each; the rest are defaulted in ``RunConfig``. Each
-``RunConfig`` field is both a config-file key and, on the subcommands it
-names, a flag ``--`` plus the field name with ``_`` turned into ``-``.
+settings (the subset search's, the autoencoder's and the SIF smoothing)
+take the library's defaults, read from the dataclass field or constant that
+owns each; the rest are defaulted in ``RunConfig``. Each ``RunConfig``
+field is both a config-file key and, on the subcommands it names, a flag
+``--`` plus the field name with ``_`` turned into ``-``; every field is a
+flag on some subcommand. Text is always lowercased before tokenizing.
 ``generate`` reads only ``seed`` and ``out``, and its config file may set
 no other key. ``task`` only sets the default ``n`` (2,000 for ternary,
 1,600 for binary); the classifier trains on whatever labels the corpus
@@ -42,7 +43,6 @@ import numpy as np
 from .autoencoder import AETrainConfig
 from .corpus import (
     Corpus,
-    PreprocessOptions,
     _text_lines,
     build_vocabulary,
     check_vocab_cap,
@@ -84,8 +84,7 @@ COMMANDS = RUN_COMMANDS + ("generate",)  # generate reads only --seed and --out
 def _option(default, *, help=None, choices=None, commands=RUN_COMMANDS):
     """Declare a ``RunConfig`` field with its flag's choices and help text.
 
-    The flag is added to every subcommand in ``commands``; an empty tuple
-    makes the field a config-file-only key.
+    The flag is added to every subcommand in ``commands``.
     """
     return field(
         default=default, metadata={"help": help, "choices": choices, "commands": commands}
@@ -130,8 +129,6 @@ class RunConfig:
     out: str = _option("out", help="output directory", commands=COMMANDS)
     embeddings: str | None = _option(None, help="word-vector file (token + floats per line)")
     stopwords: str | None = _option(None, help="stopword list override, one token per line")
-    lowercase: bool = _option(PreprocessOptions.lowercase, commands=())
-    allow_proxy_a_subsets: bool = _option(SelectionConfig.allow_proxy_a_subsets, commands=())
 
     def __post_init__(self):
         for f in fields(self):
@@ -162,16 +159,6 @@ class RunConfig:
         return effective
 
 
-_BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
-def _parse_bool(value: str) -> bool:
-    try:
-        return _BOOL_VALUES[value.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"expected a boolean, got {value!r}") from None
-
-
 def _parse_list(value: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in value.split(",") if s.strip())
 
@@ -189,9 +176,7 @@ def _value_parser(hint):
     """Parser of a field's text value, from the field's type (``X | None`` as X)."""
     if get_origin(hint) in (Union, types.UnionType):
         (hint,) = [t for t in get_args(hint) if t is not type(None)]
-    if get_origin(hint) is tuple:
-        return _parse_list
-    return _parse_bool if hint is bool else hint
+    return _parse_list if get_origin(hint) is tuple else hint
 
 
 _PARSERS = {name: _value_parser(hint) for name, hint in get_type_hints(RunConfig).items()}
@@ -240,11 +225,6 @@ def build_run_config(args: argparse.Namespace, command: str) -> RunConfig:
 # Shared experiment wiring
 # ---------------------------------------------------------------------------
 
-def _preprocess_options(config: RunConfig) -> PreprocessOptions:
-    stop = load_stopwords(config.stopwords) if config.stopwords else None
-    return PreprocessOptions(lowercase=config.lowercase, stopwords=stop)
-
-
 def _build_context(config: RunConfig, labeled_pool_only: bool):
     # bad training and run values are rejected before the corpus loads, as
     # SelectionConfig's are, so they exit 1 before any file is read
@@ -263,10 +243,13 @@ def _build_context(config: RunConfig, labeled_pool_only: bool):
         raise ConfigError("a corpus path is required (corpus = ... or --corpus)")
     if not config.target:
         raise ConfigError("a target domain is required (target = ... or --target)")
+    if config.stopwords == "":
+        raise ConfigError("an empty stopwords value names no file; omit it for the shipped list")
     corpus = load_corpus(config.corpus)
     if config.target not in corpus.domains:
         raise ConfigError(f"unknown target domain {config.target!r}")
-    encoded = tokenize_corpus(corpus, _preprocess_options(config))
+    stopwords = load_stopwords(config.stopwords) if config.stopwords else None
+    encoded = tokenize_corpus(corpus, stopwords)
     vocab = build_vocabulary(encoded, config.vocab_cap)
     table = None
     if config.representation == EMBEDDING:
@@ -316,7 +299,6 @@ def _selection_config(config: RunConfig, strategy: str, n: int | None = None) ->
         metric=config.metric,
         s=config.s,
         m=config.m,
-        allow_proxy_a_subsets=config.allow_proxy_a_subsets,
     )
 
 

@@ -112,13 +112,14 @@ class Corpus:
 
 
 def _text_lines(path: Path, what: str, error: type[Exception] = DataError) -> Iterator[str]:
-    """The lines of the UTF-8 text file ``path``, read as they are consumed;
-    ``error``, naming the file as ``what``, when it is not a regular file (a
-    missing path or a directory, say) or not UTF-8."""
+    """The lines of the UTF-8 text file ``path``, read as they are consumed,
+    without a leading byte-order mark; ``error``, naming the file as ``what``,
+    when it is not a regular file (a missing path or a directory, say) or not
+    UTF-8."""
     if not path.is_file():
         raise error(f"{what} not found or not a regular file: {path}")
     try:
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8-sig") as fh:
             yield from fh
     except UnicodeDecodeError:
         raise error(f"{what} is not UTF-8 text: {path}") from None
@@ -184,54 +185,35 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     )
 
 
-@dataclass(frozen=True)
-class PreprocessOptions:
-    """Flags controlling tokenization.
+def preprocess(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
+    """Tokenize one text: placeholder substitution, lowercasing (always),
+    word splitting, then removal of ``stopwords``.
 
     ``stopwords=None`` selects the shipped English list; pass an explicit
-    (possibly empty) set to override it.
-    """
-
-    lowercase: bool = True
-    stopwords: frozenset[str] | None = None
-
-    def stopword_set(self) -> frozenset[str]:
-        return default_stopwords() if self.stopwords is None else self.stopwords
-
-
-DEFAULT_OPTIONS = PreprocessOptions()
-
-
-def preprocess(text: str, options: PreprocessOptions = DEFAULT_OPTIONS) -> list[str]:
-    """Tokenize one text: placeholder substitution, lowercasing, word splitting,
-    then stopword removal.
-
-    Splitting keeps placeholder tokens and maximal ``\\w+`` runs; punctuation
-    acts purely as a separator.
+    (possibly empty) set to override it. Splitting keeps placeholder tokens
+    and maximal ``\\w+`` runs; punctuation acts purely as a separator.
     """
     text = _URL_RE.sub(" <url> ", text)
     text = _USER_RE.sub(" <user> ", text)
     text = _HASHTAG_RE.sub(" <hashtag> ", text)
-    if options.lowercase:
-        text = text.lower()
-    tokens = _TOKEN_RE.findall(text)
-    stop = options.stopword_set()
-    return [t for t in tokens if t not in stop]
+    stop = default_stopwords() if stopwords is None else stopwords
+    return [t for t in _TOKEN_RE.findall(text.lower()) if t not in stop]
 
 
-def tokenize_corpus(
-    corpus: Corpus, options: PreprocessOptions = DEFAULT_OPTIONS
-) -> EncodedCorpus:
+def tokenize_corpus(corpus: Corpus, stopwords: frozenset[str] | None = None) -> EncodedCorpus:
     """Preprocess every document once and encode the corpus, rows in corpus order.
 
-    This is the only pass over the token strings; everything downstream
-    reads the integer arrays of the result.
+    Text is always lowercased, and ``stopwords`` are removed as ``preprocess``
+    removes them (None: the shipped list). This is the only pass over the
+    token strings; everything downstream reads the integer arrays of the
+    result.
     """
+    stop = default_stopwords() if stopwords is None else stopwords
     seen: dict[str, int] = {}  # token -> id in first-seen order
     first_ids = array("q")
     lengths = []
     for doc in corpus:
-        tokens = preprocess(doc.text, options)
+        tokens = preprocess(doc.text, stop)
         first_ids.extend([seen.setdefault(t, len(seen)) for t in tokens])
         lengths.append(len(tokens))
     unigrams = {token: i for i, token in enumerate(sorted(seen))}

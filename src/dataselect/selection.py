@@ -15,11 +15,11 @@ context calls through this module. Only the subset search scores the
 candidate groups it draws, each pooled by the same primitive straight from
 the representation matrix: pool document i is row ``pool_index[i]`` of the
 matrix, its corpus row, and no pool rows are copied out. A singleton's
-score is its member's item score, and a proxy-A subset scores as its
-members' mean. ``_rank`` is the one ranking rule: best oriented score first,
-NaN last, ties by name. Instance ranking drops NaN (empty) items and the
-domain choice drops NaN domains; truncating the final subset round keeps NaN
-members, ranked last.
+score is its member's item score. Proxy-A scores examples, so it ranks
+instances only, never domains or subsets. ``_rank`` is the one ranking
+rule: best oriented score first, NaN last, ties by name. Instance ranking
+drops NaN (empty) items and the domain choice drops NaN domains; truncating
+the final subset round keeps NaN members, ranked last.
 
 A subset search draws each round's candidates on one helper thread while
 the calling thread scores the round before (``subset_select``). Bounds,
@@ -43,8 +43,8 @@ its projections on a few orthonormal directions orthogonal to it
 worse than an already-scored candidate's key by more than ``_PRUNE_SLACK``,
 far above the bounds' rounding, so every candidate that could win or tie is
 scored with the bits an exhaustive round gives it, and the winners, recorded
-scores and ids are unchanged. Sparse cosine, proxy-A
-and singleton rounds score every candidate.
+scores and ids are unchanged. Sparse cosine and singleton rounds score
+every candidate.
 
 Which metric may score which representation and strategy is decided once,
 by ``SelectionConfig``. All strategies are deterministic for a fixed seed,
@@ -132,8 +132,7 @@ class SelectionConfig:
     representation (term_dist -> jensen_shannon, dense kinds -> cosine).
 
     The metric's pairing rules live here alone: jensen_shannon needs term
-    distributions, proxy_a scores examples and not domains, and a proxy_a
-    subset search needs ``allow_proxy_a_subsets``.
+    distributions, and proxy_a scores examples, not domains or subsets.
     """
 
     n: int
@@ -142,7 +141,6 @@ class SelectionConfig:
     metric: str | None = None
     s: int = 20
     m: int = 20000
-    allow_proxy_a_subsets: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -160,12 +158,8 @@ class SelectionConfig:
             raise ConfigError(
                 f"jensen_shannon needs the term_dist representation, not {self.representation}"
             )
-        if metric == PROXY_A and self.strategy == "domain":
+        if metric == PROXY_A and self.strategy in ("domain", "subset"):
             raise ConfigError("proxy_a is only defined per example; use the instance level")
-        if metric == PROXY_A and self.strategy == "subset" and not self.allow_proxy_a_subsets:
-            raise ConfigError(
-                "proxy_a subset scoring is non-standard; set allow_proxy_a_subsets to enable it"
-            )
 
     @property
     def resolved_metric(self) -> str:
@@ -557,18 +551,17 @@ def _candidate_scores(
     Each block pools its members' rows of ``matrix`` (pool position i is row
     ``pool_index[i]``) by ``pool_groups`` and is scored by ``_score_rows``:
     term-distribution sums are scored as counts, dense rows as member means.
-    A proxy-A subset scores as the mean of its members' ``item_scores``, and
-    so does a singleton (``s=1``) under any metric: the mean of one score is
-    that score, so a singleton ranks exactly as its member does in instance
-    ranking (the sparse product emits a row's columns in reverse order, and
-    JS summed in that order can break a tie the other way).
+    A singleton (``s=1``) scores as its member's ``item_scores`` entry, so it
+    ranks exactly as its member does in instance ranking (the sparse product
+    emits a row's columns in reverse order, and JS summed in that order can
+    break a tie the other way).
 
     The blocks are scored one after another on the calling thread. With the
     search's bounds leaving 5-25% of a round's candidates to score, splitting
     the blocks over both CPUs of a 2-vCPU host was no faster and raised the
     benchmark's peak RSS by about 10 MB.
     """
-    if metric == PROXY_A or candidates.shape[1] == 1:
+    if candidates.shape[1] == 1:
         return item_scores[candidates].mean(axis=1)
     out = np.empty(len(candidates), dtype=np.float64)
     for start, stop in _row_blocks(len(candidates)):

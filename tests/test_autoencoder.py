@@ -14,7 +14,7 @@ from dataselect.autoencoder import (
     sigmoid,
     train,
 )
-from dataselect.corpus import PreprocessOptions, build_vocabulary, tokenize_corpus
+from dataselect.corpus import build_vocabulary, tokenize_corpus
 from dataselect.errors import ConfigError, DataError, NumericalError
 from dataselect.representations import ae_input_features
 from dataselect.synthetic import DomainSpec, generate
@@ -454,8 +454,7 @@ class TestTrain:
             [DomainSpec(name="near", overlap=0.7, seed=1, **shape)],
             DomainSpec(name="tgt", seed=2, **shape),
         )
-        options = PreprocessOptions(stopwords=frozenset())
-        encoded = tokenize_corpus(corpus, options)
+        encoded = tokenize_corpus(corpus, frozenset())
         features = ae_input_features(encoded, build_vocabulary(encoded, cap=50))
         config = AETrainConfig(epochs=3, masking_prob=0.5, learning_rate=1e-2,
                                batch_size=7, seed=4, hidden_dim=9)

@@ -19,7 +19,7 @@ import pytest
 
 from dataselect import cli, evaluation
 from dataselect.autoencoder import AETrainConfig
-from dataselect.corpus import PreprocessOptions, load_corpus, preprocess
+from dataselect.corpus import load_corpus, preprocess
 from dataselect.errors import ConfigError
 from dataselect.evaluation import t_test
 from dataselect.selection import STRATEGIES, SelectionConfig
@@ -62,8 +62,6 @@ CONFIG_KEYS = {
     "out": ("results", "results"),
     "embeddings": ("v.txt", "v.txt"),
     "stopwords": ("stop.txt", "stop.txt"),
-    "lowercase": ("no", False),
-    "allow_proxy_a_subsets": ("yes", True),
 }
 
 SPEC = {
@@ -92,7 +90,7 @@ BAD_RUN_VALUES = [
     command + bad
     for command in (["select"], ["evaluate"], ["sweep", "--n-values", "4"])
     for bad in (["--a", "nan"], ["--a", "inf"], ["--a", "0"], ["--runs", "0"],
-                ["--vocab-cap", "0"])
+                ["--vocab-cap", "0"], ["--stopwords", ""])
 ]
 
 SMALL = ["--task", "binary", "--n", "10", "--s", "3", "--m", "20", "--runs", "2"]
@@ -149,6 +147,8 @@ class TestExitCodes:
              "--metric", "jensen_shannon"],
             ["evaluate", "--strategies", "domain", "--metric", "proxy_a"],
             ["sweep", "--n-values", "4", "--strategies", "subset", "--metric", "proxy_a"],
+            ["select", "--strategy", "subset", "--metric", "proxy_a"],
+            ["evaluate", "--strategies", "instance,subset", "--metric", "proxy_a"],
         ],
     )
     def test_bad_metric_pairing_is_one_before_loading(self, tmp_path, argv):
@@ -157,6 +157,24 @@ class TestExitCodes:
         argv = argv + ["--corpus", str(missing), "--target", "tgt", "--out", str(out)]
         assert cli.main(argv) == 1
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("lowercase = no", "unknown config key 'lowercase'"),
+            ("allow_proxy_a_subsets = yes", "unknown config key 'allow_proxy_a_subsets'"),
+            ("stopwords = ", "an empty stopwords value names no file"),
+        ],
+    )
+    def test_bad_config_key_or_value_is_one_before_loading(self, tmp_path, capsys, line,
+                                                            message):
+        config = tmp_path / "run.conf"
+        config.write_text(line + "\n", encoding="utf-8")
+        argv = ["select", "--config", str(config), "--corpus", str(tmp_path / "missing.jsonl"),
+                "--target", "tgt", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -341,6 +359,35 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == [kind]
         assert read_tree(tmp_path) == before
 
+    def test_byte_order_marks_are_skipped(self, data, tmp_path, monkeypatch):
+        """Config, corpus, stopword and embedding files that start with a UTF-8
+        byte-order mark give the selection of the same files without one."""
+        stopwords = []
+        tokenize = cli.tokenize_corpus
+        monkeypatch.setattr(cli, "tokenize_corpus",
+                            lambda corpus, stop: stopwords.append(stop) or tokenize(corpus, stop))
+        selections = []
+        for name, bom in (("plain", ""), ("bom", "\ufeff")):
+            root = tmp_path / name
+            root.mkdir()
+            files = {
+                "stopwords": "movie\nthe\n",
+                "corpus": data["corpus"].read_text("utf-8"),
+                "embeddings": data["vectors"].read_text("utf-8"),
+            }
+            for key, text in files.items():
+                (root / key).write_text(bom + text, encoding="utf-8")
+            config = root / "run.conf"
+            config.write_text(
+                bom + "".join(f"{key} = {root / key}\n" for key in files), encoding="utf-8"
+            )
+            argv = ["select", "--config", str(config), "--representation", "embedding",
+                    "--target", "tgt", "--out", str(root / "out")] + SMALL
+            assert cli.main(argv) == 0
+            selections.append((root / "out" / "selection_ids.txt").read_bytes())
+        assert stopwords == [frozenset({"movie", "the"})] * 2
+        assert selections[0] == selections[1]
+
     def test_missing_corpus_is_two(self, tmp_path):
         missing = tmp_path / "missing.jsonl"
         assert cli.main(["select", "--corpus", str(missing), "--target", "tgt",
@@ -402,12 +449,15 @@ class TestConfiguration:
             assert cli._selection_config(config, strategy) == SelectionConfig(
                 n=config.resolved_n, strategy=strategy
             )
-        assert cli._preprocess_options(config) == PreprocessOptions()
-        captured = {}
+        captured, stopwords = {}, []
+        tokenize = cli.tokenize_corpus
+        monkeypatch.setattr(cli, "tokenize_corpus",
+                            lambda corpus, stop: stopwords.append(stop) or tokenize(corpus, stop))
         monkeypatch.setattr(cli, "prepare_context", lambda *a, **kwargs: captured.update(kwargs))
         cli._build_context(
             cli.RunConfig(corpus=str(data["corpus"]), target="tgt"), labeled_pool_only=True
         )
+        assert stopwords == [None]
         library = inspect.signature(evaluation.prepare_context).parameters
         assert captured["ae_config"] == AETrainConfig(seed=cli.substream_seed(0, "autoencoder"))
         assert captured["sif_a"] == library["sif_a"].default
@@ -428,7 +478,7 @@ class TestConfiguration:
 
     @pytest.mark.parametrize(
         "line",
-        ["colour = blue", "n = ten", "lowercase = maybe", "no equals sign", "n = 5\nn = 7"],
+        ["colour = blue", "n = ten", "runs = many", "no equals sign", "n = 5\nn = 7"],
     )
     def test_bad_config_lines_rejected(self, tmp_path, line):
         path = tmp_path / "bad.conf"

@@ -6,7 +6,6 @@ import pytest
 from dataselect.corpus import (
     Corpus,
     Document,
-    PreprocessOptions,
     TfidfModel,
     build_vocabulary,
     default_stopwords,
@@ -19,7 +18,7 @@ from dataselect.errors import ConfigError, DataError, ParseError
 
 from conftest import gram_strings, make_corpus, vocabulary, write_jsonl
 
-NO_STOP = PreprocessOptions(stopwords=frozenset())
+NO_STOP = frozenset()
 
 
 def encode(texts, options=NO_STOP):
@@ -121,13 +120,8 @@ class TestPreprocess:
     def test_empty_text(self):
         assert preprocess("") == []
 
-    def test_lowercase_off(self):
-        options = PreprocessOptions(lowercase=False, stopwords=frozenset())
-        assert preprocess("Great Movie", options) == ["Great", "Movie"]
-
     def test_stopword_override(self):
-        options = PreprocessOptions(stopwords=frozenset({"movie"}))
-        assert preprocess("the movie was great", options) == ["the", "was", "great"]
+        assert preprocess("the movie was great", frozenset({"movie"})) == ["the", "was", "great"]
 
     def test_punctuation_separates(self):
         assert preprocess("good,bad!plot?") == ["good", "bad", "plot"]

@@ -27,6 +27,13 @@ class TestLoadEmbeddings:
         assert len(table) == 1
         assert "b" not in table
 
+    def test_byte_order_mark_is_not_part_of_the_first_token(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"\xef\xbb\xbfgood 1 0\nbad 0 1\n")
+        table = load_embeddings(path, restrict_to=vocabulary(["good"]))
+        assert list(table.entries) == ["good"]
+        assert np.array_equal(table.entries["good"], [1.0, 0.0])
+
     def test_restriction_preserves_vectors(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", ["a 0.25 -1.5", "b 3 4"])
         full = load_embeddings(path)

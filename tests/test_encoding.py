@@ -15,7 +15,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dataselect.corpus import (
-    PreprocessOptions,
     TfidfModel,
     build_vocabulary,
     preprocess,
@@ -43,10 +42,9 @@ def texts(draw):
     return ["".join(token + sep for token, sep in doc) for doc in docs]
 
 
-def encode(texts, lowercase):
-    options = PreprocessOptions(lowercase=lowercase, stopwords=frozenset())
+def encode(texts):
     corpus = make_corpus((f"d{i}", text, "x", None) for i, text in enumerate(texts))
-    return tokenize_corpus(corpus, options), [preprocess(t, options) for t in texts]
+    return tokenize_corpus(corpus, frozenset()), [preprocess(t, frozenset()) for t in texts]
 
 
 # --- the token-list code, kept as the reference -----------------------------
@@ -128,17 +126,17 @@ def assert_same(new, old):
 
 # --- properties ---------------------------------------------------------------
 
-@given(texts(), st.booleans())
-def test_gram_columns_are_in_sorted_string_order(texts, lowercase):
-    encoded, token_lists = encode(texts, lowercase)
+@given(texts())
+def test_gram_columns_are_in_sorted_string_order(texts):
+    encoded, token_lists = encode(texts)
     grams = {g for tokens in token_lists for g in ref_ngrams(tokens, 2)}
     assert gram_strings(encoded) == sorted(grams)
     assert list(encoded.unigrams) == sorted({t for tokens in token_lists for t in tokens})
 
 
-@given(texts(), st.booleans(), st.data())
-def test_vocabulary_counts_and_ae_tfidf_match_token_lists(texts, lowercase, data):
-    encoded, token_lists = encode(texts, lowercase)
+@given(texts(), st.data())
+def test_vocabulary_counts_and_ae_tfidf_match_token_lists(texts, data):
+    encoded, token_lists = encode(texts)
     distinct = len({t for tokens in token_lists for t in tokens})
     cap = data.draw(st.integers(1, max(1, distinct)), label="cap")  # binds below distinct
     vocab = build_vocabulary(encoded, cap)
@@ -151,9 +149,9 @@ def test_vocabulary_counts_and_ae_tfidf_match_token_lists(texts, lowercase, data
     assert_same(features, ref_tfidf_transform(token_lists, 1, feature_index, idf))
 
 
-@given(texts(), st.booleans(), st.data())
-def test_classifier_tfidf_matches_token_lists(texts, lowercase, data):
-    encoded, token_lists = encode(texts, lowercase)
+@given(texts(), st.data())
+def test_classifier_tfidf_matches_token_lists(texts, data):
+    encoded, token_lists = encode(texts)
     n = len(texts)
     train = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n), label="train")
     target = [i for i in range(n) if i not in train]  # may hold unseen n-grams
@@ -168,7 +166,7 @@ def test_classifier_tfidf_matches_token_lists(texts, lowercase, data):
 
 
 def test_fixed_vocabulary_tokens_outside_the_corpus_stay_zero():
-    encoded, token_lists = encode(["b a b", "", "c a"], lowercase=True)
+    encoded, token_lists = encode(["b a b", "", "c a"])
     vocab = vocabulary(["zz", "b", "a", "yy"])
     assert_same(term_counts(encoded, vocab), ref_counts(token_lists, vocab.index))
     features = ae_input_features(encoded, vocab)

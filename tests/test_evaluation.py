@@ -23,7 +23,7 @@ from dataselect.evaluation import (
     t_test,
     train_classifier,
 )
-from dataselect.corpus import PreprocessOptions, build_vocabulary, tokenize_corpus
+from dataselect.corpus import build_vocabulary, tokenize_corpus
 from dataselect.representations import RepresentationSpace, TermDistribution, pool_groups
 from dataselect.selection import SelectionConfig, select_domain_level
 from dataselect.similarity import METRIC_ORIENTATION, _as_vector, cosine, js_divergence
@@ -337,7 +337,7 @@ def corpus():
 def prepare(corpus):
     """A fresh term-distribution context for a target domain, built without
     stopwords over a 2,000-token vocabulary."""
-    encoded = tokenize_corpus(corpus, PreprocessOptions(stopwords=frozenset()))
+    encoded = tokenize_corpus(corpus, frozenset())
     vocab = build_vocabulary(encoded, 2000)
     return lambda target="tgt": prepare_context(corpus, encoded, vocab, target, "term_dist")
 
@@ -380,8 +380,6 @@ class TestRunExperiment:
         configs = [
             SelectionConfig(n=20, strategy="instance", metric="proxy_a"),
             SelectionConfig(n=40, strategy="instance", metric="proxy_a"),
-            SelectionConfig(n=20, strategy="subset", metric="proxy_a", s=5, m=10,
-                            allow_proxy_a_subsets=True),
         ]
         monkeypatch.setattr(selection, "proxy_a_scores", counting)
         context = prepare()
@@ -399,7 +397,7 @@ class TestContextMemory:
     def test_no_pool_sized_copy_is_retained(self, corpus):
         """Beyond the representation matrix, the context keeps per-document
         ids and row numbers only, far less than a copy of the pool's rows."""
-        encoded = tokenize_corpus(corpus, PreprocessOptions(stopwords=frozenset()))
+        encoded = tokenize_corpus(corpus, frozenset())
         vocab = build_vocabulary(encoded, 2000)
         rng = np.random.default_rng(0)
         dim = 256
@@ -476,7 +474,7 @@ def copied_rows_subset_select(s, n, m, pool, target_repr, rows, item_scores, met
         else:
             in_avail = selection._draw_subsets(rng, len(available), size, m)
         candidates = available[in_avail]
-        if metric == "proxy_a" or candidates.shape[1] == 1:
+        if candidates.shape[1] == 1:
             scores = item_scores[candidates].mean(axis=1)
         else:
             indptr = np.arange(0, candidates.size + 1, candidates.shape[1])

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from dataselect.autoencoder import AEModel, AETrainConfig, encode, train
 from dataselect.corpus import (
-    PreprocessOptions,
     build_vocabulary,
     preprocess,
     term_counts,
@@ -28,7 +27,7 @@ from dataselect.synthetic import DomainSpec, generate
 
 from conftest import make_corpus, vocabulary
 
-NO_STOP = PreprocessOptions(stopwords=frozenset())
+NO_STOP = frozenset()
 
 
 def build(corpus, kind, vocab, **kwargs):

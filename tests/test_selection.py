@@ -22,12 +22,7 @@ from dataselect.selection import (
     select_random,
     subset_select,
 )
-from dataselect.similarity import (
-    cosine_to_target,
-    js_divergence,
-    js_to_target,
-    proxy_a_scores,
-)
+from dataselect.similarity import cosine_to_target, js_divergence, js_to_target
 
 
 def make_pool(n, domains=("src",), prefix="p"):
@@ -247,8 +242,10 @@ class TestSelectDomainLevel:
         assert result.shortfall == 4
 
     def test_proxy_a_is_rejected(self):
-        with pytest.raises(ConfigError, match="proxy_a"):
-            SelectionConfig(n=2, strategy="domain", metric="proxy_a")
+        # proxy_a scores examples, so neither a domain nor a subset can take it
+        for strategy in ("domain", "subset"):
+            with pytest.raises(ConfigError, match="proxy_a is only defined per example"):
+                SelectionConfig(n=2, strategy=strategy, metric="proxy_a")
 
     def test_empty_domains_skipped(self):
         pool = make_pool(10, domains=("empty", "full"))
@@ -455,24 +452,6 @@ class TestSubsetSelect:
         )
         assert a.chosen == b.chosen
         assert a.subset_scores == b.subset_scores
-
-    def test_proxy_a_needs_explicit_flag(self):
-        with pytest.raises(ConfigError, match="proxy_a"):
-            SelectionConfig(n=4, strategy="subset", metric="proxy_a")
-        SelectionConfig(n=4, strategy="subset", metric="proxy_a", allow_proxy_a_subsets=True)
-
-    def test_proxy_a_with_flag(self):
-        rng = np.random.default_rng(1)
-        rows = rng.random((30, 3))
-        target_rows = rng.random((15, 3)) + 1.0
-        scores = proxy_a_scores(rows, target_rows, seed=0)
-        result = subset_select(
-            3, 9, 10, make_pool(30), None, rows, every_row(rows), scores, "proxy_a", 0,
-        )
-        assert len(result.chosen) == 9
-        for members, score in zip(result.iteration_members, result.subset_scores):
-            index = [int(doc_id[1:]) for doc_id in members]
-            assert score == scores[index].mean()
 
     @given(st.data())
     def test_truncation_matches_rescoring_copy(self, data):
@@ -1150,7 +1129,7 @@ class TestSelectionConfig:
 class TestMonotonicityHarness:
     def test_subset_selection_tracks_target_closer_than_random(self):
         from dataselect.synthetic import DomainSpec, generate
-        from dataselect.corpus import PreprocessOptions, build_vocabulary, tokenize_corpus
+        from dataselect.corpus import build_vocabulary, tokenize_corpus
         from dataselect.representations import build_representation_space
 
         specs = [
@@ -1163,8 +1142,7 @@ class TestMonotonicityHarness:
                                  lexicon_size=40, shared_vocab_size=30,
                                  private_vocab_size=20)
         corpus = generate(specs, target_spec)
-        options = PreprocessOptions(stopwords=frozenset())
-        encoded = tokenize_corpus(corpus, options)
+        encoded = tokenize_corpus(corpus, frozenset())
         vocab = build_vocabulary(encoded, 5000)
         space = build_representation_space(corpus, encoded, "term_dist", vocab)
         pool = [d for d in corpus if d.domain != "tgt"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dataselect.corpus import PreprocessOptions, build_vocabulary, tokenize_corpus
+from dataselect.corpus import build_vocabulary, tokenize_corpus
 from dataselect.errors import ConfigError, DataError
 from dataselect.evaluation import ClassifierConfig, evaluate, train_classifier
 from dataselect.corpus import TfidfModel
@@ -9,7 +9,7 @@ from dataselect.representations import build_representation_space
 from dataselect.similarity import js_divergence
 from dataselect.synthetic import DomainSpec, benchmark_suite, generate, lexicon_catalog
 
-NO_STOP = PreprocessOptions(stopwords=frozenset())
+NO_STOP = frozenset()
 
 
 def spec(name, overlap, seed, **kw):
