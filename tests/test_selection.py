@@ -242,10 +242,8 @@ class TestSelectDomainLevel:
         assert result.shortfall == 4
 
     def test_proxy_a_is_rejected(self):
-        # proxy_a scores examples, so neither a domain nor a subset can take it
-        for strategy in ("domain", "subset"):
-            with pytest.raises(ConfigError, match="proxy_a is only defined per example"):
-                SelectionConfig(n=2, strategy=strategy, metric="proxy_a")
+        with pytest.raises(ConfigError, match="proxy_a"):
+            SelectionConfig(n=2, strategy="domain", metric="proxy_a")
 
     def test_empty_domains_skipped(self):
         pool = make_pool(10, domains=("empty", "full"))
@@ -452,6 +450,14 @@ class TestSubsetSelect:
         )
         assert a.chosen == b.chosen
         assert a.subset_scores == b.subset_scores
+
+    def test_proxy_a_needs_explicit_flag(self):
+        # proxy_a scores examples, not subsets, and no flag turns a proxy-A
+        # subset search back on
+        with pytest.raises(ConfigError, match="proxy_a is only defined per example"):
+            SelectionConfig(n=4, strategy="subset", metric="proxy_a")
+        with pytest.raises(TypeError, match="allow_proxy_a_subsets"):
+            SelectionConfig(n=4, strategy="subset", metric="proxy_a", allow_proxy_a_subsets=True)
 
     @given(st.data())
     def test_truncation_matches_rescoring_copy(self, data):
