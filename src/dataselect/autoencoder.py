@@ -226,18 +226,16 @@ def _adam_step(
         np.subtract(pb, s1, out=pb)
 
 
-def train(
-    data: np.ndarray | sp.spmatrix, config: AETrainConfig
-) -> tuple[AEModel, list[float]]:
+def train(data: sp.spmatrix | np.ndarray, config: AETrainConfig) -> tuple[AEModel, list[float]]:
     """Run minibatch Adam on the denoising reconstruction objective.
 
+    ``data`` is read as float64 CSR, converted once (a 1-D input is one row),
+    and each minibatch is a row gather densified on its own. A dense input
+    densifies to the same batches, so it trains the same model bit for bit.
     Returns the trained model and the mean per-sample training loss of every
     epoch. Training is bit-reproducible for a fixed seed and data order.
     """
-    if sp.issparse(data):
-        data = data.tocsr()  # minibatches are row gathers; COO has none
-    else:
-        data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    data = sp.csr_matrix(data, dtype=np.float64)
     n, d = data.shape
     if n == 0 or d == 0:
         raise DataError("training data must be non-empty")
@@ -264,9 +262,7 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            batch = data[idx]
-            if sp.issparse(batch):
-                batch = batch.toarray()
+            batch = data[idx].toarray()
             corrupted = corrupt(batch, config.masking_prob, rng)
             loss, grads = loss_and_gradients(model, corrupted, batch)
             if not np.isfinite(loss):
@@ -301,14 +297,15 @@ def _row_blocks(n: int):
         start = stop
 
 
-def encode(model: AEModel, x: np.ndarray | sp.spmatrix) -> np.ndarray:
-    """Hidden activation sigma(Wx + b) of the uncorrupted input.
+def encode(model: AEModel, x: sp.spmatrix | np.ndarray) -> np.ndarray:
+    """Hidden activation sigma(Wx + b) of the uncorrupted input, one row of
+    codes per input row.
 
-    Accepts one vector (d,) or a batch (n, d), dense or sparse; the result
-    matches the input's arrangement. The batch is encoded in row blocks of
-    ``_row_blocks`` into one preallocated ``(n, h)`` array, and sparse input
-    is densified one block at a time, so memory above the codes stays a few
-    blocks' worth however large ``n`` is.
+    ``x`` is read as float64 CSR like ``train``'s input (a 1-D input is one
+    row and gives a ``(1, h)`` result). It is encoded in row blocks of
+    ``_row_blocks`` into one preallocated ``(n, h)`` array, each block
+    densified on its own, so memory above the codes stays a few blocks'
+    worth however large ``n`` is.
 
     The ``n`` rows are split evenly into ``ceil(n / _BLOCK_ROWS)`` blocks.
     With ``n <= _BLOCK_ROWS`` that is one block, the whole-matrix
@@ -322,23 +319,14 @@ def encode(model: AEModel, x: np.ndarray | sp.spmatrix) -> np.ndarray:
     edge kernel sums them in an order that depends on the row count. The
     codes are deterministic either way.
     """
-    if sp.issparse(x):
-        x = x.tocsr().astype(np.float64, copy=False)
-    else:
-        x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    x = sp.csr_matrix(x, dtype=np.float64)
     n, d = x.shape
     if d != model.input_dim:
         raise DataError(f"input has dimension {d}, model expects {model.input_dim}")
     codes = np.empty((n, model.hidden_dim))
     for start, stop in _row_blocks(n):
-        block = x[start:stop]
-        if sp.issparse(block):
-            block = block.toarray()
         out = codes[start:stop]
-        np.matmul(block, model.W.T, out=out)
+        np.matmul(x[start:stop].toarray(), model.W.T, out=out)
         out += model.b
         sigmoid(out, out=out)
-    return codes[0] if single else codes
+    return codes

@@ -245,6 +245,11 @@ def _build_context(config: RunConfig, labeled_pool_only: bool):
         raise ConfigError("a target domain is required (target = ... or --target)")
     if config.stopwords == "":
         raise ConfigError("an empty stopwords value names no file; omit it for the shipped list")
+    if config.representation == EMBEDDING and not config.embeddings:
+        raise ConfigError(
+            "representation=embedding requires an embeddings file "
+            "(embeddings = ... or --embeddings)"
+        )
     corpus = load_corpus(config.corpus)
     if config.target not in corpus.domains:
         raise ConfigError(f"unknown target domain {config.target!r}")
@@ -253,11 +258,6 @@ def _build_context(config: RunConfig, labeled_pool_only: bool):
     vocab = build_vocabulary(encoded, config.vocab_cap)
     table = None
     if config.representation == EMBEDDING:
-        if not config.embeddings:
-            raise ConfigError(
-                "representation=embedding requires an embeddings file "
-                "(embeddings = ... or --embeddings)"
-            )
         table = load_embeddings(config.embeddings, restrict_to=vocab)
     return prepare_context(
         corpus,

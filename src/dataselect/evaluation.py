@@ -2,11 +2,12 @@
 
 The sentiment classifier is a linear SVM trained by averaged SGD on
 L2-regularized hinge loss, one-vs-rest for the ternary task, with tf-idf
-uni/bigram features fitted per run on the selected training set only.
-Accuracy is measured on every labeled document of the target domain, and
-experiments report the mean and standard deviation over independently
-reseeded selection runs plus a pooled-variance two-sample Student t test
-against baselines.
+uni/bigram features fitted per run on the selected training set only. Its
+only setting is its seed; the epochs, learning rate and L2 weight are
+constants of ``ClassifierConfig``. Accuracy is measured on every labeled
+document of the target domain, and experiments report the mean and
+standard deviation over independently reseeded selection runs plus a
+pooled-variance two-sample Student t test against baselines.
 
 One-vs-rest training is one independent binary SGD run per class. Each
 class's weights, bias and hinge test depend only on that class, while the
@@ -34,7 +35,7 @@ target's own rows) and one per source domain (cached), the domains pooled by
 ``run_selection`` hands each strategy its scores. Every setting is an
 argument of the function that uses it: the representation's (embedding
 table, autoencoder training, SIF smoothing) of ``prepare_context`` and the
-classifier's of ``run_experiment``.
+classifier's seed of ``run_experiment``.
 
 A document has one address, its corpus row: its row of the representation
 matrix and of the encoded count matrix. The context keeps the pool's rows as
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,25 +72,15 @@ from .similarity import PROXY_A
 
 @dataclass(frozen=True)
 class ClassifierConfig:
-    epochs: int = 10
-    learning_rate: float = 0.1
-    l2: float = 1e-4
-    seed: int = 0
+    """The classifier's one setting, its seed. The SGD schedule is fixed:
+    ``epochs`` passes at rate ``learning_rate`` with L2 weight ``l2``."""
 
-    def __post_init__(self):
-        # the comparisons are negated so that NaN fails them too
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.learning_rate > 0.0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not self.l2 >= 0.0:
-            raise ConfigError(f"l2 must be >= 0, got {self.l2}")
-        # lr_t <= learning_rate, so this keeps every per-step decay 1 - lr_t*l2
-        # positive
-        if not self.learning_rate * self.l2 < 1.0:
-            raise ConfigError(
-                f"learning_rate * l2 must be < 1, got {self.learning_rate * self.l2}"
-            )
+    epochs: ClassVar[int] = 10
+    learning_rate: ClassVar[float] = 0.1
+    # lr_t <= learning_rate and learning_rate * l2 < 1, so every per-step
+    # decay 1 - lr_t*l2 stays positive
+    l2: ClassVar[float] = 1e-4
+    seed: int = 0
 
 
 class LinearModel:

@@ -385,7 +385,9 @@ def subset_select(
     ``matrix`` is the representation matrix of the whole corpus and
     ``pool_index`` holds each pool document's corpus row, so ``pool[i]`` is
     represented by ``matrix[pool_index[i]]``. Candidates are pooled straight
-    from those rows; ``pool_groups`` converts the matrix as it needs.
+    from those rows; ``pool_groups`` converts the matrix as it needs. The
+    settings are checked by ``SelectionConfig``, so a metric the subset level
+    refuses (proxy_a) fails the same way at every ``s``, before any draw.
 
     With ``s=1`` and ``m`` at least the remaining pool size, the candidate
     set is enumerated exhaustively (one singleton per remaining document,
@@ -420,8 +422,7 @@ def subset_select(
     tie is skipped, and the scored ones get the bits an exhaustive round
     gives them, so the result is that of scoring every candidate.
     """
-    if s < 1 or m < 1 or n < 1:
-        raise ConfigError("subset selection requires s >= 1, m >= 1, n >= 1")
+    SelectionConfig(n=n, strategy="subset", metric=metric, s=s, m=m)
     if not pool:
         raise DataError("selection pool is empty")
     if len(pool_index) != len(pool) or len(item_scores) != len(pool):
@@ -644,7 +645,7 @@ def _js_bound(matrix, pool_index: np.ndarray, s: int, target) -> _Bound | None:
     peak was the same either way.) An empty candidate (every ``T_j`` 0, a NaN
     score) gets a NaN bound.
     """
-    rows = matrix.tocsr()[pool_index] if sp.issparse(matrix) else sp.csr_matrix(matrix[pool_index])
+    rows = sp.csr_matrix(matrix[pool_index])  # term distributions are CSR
     p0 = np.asarray(rows.sum(axis=0), dtype=np.float64).ravel()
     total = p0.sum()
     if not total > 0:

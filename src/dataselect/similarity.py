@@ -56,6 +56,8 @@ LN2 = float(np.log(2.0))
 
 # the logistic fit stops once its gradient norm falls below this
 _TOL = 1e-8
+# the logistic fit's L2 weight (the bias is not regularized)
+_L2 = 1.0
 
 
 @dataclass(frozen=True)
@@ -214,12 +216,11 @@ def _float_rows(X: sp.spmatrix | np.ndarray) -> sp.csr_matrix | np.ndarray:
 def fit_logistic_regression(
     X: sp.spmatrix | np.ndarray,
     y: np.ndarray,
-    l2: float = 1.0,
     max_iter: int = 500,
 ) -> tuple[np.ndarray, float, list[float]]:
-    """Full-batch gradient descent with Armijo backtracking on the L2-regularized
-    logistic loss (bias unregularized). Deterministic; the objective trace is
-    returned and is non-increasing.
+    """Full-batch gradient descent with Armijo backtracking on the logistic
+    loss with L2 weight ``_L2`` (bias unregularized). Deterministic; the
+    objective trace is returned and is non-increasing.
 
     ``X`` may be dense or sparse; sparse input is fitted as CSR, never
     densified. Its products sum in another order than the dense ones, so a
@@ -236,12 +237,12 @@ def fit_logistic_regression(
         # the margins are returned too: the gradient at an accepted point
         # reuses them instead of repeating the matvec
         margins = s * (X @ w + b)
-        obj = float(np.sum(np.logaddexp(0.0, -margins)) + 0.5 * l2 * np.dot(w, w))
+        obj = float(np.sum(np.logaddexp(0.0, -margins)) + 0.5 * _L2 * np.dot(w, w))
         return obj, margins
 
     def gradient(w, margins):
         gz = -s * sigmoid(-margins)
-        return X.T @ gz + l2 * w, float(gz.sum())
+        return X.T @ gz + _L2 * w, float(gz.sum())
 
     obj, margins = objective(w, b)
     trace = [obj]

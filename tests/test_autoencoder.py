@@ -81,9 +81,7 @@ def whole_matrix_encode(model, x):
     """The one-shot encode the blocked one replaced."""
     if sp.issparse(x):
         x = x.toarray()
-    x = np.asarray(x, dtype=np.float64)
-    codes = sigmoid(np.atleast_2d(x) @ model.W.T + model.b)
-    return codes[0] if x.ndim == 1 else codes
+    return sigmoid(np.asarray(x, dtype=np.float64) @ model.W.T + model.b)
 
 
 def pipeline_sized_model(seed=0, d=1260, h=1000):
@@ -240,10 +238,10 @@ class TestBlockedEncode:
                 got = encode(model, x)
                 assert got.shape == (n, model.hidden_dim)
                 assert np.array_equal(got, want), (n, type(x).__name__)
-        vector = rows[5].toarray()[0]
-        got = encode(model, vector)
-        assert got.shape == (model.hidden_dim,)
-        assert np.array_equal(got, whole_matrix_encode(model, vector))
+        # a 1-D input is one row and gives one row of codes
+        got = encode(model, rows[5].toarray()[0])
+        assert got.shape == (1, model.hidden_dim)
+        assert np.array_equal(got, whole_matrix_encode(model, rows[5]))
 
     def test_integer_sparse_input(self, model):
         x = sp.random(9, 1260, density=0.01, format="csr", random_state=4,

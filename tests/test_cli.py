@@ -90,7 +90,9 @@ BAD_RUN_VALUES = [
     command + bad
     for command in (["select"], ["evaluate"], ["sweep", "--n-values", "4"])
     for bad in (["--a", "nan"], ["--a", "inf"], ["--a", "0"], ["--runs", "0"],
-                ["--vocab-cap", "0"], ["--stopwords", ""])
+                ["--vocab-cap", "0"], ["--stopwords", ""],
+                ["--representation", "embedding", "--embeddings", ""],
+                ["--representation", "embedding"])
 ]
 
 SMALL = ["--task", "binary", "--n", "10", "--s", "3", "--m", "20", "--runs", "2"]

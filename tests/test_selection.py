@@ -459,6 +459,22 @@ class TestSubsetSelect:
         with pytest.raises(TypeError, match="allow_proxy_a_subsets"):
             SelectionConfig(n=4, strategy="subset", metric="proxy_a", allow_proxy_a_subsets=True)
 
+    @pytest.mark.parametrize("s", [1, 20])
+    def test_proxy_a_search_is_rejected_at_every_size(self, monkeypatch, s):
+        # SelectionConfig's error at every s, the singleton s=1 search
+        # included, raised before the helper thread starts
+        def no_helper(*args, **kwargs):
+            raise AssertionError("the search started its helper thread")
+
+        monkeypatch.setattr(selection, "ThreadPoolExecutor", no_helper)
+        rows = random_counts(10, 6, seed=3)
+        with pytest.raises(ConfigError, match="proxy_a is only defined per example"):
+            subset_select(s, 4, 20, make_pool(10), target_dist(6), rows, every_row(rows),
+                          np.linspace(0.0, 1.0, 10), "proxy_a", seed=0)
+        with pytest.raises(ConfigError, match="s >= 1"):
+            subset_select(0, 4, 20, make_pool(10), target_dist(6), rows, every_row(rows),
+                          np.linspace(0.0, 1.0, 10), "jensen_shannon", seed=0)
+
     @given(st.data())
     def test_truncation_matches_rescoring_copy(self, data):
         """One round (m=1) whose winner holds more members than ``n``: it is

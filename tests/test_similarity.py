@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -377,7 +378,7 @@ class TestLogisticRegression:
         assert np.all(diffs <= 1e-8)
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
-    def test_matches_fit_that_recomputes_margins(self, layout):
+    def test_matches_fit_that_recomputes_margins(self, monkeypatch, layout):
         from dataselect.autoencoder import sigmoid
 
         def recomputing_fit(X, y, l2=1.0, tol=1e-8, max_iter=500):
@@ -415,10 +416,20 @@ class TestLogisticRegression:
         y = (X[:, 0] - X[:, 2] + rng.normal(size=120) > 0).astype(int)
         if layout == "csr":
             X = sp.csr_matrix(np.where(rng.random(X.shape) < 0.5, X, 0.0))
-        for max_iter in (3, 60):
-            w, b, trace = fit_logistic_regression(X, y, l2=0.1, max_iter=max_iter)
-            w_o, b_o, trace_o = recomputing_fit(X, y, l2=0.1, max_iter=max_iter)
-            assert np.array_equal(w, w_o) and b == b_o and trace == trace_o
+        for l2 in (similarity._L2, 0.1):
+            monkeypatch.setattr(similarity, "_L2", l2)
+            for max_iter in (3, 60):
+                w, b, trace = fit_logistic_regression(X, y, max_iter=max_iter)
+                w_o, b_o, trace_o = recomputing_fit(X, y, l2=l2, max_iter=max_iter)
+                assert np.array_equal(w, w_o) and b == b_o and trace == trace_o
+
+    def test_l2_is_not_a_parameter(self):
+        assert list(inspect.signature(fit_logistic_regression).parameters) == [
+            "X", "y", "max_iter"
+        ]
+        X = np.random.default_rng(3).normal(size=(10, 2))
+        with pytest.raises(TypeError):
+            fit_logistic_regression(X, X[:, 0] > 0, l2=0.1)
 
     def test_ranking_invariant_to_constant_feature(self):
         rng = np.random.default_rng(13)
