@@ -71,6 +71,9 @@ class TermDistribution:
     empty: bool = False
 
     def __post_init__(self):
+        # NaN passes both checks below, and JS would then score NaN or 0.0
+        if not np.isfinite(self.probs).all():
+            raise DataError("term distribution has non-finite entries")
         if not self.empty:
             total = float(self.probs.sum())
             if abs(total - 1.0) > 1e-9:
@@ -111,7 +114,10 @@ class RepresentationSpace:
         """Group representation: pooled-count distribution or mean vector."""
         if not ids:
             raise DataError("cannot aggregate an empty id list")
-        members = np.array([self.index[i] for i in ids])
+        try:
+            members = np.array([self.index[i] for i in ids])
+        except KeyError as err:
+            raise DataError(f"unknown document id {err.args[0]!r}") from None
         pooled = pool_groups(self.matrix, members, np.array([0, len(members)]))
         if self.kind == TERM_DIST:
             pooled = pooled.toarray().ravel()

@@ -28,7 +28,7 @@ scoring and the choice of the winner run on the calling thread, where
 every candidate's score depends on its own row alone, so the block size
 changes no bit.
 
-A round needs only its best candidate, so a JS round and a dense cosine round
+A round needs only its best candidate, so a JS round and a cosine round
 (s >= 2) first bound every candidate from a few numbers per document, without
 pooling it, and score only the candidates that may win (``_round_scores``).
 Each search builds its bound once, as a function of a round's candidates
@@ -36,15 +36,14 @@ Each search builds its bound once, as a function of a round's candidates
 at P0, the pooled distribution of the whole pool, lies below it in every
 round. At the pool's rare columns that a candidate misses, JS takes its exact
 value, above the plane's, so each candidate keeps the larger of the plane and
-this support-aware bound. A dense cosine is at most ``A / sqrt(A^2 +
-|B|^2)``, where A is the candidate mean's projection on the unit target and B
-its projections on a few orthonormal directions orthogonal to it
-(``_cosine_upper_bounds``). A candidate is skipped only when its bound is
-worse than an already-scored candidate's key by more than ``_PRUNE_SLACK``,
-far above the bounds' rounding, so every candidate that could win or tie is
-scored with the bits an exhaustive round gives it, and the winners, recorded
-scores and ids are unchanged. Sparse cosine and singleton rounds score
-every candidate.
+this support-aware bound. A cosine is at most ``A / sqrt(A^2 + |B|^2)``,
+where A is the candidate mean's projection on the unit target and B its
+projections on a few orthonormal directions orthogonal to it
+(``_cosine_bound``). A candidate is skipped only when its bound is worse than
+an already-scored candidate's key by more than ``_PRUNE_SLACK``, far above
+the bounds' rounding, so every candidate that could win or tie is scored with
+the bits an exhaustive round gives it, and the winners, recorded scores and
+ids are unchanged. Singleton rounds score every candidate.
 
 Which metric may score which representation and strategy is decided once,
 by ``SelectionConfig``. All strategies are deterministic for a fixed seed,
@@ -105,7 +104,7 @@ _Bound = Callable[[np.ndarray], np.ndarray]
 # one in the tests.
 _PRUNE_SLACK = 1e-9
 
-# Directions orthogonal to the target on which the dense cosine bound measures
+# Directions orthogonal to the target on which the cosine bound measures
 # each candidate mean's norm. More directions tighten the bound, but each
 # adds a column to the round's bound pooling. In-process ``subset_select`` on
 # blended SIF rows (100-d, s=20, m=20,000, 80 rounds) with exact top
@@ -188,11 +187,12 @@ class SelectionResult:
 # ---------------------------------------------------------------------------
 
 def check_cosine_target(target_repr) -> np.ndarray:
-    """The target as a vector, or a ``DataError`` when no entry is nonzero: such
-    a target has no direction, and cosine would score every row 0."""
+    """The target as a vector, or a ``DataError`` when an entry is not finite
+    or none is nonzero: such a target has no direction, and cosine would score
+    every row 0."""
     target = _as_vector(target_repr)
-    if not target.any():
-        raise DataError("target vector is all zeros; cosine cannot rank against it")
+    if not (np.isfinite(target).all() and target.any()):
+        raise DataError("target vector is all zeros or not finite; cosine cannot rank against it")
     return target
 
 
@@ -406,14 +406,14 @@ def subset_select(
     left unused after a round of all-empty candidates is discarded, and the
     helper ends before the call returns or raises.
 
-    A JS round and a dense cosine round with subsets of two or more skip the
+    A JS round and a cosine round with subsets of two or more skip the
     candidates that provably cannot win (``_round_scores``), through a bound
     the search builds once, before its first round. Each candidate's JS is
     bounded from below by the larger of two bounds: the tangent plane of
     ``JS(., q)`` at the pooled distribution of the whole pool, and the plane
     with the exact JS term at each column of R the candidate misses, R being
     the columns whose pool document frequency times ``s`` is below the pool
-    size (any R keeps it valid; ``_js_bound``). Each dense cosine is bounded
+    size (any R keeps it valid; ``_js_bound``). Each cosine is bounded
     from above through the candidate mean's projections on the unit target
     and on ``_COSINE_DIRECTIONS`` orthonormal directions orthogonal to it,
     taken from the pool rows' scatter (``_cosine_bound``). A candidate whose
@@ -448,10 +448,11 @@ def subset_select(
     try:
         pending = draw(len(available))
         bound = None
-        if s > 1 and metric == JENSEN_SHANNON:
-            bound = _js_bound(matrix, pool_index, s, target_repr)
-        elif s > 1 and metric == COSINE and not sp.issparse(matrix):
-            bound = _cosine_bound(matrix, pool_index, target_repr)
+        if s > 1:  # SelectionConfig leaves JS and cosine, each with its bound
+            bound = (
+                _js_bound(matrix, pool_index, s, target_repr) if metric == JENSEN_SHANNON
+                else _cosine_bound(matrix, pool_index, target_repr)
+            )
 
         while len(chosen) < n and len(available):
             # candidates hold pool positions; the draw's positions within
@@ -579,17 +580,17 @@ def _round_scores(
 
     ``bound`` is the search's bound (``_js_bound``, ``_cosine_bound``) or
     None: a function from a round's candidates to a lower bound on each one's
-    ``_sort_key``, found without pooling it. Given it, a round of subsets of
-    two or more scores one block (``autoencoder._BLOCK_ROWS``) of best-bounded
-    candidates first; their best key is the incumbent. Every other candidate
-    whose bound exceeds the incumbent by more than ``_PRUNE_SLACK`` is left
-    unscored (NaN), and the rest, NaN bounds included, are scored. Each score
-    is ``_candidate_scores``'s for that candidate alone, so a scored candidate
+    ``_sort_key``, found without pooling it. Given it, the round scores one
+    block (``autoencoder._BLOCK_ROWS``) of best-bounded candidates first; their
+    best key is the incumbent. Every other candidate whose bound exceeds the
+    incumbent by more than ``_PRUNE_SLACK`` is left unscored (NaN), and the
+    rest, NaN bounds included, are scored. Each score is
+    ``_candidate_scores``'s for that candidate alone, so a scored candidate
     gets the same bits as in an exhaustive round, and every candidate whose
-    key could reach the round's best, ties included, is scored. Other rounds
-    score every candidate.
+    key could reach the round's best, ties included, is scored. Without a
+    bound (the ``s=1`` rounds), every candidate is scored.
     """
-    if bound is None or candidates.shape[1] == 1:
+    if bound is None:
         return _candidate_scores(matrix, pool_index, item_scores, candidates, target_repr, metric)
 
     def score(which):
@@ -676,17 +677,42 @@ def _js_bound(matrix, pool_index: np.ndarray, s: int, target) -> _Bound | None:
     return bound
 
 
-def _cosine_bound(matrix: np.ndarray, pool_index: np.ndarray, target) -> _Bound | None:
-    """A function from a round's candidates to minus ``_cosine_upper_bounds``,
-    a lower bound on each one's ``_sort_key``, from the pool rows'
-    ``_cosine_projections`` taken once per search; None when those are."""
+def _cosine_bound(
+    matrix: sp.csr_matrix | np.ndarray, pool_index: np.ndarray, target
+) -> _Bound | None:
+    """A function from a round's candidates to minus an upper bound on each
+    one's cosine to ``target``, a lower bound on its ``_sort_key``, built once
+    per search from the pool rows' ``_cosine_projections``; None when those are.
+
+    A candidate's mean row has projection A on the unit target and B on the
+    orthonormal directions of the projections, so its norm is at least
+    ``sqrt(A^2 + |B|^2)`` and its cosine ``A / norm`` at most
+    ``A / sqrt(A^2 + |B|^2)`` when A > 0, and at most 0 otherwise. A
+    term-distribution candidate is scored on the sum of its count rows, not
+    their mean, which scales A, B and the norm alike and leaves the cosine as
+    it is. The function pools the projections of a round's candidates in row
+    blocks, which kept a 20,000-candidate round's bounds at 7-11 ms against
+    11-12 ms whole.
+    """
     projections = _cosine_projections(matrix, pool_index, target)
     if projections is None:
         return None
-    return lambda candidates: -_cosine_upper_bounds(projections, candidates)
+
+    def bound(candidates: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(candidates))
+        for start, stop in _row_blocks(len(candidates)):
+            means = _pool_candidates(projections, candidates[start:stop])
+            along = means[:, 0]
+            norm = np.sqrt(along * along + (means[:, 1:] ** 2).sum(axis=1))
+            np.divide(along, norm, out=out[start:stop], where=along > 0)
+        return -out
+
+    return bound
 
 
-def _cosine_projections(matrix: np.ndarray, pool_index: np.ndarray, target) -> np.ndarray | None:
+def _cosine_projections(
+    matrix: sp.csr_matrix | np.ndarray, pool_index: np.ndarray, target
+) -> np.ndarray | None:
     """Each pool row's projections on the unit target and on up to
     ``_COSINE_DIRECTIONS`` orthonormal directions orthogonal to it, or None
     when the target has no finite direction (the round then goes unbounded,
@@ -729,7 +755,8 @@ def _orthonormal_to(unit: np.ndarray, columns: np.ndarray) -> np.ndarray:
 
 
 def _scatter_times(
-    matrix: np.ndarray, pool_index: np.ndarray, unit: np.ndarray, columns: np.ndarray
+    matrix: sp.csr_matrix | np.ndarray, pool_index: np.ndarray, unit: np.ndarray,
+    columns: np.ndarray,
 ) -> np.ndarray:
     """``R.T @ (R @ columns)`` for R the pool rows with their ``unit``
     component removed and ``columns`` orthogonal to ``unit``, in row blocks.
@@ -742,25 +769,6 @@ def _scatter_times(
         out += rows.T @ product
         along += (rows @ unit) @ product
     return out - np.outer(unit, along)
-
-
-def _cosine_upper_bounds(projections: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """An upper bound on each candidate's cosine to the target.
-
-    A candidate's mean row has projection A on the unit target and B on the
-    orthonormal directions of ``projections``, so its norm is at least
-    ``sqrt(A^2 + |B|^2)`` and its cosine ``A / norm`` at most
-    ``A / sqrt(A^2 + |B|^2)`` when A > 0, and at most 0 otherwise. The
-    projections are pooled in row blocks, which kept a 20,000-candidate
-    round's bounds at 7-11 ms against 11-12 ms whole.
-    """
-    out = np.zeros(len(candidates))
-    for start, stop in _row_blocks(len(candidates)):
-        means = _pool_candidates(projections, candidates[start:stop])
-        along = means[:, 0]
-        norm = np.sqrt(along * along + (means[:, 1:] ** 2).sum(axis=1))
-        np.divide(along, norm, out=out[start:stop], where=along > 0)
-    return out
 
 
 def _pool_candidates(rows, members: np.ndarray):

@@ -1,9 +1,9 @@
 """Kernel microbenchmarks: one draw of a subset-search round's candidates,
 one round of candidate scoring, one bounded round that scores only the
-candidates that may win (JS and dense cosine), one autoencoder minibatch
-(forward/backward and one Adam update), one encode of a whole pool, one
-sentiment-classifier fit, one tf-idf fit with its transforms, one SIF space
-build and one proxy-A discriminator fit.
+candidates that may win (JS, dense cosine and sparse cosine), one autoencoder
+minibatch (forward/backward and one Adam update), one encode of a whole pool,
+one sentiment-classifier fit, one tf-idf fit with its transforms, one SIF
+space build and one proxy-A discriminator fit.
 
 Marked ``bench`` and deselected by default; run them with
 
@@ -18,8 +18,10 @@ while at least 400 documents remain). The bounded rounds are the first round
 of the seed-0 ``graded`` and ``blended`` term-distribution searches
 (``blended`` is where the support-aware JS bound cuts the most scoring: its
 whole seed-0 search scores 22% of its candidates, against 89% under the
-tangent plane alone) and of the seed-0 ``blended`` search over SIF rows of a
-random 100-d table over every vocabulary token.
+tangent plane alone), of the seed-0 ``blended`` search over SIF rows of a
+random 100-d table over every vocabulary token, and of the seed-0 ``graded``
+term-distribution search under cosine, whose bound pools projections of the
+sparse count rows.
 The autoencoder cases use that vocabulary with the default hidden size
 (1,000) and batch size (64); the encode case encodes the whole sparse pool.
 The classifier case fits the default 10-epoch SGD on a binary training set
@@ -128,6 +130,19 @@ def test_pruned_js_round(benchmark, scenario):
 
 def test_pruned_cosine_round(benchmark):
     context, candidates = first_round("blended", "embedding")
+    bound = selection._cosine_bound(context.space.matrix, context.pool_index, context.target_repr)
+    scores = benchmark.pedantic(
+        selection._round_scores,
+        args=(context.space.matrix, context.pool_index, None, candidates,
+              context.target_repr, "cosine", bound),
+        rounds=5,
+        iterations=1,
+    )
+    assert 0 < np.count_nonzero(~np.isnan(scores)) < M
+
+
+def test_pruned_sparse_cosine_round(benchmark):
+    context, candidates = first_round("graded", "term_dist")
     bound = selection._cosine_bound(context.space.matrix, context.pool_index, context.target_repr)
     scores = benchmark.pedantic(
         selection._round_scores,

@@ -19,6 +19,7 @@ from dataselect.embeddings import EmbeddingTable
 from dataselect.errors import ConfigError, DataError
 from dataselect.representations import (
     RepresentationSpace,
+    TermDistribution,
     ae_input_features,
     build_representation_space,
     pool_groups,
@@ -101,6 +102,21 @@ class TestTermDistribution:
         dist = term_space(["x y z z z"], ["a", "b", "c"]).aggregate(["d0"])
         assert dist.empty
         assert np.all(dist.probs == 0)
+
+    @pytest.mark.parametrize(
+        "probs", [[np.nan, 1.0], [np.inf, 1.0], [np.nan, 0.0]], ids=["nan", "inf", "nan-alone"]
+    )
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_non_finite_entries_are_rejected(self, probs, empty):
+        """A NaN entry passes the sum and sign checks; JS would then score the
+        rows [[1, 0], [0, 2]] against [nan, 1] as [nan, 0.0]."""
+        with pytest.raises(DataError, match="non-finite"):
+            TermDistribution(probs=np.array(probs), empty=empty)
+
+    def test_aggregate_of_an_unknown_id_names_it(self):
+        space = term_space(["a b"], ["a", "b"])
+        with pytest.raises(DataError, match="unknown document id 'nope'"):
+            space.aggregate(["d0", "nope"])
 
     def test_sums_to_one_and_order_invariant(self):
         rng = np.random.default_rng(7)

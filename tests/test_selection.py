@@ -98,6 +98,14 @@ class TestScoreRows:
         with pytest.raises(DataError, match=message):
             selection._score_rows(rows, target, metric)
 
+    @pytest.mark.parametrize("sparse_rows", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cosine_target_is_rejected(self, bad, sparse_rows):
+        """Cosine against a NaN target would score every row 0.0."""
+        rows = sp.csr_matrix(np.eye(4)) if sparse_rows else np.eye(4)
+        with pytest.raises(DataError, match="not finite"):
+            selection._score_rows(rows, np.array([bad, 1.0, 0.0, 0.0]), "cosine")
+
 
 class TestSelectRandom:
     def test_exhausts_small_pool(self):
@@ -622,10 +630,12 @@ class TestCandidateScores:
 
 
 def thread_search_args(metric):
-    """An s=20 search of rounds that score many 7-row blocks: bounded under JS,
-    unbounded under cosine (sparse rows)."""
-    rows = sp.csr_matrix(random_counts(300, 16, seed=15, zero_rows=range(5)))
-    target = target_dist(16)
+    """An s=20 search on sparse count rows, bounded under either metric, with
+    rounds that score more than one 7-row block."""
+    # at 16 columns the cosine bound's 16 directions span all of them, and the
+    # exact bound leaves one block a round to score
+    rows = sp.csr_matrix(random_counts(300, 64, seed=15, zero_rows=range(5)))
+    target = target_dist(64)
     target_repr = target if metric == "jensen_shannon" else target.probs
     return (20, 60, 200, make_pool(300), target_repr, rows, every_row(rows),
             scored(rows, target_repr, metric), metric, 0)
@@ -668,6 +678,14 @@ class TestDrawPrefetch:
         for name in ("_candidate_scores", "js_to_target", "cosine_to_target"):
             recorded(name)
         draw = recorded("_draw_subsets")
+        round_scores, scored_per_round = selection._round_scores, []
+
+        def counting_round_scores(*round_args):
+            scores = round_scores(*round_args)
+            scored_per_round.append(np.count_nonzero(~np.isnan(scores)))
+            return scores
+
+        monkeypatch.setattr(selection, "_round_scores", counting_round_scores)
         submitted = record_submissions(monkeypatch)
         monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", 7)
         before = threading.active_count()
@@ -679,6 +697,9 @@ class TestDrawPrefetch:
         assert threads["_candidate_scores"] == threads[scorer] == {caller}
         assert caller not in threads["_draw_subsets"]
         assert [fn for fn, _ in submitted] == [draw] * len(got.iteration_members)
+        # the bound leaves candidates unscored, and some round still scores
+        # more than one block
+        assert min(scored_per_round) < 200 and max(scored_per_round) > 7
 
     @pytest.mark.parametrize("failing_call", [1, 3])
     def test_helper_error_propagates_and_its_thread_ends(self, monkeypatch, failing_call):
@@ -787,7 +808,7 @@ def bound_case(data, metric, s=2):
     rows use; a target with zeros; at least ``s`` available pool positions.
     The pool holds ``s`` to ``3 s + 6`` documents, over up to 40 columns at
     ``s`` = 20, so candidates cover some columns and miss others; its rows are
-    drawn densely or mostly zero."""
+    drawn densely or mostly zero, and as an array or CSR."""
     n_pool = data.draw(st.integers(s, 3 * s + 6), label="n_pool")
     d = data.draw(st.integers(1, 40 if s >= 20 else 6), label="d")
     if metric == "jensen_shannon":
@@ -817,8 +838,8 @@ def bound_case(data, metric, s=2):
         if raw.sum() == 0:
             raw[0] = 1.0
         target = TermDistribution(probs=raw / raw.sum())
-        if data.draw(st.booleans(), label="sparse"):
-            rows = sp.csr_matrix(rows)
+    if data.draw(st.booleans(), label="sparse"):
+        rows = sp.csr_matrix(rows)
     available = np.array(sorted(data.draw(
         st.lists(st.integers(0, n_pool - 1), min_size=max(s, 2), unique=True), label="available"
     )))
@@ -877,15 +898,15 @@ class TestRoundBounds:
         directions = data.draw(st.integers(1, 16), label="directions")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(selection, "_COSINE_DIRECTIONS", directions)
-            projections = selection._cosine_projections(rows, pool_index, target)
-        if projections is None:  # a zero target, which cosine scoring rejects
+            bound = selection._cosine_bound(rows, pool_index, target)
+        if bound is None:  # a zero target, which cosine scoring rejects
             assert not target.any()
             with pytest.raises(DataError, match="all zeros"):
                 selection._candidate_scores(rows, pool_index, None, candidates, target, "cosine")
             return
         scores = selection._candidate_scores(rows, pool_index, None, candidates, target, "cosine")
-        bounds = selection._cosine_upper_bounds(projections, candidates)
-        assert (bounds >= scores - 1e-12).all()
+        upper = -bound(candidates)  # the bound is on the key, minus the cosine
+        assert (upper >= scores - 1e-12).all()
 
     @given(st.data())
     def test_pruned_search_equals_exhaustive_loop(self, data):
@@ -931,18 +952,24 @@ class TestRoundBounds:
         want = exhaustive_subset_select(*args)
         assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == want
 
-    @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
-    def test_search_builds_its_bound_once_and_it_holds_every_round(self, monkeypatch, metric):
-        """A search of several s=20 rounds, on sparse count rows under JS and
-        dense rows under cosine, builds its bound once, and in every round each
-        candidate's bound lies below its key."""
+    @pytest.mark.parametrize(
+        "metric, dense_rows",
+        [("jensen_shannon", False), ("cosine", True), ("cosine", False)],
+        ids=["jensen_shannon", "cosine", "cosine-sparse_rows"],
+    )
+    def test_search_builds_its_bound_once_and_it_holds_every_round(
+        self, monkeypatch, metric, dense_rows
+    ):
+        """A search of several s=20 rounds, on sparse count rows under either
+        metric and dense rows under cosine, builds its bound once, and in every
+        round each candidate's bound lies below its key."""
         rng = np.random.default_rng(24)
         rows = sp.csr_matrix(
             (np.ones(600 * 6), (np.repeat(np.arange(600), 6), rng.integers(0, 300, 600 * 6))),
             shape=(600, 300),
         )
         target = target_dist(300)
-        if metric == "cosine":
+        if dense_rows:
             rows, target = rng.standard_normal((600, 40)), rng.standard_normal(40)
         builder_name = "_js_bound" if metric == "jensen_shannon" else "_cosine_bound"
         builder, builds, rounds = getattr(selection, builder_name), [], []
