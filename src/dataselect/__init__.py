@@ -18,7 +18,6 @@ from .corpus import (
     Document,
     EncodedCorpus,
     TfidfModel,
-    Vocabulary,
     build_vocabulary,
     load_corpus,
     load_stopwords,

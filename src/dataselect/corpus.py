@@ -76,12 +76,12 @@ class Corpus:
 
     def __init__(self, documents: Iterable[Document]):
         self.documents: list[Document] = list(documents)
-        self._by_id: dict[str, Document] = {}
         self._by_domain: dict[str, list[int]] = {}
+        seen: set[str] = set()
         for row, doc in enumerate(self.documents):
-            if doc.id in self._by_id:
+            if doc.id in seen:
                 raise DataError(f"duplicate document id {doc.id!r}")
-            self._by_id[doc.id] = doc
+            seen.add(doc.id)
             self._by_domain.setdefault(doc.domain, []).append(row)
 
     @property
@@ -93,12 +93,6 @@ class Corpus:
 
     def __iter__(self) -> Iterator[Document]:
         return iter(self.documents)
-
-    def get(self, doc_id: str) -> Document:
-        try:
-            return self._by_id[doc_id]
-        except KeyError:
-            raise DataError(f"unknown document id {doc_id!r}") from None
 
     def domain_rows(self, domain: str) -> np.ndarray:
         """Corpus rows of the domain's documents, ascending."""
@@ -283,43 +277,25 @@ def _gather_columns(counts: sp.csr_matrix, columns: np.ndarray) -> sp.csr_matrix
     return out
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """Most frequent tokens across all domains.
-
-    Tokens are ordered by descending corpus frequency with lexicographic
-    tie-breaking, which makes construction order-independent.
-    """
-
-    tokens: tuple[str, ...]
-    index: dict[str, int]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
-
 def check_vocab_cap(cap: int) -> None:
     if cap < 1:
         raise ConfigError(f"vocabulary cap must be >= 1, got {cap}")
 
 
-def build_vocabulary(encoded: EncodedCorpus, cap: int) -> Vocabulary:
-    """Build the shared vocabulary of the ``cap`` most frequent tokens."""
+def build_vocabulary(encoded: EncodedCorpus, cap: int) -> tuple[str, ...]:
+    """The ``cap`` most frequent tokens across all domains, by descending
+    frequency with ties in token order, so document order does not matter."""
     check_vocab_cap(cap)
     frequency = np.bincount(encoded.token_ids, minlength=len(encoded.unigrams))
     # ids are in token order, so a stable sort by -frequency breaks ties by token
     top = np.argsort(-frequency, kind="stable")[:cap]
     table = list(encoded.unigrams)
-    tokens = tuple(table[i] for i in top.tolist())
-    return Vocabulary(tokens=tokens, index={t: i for i, t in enumerate(tokens)})
+    return tuple(table[i] for i in top.tolist())
 
 
-def term_counts(encoded: EncodedCorpus, vocab: Vocabulary) -> sp.csr_matrix:
+def term_counts(encoded: EncodedCorpus, vocab: tuple[str, ...]) -> sp.csr_matrix:
     """In-vocabulary term counts, documents x |V| in vocabulary order."""
-    return _gather_columns(encoded.counts, encoded.columns(vocab.tokens))
+    return _gather_columns(encoded.counts, encoded.columns(vocab))
 
 
 # ---------------------------------------------------------------------------

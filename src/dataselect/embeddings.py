@@ -8,15 +8,17 @@ inferred from the first line and enforced on every subsequent one.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Collection
 
 import numpy as np
 
-from .corpus import Vocabulary, _text_lines
+from .corpus import _text_lines
 from .errors import DataError, ParseError
 
 
 class EmbeddingTable:
-    """Immutable token -> vector map with a fixed dimensionality."""
+    """Immutable token -> vector map with a fixed dimensionality; every vector
+    is finite, since cosine scores a non-finite SIF row 0.0 without an error."""
 
     def __init__(self, entries: dict[str, np.ndarray], dim: int):
         if dim < 1:
@@ -26,6 +28,8 @@ class EmbeddingTable:
                 raise DataError(
                     f"vector for {token!r} has length {vec.shape[0]}, expected {dim}"
                 )
+            if not np.isfinite(vec).all():
+                raise DataError(f"vector for {token!r} has a non-finite component")
         self.entries = entries
         self.dim = dim
 
@@ -37,9 +41,9 @@ class EmbeddingTable:
 
 
 def load_embeddings(
-    path: str | Path, restrict_to: Vocabulary | None = None
+    path: str | Path, restrict_to: Collection[str] | None = None
 ) -> EmbeddingTable:
-    """Parse an embedding file, optionally keeping only in-vocabulary rows.
+    """Parse an embedding file, optionally keeping only ``restrict_to``'s rows.
 
     Restriction controls memory and time on large vector files; it never
     changes the vectors themselves. Every line's component count is checked,
@@ -52,6 +56,8 @@ def load_embeddings(
     A token seen twice only on dropped lines is not reported.
     """
     path = Path(path)
+    # a set, since membership in a tuple vocabulary would cost O(|V|) a line
+    keep = None if restrict_to is None else frozenset(restrict_to)
     entries: dict[str, np.ndarray] = {}
     dim: int | None = None
     for lineno, line in enumerate(_text_lines(path, "embedding file"), start=1):
@@ -71,7 +77,7 @@ def load_embeddings(
                     f"; line {first[0]} looks like a word2vec 'count dim' header; remove it"
                 )
             raise ParseError(message, path, lineno)
-        if restrict_to is not None and token not in restrict_to:
+        if keep is not None and token not in keep:
             continue
         if token in entries:
             raise ParseError(f"duplicate token {token!r}", path, lineno)

@@ -56,7 +56,7 @@ from scipy.special import betainc
 
 from . import selection as sel
 from .autoencoder import AETrainConfig, train as ae_train
-from .corpus import Corpus, Document, EncodedCorpus, TfidfModel, Vocabulary
+from .corpus import Corpus, Document, EncodedCorpus, TfidfModel
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, DataError, DataSelectError
 from .representations import (
@@ -324,7 +324,7 @@ class ExperimentContext:
 def prepare_context(
     corpus: Corpus,
     encoded: EncodedCorpus,
-    vocab: Vocabulary,
+    vocab: tuple[str, ...],
     target_domain: str,
     representation: str,
     labeled_pool_only: bool = True,
@@ -465,8 +465,9 @@ def run_experiment(
     for run, seed in enumerate(seeds):
         try:
             result = run_selection(context, selection_config, seed)
-            train_labels = [context.corpus.get(i).label for i in result.chosen]
-            train_rows = counts[[context.space.index[i] for i in result.chosen]]
+            train_index = [context.space.index[i] for i in result.chosen]
+            train_labels = [docs[row].label for row in train_index]
+            train_rows = counts[train_index]
             tfidf = TfidfModel.fit(train_rows)
             model = train_classifier(tfidf.transform(train_rows), train_labels, classifier)
             accuracy = evaluate(model, tfidf.transform(eval_rows), eval_labels)

@@ -12,8 +12,8 @@ one row per group and the matrix whose rows it pools. That sums term counts
 rows; each group's members are added in member order and divided once, which
 is ``rows.mean(axis=0)`` bit for bit when rows have two or more columns
 (numpy adds a single column pairwise). ``RepresentationSpace.aggregate`` wraps
-it for one group and flags a group with no usable tokens empty, so callers can
-exclude it instead of propagating NaNs.
+it for one group; a term distribution with no usable tokens has no mass and
+is empty, so callers can exclude it instead of propagating NaNs.
 
 ``pool_groups`` runs the product with scipy's own sparse kernels, called
 directly on the picker's arrays (``csr_matmat`` for sparse rows,
@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from . import autoencoder as ae
-from .corpus import Corpus, EncodedCorpus, TfidfModel, Vocabulary, term_counts
+from .corpus import Corpus, EncodedCorpus, TfidfModel, term_counts
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, DataError
 
@@ -60,18 +60,15 @@ _INT32_MAX = int(np.iinfo(np.int32).max)
 
 @dataclass(frozen=True)
 class TermDistribution:
-    """Probability vector over the shared vocabulary.
-
-    ``empty`` marks distributions built from zero in-vocabulary tokens; their
-    ``probs`` are all zero and they are excluded from divergence-based
-    rankings.
-    """
+    """Probability vector over the shared vocabulary. It is empty when it has
+    no mass (all zero, from zero in-vocabulary tokens); empty distributions
+    are excluded from divergence-based rankings."""
 
     probs: np.ndarray
-    empty: bool = False
 
     def __post_init__(self):
-        # NaN passes both checks below, and JS would then score NaN or 0.0
+        # NaN is mass to ``empty`` and passes both checks below, and JS would
+        # then score NaN or 0.0
         if not np.isfinite(self.probs).all():
             raise DataError("term distribution has non-finite entries")
         if not self.empty:
@@ -81,18 +78,22 @@ class TermDistribution:
         if (self.probs < 0).any():
             raise DataError("term distribution has negative entries")
 
+    @property
+    def empty(self) -> bool:
+        return not self.probs.any()
+
 
 # ---------------------------------------------------------------------------
 # Whole-corpus representation spaces
 # ---------------------------------------------------------------------------
 
-def ae_input_features(encoded: EncodedCorpus, vocab: Vocabulary) -> sp.csr_matrix:
+def ae_input_features(encoded: EncodedCorpus, vocab: tuple[str, ...]) -> sp.csr_matrix:
     """Shared-vocabulary unigram tf-idf rows for every document, in corpus order.
 
     This fixed-width feature space is the autoencoder's input; idf statistics
     come from all domains.
     """
-    model = TfidfModel.fit(encoded.counts, columns=encoded.columns(vocab.tokens))
+    model = TfidfModel.fit(encoded.counts, columns=encoded.columns(vocab))
     return model.transform(encoded.counts)
 
 
@@ -122,9 +123,7 @@ class RepresentationSpace:
         if self.kind == TERM_DIST:
             pooled = pooled.toarray().ravel()
             total = pooled.sum()
-            if total == 0:
-                return TermDistribution(probs=pooled, empty=True)
-            return TermDistribution(probs=pooled / total)
+            return TermDistribution(probs=pooled / total if total else pooled)
         return pooled[0]
 
 
@@ -197,7 +196,7 @@ def build_representation_space(
     corpus: Corpus,
     encoded: EncodedCorpus,
     kind: str,
-    vocab: Vocabulary,
+    vocab: tuple[str, ...],
     embedding_table: EmbeddingTable | None = None,
     ae_model: ae.AEModel | None = None,
     ae_features: sp.csr_matrix | None = None,
@@ -245,7 +244,7 @@ def build_representation_space(
 def _sif_rows(
     corpus: Corpus,
     encoded: EncodedCorpus,
-    vocab: Vocabulary,
+    vocab: tuple[str, ...],
     table: EmbeddingTable,
     a: float,
 ) -> np.ndarray:
@@ -271,12 +270,12 @@ def _sif_rows(
     domain_of = np.empty(n, dtype=np.int64)
     domain_of[members] = np.repeat(np.arange(len(domains)), sizes)
 
-    in_table = np.array([token in table for token in vocab.tokens], dtype=bool)
+    in_table = np.array([token in table for token in vocab], dtype=bool)
     vectors = np.zeros((width, table.dim), dtype=np.float64)
     for j in np.flatnonzero(in_table).tolist():
-        vectors[j] = table.entries[vocab.tokens[j]]
+        vectors[j] = table.entries[vocab[j]]
     # vocabulary position of each unigram id whose token has a vector, else -1
-    ids = encoded.ids(vocab.tokens)
+    ids = encoded.ids(vocab)
     keep = in_table & (ids >= 0)
     position = np.full(len(encoded.unigrams), -1, dtype=np.int64)
     position[ids[keep]] = np.flatnonzero(keep)

@@ -43,7 +43,9 @@ projections on a few orthonormal directions orthogonal to it
 an already-scored candidate's key by more than ``_PRUNE_SLACK``, far above
 the bounds' rounding, so every candidate that could win or tie is scored with
 the bits an exhaustive round gives it, and the winners, recorded scores and
-ids are unchanged. Singleton rounds score every candidate.
+ids are unchanged. Singleton rounds score every candidate; an exhaustive one
+(s = 1, m at least the pool left) has one, the best-ranked document left, as
+the pool left is ranked once and winners leave in rank order.
 
 Which metric may score which representation and strategy is decided once,
 by ``SelectionConfig``. All strategies are deterministic for a fixed seed,
@@ -389,10 +391,10 @@ def subset_select(
     settings are checked by ``SelectionConfig``, so a metric the subset level
     refuses (proxy_a) fails the same way at every ``s``, before any draw.
 
-    With ``s=1`` and ``m`` at least the remaining pool size, the candidate
-    set is enumerated exhaustively (one singleton per remaining document,
-    ranked by ``_rank``), which makes the procedure equal to instance-level
-    ranking.
+    With ``s=1`` and ``m`` at least the remaining pool size, a round is
+    exhaustive and the search equals instance-level ranking: the pool left is
+    ranked by ``_rank`` once, and winners leave in rank order, so each such
+    round's one candidate is the best-ranked document still available.
 
     Term-distribution subsets pool raw counts before normalizing; dense
     subsets average member vectors.
@@ -442,6 +444,7 @@ def subset_select(
         return helper.submit(_draw_subsets, rng, n_avail, min(s, n_avail), m)
 
     available = np.arange(len(pool))
+    ranked = None  # the remaining pool in rank order, once s=1 rounds turn exhaustive
     chosen: list[int] = []
     iteration_members: list[list[str]] = []
     subset_scores: list[float] = []
@@ -458,8 +461,10 @@ def subset_select(
             # candidates hold pool positions; the draw's positions within
             # ``available`` are dropped at once, not kept alive through scoring
             if pending is None:
-                ids = [pool[i].id for i in available]
-                candidates = available[_rank(item_scores[available], orientation, ids)][:, None]
+                if ranked is None:
+                    ids = [pool[i].id for i in available]
+                    ranked = iter(available[_rank(item_scores[available], orientation, ids)])
+                candidates = np.array([[next(ranked)]])
             else:
                 candidates = available[pending.result()]
             # the winner leaves this many documents, whichever candidate it is

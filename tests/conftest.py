@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import settings
 
-from dataselect.corpus import Corpus, Document, Vocabulary
+from dataselect.corpus import Corpus, Document
 
 # Property tests replay the same examples on every run and keep no database.
 settings.register_profile(
@@ -19,8 +19,7 @@ def make_corpus(rows):
 
 def vocabulary(tokens):
     """A vocabulary of exactly ``tokens``, in the given order."""
-    tokens = tuple(tokens)
-    return Vocabulary(tokens=tokens, index={t: i for i, t in enumerate(tokens)})
+    return tuple(tokens)
 
 
 def gram_strings(encoded):

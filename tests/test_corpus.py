@@ -134,11 +134,11 @@ class TestPreprocess:
 class TestVocabulary:
     def test_frequency_ranking(self):
         vocab = build_vocabulary(encode(["a a a b b c"]), cap=2)
-        assert vocab.tokens == ("a", "b")
+        assert vocab == ("a", "b")
 
     def test_lexicographic_tie_break(self):
         vocab = build_vocabulary(encode(["b a b a"]), cap=1)
-        assert vocab.tokens == ("a",)
+        assert vocab == ("a",)
 
     def test_cap_bounds_size(self):
         vocab = build_vocabulary(encode([" ".join(f"tok{i}" for i in range(50))]), cap=10)
@@ -160,12 +160,12 @@ class TestVocabulary:
         ]
         forward = build_vocabulary(tokenize_corpus(make_corpus(rows), NO_STOP), cap=3)
         backward = build_vocabulary(tokenize_corpus(make_corpus(rows[::-1]), NO_STOP), cap=3)
-        assert forward.tokens == backward.tokens
+        assert forward == backward
 
     def test_counts_across_all_domains(self):
         rows = [("1", "a a", "x", None), ("2", "b b b", "y", None)]
         vocab = build_vocabulary(tokenize_corpus(make_corpus(rows), NO_STOP), cap=1)
-        assert vocab.tokens == ("b",)
+        assert vocab == ("b",)
 
 
 class TestTermCounts:
@@ -194,7 +194,7 @@ class TestTermCounts:
         token_lists = [list(rng.choice(universe, size=rng.integers(0, 12))) for _ in range(50)]
         in_vocab = term_counts(encode(map(" ".join, token_lists)), vocab).sum(axis=1).A1
         for tokens, total in zip(token_lists, in_vocab):
-            oov = sum(1 for t in tokens if t not in vocab.index)
+            oov = sum(1 for t in tokens if t not in vocab)
             assert total == len(tokens) - oov
 
 

@@ -151,3 +151,10 @@ class TestLookup:
         vocab = vocabulary(["a"])
         table = load_embeddings(path, restrict_to=vocab)
         assert table.entries.get("b") is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_is_rejected_naming_its_token(self, bad):
+        """A table built directly checks what the loader checks: a NaN vector
+        would make its tokens' SIF rows NaN, which cosine scores 0.0."""
+        with pytest.raises(DataError, match="'b' has a non-finite component"):
+            EmbeddingTable({"a": np.array([1.0, 0.0]), "b": np.array([0.0, bad])}, dim=2)

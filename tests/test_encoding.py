@@ -140,12 +140,13 @@ def test_vocabulary_counts_and_ae_tfidf_match_token_lists(texts, data):
     distinct = len({t for tokens in token_lists for t in tokens})
     cap = data.draw(st.integers(1, max(1, distinct)), label="cap")  # binds below distinct
     vocab = build_vocabulary(encoded, cap)
-    assert vocab.tokens == ref_vocabulary(token_lists, cap)
+    assert vocab == ref_vocabulary(token_lists, cap)
+    index = {t: j for j, t in enumerate(vocab)}
 
-    assert_same(term_counts(encoded, vocab), ref_counts(token_lists, vocab.index))
+    assert_same(term_counts(encoded, vocab), ref_counts(token_lists, index))
 
     features = ae_input_features(encoded, vocab)
-    feature_index, idf = ref_tfidf_fit(token_lists, 1, vocab.index)
+    feature_index, idf = ref_tfidf_fit(token_lists, 1, index)
     assert_same(features, ref_tfidf_transform(token_lists, 1, feature_index, idf))
 
 
@@ -168,7 +169,8 @@ def test_classifier_tfidf_matches_token_lists(texts, data):
 def test_fixed_vocabulary_tokens_outside_the_corpus_stay_zero():
     encoded, token_lists = encode(["b a b", "", "c a"])
     vocab = vocabulary(["zz", "b", "a", "yy"])
-    assert_same(term_counts(encoded, vocab), ref_counts(token_lists, vocab.index))
+    index = {t: j for j, t in enumerate(vocab)}
+    assert_same(term_counts(encoded, vocab), ref_counts(token_lists, index))
     features = ae_input_features(encoded, vocab)
-    feature_index, idf = ref_tfidf_fit(token_lists, 1, vocab.index)
+    feature_index, idf = ref_tfidf_fit(token_lists, 1, index)
     assert_same(features, ref_tfidf_transform(token_lists, 1, feature_index, idf))

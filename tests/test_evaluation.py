@@ -416,7 +416,7 @@ class TestContextMemory:
         vocab = build_vocabulary(encoded, 2000)
         rng = np.random.default_rng(0)
         dim = 256
-        table = EmbeddingTable({t: rng.normal(size=dim) for t in vocab.tokens}, dim=dim)
+        table = EmbeddingTable({t: rng.normal(size=dim) for t in vocab}, dim=dim)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -440,9 +440,7 @@ def scalar_domain_scores(space, corpus, target_domain, metric):
         if space.kind == "term_dist":
             pooled = np.asarray(rows.sum(axis=0)).ravel()
             total = pooled.sum()
-            if total == 0:
-                return TermDistribution(probs=pooled, empty=True)
-            return TermDistribution(probs=pooled / total)
+            return TermDistribution(probs=pooled / total if total else pooled)
         return np.asarray(rows).mean(axis=0)
 
     def ids(domain):

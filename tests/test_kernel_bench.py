@@ -33,7 +33,10 @@ The SIF case builds the embedding space of the seed-0 ``blended`` scenario
 (7,400 documents) from a 100-d table over every vocabulary token. The
 proxy-A case fits one discriminator on that scenario's term-distribution
 rows (the labeled source pool, balanced against the target domain's rows)
-and scores the pool, as one ``blended-proxy`` run does.
+and scores the pool, as one ``blended-proxy`` run does. The exhaustive
+singleton case runs a whole s = 1 search (n = 1,600, so 1,600 rounds, with M
+above the pool size, so every round is exhaustive) on the seed-0 ``graded``
+term-distribution pool.
 """
 
 import numpy as np
@@ -103,7 +106,7 @@ def first_round(scenario, representation):
     table = None
     if representation == "embedding":
         rng = np.random.default_rng(0)
-        table = EmbeddingTable({t: rng.standard_normal(DIM) for t in vocab.tokens}, dim=DIM)
+        table = EmbeddingTable({t: rng.standard_normal(DIM) for t in vocab}, dim=DIM)
     context = evaluation.prepare_context(
         scenario.corpus, encoded, vocab, scenario.target_domain, representation,
         embedding_table=table,
@@ -152,6 +155,20 @@ def test_pruned_sparse_cosine_round(benchmark):
         iterations=1,
     )
     assert 0 < np.count_nonzero(~np.isnan(scores)) < M
+
+
+def test_exhaustive_singleton_search(benchmark):
+    context, _ = first_round("graded", "term_dist")
+    scores = context.item_scores("jensen_shannon", 0)
+    result = benchmark.pedantic(
+        selection.subset_select,
+        args=(1, 1600, M, context.pool_docs, context.target_repr, context.space.matrix,
+              context.pool_index, scores, "jensen_shannon", 0),
+        rounds=3,
+        iterations=1,
+    )
+    instance = selection.select_instance_level(context.pool_docs, scores, "jensen_shannon", 1600)
+    assert result.chosen == instance.chosen
 
 
 def test_adam_step(benchmark):
@@ -248,7 +265,7 @@ def test_sif_rows(benchmark):
     encoded = tokenize_corpus(corpus)
     vocab = build_vocabulary(encoded, 10000)
     rng = np.random.default_rng(0)
-    table = EmbeddingTable({t: rng.standard_normal(DIM) for t in vocab.tokens}, dim=DIM)
+    table = EmbeddingTable({t: rng.standard_normal(DIM) for t in vocab}, dim=DIM)
     space = benchmark.pedantic(
         build_representation_space,
         args=(corpus, encoded, "embedding", vocab),

@@ -106,12 +106,21 @@ class TestTermDistribution:
     @pytest.mark.parametrize(
         "probs", [[np.nan, 1.0], [np.inf, 1.0], [np.nan, 0.0]], ids=["nan", "inf", "nan-alone"]
     )
-    @pytest.mark.parametrize("empty", [False, True])
-    def test_non_finite_entries_are_rejected(self, probs, empty):
+    def test_non_finite_entries_are_rejected(self, probs):
         """A NaN entry passes the sum and sign checks; JS would then score the
         rows [[1, 0], [0, 2]] against [nan, 1] as [nan, 0.0]."""
         with pytest.raises(DataError, match="non-finite"):
-            TermDistribution(probs=np.array(probs), empty=empty)
+            TermDistribution(probs=np.array(probs))
+
+    def test_emptiness_is_read_from_the_probabilities(self):
+        """A zero vector is the empty distribution, and no flag can contradict
+        the probabilities: ``empty=True`` on a vector with mass made JS NaN."""
+        assert TermDistribution(probs=np.zeros(3)).empty
+        assert not TermDistribution(probs=np.array([0.5, 0.5])).empty
+        with pytest.raises(TypeError):
+            TermDistribution(probs=np.array([0.5, 0.5]), empty=True)
+        with pytest.raises(DataError, match="sums to"):
+            TermDistribution(probs=np.array([0.5, 0.25]))
 
     def test_aggregate_of_an_unknown_id_names_it(self):
         space = term_space(["a b"], ["a", "b"])
@@ -216,11 +225,11 @@ def positionwise_sif_rows(corpus, encoded, vocab, table, a):
     domain_counts = (membership @ term_counts(encoded, vocab)).toarray()
     probs = domain_counts / np.maximum(domain_counts.sum(axis=1, keepdims=True), 1.0)
 
-    in_table = np.array([token in table for token in vocab.tokens], dtype=bool)
+    in_table = np.array([token in table for token in vocab], dtype=bool)
     vectors = np.zeros((len(vocab), table.dim), dtype=np.float64)
     for j in np.flatnonzero(in_table).tolist():
-        vectors[j] = table.entries[vocab.tokens[j]]
-    ids = encoded.ids(vocab.tokens)
+        vectors[j] = table.entries[vocab[j]]
+    ids = encoded.ids(vocab)
     keep = in_table & (ids >= 0)
     position = np.full(len(encoded.unigrams), -1, dtype=np.int64)
     position[ids[keep]] = np.flatnonzero(keep)
@@ -399,8 +408,8 @@ class TestRepresentationSpace:
         dist = space.aggregate(["a1", "a2"])
         # pooled counts: hot 2 + cold 3 over 5
         expected = np.zeros(3)
-        expected[vocab.index["hot"]] = 0.4
-        expected[vocab.index["cold"]] = 0.6
+        expected[vocab.index("hot")] = 0.4
+        expected[vocab.index("cold")] = 0.6
         assert np.allclose(dist.probs, expected, atol=1e-12)
 
     def test_embedding_space_uses_own_domain_frequencies(self, corpus, vocab):

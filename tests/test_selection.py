@@ -79,7 +79,7 @@ def js_scores(reprs, target):
     return {d: js_divergence(rep, target).value for d, rep in reprs.items()}
 
 
-EMPTY_TARGET = TermDistribution(probs=np.zeros(4), empty=True)
+EMPTY_TARGET = TermDistribution(probs=np.zeros(4))
 
 
 class TestScoreRows:
@@ -416,6 +416,25 @@ class TestSubsetSelect:
         assert instance.chosen == ["p0000"]
         assert subset.chosen == instance.chosen
         assert subset.subset_scores == [instance.item_scores["p0000"]]
+
+    @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
+    @pytest.mark.parametrize("m", [30, 60], ids=["after-ten-draws", "from-the-first-round"])
+    def test_exhaustive_singleton_rounds_rank_the_pool_once(self, monkeypatch, metric, m):
+        """Each exhaustive s=1 round takes the best-ranked document left, so
+        the pool left is ranked once, not once per round; under JS the two
+        empty documents end the search with a shortfall."""
+        rows = random_counts(40, 8, seed=5, zero_rows=(3, 17))
+        target = target_dist(8) if metric == "jensen_shannon" else target_dist(8).probs
+        args = (1, 40, m, make_pool(40), target, rows, every_row(rows),
+                scored(rows, target, metric), metric, 2)
+        want = exhaustive_subset_select(*args)
+        calls = []
+        rank = selection._rank
+        monkeypatch.setattr(selection, "_rank", lambda *a: calls.append(a) or rank(*a))
+        got = subset_select(*args)
+        assert len(calls) == 1
+        assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == want
+        assert got.shortfall == (2 if metric == "jensen_shannon" else 0)
 
     def test_iterations_are_pairwise_disjoint(self):
         size = 12

@@ -88,7 +88,7 @@ class TestJS:
                 assert js_divergence(p, q).value > 0.0
 
     def test_empty_input_yields_sentinel(self):
-        empty = TermDistribution(probs=np.zeros(3), empty=True)
+        empty = TermDistribution(probs=np.zeros(3))
         other = TermDistribution(probs=np.array([0.5, 0.25, 0.25]))
         score = js_divergence(empty, other)
         assert score.empty and math.isnan(score.value)
