@@ -21,7 +21,10 @@ timestep incremented per minibatch. The updates run in place, in blocks of
 textbook expressions (``m = b1*m + (1-b1)*g``,
 ``v = b2*v + ((1-b2)*g)*g``, ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``), so
 every parameter and loss is bit-identical to an allocating update and the
-contract above is unchanged.
+contract above is unchanged. Each minibatch's gradients are written into
+one set of buffers allocated once per ``train`` call, by the same products
+and sums that would allocate them, so they are bit-identical too and
+training holds one gradient set, not two.
 
 Row blocks: every walk over a matrix's rows in blocks -- ``encode`` here,
 the dense batched scores in ``similarity``, and the candidate scoring and
@@ -157,28 +160,38 @@ def _cross_entropy_from_logits(z: np.ndarray, target: np.ndarray) -> float:
 
 
 def loss_and_gradients(
-    model: AEModel, x_in: np.ndarray, target: np.ndarray
+    model: AEModel,
+    x_in: np.ndarray,
+    target: np.ndarray,
+    out: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Reconstruction loss and analytic gradients for a batch.
 
     ``x_in`` is the (possibly corrupted) input and ``target`` the clean
     reconstruction target in [0, 1]; both are (n, d) or (d,). The loss is the
     per-sample component sum of sigmoid cross-entropy, averaged over samples.
+
+    ``out`` (a dict of float64 arrays keyed and shaped like
+    ``model.parameters()``) receives the four gradients and is the dict
+    returned; by default new arrays are allocated. The same products and
+    sums run either way, so the gradients are bit-identical.
     """
     x_in = np.atleast_2d(np.asarray(x_in, dtype=np.float64))
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
+    if out is None:
+        out = {k: np.empty(v.shape) for k, v in model.parameters().items()}
     n = x_in.shape[0]
     a = x_in @ model.W.T + model.b
     h = sigmoid(a)
     z = h @ model.W_out.T + model.b_out
     loss = _cross_entropy_from_logits(z, target) / n
     dz = (sigmoid(z) - target) / n
-    grad_W_out = dz.T @ h
-    grad_b_out = dz.sum(axis=0)
+    np.matmul(dz.T, h, out=out["W_out"])
+    dz.sum(axis=0, out=out["b_out"])
     dh = (dz @ model.W_out) * h * (1.0 - h)
-    grad_W = dh.T @ x_in
-    grad_b = dh.sum(axis=0)
-    return loss, {"W": grad_W, "b": grad_b, "W_out": grad_W_out, "b_out": grad_b_out}
+    np.matmul(dh.T, x_in, out=out["W"])
+    dh.sum(axis=0, out=out["b"])
+    return loss, out
 
 
 def _adam_step(
@@ -253,6 +266,7 @@ def train(data: sp.spmatrix | np.ndarray, config: AETrainConfig) -> tuple[AEMode
     )
     adam_m = {k: np.zeros_like(v) for k, v in model.parameters().items()}
     adam_v = {k: np.zeros_like(v) for k, v in model.parameters().items()}
+    grads = {k: np.empty(v.shape) for k, v in model.parameters().items()}
     block = min(_ADAM_BLOCK, max(p.size for p in model.parameters().values()))
     buf1, buf2 = np.empty(block), np.empty(block)
     t = 0
@@ -264,7 +278,7 @@ def train(data: sp.spmatrix | np.ndarray, config: AETrainConfig) -> tuple[AEMode
             idx = perm[start : start + config.batch_size]
             batch = data[idx].toarray()
             corrupted = corrupt(batch, config.masking_prob, rng)
-            loss, grads = loss_and_gradients(model, corrupted, batch)
+            loss, grads = loss_and_gradients(model, corrupted, batch, out=grads)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite training loss at epoch {epoch}; "

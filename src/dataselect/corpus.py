@@ -186,10 +186,17 @@ def preprocess(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
     ``stopwords=None`` selects the shipped English list; pass an explicit
     (possibly empty) set to override it. Splitting keeps placeholder tokens
     and maximal ``\\w+`` runs; punctuation acts purely as a separator.
+
+    Each substitution runs only when the text, as it stands before it, holds
+    the literal its pattern cannot match without (``://`` or ``www.``, ``@``,
+    ``#``), so the tokens are the same and text without them skips the scans.
     """
-    text = _URL_RE.sub(" <url> ", text)
-    text = _USER_RE.sub(" <user> ", text)
-    text = _HASHTAG_RE.sub(" <hashtag> ", text)
+    if "://" in text or "www." in text:
+        text = _URL_RE.sub(" <url> ", text)
+    if "@" in text:
+        text = _USER_RE.sub(" <user> ", text)
+    if "#" in text:
+        text = _HASHTAG_RE.sub(" <hashtag> ", text)
     stop = default_stopwords() if stopwords is None else stopwords
     return [t for t in _TOKEN_RE.findall(text.lower()) if t not in stop]
 

@@ -24,10 +24,9 @@ class EmbeddingTable:
         if dim < 1:
             raise DataError(f"embedding dimensionality must be >= 1, got {dim}")
         for token, vec in entries.items():
-            if vec.shape != (dim,):
-                raise DataError(
-                    f"vector for {token!r} has length {vec.shape[0]}, expected {dim}"
-                )
+            shape = np.shape(vec)
+            if shape != (dim,):
+                raise DataError(f"vector for {token!r} has shape {shape}, expected ({dim},)")
             if not np.isfinite(vec).all():
                 raise DataError(f"vector for {token!r} has a non-finite component")
         self.entries = entries

@@ -77,6 +77,25 @@ def allocating_adam_step(p, m, v, g, t, config, buf1, buf2):
     p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def allocating_loss_and_gradients(model, x_in, target, out=None):
+    """The loss and gradients before ``out``: four new gradient arrays a
+    call. ``out`` is accepted and ignored, so ``train`` can call it."""
+    x_in = np.atleast_2d(np.asarray(x_in, dtype=np.float64))
+    target = np.atleast_2d(np.asarray(target, dtype=np.float64))
+    n = x_in.shape[0]
+    a = x_in @ model.W.T + model.b
+    h = sigmoid(a)
+    z = h @ model.W_out.T + model.b_out
+    loss = autoencoder._cross_entropy_from_logits(z, target) / n
+    dz = (sigmoid(z) - target) / n
+    grad_W_out = dz.T @ h
+    grad_b_out = dz.sum(axis=0)
+    dh = (dz @ model.W_out) * h * (1.0 - h)
+    grad_W = dh.T @ x_in
+    grad_b = dh.sum(axis=0)
+    return loss, {"W": grad_W, "b": grad_b, "W_out": grad_W_out, "b_out": grad_b_out}
+
+
 def whole_matrix_encode(model, x):
     """The one-shot encode the blocked one replaced."""
     if sp.issparse(x):
@@ -323,6 +342,27 @@ class TestGradients:
         with pytest.raises(ConfigError):
             gradient_check(small_model(), np.zeros(4), h_step=1e-2)
 
+    @pytest.mark.parametrize("n, d, h", [(1, 4, 3), (5, 4, 3), (64, 300, 200)])
+    def test_out_receives_the_allocating_gradients(self, n, d, h):
+        model = small_model(seed=n, d=d, h=h, scale=0.3)
+        rng = np.random.default_rng(n)
+        target = rng.random((n, d))
+        x_in = target * (rng.random((n, d)) >= 0.5)
+        if n == 1:
+            x_in, target = x_in[0], target[0]  # a 1-D input is one row
+        want_loss, want = allocating_loss_and_gradients(model, x_in, target)
+        out = {k: np.full(v.shape, np.nan) for k, v in model.parameters().items()}
+        buffers = dict(out)
+        loss, got = loss_and_gradients(model, x_in, target, out=out)
+        assert got is out and loss == want_loss
+        for key, value in want.items():
+            assert got[key] is buffers[key]
+            assert np.array_equal(got[key], value), key
+        loss, fresh = loss_and_gradients(model, x_in, target)
+        assert loss == want_loss
+        for key, value in want.items():
+            assert np.array_equal(fresh[key], value), key
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize(
@@ -464,6 +504,35 @@ class TestTrain:
         assert losses == oracle_losses
         for key, value in model.parameters().items():
             assert np.array_equal(value, oracle_model.parameters()[key])
+
+    def test_bit_identical_to_allocating_gradients(self, monkeypatch):
+        data = tfidf_like_rows(30, 40, seed=8)
+        for batch_size in (7, 10):  # a short last batch of 2, and none
+            config = AETrainConfig(epochs=3, masking_prob=0.5, learning_rate=1e-2,
+                                   batch_size=batch_size, seed=5, hidden_dim=9)
+            model, losses = train(data, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(autoencoder, "loss_and_gradients", allocating_loss_and_gradients)
+                oracle_model, oracle_losses = train(data, config)
+            assert losses == oracle_losses
+            for key, value in model.parameters().items():
+                assert np.array_equal(value, oracle_model.parameters()[key]), (batch_size, key)
+
+    def test_peak_memory_holds_one_gradient_set(self):
+        # Allocating every batch's gradients kept the previous batch's set
+        # alive while the next was built; with buffers, the traced peak
+        # above the parameters and Adam moments stays under 1.5 gradient sets.
+        n, d, h = 192, 1300, 1000
+        x = tfidf_like_rows(n, d, seed=7)
+        params = (2 * h * d + h + d) * 8
+        tracemalloc.start()
+        try:
+            model, _ = train(x, AETrainConfig(epochs=1, hidden_dim=h, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.input_dim == d
+        assert (peak - 3 * params) / params < 1.5
 
     def test_coo_input_matches_dense(self):
         data = tfidf_like_rows(30, 40, seed=6)

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dataselect.corpus import (
     Corpus,
@@ -106,6 +109,16 @@ class TestLoadCorpus:
         assert first.domains == second.domains
 
 
+def unguarded_preprocess(text, stopwords=None):
+    """``preprocess`` as it was before its substitutions were guarded: every
+    pattern runs over every text."""
+    text = re.sub(r"(?:https?://|www\.)\S+", " <url> ", text)
+    text = re.sub(r"(?<!\w)@\w+", " <user> ", text)
+    text = re.sub(r"(?<!\w)#\w+", " <hashtag> ", text)
+    stop = default_stopwords() if stopwords is None else stopwords
+    return [t for t in re.findall(r"<url>|<user>|<hashtag>|\w+", text.lower()) if t not in stop]
+
+
 class TestPreprocess:
     def test_placeholders(self):
         assert preprocess("Check http://x.co @bob #win") == [
@@ -129,6 +142,17 @@ class TestPreprocess:
     def test_stopwords_removed_after_substitution(self):
         # "was" inside a hashtag disappears with the tag, not as a stopword
         assert preprocess("#was movie") == ["<hashtag>", "movie"]
+
+    # single characters around every trigger and the pattern prefixes, so
+    # that texts with and without each trigger are both common
+    @given(st.lists(st.one_of(
+        st.text(alphabet="@#:/.whtpsW _1éßǅ日", max_size=3),
+        st.sampled_from(["://", "http://", "https://", "www.", "WWW.", "HTTP://"]),
+    ), max_size=12).map("".join))
+    def test_guarded_substitutions_match_unguarded(self, text):
+        """The trigger checks skip only substitutions that could not match."""
+        assert preprocess(text) == unguarded_preprocess(text)
+        assert preprocess(text, frozenset()) == unguarded_preprocess(text, frozenset())
 
 
 class TestVocabulary:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,16 @@ class TestLookup:
         would make its tokens' SIF rows NaN, which cosine scores 0.0."""
         with pytest.raises(DataError, match="'b' has a non-finite component"):
             EmbeddingTable({"a": np.array([1.0, 0.0]), "b": np.array([0.0, bad])}, dim=2)
+
+    @pytest.mark.parametrize(
+        "vec, shape", [(np.float64(1.0), ()), ([1.0, 2.0, 3.0], (3,)), (np.ones((1, 2)), (1, 2))]
+    )
+    def test_malformed_vector_is_a_data_error_naming_its_shape(self, vec, shape):
+        with pytest.raises(DataError, match=re.escape(f"'a' has shape {shape}, expected (2,)")):
+            EmbeddingTable({"a": vec}, dim=2)
+
+    def test_sequence_of_dim_numbers_is_a_vector(self):
+        table = EmbeddingTable({"a": [1.0, 2.0]}, dim=2)
+        assert np.array_equal(table.entries["a"], [1.0, 2.0])
+        with pytest.raises(DataError, match="non-finite"):
+            EmbeddingTable({"a": [1.0, float("nan")]}, dim=2)
