@@ -13,8 +13,7 @@ from the config, consumed in a fixed order -- (1) hidden-weight init
 ``uniform(-lim, lim, (h, d))``, (2) output-weight init
 ``uniform(-lim, lim, (d, h))`` with the same ``lim = sqrt(6 / (d + h))``,
 then per epoch one permutation of the sample indices, then per minibatch one
-uniform draw of the batch's shape for the masking noise (no draw when
-``masking_prob`` is 0). Adam applies
+uniform draw of the batch's shape for the masking noise. Adam applies
 parameter updates in the order W, b, W_out, b_out with a single shared
 timestep incremented per minibatch. The updates run in place, in blocks of
 ``_ADAM_BLOCK`` elements, with the same per-element operation order as the
@@ -38,6 +37,7 @@ block size, and at the default hidden size they do not (see ``encode``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,34 +123,28 @@ class AEModel:
 
 @dataclass(frozen=True)
 class AETrainConfig:
+    """The training settings, ``epochs``, ``hidden_dim`` and ``seed``. The
+    masking probability, Adam learning rate and minibatch size are fixed
+    class constants, read as ``config.batch_size`` and so on."""
+
+    masking_prob: ClassVar[float] = 0.8
+    learning_rate: ClassVar[float] = 1e-3
+    batch_size: ClassVar[int] = 64
     epochs: int = 50
-    masking_prob: float = 0.8
-    learning_rate: float = 1e-3
-    batch_size: int = 64
     seed: int = 0
     hidden_dim: int = 1000
 
     def __post_init__(self):
-        if not 0.0 <= self.masking_prob < 1.0:
-            raise ConfigError(f"masking_prob must be in [0, 1), got {self.masking_prob}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        # the comparisons are negated so that NaN fails them too
+        # negated so that NaN fails it too
         if not self.hidden_dim >= 1:
             raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
-def corrupt(x: np.ndarray, masking_prob: float, rng: np.random.Generator) -> np.ndarray:
+def corrupt(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Zero each component independently with probability ``masking_prob``."""
-    if not 0.0 <= masking_prob < 1.0:
-        raise ConfigError(f"masking_prob must be in [0, 1), got {masking_prob}")
-    if masking_prob == 0.0:
-        return np.array(x, dtype=np.float64, copy=True)
-    keep = rng.random(np.shape(x)) >= masking_prob
+    keep = rng.random(np.shape(x)) >= AETrainConfig.masking_prob
     return np.asarray(x, dtype=np.float64) * keep
 
 
@@ -277,7 +271,7 @@ def train(data: sp.spmatrix | np.ndarray, config: AETrainConfig) -> tuple[AEMode
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             batch = data[idx].toarray()
-            corrupted = corrupt(batch, config.masking_prob, rng)
+            corrupted = corrupt(batch, rng)
             loss, grads = loss_and_gradients(model, corrupted, batch, out=grads)
             if not np.isfinite(loss):
                 raise NumericalError(

@@ -5,25 +5,25 @@ accuracy table with baselines and significance), ``sweep`` (training-size
 curve data), and ``generate`` (synthetic corpora). The command runs as
 ``dataselect`` or, from a source checkout, ``python -m dataselect`` with
 ``src`` on ``PYTHONPATH``. Configuration comes from an optional plain-text
-``key = value`` file; command-line flags override file values. Library
-settings (the subset search's, the autoencoder's and the SIF smoothing)
-take the library's defaults, read from the dataclass field or constant that
-owns each; the rest are defaulted in ``RunConfig``. Each ``RunConfig``
-field is both a config-file key and, on the subcommands it names, a flag
-``--`` plus the field name with ``_`` turned into ``-``; every field is a
-flag on some subcommand. Text is always lowercased before tokenizing.
-``generate`` reads only ``seed`` and ``out``, and its config file may set
-no other key. ``task`` only sets the default ``n`` (2,000 for ternary,
-1,600 for binary); the classifier trains on whatever labels the corpus
-holds.
+``key = value`` file; command-line flags override file values. The subset
+search's and the autoencoder's settings take the defaults of the dataclass
+field that owns each; the rest are defaulted in ``RunConfig``. The SIF
+smoothing, the vocabulary cap and the autoencoder's masking, learning rate
+and batch size are library constants. Each ``RunConfig`` field is both a
+config-file key and, on the subcommands it names, a flag ``--`` plus the
+field name with ``_`` turned into ``-``; every field is a flag on some
+subcommand. Text is always lowercased before tokenizing. ``generate`` reads
+only ``seed`` and ``out``, and its config file may set no other key.
+``task`` only sets the default ``n`` (2,000 for ternary, 1,600 for binary);
+the classifier trains on whatever labels the corpus holds.
 
 All randomness derives from one base seed through named substreams
 (selection, classifier, autoencoder, generator), so every command is a pure
 function of its inputs: rerunning with the same config produces
 byte-identical output files.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-failure.
+Exit codes: 0 success, 1 usage/config error (an output path that cannot be
+written included), 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import math
 import sys
 import types
 import zlib
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
@@ -45,7 +46,6 @@ from .corpus import (
     Corpus,
     _text_lines,
     build_vocabulary,
-    check_vocab_cap,
     load_corpus,
     load_stopwords,
     save_corpus,
@@ -62,7 +62,7 @@ from .evaluation import (
     run_selection,
     t_test,
 )
-from .representations import EMBEDDING, REPRESENTATION_KINDS, SIF_A, check_sif_a
+from .representations import EMBEDDING, REPRESENTATION_KINDS
 from .selection import STRATEGIES, SelectionConfig, check_cosine_target
 from .similarity import COSINE, METRIC_ORIENTATION
 from .synthetic import DomainSpec, benchmark_suite, generate
@@ -113,17 +113,12 @@ class RunConfig:
     n: int | None = _option(None)
     s: int = _option(SelectionConfig.s)
     m: int = _option(SelectionConfig.m)
-    a: float = _option(SIF_A, help="embedding weighting smoothing factor")
-    vocab_cap: int = _option(10000)
     ae_hidden: int = _option(
         AETrainConfig.hidden_dim,
         help="autoencoder hidden units; sizes other than 1000 may give codes that "
         "differ in the last bits across BLAS builds (reruns on one host are identical)",
     )
     ae_epochs: int = _option(AETrainConfig.epochs)
-    ae_masking: float = _option(AETrainConfig.masking_prob)
-    ae_lr: float = _option(AETrainConfig.learning_rate)
-    ae_batch: int = _option(AETrainConfig.batch_size)
     runs: int = _option(10)
     seed: int = _option(0, commands=COMMANDS)
     out: str = _option("out", help="output directory", commands=COMMANDS)
@@ -230,15 +225,10 @@ def _build_context(config: RunConfig, labeled_pool_only: bool):
     # SelectionConfig's are, so they exit 1 before any file is read
     ae_config = AETrainConfig(
         epochs=config.ae_epochs,
-        masking_prob=config.ae_masking,
-        learning_rate=config.ae_lr,
-        batch_size=config.ae_batch,
         hidden_dim=config.ae_hidden,
         seed=substream_seed(config.seed, "autoencoder"),
     )
     check_runs(config.runs)
-    check_vocab_cap(config.vocab_cap)
-    check_sif_a(config.a)
     if not config.corpus:
         raise ConfigError("a corpus path is required (corpus = ... or --corpus)")
     if not config.target:
@@ -255,7 +245,7 @@ def _build_context(config: RunConfig, labeled_pool_only: bool):
         raise ConfigError(f"unknown target domain {config.target!r}")
     stopwords = load_stopwords(config.stopwords) if config.stopwords else None
     encoded = tokenize_corpus(corpus, stopwords)
-    vocab = build_vocabulary(encoded, config.vocab_cap)
+    vocab = build_vocabulary(encoded)
     table = None
     if config.representation == EMBEDDING:
         table = load_embeddings(config.embeddings, restrict_to=vocab)
@@ -268,7 +258,6 @@ def _build_context(config: RunConfig, labeled_pool_only: bool):
         labeled_pool_only=labeled_pool_only,
         embedding_table=table,
         ae_config=ae_config,
-        sif_a=config.a,
     )
 
 
@@ -302,16 +291,28 @@ def _selection_config(config: RunConfig, strategy: str, n: int | None = None) ->
     )
 
 
-def _out_dir(config: RunConfig) -> Path:
+@contextmanager
+def _output(path: Path):
+    """Report an ``OSError`` raised while creating or writing under ``path``
+    (say, a directory where a result file goes) as a ``ConfigError``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
+
+
+def _write_outputs(config: RunConfig, files: dict[str, str]) -> Path:
+    """Create the ``out`` directory and write each named file into it."""
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with _output(out):
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8")
     return out
 
 
-def _json_dump(obj, path: Path) -> None:
-    path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
-    )
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +323,10 @@ def cmd_select(config: RunConfig) -> int:
     sel_config = _selection_config(config, config.strategy)
     context = _build_context(config, labeled_pool_only=False)
     result = run_selection(context, sel_config, substream_seed(config.seed, "selection"))
-    out = _out_dir(config)
-    (out / "selection_ids.txt").write_text(
-        "".join(doc_id + "\n" for doc_id in result.chosen), encoding="utf-8"
-    )
-    _json_dump({"config": config.echo(), "result": asdict(result)}, out / "selection.json")
+    out = _write_outputs(config, {
+        "selection_ids.txt": "".join(doc_id + "\n" for doc_id in result.chosen),
+        "selection.json": _json_text({"config": config.echo(), "result": asdict(result)}),
+    })
     print(
         f"selected {len(result.chosen)} of {sel_config.n} requested "
         f"({config.strategy}, {sel_config.resolved_metric}) -> {out}/selection_ids.txt"
@@ -367,16 +367,14 @@ def cmd_evaluate(config: RunConfig) -> int:
             result.target_domain, result.strategy, result.representation, result.metric,
             f"{result.mean:.6f}", f"{result.std:.6f}", *p_values, marks,
         ]))
-    out = _out_dir(config)
-    (out / "results.tsv").write_text("".join(lines), encoding="utf-8")
-    _json_dump(
-        {
+    out = _write_outputs(config, {
+        "results.tsv": "".join(lines),
+        "results.json": _json_text({
             "config": config.echo(),
             "results": [asdict(r) for r in results],
             "significance": significance,
-        },
-        out / "results.json",
-    )
+        }),
+    })
     print(f"wrote {out}/results.tsv and {out}/results.json ({len(results)} rows)")
     return 0
 
@@ -398,8 +396,7 @@ def cmd_sweep(config: RunConfig, n_values: list[int]) -> int:
         _format_row([str(c.n), c.strategy, f"{r.mean:.6f}", f"{r.std:.6f}"])
         for c, r in zip(sel_configs, results)
     ]
-    out = _out_dir(config)
-    (out / "sweep.tsv").write_text("".join(lines), encoding="utf-8")
+    out = _write_outputs(config, {"sweep.tsv": "".join(lines)})
     print(f"wrote {out}/sweep.tsv ({len(lines) - 1} data rows)")
     return 0
 
@@ -421,15 +418,16 @@ def _domain_spec_from_dict(obj: dict, default_seed: int) -> DomainSpec:
 
 
 def _write_corpus_files(corpus: Corpus, out_dir: Path) -> list[Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for domain in sorted(corpus.domains):
-        path = out_dir / f"{domain}.jsonl"
-        save_corpus(Corpus(corpus.domain_documents(domain)), path)
-        written.append(path)
-    all_path = out_dir / "all.jsonl"
-    save_corpus(corpus, all_path)
-    written.append(all_path)
+    with _output(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for domain in sorted(corpus.domains):
+            path = out_dir / f"{domain}.jsonl"
+            save_corpus(Corpus(corpus.domain_documents(domain)), path)
+            written.append(path)
+        all_path = out_dir / "all.jsonl"
+        save_corpus(corpus, all_path)
+        written.append(all_path)
     return written
 
 

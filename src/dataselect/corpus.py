@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import DataError, ParseError
 
 LABELS = ("negative", "neutral", "positive")
 
@@ -42,6 +42,10 @@ _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _USER_RE = re.compile(r"(?<!\w)@\w+")
 _HASHTAG_RE = re.compile(r"(?<!\w)#\w+")
 _TOKEN_RE = re.compile(r"<url>|<user>|<hashtag>|\w+")
+
+# Tokens in the shared vocabulary, the most frequent ones; they are the columns
+# of term distributions and of the autoencoder's input. No run varies it.
+VOCAB_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -54,11 +58,12 @@ class Document:
     label: str | None = None
 
     def __post_init__(self):
-        # ids are written one per line, so an id must be one non-empty line
+        # ids are written one per line and domains as a results.tsv field,
+        # so each must be one non-empty line, and a domain without a tab
         if self.id.splitlines() != [self.id]:
             raise DataError(f"document id {self.id!r} is not one non-empty line")
-        if not self.domain:
-            raise DataError(f"document {self.id!r} has an empty domain")
+        if self.domain.splitlines() != [self.domain] or "\t" in self.domain:
+            raise DataError(f"document {self.id!r}: domain {self.domain!r} is not a tab-free line")
         if self.label is not None and self.label not in LABELS:
             raise DataError(
                 f"document {self.id!r} has label {self.label!r}; "
@@ -173,9 +178,10 @@ def default_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read a stopword list, one token per line (UTF-8)."""
+    """Read a stopword list, one token per line (UTF-8), lowercased as the
+    text it filters is."""
     return frozenset(
-        line.strip() for line in _text_lines(Path(path), "stopword file") if line.strip()
+        line.strip().lower() for line in _text_lines(Path(path), "stopword file") if line.strip()
     )
 
 
@@ -284,18 +290,12 @@ def _gather_columns(counts: sp.csr_matrix, columns: np.ndarray) -> sp.csr_matrix
     return out
 
 
-def check_vocab_cap(cap: int) -> None:
-    if cap < 1:
-        raise ConfigError(f"vocabulary cap must be >= 1, got {cap}")
-
-
-def build_vocabulary(encoded: EncodedCorpus, cap: int) -> tuple[str, ...]:
-    """The ``cap`` most frequent tokens across all domains, by descending
+def build_vocabulary(encoded: EncodedCorpus) -> tuple[str, ...]:
+    """The ``VOCAB_CAP`` most frequent tokens across all domains, by descending
     frequency with ties in token order, so document order does not matter."""
-    check_vocab_cap(cap)
     frequency = np.bincount(encoded.token_ids, minlength=len(encoded.unigrams))
     # ids are in token order, so a stable sort by -frequency breaks ties by token
-    top = np.argsort(-frequency, kind="stable")[:cap]
+    top = np.argsort(-frequency, kind="stable")[:VOCAB_CAP]
     table = list(encoded.unigrams)
     return tuple(table[i] for i in top.tolist())
 

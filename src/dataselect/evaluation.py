@@ -61,7 +61,6 @@ from .embeddings import EmbeddingTable
 from .errors import ConfigError, DataError, DataSelectError
 from .representations import (
     AUTOENCODER,
-    SIF_A,
     RepresentationSpace,
     ae_input_features,
     build_representation_space,
@@ -331,7 +330,6 @@ def prepare_context(
     *,
     embedding_table: EmbeddingTable | None = None,
     ae_config: AETrainConfig = AETrainConfig(),
-    sif_a: float = SIF_A,
 ) -> ExperimentContext:
     """Build the representation space and split the pool.
 
@@ -341,10 +339,10 @@ def prepare_context(
     selecting data for annotation). Domain and target representations
     aggregate all documents of the domain, labeled or not, so unlabeled text
     still informs similarity. The autoencoder representation trains its
-    model with ``ae_config`` on all domains, the target's text included; the
-    embedding representation weights ``embedding_table``'s vectors with SIF
-    smoothing ``sif_a``. Both default to the library's own settings,
-    ``AETrainConfig()`` and ``representations.SIF_A``.
+    model with ``ae_config`` (by default ``AETrainConfig()``) on all domains,
+    the target's text included; the embedding representation weights
+    ``embedding_table``'s vectors with the SIF smoothing
+    ``representations.SIF_A``.
     """
     if target_domain not in corpus.domains:
         raise ConfigError(f"unknown target domain {target_domain!r}")
@@ -362,7 +360,6 @@ def prepare_context(
         embedding_table=embedding_table,
         ae_model=ae_model,
         ae_features=ae_features,
-        sif_a=sif_a,
     )
     pool_index = np.flatnonzero(
         [

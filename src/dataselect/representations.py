@@ -52,7 +52,8 @@ EMBEDDING = "embedding"
 AUTOENCODER = "autoencoder"
 REPRESENTATION_KINDS = (TERM_DIST, EMBEDDING, AUTOENCODER)
 
-# the SIF smoothing factor a of Arora, Liang & Ma (ICLR 2017)
+# The SIF smoothing factor a of Arora, Liang & Ma (ICLR 2017), fixed: a token
+# whose share of its domain's in-vocabulary tokens is p weighs sqrt(a / p).
 SIF_A = 1e-5
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
@@ -185,13 +186,6 @@ def pool_groups(
     return pooled
 
 
-def check_sif_a(a: float) -> None:
-    # a NaN or infinite a would make every SIF row non-finite, which cosine
-    # scores 0.0 without an error
-    if not 0.0 < a < np.inf:
-        raise ConfigError(f"smoothing factor a must be finite and > 0, got {a}")
-
-
 def build_representation_space(
     corpus: Corpus,
     encoded: EncodedCorpus,
@@ -200,13 +194,12 @@ def build_representation_space(
     embedding_table: EmbeddingTable | None = None,
     ae_model: ae.AEModel | None = None,
     ae_features: sp.csr_matrix | None = None,
-    sif_a: float = SIF_A,
 ) -> RepresentationSpace:
     """Compute one representation row per document of the corpus.
 
     ``encoded`` is ``tokenize_corpus(corpus)``. The embedding view is the
     smoothed inverse-frequency (SIF) mean of word vectors: every token that
-    is in the vocabulary and in the table adds ``sqrt(sif_a / p)`` times its
+    is in the vocabulary and in the table adds ``sqrt(SIF_A / p)`` times its
     vector, where ``p`` is the token's share of the in-vocabulary tokens of
     the document's own domain, and the sum is divided by the number of such
     tokens (documents without any map to the zero vector). Only vocabulary
@@ -225,8 +218,7 @@ def build_representation_space(
     elif kind == EMBEDDING:
         if embedding_table is None:
             raise ConfigError("embedding representation requires an embedding table")
-        check_sif_a(sif_a)
-        matrix = _sif_rows(corpus, encoded, vocab, embedding_table, sif_a)
+        matrix = _sif_rows(corpus, encoded, vocab, embedding_table)
     else:
         if ae_model is None or ae_features is None:
             raise ConfigError(
@@ -246,7 +238,6 @@ def _sif_rows(
     encoded: EncodedCorpus,
     vocab: tuple[str, ...],
     table: EmbeddingTable,
-    a: float,
 ) -> np.ndarray:
     """SIF rows of the corpus's documents, both sums pooled by ``pool_groups``.
 
@@ -286,7 +277,8 @@ def _sif_rows(
         domain_of[docs] * width + occurrences[weighted], return_inverse=True
     )
     pair_domains, pair_tokens = np.divmod(pairs, width)
-    pair_vectors = np.sqrt(a / probs[pair_domains, pair_tokens])[:, None] * vectors[pair_tokens]
+    weights = np.sqrt(SIF_A / probs[pair_domains, pair_tokens])
+    pair_vectors = weights[:, None] * vectors[pair_tokens]
 
     lengths = np.bincount(docs, minlength=n)
     nonempty = lengths > 0

@@ -1,10 +1,12 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from dataselect import autoencoder
+from dataselect import corpus as corpus_module
 from dataselect.autoencoder import (
     AEModel,
     AETrainConfig,
@@ -96,6 +98,13 @@ def allocating_loss_and_gradients(model, x_in, target, out=None):
     return loss, {"W": grad_W, "b": grad_b, "W_out": grad_W_out, "b_out": grad_b_out}
 
 
+def fix_settings(patch, **values):
+    """Set ``AETrainConfig``'s class constants (``masking_prob``,
+    ``learning_rate``, ``batch_size``) through ``patch``, a monkeypatch."""
+    for name, value in values.items():
+        patch.setattr(AETrainConfig, name, value)
+
+
 def whole_matrix_encode(model, x):
     """The one-shot encode the blocked one replaced."""
     if sp.issparse(x):
@@ -160,7 +169,8 @@ class TestAdamStep:
     @pytest.mark.parametrize("block", [1, 7, 16384, 10**6])
     def test_matches_allocating_update(self, monkeypatch, block):
         monkeypatch.setattr(autoencoder, "_ADAM_BLOCK", block)
-        config = AETrainConfig(learning_rate=3e-3)
+        fix_settings(monkeypatch, learning_rate=3e-3)
+        config = AETrainConfig()
         rng = np.random.default_rng(block)
         for shape in self.SHAPES:
             p = rng.normal(size=shape)
@@ -177,26 +187,33 @@ class TestAdamStep:
 
 
 class TestCorrupt:
-    def test_zero_probability_is_identity(self):
+    def test_zero_probability_is_identity(self, monkeypatch):
+        fix_settings(monkeypatch, masking_prob=0.0)
         x = np.linspace(0, 1, 7)
-        out = corrupt(x, 0.0, np.random.default_rng(0))
+        out = corrupt(x, np.random.default_rng(0))
         assert np.array_equal(out, x)
 
     def test_deterministic_per_seed(self):
         x = np.ones(100)
-        a = corrupt(x, 0.8, np.random.default_rng(42))
-        b = corrupt(x, 0.8, np.random.default_rng(42))
+        a = corrupt(x, np.random.default_rng(42))
+        b = corrupt(x, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_masking_fraction_concentrates(self):
         x = np.ones(10_000)
-        out = corrupt(x, 0.8, np.random.default_rng(7))
+        out = corrupt(x, np.random.default_rng(7))
         zeroed = float(np.mean(out == 0))
+        assert AETrainConfig.masking_prob == 0.8
         assert abs(zeroed - 0.8) < 0.02
 
-    def test_invalid_probability(self):
-        with pytest.raises(ConfigError):
-            corrupt(np.ones(3), 1.0, np.random.default_rng(0))
+    def test_one_uniform_draw_of_the_input_shape(self):
+        # the reproducibility contract: one draw per batch, masking or not
+        x = np.linspace(0, 1, 12).reshape(3, 4)
+        rng = np.random.default_rng(5)
+        out = corrupt(x, rng)
+        replay = np.random.default_rng(5)
+        assert np.array_equal(out, x * (replay.random((3, 4)) >= 0.8))
+        assert rng.random() == replay.random()
 
 
 class TestEncode:
@@ -371,9 +388,7 @@ class TestTrainConfig:
             ("hidden_dim", 0),
             ("hidden_dim", -3),
             ("hidden_dim", float("nan")),
-            ("learning_rate", 0.0),
-            ("learning_rate", -1e-3),
-            ("learning_rate", float("nan")),
+            ("epochs", 0),
         ],
     )
     def test_rejected(self, field, value):
@@ -381,31 +396,36 @@ class TestTrainConfig:
             AETrainConfig(**{field: value})
 
     def test_smallest_accepted(self):
-        config = AETrainConfig(hidden_dim=1, learning_rate=5e-324)
+        config = AETrainConfig(hidden_dim=1, epochs=1)
         assert config.hidden_dim == 1
+
+    def test_fixed_settings_are_constants(self):
+        config = AETrainConfig()
+        assert {f.name for f in fields(config)} == {"epochs", "hidden_dim", "seed"}
+        assert (config.masking_prob, config.learning_rate, config.batch_size) == (0.8, 1e-3, 64)
 
 
 class TestTrain:
-    def test_loss_decreases_on_repeated_vector(self):
+    def test_loss_decreases_on_repeated_vector(self, monkeypatch):
         x = np.tile(np.array([0.9, 0.1, 0.8, 0.2, 0.7, 0.3]), (16, 1))
-        config = AETrainConfig(epochs=12, masking_prob=0.2, hidden_dim=3,
-                               batch_size=4, seed=0)
+        fix_settings(monkeypatch, masking_prob=0.2, batch_size=4)
+        config = AETrainConfig(epochs=12, hidden_dim=3, seed=0)
         _, losses = train(x, config)
         assert losses[-1] < losses[0]
 
-    def test_loss_trend_with_heavy_masking(self):
+    def test_loss_trend_with_heavy_masking(self, monkeypatch):
         rng = np.random.default_rng(21)
         data = rng.random((20, 12))
-        config = AETrainConfig(epochs=15, masking_prob=0.8, hidden_dim=6,
-                               batch_size=4, seed=3)
+        fix_settings(monkeypatch, batch_size=4)  # masking at its 0.8
+        config = AETrainConfig(epochs=15, hidden_dim=6, seed=3)
         _, losses = train(data, config)
         assert np.mean(losses[-5:]) <= np.mean(losses[:5])
 
-    def test_bit_reproducible(self):
+    def test_bit_reproducible(self, monkeypatch):
         rng = np.random.default_rng(2)
         data = rng.random((10, 5))
-        config = AETrainConfig(epochs=3, masking_prob=0.5, hidden_dim=4,
-                               batch_size=3, seed=9)
+        fix_settings(monkeypatch, masking_prob=0.5, batch_size=3)
+        config = AETrainConfig(epochs=3, hidden_dim=4, seed=9)
         model_a, losses_a = train(data, config)
         model_b, losses_b = train(data, config)
         assert losses_a == losses_b
@@ -413,10 +433,10 @@ class TestTrain:
             assert np.array_equal(value, model_b.parameters()[key])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence is the point
-    def test_nonfinite_loss_aborts(self):
+    def test_nonfinite_loss_aborts(self, monkeypatch):
         data = np.random.default_rng(0).random((8, 4))
-        config = AETrainConfig(epochs=3, masking_prob=0.0, hidden_dim=2,
-                               batch_size=4, seed=0, learning_rate=1e308)
+        fix_settings(monkeypatch, masking_prob=0.0, batch_size=4, learning_rate=1e308)
+        config = AETrainConfig(epochs=3, hidden_dim=2, seed=0)
         with pytest.raises(NumericalError):
             train(data, config)
 
@@ -424,15 +444,13 @@ class TestTrain:
         with pytest.raises(DataError):
             train(np.zeros((0, 3)), AETrainConfig(epochs=1, hidden_dim=2))
 
-    def test_training_replay_oracle(self):
+    def test_training_replay_oracle(self, monkeypatch):
         """Independent step-by-step re-implementation with the same seed schedule."""
         d, h, n = 6, 3, 20
         rng_data = np.random.default_rng(100)
         data = rng_data.random((n, d))
-        config = AETrainConfig(
-            epochs=4, masking_prob=0.3, learning_rate=1e-3, batch_size=5,
-            seed=123, hidden_dim=h,
-        )
+        fix_settings(monkeypatch, masking_prob=0.3, batch_size=5)
+        config = AETrainConfig(epochs=4, seed=123, hidden_dim=h)
         model, losses = train(data, config)
 
         # --- replica ---------------------------------------------------
@@ -493,9 +511,10 @@ class TestTrain:
             DomainSpec(name="tgt", seed=2, **shape),
         )
         encoded = tokenize_corpus(corpus, frozenset())
-        features = ae_input_features(encoded, build_vocabulary(encoded, cap=50))
-        config = AETrainConfig(epochs=3, masking_prob=0.5, learning_rate=1e-2,
-                               batch_size=7, seed=4, hidden_dim=9)
+        monkeypatch.setattr(corpus_module, "VOCAB_CAP", 50)
+        features = ae_input_features(encoded, build_vocabulary(encoded))
+        fix_settings(monkeypatch, masking_prob=0.5, learning_rate=1e-2, batch_size=7)
+        config = AETrainConfig(epochs=3, seed=4, hidden_dim=9)
         monkeypatch.setattr(autoencoder, "_ADAM_BLOCK", 13)
         model, losses = train(features, config)
         monkeypatch.setattr(autoencoder, "sigmoid", masked_sigmoid)
@@ -507,9 +526,10 @@ class TestTrain:
 
     def test_bit_identical_to_allocating_gradients(self, monkeypatch):
         data = tfidf_like_rows(30, 40, seed=8)
+        fix_settings(monkeypatch, masking_prob=0.5, learning_rate=1e-2)
         for batch_size in (7, 10):  # a short last batch of 2, and none
-            config = AETrainConfig(epochs=3, masking_prob=0.5, learning_rate=1e-2,
-                                   batch_size=batch_size, seed=5, hidden_dim=9)
+            fix_settings(monkeypatch, batch_size=batch_size)
+            config = AETrainConfig(epochs=3, seed=5, hidden_dim=9)
             model, losses = train(data, config)
             with monkeypatch.context() as patch:
                 patch.setattr(autoencoder, "loss_and_gradients", allocating_loss_and_gradients)
@@ -534,10 +554,10 @@ class TestTrain:
         assert model.input_dim == d
         assert (peak - 3 * params) / params < 1.5
 
-    def test_coo_input_matches_dense(self):
+    def test_coo_input_matches_dense(self, monkeypatch):
         data = tfidf_like_rows(30, 40, seed=6)
-        config = AETrainConfig(epochs=2, masking_prob=0.5, hidden_dim=5,
-                               batch_size=4, seed=2)
+        fix_settings(monkeypatch, masking_prob=0.5, batch_size=4)
+        config = AETrainConfig(epochs=2, hidden_dim=5, seed=2)
         model, losses = train(data.tocoo(), config)
         dense_model, dense_losses = train(data.toarray(), config)
         assert losses == dense_losses
@@ -546,8 +566,7 @@ class TestTrain:
 
     def test_out_of_range_data_rejected(self):
         # encode() never rescales its input, so training must not either
-        config = AETrainConfig(epochs=1, masking_prob=0.0, hidden_dim=2,
-                               batch_size=2, seed=0)
+        config = AETrainConfig(epochs=1, hidden_dim=2, seed=0)
         for bad in (5.0, -0.5, np.nan):
             data = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, bad]])
             with pytest.raises(DataError, match=r"\[0, 1\]"):

@@ -5,7 +5,6 @@ flags over config-file values, the set of flags each subcommand accepts,
 the set of config-file keys, and byte-identical output files on reruns.
 """
 
-import inspect
 import json
 import math
 import os
@@ -26,9 +25,8 @@ from dataselect.selection import STRATEGIES, SelectionConfig
 
 COMMON_FLAGS = {
     "-h", "--help", "--config", "--corpus", "--target", "--task", "--representation",
-    "--metric", "--n", "--s", "--m", "--a", "--vocab-cap", "--ae-hidden", "--ae-epochs",
-    "--ae-masking", "--ae-lr", "--ae-batch", "--runs", "--seed", "--out", "--embeddings",
-    "--stopwords",
+    "--metric", "--n", "--s", "--m", "--ae-hidden", "--ae-epochs", "--runs", "--seed",
+    "--out", "--embeddings", "--stopwords",
 }
 
 SUBCOMMAND_FLAGS = {
@@ -50,13 +48,8 @@ CONFIG_KEYS = {
     "n": ("12", 12),
     "s": ("4", 4),
     "m": ("30", 30),
-    "a": ("0.001", 0.001),
-    "vocab_cap": ("50", 50),
     "ae_hidden": ("8", 8),
     "ae_epochs": ("2", 2),
-    "ae_masking": ("0.5", 0.5),
-    "ae_lr": ("0.01", 0.01),
-    "ae_batch": ("16", 16),
     "runs": ("3", 3),
     "seed": ("7", 7),
     "out": ("results", "results"),
@@ -84,13 +77,13 @@ BAD_SPECS = [
     {**SPEC, "target": "x"},
 ]
 
-# a value of each run setting checked before the corpus loads, on every
+# a bad value of each run setting checked before the corpus loads, on every
 # subcommand that loads one
 BAD_RUN_VALUES = [
     command + bad
     for command in (["select"], ["evaluate"], ["sweep", "--n-values", "4"])
-    for bad in (["--a", "nan"], ["--a", "inf"], ["--a", "0"], ["--runs", "0"],
-                ["--vocab-cap", "0"], ["--stopwords", ""],
+    for bad in (["--s", "0"], ["--m", "0"], ["--ae-epochs", "0"], ["--runs", "0"],
+                ["--ae-hidden", "0"], ["--stopwords", ""],
                 ["--representation", "embedding", "--embeddings", ""],
                 ["--representation", "embedding"])
 ]
@@ -138,7 +131,7 @@ class TestExitCodes:
         assert cli.main(["select", "--bogus-flag"] + args) == 1
         assert cli.main(["select", "--corpus", str(data["corpus"]), "--out", str(tmp_path)]) == 1
         assert cli.main(["select", "--ae-hidden", "0"] + args) == 1
-        assert cli.main(["select", "--ae-lr", "0"] + args) == 1
+        assert cli.main(["select", "--ae-epochs", "0"] + args) == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -182,9 +175,9 @@ class TestExitCodes:
         "argv",
         [
             ["select", "--ae-hidden", "0"],
-            ["evaluate", "--ae-lr", "-1"],
-            ["sweep", "--n-values", "4", "--ae-batch", "0"],
-            ["select", "--ae-lr", "inf"],
+            ["evaluate", "--ae-epochs", "-1"],
+            ["sweep", "--n-values", "4", "--ae-hidden", "-2"],
+            ["select", "--ae-epochs", "0"],
         ]
         + BAD_RUN_VALUES,
     )
@@ -227,7 +220,7 @@ class TestExitCodes:
         assert not any(tmp_path.iterdir())
 
     def test_generate_rejects_run_flags(self, tmp_path, capsys):
-        argv = ["generate", "--catalog", "--seed", "3", "--runs", "0", "--ae-lr", "-1",
+        argv = ["generate", "--catalog", "--seed", "3", "--runs", "0", "--ae-epochs", "0",
                 "--n", "5", "--corpus", str(tmp_path / "nothing.jsonl"),
                 "--out", str(tmp_path / "x")]
         assert cli.main(argv) == 1
@@ -237,7 +230,7 @@ class TestExitCodes:
     def test_generate_rejects_config_keys_it_does_not_read(self, tmp_path, capsys):
         config = tmp_path / "bad.conf"
         config.write_text(
-            f"seed = 3\nruns = 0\nae_lr = -1\nn = 5\ncorpus = {tmp_path / 'nothing.jsonl'}\n",
+            f"seed = 3\nruns = 0\nae_epochs = 0\nn = 5\ncorpus = {tmp_path / 'nothing.jsonl'}\n",
             encoding="utf-8",
         )
         argv = ["generate", "--catalog", "--config", str(config), "--out", str(tmp_path / "x")]
@@ -390,16 +383,79 @@ class TestExitCodes:
         assert stopwords == [frozenset({"movie", "the"})] * 2
         assert selections[0] == selections[1]
 
+    def test_domain_with_a_tab_or_line_break_is_two(self, data, tmp_path, capsys):
+        # a results.tsv row holds the domain as a field: a tab in it added one
+        lines = data["corpus"].read_text("utf-8").splitlines(keepends=True)
+        for name, domain in (("tab", "tar\tget"), ("newline", "tar\nget")):
+            corpus = tmp_path / f"{name}.jsonl"
+            moved = json.dumps({**json.loads(lines[1]), "domain": domain}) + "\n"
+            corpus.write_text(lines[0] + moved + "".join(lines[2:]), encoding="utf-8")
+            argv = ["evaluate", "--corpus", str(corpus), "--target", domain,
+                    "--out", str(tmp_path / "out")] + SMALL
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {corpus}, line 2: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, taken, kind",
+        [
+            (["select"], "selection_ids.txt", "directory"),
+            (["select"], "selection.json", "directory"),
+            (["evaluate", "--runs", "1"], "results.tsv", "directory"),
+            (["evaluate", "--runs", "1"], "results.json", "directory"),
+            (["sweep", "--n-values", "4", "--runs", "1"], "sweep.tsv", "directory"),
+            (["generate", "--spec", "SPEC"], "all.jsonl", "directory"),
+            (["generate", "--spec", "SPEC"], "near.jsonl", "directory"),
+            (["generate", "--catalog"], "graded", "file"),
+        ],
+    )
+    def test_output_path_that_is_taken_is_one(self, data, tmp_path, capsys, argv, taken, kind):
+        """A result file whose path is a directory, or an output directory
+        whose path is a file, is a one-line error naming it, not a traceback."""
+        out = tmp_path / "out"
+        out.mkdir()
+        if kind == "directory":
+            (out / taken).mkdir()
+        else:
+            (out / taken).write_text("taken\n", encoding="utf-8")
+        argv = [str(data["spec"]) if a == "SPEC" else a for a in argv]
+        if argv[0] != "generate":
+            argv += ["--corpus", str(data["corpus"]), "--target", "tgt", "--n", "10",
+                     "--strategies" if argv[0] != "select" else "--strategy", "instance"]
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / taken}: ") and err.count("\n") == 1
+
+    def test_stopwords_with_capitals_match_lowercased_text(self, data, tmp_path, monkeypatch):
+        """Text is lowercased before stopwords are removed, so a listed ``The``
+        or ``MOVIE`` removes ``the`` and ``movie`` as the lowercase entries do."""
+        stopwords = []
+        tokenize = cli.tokenize_corpus
+        monkeypatch.setattr(cli, "tokenize_corpus",
+                            lambda corpus, stop: stopwords.append(stop) or tokenize(corpus, stop))
+        selections = []
+        for name, listed in (("upper", "The\nMOVIE\n"), ("lower", "the\nmovie\n")):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(listed, encoding="utf-8")
+            out = tmp_path / name
+            assert cli.main(["select", "--stopwords", str(path)] + base_args(data, out)) == 0
+            selections.append((out / "selection_ids.txt").read_bytes())
+        assert stopwords == [frozenset({"the", "movie"})] * 2
+        assert preprocess("The movie was great", stopwords[0]) == ["was", "great"]
+        assert selections[0] == selections[1]
+
     def test_missing_corpus_is_two(self, tmp_path):
         missing = tmp_path / "missing.jsonl"
         assert cli.main(["select", "--corpus", str(missing), "--target", "tgt",
                          "--out", str(tmp_path)]) == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence is the point
-    def test_numerical_failure_is_three(self, data, tmp_path):
+    def test_numerical_failure_is_three(self, data, tmp_path, monkeypatch):
+        monkeypatch.setattr(AETrainConfig, "learning_rate", 1e308)
+        monkeypatch.setattr(AETrainConfig, "batch_size", 8)
         args = base_args(data, tmp_path) + [
-            "--representation", "autoencoder", "--ae-lr", "1e308", "--ae-hidden", "4",
-            "--ae-epochs", "2", "--ae-batch", "8",
+            "--representation", "autoencoder", "--ae-hidden", "4", "--ae-epochs", "2",
         ]
         assert cli.main(["select"] + args) == 3
 
@@ -460,9 +516,7 @@ class TestConfiguration:
             cli.RunConfig(corpus=str(data["corpus"]), target="tgt"), labeled_pool_only=True
         )
         assert stopwords == [None]
-        library = inspect.signature(evaluation.prepare_context).parameters
         assert captured["ae_config"] == AETrainConfig(seed=cli.substream_seed(0, "autoencoder"))
-        assert captured["sif_a"] == library["sif_a"].default
 
     def test_config_keys_are_the_run_config_fields(self):
         assert {f.name for f in fields(cli.RunConfig)} == set(CONFIG_KEYS)

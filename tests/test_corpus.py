@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dataselect import corpus as corpus_module
 from dataselect.corpus import (
     Corpus,
     Document,
@@ -17,7 +18,7 @@ from dataselect.corpus import (
     term_counts,
     tokenize_corpus,
 )
-from dataselect.errors import ConfigError, DataError, ParseError
+from dataselect.errors import DataError, ParseError
 
 from conftest import gram_strings, make_corpus, vocabulary, write_jsonl
 
@@ -95,6 +96,18 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="line 2.*one non-empty line"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("domain", ["tar\tget", "a\nb", "a\rb", "a\u2028b"])
+    def test_domain_must_be_one_line_without_a_tab(self, tmp_path, domain):
+        # a domain is a results.tsv field, where a tab or line break adds a field or a row
+        with pytest.raises(DataError, match="not a tab-free line"):
+            Document(id="x", text="t", domain=domain)
+        path = write_jsonl(
+            tmp_path / "c.jsonl",
+            [{"id": "ok", "text": "x", "domain": "a"}, {"id": "b", "text": "x", "domain": domain}],
+        )
+        with pytest.raises(ParseError, match="line 2.*not a tab-free line"):
+            load_corpus(path)
+
     def test_reload_is_identical(self, tmp_path):
         rows = [
             {"id": f"r{i}", "text": f"text {i}", "domain": "books" if i % 2 else "dvd",
@@ -156,39 +169,46 @@ class TestPreprocess:
 
 
 class TestVocabulary:
-    def test_frequency_ranking(self):
-        vocab = build_vocabulary(encode(["a a a b b c"]), cap=2)
+    """The cap binds through ``VOCAB_CAP``, patched to a small value."""
+
+    def test_frequency_ranking(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "VOCAB_CAP", 2)
+        vocab = build_vocabulary(encode(["a a a b b c"]))
         assert vocab == ("a", "b")
 
-    def test_lexicographic_tie_break(self):
-        vocab = build_vocabulary(encode(["b a b a"]), cap=1)
+    def test_lexicographic_tie_break(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "VOCAB_CAP", 1)
+        vocab = build_vocabulary(encode(["b a b a"]))
         assert vocab == ("a",)
 
-    def test_cap_bounds_size(self):
-        vocab = build_vocabulary(encode([" ".join(f"tok{i}" for i in range(50))]), cap=10)
+    def test_cap_bounds_size(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "VOCAB_CAP", 10)
+        vocab = build_vocabulary(encode([" ".join(f"tok{i}" for i in range(50))]))
         assert len(vocab) == 10
 
+    def test_default_cap_keeps_ten_thousand(self):
+        vocab = build_vocabulary(encode([" ".join(f"tok{i}" for i in range(10_050))]))
+        assert len(vocab) == corpus_module.VOCAB_CAP == 10_000
+
     def test_empty_corpus_is_valid(self):
-        vocab = build_vocabulary(tokenize_corpus(Corpus([])), cap=5)
+        vocab = build_vocabulary(tokenize_corpus(Corpus([])))
         assert len(vocab) == 0
 
-    def test_cap_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            build_vocabulary(tokenize_corpus(Corpus([])), cap=0)
-
-    def test_permutation_invariance(self):
+    def test_permutation_invariance(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "VOCAB_CAP", 3)
         rows = [
             ("1", "apple banana apple", "x", None),
             ("2", "banana cherry", "y", None),
             ("3", "cherry cherry apple", "x", None),
         ]
-        forward = build_vocabulary(tokenize_corpus(make_corpus(rows), NO_STOP), cap=3)
-        backward = build_vocabulary(tokenize_corpus(make_corpus(rows[::-1]), NO_STOP), cap=3)
+        forward = build_vocabulary(tokenize_corpus(make_corpus(rows), NO_STOP))
+        backward = build_vocabulary(tokenize_corpus(make_corpus(rows[::-1]), NO_STOP))
         assert forward == backward
 
-    def test_counts_across_all_domains(self):
+    def test_counts_across_all_domains(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "VOCAB_CAP", 1)
         rows = [("1", "a a", "x", None), ("2", "b b b", "y", None)]
-        vocab = build_vocabulary(tokenize_corpus(make_corpus(rows), NO_STOP), cap=1)
+        vocab = build_vocabulary(tokenize_corpus(make_corpus(rows), NO_STOP))
         assert vocab == ("b",)
 
 

@@ -8,12 +8,14 @@ their matrices exactly: the same ``data``, ``indices`` and ``indptr``.
 
 import math
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dataselect import corpus as corpus_module
 from dataselect.corpus import (
     TfidfModel,
     build_vocabulary,
@@ -139,7 +141,8 @@ def test_vocabulary_counts_and_ae_tfidf_match_token_lists(texts, data):
     encoded, token_lists = encode(texts)
     distinct = len({t for tokens in token_lists for t in tokens})
     cap = data.draw(st.integers(1, max(1, distinct)), label="cap")  # binds below distinct
-    vocab = build_vocabulary(encoded, cap)
+    with patch.object(corpus_module, "VOCAB_CAP", cap):
+        vocab = build_vocabulary(encoded)
     assert vocab == ref_vocabulary(token_lists, cap)
     index = {t: j for j, t in enumerate(vocab)}
 

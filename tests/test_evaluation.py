@@ -351,9 +351,9 @@ def corpus():
 @pytest.fixture(scope="module")
 def prepare(corpus):
     """A fresh term-distribution context for a target domain, built without
-    stopwords over a 2,000-token vocabulary."""
+    stopwords over the corpus's whole vocabulary (far below the cap)."""
     encoded = tokenize_corpus(corpus, frozenset())
-    vocab = build_vocabulary(encoded, 2000)
+    vocab = build_vocabulary(encoded)
     return lambda target="tgt": prepare_context(corpus, encoded, vocab, target, "term_dist")
 
 
@@ -413,7 +413,7 @@ class TestContextMemory:
         """Beyond the representation matrix, the context keeps per-document
         ids and row numbers only, far less than a copy of the pool's rows."""
         encoded = tokenize_corpus(corpus, frozenset())
-        vocab = build_vocabulary(encoded, 2000)
+        vocab = build_vocabulary(encoded)
         rng = np.random.default_rng(0)
         dim = 256
         table = EmbeddingTable({t: rng.normal(size=dim) for t in vocab}, dim=dim)

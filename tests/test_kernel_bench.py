@@ -102,7 +102,7 @@ def first_round(scenario, representation):
     pool document available, M candidates of S."""
     scenario = synthetic.benchmark_suite(0)[scenario]
     encoded = tokenize_corpus(scenario.corpus)
-    vocab = build_vocabulary(encoded, 10000)
+    vocab = build_vocabulary(encoded)
     table = None
     if representation == "embedding":
         rng = np.random.default_rng(0)
@@ -201,7 +201,7 @@ def test_ae_loss_and_gradients_batch(benchmark):
     batch = sp.random(
         BATCH, VOCAB, density=15 / VOCAB, format="csr", random_state=1
     ).toarray()
-    corrupted = autoencoder.corrupt(batch, 0.8, rng)
+    corrupted = autoencoder.corrupt(batch, rng)
     loss, grads = benchmark.pedantic(
         autoencoder.loss_and_gradients,
         args=(model, corrupted, batch),
@@ -263,7 +263,7 @@ def test_tfidf_fit_transform(benchmark):
 def test_sif_rows(benchmark):
     corpus = synthetic.benchmark_suite(0)["blended"].corpus
     encoded = tokenize_corpus(corpus)
-    vocab = build_vocabulary(encoded, 10000)
+    vocab = build_vocabulary(encoded)
     rng = np.random.default_rng(0)
     table = EmbeddingTable({t: rng.standard_normal(DIM) for t in vocab}, dim=DIM)
     space = benchmark.pedantic(
@@ -280,7 +280,7 @@ def test_sif_rows(benchmark):
 def test_proxy_a_fit(benchmark):
     scenario = synthetic.benchmark_suite(0)["blended"]
     encoded = tokenize_corpus(scenario.corpus)
-    vocab = build_vocabulary(encoded, 10000)
+    vocab = build_vocabulary(encoded)
     context = evaluation.prepare_context(
         scenario.corpus, encoded, vocab, scenario.target_domain, "term_dist"
     )

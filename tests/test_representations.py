@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dataselect import corpus as corpus_module
+from dataselect import representations
 from dataselect.autoencoder import AEModel, AETrainConfig, encode, train
 from dataselect.corpus import (
     build_vocabulary,
@@ -53,12 +56,12 @@ def dense_space(vecs):
     )
 
 
-def sif_space(rows, table, a=1e-5, vocab=None):
+def sif_space(rows, table, vocab=None):
     """Embedding space over ``rows`` of (id, text, domain)."""
     corpus = make_corpus((i, text, domain, None) for i, text, domain in rows)
     if vocab is None:
-        vocab = build_vocabulary(tokenize_corpus(corpus, NO_STOP), cap=1000)
-    return build(corpus, "embedding", vocab, embedding_table=table, sif_a=a)
+        vocab = build_vocabulary(tokenize_corpus(corpus, NO_STOP))
+    return build(corpus, "embedding", vocab, embedding_table=table)
 
 
 def sif_per_document(corpus, vocab, table, a):
@@ -158,13 +161,15 @@ class TestSifEmbedding:
         expected = math.sqrt(1e-5 / 0.1) * np.array([1.0, 0.0])
         assert np.allclose(space.matrix[0], expected, atol=1e-12)
 
-    def test_two_tokens_hand_computed(self, table):
+    def test_two_tokens_hand_computed(self, table, monkeypatch):
         # weighted sum over occurrences divided by the in-table count;
-        # domain frequencies: p(hot) = 4 / 20, p(cold) = 1 / 20
-        a = 1e-5
+        # domain frequencies: p(hot) = 4 / 20, p(cold) = 1 / 20; the weights
+        # read SIF_A, patched away from its 1e-5
+        a = 1e-3
+        monkeypatch.setattr(representations, "SIF_A", a)
         space = sif_space(
             [("q", "hot cold", "x"), ("r", " ".join(["hot"] * 3 + ["filler"] * 15), "x")],
-            table, a=a,
+            table,
         )
         w_hot = math.sqrt(a / 0.2)
         w_cold = math.sqrt(a / 0.05)
@@ -188,16 +193,6 @@ class TestSifEmbedding:
         space = sif_space([("q", "hot cold", "x"), ("r", "hot", "x")], table, vocab=vocab)
         expected = math.sqrt(1e-5) * np.array([1.0, 0.0])
         assert np.allclose(space.matrix[0], expected, atol=1e-12)
-
-    def test_nonpositive_smoothing_rejected(self, table):
-        with pytest.raises(ConfigError):
-            sif_space([("q", "hot", "x")], table, a=0.0)
-
-    @pytest.mark.parametrize("a", [math.nan, math.inf, -1.0])
-    def test_nonfinite_or_negative_smoothing_rejected(self, table, a):
-        # a NaN or infinite a would make every row non-finite without an error
-        with pytest.raises(ConfigError, match="finite and > 0"):
-            sif_space([("q", "hot", "x")], table, a=a)
 
     def test_token_order_invariance(self, table):
         space = sif_space([("q", "hot cold hot", "x"), ("r", "cold hot hot", "x")], table)
@@ -283,9 +278,10 @@ class TestSifRows:
     def test_bytes_equal_positionwise_sums(self, case):
         corpus, vocab, table, a = case
         encoded = tokenize_corpus(corpus, NO_STOP)
-        space = build_representation_space(
-            corpus, encoded, "embedding", vocab, embedding_table=table, sif_a=a
-        )
+        with patch.object(representations, "SIF_A", a):
+            space = build_representation_space(
+                corpus, encoded, "embedding", vocab, embedding_table=table
+            )
         oracle = positionwise_sif_rows(corpus, encoded, vocab, table, a)
         assert space.matrix.dtype == oracle.dtype and space.matrix.shape == oracle.shape
         assert space.matrix.tobytes() == oracle.tobytes()
@@ -412,7 +408,7 @@ class TestRepresentationSpace:
         expected[vocab.index("cold")] = 0.6
         assert np.allclose(dist.probs, expected, atol=1e-12)
 
-    def test_embedding_space_uses_own_domain_frequencies(self, corpus, vocab):
+    def test_embedding_space_uses_own_domain_frequencies(self, corpus, vocab, monkeypatch):
         # bit-identical to the per-document loop, here and on a generated corpus
         # whose table also holds tokens outside the vocabulary
         table = EmbeddingTable(
@@ -432,13 +428,15 @@ class TestRepresentationSpace:
             DomainSpec(name="tgt", seed=3, **shape),
         )
         encoded = tokenize_corpus(big, NO_STOP)
-        big_vocab = build_vocabulary(encoded, cap=60)
+        monkeypatch.setattr(corpus_module, "VOCAB_CAP", 60)
+        monkeypatch.setattr(representations, "SIF_A", 1e-3)
+        big_vocab = build_vocabulary(encoded)
         rng = np.random.default_rng(4)
         table = EmbeddingTable(
             {t: rng.normal(size=7) for t in encoded.unigrams if rng.random() < 0.7}, dim=7
         )
         space = build_representation_space(
-            big, encoded, "embedding", big_vocab, embedding_table=table, sif_a=1e-3
+            big, encoded, "embedding", big_vocab, embedding_table=table
         )
         oracle = sif_per_document(big, big_vocab, table, 1e-3)
         assert np.array_equal(space.matrix, oracle)
@@ -447,7 +445,7 @@ class TestRepresentationSpace:
         features = ae_input_features(tokenize_corpus(corpus, NO_STOP), vocab)
         model, _ = train(
             features,
-            AETrainConfig(epochs=2, masking_prob=0.5, hidden_dim=4, batch_size=2, seed=1),
+            AETrainConfig(epochs=2, hidden_dim=4, seed=1),
         )
         space = build(corpus, "autoencoder", vocab, ae_model=model, ae_features=features)
         direct = encode(model, features[0])

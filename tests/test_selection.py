@@ -1211,7 +1211,7 @@ class TestMonotonicityHarness:
                                  private_vocab_size=20)
         corpus = generate(specs, target_spec)
         encoded = tokenize_corpus(corpus, frozenset())
-        vocab = build_vocabulary(encoded, 5000)
+        vocab = build_vocabulary(encoded)
         space = build_representation_space(corpus, encoded, "term_dist", vocab)
         pool = [d for d in corpus if d.domain != "tgt"]
         target = space.aggregate([d.id for d in corpus.domain_documents("tgt")])

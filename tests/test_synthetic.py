@@ -68,7 +68,7 @@ class TestGenerate:
         target = spec("tgt", 1.0, seed=12)
         corpus = generate(specs, target)
         encoded = tokenize_corpus(corpus, NO_STOP)
-        vocab = build_vocabulary(encoded, 5000)
+        vocab = build_vocabulary(encoded)
         space = build_representation_space(corpus, encoded, "term_dist", vocab)
         target_dist = space.aggregate([d.id for d in corpus.domain_documents("tgt")])
         js = {
@@ -198,7 +198,7 @@ class TestBenchmarkSuite:
         scenario = suite["graded"]
         corpus = scenario.corpus
         encoded = tokenize_corpus(corpus, NO_STOP)
-        vocab = build_vocabulary(encoded, 10_000)
+        vocab = build_vocabulary(encoded)
         space = build_representation_space(corpus, encoded, "term_dist", vocab)
         target_dist = space.aggregate(
             [d.id for d in corpus.domain_documents(scenario.target_domain)]
