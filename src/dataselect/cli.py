@@ -37,7 +37,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Iterable, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -79,6 +79,12 @@ def substream_seed(base_seed: int, name: str) -> int:
 
 RUN_COMMANDS = ("select", "evaluate", "sweep")
 COMMANDS = RUN_COMMANDS + ("generate",)  # generate reads only --seed and --out
+# the files each run command writes into ``out``
+OUTPUT_FILES = {
+    "select": ("selection_ids.txt", "selection.json"),
+    "evaluate": ("results.tsv", "results.json"),
+    "sweep": ("sweep.tsv",),
+}
 
 
 def _option(default, *, help=None, choices=None, commands=RUN_COMMANDS):
@@ -137,9 +143,6 @@ class RunConfig:
                 raise ConfigError(f"strategy {strategy!r} is listed twice")
         if self.seed < 0:  # ``np.random.SeedSequence`` takes no negative entropy
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        out = Path(self.out)
-        if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
-            raise ConfigError(f"out must name a directory, but {self.out} is not one")
 
     @property
     def resolved_n(self) -> int:
@@ -202,7 +205,11 @@ def load_config_file(path: str | Path) -> dict:
 
 def build_run_config(args: argparse.Namespace, command: str) -> RunConfig:
     """The file's values, overridden by the flags given. A ``generate`` config
-    file may set only the keys ``generate`` reads (those it has flags for)."""
+    file may set only the keys ``generate`` reads (those it has flags for).
+
+    The files a run command writes are checked here, before any input is
+    read; ``generate`` checks its files once it has generated them.
+    """
     values = load_config_file(args.config) if getattr(args, "config", None) else {}
     if command == "generate":
         read = {f.name for f in fields(RunConfig) if command in f.metadata["commands"]}
@@ -213,7 +220,9 @@ def build_run_config(args: argparse.Namespace, command: str) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    return RunConfig(**values)
+    config = RunConfig(**values)
+    _check_outputs(Path(config.out), OUTPUT_FILES.get(command, ()))
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +310,25 @@ def _output(path: Path):
         raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
 
 
-def _write_outputs(config: RunConfig, files: dict[str, str]) -> Path:
-    """Create the ``out`` directory and write each named file into it."""
+def _check_outputs(out: Path, names: Iterable[str | Path]) -> None:
+    """Fail before anything is written when a file ``out / name`` could not
+    be: a directory on its path (``out`` included) is a file, or the file's
+    own path is a directory."""
+    for target in (out / name for name in names):
+        for path in target.parents:
+            if path.exists() and not path.is_dir():
+                raise ConfigError(f"cannot write {path}: it is a file, not a directory")
+        if target.is_dir():
+            raise ConfigError(f"cannot write {target}: it is a directory")
+
+
+def _write_outputs(config: RunConfig, command: str, *texts: str) -> Path:
+    """Create the ``out`` directory and write the command's ``OUTPUT_FILES``
+    into it, one text each, in order."""
     out = Path(config.out)
     with _output(out):
         out.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
+        for name, text in zip(OUTPUT_FILES[command], texts, strict=True):
             (out / name).write_text(text, encoding="utf-8")
     return out
 
@@ -323,10 +345,11 @@ def cmd_select(config: RunConfig) -> int:
     sel_config = _selection_config(config, config.strategy)
     context = _build_context(config, labeled_pool_only=False)
     result = run_selection(context, sel_config, substream_seed(config.seed, "selection"))
-    out = _write_outputs(config, {
-        "selection_ids.txt": "".join(doc_id + "\n" for doc_id in result.chosen),
-        "selection.json": _json_text({"config": config.echo(), "result": asdict(result)}),
-    })
+    out = _write_outputs(
+        config, "select",
+        "".join(doc_id + "\n" for doc_id in result.chosen),
+        _json_text({"config": config.echo(), "result": asdict(result)}),
+    )
     print(
         f"selected {len(result.chosen)} of {sel_config.n} requested "
         f"({config.strategy}, {sel_config.resolved_metric}) -> {out}/selection_ids.txt"
@@ -367,14 +390,15 @@ def cmd_evaluate(config: RunConfig) -> int:
             result.target_domain, result.strategy, result.representation, result.metric,
             f"{result.mean:.6f}", f"{result.std:.6f}", *p_values, marks,
         ]))
-    out = _write_outputs(config, {
-        "results.tsv": "".join(lines),
-        "results.json": _json_text({
+    out = _write_outputs(
+        config, "evaluate",
+        "".join(lines),
+        _json_text({
             "config": config.echo(),
             "results": [asdict(r) for r in results],
             "significance": significance,
         }),
-    })
+    )
     print(f"wrote {out}/results.tsv and {out}/results.json ({len(results)} rows)")
     return 0
 
@@ -396,7 +420,7 @@ def cmd_sweep(config: RunConfig, n_values: list[int]) -> int:
         _format_row([str(c.n), c.strategy, f"{r.mean:.6f}", f"{r.std:.6f}"])
         for c, r in zip(sel_configs, results)
     ]
-    out = _write_outputs(config, {"sweep.tsv": "".join(lines)})
+    out = _write_outputs(config, "sweep", "".join(lines))
     print(f"wrote {out}/sweep.tsv ({len(lines) - 1} data rows)")
     return 0
 
@@ -417,18 +441,19 @@ def _domain_spec_from_dict(obj: dict, default_seed: int) -> DomainSpec:
         raise ConfigError(f"bad domain spec: {exc}") from None
 
 
-def _write_corpus_files(corpus: Corpus, out_dir: Path) -> list[Path]:
-    written = []
-    with _output(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
+def _write_corpora(out: Path, corpora: dict[str, Corpus]) -> None:
+    """Write each corpus into ``out / subdirectory`` as one file per domain
+    plus ``all.jsonl``, once every one of those paths has been checked."""
+    files = {}
+    for subdirectory, corpus in corpora.items():
         for domain in sorted(corpus.domains):
-            path = out_dir / f"{domain}.jsonl"
-            save_corpus(Corpus(corpus.domain_documents(domain)), path)
-            written.append(path)
-        all_path = out_dir / "all.jsonl"
-        save_corpus(corpus, all_path)
-        written.append(all_path)
-    return written
+            files[Path(subdirectory, f"{domain}.jsonl")] = Corpus(corpus.domain_documents(domain))
+        files[Path(subdirectory, "all.jsonl")] = corpus
+    _check_outputs(out, files)
+    with _output(out):
+        for name, corpus in files.items():
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            save_corpus(corpus, out / name)
 
 
 def cmd_generate(config: RunConfig, spec_file: str | None, catalog: bool) -> int:
@@ -437,29 +462,30 @@ def cmd_generate(config: RunConfig, spec_file: str | None, catalog: bool) -> int
     if catalog and spec_file:
         raise ConfigError("generate takes --catalog or a spec file, not both")
     if catalog:
-        for name, scenario in benchmark_suite(generator_seed).items():
-            written = _write_corpus_files(scenario.corpus, out / name)
-            print(f"scenario {name}: {len(written)} files under {out / name}")
-        return 0
-    if not spec_file:
+        corpora = {name: s.corpus for name, s in benchmark_suite(generator_seed).items()}
+    elif not spec_file:
         raise ConfigError("generate needs either --catalog or a spec file")
-    spec_path = Path(spec_file)
-    try:
-        spec_obj = json.loads("".join(_text_lines(spec_path, "spec file", ConfigError)))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{spec_path}: invalid JSON ({exc.msg})") from None
-    if not (isinstance(spec_obj, dict) and "target" in spec_obj
-            and isinstance(spec_obj.get("sources"), list)):
-        raise ConfigError(f"{spec_path}: expected an object with 'target' and a list 'sources'")
-    target = _domain_spec_from_dict(spec_obj["target"], generator_seed)
-    sources = [
-        _domain_spec_from_dict(source, substream_seed(generator_seed, f"source{i}"))
-        for i, source in enumerate(spec_obj["sources"])
-    ]
-    corpus = generate(sources, target)
-    written = _write_corpus_files(corpus, out)
-    print(f"generated {len(corpus)} documents across {len(corpus.domains)} domains; "
-          f"{len(written)} files under {out}")
+    else:
+        spec_path = Path(spec_file)
+        try:
+            spec_obj = json.loads("".join(_text_lines(spec_path, "spec file", ConfigError)))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{spec_path}: invalid JSON ({exc.msg})") from None
+        if not (isinstance(spec_obj, dict) and "target" in spec_obj
+                and isinstance(spec_obj.get("sources"), list)):
+            raise ConfigError(
+                f"{spec_path}: expected an object with 'target' and a list 'sources'"
+            )
+        target = _domain_spec_from_dict(spec_obj["target"], generator_seed)
+        sources = [
+            _domain_spec_from_dict(source, substream_seed(generator_seed, f"source{i}"))
+            for i, source in enumerate(spec_obj["sources"])
+        ]
+        corpora = {"": generate(sources, target)}
+    _write_corpora(out, corpora)
+    for name, corpus in corpora.items():
+        print(f"generated {len(corpus)} documents across {len(corpus.domains)} domains; "
+              f"{len(corpus.domains) + 1} files under {out / name}")
     return 0
 
 

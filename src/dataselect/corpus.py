@@ -80,13 +80,16 @@ class Corpus:
     """
 
     def __init__(self, documents: Iterable[Document]):
-        self.documents: list[Document] = list(documents)
+        """Take the documents in order, checking each id as it is consumed, so
+        a caller that passes a generator knows which document was refused."""
+        self.documents: list[Document] = []
         self._by_domain: dict[str, list[int]] = {}
         seen: set[str] = set()
-        for row, doc in enumerate(self.documents):
+        for row, doc in enumerate(documents):
             if doc.id in seen:
                 raise DataError(f"duplicate document id {doc.id!r}")
             seen.add(doc.id)
+            self.documents.append(doc)
             self._by_domain.setdefault(doc.domain, []).append(row)
 
     @property
@@ -125,17 +128,29 @@ def _text_lines(path: Path, what: str, error: type[Exception] = DataError) -> It
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Load a corpus from the canonical JSONL format, preserving file order."""
+    """Load a corpus from the canonical JSONL format, preserving file order.
+
+    A line that is not a valid document, or that repeats an earlier line's
+    id, is a ``ParseError`` naming the file and the line. The lines are read
+    as the documents are consumed.
+    """
     path = Path(path)
-    documents = []
-    for lineno, line in enumerate(_text_lines(path, "corpus file"), start=1):
-        if not line.strip():
-            continue
-        try:
-            documents.append(_parse_document(line))
-        except DataError as exc:
-            raise ParseError(str(exc), path, lineno) from None
-    return Corpus(documents)
+    current = 0  # the line whose document is being parsed or added; 0 while reading
+
+    def documents() -> Iterator[Document]:
+        nonlocal current
+        for lineno, line in enumerate(_text_lines(path, "corpus file"), start=1):
+            if line.strip():
+                current = lineno
+                yield _parse_document(line)
+                current = 0
+
+    try:
+        return Corpus(documents())
+    except DataError as exc:
+        if not current:  # the file itself: missing, a directory or not UTF-8
+            raise
+        raise ParseError(str(exc), path, current) from None
 
 
 def _parse_document(line: str) -> Document:
@@ -215,12 +230,11 @@ def tokenize_corpus(corpus: Corpus, stopwords: frozenset[str] | None = None) -> 
     token strings; everything downstream reads the integer arrays of the
     result.
     """
-    stop = default_stopwords() if stopwords is None else stopwords
     seen: dict[str, int] = {}  # token -> id in first-seen order
     first_ids = array("q")
     lengths = []
     for doc in corpus:
-        tokens = preprocess(doc.text, stop)
+        tokens = preprocess(doc.text, stopwords)
         first_ids.extend([seen.setdefault(t, len(seen)) for t in tokens])
         lengths.append(len(tokens))
     unigrams = {token: i for i, token in enumerate(sorted(seen))}

@@ -224,7 +224,11 @@ class SignificanceResult:
     t: float
     df: int
     p: float
-    significant: bool  # two-sided p < 0.05
+
+    @property
+    def significant(self) -> bool:
+        """Two-sided p below 0.05."""
+        return self.p < 0.05
 
 
 def t_test(runs_a: list[float], runs_b: list[float]) -> SignificanceResult:
@@ -244,14 +248,12 @@ def t_test(runs_a: list[float], runs_b: list[float]) -> SignificanceResult:
     pooled = ((n1 - 1) * a.var(ddof=1) + (n2 - 1) * b.var(ddof=1)) / df
     if pooled == 0.0:
         if diff == 0.0:
-            return SignificanceResult(t=0.0, df=df, p=1.0, significant=False)
+            return SignificanceResult(t=0.0, df=df, p=1.0)
         warnings.warn("zero pooled variance with unequal means; p collapses to 0")
-        return SignificanceResult(
-            t=float("inf") if diff > 0 else float("-inf"), df=df, p=0.0, significant=True
-        )
+        return SignificanceResult(t=float("inf") if diff > 0 else float("-inf"), df=df, p=0.0)
     t = diff / np.sqrt(pooled * (1.0 / n1 + 1.0 / n2))
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
-    return SignificanceResult(t=float(t), df=df, p=p, significant=p < 0.05)
+    return SignificanceResult(t=float(t), df=df, p=p)
 
 
 # ---------------------------------------------------------------------------

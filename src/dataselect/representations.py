@@ -224,11 +224,6 @@ def build_representation_space(
             raise ConfigError(
                 "autoencoder representation requires a trained model and its input features"
             )
-        if ae_features.shape[1] != ae_model.input_dim:
-            raise DataError(
-                f"feature space of width {ae_features.shape[1]} does not match "
-                f"autoencoder input dim {ae_model.input_dim}"
-            )
         matrix = ae.encode(ae_model, ae_features)
     return RepresentationSpace(kind=kind, doc_ids=doc_ids, index=index, matrix=matrix)
 

@@ -309,23 +309,23 @@ def select_domain_level(
     n: int,
     seed: int,
 ) -> SelectionResult:
-    """Sample ``n`` examples from the single most target-similar source domain.
+    """Sample ``n`` examples from the single most target-similar source domain
+    that has documents in the pool.
 
     ``domain_scores`` holds each source domain's score; a NaN score (a domain
-    with no usable representation) is skipped. Ties rank lexicographically; a
-    too-small winner is NOT topped up from the runner-up (the shortfall is
-    recorded instead).
+    with no usable representation) is skipped, as is a domain with no pool
+    documents (say, one whose documents are all unlabeled), whose text still
+    informs the scores. Ties rank lexicographically; a too-small winner is
+    NOT topped up from the runner-up (the shortfall is recorded instead).
     """
     if not pool:
         raise DataError("selection pool is empty")
     usable = {d: v for d, v in sorted(domain_scores.items()) if not math.isnan(v)}
-    if not usable:
-        raise DataError("no source domain has a usable representation")
-    names = list(usable)
-    best = names[_rank(np.array(list(usable.values())), METRIC_ORIENTATION[metric], names)[0]]
+    names = sorted(usable.keys() & {doc.domain for doc in pool})
+    if not names:
+        raise DataError("no source domain with pool documents has a usable representation")
+    best = names[_rank(np.array([usable[d] for d in names]), METRIC_ORIENTATION[metric], names)[0]]
     members = [i for i, doc in enumerate(pool) if doc.domain == best]
-    if not members:
-        raise DataError(f"most similar domain {best!r} has no documents in the pool")
     rng = np.random.default_rng(seed)
     take = min(n, len(members))
     picked = [members[j] for j in rng.choice(len(members), size=take, replace=False)]

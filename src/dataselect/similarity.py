@@ -6,18 +6,21 @@ scores are a logistic-regression domain discriminator's probability that a
 source example belongs to the target domain.
 
 Each metric has a scalar form (``js_divergence``, ``cosine``) and a batched
-form used during selection (``js_to_target``, ``cosine_to_target``). The
-scalar forms and the dense batched paths share one row kernel per metric, so
-they agree bit for bit. Sparse JS rows are scored on their support only; that
-sum runs in another order, so it agrees with the dense kernel to within
-1e-12 rather than exactly. The sparse kernel takes ``ln q`` once per call and
-gathers it per nonzero, so each nonzero costs two logs (``ln p`` and
-``ln m``); where ``q`` is zero the gathered term is +0.0, as ``m = p/2`` makes
-``ln m`` negative. Both gathers (``q`` and ``ln q``) are ``take`` calls with
-the row's column indices converted to ``intp`` once, since fancy-indexing with
-a CSR's int32 indices casts them again for every gather; the gathered values,
-and so the scores, are the same whatever the index dtype. Every batched path
-gives a row the same score however the rows are chunked or ordered.
+form used during selection (``js_to_target``, ``cosine_to_target``). A scalar
+form returns a ``SimilarityScore``, whose only field is the value: the metric
+and its orientation (``METRIC_ORIENTATION``) are those of the function called,
+and an empty score is a NaN value. The scalar forms and the dense batched
+paths share one row kernel per metric, so they agree bit for bit. Sparse JS
+rows are scored on their support only; that sum runs in another order, so it
+agrees with the dense kernel to within 1e-12 rather than exactly. The sparse
+kernel takes ``ln q`` once per call and gathers it per nonzero, so each
+nonzero costs two logs (``ln p`` and ``ln m``); where ``q`` is zero the
+gathered term is +0.0, as ``m = p/2`` makes ``ln m`` negative. Both gathers
+(``q`` and ``ln q``) are ``take`` calls with the row's column indices
+converted to ``intp`` once, since fancy-indexing with a CSR's int32 indices
+casts them again for every gather; the gathered values, and so the scores, are
+the same whatever the index dtype. Every batched path gives a row the same
+score however the rows are chunked or ordered.
 
 The dense batched paths (``cosine_to_target`` and dense ``js_to_target``)
 walk their rows in ``autoencoder._row_blocks``, densifying sparse cosine input
@@ -33,6 +36,7 @@ solver's tolerance rather than bit for bit.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -63,9 +67,11 @@ _L2 = 1.0
 @dataclass(frozen=True)
 class SimilarityScore:
     value: float
-    metric: str
-    orientation: str
-    empty: bool = False
+
+    @property
+    def empty(self) -> bool:
+        """The score of an empty distribution, which the caller must exclude."""
+        return math.isnan(self.value)
 
 
 def _is_empty(dist) -> bool:
@@ -99,16 +105,16 @@ def _js_rows_from_probs(P: np.ndarray, q: np.ndarray) -> np.ndarray:
 def js_divergence(P: TermDistribution | np.ndarray, Q: TermDistribution | np.ndarray) -> SimilarityScore:
     """Jensen-Shannon divergence in nats: symmetric, bounded by ln 2.
 
-    Empty-flagged inputs yield an empty sentinel score the caller must
+    An empty input distribution yields an empty (NaN) score the caller must
     exclude.
     """
     if _is_empty(P) or _is_empty(Q):
-        return SimilarityScore(float("nan"), JENSEN_SHANNON, LOWER, empty=True)
+        return SimilarityScore(float("nan"))
     p, q = _as_vector(P), _as_vector(Q)
     if p.shape != q.shape:
         raise DataError(f"distributions differ in length: {p.shape} vs {q.shape}")
     value = float(_js_rows_from_probs(p[None, :], q)[0])
-    return SimilarityScore(value, JENSEN_SHANNON, LOWER)
+    return SimilarityScore(value)
 
 
 def js_to_target(rows: sp.spmatrix | np.ndarray, target: TermDistribution) -> np.ndarray:
@@ -175,7 +181,7 @@ def cosine(a: TermDistribution | np.ndarray, b: TermDistribution | np.ndarray) -
     if va.shape != vb.shape:
         raise DataError(f"vectors differ in dimension: {va.shape} vs {vb.shape}")
     value = float(cosine_to_target(va[None, :], vb)[0])
-    return SimilarityScore(value, COSINE, HIGHER)
+    return SimilarityScore(value)
 
 
 def cosine_to_target(rows: sp.spmatrix | np.ndarray, target: np.ndarray) -> np.ndarray:

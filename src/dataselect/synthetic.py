@@ -27,6 +27,9 @@ from .errors import ConfigError, DataError
 
 _SENTIMENT_PREFIX = {"negative": "badtok", "positive": "goodtok", "neutral": "neutok"}
 
+# The probability that a token after a document's first is a sentiment token.
+SENTIMENT_FRACTION = 0.4
+
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -39,10 +42,10 @@ class DomainSpec:
     ``overlap`` is the fraction of the target's sentiment lexicon this
     domain shares (with identical polarity); overlapping subsets are nested,
     so a 0.6-overlap domain agrees with the target wherever a 0.2-overlap
-    domain does. ``topical_affinity`` is the probability that a topical
-    token comes from the pool shared with the target rather than from this
-    domain's private vocabulary; it defaults to ``overlap``, reflecting that
-    topically close domains also share sentiment vocabulary.
+    domain does. ``overlap`` is also the probability that a topical token
+    comes from the pool shared with the target rather than from this
+    domain's private vocabulary, so topically close domains also share
+    sentiment vocabulary.
     """
 
     name: str
@@ -55,8 +58,6 @@ class DomainSpec:
     seed: int = 0
     labels: tuple[str, ...] = ("negative", "positive")
     lexicon_size: int = 120
-    sentiment_fraction: float = 0.4
-    topical_affinity: float | None = None
 
     def __post_init__(self):
         for name in ("shared_vocab_size", "private_vocab_size", "docs_per_label",
@@ -73,10 +74,6 @@ class DomainSpec:
             raise ConfigError(f"domain name must be alphanumeric, got {self.name!r}")
         if not 0.0 <= self.overlap <= 1.0:
             raise ConfigError(f"overlap must be in [0, 1], got {self.overlap}")
-        if self.topical_affinity is not None and not 0.0 <= self.topical_affinity <= 1.0:
-            raise ConfigError(
-                f"topical_affinity must be in [0, 1], got {self.topical_affinity}"
-            )
         if not 0.0 <= self.label_noise < 0.5:
             raise ConfigError(f"label_noise must be in [0, 0.5), got {self.label_noise}")
         if min(self.shared_vocab_size, self.docs_per_label, self.lexicon_size) < 1:
@@ -86,18 +83,12 @@ class DomainSpec:
         lo, hi = self.doc_length
         if not 1 <= lo <= hi:
             raise ConfigError(f"doc_length must satisfy 1 <= min <= max, got {self.doc_length}")
-        if not 0.0 < self.sentiment_fraction <= 1.0:
-            raise ConfigError("sentiment_fraction must be in (0, 1]")
         for label in self.labels:
             if label not in _SENTIMENT_PREFIX:
                 raise ConfigError(f"unsupported label {label!r}")
         # label noise draws a different label, so each domain needs two
         if len(set(self.labels)) != len(self.labels) or len(self.labels) < 2:
             raise ConfigError(f"labels must be two or more distinct labels, got {self.labels}")
-
-    @property
-    def resolved_topical_affinity(self) -> float:
-        return self.overlap if self.topical_affinity is None else self.topical_affinity
 
 
 def lexicon_catalog(
@@ -144,7 +135,7 @@ def _generate_domain(
     weights = 1.0 / (1.0 + np.arange(spec.shared_vocab_size))
     shared_cum = np.cumsum(weights / weights.sum())
     private = [f"{spec.name}_w{i:03d}" for i in range(spec.private_vocab_size)]
-    p_shared = spec.resolved_topical_affinity if spec.private_vocab_size else 1.0
+    p_shared = spec.overlap if spec.private_vocab_size else 1.0
     lo, hi = spec.doc_length
     docs = []
     serial = 0
@@ -155,7 +146,7 @@ def _generate_domain(
             length = int(rng.integers(lo, hi + 1))
             tokens = [lexicon[rng.integers(len(lexicon))]]  # guarantees recoverability
             for _ in range(length - 1):
-                if rng.random() < spec.sentiment_fraction:
+                if rng.random() < SENTIMENT_FRACTION:
                     tokens.append(lexicon[rng.integers(len(lexicon))])
                 elif rng.random() < p_shared:
                     tokens.append(shared[int(np.searchsorted(shared_cum, rng.random()))])
@@ -212,7 +203,6 @@ def graded_overlap_specs(seed: int = 0) -> tuple[list[DomainSpec], DomainSpec]:
         doc_length=(10, 22),
         label_noise=0.05,
         lexicon_size=120,
-        sentiment_fraction=0.4,
     )
     overlaps = {"alpha": 0.9, "bravo": 0.6, "carol": 0.4, "delta": 0.2, "echo": 0.0}
     specs = [
@@ -233,7 +223,6 @@ def blended_specs(seed: int = 0) -> tuple[list[DomainSpec], DomainSpec]:
         doc_length=(8, 16),
         label_noise=0.08,
         lexicon_size=120,
-        sentiment_fraction=0.4,
     )
     overlaps = [0.85, 0.7, 0.55, 0.45, 0.35, 0.25, 0.15, 0.05]
     specs = [

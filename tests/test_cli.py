@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dataselect import cli, evaluation
+from dataselect import cli, evaluation, selection
 from dataselect.autoencoder import AETrainConfig
 from dataselect.corpus import load_corpus, preprocess
 from dataselect.errors import ConfigError
@@ -75,6 +75,9 @@ BAD_SPECS = [
     {**SPEC, "target": {**SPEC["target"], "doc_length": 5}},
     {**SPEC, "target": {**SPEC["target"], "docs_per_label": 1.5}},
     {**SPEC, "target": "x"},
+    # generator settings that are module constants, not spec keys
+    {**SPEC, "target": {**SPEC["target"], "topical_affinity": 0.5}},
+    {**SPEC, "sources": [{**SPEC["sources"][0], "sentiment_fraction": 0.4}]},
 ]
 
 # a bad value of each run setting checked before the corpus loads, on every
@@ -274,6 +277,49 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"data error: {corpus}, line 1: ")
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
+    def test_duplicate_id_names_its_file_and_line(self, data, tmp_path, capsys):
+        lines = data["corpus"].read_text("utf-8").splitlines(keepends=True)
+        first = json.loads(lines[0])["id"]
+        repeat = json.dumps({**json.loads(lines[2]), "id": first}) + "\n"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(lines[:2]) + repeat + "".join(lines[3:]), encoding="utf-8")
+        argv = ["select", "--corpus", str(corpus), "--target", "tgt",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {corpus}, line 3: duplicate document id {first!r}\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+    def test_domain_level_skips_a_source_domain_without_pool_documents(
+        self, data, tmp_path, monkeypatch
+    ):
+        """An unlabeled source domain still informs the scores, but evaluate's
+        pool holds only labeled documents, so its domain-level selection takes
+        the next domain; select's pool keeps unlabeled documents and takes it."""
+        docs = [json.loads(line) for line in data["corpus"].read_text("utf-8").splitlines()]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join(json.dumps({**d, "label": None} if d["domain"] == "near" else d) + "\n"
+                    for d in docs),
+            encoding="utf-8",
+        )
+        chosen = []
+        select_domain_level = selection.select_domain_level
+
+        def recording(*args):
+            result = select_domain_level(*args)
+            chosen.append(result.config["chosen_domain"])
+            return result
+
+        monkeypatch.setattr(selection, "select_domain_level", recording)
+        args = ["--corpus", str(corpus), "--target", "tgt"] + SMALL
+        argv = ["select", "--strategy", "domain", "--out", str(tmp_path / "sel")] + args
+        assert cli.main(argv) == 0
+        argv = ["evaluate", "--strategies", "domain", "--out", str(tmp_path / "eval")] + args
+        assert cli.main(argv) == 0
+        assert chosen == ["near", "far", "far"]
+
     @pytest.mark.parametrize("strategy", ["instance", "domain"])
     def test_cosine_against_an_all_zero_target_is_two(self, data, tmp_path, capsys, strategy):
         # no corpus token has a vector, so the target's embedding is all zeros
@@ -408,17 +454,24 @@ class TestExitCodes:
             (["generate", "--spec", "SPEC"], "all.jsonl", "directory"),
             (["generate", "--spec", "SPEC"], "near.jsonl", "directory"),
             (["generate", "--catalog"], "graded", "file"),
+            (["generate", "--catalog"], "blended", "file"),
         ],
     )
-    def test_output_path_that_is_taken_is_one(self, data, tmp_path, capsys, argv, taken, kind):
+    def test_output_path_that_is_taken_is_one(self, data, tmp_path, capsys, monkeypatch, argv,
+                                              taken, kind):
         """A result file whose path is a directory, or an output directory
-        whose path is a file, is a one-line error naming it, not a traceback."""
+        whose path is a file, is a one-line error naming it, not a traceback.
+        It is found before a run command loads its corpus, and before any
+        command writes a file."""
         out = tmp_path / "out"
         out.mkdir()
         if kind == "directory":
             (out / taken).mkdir()
         else:
             (out / taken).write_text("taken\n", encoding="utf-8")
+        before = read_tree(tmp_path)
+        loaded = []
+        monkeypatch.setattr(cli, "load_corpus", loaded.append)
         argv = [str(data["spec"]) if a == "SPEC" else a for a in argv]
         if argv[0] != "generate":
             argv += ["--corpus", str(data["corpus"]), "--target", "tgt", "--n", "10",
@@ -426,6 +479,19 @@ class TestExitCodes:
         assert cli.main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out / taken}: ") and err.count("\n") == 1
+        assert loaded == []
+        assert read_tree(tmp_path) == before
+
+    @pytest.mark.parametrize("command", [["select"], ["evaluate"], ["sweep", "--n-values", "4"]])
+    def test_taken_output_is_reported_before_a_missing_corpus(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        taken = out / cli.OUTPUT_FILES[command[0]][-1]
+        taken.mkdir(parents=True)
+        argv = command + ["--corpus", str(tmp_path / "missing.jsonl"), "--target", "tgt",
+                          "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: cannot write {taken}: it is a directory\n"
+        assert read_tree(tmp_path) == {}
 
     def test_stopwords_with_capitals_match_lowercased_text(self, data, tmp_path, monkeypatch):
         """Text is lowercased before stopwords are removed, so a listed ``The``

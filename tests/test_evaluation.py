@@ -17,6 +17,7 @@ from dataselect.embeddings import EmbeddingTable
 from dataselect.errors import ConfigError, DataError
 from dataselect.evaluation import (
     ClassifierConfig,
+    SignificanceResult,
     evaluate,
     prepare_context,
     run_experiment,
@@ -294,6 +295,14 @@ class TestEvaluate:
 
 
 class TestTTest:
+    @pytest.mark.parametrize(
+        "p, significant",
+        [(0.05, False), (math.nextafter(0.05, 0.0), True), (0.0, True), (1.0, False)],
+    )
+    def test_significant_exactly_when_p_is_below_0_05(self, p, significant):
+        assert [f.name for f in dataclasses.fields(SignificanceResult)] == ["t", "df", "p"]
+        assert SignificanceResult(t=2.0, df=8, p=p).significant is significant
+
     def test_identical_lists(self):
         result = t_test([0.5, 0.6, 0.7], [0.5, 0.6, 0.7])
         assert result.t == 0.0 and result.p == 1.0 and not result.significant

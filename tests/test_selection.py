@@ -249,6 +249,13 @@ class TestSelectDomainLevel:
         assert result.chosen == ["n1"]
         assert result.shortfall == 4
 
+    def test_domain_without_pool_documents_skipped(self):
+        pool = make_pool(10, domains=("far",))
+        scores = {"near": 0.1, "far": 0.4}
+        result = select_domain_level(pool, scores, "jensen_shannon", 3, seed=0)
+        assert result.config["chosen_domain"] == "far"
+        assert result.config["domain_scores"] == scores
+
     def test_proxy_a_is_rejected(self):
         with pytest.raises(ConfigError, match="proxy_a"):
             SelectionConfig(n=2, strategy="domain", metric="proxy_a")

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -16,6 +17,7 @@ from dataselect.selection import _rank
 from dataselect.similarity import (
     HIGHER,
     LN2,
+    SimilarityScore,
     _js_csr_to_target,
     _js_rows_from_probs,
     cosine,
@@ -93,11 +95,13 @@ class TestJS:
         score = js_divergence(empty, other)
         assert score.empty and math.isnan(score.value)
 
-    def test_orientation(self):
-        p = np.array([0.5, 0.5])
-        score = js_divergence(p, p)
-        assert score.metric == "jensen_shannon"
-        assert score.orientation == "lower_is_more_similar"
+    @pytest.mark.parametrize(
+        "value, empty",
+        [(float("nan"), True), (0.0, False), (LN2, False), (-1.0, False), (float("inf"), False)],
+    )
+    def test_empty_exactly_when_the_value_is_nan(self, value, empty):
+        assert [f.name for f in dataclasses.fields(SimilarityScore)] == ["value"]
+        assert SimilarityScore(value).empty is empty
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
