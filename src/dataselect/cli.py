@@ -208,7 +208,9 @@ def build_run_config(args: argparse.Namespace, command: str) -> RunConfig:
     file may set only the keys ``generate`` reads (those it has flags for).
 
     The files a run command writes are checked here, before any input is
-    read; ``generate`` checks its files once it has generated them.
+    read. ``generate`` checks its ``out`` directory here, before it generates
+    anything, and its files, whose names come from the corpora, once it has
+    generated them.
     """
     values = load_config_file(args.config) if getattr(args, "config", None) else {}
     if command == "generate":
@@ -311,13 +313,15 @@ def _output(path: Path):
 
 
 def _check_outputs(out: Path, names: Iterable[str | Path]) -> None:
-    """Fail before anything is written when a file ``out / name`` could not
-    be: a directory on its path (``out`` included) is a file, or the file's
-    own path is a directory."""
-    for target in (out / name for name in names):
-        for path in target.parents:
-            if path.exists() and not path.is_dir():
-                raise ConfigError(f"cannot write {path}: it is a file, not a directory")
+    """Fail before anything is written when ``out`` or a file ``out / name``
+    could not be: a directory on its path (``out`` included) is a file, or
+    the file's own path is a directory."""
+    targets = [out / name for name in names]
+    directories = [out, *out.parents, *(path for t in targets for path in t.parents)]
+    for path in dict.fromkeys(directories):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a file, not a directory")
+    for target in targets:
         if target.is_dir():
             raise ConfigError(f"cannot write {target}: it is a directory")
 

@@ -129,7 +129,8 @@ class RepresentationSpace:
 
 
 def pool_groups(
-    matrix: sp.csr_matrix | np.ndarray, members: np.ndarray, indptr: np.ndarray
+    matrix: sp.csr_matrix | np.ndarray, members: np.ndarray, indptr: np.ndarray,
+    ones: np.ndarray | None = None,
 ) -> sp.csr_matrix | np.ndarray:
     """Pool the rows ``members[indptr[k]:indptr[k + 1]]`` of ``matrix`` into row k.
 
@@ -145,10 +146,16 @@ def pool_groups(
     one zeroed ``(groups, d)`` array for dense input. The output is ``@``'s
     bit for bit: the same indptr, each row's columns in reverse order of first
     appearance, explicit zeros dropped, and the same sums.
+
+    ``ones``, ``len(members)`` float64 ones, are the picker's values; a caller
+    that pools many groupings of one shape passes the array it built once, as
+    the subset search's bound does each round. There a fresh 400,000-entry
+    array and its indptr took a round's pooling from 2.4-2.5 ms to 3.8-5.1 ms.
     """
     members, indptr = np.asarray(members), np.asarray(indptr)
     n_groups = len(indptr) - 1
-    ones = np.ones(len(members))
+    if ones is None:
+        ones = np.ones(len(members))
     if sp.issparse(matrix):
         matrix = matrix.tocsr()  # as ``@`` converts its right operand
         n_cols = matrix.shape[1]

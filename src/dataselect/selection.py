@@ -32,13 +32,15 @@ A round needs only its best candidate, so a JS round and a cosine round
 (s >= 2) first bound every candidate from a few numbers per document, without
 pooling it, and score only the candidates that may win (``_round_scores``).
 Each search builds its bound once, as a function of a round's candidates
-(``_js_bound``, ``_cosine_bound``). JS is convex in P, so its tangent plane
-at P0, the pooled distribution of the whole pool, lies below it in every
-round. At the pool's rare columns that a candidate misses, JS takes its exact
-value, above the plane's, so each candidate keeps the larger of the plane and
-this support-aware bound. A cosine is at most ``A / sqrt(A^2 + |B|^2)``,
-where A is the candidate mean's projection on the unit target and B its
-projections on a few orthonormal directions orthogonal to it
+(``_js_bound``, ``_cosine_bound``). JS is a sum of convex terms, one per
+column, so a tangent of each at any point lies below it in every round: the
+tangent plane at P0, the pooled distribution of the whole pool, and the
+tangents at a point that moves the pool's rare columns to the counts a
+candidate holds there. At the rare columns that a candidate misses, JS takes
+its exact value, above the tangent's, so each candidate keeps the largest of
+the plane at P0 and these support-aware tangents. A cosine is at most ``A /
+sqrt(A^2 + |B|^2)``, where A is the candidate mean's projection on the unit
+target and B its projections on a few orthonormal directions orthogonal to it
 (``_cosine_bound``). A candidate is skipped only when its bound is worse than
 an already-scored candidate's key by more than ``_PRUNE_SLACK``, far above
 the bounds' rounding, so every candidate that could win or tie is scored with
@@ -99,11 +101,11 @@ _Bound = Callable[[np.ndarray], np.ndarray]
 # the slack absorbs their rounding, a few units in the last place of keys no
 # larger than 1 (JS <= ln 2, |cosine| <= 1). In in-process searches (s=20,
 # m=20,000, n=1,600) on the seed-0 and seed-10 pools, no candidate of the first
-# five rounds came closer to its bound than 0.021 nats (JS, graded and blended)
-# or 6.2e-4 (cosine, blended SIF rows), and no scored candidate of any round
-# closer than 0.051 nats or 0.10, so the slack costs no pruning there. With a
-# slack of -1e-3 the bounded search picks other winners than the exhaustive
-# one in the tests.
+# five rounds came closer to its bound than 1.1e-3 nats (JS, graded and
+# blended; 0.020 before the bound's tangent points) or 6.2e-4 (cosine, blended
+# SIF rows), and no scored candidate of any round closer than 9.0e-3 nats or
+# 0.10, so the slack costs no pruning there. With a slack of -1e-3 the bounded
+# search picks other winners than the exhaustive one in the tests.
 _PRUNE_SLACK = 1e-9
 
 # Directions orthogonal to the target on which the cosine bound measures
@@ -125,6 +127,10 @@ _COSINE_DIRECTIONS = 16
 # took 0.02 s on the SIF rows and 0.21-0.27 s on the graded AE codes, against
 # 0.01 s and 0.32-0.45 s for the exact d x d scatter and its eigh.
 _POWER_STEPS = 4
+
+# Rows per slice of the draw's duplicate check (``_duplicate_rows``); see
+# ``_draw_subsets`` for the timings that chose it.
+_DRAW_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -411,11 +417,12 @@ def subset_select(
     A JS round and a cosine round with subsets of two or more skip the
     candidates that provably cannot win (``_round_scores``), through a bound
     the search builds once, before its first round. Each candidate's JS is
-    bounded from below by the larger of two bounds: the tangent plane of
-    ``JS(., q)`` at the pooled distribution of the whole pool, and the plane
-    with the exact JS term at each column of R the candidate misses, R being
-    the columns whose pool document frequency times ``s`` is below the pool
-    size (any R keeps it valid; ``_js_bound``). Each cosine is bounded
+    bounded from below by the largest of three bounds: the tangent plane of
+    ``JS(., q)`` at the pooled distribution of the whole pool, the tangent of
+    each column's term at a per-column point, and that tangent with the exact
+    JS term at each column of R the candidate misses, R being the columns
+    whose pool document frequency times ``s`` is below the pool size (any R
+    and any point keep it valid; ``_js_bound``). Each cosine is bounded
     from above through the candidate mean's projections on the unit target
     and on ``_COSINE_DIRECTIONS`` orthonormal directions orthogonal to it,
     taken from the pool rows' scatter (``_cosine_bound``). A candidate whose
@@ -516,12 +523,16 @@ def _draw_subsets(rng: np.random.Generator, n_avail: int, size: int, m: int) -> 
     times; that draw consumes nothing from the generator.
 
     ``subset_select`` calls this on its helper thread while the calling
-    thread scores the previous round, so each rejection pass sorts and
-    compares its rows in ``_row_blocks``, which keeps the temporaries
-    block-sized next to the scoring's. One 20,000 x 20 draw from 6,800
-    documents took 4.6-4.8 ms (medians of 30) with a tracemalloc peak of
-    3.3 MiB, against 6.3-6.8 ms and 9.5 MiB when each pass checked its rows
-    as one array.
+    thread bounds and scores the previous round. Once the JS bound leaves
+    256 candidates a round to score, the draws of a graded search (0.34-0.43
+    s over 80 rounds) take about as long as the bounds and scoring together
+    (0.30-0.57 s), so each rejection pass checks its rows as int32 keys in
+    ``_DRAW_BLOCK_ROWS``-row slices, the first pass as slices of the draw
+    itself, not a gathered copy. One 20,000 x 20 draw from 6,800 documents
+    took 3.3-3.7 ms (medians of 30) with a tracemalloc peak of 3.4 MiB,
+    against 4.9-6.3 ms in 256-row blocks of gathered int64 rows. 256-row
+    slices took 4.0-4.7 ms, and the whole array 3.5-3.8 ms with a 5.0 MiB
+    peak.
     """
     if size >= n_avail:
         return np.arange(n_avail)[None, :]
@@ -534,19 +545,26 @@ def _draw_subsets(rng: np.random.Generator, n_avail: int, size: int, m: int) -> 
             out[start:stop] = np.argsort(keys, axis=1)[:, :size]
         return out
     # A row without duplicates is never redrawn, so each pass re-checks only
-    # the rows it just redrew, block by block; they are refilled in ascending
-    # order with one draw per pass, as a whole-array check would.
+    # the rows it just redrew; they are refilled in ascending order with one
+    # draw per pass, as a whole-array check would.
+    key = np.int32 if n_avail <= np.iinfo(np.int32).max else np.intp
     cand = rng.integers(0, n_avail, size=(m, size))
-    redo = np.arange(m)
-    while True:
-        dup = np.empty(len(redo), dtype=bool)
-        for start, stop in _row_blocks(len(redo)):
-            srt = np.sort(cand[redo[start:stop]], axis=1)
-            dup[start:stop] = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        redo = redo[dup]
-        if redo.size == 0:
-            return cand
+    redo = np.flatnonzero(_duplicate_rows(cand, key))
+    while redo.size:
         cand[redo] = rng.integers(0, n_avail, size=(redo.size, size))
+        redo = redo[_duplicate_rows(cand[redo], key)]
+    return cand
+
+
+def _duplicate_rows(rows: np.ndarray, key: type) -> np.ndarray:
+    """Whether each row of ``rows`` holds a value twice, from sorted ``key``
+    copies of ``_DRAW_BLOCK_ROWS``-row slices."""
+    out = np.empty(len(rows), dtype=bool)
+    for start in range(0, len(rows), _DRAW_BLOCK_ROWS):
+        block = rows[start:start + _DRAW_BLOCK_ROWS].astype(key)
+        block.sort(axis=1)
+        np.any(block[:, 1:] == block[:, :-1], axis=1, out=out[start:start + len(block)])
+    return out
 
 
 def _candidate_scores(
@@ -624,60 +642,100 @@ def _js_bound(matrix, pool_index: np.ndarray, s: int, target) -> _Bound | None:
     Write ``JS(P, q) = sum_i phi_i(P_i)`` with ``phi_i(p) = p/2 ln(2p/(p+q_i))
     + q_i/2 ln(2q_i/(p+q_i))``, each ``phi_i`` convex and ``phi_i(0) = q_i
     ln2/2``. P0 is the pooled distribution of the whole pool, whose support
-    holds every candidate's in every round, and ``g_i = 0.5 ln(2 P0_i / (P0_i
-    + q_i))`` is the gradient there, set to 0 where P0 is 0.
+    holds every candidate's in every round. The tangent of ``phi_i`` at any
+    ``x_i > 0`` lies below it: ``phi_i(p) >= phi_i(0) + d_i + g_i p`` with the
+    gradient ``g_i = 0.5 ln(2 x_i / (x_i + q_i))`` and ``d_i = -q_i/2 ln(1 +
+    x_i/q_i) <= 0`` (0 where q is 0). Where ``x_i`` is 0, g and d are 0 too,
+    which is exact at a column no pool document holds.
 
-    - The tangent plane at P0 lies below JS: ``JS(P) >= sum_i a_i + g.P``,
-      with the intercept ``a_i = phi_i(0) + d_i`` and ``d_i = -q_i/2 ln(1 +
-      P0_i/q_i) <= 0`` (0 where q is 0).
-    - At a column of R that P misses, JS takes the exact ``phi_i(0)``, above
-      the plane's ``a_i``; at one it covers, the plane's ``phi_i(0) + d_i +
-      g_i P_i`` stays. P's support is the union of its members', and
-      every ``d_i`` is at most 0, so ``sum_{i in R, P_i > 0} d_i`` is at least
-      the sum over members of ``D_j``, the ``d_i`` of R's columns that member
-      j holds. This gives ``JS(P) >= sum_{i not in R} a_i + sum_{i in R}
-      phi_i(0) + g.P + sum_j D_j``. R is any set of columns; here it holds
-      those whose pool document frequency times ``s`` is below the pool size,
-      the columns a size-``s`` candidate most likely misses.
+    - The plane at x = P0 lies below JS: ``JS(P) >= plane0 + g0.P`` with g0
+      and d0 the tangents' at P0 and ``plane0 = sum_i phi_i(0) + d0_i``. It is
+      kept as a floor: on some pools it is above the support-aware tangent.
+    - The support-aware tangent at a per-column point x. At a column of R
+      that P misses, JS takes the exact ``phi_i(0)``, above the tangent's
+      ``phi_i(0) + d_i``; at one it covers, the tangent stays. P's support is
+      the union of its members', and every ``d_i`` is at most 0, so ``sum_{i
+      in R, P_i > 0} d_i`` is at least the sum over members of ``D_j``, the
+      ``d_i`` of R's columns that member j holds. This gives ``JS(P) >=
+      missed + sum_j D_j + g.P`` with ``missed = sum_i phi_i(0) + sum_{i not
+      in R} d_i``, and the plain tangent ``plane + g.P`` at x holds as well.
+      R is any set of columns; here it holds those whose pool document
+      frequency df times ``s`` is below the pool size, the columns a
+      size-``s`` candidate most likely misses. Off R, ``x_i = P0_i``. On R, a
+      covered column mostly holds one member's counts, far above the smooth
+      P0_i, where the plane at P0 is flat; so ``x_i = (colsum_i / df_i) / (s
+      total / n_pool)``, the column's mean count where it is held over a
+      typical candidate's token total.
 
-    Each candidate gets the larger of the two. A candidate pooling count rows
-    ``c_j`` with token totals ``T_j`` has ``g.P = sum(g.c_j) / sum(T_j)``, so
-    the three numbers ``[g.c_j, T_j, D_j]`` per pool document, taken here
-    from the pool rows, give both bounds; the function pools them for every
-    candidate of a round in one call. ``pool_groups`` averages dense rows,
-    which leaves the ratio as it is but makes the pooled D the members' mean,
-    so it is multiplied by the subset size. (In row blocks, a 20,000-candidate
-    round took 2.5 ms against 1.3 ms whole, and the search's traced allocation
-    peak was the same either way.) An empty candidate (every ``T_j`` 0, a NaN
+    Each candidate gets ``max(plane0 + g0.P, max(plane, missed + sum_j D_j) +
+    g.P)``; any x keeps each term valid, and this one only tightens them. A
+    candidate pooling count rows ``c_j`` with token totals ``T_j`` has ``g.P =
+    sum(g.c_j) / sum(T_j)``, so the four numbers ``[g0.c_j, g.c_j, T_j, D_j]``
+    per pool document, taken here from the pool rows, give every term; the
+    function pools them for every candidate of a round in one call, through
+    a picker (``pool_groups``' indptr and ones) built once per shape of a
+    round's candidates. ``pool_groups`` averages dense rows, which leaves the
+    ratios as they are but makes the pooled D the members' mean, so it is
+    multiplied by the subset size. An empty candidate (every ``T_j`` 0, a NaN
     score) gets a NaN bound.
+
+    On the seed-0 graded pool (s=20, m=20,000, n=1,600) this bound leaves
+    256 candidates a round to score, the first block, where the support-aware
+    bound at x = P0 left 1,064 on average (85,105 over 80 rounds). Pooling a
+    20,000 x 20 round's four columns took 2.4-2.5 ms with the picker built
+    once against 3.8-5.1 ms with a fresh one (medians of 80). (With three columns, row blocks took 2.5 ms a round
+    against 1.3 ms whole, and the search's traced allocation peak was the
+    same either way.)
     """
     rows = sp.csr_matrix(matrix[pool_index])  # term distributions are CSR
-    p0 = np.asarray(rows.sum(axis=0), dtype=np.float64).ravel()
-    total = p0.sum()
+    n_pool = rows.shape[0]
+    colsum = np.asarray(rows.sum(axis=0), dtype=np.float64).ravel()
+    total = colsum.sum()
     if not total > 0:
         return None
-    p0 /= total
     q = target.probs
-    g = np.zeros_like(p0)
-    support = p0 > 0
-    g[support] = 0.5 * np.log(2.0 * p0[support] / (p0[support] + q[support]))
-    d = np.zeros_like(p0)
-    held = q > 0
-    d[held] = -0.5 * q[held] * np.log1p(p0[held] / q[held])
-    plane = 0.5 * LN2 * q.sum() + d.sum()
-    rare = np.flatnonzero(np.bincount(rows.indices, minlength=rows.shape[1]) * s < rows.shape[0])
+
+    def tangent(x):
+        """The gradient g and the intercept's ``d = phi(x) - g x - phi(0)``
+        of each column's tangent at ``x``, both 0 where x is, and the plane's
+        intercept ``sum_i phi_i(0) + d_i``."""
+        g, d = np.zeros_like(x), np.zeros_like(x)
+        on = x > 0
+        g[on] = 0.5 * np.log(2.0 * x[on] / (x[on] + q[on]))
+        held = on & (q > 0)
+        d[held] = -0.5 * q[held] * np.log1p(x[held] / q[held])
+        return g, d, 0.5 * LN2 * q.sum() + d.sum()
+
+    p0 = colsum / total
+    df = np.bincount(rows.indices, minlength=rows.shape[1])
+    rare = np.flatnonzero(df * s < n_pool)
+    x = p0.copy()
+    held_rare = rare[df[rare] > 0]
+    x[held_rare] = colsum[held_rare] / df[held_rare] / (s * total / n_pool)
+    g0, _, plane0 = tangent(p0)
+    g, d, plane = tangent(x)
     per_doc = np.column_stack([
+        rows @ g0,
         rows @ g,
         np.asarray(rows.sum(axis=1), dtype=np.float64).ravel(),
         (rows[:, rare] != 0).astype(np.float64) @ d[rare],
     ])
     missed = plane - d[rare].sum()
+    pickers = {}  # pool_groups' indptr and picker values for a shape of candidates
 
     def bound(candidates: np.ndarray) -> np.ndarray:
-        means = _pool_candidates(per_doc, candidates)
-        out = np.full(len(candidates), np.nan)
-        np.divide(means[:, 0], means[:, 1], out=out, where=means[:, 1] > 0)
-        return out + np.maximum(plane, missed + candidates.shape[1] * means[:, 2])
+        if candidates.shape not in pickers:
+            pickers.clear()  # a search's rounds keep one shape until its last few
+            pickers[candidates.shape] = (
+                np.arange(0, candidates.size + 1, candidates.shape[1]), np.ones(candidates.size)
+            )
+        means = pool_groups(per_doc, candidates.ravel(), *pickers[candidates.shape])
+        along0, along = np.full((2, len(candidates)), np.nan)
+        usable = means[:, 2] > 0
+        np.divide(means[:, 0], means[:, 2], out=along0, where=usable)
+        np.divide(means[:, 1], means[:, 2], out=along, where=usable)
+        aware = np.maximum(plane, missed + candidates.shape[1] * means[:, 3])
+        return np.maximum(plane0 + along0, aware + along)
 
     return bound
 

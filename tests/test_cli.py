@@ -482,6 +482,25 @@ class TestExitCodes:
         assert loaded == []
         assert read_tree(tmp_path) == before
 
+    @pytest.mark.parametrize("argv", [["--catalog"], ["--spec", "SPEC"]])
+    @pytest.mark.parametrize("out", ["taken", "taken/corpus"])
+    def test_generate_into_a_file_fails_before_generating(self, data, tmp_path, capsys,
+                                                          monkeypatch, argv, out):
+        """An ``--out`` that is a file, or lies under one, is a one-line error
+        naming the file, before any corpus is generated."""
+        (tmp_path / "taken").write_text("taken\n", encoding="utf-8")
+        before = read_tree(tmp_path)
+        generated = []
+        monkeypatch.setattr(cli, "benchmark_suite", generated.append)
+        monkeypatch.setattr(cli, "generate", lambda *args: generated.append(args))
+        argv = [str(data["spec"]) if a == "SPEC" else a for a in argv]
+        assert cli.main(["generate", *argv, "--out", str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {tmp_path / 'taken'}: it is a file, not a directory\n"
+        )
+        assert generated == []
+        assert read_tree(tmp_path) == before
+
     @pytest.mark.parametrize("command", [["select"], ["evaluate"], ["sweep", "--n-values", "4"]])
     def test_taken_output_is_reported_before_a_missing_corpus(self, tmp_path, capsys, command):
         out = tmp_path / "out"

@@ -17,8 +17,9 @@ and scores 20,000 random 20-document candidates, the default ``m`` and ``s``
 while at least 400 documents remain). The bounded rounds are the first round
 of the seed-0 ``graded`` and ``blended`` term-distribution searches
 (``blended`` is where the support-aware JS bound cuts the most scoring: its
-whole seed-0 search scores 22% of its candidates, against 89% under the
-tangent plane alone), of the seed-0 ``blended`` search over SIF rows of a
+whole seed-0 search scores the first 256-candidate block of each round, 1.3%
+of its candidates, against 18% with the bound's tangents at P0 and 89% under
+the tangent plane alone), of the seed-0 ``blended`` search over SIF rows of a
 random 100-d table over every vocabulary token, and of the seed-0 ``graded``
 term-distribution search under cosine, whose bound pools projections of the
 sparse count rows.

@@ -5,8 +5,10 @@ full 10,000-token vocabulary and about 2.1M n-gram nonzeros. Each selection
 runs in a fresh process that reports its own peak RSS, which must stay under
 100 MB plus 128 bytes per n-gram nonzero (about 366 MB here). One dense
 27,000 x 10,000 float64 array alone is 2,160 MB, so a path that densifies
-the corpus fails the bound. Run with ``python -m pytest -m scale``; it takes
-about half a minute.
+the corpus fails the bound. The JS subset search (s=20, m=20,000) is
+affordable here because its bound leaves 256 candidates a round to score.
+Run with ``python -m pytest -m scale``; on a 2-vCPU host it takes about 22
+seconds, about 3 of them the subset selection.
 """
 
 import os
@@ -63,8 +65,9 @@ def scale(tmp_path_factory):
         ["--strategy", "domain"],
         ["--strategy", "instance", "--metric", "cosine"],
         ["--strategy", "instance", "--metric", "proxy_a"],
+        ["--strategy", "subset"],
     ],
-    ids=["js-instance", "js-domain", "cosine-instance", "proxy_a-instance"],
+    ids=["js-instance", "js-domain", "cosine-instance", "proxy_a-instance", "js-subset"],
 )
 def test_select_peak_rss_is_bounded_by_nnz(scale, flags):
     root, nnz = scale

@@ -889,6 +889,24 @@ def tangent_plane_bounds(rows, pool_index, candidates, target):
         return js_divergence(p0, q).value - g @ p0 + along / totals
 
 
+def p0_support_aware_bounds(rows, pool_index, candidates, target, s):
+    """The larger of that plane and the plane with the exact JS term at each
+    rare column (pool document frequency times ``s`` below the pool size) a
+    candidate misses: the JS bound of the subset search before it took its
+    tangents at a point other than P0 on the rare columns."""
+    dense = rows.toarray() if sp.issparse(rows) else rows
+    pool_rows = dense[pool_index]
+    p0 = pool_rows.sum(axis=0)
+    p0 = p0 / p0.sum()
+    q = target.probs
+    d = np.zeros_like(p0)
+    d[q > 0] = -0.5 * q[q > 0] * np.log1p(p0[q > 0] / q[q > 0])
+    rare = (pool_rows != 0).sum(axis=0) * s < len(pool_index)
+    held_rare = ((pool_rows[:, rare] != 0) @ d[rare])[candidates].sum(axis=1)
+    plane = tangent_plane_bounds(rows, pool_index, candidates, target)
+    return np.maximum(plane, plane - d[rare].sum() + held_rare)
+
+
 class TestRoundBounds:
     @given(st.data())
     def test_js_lower_bound_never_exceeds_the_score(self, data):
@@ -1049,8 +1067,9 @@ class TestRoundBounds:
     def test_support_aware_js_round_scores_fewer_than_the_plane(self):
         """On sparse rows over many columns, where a 20-document candidate misses
         most of them, the support-aware bound leaves more candidates unscored
-        than the tangent plane alone, and the round keeps the exhaustive one's
-        scores and winner."""
+        than the tangent plane alone, its tangents at points above P0 on the
+        rare columns leave more than its tangents at P0, and the round keeps
+        the exhaustive one's scores and winner."""
         rng = np.random.default_rng(21)
         zipf = 1.0 / np.arange(1, 601)
         target = TermDistribution(probs=zipf / zipf.sum())
@@ -1073,13 +1092,35 @@ class TestRoundBounds:
         plane_scores = round_scores(
             lambda batch: tangent_plane_bounds(rows, every_row(rows), batch, target)
         )
+        p0_scores = round_scores(
+            lambda batch: p0_support_aware_bounds(rows, every_row(rows), batch, target, 20)
+        )
         every = selection._candidate_scores(
             rows, every_row(rows), None, candidates, target, "jensen_shannon"
         )
         scored_rows = ~np.isnan(scores)
-        assert scored_rows.sum() < (~np.isnan(plane_scores)).sum()
+        assert scored_rows.sum() < (~np.isnan(p0_scores)).sum()
+        assert (~np.isnan(p0_scores)).sum() < (~np.isnan(plane_scores)).sum()
         assert np.array_equal(scores[scored_rows], every[scored_rows])
         assert np.nanargmin(scores) == np.argmin(every)
+
+    def test_js_bound_allocates_no_picker_after_its_first_round(self):
+        """A round's bound pools m x s members. From the second round of one
+        shape on, it allocates no picker of that size (``pool_groups``' ones
+        alone would be 8 m s bytes)."""
+        m, s = 4000, 20
+        rows = sp.csr_matrix(random_counts(500, 40, seed=25))
+        bound = selection._js_bound(rows, every_row(rows), s, target_dist(40))
+        candidates = selection._draw_subsets(np.random.default_rng(26), 500, s, m)
+        first = bound(candidates)
+        tracemalloc.start()
+        try:
+            second = bound(candidates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(first, second)
+        assert peak < 8 * m * s
 
     def test_cosine_directions_capture_the_top_of_the_scatter(self):
         rng = np.random.default_rng(19)
