@@ -9,13 +9,14 @@ curve data), and ``generate`` (synthetic corpora). The command runs as
 search's and the autoencoder's settings take the defaults of the dataclass
 field that owns each; the rest are defaulted in ``RunConfig``. The SIF
 smoothing, the vocabulary cap and the autoencoder's masking, learning rate
-and batch size are library constants. Each ``RunConfig`` field is both a
-config-file key and, on the subcommands it names, a flag ``--`` plus the
-field name with ``_`` turned into ``-``; every field is a flag on some
-subcommand. Text is always lowercased before tokenizing. ``generate`` reads
-only ``seed`` and ``out``, and its config file may set no other key.
-``task`` only sets the default ``n`` (2,000 for ternary, 1,600 for binary);
-the classifier trains on whatever labels the corpus holds.
+and batch size are library constants. Each ``RunConfig`` field names the
+commands that read it; on those alone it is a flag (``--`` plus the field
+name with ``_`` turned into ``-``), a config-file key and a JSON echo entry,
+and a config file that sets another key is an error. ``select`` reads no
+``runs``; ``sweep`` reads ``--n-values``, not ``n`` or ``task``;
+``generate`` reads only ``seed`` and ``out``. Text is always lowercased
+before tokenizing. ``task`` only sets the default ``n`` (2,000 for ternary,
+1,600 for binary); the classifier trains on whatever labels the corpus holds.
 
 All randomness derives from one base seed through named substreams
 (selection, classifier, autoencoder, generator), so every command is a pure
@@ -78,7 +79,7 @@ def substream_seed(base_seed: int, name: str) -> int:
 
 
 RUN_COMMANDS = ("select", "evaluate", "sweep")
-COMMANDS = RUN_COMMANDS + ("generate",)  # generate reads only --seed and --out
+COMMANDS = RUN_COMMANDS + ("generate",)
 # the files each run command writes into ``out``
 OUTPUT_FILES = {
     "select": ("selection_ids.txt", "selection.json"),
@@ -90,7 +91,8 @@ OUTPUT_FILES = {
 def _option(default, *, help=None, choices=None, commands=RUN_COMMANDS):
     """Declare a ``RunConfig`` field with its flag's choices and help text.
 
-    The flag is added to every subcommand in ``commands``.
+    ``commands`` are the subcommands that read the field: each takes it as a
+    flag and a config-file key and echoes it.
     """
     return field(
         default=default, metadata={"help": help, "choices": choices, "commands": commands}
@@ -107,6 +109,7 @@ class RunConfig:
     task: str = _option(
         "ternary", choices=("binary", "ternary"), help="sets only the default --n (2000 "
         "ternary, 1600 binary); the classifier trains on whatever labels the corpus holds",
+        commands=("select", "evaluate"),
     )
     corpus: str | None = _option(None, help="corpus JSONL path")
     target: str | None = _option(None, help="target domain name")
@@ -116,7 +119,7 @@ class RunConfig:
     )
     representation: str = _option(SelectionConfig.representation, choices=REPRESENTATION_KINDS)
     metric: str | None = _option(None, choices=tuple(METRIC_ORIENTATION))
-    n: int | None = _option(None)
+    n: int | None = _option(None, commands=("select", "evaluate"))
     s: int = _option(SelectionConfig.s)
     m: int = _option(SelectionConfig.m)
     ae_hidden: int = _option(
@@ -125,7 +128,7 @@ class RunConfig:
         "differ in the last bits across BLAS builds (reruns on one host are identical)",
     )
     ae_epochs: int = _option(AETrainConfig.epochs)
-    runs: int = _option(10)
+    runs: int = _option(10, commands=("evaluate", "sweep"))
     seed: int = _option(0, commands=COMMANDS)
     out: str = _option("out", help="output directory", commands=COMMANDS)
     embeddings: str | None = _option(None, help="word-vector file (token + floats per line)")
@@ -143,18 +146,14 @@ class RunConfig:
                 raise ConfigError(f"strategy {strategy!r} is listed twice")
         if self.seed < 0:  # ``np.random.SeedSequence`` takes no negative entropy
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.n is None:
+            self.n = 2000 if self.task == "ternary" else 1600
 
-    @property
-    def resolved_n(self) -> int:
-        if self.n is not None:
-            return self.n
-        return 2000 if self.task == "ternary" else 1600
-
-    def echo(self) -> dict:
-        effective = {f.name: getattr(self, f.name) for f in fields(self)}
-        effective["n"] = self.resolved_n
-        effective["strategies"] = list(self.strategies)
-        return effective
+    def echo(self, command: str) -> dict:
+        """The settings ``command`` reads, by field name."""
+        return {
+            f.name: getattr(self, f.name) for f in fields(self) if command in f.metadata["commands"]
+        }
 
 
 def _parse_list(value: str) -> tuple[str, ...]:
@@ -204,20 +203,18 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def build_run_config(args: argparse.Namespace, command: str) -> RunConfig:
-    """The file's values, overridden by the flags given. A ``generate`` config
-    file may set only the keys ``generate`` reads (those it has flags for).
+    """The file's values, overridden by the flags given. A config file may
+    set only the keys ``command`` reads (those it has flags for).
 
     The files a run command writes are checked here, before any input is
     read. ``generate`` checks its ``out`` directory here, before it generates
     anything, and its files, whose names come from the corpora, once it has
     generated them.
     """
-    values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    if command == "generate":
-        read = {f.name for f in fields(RunConfig) if command in f.metadata["commands"]}
-        for key in values:
-            if key not in read:
-                raise ConfigError(f"{args.config}: generate does not read config key {key!r}")
+    values = load_config_file(args.config) if args.config else {}
+    for key in values:
+        if key not in vars(args):  # the command has a flag for each key it reads
+            raise ConfigError(f"{args.config}: {command} does not read config key {key!r}")
     for key in _PARSERS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -232,14 +229,13 @@ def build_run_config(args: argparse.Namespace, command: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _build_context(config: RunConfig, labeled_pool_only: bool):
-    # bad training and run values are rejected before the corpus loads, as
+    # bad training values are rejected before the corpus loads, as
     # SelectionConfig's are, so they exit 1 before any file is read
     ae_config = AETrainConfig(
         epochs=config.ae_epochs,
         hidden_dim=config.ae_hidden,
         seed=substream_seed(config.seed, "autoencoder"),
     )
-    check_runs(config.runs)
     if not config.corpus:
         raise ConfigError("a corpus path is required (corpus = ... or --corpus)")
     if not config.target:
@@ -280,6 +276,7 @@ def _run_experiments(
     A cosine target that cannot rank is rejected once, before any run, so no
     baseline trains first and the error names no run.
     """
+    check_runs(config.runs)  # before the corpus loads, as the other settings
     context = _build_context(config, labeled_pool_only=True)
     if any(c.strategy not in BASELINES and c.resolved_metric == COSINE for c in sel_configs):
         check_cosine_target(context.target_repr)
@@ -293,7 +290,7 @@ def _run_experiments(
 
 def _selection_config(config: RunConfig, strategy: str, n: int | None = None) -> SelectionConfig:
     return SelectionConfig(
-        n=n if n is not None else config.resolved_n,
+        n=n if n is not None else config.n,
         strategy=strategy,
         representation=config.representation,
         metric=config.metric,
@@ -352,7 +349,7 @@ def cmd_select(config: RunConfig) -> int:
     out = _write_outputs(
         config, "select",
         "".join(doc_id + "\n" for doc_id in result.chosen),
-        _json_text({"config": config.echo(), "result": asdict(result)}),
+        _json_text({"config": config.echo("select"), "result": asdict(result)}),
     )
     print(
         f"selected {len(result.chosen)} of {sel_config.n} requested "
@@ -398,7 +395,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         config, "evaluate",
         "".join(lines),
         _json_text({
-            "config": config.echo(),
+            "config": config.echo("evaluate"),
             "results": [asdict(r) for r in results],
             "significance": significance,
         }),
@@ -498,6 +495,9 @@ def cmd_generate(config: RunConfig, spec_file: str | None, catalog: bool) -> int
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # no prefixes: sweep's --n is not --n-values
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage problems map to exit code 1, not argparse's 2
         raise ConfigError(message)
 

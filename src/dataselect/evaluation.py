@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -275,11 +276,15 @@ class ExperimentContext:
     target_domain: str
     encoded: EncodedCorpus
     space: RepresentationSpace
-    pool_docs: list[Document]
     pool_index: np.ndarray
     target_repr: object
     _item_scores: dict = field(default_factory=dict)
     _domain_scores: dict = field(default_factory=dict)
+
+    @cached_property
+    def pool_docs(self) -> list[Document]:
+        """The pool's documents, in ``pool_index`` order."""
+        return [self.corpus.documents[row] for row in self.pool_index.tolist()]
 
     def item_scores(self, metric: str, seed: int) -> np.ndarray:
         """Per-pool-document scores against the target.
@@ -369,15 +374,13 @@ def prepare_context(
             for doc in corpus
         ]
     )
-    pool_docs = [corpus.documents[row] for row in pool_index.tolist()]
-    if not pool_docs:
+    if not len(pool_index):
         raise DataError("selection pool is empty (no labeled source documents)")
     return ExperimentContext(
         corpus=corpus,
         target_domain=target_domain,
         encoded=encoded,
         space=space,
-        pool_docs=pool_docs,
         pool_index=pool_index,
         target_repr=space.aggregate([d.id for d in corpus.domain_documents(target_domain)]),
     )
@@ -424,7 +427,6 @@ class ExperimentResult:
     mean: float
     std: float
     seeds: list[int]
-    config: dict
 
 
 def check_runs(runs: int) -> None:
@@ -483,5 +485,4 @@ def run_experiment(
         mean=float(np.mean(accuracies)),
         std=float(np.std(accuracies, ddof=1)) if runs > 1 else 0.0,
         seeds=seeds,
-        config=selection_config.echo(),
     )

@@ -36,6 +36,7 @@ the tokens bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -109,8 +110,12 @@ class RepresentationSpace:
 
     kind: str
     doc_ids: list[str]
-    index: dict[str, int]
     matrix: sp.csr_matrix | np.ndarray
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Each document id's row."""
+        return {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
 
     def aggregate(self, ids: Sequence[str]) -> TermDistribution | np.ndarray:
         """Group representation: pooled-count distribution or mean vector."""
@@ -217,9 +222,6 @@ def build_representation_space(
     """
     if kind not in REPRESENTATION_KINDS:
         raise ConfigError(f"unknown representation kind {kind!r}")
-    doc_ids = [doc.id for doc in corpus]
-    index = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-
     if kind == TERM_DIST:
         matrix = term_counts(encoded, vocab)
     elif kind == EMBEDDING:
@@ -232,7 +234,7 @@ def build_representation_space(
                 "autoencoder representation requires a trained model and its input features"
             )
         matrix = ae.encode(ae_model, ae_features)
-    return RepresentationSpace(kind=kind, doc_ids=doc_ids, index=index, matrix=matrix)
+    return RepresentationSpace(kind=kind, doc_ids=[doc.id for doc in corpus], matrix=matrix)
 
 
 def _sif_rows(

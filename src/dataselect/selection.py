@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -172,9 +172,6 @@ class SelectionConfig:
     def resolved_metric(self) -> str:
         return self.metric if self.metric is not None else _DEFAULT_METRIC[self.representation]
 
-    def echo(self) -> dict:
-        return {**asdict(self), "metric": self.resolved_metric}
-
 
 @dataclass
 class SelectionResult:
@@ -184,10 +181,14 @@ class SelectionResult:
     strategy: str
     config: dict
     seed: int | None
-    shortfall: int = 0
     item_scores: dict[str, float] | None = None
     subset_scores: list[float] | None = None
     iteration_members: list[list[str]] | None = None
+
+    @property
+    def shortfall(self) -> int:
+        """How many fewer ids than the ``n`` requested were chosen."""
+        return self.config["n"] - len(self.chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +249,6 @@ def select_random(pool: Sequence[Document], n: int, seed: int) -> SelectionResul
         strategy="random",
         config={"n": n},
         seed=seed,
-        shortfall=n - take,
     )
 
 
@@ -280,7 +280,6 @@ def select_balanced(pool: Sequence[Document], n: int, seed: int) -> SelectionRes
         strategy="balanced",
         config={"n": n},
         seed=seed,
-        shortfall=n - len(chosen),
     )
 
 
@@ -322,7 +321,7 @@ def select_domain_level(
     with no usable representation) is skipped, as is a domain with no pool
     documents (say, one whose documents are all unlabeled), whose text still
     informs the scores. Ties rank lexicographically; a too-small winner is
-    NOT topped up from the runner-up (the shortfall is recorded instead).
+    NOT topped up from the runner-up (the result falls short of ``n``).
     """
     if not pool:
         raise DataError("selection pool is empty")
@@ -340,7 +339,6 @@ def select_domain_level(
         strategy="domain",
         config={"n": n, "metric": metric, "chosen_domain": best, "domain_scores": usable},
         seed=seed,
-        shortfall=n - take,
     )
 
 
@@ -364,7 +362,6 @@ def select_instance_level(
         strategy="instance",
         config={"n": n, "metric": metric},
         seed=None,
-        shortfall=max(0, n - len(picked)),
         item_scores={ids[i]: float(scores[i]) for i in picked},
     )
 
@@ -505,7 +502,6 @@ def subset_select(
         strategy="subset",
         config={"n": n, "s": s, "m": m, "metric": metric},
         seed=seed,
-        shortfall=max(0, n - len(chosen)),
         subset_scores=subset_scores,
         iteration_members=iteration_members,
     )

@@ -74,10 +74,6 @@ class SimilarityScore:
         return math.isnan(self.value)
 
 
-def _is_empty(dist) -> bool:
-    return isinstance(dist, TermDistribution) and dist.empty
-
-
 def _as_vector(rep: TermDistribution | np.ndarray) -> np.ndarray:
     if isinstance(rep, TermDistribution):
         return rep.probs
@@ -105,12 +101,16 @@ def _js_rows_from_probs(P: np.ndarray, q: np.ndarray) -> np.ndarray:
 def js_divergence(P: TermDistribution | np.ndarray, Q: TermDistribution | np.ndarray) -> SimilarityScore:
     """Jensen-Shannon divergence in nats: symmetric, bounded by ln 2.
 
-    An empty input distribution yields an empty (NaN) score the caller must
-    exclude.
+    An array is checked as a ``TermDistribution`` is, so one that is not a
+    distribution (a negative or non-finite entry, or mass other than 1) is a
+    ``DataError``, not a score outside [0, ln 2]. An empty input distribution
+    yields an empty (NaN) score the caller must exclude.
     """
-    if _is_empty(P) or _is_empty(Q):
+    P, Q = (d if isinstance(d, TermDistribution) else TermDistribution(_as_vector(d))
+            for d in (P, Q))
+    if P.empty or Q.empty:
         return SimilarityScore(float("nan"))
-    p, q = _as_vector(P), _as_vector(Q)
+    p, q = P.probs, Q.probs
     if p.shape != q.shape:
         raise DataError(f"distributions differ in length: {p.shape} vs {q.shape}")
     value = float(_js_rows_from_probs(p[None, :], q)[0])
@@ -126,7 +126,7 @@ def js_to_target(rows: sp.spmatrix | np.ndarray, target: TermDistribution) -> np
     a row's support contribute ``0.5 * ln2 * q_i`` each; a row's result
     depends only on its own entries, so scores are stable across batching.
     """
-    if _is_empty(target):
+    if target.empty:
         raise DataError("target distribution is empty")
     if sp.issparse(rows):
         return _js_csr_to_target(rows.tocsr(), target.probs)
@@ -176,10 +176,13 @@ def _js_csr_to_target(rows: sp.csr_matrix, q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cosine(a: TermDistribution | np.ndarray, b: TermDistribution | np.ndarray) -> SimilarityScore:
-    """Cosine similarity; either vector having zero norm yields 0."""
+    """Cosine similarity; either vector having zero norm yields 0. A vector
+    with a non-finite entry is a ``DataError``."""
     va, vb = _as_vector(a), _as_vector(b)
     if va.shape != vb.shape:
         raise DataError(f"vectors differ in dimension: {va.shape} vs {vb.shape}")
+    if not (np.isfinite(va).all() and np.isfinite(vb).all()):
+        raise DataError("cosine of a vector with non-finite entries")
     value = float(cosine_to_target(va[None, :], vb)[0])
     return SimilarityScore(value)
 

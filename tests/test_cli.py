@@ -24,15 +24,17 @@ from dataselect.evaluation import t_test
 from dataselect.selection import STRATEGIES, SelectionConfig
 
 COMMON_FLAGS = {
-    "-h", "--help", "--config", "--corpus", "--target", "--task", "--representation",
-    "--metric", "--n", "--s", "--m", "--ae-hidden", "--ae-epochs", "--runs", "--seed",
-    "--out", "--embeddings", "--stopwords",
+    "-h", "--help", "--config", "--corpus", "--target", "--representation", "--metric",
+    "--s", "--m", "--ae-hidden", "--ae-epochs", "--seed", "--out", "--embeddings",
+    "--stopwords",
 }
 
+# a subcommand has a flag for each setting it reads, and for no other: select
+# runs once, and sweep takes its sizes from --n-values
 SUBCOMMAND_FLAGS = {
-    "select": COMMON_FLAGS | {"--strategy"},
-    "evaluate": COMMON_FLAGS | {"--strategies"},
-    "sweep": COMMON_FLAGS | {"--strategies", "--n-values"},
+    "select": COMMON_FLAGS | {"--strategy", "--task", "--n"},
+    "evaluate": COMMON_FLAGS | {"--strategies", "--task", "--n", "--runs"},
+    "sweep": COMMON_FLAGS | {"--strategies", "--runs", "--n-values"},
     "generate": {"-h", "--help", "--config", "--seed", "--out", "--catalog", "--spec"},
 }
 
@@ -84,14 +86,20 @@ BAD_SPECS = [
 # subcommand that loads one
 BAD_RUN_VALUES = [
     command + bad
-    for command in (["select"], ["evaluate"], ["sweep", "--n-values", "4"])
-    for bad in (["--s", "0"], ["--m", "0"], ["--ae-epochs", "0"], ["--runs", "0"],
+    for command, size in ((["select"], ["--n", "0"]), (["evaluate"], ["--runs", "0"]),
+                          (["sweep", "--n-values", "4"], ["--runs", "0"]))
+    for bad in (["--s", "0"], ["--m", "0"], ["--ae-epochs", "0"], size,
                 ["--ae-hidden", "0"], ["--stopwords", ""],
                 ["--representation", "embedding", "--embeddings", ""],
                 ["--representation", "embedding"])
 ]
 
-SMALL = ["--task", "binary", "--n", "10", "--s", "3", "--m", "20", "--runs", "2"]
+# small runs, each through the flags its command has
+SMALL = {
+    "select": ["--n", "10", "--s", "3", "--m", "20"],
+    "evaluate": ["--n", "10", "--s", "3", "--m", "20", "--runs", "2"],
+    "sweep": ["--s", "3", "--m", "20", "--runs", "2"],
+}
 
 
 def reject_constant(name):
@@ -119,8 +127,8 @@ def data(tmp_path_factory):
     return {"root": root, "spec": spec, "corpus": corpus, "vectors": vectors}
 
 
-def base_args(data, out):
-    return ["--corpus", str(data["corpus"]), "--target", "tgt", "--out", str(out)] + SMALL
+def base_args(data, out, command="select"):
+    return ["--corpus", str(data["corpus"]), "--target", "tgt", "--out", str(out)] + SMALL[command]
 
 
 class TestExitCodes:
@@ -241,6 +249,47 @@ class TestExitCodes:
         assert "generate does not read config key 'runs'" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["bad.conf"]
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["select"], ["--runs", "2"]),
+            # a flag is matched whole: --n is not short for --n-values
+            (["sweep", "--n-values", "4"], ["--n", "5"]),
+            (["sweep", "--n-values", "4"], ["--task", "binary"]),
+        ],
+    )
+    def test_flag_of_a_setting_the_command_does_not_read_is_one(self, tmp_path, capsys,
+                                                                command, flag):
+        argv = command + flag + ["--corpus", str(tmp_path / "missing.jsonl"), "--target", "tgt",
+                                 "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            (command, key)
+            for command in sorted(SUBCOMMAND_FLAGS)
+            for key in CONFIG_KEYS
+            if "--" + key.replace("_", "-") not in SUBCOMMAND_FLAGS[command]
+        ],
+    )
+    def test_config_key_the_command_does_not_read_is_one(self, tmp_path, capsys, command, key):
+        """A config file sets only the keys its command has flags for; any
+        other is named before an input is read."""
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = {CONFIG_KEYS[key][0]}\n", encoding="utf-8")
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        argv += {"generate": ["--catalog"], "sweep": ["--n-values", "4"]}.get(command, [])
+        if command != "generate":  # loading the missing corpus would exit 2
+            argv += ["--corpus", str(tmp_path / "missing.jsonl"), "--target", "tgt"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: {command} does not read config key {key!r}\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
     def test_generate_reads_seed_and_out_from_config(self, tmp_path):
         out = tmp_path / "from_file"
         config = tmp_path / "gen.conf"
@@ -249,8 +298,8 @@ class TestExitCodes:
         assert (out / "graded" / "all.jsonl").is_file()
 
     def test_listed_baseline_is_run_once(self, data, tmp_path):
-        argv = ["evaluate", "--strategies", "instance,random"] + base_args(data, tmp_path)
-        argv += ["--runs", "1"]
+        argv = ["evaluate", "--strategies", "instance,random"]
+        argv += base_args(data, tmp_path, "evaluate") + ["--runs", "1"]
         assert cli.main(argv) == 0
         rows = (tmp_path / "results.tsv").read_text("utf-8").splitlines()
         assert [r.split("\t")[1] for r in rows[1:]] == ["random", "balanced", "instance"]
@@ -313,11 +362,11 @@ class TestExitCodes:
             return result
 
         monkeypatch.setattr(selection, "select_domain_level", recording)
-        args = ["--corpus", str(corpus), "--target", "tgt"] + SMALL
-        argv = ["select", "--strategy", "domain", "--out", str(tmp_path / "sel")] + args
-        assert cli.main(argv) == 0
-        argv = ["evaluate", "--strategies", "domain", "--out", str(tmp_path / "eval")] + args
-        assert cli.main(argv) == 0
+        args = ["--corpus", str(corpus), "--target", "tgt"]
+        argv = ["select", "--strategy", "domain", "--out", str(tmp_path / "sel")]
+        assert cli.main(argv + args + SMALL["select"]) == 0
+        argv = ["evaluate", "--strategies", "domain", "--out", str(tmp_path / "eval")]
+        assert cli.main(argv + args + SMALL["evaluate"]) == 0
         assert chosen == ["near", "far", "far"]
 
     @pytest.mark.parametrize("strategy", ["instance", "domain"])
@@ -341,7 +390,8 @@ class TestExitCodes:
         monkeypatch.setattr(evaluation, "train_classifier", lambda *a: trained.append(a))
         sizes = ["--n-values", "4"] if command == "sweep" else []
         argv = [command, *sizes, "--strategies", "domain,instance", "--representation",
-                "embedding", "--embeddings", str(vectors)] + base_args(data, tmp_path / "out")
+                "embedding", "--embeddings", str(vectors)]
+        argv += base_args(data, tmp_path / "out", command)
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: target vector is all zeros")
@@ -423,7 +473,7 @@ class TestExitCodes:
                 bom + "".join(f"{key} = {root / key}\n" for key in files), encoding="utf-8"
             )
             argv = ["select", "--config", str(config), "--representation", "embedding",
-                    "--target", "tgt", "--out", str(root / "out")] + SMALL
+                    "--target", "tgt", "--out", str(root / "out")] + SMALL["select"]
             assert cli.main(argv) == 0
             selections.append((root / "out" / "selection_ids.txt").read_bytes())
         assert stopwords == [frozenset({"movie", "the"})] * 2
@@ -437,7 +487,7 @@ class TestExitCodes:
             moved = json.dumps({**json.loads(lines[1]), "domain": domain}) + "\n"
             corpus.write_text(lines[0] + moved + "".join(lines[2:]), encoding="utf-8")
             argv = ["evaluate", "--corpus", str(corpus), "--target", domain,
-                    "--out", str(tmp_path / "out")] + SMALL
+                    "--out", str(tmp_path / "out")] + SMALL["evaluate"]
             assert cli.main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"data error: {corpus}, line 2: ") and err.count("\n") == 1
@@ -474,8 +524,10 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "load_corpus", loaded.append)
         argv = [str(data["spec"]) if a == "SPEC" else a for a in argv]
         if argv[0] != "generate":
-            argv += ["--corpus", str(data["corpus"]), "--target", "tgt", "--n", "10",
+            argv += ["--corpus", str(data["corpus"]), "--target", "tgt",
                      "--strategies" if argv[0] != "select" else "--strategy", "instance"]
+        if argv[0] in ("select", "evaluate"):
+            argv += ["--n", "10"]
         assert cli.main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out / taken}: ") and err.count("\n") == 1
@@ -590,7 +642,7 @@ class TestConfiguration:
         config = cli.RunConfig()
         for strategy in STRATEGIES:
             assert cli._selection_config(config, strategy) == SelectionConfig(
-                n=config.resolved_n, strategy=strategy
+                n=config.n, strategy=strategy
             )
         captured, stopwords = {}, []
         tokenize = cli.tokenize_corpus
@@ -602,6 +654,25 @@ class TestConfiguration:
         )
         assert stopwords == [None]
         assert captured["ae_config"] == AETrainConfig(seed=cli.substream_seed(0, "autoencoder"))
+
+    @pytest.mark.parametrize("command", ["select", "evaluate"])
+    def test_echo_holds_the_settings_the_command_reads(self, data, tmp_path, command):
+        """The JSON file echoes each setting the command has a flag for, and
+        its result records restate none of them."""
+        argv = [command, "--strategy" if command == "select" else "--strategies", "instance"]
+        extra = ["--runs", "1"] if command == "evaluate" else []
+        assert cli.main(argv + base_args(data, tmp_path, command) + extra) == 0
+        written = json.loads((tmp_path / cli.OUTPUT_FILES[command][-1]).read_text("utf-8"))
+        flags = SUBCOMMAND_FLAGS[command] - {"-h", "--help", "--config"}
+        assert set(written["config"]) == {flag[2:].replace("-", "_") for flag in flags}
+        assert written["config"]["n"] == 10
+        if command == "select":
+            assert "shortfall" not in written["result"]
+        else:
+            assert [sorted(r) for r in written["results"]] == [[
+                "accuracies", "mean", "metric", "representation", "seeds", "std", "strategy",
+                "target_domain",
+            ]] * 3
 
     def test_config_keys_are_the_run_config_fields(self):
         assert {f.name for f in fields(cli.RunConfig)} == set(CONFIG_KEYS)
@@ -651,7 +722,7 @@ class TestReruns:
     def test_evaluate(self, data, tmp_path, representation):
         argv = ["evaluate", "--representation", representation,
                 "--embeddings", str(data["vectors"]), "--strategies", "domain,instance,subset"]
-        self.rerun_is_identical(argv + base_args(data, tmp_path), tmp_path)
+        self.rerun_is_identical(argv + base_args(data, tmp_path, "evaluate"), tmp_path)
         rows = (tmp_path / "results.tsv").read_text("utf-8").splitlines()
         assert [r.split("\t")[1] for r in rows[1:]] == [
             "random", "balanced", "domain", "instance", "subset",
@@ -661,7 +732,7 @@ class TestReruns:
 
     def test_sweep(self, data, tmp_path):
         argv = ["sweep", "--n-values", "4,8", "--strategies", "random,instance"]
-        self.rerun_is_identical(argv + base_args(data, tmp_path), tmp_path)
+        self.rerun_is_identical(argv + base_args(data, tmp_path, "sweep"), tmp_path)
 
     def test_generate(self, data, tmp_path):
         argv = ["generate", "--spec", str(data["spec"]), "--out", str(tmp_path)]
@@ -678,7 +749,8 @@ class TestEvaluateOutputs:
     STRATEGIES = ["--strategies", "domain,instance,subset"]
 
     def evaluate(self, data, out, *extra):
-        assert cli.main(["evaluate"] + self.STRATEGIES + base_args(data, out) + list(extra)) == 0
+        argv = ["evaluate"] + self.STRATEGIES + base_args(data, out, "evaluate") + list(extra)
+        assert cli.main(argv) == 0
         rows = [r.split("\t") for r in (out / "results.tsv").read_text("utf-8").splitlines()]
         return rows[0], rows[1:], json.loads((out / "results.json").read_text("utf-8"))
 
@@ -722,7 +794,7 @@ class TestEvaluateOutputs:
         _, rows, _ = self.evaluate(data, tmp_path / "evaluate")
         strategies = ",".join(row[1] for row in rows)
         argv = ["sweep", "--n-values", "10", "--strategies", strategies]
-        assert cli.main(argv + base_args(data, tmp_path / "sweep")) == 0
+        assert cli.main(argv + base_args(data, tmp_path / "sweep", "sweep")) == 0
         sweep = [r.split("\t") for r in
                  (tmp_path / "sweep" / "sweep.tsv").read_text("utf-8").splitlines()]
         assert sweep[0] == ["n", "strategy", "mean_acc", "std"]

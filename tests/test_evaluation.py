@@ -468,10 +468,7 @@ def scalar_domain_scores(space, corpus, target_domain, metric):
 
 
 def space_over(docs, kind, matrix):
-    ids = [doc.id for doc in docs]
-    return RepresentationSpace(
-        kind=kind, doc_ids=ids, index={d: i for i, d in enumerate(ids)}, matrix=matrix
-    )
+    return RepresentationSpace(kind=kind, doc_ids=[doc.id for doc in docs], matrix=matrix)
 
 
 def context_over(corpus, space):

@@ -49,9 +49,8 @@ def term_space(texts, tokens):
 
 
 def dense_space(vecs):
-    ids = [f"d{i}" for i in range(len(vecs))]
     return RepresentationSpace(
-        kind="embedding", doc_ids=ids, index={d: i for i, d in enumerate(ids)},
+        kind="embedding", doc_ids=[f"d{i}" for i in range(len(vecs))],
         matrix=np.asarray(vecs, dtype=np.float64),
     )
 

@@ -107,6 +107,19 @@ class TestJS:
         with pytest.raises(DataError):
             js_divergence(np.array([1.0]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            ([2.0, 0.0], [0.0, 2.0]),  # mass 2: scored 2 ln 2, above the bound
+            ([-0.5, 1.5], [0.5, 0.5]),  # a negative entry: scored below 0
+            ([math.nan, 1.0], [0.5, 0.5]),  # scored -0.131
+        ],
+    )
+    def test_array_that_is_not_a_distribution_is_rejected(self, p, q):
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(DataError):
+                js_divergence(np.array(a), np.array(b))
+
 
 class TestBatchedKernels:
     def test_js_rows_match_scalar_bitwise(self):
@@ -370,6 +383,13 @@ class TestCosine:
     def test_dim_mismatch(self):
         with pytest.raises(DataError):
             cosine(np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]])
+    def test_non_finite_vector_is_rejected(self, bad):
+        # a NaN entry scored 0.0, as a zero vector does
+        for a, b in ((bad, [1.0, 1.0]), ([1.0, 1.0], bad)):
+            with pytest.raises(DataError):
+                cosine(np.array(a), np.array(b))
 
 
 class TestLogisticRegression:
