@@ -64,8 +64,8 @@ from .evaluation import (
     t_test,
 )
 from .representations import EMBEDDING, REPRESENTATION_KINDS
-from .selection import STRATEGIES, SelectionConfig, check_cosine_target
-from .similarity import COSINE, METRIC_ORIENTATION
+from .selection import STRATEGIES, SelectionConfig, check_target
+from .similarity import METRIC_ORIENTATION, PROXY_A
 from .synthetic import DomainSpec, benchmark_suite, generate
 
 BASELINES = ("random", "balanced")
@@ -273,13 +273,16 @@ def _run_experiments(
 ) -> list[ExperimentResult]:
     """Run every selection config ``config.runs`` times in one shared context.
 
-    A cosine target that cannot rank is rejected once, before any run, so no
-    baseline trains first and the error names no run.
+    A target that a config's metric cannot rank against (``check_target``) is
+    rejected once, before any run, so no baseline trains first and the error
+    names no run. Baselines rank nothing, and proxy-A reads the target's rows,
+    not its aggregate.
     """
     check_runs(config.runs)  # before the corpus loads, as the other settings
     context = _build_context(config, labeled_pool_only=True)
-    if any(c.strategy not in BASELINES and c.resolved_metric == COSINE for c in sel_configs):
-        check_cosine_target(context.target_repr)
+    for c in sel_configs:
+        if c.strategy not in BASELINES and c.resolved_metric != PROXY_A:
+            check_target(context.target_repr, c.resolved_metric)
     classifier = ClassifierConfig(seed=substream_seed(config.seed, "classifier"))
     selection_seed = substream_seed(config.seed, "selection")
     return [
@@ -448,7 +451,9 @@ def _write_corpora(out: Path, corpora: dict[str, Corpus]) -> None:
     files = {}
     for subdirectory, corpus in corpora.items():
         for domain in sorted(corpus.domains):
-            files[Path(subdirectory, f"{domain}.jsonl")] = Corpus(corpus.domain_documents(domain))
+            files[Path(subdirectory, f"{domain}.jsonl")] = Corpus(
+                corpus.documents[row] for row in corpus.domain_rows(domain).tolist()
+            )
         files[Path(subdirectory, "all.jsonl")] = corpus
     _check_outputs(out, files)
     with _output(out):

@@ -109,9 +109,6 @@ class Corpus:
         except KeyError:
             raise DataError(f"unknown domain {domain!r}") from None
 
-    def domain_documents(self, domain: str) -> list[Document]:
-        return [self.documents[row] for row in self.domain_rows(domain).tolist()]
-
 
 def _text_lines(path: Path, what: str, error: type[Exception] = DataError) -> Iterator[str]:
     """The lines of the UTF-8 text file ``path``, read as they are consumed,

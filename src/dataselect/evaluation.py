@@ -32,23 +32,25 @@ the strategies rank: one per pool document (cached for JS and cosine, which
 ``selection.proxy_a_scores`` for proxy-A, the only metric that also reads the
 target's own rows) and one per source domain (cached), the domains pooled by
 ``representations.pool_groups`` like the subset search's candidates.
-``run_selection`` hands each strategy its scores. Every setting is an
-argument of the function that uses it: the representation's (embedding
-table, autoencoder training, SIF smoothing) of ``prepare_context`` and the
-classifier's seed of ``run_experiment``.
+``run_selection`` hands each strategy its scores and the pool's ids and
+domains. Every setting is an argument of the function that uses it: the
+representation's (embedding table, autoencoder training, SIF smoothing) of
+``prepare_context`` and the classifier's seed of ``run_experiment``.
 
 A document has one address, its corpus row: its row of the representation
-matrix and of the encoded count matrix. The context keeps the pool's rows as
-an int array and copies no representation row. JS and cosine score each row
-of the matrix on its own, so the pool's scores are the matrix's scores
-gathered at the pool rows, bit for bit; proxy-A gathers the rows it fits on.
+matrix, of the encoded count matrix and of the corpus's documents. The
+context keeps the pool's rows as an int array and copies no representation
+row or document. JS and cosine score each row of the matrix on its own, so
+the pool's scores are the matrix's scores gathered at the pool rows, bit for
+bit; proxy-A gathers the rows it fits on. ``run_selection`` reads the pool's
+ids and domains at those rows, once per call, and the strategies return ids,
+which ``run_experiment`` maps back to rows.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -57,7 +59,7 @@ from scipy.special import betainc
 
 from . import selection as sel
 from .autoencoder import AETrainConfig, train as ae_train
-from .corpus import Corpus, Document, EncodedCorpus, TfidfModel
+from .corpus import Corpus, EncodedCorpus, TfidfModel
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, DataError, DataSelectError
 from .representations import (
@@ -281,11 +283,6 @@ class ExperimentContext:
     _item_scores: dict = field(default_factory=dict)
     _domain_scores: dict = field(default_factory=dict)
 
-    @cached_property
-    def pool_docs(self) -> list[Document]:
-        """The pool's documents, in ``pool_index`` order."""
-        return [self.corpus.documents[row] for row in self.pool_index.tolist()]
-
     def item_scores(self, metric: str, seed: int) -> np.ndarray:
         """Per-pool-document scores against the target.
 
@@ -310,18 +307,16 @@ class ExperimentContext:
         """Score of each source domain's pooled documents, cached per metric.
 
         Every domain is pooled by one ``pool_groups`` call and all are scored
-        in one ``_score_rows`` call. Pooled term counts are densified first:
-        the dense JS kernel scores a row exactly as the scalar
-        ``js_divergence`` of its ``aggregate`` does, the sparse one only to
-        1e-12. An empty domain scores NaN.
+        in one ``_score_rows`` call, pooled term counts by the CSR JS kernel
+        that scores pool rows and subset candidates; it agrees with the scalar
+        ``js_divergence`` of a domain's ``aggregate`` to 1e-12. An empty
+        domain scores NaN.
         """
         if metric not in self._domain_scores:
             domains = sorted(self.corpus.domains - {self.target_domain})
             groups = [self.corpus.domain_rows(d) for d in domains]
             indptr = np.cumsum([0] + [len(g) for g in groups])
             pooled = pool_groups(self.space.matrix, np.concatenate(groups), indptr)
-            if sp.issparse(pooled):
-                pooled = pooled.toarray()
             scores = sel._score_rows(pooled, self.target_repr, metric)
             self._domain_scores[metric] = dict(zip(domains, scores.tolist()))
         return self._domain_scores[metric]
@@ -382,32 +377,40 @@ def prepare_context(
         encoded=encoded,
         space=space,
         pool_index=pool_index,
-        target_repr=space.aggregate([d.id for d in corpus.domain_documents(target_domain)]),
+        target_repr=space.aggregate(
+            [space.doc_ids[row] for row in corpus.domain_rows(target_domain).tolist()]
+        ),
     )
 
 
 def run_selection(
     context: ExperimentContext, config: sel.SelectionConfig, seed: int
 ) -> sel.SelectionResult:
-    """Dispatch one selection strategy inside a prepared context."""
-    pool = context.pool_docs
+    """Dispatch one selection strategy inside a prepared context.
+
+    The pool's ids (``space.doc_ids``) and domains are read at its corpus
+    rows once per call, in ``pool_index`` order, the order of its scores.
+    """
+    documents, doc_ids = context.corpus.documents, context.space.doc_ids
+    ids = [doc_ids[row] for row in context.pool_index.tolist()]
+    domains = [documents[row].domain for row in context.pool_index.tolist()]
     if config.strategy == "random":
-        return sel.select_random(pool, config.n, seed)
+        return sel.select_random(ids, config.n, seed)
     if config.strategy == "balanced":
-        return sel.select_balanced(pool, config.n, seed)
+        return sel.select_balanced(ids, domains, config.n, seed)
     metric = config.resolved_metric
     if config.strategy == "domain":
         return sel.select_domain_level(
-            pool, context.domain_scores(metric), metric, config.n, seed
+            ids, domains, context.domain_scores(metric), metric, config.n, seed
         )
     scores = context.item_scores(metric, seed)
     if config.strategy == "instance":
-        return sel.select_instance_level(pool, scores, metric, config.n)
+        return sel.select_instance_level(ids, scores, metric, config.n)
     return sel.subset_select(
         config.s,
         config.n,
         config.m,
-        pool,
+        ids,
         context.target_repr,
         context.space.matrix,
         context.pool_index,

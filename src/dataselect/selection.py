@@ -6,6 +6,13 @@ from the most target-similar domain), instance ranking, and iterative
 subset selection (repeatedly keep the most target-similar of ``m`` random
 size-``s`` groups, removing winners from the pool between rounds).
 
+Every strategy reads pool-aligned sequences, entry i describing pool
+document i: its id (``ids``), which breaks ties and is what a result
+reports; its domain (``domains``, read by the balanced and domain-level
+strategies); its score (instance and subset levels); and, for the subset
+search alone, its corpus row (``pool_index``). Strategies work on pool
+positions, and ids are formed where a ``SelectionResult`` is built.
+
 The similarity-guided strategies rank scores they are given; they call no
 metric themselves. ``evaluation.ExperimentContext`` computes the scores of
 every scope: one per pool document (item scores) and one per source domain,
@@ -67,7 +74,6 @@ import scipy.sparse as sp
 
 from . import autoencoder
 from .autoencoder import _row_blocks
-from .corpus import Document
 from .errors import ConfigError, DataError
 from .representations import (
     AUTOENCODER,
@@ -175,30 +181,36 @@ class SelectionConfig:
 
 @dataclass
 class SelectionResult:
-    """Chosen document ids with scores and provenance."""
+    """Chosen document ids and what the selection found on the way; the
+    settings that produced it are the caller's to record. A field a strategy
+    does not fill stays None."""
 
     chosen: list[str]
-    strategy: str
-    config: dict
-    seed: int | None
+    seed: int | None = None
+    metric: str | None = None
+    chosen_domain: str | None = None
+    domain_scores: dict[str, float] | None = None
     item_scores: dict[str, float] | None = None
     subset_scores: list[float] | None = None
     iteration_members: list[list[str]] | None = None
-
-    @property
-    def shortfall(self) -> int:
-        """How many fewer ids than the ``n`` requested were chosen."""
-        return self.config["n"] - len(self.chosen)
 
 
 # ---------------------------------------------------------------------------
 # Scoring and ranking
 # ---------------------------------------------------------------------------
 
-def check_cosine_target(target_repr) -> np.ndarray:
-    """The target as a vector, or a ``DataError`` when an entry is not finite
-    or none is nonzero: such a target has no direction, and cosine would score
-    every row 0."""
+def check_target(target_repr, metric: str):
+    """The target as ``metric`` scores against it, or a ``DataError`` when it
+    cannot rank: an empty distribution under JS, and under cosine a vector
+    with an entry that is not finite or none that is nonzero, which has no
+    direction (cosine would score every row 0). Proxy-A has no target
+    aggregate, so it is an unknown metric here."""
+    if metric == JENSEN_SHANNON:
+        if target_repr.empty:
+            raise DataError("target distribution is empty")
+        return target_repr
+    if metric != COSINE:
+        raise ConfigError(f"unknown metric {metric!r}")
     target = _as_vector(target_repr)
     if not (np.isfinite(target).all() and target.any()):
         raise DataError("target vector is all zeros or not finite; cosine cannot rank against it")
@@ -206,19 +218,25 @@ def check_cosine_target(target_repr) -> np.ndarray:
 
 
 def _score_rows(rows, target_repr, metric: str) -> np.ndarray:
-    """Score representation rows against the target; NaN marks unusable rows.
+    """Score representation rows against the target, checked by
+    ``check_target``; NaN marks unusable rows.
 
-    A target vector with no nonzero entry is a ``DataError`` under cosine
-    (``check_cosine_target``), as an empty target distribution is under JS.
     Proxy-A is not scored here: it fits a discriminator against the target's
     own rows, which ``ExperimentContext.item_scores`` passes to
     ``proxy_a_scores`` itself.
     """
-    if metric == JENSEN_SHANNON:
-        return js_to_target(rows, target_repr)
-    if metric == COSINE:
-        return cosine_to_target(rows, check_cosine_target(target_repr))
-    raise ConfigError(f"unknown metric {metric!r}")
+    target = check_target(target_repr, metric)
+    return (js_to_target if metric == JENSEN_SHANNON else cosine_to_target)(rows, target)
+
+
+def _check_pool(ids: Sequence[str], **aligned: Sequence) -> None:
+    """A ``DataError`` when the pool is empty or a sequence in ``aligned``
+    does not hold one entry per pool document."""
+    if not len(ids):
+        raise DataError("selection pool is empty")
+    for name, values in aligned.items():
+        if len(values) != len(ids):
+            raise DataError(f"{len(values)} {name} for {len(ids)} pool documents")
 
 
 def _sort_key(scores: np.ndarray, orientation: str) -> np.ndarray:
@@ -237,33 +255,26 @@ def _rank(scores: np.ndarray, orientation: str, names: Sequence[str]) -> list[in
 # Baselines
 # ---------------------------------------------------------------------------
 
-def select_random(pool: Sequence[Document], n: int, seed: int) -> SelectionResult:
+def select_random(ids: Sequence[str], n: int, seed: int) -> SelectionResult:
     """Uniform sample without replacement from the whole source pool."""
-    if not pool:
-        raise DataError("selection pool is empty")
-    rng = np.random.default_rng(seed)
-    take = min(n, len(pool))
-    picked = rng.choice(len(pool), size=take, replace=False)
-    return SelectionResult(
-        chosen=[pool[i].id for i in picked],
-        strategy="random",
-        config={"n": n},
-        seed=seed,
-    )
+    _check_pool(ids)
+    picked = np.random.default_rng(seed).choice(len(ids), size=min(n, len(ids)), replace=False)
+    return SelectionResult(chosen=[ids[i] for i in picked], seed=seed)
 
 
-def select_balanced(pool: Sequence[Document], n: int, seed: int) -> SelectionResult:
+def select_balanced(
+    ids: Sequence[str], domains: Sequence[str], n: int, seed: int
+) -> SelectionResult:
     """Stratified sample: an equal quota per source domain.
 
     The remainder of ``n / K`` goes one extra to the lexicographically first
     domains; domains too small to fill their quota contribute everything and
     the leftover budget is redistributed by the same rule.
     """
-    if not pool:
-        raise DataError("selection pool is empty")
+    _check_pool(ids, domains=domains)
     by_domain: dict[str, list[int]] = {}
-    for i, doc in enumerate(pool):
-        by_domain.setdefault(doc.domain, []).append(i)
+    for i, domain in enumerate(domains):
+        by_domain.setdefault(domain, []).append(i)
     alloc = _quota_allocation({d: len(v) for d, v in by_domain.items()}, n)
     rng = np.random.default_rng(seed)
     chosen: list[str] = []
@@ -274,13 +285,8 @@ def select_balanced(pool: Sequence[Document], n: int, seed: int) -> SelectionRes
             picked = members
         else:
             picked = [members[j] for j in rng.choice(len(members), size=quota, replace=False)]
-        chosen.extend(pool[i].id for i in picked)
-    return SelectionResult(
-        chosen=chosen,
-        strategy="balanced",
-        config={"n": n},
-        seed=seed,
-    )
+        chosen.extend(ids[i] for i in picked)
+    return SelectionResult(chosen=chosen, seed=seed)
 
 
 def _quota_allocation(available: dict[str, int], n: int) -> dict[str, int]:
@@ -308,7 +314,8 @@ def _quota_allocation(available: dict[str, int], n: int) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 def select_domain_level(
-    pool: Sequence[Document],
+    ids: Sequence[str],
+    domains: Sequence[str],
     domain_scores: dict[str, float],
     metric: str,
     n: int,
@@ -323,45 +330,38 @@ def select_domain_level(
     informs the scores. Ties rank lexicographically; a too-small winner is
     NOT topped up from the runner-up (the result falls short of ``n``).
     """
-    if not pool:
-        raise DataError("selection pool is empty")
+    _check_pool(ids, domains=domains)
     usable = {d: v for d, v in sorted(domain_scores.items()) if not math.isnan(v)}
-    names = sorted(usable.keys() & {doc.domain for doc in pool})
+    names = sorted(usable.keys() & set(domains))
     if not names:
         raise DataError("no source domain with pool documents has a usable representation")
     best = names[_rank(np.array([usable[d] for d in names]), METRIC_ORIENTATION[metric], names)[0]]
-    members = [i for i, doc in enumerate(pool) if doc.domain == best]
+    members = [i for i, domain in enumerate(domains) if domain == best]
     rng = np.random.default_rng(seed)
-    take = min(n, len(members))
-    picked = [members[j] for j in rng.choice(len(members), size=take, replace=False)]
+    picked = rng.choice(len(members), size=min(n, len(members)), replace=False)
     return SelectionResult(
-        chosen=[pool[i].id for i in picked],
-        strategy="domain",
-        config={"n": n, "metric": metric, "chosen_domain": best, "domain_scores": usable},
+        chosen=[ids[members[j]] for j in picked],
         seed=seed,
+        metric=metric,
+        chosen_domain=best,
+        domain_scores=usable,
     )
 
 
 def select_instance_level(
-    pool: Sequence[Document], scores: np.ndarray, metric: str, n: int
+    ids: Sequence[str], scores: np.ndarray, metric: str, n: int
 ) -> SelectionResult:
     """Rank individual examples by their scores and take the top ``n``.
 
     ``scores`` holds one score per pool document; NaN (empty) instances are
     excluded, and ties break on document id.
     """
-    if not pool:
-        raise DataError("selection pool is empty")
-    if len(scores) != len(pool):
-        raise DataError(f"{len(scores)} scores for {len(pool)} pool documents")
-    ids = [doc.id for doc in pool]
+    _check_pool(ids, scores=scores)
     ranked = _rank(scores, METRIC_ORIENTATION[metric], ids)
     picked = [i for i in ranked if not math.isnan(scores[i])][:n]
     return SelectionResult(
         chosen=[ids[i] for i in picked],
-        strategy="instance",
-        config={"n": n, "metric": metric},
-        seed=None,
+        metric=metric,
         item_scores={ids[i]: float(scores[i]) for i in picked},
     )
 
@@ -370,7 +370,7 @@ def subset_select(
     s: int,
     n: int,
     m: int,
-    pool: Sequence[Document],
+    ids: Sequence[str],
     target_repr,
     matrix,
     pool_index: np.ndarray,
@@ -388,11 +388,12 @@ def subset_select(
     ``n`` by ``item_scores`` (one per pool document), best first.
 
     ``matrix`` is the representation matrix of the whole corpus and
-    ``pool_index`` holds each pool document's corpus row, so ``pool[i]`` is
-    represented by ``matrix[pool_index[i]]``. Candidates are pooled straight
-    from those rows; ``pool_groups`` converts the matrix as it needs. The
-    settings are checked by ``SelectionConfig``, so a metric the subset level
-    refuses (proxy_a) fails the same way at every ``s``, before any draw.
+    ``pool_index`` holds each pool document's corpus row, so the document
+    ``ids[i]`` is represented by ``matrix[pool_index[i]]``. Candidates are
+    pooled straight from those rows; ``pool_groups`` converts the matrix as it
+    needs. The settings are checked by ``SelectionConfig``, so a metric the
+    subset level refuses (proxy_a) fails the same way at every ``s``, before
+    any draw.
 
     With ``s=1`` and ``m`` at least the remaining pool size, a round is
     exhaustive and the search equals instance-level ranking: the pool left is
@@ -429,13 +430,7 @@ def subset_select(
     gives them, so the result is that of scoring every candidate.
     """
     SelectionConfig(n=n, strategy="subset", metric=metric, s=s, m=m)
-    if not pool:
-        raise DataError("selection pool is empty")
-    if len(pool_index) != len(pool) or len(item_scores) != len(pool):
-        raise DataError(
-            f"{len(pool_index)} rows and {len(item_scores)} scores "
-            f"for {len(pool)} pool documents"
-        )
+    _check_pool(ids, rows=pool_index, scores=item_scores)
     orientation = METRIC_ORIENTATION[metric]
     rng = np.random.default_rng(seed)
     helper = ThreadPoolExecutor(max_workers=1)
@@ -447,7 +442,7 @@ def subset_select(
             return None
         return helper.submit(_draw_subsets, rng, n_avail, min(s, n_avail), m)
 
-    available = np.arange(len(pool))
+    available = np.arange(len(ids))
     ranked = None  # the remaining pool in rank order, once s=1 rounds turn exhaustive
     chosen: list[int] = []
     iteration_members: list[list[str]] = []
@@ -466,8 +461,8 @@ def subset_select(
             # ``available`` are dropped at once, not kept alive through scoring
             if pending is None:
                 if ranked is None:
-                    ids = [pool[i].id for i in available]
-                    ranked = iter(available[_rank(item_scores[available], orientation, ids)])
+                    names = [ids[i] for i in available]
+                    ranked = iter(available[_rank(item_scores[available], orientation, names)])
                 candidates = np.array([[next(ranked)]])
             else:
                 candidates = available[pending.result()]
@@ -486,10 +481,10 @@ def subset_select(
             members = candidates[best]
             room = n - len(chosen)
             if len(members) > room:
-                ids = [pool[i].id for i in members]
-                members = members[_rank(item_scores[members], orientation, ids)[:room]]
+                names = [ids[i] for i in members]
+                members = members[_rank(item_scores[members], orientation, names)[:room]]
             chosen.extend(int(i) for i in members)
-            iteration_members.append([pool[int(i)].id for i in members])
+            iteration_members.append([ids[i] for i in members])
             subset_scores.append(float(scores[best]))
             available = available[~np.isin(available, members)]
     finally:
@@ -498,10 +493,9 @@ def subset_select(
         helper.shutdown(wait=True, cancel_futures=True)
 
     return SelectionResult(
-        chosen=[pool[i].id for i in chosen],
-        strategy="subset",
-        config={"n": n, "s": s, "m": m, "metric": metric},
+        chosen=[ids[i] for i in chosen],
         seed=seed,
+        metric=metric,
         subset_scores=subset_scores,
         iteration_members=iteration_members,
     )

@@ -9,10 +9,14 @@ Each metric has a scalar form (``js_divergence``, ``cosine``) and a batched
 form used during selection (``js_to_target``, ``cosine_to_target``). A scalar
 form returns a ``SimilarityScore``, whose only field is the value: the metric
 and its orientation (``METRIC_ORIENTATION``) are those of the function called,
-and an empty score is a NaN value. The scalar forms and the dense batched
-paths share one row kernel per metric, so they agree bit for bit. Sparse JS
-rows are scored on their support only; that sum runs in another order, so it
-agrees with the dense kernel to within 1e-12 rather than exactly. The sparse
+and an empty score is a NaN value.
+
+JS has one batched kernel, the CSR one (``_js_csr_to_target``); it scores
+pool rows, subset candidates and pooled domains, and ``js_to_target`` reads a
+dense argument as CSR. It scores each row on its support only. The dense
+kernel (``_js_rows_from_probs``) is the scalar ``js_divergence``'s and the
+reference the batched one is tested against: it sums every column, in
+another order, so the two agree to within 1e-12 rather than exactly. The CSR
 kernel takes ``ln q`` once per call and gathers it per nonzero, so each
 nonzero costs two logs (``ln p`` and ``ln m``); where ``q`` is zero the
 gathered term is +0.0, as ``m = p/2`` makes ``ln m`` negative. Both gathers
@@ -22,10 +26,10 @@ casts them again for every gather; the gathered values, and so the scores, are
 the same whatever the index dtype. Every batched path gives a row the same
 score however the rows are chunked or ordered.
 
-The dense batched paths (``cosine_to_target`` and dense ``js_to_target``)
-walk their rows in ``autoencoder._row_blocks``, densifying sparse cosine input
-one block at a time; each row is scored by elementwise operations and a
-reduction along that row alone.
+Cosine's scalar and batched forms share one row kernel, so they agree bit for
+bit. ``cosine_to_target`` walks its rows in ``autoencoder._row_blocks``,
+densifying sparse input one block at a time; each row is scored by
+elementwise operations and a reduction along that row alone.
 
 The proxy-A discriminator fits and scores sparse rows as float64 CSR, so its
 memory grows with the nonzeros, not with rows x columns. Dense rows run the
@@ -121,23 +125,15 @@ def js_to_target(rows: sp.spmatrix | np.ndarray, target: TermDistribution) -> np
     """JS divergence of each (count or probability) row against the target.
 
     Count rows are normalized first; empty rows come back as NaN. This is the
-    batched path used by instance- and subset-level selection. Sparse inputs
-    are scored on their support only, which is exact because columns outside
-    a row's support contribute ``0.5 * ln2 * q_i`` each; a row's result
-    depends only on its own entries, so scores are stable across batching.
+    batched path used by every selection scope. Rows are read as CSR, a
+    dense argument included, and scored on their support only, which is
+    exact because columns outside a row's support contribute ``0.5 * ln2 *
+    q_i`` each; a row's result depends only on its own entries, so scores are
+    stable across batching.
     """
     if target.empty:
         raise DataError("target distribution is empty")
-    if sp.issparse(rows):
-        return _js_csr_to_target(rows.tocsr(), target.probs)
-    rows = np.asarray(rows, dtype=np.float64)
-    out = np.empty(rows.shape[0], dtype=np.float64)
-    for start, stop in _row_blocks(rows.shape[0]):
-        block = rows[start:stop]
-        sums = block.sum(axis=1, keepdims=True)
-        P = np.divide(block, sums, out=np.zeros_like(block), where=sums > 0)
-        out[start:stop] = _js_rows_from_probs(P, target.probs)
-    return out
+    return _js_csr_to_target(sp.csr_matrix(rows, dtype=np.float64), target.probs)
 
 
 def _js_csr_to_target(rows: sp.csr_matrix, q: np.ndarray) -> np.ndarray:

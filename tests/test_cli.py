@@ -358,7 +358,7 @@ class TestExitCodes:
 
         def recording(*args):
             result = select_domain_level(*args)
-            chosen.append(result.config["chosen_domain"])
+            chosen.append(result.chosen_domain)
             return result
 
         monkeypatch.setattr(selection, "select_domain_level", recording)
@@ -397,6 +397,26 @@ class TestExitCodes:
         assert err.startswith("data error: target vector is all zeros")
         assert trained == []
         assert [p.name for p in tmp_path.iterdir()] == ["oov.txt"]
+
+    def test_empty_js_target_fails_before_any_run(self, data, tmp_path, capsys, monkeypatch):
+        """Target documents of stopwords alone leave an empty target
+        distribution, which JS cannot rank against: evaluate rejects it once,
+        before a baseline trains, and the error names no run."""
+        docs = [json.loads(line) for line in data["corpus"].read_text("utf-8").splitlines()]
+        docs = [d for d in docs if d["domain"] != "tgt"] + [
+            {"id": f"t{i}", "text": "the and of", "domain": "tgt", "label": "positive"}
+            for i in range(10)
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+        trained = []
+        monkeypatch.setattr(evaluation, "train_classifier", lambda *a: trained.append(a))
+        argv = ["evaluate", "--strategies", "instance", "--corpus", str(corpus), "--target",
+                "tgt", "--out", str(tmp_path / "out")] + SMALL["evaluate"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "data error: target distribution is empty\n"
+        assert trained == []
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -658,21 +678,37 @@ class TestConfiguration:
     @pytest.mark.parametrize("command", ["select", "evaluate"])
     def test_echo_holds_the_settings_the_command_reads(self, data, tmp_path, command):
         """The JSON file echoes each setting the command has a flag for, and
-        its result records restate none of them."""
-        argv = [command, "--strategy" if command == "select" else "--strategies", "instance"]
-        extra = ["--runs", "1"] if command == "evaluate" else []
-        assert cli.main(argv + base_args(data, tmp_path, command) + extra) == 0
-        written = json.loads((tmp_path / cli.OUTPUT_FILES[command][-1]).read_text("utf-8"))
-        flags = SUBCOMMAND_FLAGS[command] - {"-h", "--help", "--config"}
-        assert set(written["config"]) == {flag[2:].replace("-", "_") for flag in flags}
-        assert written["config"]["n"] == 10
-        if command == "select":
-            assert "shortfall" not in written["result"]
-        else:
-            assert [sorted(r) for r in written["results"]] == [[
-                "accuracies", "mean", "metric", "representation", "seeds", "std", "strategy",
-                "target_domain",
-            ]] * 3
+        its result records restate none of them: a selection's result holds
+        what the selection found, and each strategy fills its own fields."""
+        found = {
+            "instance": {"chosen", "metric", "item_scores"},
+            "domain": {"chosen", "seed", "metric", "chosen_domain", "domain_scores"},
+            "subset": {"chosen", "seed", "metric", "subset_scores", "iteration_members"},
+        }
+        strategies = found if command == "select" else ["instance"]
+        for strategy in strategies:
+            argv = [command, "--strategy" if command == "select" else "--strategies", strategy]
+            extra = ["--runs", "1"] if command == "evaluate" else []
+            out = tmp_path / strategy
+            assert cli.main(argv + base_args(data, out, command) + extra) == 0
+            written = json.loads((out / cli.OUTPUT_FILES[command][-1]).read_text("utf-8"))
+            flags = SUBCOMMAND_FLAGS[command] - {"-h", "--help", "--config"}
+            assert set(written["config"]) == {flag[2:].replace("-", "_") for flag in flags}
+            assert written["config"]["n"] == 10
+            if command == "select":
+                result = written["result"]
+                assert sorted(result) == [
+                    "chosen", "chosen_domain", "domain_scores", "item_scores",
+                    "iteration_members", "metric", "seed", "subset_scores",
+                ]
+                assert {key for key, value in result.items() if value is not None} == (
+                    found[strategy]
+                )
+            else:
+                assert [sorted(r) for r in written["results"]] == [[
+                    "accuracies", "mean", "metric", "representation", "seeds", "std",
+                    "strategy", "target_domain",
+                ]] * 3
 
     def test_config_keys_are_the_run_config_fields(self):
         assert {f.name for f in fields(cli.RunConfig)} == set(CONFIG_KEYS)

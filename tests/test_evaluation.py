@@ -414,7 +414,8 @@ class TestRunExperiment:
 
     def test_selection_never_includes_target_documents(self, prepare):
         context = prepare()
-        assert all(doc.domain != "tgt" for doc in context.pool_docs)
+        docs = context.corpus.documents
+        assert all(docs[row].domain != "tgt" for row in context.pool_index.tolist())
 
 
 class TestContextMemory:
@@ -435,7 +436,7 @@ class TestContextMemory:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        pool_rows_nbytes = len(context.pool_docs) * dim * 8
+        pool_rows_nbytes = len(context.pool_index) * dim * 8
         assert retained - context.space.matrix.nbytes < pool_rows_nbytes / 4
 
 
@@ -453,7 +454,7 @@ def scalar_domain_scores(space, corpus, target_domain, metric):
         return np.asarray(rows).mean(axis=0)
 
     def ids(domain):
-        return [doc.id for doc in corpus.domain_documents(domain)]
+        return [doc.id for doc in corpus if doc.domain == domain]
 
     target = aggregate(ids(target_domain))
     scores = {}
@@ -477,18 +478,18 @@ def context_over(corpus, space):
         return prepare_context(corpus, None, None, "tgt", "term_dist")
 
 
-def copied_rows_subset_select(s, n, m, pool, target_repr, rows, item_scores, metric, seed):
+def copied_rows_subset_select(s, n, m, ids, target_repr, rows, item_scores, metric, seed):
     """``subset_select`` as it was when the context copied the pool's rows out
-    of the representation matrix: ``rows[i]`` is ``pool[i]``'s row."""
+    of the representation matrix: ``rows[i]`` is the row of the document ``ids[i]``."""
     orientation = METRIC_ORIENTATION[metric]
     rng = np.random.default_rng(seed)
-    available = np.arange(len(pool))
+    available = np.arange(len(ids))
     chosen, iteration_members, subset_scores = [], [], []
     while len(chosen) < n and len(available):
         size = min(s, len(available))
         if s == 1 and m >= len(available):
-            ids = [pool[i].id for i in available]
-            in_avail = np.array(selection._rank(item_scores[available], orientation, ids))
+            names = [ids[i] for i in available]
+            in_avail = np.array(selection._rank(item_scores[available], orientation, names))
             in_avail = in_avail[:, None]
         else:
             in_avail = selection._draw_subsets(rng, len(available), size, m)
@@ -506,13 +507,13 @@ def copied_rows_subset_select(s, n, m, pool, target_repr, rows, item_scores, met
         members = candidates[best]
         room = n - len(chosen)
         if len(members) > room:
-            ids = [pool[i].id for i in members]
-            members = members[selection._rank(item_scores[members], orientation, ids)[:room]]
+            names = [ids[i] for i in members]
+            members = members[selection._rank(item_scores[members], orientation, names)[:room]]
         chosen.extend(int(i) for i in members)
-        iteration_members.append([pool[int(i)].id for i in members])
+        iteration_members.append([ids[int(i)] for i in members])
         subset_scores.append(float(scores[best]))
         available = available[~np.isin(available, members)]
-    return [pool[i].id for i in chosen], subset_scores, iteration_members
+    return [ids[i] for i in chosen], subset_scores, iteration_members
 
 
 class TestContextScores:
@@ -553,8 +554,8 @@ class TestContextScores:
         space = space_over(docs, kind, matrix)
         context = context_over(corpus, space)
         assume(_as_vector(context.target_repr).any())  # an all-zero target is rejected
-        pool = context.pool_docs
-        assert pool == [doc for doc in docs if doc.domain != "tgt" and doc.label is not None]
+        pool = [doc for doc in docs if doc.domain != "tgt" and doc.label is not None]
+        assert [docs[row] for row in context.pool_index.tolist()] == pool
         copied = matrix[[space.index[doc.id] for doc in pool]]
 
         expected = selection._score_rows(copied, context.target_repr, metric)
@@ -568,7 +569,7 @@ class TestContextScores:
                                  s=s, m=m)
         result = run_selection(context, config, seed)
         chosen, subset_scores, members = copied_rows_subset_select(
-            s, n, m, pool, context.target_repr, copied, expected, metric, seed
+            s, n, m, [doc.id for doc in pool], context.target_repr, copied, expected, metric, seed
         )
         assert result.chosen == chosen
         assert bitwise_equal(np.array(result.subset_scores), np.array(subset_scores))
@@ -602,6 +603,7 @@ class TestContextScores:
         target, expected = scalar_domain_scores(space, corpus, "tgt", metric)
         assume(kind != "term_dist" or not target.empty)
         pool = [doc for doc in docs if doc.domain != "tgt"]
+        ids, domains = [doc.id for doc in pool], [doc.domain for doc in pool]
         context = context_over(corpus, space)
         if not _as_vector(target).any():  # cosine has no direction to rank against
             with pytest.raises(DataError, match="target vector is all zeros"):
@@ -613,12 +615,17 @@ class TestContextScores:
             assert np.array_equal(context.target_repr, target)
 
         scores = context.domain_scores(metric)
-        assert {d: v for d, v in scores.items() if not math.isnan(v)} == expected
+        usable = {d: v for d, v in scores.items() if not math.isnan(v)}
+        assert usable.keys() == expected.keys()
+        # pooled counts are scored by the CSR JS kernel, the scalar by the
+        # dense one: they agree to 1e-12 (see similarity's docstring)
+        tolerance = 1e-12 if metric == "jensen_shannon" else 0.0
+        assert all(abs(usable[d] - v) <= tolerance for d, v in expected.items())
         if not expected:
             with pytest.raises(DataError, match="usable"):
-                select_domain_level(pool, scores, metric, 1, seed=0)
+                select_domain_level(ids, domains, scores, metric, 1, seed=0)
             return
         sign = 1.0 if metric == "jensen_shannon" else -1.0
-        best = min((sign * v, d) for d, v in expected.items())[1]
-        chosen = select_domain_level(pool, scores, metric, 1, seed=0).config["chosen_domain"]
+        best = min((sign * v, d) for d, v in usable.items())[1]
+        chosen = select_domain_level(ids, domains, scores, metric, 1, seed=0).chosen_domain
         assert chosen == best

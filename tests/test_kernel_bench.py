@@ -161,14 +161,15 @@ def test_pruned_sparse_cosine_round(benchmark):
 def test_exhaustive_singleton_search(benchmark):
     context, _ = first_round("graded", "term_dist")
     scores = context.item_scores("jensen_shannon", 0)
+    ids = [context.space.doc_ids[row] for row in context.pool_index.tolist()]
     result = benchmark.pedantic(
         selection.subset_select,
-        args=(1, 1600, M, context.pool_docs, context.target_repr, context.space.matrix,
+        args=(1, 1600, M, ids, context.target_repr, context.space.matrix,
               context.pool_index, scores, "jensen_shannon", 0),
         rounds=3,
         iterations=1,
     )
-    instance = selection.select_instance_level(context.pool_docs, scores, "jensen_shannon", 1600)
+    instance = selection.select_instance_level(ids, scores, "jensen_shannon", 1600)
     assert result.chosen == instance.chosen
 
 

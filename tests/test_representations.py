@@ -73,7 +73,7 @@ def sif_per_document(corpus, vocab, table, a):
     out = np.zeros((len(corpus), table.dim))
     for i, doc in enumerate(corpus):
         domain_tokens = [
-            t for d in corpus.domain_documents(doc.domain) for t in token_lists[d.id] if t in vocab
+            t for d in corpus if d.domain == doc.domain for t in token_lists[d.id] if t in vocab
         ]
         freq, total = Counter(domain_tokens), len(domain_tokens)
         acc = np.zeros(table.dim)

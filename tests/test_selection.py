@@ -32,6 +32,16 @@ def make_pool(n, domains=("src",), prefix="p"):
     ]
 
 
+def ids_domains(docs):
+    """The pool-aligned ``(ids, domains)`` that the strategies read, of ``docs``."""
+    return [doc.id for doc in docs], [doc.domain for doc in docs]
+
+
+def pool_ids(n):
+    """The ids of ``make_pool(n)``."""
+    return ids_domains(make_pool(n))[0]
+
+
 def random_counts(n, size, seed, zero_rows=()):
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, 4, size=(n, size)).astype(float)
@@ -60,7 +70,7 @@ def scored(rows, target, metric):
     return selection._score_rows(rows, target, metric)
 
 
-def rescoring_truncation(members, rows, pool, target, metric, room):
+def rescoring_truncation(members, rows, ids, target, metric, room):
     """Final-round truncation as it was before item scores were passed in:
     the winner's rows are scored again, NaN ranks last, ties break on id."""
     picked = rows[members]
@@ -71,7 +81,7 @@ def rescoring_truncation(members, rows, pool, target, metric, room):
         scores = cosine_to_target(picked, target)
         key = -scores
     key = np.where(np.isnan(key), np.inf, key)
-    ranked = sorted(range(len(members)), key=lambda j: (key[j], pool[int(members[j])].id))
+    ranked = sorted(range(len(members)), key=lambda j: (key[j], ids[int(members[j])]))
     return members[ranked[:room]]
 
 
@@ -109,66 +119,67 @@ class TestScoreRows:
 
 class TestSelectRandom:
     def test_exhausts_small_pool(self):
-        pool = make_pool(5)
-        result = select_random(pool, 5, seed=0)
-        assert sorted(result.chosen) == sorted(d.id for d in pool)
-        assert result.shortfall == 0
+        ids = pool_ids(5)
+        result = select_random(ids, 5, seed=0)
+        assert sorted(result.chosen) == sorted(ids)
+        assert len(result.chosen) == 5
 
     def test_deterministic(self):
-        pool = make_pool(50)
-        a = select_random(pool, 10, seed=7)
-        b = select_random(pool, 10, seed=7)
+        ids = pool_ids(50)
+        a = select_random(ids, 10, seed=7)
+        b = select_random(ids, 10, seed=7)
         assert a.chosen == b.chosen
 
     def test_shortfall_recorded(self):
-        result = select_random(make_pool(3), 10, seed=0)
+        result = select_random(pool_ids(3), 10, seed=0)
         assert len(result.chosen) == 3
-        assert result.shortfall == 7
 
     def test_overlap_matches_hypergeometric_expectation(self):
-        pool = make_pool(10_000)
-        a = set(select_random(pool, 2000, seed=1).chosen)
-        b = set(select_random(pool, 2000, seed=2).chosen)
+        ids = pool_ids(10_000)
+        a = set(select_random(ids, 2000, seed=1).chosen)
+        b = set(select_random(ids, 2000, seed=2).chosen)
         overlap = len(a & b) / 2000
         assert abs(overlap - 0.2) < 0.03
 
     def test_no_duplicates(self):
-        result = select_random(make_pool(100), 40, seed=3)
+        result = select_random(pool_ids(100), 40, seed=3)
         assert len(set(result.chosen)) == 40
 
 
 class TestSelectBalanced:
     def test_even_split(self):
-        pool = make_pool(400, domains=("a", "b", "c", "d"))
-        result = select_balanced(pool, 40, seed=0)
+        ids, domains = ids_domains(make_pool(400, domains=("a", "b", "c", "d")))
+        result = select_balanced(ids, domains, 40, seed=0)
         by_domain = {}
-        domain_of = {d.id: d.domain for d in pool}
+        domain_of = dict(zip(ids, domains))
         for doc_id in result.chosen:
             by_domain[domain_of[doc_id]] = by_domain.get(domain_of[doc_id], 0) + 1
         assert by_domain == {"a": 10, "b": 10, "c": 10, "d": 10}
 
     def test_remainder_goes_to_lexicographically_first(self):
-        pool = make_pool(300, domains=("c", "a", "b"))
-        result = select_balanced(pool, 10, seed=0)
-        domain_of = {d.id: d.domain for d in pool}
+        ids, domains = ids_domains(make_pool(300, domains=("c", "a", "b")))
+        result = select_balanced(ids, domains, 10, seed=0)
+        domain_of = dict(zip(ids, domains))
         counts = {}
         for doc_id in result.chosen:
             counts[domain_of[doc_id]] = counts.get(domain_of[doc_id], 0) + 1
         assert counts == {"a": 4, "b": 3, "c": 3}
 
     def test_shortfall_redistribution(self):
-        pool = [Document(id=f"a{i}", text="x", domain="aa", label=None) for i in range(3)]
-        pool += [Document(id=f"b{i}", text="x", domain="bb", label=None) for i in range(50)]
-        result = select_balanced(pool, 10, seed=0)
-        domain_of = {d.id: d.domain for d in pool}
+        ids, domains = ids_domains(
+            make_pool(3, domains=("aa",), prefix="a") + make_pool(50, domains=("bb",), prefix="b")
+        )
+        result = select_balanced(ids, domains, 10, seed=0)
+        domain_of = dict(zip(ids, domains))
         counts = {}
         for doc_id in result.chosen:
             counts[domain_of[doc_id]] = counts.get(domain_of[doc_id], 0) + 1
         assert counts == {"aa": 3, "bb": 7}
 
     def test_deterministic(self):
-        pool = make_pool(60, domains=("a", "b"))
-        assert select_balanced(pool, 11, seed=5).chosen == select_balanced(pool, 11, seed=5).chosen
+        pool = ids_domains(make_pool(60, domains=("a", "b")))
+        first = select_balanced(*pool, 11, seed=5)
+        assert first.chosen == select_balanced(*pool, 11, seed=5).chosen
 
 
 class TestQuotaAllocation:
@@ -193,26 +204,26 @@ class TestSelectDomainLevel:
     def test_zero_divergence_domain_wins(self):
         size = 8
         target = target_dist(size)
-        pool = make_pool(20, domains=("near", "off"))
+        ids, domains = ids_domains(make_pool(20, domains=("near", "off")))
         far = TermDistribution(probs=np.ones(size) / size)
         reprs = {"near": TermDistribution(probs=target.probs.copy()), "off": far}
         result = select_domain_level(
-            pool, js_scores(reprs, target), "jensen_shannon", 5, seed=0
+            ids, domains, js_scores(reprs, target), "jensen_shannon", 5, seed=0
         )
-        assert result.config["chosen_domain"] == "near"
+        assert result.chosen_domain == "near"
         assert all(doc_id.startswith("p") for doc_id in result.chosen)
-        domains = {d.id: d.domain for d in pool}
-        assert {domains[i] for i in result.chosen} == {"near"}
+        domain_of = dict(zip(ids, domains))
+        assert {domain_of[i] for i in result.chosen} == {"near"}
 
     def test_equal_scores_break_lexicographically(self):
         size = 4
         target = target_dist(size)
         same = TermDistribution(probs=target.probs.copy())
-        pool = make_pool(10, domains=("zeta", "beta"))
+        pool = ids_domains(make_pool(10, domains=("zeta", "beta")))
         result = select_domain_level(
-            pool, js_scores({"zeta": same, "beta": same}, target), "jensen_shannon", 3, seed=1
+            *pool, js_scores({"zeta": same, "beta": same}, target), "jensen_shannon", 3, seed=1
         )
-        assert result.config["chosen_domain"] == "beta"
+        assert result.chosen_domain == "beta"
 
     def test_graded_distances_pick_nearest(self):
         size = 16
@@ -228,46 +239,45 @@ class TestSelectDomainLevel:
         reprs = {"far": perturbed(3.0, 1), "mid": perturbed(0.8, 2), "close": perturbed(0.1, 3)}
         ordered = sorted(reprs, key=lambda d: js_divergence(reprs[d], target).value)
         assert ordered[0] == "close"  # generator-controlled distances
-        pool = make_pool(30, domains=("far", "mid", "close"))
+        pool = ids_domains(make_pool(30, domains=("far", "mid", "close")))
         result = select_domain_level(
-            pool, js_scores(reprs, target), "jensen_shannon", 5, seed=0
+            *pool, js_scores(reprs, target), "jensen_shannon", 5, seed=0
         )
-        assert result.config["chosen_domain"] == "close"
+        assert result.chosen_domain == "close"
 
     def test_no_spill_into_runner_up(self):
         size = 4
         target = target_dist(size)
-        pool = [Document(id="n1", text="x", domain="near", label=None)]
-        pool += [Document(id=f"f{i}", text="x", domain="far", label=None) for i in range(10)]
+        near, far = make_pool(1, ("near",), prefix="n"), make_pool(10, ("far",), prefix="f")
+        pool = ids_domains(near + far)
         reprs = {
             "near": TermDistribution(probs=target.probs.copy()),
             "far": TermDistribution(probs=np.ones(size) / size),
         }
         result = select_domain_level(
-            pool, js_scores(reprs, target), "jensen_shannon", 5, seed=0
+            *pool, js_scores(reprs, target), "jensen_shannon", 5, seed=0
         )
-        assert result.chosen == ["n1"]
-        assert result.shortfall == 4
+        assert result.chosen == ["n0000"]
 
     def test_domain_without_pool_documents_skipped(self):
-        pool = make_pool(10, domains=("far",))
+        pool = ids_domains(make_pool(10, domains=("far",)))
         scores = {"near": 0.1, "far": 0.4}
-        result = select_domain_level(pool, scores, "jensen_shannon", 3, seed=0)
-        assert result.config["chosen_domain"] == "far"
-        assert result.config["domain_scores"] == scores
+        result = select_domain_level(*pool, scores, "jensen_shannon", 3, seed=0)
+        assert result.chosen_domain == "far"
+        assert result.domain_scores == scores
 
     def test_proxy_a_is_rejected(self):
         with pytest.raises(ConfigError, match="proxy_a"):
             SelectionConfig(n=2, strategy="domain", metric="proxy_a")
 
     def test_empty_domains_skipped(self):
-        pool = make_pool(10, domains=("empty", "full"))
+        pool = ids_domains(make_pool(10, domains=("empty", "full")))
         scores = {"empty": float("nan"), "full": 0.4}
-        result = select_domain_level(pool, scores, "jensen_shannon", 3, seed=0)
-        assert result.config["chosen_domain"] == "full"
-        assert result.config["domain_scores"] == {"full": 0.4}
+        result = select_domain_level(*pool, scores, "jensen_shannon", 3, seed=0)
+        assert result.chosen_domain == "full"
+        assert result.domain_scores == {"full": 0.4}
         with pytest.raises(DataError, match="usable"):
-            select_domain_level(pool, {"empty": float("nan")}, "jensen_shannon", 3, seed=0)
+            select_domain_level(*pool, {"empty": float("nan")}, "jensen_shannon", 3, seed=0)
 
 
 class TestSelectInstanceLevel:
@@ -276,22 +286,22 @@ class TestSelectInstanceLevel:
         rows = rng.random((20, 6))
         target_vec = rng.random(6)
         rows[13] = 2.0 * target_vec  # scaled copy: cosine similarity exactly 1
-        pool = make_pool(20)
-        result = select_instance_level(pool, scored(rows, target_vec, "cosine"), "cosine", 5)
-        assert result.chosen[0] == pool[13].id
-        assert result.item_scores[pool[13].id] == pytest.approx(1.0, abs=1e-12)
+        ids = pool_ids(20)
+        result = select_instance_level(ids, scored(rows, target_vec, "cosine"), "cosine", 5)
+        assert result.chosen[0] == ids[13]
+        assert result.item_scores[ids[13]] == pytest.approx(1.0, abs=1e-12)
 
     def test_n_at_least_pool_returns_everything_sorted(self):
         size = 10
         rows = random_counts(12, size, seed=3)
         target = target_dist(size)
-        pool = make_pool(12)
+        ids = pool_ids(12)
         result = select_instance_level(
-            pool, scored(rows, target, "jensen_shannon"), "jensen_shannon", 50
+            ids, scored(rows, target, "jensen_shannon"), "jensen_shannon", 50
         )
         assert len(result.chosen) == 12
         scores = js_to_target(rows, target)
-        by_id = {pool[i].id: scores[i] for i in range(12)}
+        by_id = {ids[i]: scores[i] for i in range(12)}
         values = [by_id[doc_id] for doc_id in result.chosen]
         assert values == sorted(values)
 
@@ -299,9 +309,9 @@ class TestSelectInstanceLevel:
         size = 12
         rows = random_counts(50, size, seed=4, zero_rows=(7, 31))
         target = target_dist(size)
-        pool = make_pool(50)
+        ids = pool_ids(50)
         result = select_instance_level(
-            pool, scored(rows, target, "jensen_shannon"), "jensen_shannon", 20
+            ids, scored(rows, target, "jensen_shannon"), "jensen_shannon", 20
         )
 
         oracle = []
@@ -310,19 +320,17 @@ class TestSelectInstanceLevel:
             if total == 0:
                 continue  # empty instances are excluded from the ranking
             score = js_divergence(rows[i] / total, target.probs).value
-            oracle.append((score, pool[i].id))
+            oracle.append((score, ids[i]))
         oracle.sort()
         assert result.chosen == [doc_id for _, doc_id in oracle[:20]]
 
     def test_empty_instances_excluded(self):
         size = 6
         rows = random_counts(5, size, seed=5, zero_rows=(0, 1, 2))
-        pool = make_pool(5)
         result = select_instance_level(
-            pool, scored(rows, target_dist(size), "jensen_shannon"), "jensen_shannon", 5
+            pool_ids(5), scored(rows, target_dist(size), "jensen_shannon"), "jensen_shannon", 5
         )
         assert len(result.chosen) == 2
-        assert result.shortfall == 3
 
 
 class TestSubsetSelect:
@@ -330,12 +338,12 @@ class TestSubsetSelect:
         size = 10
         rows = random_counts(60, size, seed=6)
         target = target_dist(size)
-        pool = make_pool(60)
+        ids = pool_ids(60)
         s = n = 10
         m = 5
         seed = 42
         result = subset_select(
-            s, n, m, pool, target, rows, every_row(rows),
+            s, n, m, ids, target, rows, every_row(rows),
             scored(rows, target, "jensen_shannon"), "jensen_shannon", seed,
         )
         assert len(result.iteration_members) == 1
@@ -352,7 +360,7 @@ class TestSubsetSelect:
             score = js_divergence(pooled / pooled.sum(), target.probs).value
             if best_score is None or score < best_score:
                 best_score = score
-                best_ids = sorted(pool[i].id for i in cand)
+                best_ids = sorted(ids[i] for i in cand)
         assert sorted(result.chosen) == best_ids
         assert result.subset_scores[0] == pytest.approx(best_score, abs=1e-12)
 
@@ -367,11 +375,11 @@ class TestSubsetSelect:
             if sparse_rows:
                 rows = sp.csr_matrix(rows)
             target = target_dist(size)
-            pool = make_pool(80)
+            ids = pool_ids(80)
             scores = scored(rows, target, metric)
-            instance = select_instance_level(pool, scores, metric, 30)
+            instance = select_instance_level(ids, scores, metric, 30)
             subset = subset_select(
-                1, 30, 200, pool, target, rows, every_row(rows), scores, metric, seed=seed,
+                1, 30, 200, ids, target, rows, every_row(rows), scores, metric, seed=seed,
             )
             assert set(subset.chosen) == set(instance.chosen)
 
@@ -396,17 +404,16 @@ class TestSubsetSelect:
             )
         if data.draw(st.booleans(), label="sparse"):
             rows = sp.csr_matrix(rows)
-        ids = data.draw(st.permutations(range(n_pool)), label="ids")
-        pool = [Document(id=f"p{i:02d}", text="x", domain="src", label=None) for i in ids]
+        ids = [f"p{i:02d}" for i in data.draw(st.permutations(range(n_pool)), label="ids")]
         n = data.draw(st.integers(1, n_pool + 2), label="n")
         m = data.draw(st.integers(n_pool, n_pool + 3), label="m")
         scores = scored(rows, target, metric)
-        instance = select_instance_level(pool, scores, metric, n)
+        instance = select_instance_level(ids, scores, metric, n)
         subset = subset_select(
-            1, n, m, pool, target, rows, every_row(rows), scores, metric, seed=0,
+            1, n, m, ids, target, rows, every_row(rows), scores, metric, seed=0,
         )
         assert subset.chosen == instance.chosen
-        assert subset.shortfall == instance.shortfall
+        assert len(subset.chosen) == len(instance.chosen)
         assert subset.subset_scores == [instance.item_scores[i] for i in instance.chosen]
 
     def test_singleton_tie_breaks_like_instance_ranking(self):
@@ -414,11 +421,11 @@ class TestSubsetSelect:
         # over the aggregate's reversed columns broke the tie toward p1.
         rows = sp.csr_matrix([[6.0, 2.0, 1.0, 7.0, 1.0], [1.0, 7.0, 1.0, 2.0, 6.0]])
         target = TermDistribution(probs=np.array([0.3, 0.1, 0.2, 0.1, 0.3]))
-        pool = make_pool(2)
+        ids = pool_ids(2)
         scores = scored(rows, target, "jensen_shannon")
-        instance = select_instance_level(pool, scores, "jensen_shannon", 1)
+        instance = select_instance_level(ids, scores, "jensen_shannon", 1)
         subset = subset_select(
-            1, 1, 2, pool, target, rows, every_row(rows), scores, "jensen_shannon", seed=0,
+            1, 1, 2, ids, target, rows, every_row(rows), scores, "jensen_shannon", seed=0,
         )
         assert instance.chosen == ["p0000"]
         assert subset.chosen == instance.chosen
@@ -432,7 +439,7 @@ class TestSubsetSelect:
         empty documents end the search with a shortfall."""
         rows = random_counts(40, 8, seed=5, zero_rows=(3, 17))
         target = target_dist(8) if metric == "jensen_shannon" else target_dist(8).probs
-        args = (1, 40, m, make_pool(40), target, rows, every_row(rows),
+        args = (1, 40, m, pool_ids(40), target, rows, every_row(rows),
                 scored(rows, target, metric), metric, 2)
         want = exhaustive_subset_select(*args)
         calls = []
@@ -440,17 +447,17 @@ class TestSubsetSelect:
         monkeypatch.setattr(selection, "_rank", lambda *a: calls.append(a) or rank(*a))
         got = subset_select(*args)
         assert len(calls) == 1
-        assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == want
-        assert got.shortfall == (2 if metric == "jensen_shannon" else 0)
+        assert (got.chosen, got.subset_scores, got.iteration_members) == want
+        assert len(got.chosen) == (38 if metric == "jensen_shannon" else 40)
 
     def test_iterations_are_pairwise_disjoint(self):
         size = 12
         rows = random_counts(100, size, seed=7)
         target = target_dist(size)
-        pool = make_pool(100)
         scores = scored(rows, target, "jensen_shannon")
         result = subset_select(
-            7, 20, 30, pool, target, rows, every_row(rows), scores, "jensen_shannon", seed=3,
+            7, 20, 30, pool_ids(100), target, rows, every_row(rows), scores, "jensen_shannon",
+            seed=3,
         )
         seen = set()
         for members in result.iteration_members:
@@ -461,10 +468,10 @@ class TestSubsetSelect:
         size = 12
         rows = random_counts(100, size, seed=8)
         target = target_dist(size)
-        pool = make_pool(100)
         scores = scored(rows, target, "jensen_shannon")
         result = subset_select(
-            7, 20, 30, pool, target, rows, every_row(rows), scores, "jensen_shannon", seed=4,
+            7, 20, 30, pool_ids(100), target, rows, every_row(rows), scores, "jensen_shannon",
+            seed=4,
         )
         assert len(result.chosen) == 20
         assert len(set(result.chosen)) == 20
@@ -474,13 +481,13 @@ class TestSubsetSelect:
         size = 9
         rows = random_counts(50, size, seed=9)
         target = target_dist(size)
-        pool = make_pool(50)
+        ids = pool_ids(50)
         scores = scored(rows, target, "jensen_shannon")
         a = subset_select(
-            5, 15, 20, pool, target, rows, every_row(rows), scores, "jensen_shannon", seed=11,
+            5, 15, 20, ids, target, rows, every_row(rows), scores, "jensen_shannon", seed=11,
         )
         b = subset_select(
-            5, 15, 20, pool, target, rows, every_row(rows), scores, "jensen_shannon", seed=11,
+            5, 15, 20, ids, target, rows, every_row(rows), scores, "jensen_shannon", seed=11,
         )
         assert a.chosen == b.chosen
         assert a.subset_scores == b.subset_scores
@@ -503,10 +510,10 @@ class TestSubsetSelect:
         monkeypatch.setattr(selection, "ThreadPoolExecutor", no_helper)
         rows = random_counts(10, 6, seed=3)
         with pytest.raises(ConfigError, match="proxy_a is only defined per example"):
-            subset_select(s, 4, 20, make_pool(10), target_dist(6), rows, every_row(rows),
+            subset_select(s, 4, 20, pool_ids(10), target_dist(6), rows, every_row(rows),
                           np.linspace(0.0, 1.0, 10), "proxy_a", seed=0)
         with pytest.raises(ConfigError, match="s >= 1"):
-            subset_select(0, 4, 20, make_pool(10), target_dist(6), rows, every_row(rows),
+            subset_select(0, 4, 20, pool_ids(10), target_dist(6), rows, every_row(rows),
                           np.linspace(0.0, 1.0, 10), "jensen_shannon", seed=0)
 
     @given(st.data())
@@ -527,34 +534,32 @@ class TestSubsetSelect:
             target = raw
         if data.draw(st.booleans(), label="sparse"):
             rows = sp.csr_matrix(rows)
-        ids = data.draw(st.permutations(range(n_pool)), label="ids")
-        pool = [Document(id=f"p{i:02d}", text="x", domain="src", label=None) for i in ids]
+        ids = [f"p{i:02d}" for i in data.draw(st.permutations(range(n_pool)), label="ids")]
         s = data.draw(st.integers(2, n_pool), label="s")
         room = data.draw(st.integers(1, s - 1), label="n")
         seed = data.draw(st.integers(0, 2**16), label="seed")
 
         result = subset_select(
-            s, room, 1, pool, target, rows, every_row(rows), scored(rows, target, metric),
+            s, room, 1, ids, target, rows, every_row(rows), scored(rows, target, metric),
             metric, seed,
         )
         (members,) = selection._draw_subsets(np.random.default_rng(seed), n_pool, s, 1)
-        empty = {pool[i].id for i in range(n_pool) if rows[i].sum() == 0}
-        if metric == "jensen_shannon" and {pool[i].id for i in members} <= empty:
+        empty = {ids[i] for i in range(n_pool) if rows[i].sum() == 0}
+        if metric == "jensen_shannon" and {ids[i] for i in members} <= empty:
             assert result.chosen == []  # the winner's aggregate is empty
             return
-        expected = rescoring_truncation(members, rows, pool, target, metric, room)
-        assert result.chosen == [pool[i].id for i in expected]
+        expected = rescoring_truncation(members, rows, ids, target, metric, room)
+        assert result.chosen == [ids[i] for i in expected]
         if metric == "jensen_shannon":
             kept_empty = [doc_id in empty for doc_id in result.chosen]
             assert kept_empty == sorted(kept_empty)
 
     def test_truncation_keeps_empty_member_last(self):
         rows = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
-        pool = make_pool(3)
         target = TermDistribution(probs=np.array([0.5, 0.5]))
         scores = scored(rows, target, "jensen_shannon")
         result = subset_select(
-            3, 2, 1, pool, target, rows, every_row(rows), scores, "jensen_shannon", 0,
+            3, 2, 1, pool_ids(3), target, rows, every_row(rows), scores, "jensen_shannon", 0,
         )
         assert result.chosen == ["p0001", "p0000"]
 
@@ -563,11 +568,10 @@ class TestSubsetSelect:
         rows = random_counts(8, size, seed=10)
         target = target_dist(size)
         result = subset_select(
-            3, 20, 10, make_pool(8), target, rows, every_row(rows),
+            3, 20, 10, pool_ids(8), target, rows, every_row(rows),
             scored(rows, target, "jensen_shannon"), "jensen_shannon", 0,
         )
         assert len(result.chosen) == 8
-        assert result.shortfall == 12
 
     @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
     def test_drained_pool_scores_its_one_candidate_once(self, monkeypatch, metric):
@@ -575,7 +579,7 @@ class TestSubsetSelect:
         candidate once and ends as the search did when it scored m copies."""
         rows = random_counts(45, 8, seed=21, zero_rows=(4,))
         target = target_dist(8) if metric == "jensen_shannon" else target_dist(8).probs
-        args = (20, 60, 300, make_pool(45), target, rows, every_row(rows),
+        args = (20, 60, 300, pool_ids(45), target, rows, every_row(rows),
                 scored(rows, target, metric), metric, 5)
         draw = selection._draw_subsets
 
@@ -596,9 +600,9 @@ class TestSubsetSelect:
 
         monkeypatch.setattr(selection, "_round_scores", recording_round_scores)
         got = subset_select(*args)
-        assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == want
+        assert (got.chosen, got.subset_scores, got.iteration_members) == want
         assert shapes == [(300, 20), (300, 20), (1, 5)]
-        assert got.shortfall == 15
+        assert len(got.chosen) == 45
 
 
 def candidate_case(sparse_rows):
@@ -663,7 +667,7 @@ def thread_search_args(metric):
     rows = sp.csr_matrix(random_counts(300, 64, seed=15, zero_rows=range(5)))
     target = target_dist(64)
     target_repr = target if metric == "jensen_shannon" else target.probs
-    return (20, 60, 200, make_pool(300), target_repr, rows, every_row(rows),
+    return (20, 60, 200, pool_ids(300), target_repr, rows, every_row(rows),
             scored(rows, target_repr, metric), metric, 0)
 
 
@@ -717,7 +721,7 @@ class TestDrawPrefetch:
         before = threading.active_count()
         got = subset_select(*args)
         assert threading.active_count() == before
-        assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == want
+        assert (got.chosen, got.subset_scores, got.iteration_members) == want
         caller = threading.get_ident()
         scorer = "js_to_target" if metric == "jensen_shannon" else "cosine_to_target"
         assert threads["_candidate_scores"] == threads[scorer] == {caller}
@@ -760,7 +764,7 @@ class TestDrawPrefetch:
     def test_prefetched_search_equals_serial_loop(self, s, n, m, n_pool, metric):
         rows = random_counts(n_pool, 8, seed=n_pool + s, zero_rows=(4,))
         target = target_dist(8) if metric == "jensen_shannon" else target_dist(8).probs
-        args = (s, n, m, make_pool(n_pool), target, rows, every_row(rows),
+        args = (s, n, m, pool_ids(n_pool), target, rows, every_row(rows),
                 scored(rows, target, metric), metric, 3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch between the two threads often
@@ -768,7 +772,7 @@ class TestDrawPrefetch:
             got = subset_select(*args)
         finally:
             sys.setswitchinterval(interval)
-        assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == (
+        assert (got.chosen, got.subset_scores, got.iteration_members) == (
             exhaustive_subset_select(*args)
         )
 
@@ -779,34 +783,36 @@ class TestDrawPrefetch:
         and the search stops, with the next round's draw already submitted."""
         rows = random_counts(60, 8, seed=16, zero_rows=range(10, 60))
         target = target_dist(8)
-        args = (5, 60, 40, make_pool(60), target, rows, every_row(rows),
+        args = (5, 60, 40, pool_ids(60), target, rows, every_row(rows),
                 scored(rows, target, "jensen_shannon"), "jensen_shannon", 4)
         want = exhaustive_subset_select(*args)
         submitted = record_submissions(monkeypatch)
         before = threading.active_count()
         got = subset_select(*args)
         assert threading.active_count() == before
-        assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == want
+        assert (got.chosen, got.subset_scores, got.iteration_members) == want
         rounds = len(got.iteration_members)
-        assert got.shortfall > 0 and set(got.chosen) >= {f"p{i:04d}" for i in range(10)}
+        assert len(got.chosen) < 60 and set(got.chosen) >= {f"p{i:04d}" for i in range(10)}
         # each scored round's draw, the stopping round's and the discarded
         # one, which may be cancelled before it starts
         assert len(submitted) == rounds + 2
         assert submitted[-1][1][1:] == (60 - 5 * (rounds + 1), 5, 40)
 
 
-def exhaustive_subset_select(s, n, m, pool, target_repr, matrix, pool_index, item_scores,
+def exhaustive_subset_select(s, n, m, ids, target_repr, matrix, pool_index, item_scores,
                              metric, seed):
     """The subset search with every candidate of every round scored: the loop
-    of ``subset_select`` before rounds were bounded."""
+    of ``subset_select`` before rounds were bounded. Returns the chosen ids,
+    the round scores and each round's members."""
     orientation = selection.METRIC_ORIENTATION[metric]
     rng = np.random.default_rng(seed)
-    available = np.arange(len(pool))
+    available = np.arange(len(ids))
     chosen, iteration_members, subset_scores = [], [], []
     while len(chosen) < n and len(available):
         if s == 1 and m >= len(available):
-            ids = [pool[i].id for i in available]
-            in_avail = np.array(selection._rank(item_scores[available], orientation, ids))[:, None]
+            names = [ids[i] for i in available]
+            in_avail = np.array(selection._rank(item_scores[available], orientation, names))
+            in_avail = in_avail[:, None]
         else:
             in_avail = selection._draw_subsets(rng, len(available), min(s, len(available)), m)
         candidates = available[in_avail]
@@ -820,13 +826,13 @@ def exhaustive_subset_select(s, n, m, pool, target_repr, matrix, pool_index, ite
         members = candidates[best]
         room = n - len(chosen)
         if len(members) > room:
-            ids = [pool[i].id for i in members]
-            members = members[selection._rank(item_scores[members], orientation, ids)[:room]]
+            names = [ids[i] for i in members]
+            members = members[selection._rank(item_scores[members], orientation, names)[:room]]
         chosen.extend(int(i) for i in members)
-        iteration_members.append([pool[int(i)].id for i in members])
+        iteration_members.append([ids[int(i)] for i in members])
         subset_scores.append(float(scores[best]))
         available = available[~np.isin(available, members)]
-    return [pool[i].id for i in chosen], subset_scores, iteration_members, max(0, n - len(chosen))
+    return [ids[i] for i in chosen], subset_scores, iteration_members
 
 
 def bound_case(data, metric, s=2):
@@ -954,7 +960,7 @@ class TestRoundBounds:
 
     @given(st.data())
     def test_pruned_search_equals_exhaustive_loop(self, data):
-        """Winners, recorded scores, members and shortfall of the bounded search
+        """Winners, recorded scores and members of the bounded search
         equal the exhaustive loop's, with duplicate documents (exact ties) and
         a truncated final round, for blocks small enough that rounds prune."""
         metric = data.draw(st.sampled_from(["jensen_shannon", "cosine"]), label="metric")
@@ -984,17 +990,16 @@ class TestRoundBounds:
             target = raw
         if data.draw(st.booleans(), label="sparse"):
             rows = sp.csr_matrix(rows)
-        pool = make_pool(n_pool)
         n = data.draw(st.integers(1, n_pool + 3), label="n")
         m = data.draw(st.integers(1, 40), label="m")
         seed = data.draw(st.integers(0, 2**16), label="seed")
         item_scores = scored(rows, target, metric)
-        args = (s, n, m, pool, target, rows, every_row(rows), item_scores, metric, seed)
+        args = (s, n, m, pool_ids(n_pool), target, rows, every_row(rows), item_scores, metric, seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(autoencoder, "_BLOCK_ROWS", data.draw(st.integers(1, 4), label="block"))
             got = subset_select(*args)
         want = exhaustive_subset_select(*args)
-        assert (got.chosen, got.subset_scores, got.iteration_members, got.shortfall) == want
+        assert (got.chosen, got.subset_scores, got.iteration_members) == want
 
     @pytest.mark.parametrize(
         "metric, dense_rows",
@@ -1029,7 +1034,7 @@ class TestRoundBounds:
             return recording_bound
 
         monkeypatch.setattr(selection, builder_name, recording_builder)
-        subset_select(20, 100, 1000, make_pool(600), target, rows, every_row(rows),
+        subset_select(20, 100, 1000, pool_ids(600), target, rows, every_row(rows),
                       scored(rows, target, metric), metric, 3)
         assert len(builds) == 1
         assert len(rounds) == 5
@@ -1261,9 +1266,9 @@ class TestMonotonicityHarness:
         encoded = tokenize_corpus(corpus, frozenset())
         vocab = build_vocabulary(encoded)
         space = build_representation_space(corpus, encoded, "term_dist", vocab)
-        pool = [d for d in corpus if d.domain != "tgt"]
-        target = space.aggregate([d.id for d in corpus.domain_documents("tgt")])
-        pool_index = np.array([space.index[d.id] for d in pool])
+        ids = [d.id for d in corpus if d.domain != "tgt"]
+        target = space.aggregate([d.id for d in corpus if d.domain == "tgt"])
+        pool_index = np.array([space.index[i] for i in ids])
         item_scores = scored(space.matrix, target, "jensen_shannon")[pool_index]
 
         def selected_js(result):
@@ -1273,11 +1278,11 @@ class TestMonotonicityHarness:
         random_js = []
         subset_js = []
         for seed in range(10):
-            random_js.append(selected_js(select_random(pool, 60, seed)))
+            random_js.append(selected_js(select_random(ids, 60, seed)))
             subset_js.append(
                 selected_js(
                     subset_select(
-                        10, 60, 50, pool, target, space.matrix, pool_index, item_scores,
+                        10, 60, 50, ids, target, space.matrix, pool_index, item_scores,
                         "jensen_shannon", seed,
                     )
                 )

@@ -70,10 +70,10 @@ class TestGenerate:
         encoded = tokenize_corpus(corpus, NO_STOP)
         vocab = build_vocabulary(encoded)
         space = build_representation_space(corpus, encoded, "term_dist", vocab)
-        target_dist = space.aggregate([d.id for d in corpus.domain_documents("tgt")])
+        target_dist = space.aggregate([d.id for d in corpus if d.domain == "tgt"])
         js = {
             name: js_divergence(
-                space.aggregate([d.id for d in corpus.domain_documents(name)]),
+                space.aggregate([d.id for d in corpus if d.domain == name]),
                 target_dist,
             ).value
             for name in ("dup", "none")
@@ -185,7 +185,7 @@ class TestBenchmarkSuite:
     def test_domain_sizes_capped(self, suite):
         for scenario in suite.values():
             for domain in scenario.corpus.domains:
-                assert len(scenario.corpus.domain_documents(domain)) <= 3000
+                assert len(scenario.corpus.domain_rows(domain)) <= 3000
 
     def test_regeneration_identical(self, suite):
         again = benchmark_suite(seed=0)
@@ -201,12 +201,12 @@ class TestBenchmarkSuite:
         vocab = build_vocabulary(encoded)
         space = build_representation_space(corpus, encoded, "term_dist", vocab)
         target_dist = space.aggregate(
-            [d.id for d in corpus.domain_documents(scenario.target_domain)]
+            [d.id for d in corpus if d.domain == scenario.target_domain]
         )
         overlaps = {"alpha": 0.9, "bravo": 0.6, "carol": 0.4, "delta": 0.2, "echo": 0.0}
         js = {
             name: js_divergence(
-                space.aggregate([d.id for d in corpus.domain_documents(name)]),
+                space.aggregate([d.id for d in corpus if d.domain == name]),
                 target_dist,
             ).value
             for name in overlaps
