@@ -354,10 +354,10 @@ def cmd_select(config: RunConfig) -> int:
         "".join(doc_id + "\n" for doc_id in result.chosen),
         _json_text({"config": config.echo("select"), "result": asdict(result)}),
     )
-    print(
-        f"selected {len(result.chosen)} of {sel_config.n} requested "
-        f"({config.strategy}, {sel_config.resolved_metric}) -> {out}/selection_ids.txt"
-    )
+    # the baselines read no metric, and their result holds none
+    label = config.strategy if result.metric is None else f"{config.strategy}, {result.metric}"
+    print(f"selected {len(result.chosen)} of {sel_config.n} requested ({label}) -> "
+          f"{out}/selection_ids.txt")
     return 0
 
 

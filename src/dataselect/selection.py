@@ -48,7 +48,9 @@ its exact value, above the tangent's, so each candidate keeps the largest of
 the plane at P0 and these support-aware tangents. A cosine is at most ``A /
 sqrt(A^2 + |B|^2)``, where A is the candidate mean's projection on the unit
 target and B its projections on a few orthonormal directions orthogonal to it
-(``_cosine_bound``). A candidate is skipped only when its bound is worse than
+(``_cosine_bound``): the top of the second moment of a size-``s`` candidate's
+mean, in which the pool mean weighs about ``s`` times more than in the rows'
+own scatter. A candidate is skipped only when its bound is worse than
 an already-scored candidate's key by more than ``_PRUNE_SLACK``, far above
 the bounds' rounding, so every candidate that could win or tie is scored with
 the bits an exhaustive round gives it, and the winners, recorded scores and
@@ -108,35 +110,40 @@ _Bound = Callable[[np.ndarray], np.ndarray]
 # larger than 1 (JS <= ln 2, |cosine| <= 1). In in-process searches (s=20,
 # m=20,000, n=1,600) on the seed-0 and seed-10 pools, no candidate of the first
 # five rounds came closer to its bound than 1.1e-3 nats (JS, graded and
-# blended; 0.020 before the bound's tangent points) or 6.2e-4 (cosine, blended
-# SIF rows), and no scored candidate of any round closer than 9.0e-3 nats or
-# 0.10, so the slack costs no pruning there. With a slack of -1e-3 the bounded
-# search picks other winners than the exhaustive one in the tests.
+# blended; 0.020 before the bound's tangent points) or 1.7e-4 (cosine, blended
+# SIF rows; 6.2e-4 at seed 0), and no scored candidate of any round closer
+# than 9.0e-3 nats or 0.076, so the slack costs no pruning there. With a
+# slack of -1e-3 the bounded search picks other winners than the exhaustive
+# one in the tests.
 _PRUNE_SLACK = 1e-9
 
 # Directions orthogonal to the target on which the cosine bound measures
 # each candidate mean's norm. More directions tighten the bound, but each
 # adds a column to the round's bound pooling. In-process ``subset_select`` on
-# blended SIF rows (100-d, s=20, m=20,000, 80 rounds) with exact top
-# eigenvectors as directions, share of candidates scored and seconds, 2-vCPU
-# host: 8 directions 62% 1.4-1.9 s, 16 25% 0.98-1.0 s, 24 9% 0.92-1.15 s,
-# 32 3.7% 1.16-1.19 s, 48 2.6% 1.45 s (seed 0); 16 against 32 on seeds 1, 2
-# and 10: 0.85-1.32 s against 1.09-1.50 s, 15-22% against 2.8-3.4% scored.
-_COSINE_DIRECTIONS = 16
+# blended SIF rows (100-d, s=20, m=20,000, 80 rounds), share of candidates
+# scored and seconds (medians of 3 in two alternating batches, shared 2-vCPU
+# host): 16 directions 19.5% 1.7-2.3 s, 20 12.2% 1.5-1.8 s, 24 7.8% 1.3-1.5
+# s, 28 4.8% 1.3-1.7 s, 32 3.1% 1.3-1.8 s (seed 0); 18.9, 11.9, 7.4, 4.5 and
+# 2.8% at seed 10. 20 to 32 were within the host's noise. Directions from the
+# rows' own scatter, not a candidate mean's second moment, left 25% at 16.
+_COSINE_DIRECTIONS = 24
 
 # Subspace-iteration steps that find those directions (``_cosine_projections``),
-# each one pass over the pool rows against 2 * 16 columns. Share of candidates
+# each one pass over the pool rows against 2 * 24 columns. Share of candidates
 # scored by in-process ``subset_select`` (seed 0) after 1, 2, 4 and 8 steps,
-# against exact top eigenvectors: blended SIF rows (100-d) 29.5, 23.4, 20.1,
-# 18.9% (exact 18.8%); graded AE codes (1,000-d, one epoch) 16.8, 14.7, 14.2,
-# 14.1% (14.0%); blended AE codes 49.1, 43.6, 42.7, 42.5% (42.4%). Four steps
-# took 0.02 s on the SIF rows and 0.21-0.27 s on the graded AE codes, against
-# 0.01 s and 0.32-0.45 s for the exact d x d scatter and its eigh.
+# against exact top eigenvectors: blended SIF rows (100-d) 10.2, 8.6, 7.8,
+# 7.6% (exact 7.6%); graded AE codes (1,000-d, one epoch) 13.9, 12.6, 12.2,
+# 12.0% (12.0%); blended AE codes 41.3, 38.5, 37.6, 37.4% (37.4%). Four steps
+# took 0.03 s on the SIF rows and 0.28-0.39 s on the graded AE codes, against
+# 0.01 s and 0.30-0.54 s for the exact d x d matrix and its eigh.
 _POWER_STEPS = 4
 
 # Rows per slice of the draw's duplicate check (``_duplicate_rows``); see
 # ``_draw_subsets`` for the timings that chose it.
 _DRAW_BLOCK_ROWS = 2048
+
+# Candidates per slice of the cosine bound's pooling (``_cosine_bound``).
+_BOUND_SLICE_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -423,7 +430,8 @@ def subset_select(
     and any point keep it valid; ``_js_bound``). Each cosine is bounded
     from above through the candidate mean's projections on the unit target
     and on ``_COSINE_DIRECTIONS`` orthonormal directions orthogonal to it,
-    taken from the pool rows' scatter (``_cosine_bound``). A candidate whose
+    taken from the second moment of a size-``s`` candidate's mean
+    (``_cosine_bound``). A candidate whose
     bound is worse than the best key among the first-scored candidates by
     more than ``_PRUNE_SLACK`` is not scored. No candidate that could win or
     tie is skipped, and the scored ones get the bits an exhaustive round
@@ -453,7 +461,7 @@ def subset_select(
         if s > 1:  # SelectionConfig leaves JS and cosine, each with its bound
             bound = (
                 _js_bound(matrix, pool_index, s, target_repr) if metric == JENSEN_SHANNON
-                else _cosine_bound(matrix, pool_index, target_repr)
+                else _cosine_bound(matrix, pool_index, s, target_repr)
             )
 
         while len(chosen) < n and len(available):
@@ -711,15 +719,10 @@ def _js_bound(matrix, pool_index: np.ndarray, s: int, target) -> _Bound | None:
         (rows[:, rare] != 0).astype(np.float64) @ d[rare],
     ])
     missed = plane - d[rare].sum()
-    pickers = {}  # pool_groups' indptr and picker values for a shape of candidates
+    pickers = {}
 
     def bound(candidates: np.ndarray) -> np.ndarray:
-        if candidates.shape not in pickers:
-            pickers.clear()  # a search's rounds keep one shape until its last few
-            pickers[candidates.shape] = (
-                np.arange(0, candidates.size + 1, candidates.shape[1]), np.ones(candidates.size)
-            )
-        means = pool_groups(per_doc, candidates.ravel(), *pickers[candidates.shape])
+        means = pool_groups(per_doc, candidates.ravel(), *_picker(pickers, *candidates.shape))
         along0, along = np.full((2, len(candidates)), np.nan)
         usable = means[:, 2] > 0
         np.divide(means[:, 0], means[:, 2], out=along0, where=usable)
@@ -731,11 +734,12 @@ def _js_bound(matrix, pool_index: np.ndarray, s: int, target) -> _Bound | None:
 
 
 def _cosine_bound(
-    matrix: sp.csr_matrix | np.ndarray, pool_index: np.ndarray, target
+    matrix: sp.csr_matrix | np.ndarray, pool_index: np.ndarray, s: int, target
 ) -> _Bound | None:
     """A function from a round's candidates to minus an upper bound on each
     one's cosine to ``target``, a lower bound on its ``_sort_key``, built once
-    per search from the pool rows' ``_cosine_projections``; None when those are.
+    per search from the pool rows' ``_cosine_projections`` for subsets of
+    ``s``; None when those are.
 
     A candidate's mean row has projection A on the unit target and B on the
     orthonormal directions of the projections, so its norm is at least
@@ -743,54 +747,78 @@ def _cosine_bound(
     ``A / sqrt(A^2 + |B|^2)`` when A > 0, and at most 0 otherwise. A
     term-distribution candidate is scored on the sum of its count rows, not
     their mean, which scales A, B and the norm alike and leaves the cosine as
-    it is. The function pools the projections of a round's candidates in row
-    blocks, which kept a 20,000-candidate round's bounds at 7-11 ms against
-    11-12 ms whole.
+    it is. The function pools the projections of a round's candidates in
+    ``_BOUND_SLICE_ROWS``-row slices through one picker (``pool_groups``'
+    indptr and ones) per slice shape, a shorter last slice taking its prefix.
+    Bounding a first round of the seed-0 blended SIF search (20,000 x 20
+    candidates, 25 columns) took 6.8-7.1 ms in these slices, with a
+    tracemalloc peak of 1.1 MiB, against 8.4 ms in 256-row blocks with a
+    fresh picker each (0.35 MiB) and 6.9-7.5 ms whole (8.6 MiB), medians of
+    21.
     """
-    projections = _cosine_projections(matrix, pool_index, target)
+    projections = _cosine_projections(matrix, pool_index, target, s)
     if projections is None:
         return None
+    pickers = {}
 
     def bound(candidates: np.ndarray) -> np.ndarray:
+        step = min(len(candidates), _BOUND_SLICE_ROWS)
+        indptr, ones = _picker(pickers, step, candidates.shape[1])
         out = np.zeros(len(candidates))
-        for start, stop in _row_blocks(len(candidates)):
-            means = _pool_candidates(projections, candidates[start:stop])
+        for start in range(0, len(candidates), step):
+            members = candidates[start:start + step]
+            means = pool_groups(
+                projections, members.ravel(), indptr[:len(members) + 1], ones[:members.size]
+            )
             along = means[:, 0]
-            norm = np.sqrt(along * along + (means[:, 1:] ** 2).sum(axis=1))
-            np.divide(along, norm, out=out[start:stop], where=along > 0)
+            norm = np.sqrt(np.einsum("ij,ij->i", means, means))  # sqrt(A^2 + |B|^2)
+            np.divide(along, norm, out=out[start:start + step], where=along > 0)
         return -out
 
     return bound
 
 
 def _cosine_projections(
-    matrix: sp.csr_matrix | np.ndarray, pool_index: np.ndarray, target
+    matrix: sp.csr_matrix | np.ndarray, pool_index: np.ndarray, target, s: int = 1
 ) -> np.ndarray | None:
     """Each pool row's projections on the unit target and on up to
     ``_COSINE_DIRECTIONS`` orthonormal directions orthogonal to it, or None
     when the target has no finite direction (the round then goes unbounded,
     and ``_score_rows`` rejects an all-zero target).
 
-    The directions approximate the top eigenvectors of the scatter of the
-    pool rows with their target component removed, the directions in which
-    candidate means spread most. They are found once per search by
-    ``_POWER_STEPS`` steps of subspace iteration on twice as many columns,
-    then the best of them by Rayleigh-Ritz, each step one pass over the pool
-    rows in row blocks, so no d x d array is formed; they are then
-    QR-orthonormalized against the target. Any orthonormal directions keep the
-    bound valid; better ones only tighten it.
+    The directions approximate the top eigenvectors of the second moment of
+    a size-``s`` candidate's mean, the directions in which candidate means
+    spread most. With R the N pool rows with their target component removed
+    and mu its column mean, the mean of ``s`` rows drawn without replacement
+    has second moment ``mu mu^T + Sigma (N - s) / (s (N - 1))``, Sigma being
+    the rows' covariance ``R^T R / N - mu mu^T`` (Cochran, Sampling
+    Techniques, 1977): times ``N s``, and with ``(N - s) / (N - 1)`` taken
+    as 1, ``R^T R + N (s - 1) mu mu^T``. The pool mean weighs about ``s``
+    times more there than in the rows' own scatter ``R^T R`` (``s = 1``).
+    The directions are found once per search by ``_POWER_STEPS`` steps of
+    subspace iteration on that matrix with twice as many columns, then the
+    best of them by Rayleigh-Ritz. mu takes one pass over the pool rows and
+    each step another, in row blocks, so no d x d array is formed; the
+    directions are then QR-orthonormalized against the target. Any
+    orthonormal directions keep the bound valid; better ones only tighten it.
     """
     unit = _as_vector(target)
     norm = np.sqrt(unit @ unit)
     if not 0.0 < norm < np.inf:
         return None
     unit = unit / norm
+    total = np.zeros(len(unit))
+    for start, stop in _row_blocks(len(pool_index)):
+        total += matrix[pool_index[start:stop]].T @ np.ones(stop - start)
+    mean = total / len(pool_index)
+    # R^T R + N (s - 1) mu mu^T is the scatter of R with one more row, this one
+    lift = math.sqrt(len(pool_index) * (s - 1)) * (mean - (mean @ unit) * unit)
     k = min(_COSINE_DIRECTIONS, len(unit) - 1)
     span = np.random.default_rng(0).standard_normal((len(unit), min(2 * k, len(unit) - 1)))
     for _ in range(_POWER_STEPS):
-        span = _scatter_times(matrix, pool_index, unit, _orthonormal_to(unit, span))
+        span = _scatter_times(matrix, pool_index, unit, lift, _orthonormal_to(unit, span))
     span = _orthonormal_to(unit, span)
-    rayleigh = span.T @ _scatter_times(matrix, pool_index, unit, span)
+    rayleigh = span.T @ _scatter_times(matrix, pool_index, unit, lift, span)
     if not np.isfinite(rayleigh).all():
         return None
     top = span @ np.linalg.eigh(rayleigh)[1][:, ::-1][:, :k]
@@ -809,12 +837,13 @@ def _orthonormal_to(unit: np.ndarray, columns: np.ndarray) -> np.ndarray:
 
 def _scatter_times(
     matrix: sp.csr_matrix | np.ndarray, pool_index: np.ndarray, unit: np.ndarray,
-    columns: np.ndarray,
+    lift: np.ndarray, columns: np.ndarray,
 ) -> np.ndarray:
-    """``R.T @ (R @ columns)`` for R the pool rows with their ``unit``
-    component removed and ``columns`` orthogonal to ``unit``, in row blocks.
-    Then ``R @ columns`` is ``rows @ columns``, so R itself is never formed."""
-    out = np.zeros_like(columns)
+    """``(R.T @ R + lift lift.T) @ columns`` for R the pool rows with their
+    ``unit`` component removed, and ``lift`` and ``columns`` orthogonal to
+    ``unit``, in row blocks. Then ``R @ columns`` is ``rows @ columns``, so R
+    itself is never formed."""
+    out = np.outer(lift, lift @ columns)
     along = np.zeros(columns.shape[1])
     for start, stop in _row_blocks(len(pool_index)):
         rows = matrix[pool_index[start:stop]]
@@ -822,6 +851,16 @@ def _scatter_times(
         out += rows.T @ product
         along += (rows @ unit) @ product
     return out - np.outer(unit, along)
+
+
+def _picker(pickers: dict, rows: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``pool_groups``' indptr and ones for ``rows`` groups of ``size``, kept
+    in ``pickers`` and built again only when the shape changes; a search's
+    rounds keep one shape until its last few."""
+    if (rows, size) not in pickers:
+        pickers.clear()
+        pickers[rows, size] = (np.arange(0, rows * size + 1, size), np.ones(rows * size))
+    return pickers[rows, size]
 
 
 def _pool_candidates(rows, members: np.ndarray):

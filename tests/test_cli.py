@@ -710,6 +710,20 @@ class TestConfiguration:
                     "strategy", "target_domain",
                 ]] * 3
 
+    @pytest.mark.parametrize(
+        "strategy, shown",
+        [("random", "random"), ("balanced", "balanced"), ("instance", "instance, jensen_shannon")],
+    )
+    def test_summary_names_the_metric_the_result_holds(
+        self, data, tmp_path, capsys, strategy, shown
+    ):
+        """``select``'s summary line names the strategy and the metric its
+        ``selection.json`` records; a baseline records none and names none."""
+        assert cli.main(["select", "--strategy", strategy] + base_args(data, tmp_path)) == 0
+        result = json.loads((tmp_path / "selection.json").read_text("utf-8"))["result"]
+        assert result["metric"] == (None if strategy in ("random", "balanced") else "jensen_shannon")
+        assert f"({shown}) -> " in capsys.readouterr().out
+
     def test_config_keys_are_the_run_config_fields(self):
         assert {f.name for f in fields(cli.RunConfig)} == set(CONFIG_KEYS)
 

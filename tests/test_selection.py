@@ -941,14 +941,30 @@ class TestRoundBounds:
 
     @given(st.data())
     def test_cosine_upper_bound_never_falls_below_the_score(self, data):
+        """The bound, built for subsets of ``s`` (at most, equal to or above
+        the pool left, as in a search's last rounds), lies above the cosine of
+        candidates of ``min(s, pool left)`` or of any other size, on rows
+        shifted by a shared offset of up to 10 times their spread, with up to
+        d directions."""
         rows, pool_index, target, available = bound_case(data, "cosine")
-        size = data.draw(st.integers(2, len(available)), label="s")
+        dense = rows.toarray() if sp.issparse(rows) else rows
+        direction = data.draw(
+            arrays(np.float64, dense.shape[1], elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0])),
+            label="offset direction",
+        )
+        scale = data.draw(st.floats(0.0, 10.0), label="offset over spread")
+        dense = dense + scale * (dense.std() or 1.0) * direction
+        rows = sp.csr_matrix(dense) if sp.issparse(rows) else dense
+        s = data.draw(st.integers(2, len(available) + 3), label="s")
+        size = data.draw(
+            st.just(min(s, len(available))) | st.integers(2, len(available)), label="size"
+        )
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
         candidates = available[selection._draw_subsets(rng, len(available), size, 30)]
-        directions = data.draw(st.integers(1, 16), label="directions")
+        directions = data.draw(st.integers(1, max(1, dense.shape[1])), label="directions")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(selection, "_COSINE_DIRECTIONS", directions)
-            bound = selection._cosine_bound(rows, pool_index, target)
+            bound = selection._cosine_bound(rows, pool_index, s, target)
         if bound is None:  # a zero target, which cosine scoring rejects
             assert not target.any()
             with pytest.raises(DataError, match="all zeros"):
@@ -1054,7 +1070,7 @@ class TestRoundBounds:
         target = target_dist(12) if metric == "jensen_shannon" else target_dist(12).probs
         candidates = selection._draw_subsets(np.random.default_rng(17), 400, 5, 4000)
         if metric == "cosine":
-            bound = selection._cosine_bound(rows, every_row(rows), target)
+            bound = selection._cosine_bound(rows, every_row(rows), 5, target)
         else:
             bound = selection._js_bound(rows, every_row(rows), 5, target)
         scores = selection._round_scores(
@@ -1128,15 +1144,65 @@ class TestRoundBounds:
         assert peak < 8 * m * s
 
     def test_cosine_directions_capture_the_top_of_the_scatter(self):
+        """For subsets of s, the directions capture nearly all of the top of
+        ``R^T R + N (s - 1) mu mu^T``, R the rows with their target component
+        removed and mu R's mean. The mean lies off the rows' widest axes and
+        is too small for the top of ``R^T R``, whose directions capture 96%."""
         rng = np.random.default_rng(19)
-        rows = rng.standard_normal((500, 60)) * np.geomspace(10.0, 0.1, 60)
+        spread = np.geomspace(10.0, 0.1, 60)
+        rows = rng.standard_normal((500, 60)) * spread + 0.25 * (spread < 1.0)
         target = rng.standard_normal(60)
-        projections = selection._cosine_projections(rows, every_row(rows), target)
+        s = 20
+        projections = selection._cosine_projections(rows, every_row(rows), target, s)
         unit = target / np.linalg.norm(target)
         flat = rows - np.outer(rows @ unit, unit)
-        top = np.linalg.eigvalsh(flat.T @ flat)[::-1][: selection._COSINE_DIRECTIONS].sum()
+        mu = flat.mean(axis=0)
+        weight = len(rows) * (s - 1)
+        moment = flat.T @ flat + weight * np.outer(mu, mu)
+        top = np.linalg.eigvalsh(moment)[::-1][: selection._COSINE_DIRECTIONS].sum()
+        directions = projections[:, 1:]
+        captured = (directions**2).sum() + weight * (directions.mean(axis=0) ** 2).sum()
         assert np.allclose(projections[:, 0], rows @ unit)
-        assert (projections[:, 1:] ** 2).sum() >= 0.99 * top
+        assert captured >= 0.99 * top
+
+    def test_cosine_round_scores_fewer_than_the_row_scatter(self):
+        """On rows with a large common mean off their widest axes, the
+        directions of a candidate mean's second moment leave fewer candidates
+        of a round to score than the exact top eigenvectors of the rows' own
+        scatter, and the round keeps the exhaustive one's scores and winner."""
+        rng = np.random.default_rng(27)
+        d, k, s = 12, 4, 20
+        # spread 3 on six axes, more than the k directions hold; a mean of 2,
+        # below that spread, on axis 11; and the target on axis 10
+        rows = rng.standard_normal((2000, d)) * np.where(np.arange(d) < 6, 3.0, 0.1)
+        rows[:, 11] += 2.0
+        rows[:, 10] += 3.0
+        target = np.eye(d)[10]
+        candidates = selection._draw_subsets(np.random.default_rng(28), 2000, s, 4000)
+        flat = rows - np.outer(rows[:, 10], target)
+        scatter_top = np.linalg.eigh(flat.T @ flat)[1][:, ::-1][:, :k]
+        projections = rows @ np.column_stack([target, scatter_top])
+
+        def scatter_bounds(batch):
+            means = projections[batch].mean(axis=1)
+            along = means[:, 0]
+            norm = np.sqrt(along * along + (means[:, 1:] ** 2).sum(axis=1))
+            return -np.where(along > 0, along / norm, 0.0)
+
+        def round_scores(bound):
+            return selection._round_scores(
+                rows, every_row(rows), None, candidates, target, "cosine", bound
+            )
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection, "_COSINE_DIRECTIONS", k)
+            scores = round_scores(selection._cosine_bound(rows, every_row(rows), s, target))
+        scatter_scores = round_scores(scatter_bounds)
+        every = selection._candidate_scores(rows, every_row(rows), None, candidates, target, "cosine")
+        scored_rows = ~np.isnan(scores)
+        assert scored_rows.sum() < (~np.isnan(scatter_scores)).sum()
+        assert np.array_equal(scores[scored_rows], every[scored_rows])
+        assert np.nanargmax(scores) == np.argmax(every)
 
     def test_cosine_directions_form_no_d_by_d_array(self):
         d = 3000
