@@ -26,12 +26,13 @@ and sums that would allocate them, so they are bit-identical too and
 training holds one gradient set, not two.
 
 Row blocks: every walk over a matrix's rows in blocks -- ``encode`` here,
-the dense batched scores in ``similarity``, and the candidate scoring and
-random-key draws of the subset search in ``selection`` -- takes its blocks
-from ``_row_blocks``, about ``_BLOCK_ROWS`` rows each. A block bounds memory
-and changes no output: every score is computed per row and the key draws
+the dense batched scores in ``similarity``, and the random-key draws and
+pool passes of the subset search in ``selection`` -- takes its blocks from
+``_row_blocks``, about ``_BLOCK_ROWS`` rows each. A block bounds memory and
+changes no output: every score is computed per row and the key draws
 continue one generator stream. Only ``encode``'s BLAS products can see the
 block size, and at the default hidden size they do not (see ``encode``).
+Candidate scoring pools fixed slices of ``_BLOCK_ROWS`` (``selection._pooled``).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from .errors import DataError, ParseError
 
 class EmbeddingTable:
     """Immutable token -> vector map with a fixed dimensionality; every vector
-    is finite, since cosine scores a non-finite SIF row 0.0 without an error."""
+    is finite, so a bad vector fails here and not when cosine scores a row."""
 
     def __init__(self, entries: dict[str, np.ndarray], dim: int):
         if dim < 1:
@@ -49,9 +49,9 @@ def load_embeddings(
     but only kept lines are parsed as floats, so a non-numeric component on a
     line the restriction drops is not reported. A kept line with a non-finite
     component (``nan``, ``inf`` or an overflowing literal such as ``1e999``,
-    all of which Python's ``float`` accepts) is a ParseError: its SIF rows
-    would be NaN, and cosine scores NaN rows as 0.0 without a warning. So is
-    a kept token's second line: the file would give one token two vectors.
+    all of which Python's ``float`` accepts) is a ParseError naming its line,
+    not a cosine error once the SIF rows are NaN. So is a kept token's
+    second line: the file would give one token two vectors.
     A token seen twice only on dropped lines is not reported.
     """
     path = Path(path)

@@ -59,6 +59,9 @@ SIF_A = 1e-5
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
 
+# ``pool_groups``' picker values, read-only once grown
+_ONES = np.ones(0)
+
 
 @dataclass(frozen=True)
 class TermDistribution:
@@ -134,8 +137,7 @@ class RepresentationSpace:
 
 
 def pool_groups(
-    matrix: sp.csr_matrix | np.ndarray, members: np.ndarray, indptr: np.ndarray,
-    ones: np.ndarray | None = None,
+    matrix: sp.csr_matrix | np.ndarray, members: np.ndarray, indptr: np.ndarray
 ) -> sp.csr_matrix | np.ndarray:
     """Pool the rows ``members[indptr[k]:indptr[k + 1]]`` of ``matrix`` into row k.
 
@@ -152,15 +154,19 @@ def pool_groups(
     bit for bit: the same indptr, each row's columns in reverse order of first
     appearance, explicit zeros dropped, and the same sums.
 
-    ``ones``, ``len(members)`` float64 ones, are the picker's values; a caller
-    that pools many groupings of one shape passes the array it built once, as
-    the subset search's bound does each round. There a fresh 400,000-entry
-    array and its indptr took a round's pooling from 2.4-2.5 ms to 3.8-5.1 ms.
+    The picker's values, ``len(members)`` float64 ones, are a prefix of one
+    read-only buffer grown to the longest grouping pooled so far, so threads
+    that pool at once share it. The subset search pools every round, and a
+    fresh 400,000-entry array and indptr took a round of its JS bound from
+    2.4-2.5 ms to 3.8-5.1 ms.
     """
+    global _ONES
     members, indptr = np.asarray(members), np.asarray(indptr)
     n_groups = len(indptr) - 1
-    if ones is None:
-        ones = np.ones(len(members))
+    ones = _ONES[:len(members)]
+    if len(ones) < len(members):  # a thread that grows it pools from its own
+        ones = _ONES = np.ones(len(members))
+        ones.flags.writeable = False
     if sp.issparse(matrix):
         matrix = matrix.tocsr()  # as ``@`` converts its right operand
         n_cols = matrix.shape[1]

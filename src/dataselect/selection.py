@@ -30,9 +30,9 @@ the final subset round keeps NaN members, ranked last.
 
 A subset search draws each round's candidates on one helper thread while
 the calling thread scores the round before (``subset_select``). Bounds,
-scoring and the choice of the winner run on the calling thread, where
-``_candidate_scores`` scores candidates in row blocks, one after another;
-every candidate's score depends on its own row alone, so the block size
+scoring and the choice of the winner run on the calling thread, and all
+three pool candidates through one loop, ``_pooled``, a slice at a time;
+every candidate's value depends on its own members alone, so the slice size
 changes no bit.
 
 A round needs only its best candidate, so a JS round and a cosine round
@@ -92,6 +92,7 @@ from .similarity import (
     METRIC_ORIENTATION,
     PROXY_A,
     _as_vector,
+    _squared_norms,
     cosine_to_target,
     js_to_target,
     proxy_a_scores,
@@ -138,12 +139,10 @@ _COSINE_DIRECTIONS = 24
 # 0.01 s and 0.30-0.54 s for the exact d x d matrix and its eigh.
 _POWER_STEPS = 4
 
-# Rows per slice of the draw's duplicate check (``_duplicate_rows``); see
-# ``_draw_subsets`` for the timings that chose it.
-_DRAW_BLOCK_ROWS = 2048
-
-# Candidates per slice of the cosine bound's pooling (``_cosine_bound``).
-_BOUND_SLICE_ROWS = 2048
+# Rows per slice of the draw's duplicate check (``_duplicate_rows``) and of
+# the cosine bound's pooling; see ``_draw_subsets`` and ``_cosine_bound`` for
+# the timings that chose it.
+_SLICE_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -209,8 +208,9 @@ class SelectionResult:
 def check_target(target_repr, metric: str):
     """The target as ``metric`` scores against it, or a ``DataError`` when it
     cannot rank: an empty distribution under JS, and under cosine a vector
-    with an entry that is not finite or none that is nonzero, which has no
-    direction (cosine would score every row 0). Proxy-A has no target
+    with no nonzero entry, which has no direction (cosine would score every
+    row 0), or whose squared norm is not finite, from a non-finite entry or
+    squares that overflow (every row NaN or 0). Proxy-A has no target
     aggregate, so it is an unknown metric here."""
     if metric == JENSEN_SHANNON:
         if target_repr.empty:
@@ -219,8 +219,9 @@ def check_target(target_repr, metric: str):
     if metric != COSINE:
         raise ConfigError(f"unknown metric {metric!r}")
     target = _as_vector(target_repr)
-    if not (np.isfinite(target).all() and target.any()):
-        raise DataError("target vector is all zeros or not finite; cosine cannot rank against it")
+    if not target.any():
+        raise DataError("target vector is all zeros; cosine cannot rank against it")
+    _squared_norms(target, "target vector")
     return target
 
 
@@ -421,21 +422,12 @@ def subset_select(
 
     A JS round and a cosine round with subsets of two or more skip the
     candidates that provably cannot win (``_round_scores``), through a bound
-    the search builds once, before its first round. Each candidate's JS is
-    bounded from below by the largest of three bounds: the tangent plane of
-    ``JS(., q)`` at the pooled distribution of the whole pool, the tangent of
-    each column's term at a per-column point, and that tangent with the exact
-    JS term at each column of R the candidate misses, R being the columns
-    whose pool document frequency times ``s`` is below the pool size (any R
-    and any point keep it valid; ``_js_bound``). Each cosine is bounded
-    from above through the candidate mean's projections on the unit target
-    and on ``_COSINE_DIRECTIONS`` orthonormal directions orthogonal to it,
-    taken from the second moment of a size-``s`` candidate's mean
-    (``_cosine_bound``). A candidate whose
-    bound is worse than the best key among the first-scored candidates by
-    more than ``_PRUNE_SLACK`` is not scored. No candidate that could win or
-    tie is skipped, and the scored ones get the bits an exhaustive round
-    gives them, so the result is that of scoring every candidate.
+    the search builds once, before its first round (``_js_bound``,
+    ``_cosine_bound``). A candidate whose bound is worse than the best key
+    among the first-scored candidates by more than ``_PRUNE_SLACK`` is not
+    scored. No candidate that could win or tie is skipped, and the scored
+    ones get the bits an exhaustive round gives them, so the result is that
+    of scoring every candidate.
     """
     SelectionConfig(n=n, strategy="subset", metric=metric, s=s, m=m)
     _check_pool(ids, rows=pool_index, scores=item_scores)
@@ -525,7 +517,7 @@ def _draw_subsets(rng: np.random.Generator, n_avail: int, size: int, m: int) -> 
     256 candidates a round to score, the draws of a graded search (0.34-0.43
     s over 80 rounds) take about as long as the bounds and scoring together
     (0.30-0.57 s), so each rejection pass checks its rows as int32 keys in
-    ``_DRAW_BLOCK_ROWS``-row slices, the first pass as slices of the draw
+    ``_SLICE_ROWS``-row slices, the first pass as slices of the draw
     itself, not a gathered copy. One 20,000 x 20 draw from 6,800 documents
     took 3.3-3.7 ms (medians of 30) with a tracemalloc peak of 3.4 MiB,
     against 4.9-6.3 ms in 256-row blocks of gathered int64 rows. 256-row
@@ -556,10 +548,10 @@ def _draw_subsets(rng: np.random.Generator, n_avail: int, size: int, m: int) -> 
 
 def _duplicate_rows(rows: np.ndarray, key: type) -> np.ndarray:
     """Whether each row of ``rows`` holds a value twice, from sorted ``key``
-    copies of ``_DRAW_BLOCK_ROWS``-row slices."""
+    copies of ``_SLICE_ROWS``-row slices."""
     out = np.empty(len(rows), dtype=bool)
-    for start in range(0, len(rows), _DRAW_BLOCK_ROWS):
-        block = rows[start:start + _DRAW_BLOCK_ROWS].astype(key)
+    for start in range(0, len(rows), _SLICE_ROWS):
+        block = rows[start:start + _SLICE_ROWS].astype(key)
         block.sort(axis=1)
         np.any(block[:, 1:] == block[:, :-1], axis=1, out=out[start:start + len(block)])
     return out
@@ -569,10 +561,11 @@ def _candidate_scores(
     matrix, pool_index: np.ndarray, item_scores: np.ndarray, candidates: np.ndarray,
     target_repr, metric: str,
 ) -> np.ndarray:
-    """Score each candidate subset, a row of pool positions, in row blocks.
+    """Score each candidate subset, a row of pool positions, in blocks of
+    ``autoencoder._BLOCK_ROWS`` candidates.
 
     Each block pools its members' rows of ``matrix`` (pool position i is row
-    ``pool_index[i]``) by ``pool_groups`` and is scored by ``_score_rows``:
+    ``pool_index[i]``) through ``_pooled`` and is scored by ``_score_rows``:
     term-distribution sums are scored as counts, dense rows as member means.
     A singleton (``s=1``) scores as its member's ``item_scores`` entry, so it
     ranks exactly as its member does in instance ranking (the sparse product
@@ -582,15 +575,16 @@ def _candidate_scores(
     The blocks are scored one after another on the calling thread. With the
     search's bounds leaving 5-25% of a round's candidates to score, splitting
     the blocks over both CPUs of a 2-vCPU host was no faster and raised the
-    benchmark's peak RSS by about 10 MB.
+    benchmark's peak RSS by about 10 MB. Blocks of ``_SLICE_ROWS`` took the
+    graded term_dist cosine search from 4.45 s to 5.1-5.3 s and its peak RSS
+    from 95.4 to 102.6 MB.
     """
     if candidates.shape[1] == 1:
         return item_scores[candidates].mean(axis=1)
-    out = np.empty(len(candidates), dtype=np.float64)
-    for start, stop in _row_blocks(len(candidates)):
-        pooled = _pool_candidates(matrix, pool_index[candidates[start:stop]])
-        out[start:stop] = _score_rows(pooled, target_repr, metric)
-    return out
+    return _pooled(
+        matrix, candidates, lambda pooled: _score_rows(pooled, target_repr, metric),
+        autoencoder._BLOCK_ROWS, pool_index,
+    )
 
 
 def _round_scores(
@@ -670,20 +664,17 @@ def _js_bound(matrix, pool_index: np.ndarray, s: int, target) -> _Bound | None:
     candidate pooling count rows ``c_j`` with token totals ``T_j`` has ``g.P =
     sum(g.c_j) / sum(T_j)``, so the four numbers ``[g0.c_j, g.c_j, T_j, D_j]``
     per pool document, taken here from the pool rows, give every term; the
-    function pools them for every candidate of a round in one call, through
-    a picker (``pool_groups``' indptr and ones) built once per shape of a
-    round's candidates. ``pool_groups`` averages dense rows, which leaves the
+    function pools them for every candidate of a round through ``_pooled``
+    in one slice. ``pool_groups`` averages dense rows, which leaves the
     ratios as they are but makes the pooled D the members' mean, so it is
     multiplied by the subset size. An empty candidate (every ``T_j`` 0, a NaN
     score) gets a NaN bound.
 
     On the seed-0 graded pool (s=20, m=20,000, n=1,600) this bound leaves
     256 candidates a round to score, the first block, where the support-aware
-    bound at x = P0 left 1,064 on average (85,105 over 80 rounds). Pooling a
-    20,000 x 20 round's four columns took 2.4-2.5 ms with the picker built
-    once against 3.8-5.1 ms with a fresh one (medians of 80). (With three columns, row blocks took 2.5 ms a round
-    against 1.3 ms whole, and the search's traced allocation peak was the
-    same either way.)
+    bound at x = P0 left 1,064 on average (85,105 over 80 rounds). In
+    ``_SLICE_ROWS``-row slices the in-process graded search took 0.75-0.79 s
+    against 0.65 s whole, slower in 11 of 12 interleaved runs.
     """
     rows = sp.csr_matrix(matrix[pool_index])  # term distributions are CSR
     n_pool = rows.shape[0]
@@ -719,16 +710,17 @@ def _js_bound(matrix, pool_index: np.ndarray, s: int, target) -> _Bound | None:
         (rows[:, rare] != 0).astype(np.float64) @ d[rare],
     ])
     missed = plane - d[rare].sum()
-    pickers = {}
 
     def bound(candidates: np.ndarray) -> np.ndarray:
-        means = pool_groups(per_doc, candidates.ravel(), *_picker(pickers, *candidates.shape))
-        along0, along = np.full((2, len(candidates)), np.nan)
-        usable = means[:, 2] > 0
-        np.divide(means[:, 0], means[:, 2], out=along0, where=usable)
-        np.divide(means[:, 1], means[:, 2], out=along, where=usable)
-        aware = np.maximum(plane, missed + candidates.shape[1] * means[:, 3])
-        return np.maximum(plane0 + along0, aware + along)
+        def finish(means):
+            tokens = means[:, 2:3]
+            along0, along = np.divide(
+                means[:, :2], tokens, out=np.full((len(means), 2), np.nan), where=tokens > 0
+            ).T
+            aware = np.maximum(plane, missed + candidates.shape[1] * means[:, 3])
+            return np.maximum(plane0 + along0, aware + along)
+
+        return _pooled(per_doc, candidates, finish, len(candidates))
 
     return bound
 
@@ -747,39 +739,27 @@ def _cosine_bound(
     ``A / sqrt(A^2 + |B|^2)`` when A > 0, and at most 0 otherwise. A
     term-distribution candidate is scored on the sum of its count rows, not
     their mean, which scales A, B and the norm alike and leaves the cosine as
-    it is. The function pools the projections of a round's candidates in
-    ``_BOUND_SLICE_ROWS``-row slices through one picker (``pool_groups``'
-    indptr and ones) per slice shape, a shorter last slice taking its prefix.
-    Bounding a first round of the seed-0 blended SIF search (20,000 x 20
-    candidates, 25 columns) took 6.8-7.1 ms in these slices, with a
-    tracemalloc peak of 1.1 MiB, against 8.4 ms in 256-row blocks with a
-    fresh picker each (0.35 MiB) and 6.9-7.5 ms whole (8.6 MiB), medians of
-    21.
+    it is. The function pools the projections of a round's candidates
+    through ``_pooled`` in ``_SLICE_ROWS``-row slices. Bounding a first round
+    of the seed-0 blended SIF search (20,000 x 20 candidates, 25 columns)
+    took 6.8-7.1 ms in these slices, with a tracemalloc peak of 1.1 MiB,
+    against 8.4 ms in 256-row blocks with a fresh picker each (0.35 MiB) and
+    6.9-7.5 ms whole (8.6 MiB), medians of 21.
     """
     projections = _cosine_projections(matrix, pool_index, target, s)
     if projections is None:
         return None
-    pickers = {}
 
-    def bound(candidates: np.ndarray) -> np.ndarray:
-        step = min(len(candidates), _BOUND_SLICE_ROWS)
-        indptr, ones = _picker(pickers, step, candidates.shape[1])
-        out = np.zeros(len(candidates))
-        for start in range(0, len(candidates), step):
-            members = candidates[start:start + step]
-            means = pool_groups(
-                projections, members.ravel(), indptr[:len(members) + 1], ones[:members.size]
-            )
-            along = means[:, 0]
-            norm = np.sqrt(np.einsum("ij,ij->i", means, means))  # sqrt(A^2 + |B|^2)
-            np.divide(along, norm, out=out[start:start + step], where=along > 0)
-        return -out
+    def finish(means):
+        along = means[:, 0]
+        norm = np.sqrt(np.einsum("ij,ij->i", means, means))  # sqrt(A^2 + |B|^2)
+        return np.divide(along, norm, out=np.zeros_like(along), where=along > 0)
 
-    return bound
+    return lambda candidates: -_pooled(projections, candidates, finish, _SLICE_ROWS)
 
 
 def _cosine_projections(
-    matrix: sp.csr_matrix | np.ndarray, pool_index: np.ndarray, target, s: int = 1
+    matrix: sp.csr_matrix | np.ndarray, pool_index: np.ndarray, target, s: int
 ) -> np.ndarray | None:
     """Each pool row's projections on the unit target and on up to
     ``_COSINE_DIRECTIONS`` orthonormal directions orthogonal to it, or None
@@ -853,18 +833,21 @@ def _scatter_times(
     return out - np.outer(unit, along)
 
 
-def _picker(pickers: dict, rows: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``pool_groups``' indptr and ones for ``rows`` groups of ``size``, kept
-    in ``pickers`` and built again only when the shape changes; a search's
-    rounds keep one shape until its last few."""
-    if (rows, size) not in pickers:
-        pickers.clear()
-        pickers[rows, size] = (np.arange(0, rows * size + 1, size), np.ones(rows * size))
-    return pickers[rows, size]
-
-
-def _pool_candidates(rows, members: np.ndarray):
-    """``pool_groups`` of each row of ``members``, a candidates x size array of
-    row numbers of ``rows``, into one pooled row per candidate."""
-    indptr = np.arange(0, members.size + 1, members.shape[1])
-    return pool_groups(rows, members.ravel(), indptr)
+def _pooled(
+    rows, members: np.ndarray, finish: Callable[[np.ndarray], np.ndarray], step: int,
+    index: np.ndarray | None = None,
+) -> np.ndarray:
+    """One value per row of ``members``: ``finish`` of its members' rows of
+    ``rows`` pooled by ``pool_groups``, ``step`` rows of ``members`` at a
+    time. Member i is row i of ``rows``, or row ``index[i]`` given ``index``,
+    looked up a slice at a time."""
+    size = members.shape[1]
+    indptr = np.arange(0, min(step, len(members)) * size + 1, size)
+    out = np.empty(len(members))
+    for start in range(0, len(members), step):
+        block = members[start:start + step]
+        if index is not None:
+            block = index[block]
+        pooled = pool_groups(rows, block.ravel(), indptr[:len(block) + 1])
+        out[start:start + len(block)] = finish(pooled)
+    return out

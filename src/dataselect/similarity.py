@@ -173,12 +173,10 @@ def _js_csr_to_target(rows: sp.csr_matrix, q: np.ndarray) -> np.ndarray:
 
 def cosine(a: TermDistribution | np.ndarray, b: TermDistribution | np.ndarray) -> SimilarityScore:
     """Cosine similarity; either vector having zero norm yields 0. A vector
-    with a non-finite entry is a ``DataError``."""
+    with a non-finite entry or squared norm is a ``DataError``."""
     va, vb = _as_vector(a), _as_vector(b)
     if va.shape != vb.shape:
         raise DataError(f"vectors differ in dimension: {va.shape} vs {vb.shape}")
-    if not (np.isfinite(va).all() and np.isfinite(vb).all()):
-        raise DataError("cosine of a vector with non-finite entries")
     value = float(cosine_to_target(va[None, :], vb)[0])
     return SimilarityScore(value)
 
@@ -188,10 +186,11 @@ def cosine_to_target(rows: sp.spmatrix | np.ndarray, target: np.ndarray) -> np.n
 
     Elementwise ops instead of BLAS keep each row's result bit-identical no
     matter how the rows are batched. Sparse rows are converted to CSR once and
-    densified one block at a time.
+    densified one block at a time. A target or row whose squared norm is not
+    finite (a non-finite entry, or squares that overflow) is a ``DataError``.
     """
     target = _as_vector(target)
-    target_norm = np.sqrt(float((target * target).sum()))
+    target_norm = np.sqrt(float(_squared_norms(target, "target vector")))
     if sp.issparse(rows):
         rows = rows.tocsr()  # row slices; COO has none
     out = np.empty(rows.shape[0], dtype=np.float64)
@@ -200,10 +199,20 @@ def cosine_to_target(rows: sp.spmatrix | np.ndarray, target: np.ndarray) -> np.n
         if sp.issparse(block):
             block = block.toarray()
         block = np.asarray(block, dtype=np.float64)
+        denom = np.sqrt(_squared_norms(block, "a row")) * target_norm
         dots = (block * target).sum(axis=1)
-        denom = np.sqrt((block * block).sum(axis=1)) * target_norm
         out[start:stop] = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
     return out
+
+
+def _squared_norms(vectors: np.ndarray, what: str) -> np.ndarray:
+    """Sums of squares along the last axis, or a ``DataError`` naming
+    ``what`` when one is not finite, with no overflow ``RuntimeWarning``."""
+    with np.errstate(over="ignore"):
+        squares = (vectors * vectors).sum(axis=-1)
+    if not np.isfinite(squares).all():
+        raise DataError(f"{what} has a squared norm that is not finite; cosine cannot score it")
+    return squares
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,22 @@ class TestExitCodes:
         assert "target vector is all zeros" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["oov.txt"]
 
+    def test_cosine_target_with_overflowing_squares_is_two(self, data, tmp_path, capsys):
+        """Vectors scaled by 1e200 are finite, but their squares overflow, so
+        every cosine would be NaN or 0 and no document could be selected."""
+        lines = data["vectors"].read_text("utf-8").splitlines()
+        vectors = tmp_path / "huge.txt"
+        vectors.write_text("".join(
+            token + "".join(f" {float(v) * 1e200!r}" for v in values) + "\n"
+            for token, *values in map(str.split, lines)
+        ), encoding="utf-8")
+        argv = ["select", "--strategy", "instance", "--n", "5", "--representation", "embedding",
+                "--embeddings", str(vectors), "--corpus", str(data["corpus"]), "--target", "tgt",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert "target vector has a squared norm that is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_all_zero_cosine_target_fails_before_any_run(
         self, data, tmp_path, capsys, monkeypatch, command

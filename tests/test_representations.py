@@ -517,12 +517,12 @@ def pooling_cases(draw):
 
 
 class TestPoolGroups:
-    @given(pooling_cases(), st.booleans())
-    def test_equals_picker_product(self, case, given_ones):
-        """With the picker's ones built by pool_groups or passed in."""
+    @given(pooling_cases())
+    def test_equals_picker_product(self, case):
+        """Cases of every length in turn, so the kept ones buffer is pooled
+        from both grown and sliced."""
         matrix, members, indptr = case
-        ones = np.ones(len(members)) if given_ones else None
-        pooled, oracle = pool_groups(matrix, members, indptr, ones), picker_pool(*case)
+        pooled, oracle = pool_groups(matrix, members, indptr), picker_pool(*case)
         assert type(pooled) is type(oracle) and pooled.shape == oracle.shape
         if sp.issparse(oracle):
             # bit for bit, the column order within each row included

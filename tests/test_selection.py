@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dataselect import autoencoder, selection
+from dataselect import autoencoder, representations, selection
 from dataselect.corpus import Document
 from dataselect.errors import ConfigError, DataError
 from dataselect.representations import TermDistribution, pool_groups
@@ -115,6 +115,13 @@ class TestScoreRows:
         rows = sp.csr_matrix(np.eye(4)) if sparse_rows else np.eye(4)
         with pytest.raises(DataError, match="not finite"):
             selection._score_rows(rows, np.array([bad, 1.0, 0.0, 0.0]), "cosine")
+
+    def test_cosine_target_with_overflowing_squares_is_rejected(self):
+        """Finite components near 1e200 square past float64's range, which
+        would score every row NaN or 0; the RuntimeWarning filter turns a
+        warning on the way into an error."""
+        with pytest.raises(DataError, match="target vector has a squared norm that is not finite"):
+            selection.check_target(np.array([1e200, 0.0, -1e200, 0.0]), "cosine")
 
 
 class TestSelectRandom:
@@ -776,6 +783,31 @@ class TestDrawPrefetch:
             exhaustive_subset_select(*args)
         )
 
+    def test_concurrent_searches_equal_their_serial_results(self, monkeypatch):
+        """A JS search (s=20) and a dense cosine search (s=5) run on two
+        threads at once, from an empty ones buffer that both grow and pool
+        from, and each equals its serial result."""
+        js_args = thread_search_args("jensen_shannon")
+        rows = np.random.default_rng(29).standard_normal((400, 12)) + 0.5
+        target = rows[:40].mean(axis=0)
+        cosine_args = (5, 60, 500, pool_ids(400), target, rows, every_row(rows),
+                       scored(rows, target, "cosine"), "cosine", 1)
+
+        def search(args):
+            got = subset_select(*args)
+            return got.chosen, got.subset_scores, got.iteration_members
+
+        serial = [search(js_args), search(cosine_args)]
+        monkeypatch.setattr(representations, "_ONES", representations._ONES[:0])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch between the threads often
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                concurrent = list(pool.map(search, [js_args, cosine_args], timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == serial
+
     def test_search_stopping_on_empty_candidates_discards_its_pending_draw(
         self, monkeypatch
     ):
@@ -1143,6 +1175,35 @@ class TestRoundBounds:
         assert np.array_equal(first, second)
         assert peak < 8 * m * s
 
+    def test_cosine_bound_and_scoring_allocate_no_picker_after_their_first_round(self):
+        """As the JS bound, the cosine bound and the candidate scoring of an
+        m x s round trace less than ``pool_groups``' ones alone would take
+        (8 m s bytes) from their second call on; the bound's 2,048-row slices
+        trace about 1 MB."""
+        m, s = 20000, 20
+        counts = sp.csr_matrix(random_counts(500, 40, seed=25))
+        dense = np.random.default_rng(30).standard_normal((500, 40)) + 0.2
+        candidates = selection._draw_subsets(np.random.default_rng(26), 500, s, m)
+        calls = {
+            "cosine bound": selection._cosine_bound(dense, every_row(dense), s, dense[0]),
+            "JS scores": lambda batch: selection._candidate_scores(
+                counts, every_row(counts), None, batch, target_dist(40), "jensen_shannon"
+            ),
+            "cosine scores": lambda batch: selection._candidate_scores(
+                dense, every_row(dense), None, batch, dense[0], "cosine"
+            ),
+        }
+        for name, call in calls.items():
+            first = call(candidates)
+            tracemalloc.start()
+            try:
+                second = call(candidates)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(first, second), name
+            assert peak < 8 * m * s, (name, peak)
+
     def test_cosine_directions_capture_the_top_of_the_scatter(self):
         """For subsets of s, the directions capture nearly all of the top of
         ``R^T R + N (s - 1) mu mu^T``, R the rows with their target component
@@ -1209,7 +1270,7 @@ class TestRoundBounds:
         rows = np.random.default_rng(20).standard_normal((40, d))
         tracemalloc.start()
         try:
-            projections = selection._cosine_projections(rows, every_row(rows), rows[0])
+            projections = selection._cosine_projections(rows, every_row(rows), rows[0], s=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -395,6 +395,27 @@ class TestCosine:
             with pytest.raises(DataError):
                 cosine(np.array(a), np.array(b))
 
+    @pytest.mark.parametrize("sparse_rows", [False, True])
+    @pytest.mark.parametrize("overflowing", ["a row", "target vector"])
+    def test_overflowing_squared_norm_is_rejected(self, overflowing, sparse_rows):
+        """Finite components near 1e200 square past float64's range, so the
+        cosine would be NaN or 0; that row or target is a DataError, raised
+        without a RuntimeWarning (the suite's filter makes one an error)."""
+        big, unit = np.array([[1e200, -1e200, 0.0]]), np.array([[1.0, 2.0, 0.0]])
+        rows, target = (big, unit[0]) if overflowing == "a row" else (unit, big[0])
+        rows = np.vstack([unit, rows])
+        with pytest.raises(DataError, match=f"{overflowing} has a squared norm that is not finite"):
+            cosine_to_target(sp.csr_matrix(rows) if sparse_rows else rows, target)
+
+    def test_large_finite_squares_keep_their_scores(self):
+        """Components near 1e150 still square within range, and score as
+        their scaled-down copies do."""
+        rows = np.array([[1.0, 2.0, 0.0], [3.0, -1.0, 2.0]])
+        target = np.array([2.0, 1.0, 1.0])
+        assert np.array_equal(
+            cosine_to_target(rows * 2.0**500, target * 2.0**500), cosine_to_target(rows, target)
+        )
+
 
 class TestLogisticRegression:
     def test_objective_monotone_nonincreasing(self):
