@@ -24,9 +24,9 @@ the representation matrix: pool document i is row ``pool_index[i]`` of the
 matrix, its corpus row, and no pool rows are copied out. A singleton's
 score is its member's item score. Proxy-A scores examples, so it ranks
 instances only, never domains or subsets. ``_rank`` is the one ranking
-rule: best oriented score first, NaN last, ties by name. Instance ranking
-drops NaN (empty) items and the domain choice drops NaN domains; truncating
-the final subset round keeps NaN members, ranked last.
+rule: best oriented score first, NaN last, ties by name. A NaN item (an
+empty document under JS) is never chosen: instance ranking drops it and the
+subset search never draws it, and the domain choice drops NaN domains.
 
 A subset search draws each round's candidates on one helper thread while
 the calling thread scores the round before (``subset_select``). Bounds,
@@ -392,8 +392,10 @@ def subset_select(
     (without replacement within a subset, independently across subsets),
     scores each subset's pooled representation against the target, keeps the
     best one, and removes its members from the pool. Rounds repeat until ``n``
-    examples are gathered; the final round's winner is truncated to exactly
-    ``n`` by ``item_scores`` (one per pool document), best first.
+    examples are gathered or the pool is spent; the final round's winner is
+    truncated to exactly ``n`` by ``item_scores`` (one per pool document),
+    best first. The pool holds the documents whose item score is not NaN, as
+    instance ranking keeps them, so every candidate has a score.
 
     ``matrix`` is the representation matrix of the whole corpus and
     ``pool_index`` holds each pool document's corpus row, so the document
@@ -416,9 +418,8 @@ def subset_select(
     the next round's draw starts as soon as this round's candidates are
     mapped (the first one before the bound is built), and only when another
     round will draw. The generator is read by one thread at a time, in the
-    serial order, so every draw is the one a serial search makes. A draw
-    left unused after a round of all-empty candidates is discarded, and the
-    helper ends before the call returns or raises.
+    serial order, so every draw is the one a serial search makes. The helper
+    ends before the call returns or raises.
 
     A JS round and a cosine round with subsets of two or more skip the
     candidates that provably cannot win (``_round_scores``), through a bound
@@ -442,7 +443,7 @@ def subset_select(
             return None
         return helper.submit(_draw_subsets, rng, n_avail, min(s, n_avail), m)
 
-    available = np.arange(len(ids))
+    available = np.flatnonzero(~np.isnan(item_scores))
     ranked = None  # the remaining pool in rank order, once s=1 rounds turn exhaustive
     chosen: list[int] = []
     iteration_members: list[list[str]] = []
@@ -474,10 +475,7 @@ def subset_select(
             scores = _round_scores(
                 matrix, pool_index, item_scores, candidates, target_repr, metric, bound
             )
-            key = _sort_key(scores, orientation)
-            best = int(np.argmin(key))
-            if not np.isfinite(key[best]):
-                break  # every candidate aggregate was empty; nothing usable remains
+            best = int(np.argmin(_sort_key(scores, orientation)))
             members = candidates[best]
             room = n - len(chosen)
             if len(members) > room:
@@ -488,8 +486,8 @@ def subset_select(
             subset_scores.append(float(scores[best]))
             available = available[~np.isin(available, members)]
     finally:
-        # a draw left pending (after the break, or when scoring raised) is
-        # discarded; no thread outlives the call
+        # a draw left pending when scoring raised is discarded; no thread
+        # outlives the call
         helper.shutdown(wait=True, cancel_futures=True)
 
     return SelectionResult(
@@ -742,9 +740,9 @@ def _cosine_bound(
     it is. The function pools the projections of a round's candidates
     through ``_pooled`` in ``_SLICE_ROWS``-row slices. Bounding a first round
     of the seed-0 blended SIF search (20,000 x 20 candidates, 25 columns)
-    took 6.8-7.1 ms in these slices, with a tracemalloc peak of 1.1 MiB,
-    against 8.4 ms in 256-row blocks with a fresh picker each (0.35 MiB) and
-    6.9-7.5 ms whole (8.6 MiB), medians of 21.
+    took 5.8 ms in these slices, with a tracemalloc peak of 0.97 MiB, against
+    6.7-7.2 ms in 256-row slices (0.26 MiB) and 5.5-5.6 ms whole (4.5 MiB),
+    medians of 21 in two runs.
     """
     projections = _cosine_projections(matrix, pool_index, target, s)
     if projections is None:

@@ -194,59 +194,39 @@ def _child_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-def graded_overlap_specs(seed: int = 0) -> tuple[list[DomainSpec], DomainSpec]:
-    """Five topically distinct source domains at graded lexicon overlaps."""
-    base = dict(
-        shared_vocab_size=100,
-        private_vocab_size=80,
-        docs_per_label=700,
-        doc_length=(10, 22),
-        label_noise=0.05,
-        lexicon_size=120,
-    )
-    overlaps = {"alpha": 0.9, "bravo": 0.6, "carol": 0.4, "delta": 0.2, "echo": 0.0}
-    specs = [
-        DomainSpec(name=name, overlap=overlap, seed=_child_seed(seed, i + 1), **base)
-        for i, (name, overlap) in enumerate(sorted(overlaps.items()))
-    ]
-    target = DomainSpec(name="target", overlap=1.0, seed=_child_seed(seed, 0), **base)
-    return specs, target
-
-
-def blended_specs(seed: int = 0) -> tuple[list[DomainSpec], DomainSpec]:
-    """Eight heavily blended source domains: mostly shared topical vocabulary,
-    short documents, and a spread of lexicon overlaps."""
-    base = dict(
-        shared_vocab_size=220,
-        private_vocab_size=10,
-        docs_per_label=400,
-        doc_length=(8, 16),
-        label_noise=0.08,
-        lexicon_size=120,
-    )
-    overlaps = [0.85, 0.7, 0.55, 0.45, 0.35, 0.25, 0.15, 0.05]
-    specs = [
-        DomainSpec(name=f"mix{i}", overlap=overlap, seed=_child_seed(seed, 100 + i), **base)
-        for i, overlap in enumerate(overlaps)
-    ]
-    target = DomainSpec(
-        name="target", overlap=1.0, seed=_child_seed(seed, 99),
-        **{**base, "docs_per_label": 500},
-    )
-    return specs, target
+# The fixed desk-scale catalog, one row per scenario: the settings its
+# domains share, its sources in generation order as (name, overlap), the
+# ``_child_seed`` index of its first source (the others follow in turn) and of
+# its target, and the target's own settings. graded has five topically
+# distinct sources at graded lexicon overlaps; blended has eight heavily
+# blended ones, with mostly shared topical vocabulary, short documents and a
+# spread of overlaps.
+_CATALOG = {
+    "graded": (
+        dict(shared_vocab_size=100, private_vocab_size=80, docs_per_label=700,
+             doc_length=(10, 22), label_noise=0.05),
+        [("alpha", 0.9), ("bravo", 0.6), ("carol", 0.4), ("delta", 0.2), ("echo", 0.0)],
+        1, 0, {},
+    ),
+    "blended": (
+        dict(shared_vocab_size=220, private_vocab_size=10, docs_per_label=400,
+             doc_length=(8, 16), label_noise=0.08),
+        [(f"mix{i}", overlap)
+         for i, overlap in enumerate([0.85, 0.7, 0.55, 0.45, 0.35, 0.25, 0.15, 0.05])],
+        100, 99, {"docs_per_label": 500},
+    ),
+}
 
 
 def benchmark_suite(seed: int = 0) -> dict[str, Scenario]:
-    """The fixed desk-scale catalog: graded-overlap and blended scenarios."""
-    graded_sources, graded_target = graded_overlap_specs(seed)
-    blended_sources, blended_target = blended_specs(seed)
-    return {
-        "graded": Scenario(
-            corpus=generate(graded_sources, graded_target),
-            target_domain=graded_target.name,
-        ),
-        "blended": Scenario(
-            corpus=generate(blended_sources, blended_target),
-            target_domain=blended_target.name,
-        ),
-    }
+    """The fixed desk-scale catalog, one scenario per ``_CATALOG`` row."""
+    suite = {}
+    for name, (shared, sources, first, target_index, own) in _CATALOG.items():
+        specs = [
+            DomainSpec(name=source, overlap=overlap, seed=_child_seed(seed, first + i), **shared)
+            for i, (source, overlap) in enumerate(sources)
+        ]
+        target = DomainSpec(name="target", seed=_child_seed(seed, target_index),
+                            **{**shared, **own})
+        suite[name] = Scenario(corpus=generate(specs, target), target_domain=target.name)
+    return suite

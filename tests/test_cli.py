@@ -5,6 +5,7 @@ flags over config-file values, the set of flags each subcommand accepts,
 the set of config-file keys, and byte-identical output files on reruns.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -37,6 +38,9 @@ SUBCOMMAND_FLAGS = {
     "sweep": COMMON_FLAGS | {"--strategies", "--runs", "--n-values"},
     "generate": {"-h", "--help", "--config", "--seed", "--out", "--catalog", "--spec"},
 }
+
+# sha256 of each ``generate --catalog`` file, by generator seed
+CATALOG_SHA256 = Path(__file__).parent / "data" / "catalog_sha256.json"
 
 # key -> (config-file text, parsed value)
 CONFIG_KEYS = {
@@ -805,6 +809,51 @@ class TestReruns:
         self.rerun_is_identical(argv, tmp_path)
         assert sorted(read_tree(tmp_path)) == ["all.jsonl", "far.jsonl", "near.jsonl",
                                                "tgt.jsonl"]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_generate_catalog_matches_its_recorded_hashes(self, tmp_path, seed):
+        """Every catalog file at generator seeds 0 and 1 hashes as recorded in
+        ``tests/data/catalog_sha256.json``; perfbench pins seed 0's results only."""
+        recorded = json.loads(CATALOG_SHA256.read_text(encoding="utf-8"))[str(seed)]
+        argv = ["generate", "--catalog", "--seed", str(seed), "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        hashes = {name: hashlib.sha256(text).hexdigest()
+                  for name, text in read_tree(tmp_path).items()}
+        assert hashes == recorded
+
+
+class TestSubsetSearch:
+    @pytest.mark.parametrize(
+        "argv",
+        [["--strategy", "subset", "--s", "1", "--m", "3"],
+         ["--strategy", "subset", "--s", "1", "--m", "5"],
+         ["--strategy", "subset", "--s", "2", "--m", "3"],
+         ["--strategy", "instance"]],
+        ids=["s1-m3", "s1-m5", "s2-m3", "instance"],
+    )
+    def test_stopword_only_documents_do_not_end_the_search(self, tmp_path, capsys, argv):
+        """Every other one of 400 source documents holds stopwords only, so
+        its JS score is NaN. A subset search never draws them and, like
+        instance ranking, selects 100 of the 200 others."""
+        words = "good bad great poor fine movie book plot story item".split()
+        rng = np.random.default_rng(0)
+        docs = [
+            {"id": f"s{i:03d}", "domain": "src", "label": ("negative", "positive")[i // 2 % 2],
+             "text": "the and of" if i % 2 else " ".join(rng.choice(words, 8))}
+            for i in range(400)
+        ] + [
+            {"id": f"t{i:03d}", "domain": "tgt", "label": ("negative", "positive")[i % 2],
+             "text": " ".join(rng.choice(words, 8))}
+            for i in range(60)
+        ]
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["select", "--corpus", str(corpus), "--target", "tgt", "--n", "100",
+                         "--out", str(out), *argv]) == 0
+        assert "selected 100 of 100 requested" in capsys.readouterr().out
+        chosen = (out / "selection_ids.txt").read_text(encoding="utf-8").split()
+        assert len(set(chosen)) == 100 and all(int(c[1:]) % 2 == 0 for c in chosen)
 
 
 class TestEvaluateOutputs:

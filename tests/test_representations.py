@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from unittest.mock import patch
 
@@ -539,3 +540,21 @@ class TestPoolGroups:
         pooled = pool_groups(matrix, np.array([0, 1]), np.array([0, 2]))
         assert pooled.indices.tolist() == [1, 2, 0]
         assert pooled.data.tolist() == [5.0, 2.0, 1.0]
+
+    def test_dense_pooling_copies_no_member_array(self):
+        """Dense pooling of a subset-search round, 20,000 groups of 20 intp
+        members, traces less than its output plus one byte per member: the
+        kernel reads the caller's members and indptr, and an int32 copy of the
+        members alone would take four bytes each."""
+        rows = np.random.default_rng(31).standard_normal((500, 4))
+        members = np.random.default_rng(32).integers(0, 500, 400_000).astype(np.intp)
+        indptr = np.arange(0, len(members) + 1, 20)
+        first = pool_groups(rows, members, indptr)  # grows the kept ones buffer
+        tracemalloc.start()
+        try:
+            second = pool_groups(rows, members, indptr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second.tobytes() == first.tobytes() == picker_pool(rows, members, indptr).tobytes()
+        assert peak < second.nbytes + len(members)

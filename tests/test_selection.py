@@ -442,8 +442,9 @@ class TestSubsetSelect:
     @pytest.mark.parametrize("m", [30, 60], ids=["after-ten-draws", "from-the-first-round"])
     def test_exhaustive_singleton_rounds_rank_the_pool_once(self, monkeypatch, metric, m):
         """Each exhaustive s=1 round takes the best-ranked document left, so
-        the pool left is ranked once, not once per round; under JS the two
-        empty documents end the search with a shortfall."""
+        the pool left is ranked once, not once per round. Under JS the two
+        empty documents are never drawn: the search takes the other 38, and
+        at m = 30 turns exhaustive after eight draws, not ten."""
         rows = random_counts(40, 8, seed=5, zero_rows=(3, 17))
         target = target_dist(8) if metric == "jensen_shannon" else target_dist(8).probs
         args = (1, 40, m, pool_ids(40), target, rows, every_row(rows),
@@ -527,7 +528,8 @@ class TestSubsetSelect:
     def test_truncation_matches_rescoring_copy(self, data):
         """One round (m=1) whose winner holds more members than ``n``: it is
         truncated by the given item scores exactly as the old code did by
-        re-scoring the winner's rows, and empty (NaN) members rank last."""
+        re-scoring the winner's rows. Under JS the round draws from the
+        non-empty documents alone, as their item scores are not NaN."""
         metric = data.draw(st.sampled_from(["jensen_shannon", "cosine"]), label="metric")
         n_pool, d = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 5))
         # zero rows are empty members; few distinct values make ties
@@ -546,29 +548,43 @@ class TestSubsetSelect:
         room = data.draw(st.integers(1, s - 1), label="n")
         seed = data.draw(st.integers(0, 2**16), label="seed")
 
+        item_scores = scored(rows, target, metric)
         result = subset_select(
-            s, room, 1, ids, target, rows, every_row(rows), scored(rows, target, metric),
-            metric, seed,
+            s, room, 1, ids, target, rows, every_row(rows), item_scores, metric, seed,
         )
-        (members,) = selection._draw_subsets(np.random.default_rng(seed), n_pool, s, 1)
-        empty = {ids[i] for i in range(n_pool) if rows[i].sum() == 0}
-        if metric == "jensen_shannon" and {ids[i] for i in members} <= empty:
-            assert result.chosen == []  # the winner's aggregate is empty
+        available = np.flatnonzero(~np.isnan(item_scores))
+        if metric == "cosine":
+            assert len(available) == n_pool  # a zero row has cosine 0, not NaN
+        size = min(s, len(available))
+        if not size:  # every document is empty under JS
+            assert result.chosen == []
             return
-        expected = rescoring_truncation(members, rows, ids, target, metric, room)
-        assert result.chosen == [ids[i] for i in expected]
-        if metric == "jensen_shannon":
-            kept_empty = [doc_id in empty for doc_id in result.chosen]
-            assert kept_empty == sorted(kept_empty)
+        (drawn,) = selection._draw_subsets(np.random.default_rng(seed), len(available), size, 1)
+        members = available[drawn]
+        if size > room:
+            members = rescoring_truncation(members, rows, ids, target, metric, room)
+        assert result.chosen == [ids[i] for i in members]
 
-    def test_truncation_keeps_empty_member_last(self):
-        rows = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
-        target = TermDistribution(probs=np.array([0.5, 0.5]))
-        scores = scored(rows, target, "jensen_shannon")
-        result = subset_select(
-            3, 2, 1, pool_ids(3), target, rows, every_row(rows), scores, "jensen_shannon", 0,
-        )
-        assert result.chosen == ["p0001", "p0000"]
+    @given(st.data())
+    def test_nan_scored_documents_are_never_chosen(self, data):
+        """Under JS, empty documents score NaN. A search over a pool of them
+        and others picks none of them and stops short of ``n`` only when the
+        others are spent, whatever the share of empty documents, s and m."""
+        n_pool = data.draw(st.integers(1, 40), label="n_pool")
+        empty = data.draw(st.sets(st.integers(0, n_pool - 1)), label="empty")
+        rows = random_counts(n_pool, 6, seed=data.draw(st.integers(0, 99)), zero_rows=empty)
+        if data.draw(st.booleans(), label="sparse"):
+            rows = sp.csr_matrix(rows)
+        s, m = data.draw(st.integers(1, 8), label="s"), data.draw(st.integers(1, 6), label="m")
+        n = data.draw(st.integers(1, n_pool + 2), label="n")
+        ids, target = pool_ids(n_pool), target_dist(6)
+        item_scores = scored(rows, target, "jensen_shannon")
+        result = subset_select(s, n, m, ids, target, rows, every_row(rows), item_scores,
+                               "jensen_shannon", data.draw(st.integers(0, 2**16), label="seed"))
+        chosen = [ids.index(doc_id) for doc_id in result.chosen]
+        assert not np.isnan(item_scores[chosen]).any()
+        assert len(chosen) == min(n, n_pool - len(empty))
+        assert np.isfinite(result.subset_scores).all()
 
     def test_pool_smaller_than_n(self):
         size = 6
@@ -583,7 +599,8 @@ class TestSubsetSelect:
     @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
     def test_drained_pool_scores_its_one_candidate_once(self, monkeypatch, metric):
         """The round that takes the whole remaining pool scores that one
-        candidate once and ends as the search did when it scored m copies."""
+        candidate once and ends as the search did when it scored m copies.
+        Under JS the empty document 4 is never drawn, so that round holds 4."""
         rows = random_counts(45, 8, seed=21, zero_rows=(4,))
         target = target_dist(8) if metric == "jensen_shannon" else target_dist(8).probs
         args = (20, 60, 300, pool_ids(45), target, rows, every_row(rows),
@@ -608,8 +625,9 @@ class TestSubsetSelect:
         monkeypatch.setattr(selection, "_round_scores", recording_round_scores)
         got = subset_select(*args)
         assert (got.chosen, got.subset_scores, got.iteration_members) == want
-        assert shapes == [(300, 20), (300, 20), (1, 5)]
-        assert len(got.chosen) == 45
+        last = 4 if metric == "jensen_shannon" else 5
+        assert shapes == [(300, 20), (300, 20), (1, last)]
+        assert len(got.chosen) == 40 + last
 
 
 def candidate_case(sparse_rows):
@@ -808,11 +826,12 @@ class TestDrawPrefetch:
             sys.setswitchinterval(interval)
         assert concurrent == serial
 
-    def test_search_stopping_on_empty_candidates_discards_its_pending_draw(
+    def test_search_running_out_of_scorable_documents_returns_all_of_them(
         self, monkeypatch
     ):
-        """Once only empty documents remain, a round's candidates all score NaN
-        and the search stops, with the next round's draw already submitted."""
+        """A JS search over 10 documents with tokens and 50 empty ones draws
+        from the 10 alone: two rounds of 5 take all of them, no draw is left
+        pending, and no helper thread outlives the call."""
         rows = random_counts(60, 8, seed=16, zero_rows=range(10, 60))
         target = target_dist(8)
         args = (5, 60, 40, pool_ids(60), target, rows, every_row(rows),
@@ -823,12 +842,8 @@ class TestDrawPrefetch:
         got = subset_select(*args)
         assert threading.active_count() == before
         assert (got.chosen, got.subset_scores, got.iteration_members) == want
-        rounds = len(got.iteration_members)
-        assert len(got.chosen) < 60 and set(got.chosen) >= {f"p{i:04d}" for i in range(10)}
-        # each scored round's draw, the stopping round's and the discarded
-        # one, which may be cancelled before it starts
-        assert len(submitted) == rounds + 2
-        assert submitted[-1][1][1:] == (60 - 5 * (rounds + 1), 5, 40)
+        assert sorted(got.chosen) == pool_ids(10)
+        assert [call[1:] for _, call in submitted] == [(10, 5, 40), (5, 5, 40)]
 
 
 def exhaustive_subset_select(s, n, m, ids, target_repr, matrix, pool_index, item_scores,
@@ -838,7 +853,7 @@ def exhaustive_subset_select(s, n, m, ids, target_repr, matrix, pool_index, item
     the round scores and each round's members."""
     orientation = selection.METRIC_ORIENTATION[metric]
     rng = np.random.default_rng(seed)
-    available = np.arange(len(ids))
+    available = np.flatnonzero(~np.isnan(item_scores))  # NaN items are never drawn
     chosen, iteration_members, subset_scores = [], [], []
     while len(chosen) < n and len(available):
         if s == 1 and m >= len(available):
@@ -851,10 +866,7 @@ def exhaustive_subset_select(s, n, m, ids, target_repr, matrix, pool_index, item
         scores = selection._candidate_scores(
             matrix, pool_index, item_scores, candidates, target_repr, metric
         )
-        key = selection._sort_key(scores, orientation)
-        best = int(np.argmin(key))
-        if not np.isfinite(key[best]):
-            break
+        best = int(np.argmin(selection._sort_key(scores, orientation)))
         members = candidates[best]
         room = n - len(chosen)
         if len(members) > room:

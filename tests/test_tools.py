@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -36,3 +37,24 @@ def test_size_prints_lines_and_statements(tmp_path, capsys):
     (tmp_path / "pkg" / "a.py").write_text('"""Doc."""\nx = 1\n\ny = 2\n', encoding="utf-8")
     assert load_size().main(tmp_path) == 0
     assert capsys.readouterr().out == "src: 1 files, 4 lines, 2 statements (docstrings excluded)\n"
+
+
+def test_size_base_counts_src_at_a_revision(tmp_path, capsys):
+    """``--base REV`` counts ``src`` as committed at REV, not as on disk, and
+    prints the change to the working tree."""
+    src = tmp_path / "src" / "pkg"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text('"""Doc."""\nx = 1\n', encoding="utf-8")
+    (src / "notes.txt").write_text("not counted\n", encoding="utf-8")
+    git = ["git", "-c", "user.name=size", "-c", "user.email=size@example.com",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run(git + args, cwd=tmp_path, check=True, capture_output=True)
+    (src / "a.py").write_text('"""Doc."""\nx = 1\n\ny = 2\nz = 3\n', encoding="utf-8")
+    (src / "b.py").write_text("w = 4\n", encoding="utf-8")
+    assert load_size().main(tmp_path / "src", base="HEAD") == 0
+    assert capsys.readouterr().out == (
+        "src: 2 files, 6 lines, 4 statements (docstrings excluded)\n"
+        "src at HEAD: 1 files, 2 lines, 1 statements (docstrings excluded)\n"
+        "change: +4 lines, +3 statements\n"
+    )
