@@ -40,8 +40,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Union, get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from .autoencoder import AETrainConfig
 from .corpus import (
     Corpus,
@@ -66,16 +64,14 @@ from .evaluation import (
 from .representations import EMBEDDING, REPRESENTATION_KINDS
 from .selection import STRATEGIES, SelectionConfig, check_target
 from .similarity import METRIC_ORIENTATION, PROXY_A
-from .synthetic import DomainSpec, benchmark_suite, generate
+from .synthetic import DomainSpec, _child_seed, benchmark_suite, generate
 
 BASELINES = ("random", "balanced")
 
 
 def substream_seed(base_seed: int, name: str) -> int:
     """Derive a named, stable child seed from the base seed."""
-    return int(
-        np.random.SeedSequence([base_seed, zlib.crc32(name.encode())]).generate_state(1)[0]
-    )
+    return _child_seed(base_seed, zlib.crc32(name.encode()))
 
 
 RUN_COMMANDS = ("select", "evaluate", "sweep")

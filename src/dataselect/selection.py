@@ -25,38 +25,42 @@ matrix, its corpus row, and no pool rows are copied out. A singleton's
 score is its member's item score. Proxy-A scores examples, so it ranks
 instances only, never domains or subsets. ``_rank`` is the one ranking
 rule: best oriented score first, NaN last, ties by name. A NaN item (an
-empty document under JS) is never chosen: instance ranking drops it and the
-subset search never draws it, and the domain choice drops NaN domains.
+empty document, under either metric) is never chosen: instance ranking drops
+it and the subset search never draws it, and the domain choice drops NaN
+domains.
 
 A subset search draws each round's candidates on one helper thread while
-the calling thread scores the round before (``subset_select``). Bounds,
-scoring and the choice of the winner run on the calling thread, and all
-three pool candidates through one loop, ``_pooled``, a slice at a time;
-every candidate's value depends on its own members alone, so the slice size
-changes no bit.
+the calling thread scores the round before (``subset_select``). Each search
+builds one round function, once (``_round_scorer``): it checks the target,
+picks the metric's kernel and, for subsets of two or more, builds the
+search's bound. Bounds, scoring and the choice of the winner run on the
+calling thread, and all three pool candidates through one loop, ``_pooled``,
+a slice at a time; every candidate's value depends on its own members alone,
+so the slice size changes no bit.
 
 A round needs only its best candidate, so a JS round and a cosine round
 (s >= 2) first bound every candidate from a few numbers per document, without
-pooling it, and score only the candidates that may win (``_round_scores``).
-Each search builds its bound once, as a function of a round's candidates
-(``_js_bound``, ``_cosine_bound``). JS is a sum of convex terms, one per
-column, so a tangent of each at any point lies below it in every round: the
-tangent plane at P0, the pooled distribution of the whole pool, and the
-tangents at a point that moves the pool's rare columns to the counts a
-candidate holds there. At the rare columns that a candidate misses, JS takes
-its exact value, above the tangent's, so each candidate keeps the largest of
-the plane at P0 and these support-aware tangents. A cosine is at most ``A /
-sqrt(A^2 + |B|^2)``, where A is the candidate mean's projection on the unit
-target and B its projections on a few orthonormal directions orthogonal to it
-(``_cosine_bound``): the top of the second moment of a size-``s`` candidate's
-mean, in which the pool mean weighs about ``s`` times more than in the rows'
-own scatter. A candidate is skipped only when its bound is worse than
-an already-scored candidate's key by more than ``_PRUNE_SLACK``, far above
-the bounds' rounding, so every candidate that could win or tie is scored with
-the bits an exhaustive round gives it, and the winners, recorded scores and
-ids are unchanged. Singleton rounds score every candidate; an exhaustive one
-(s = 1, m at least the pool left) has one, the best-ranked document left, as
-the pool left is ranked once and winners leave in rank order.
+pooling it, and score only the candidates that may win (``_round_scores``):
+the branch-and-bound rule (Land and Doig, Econometrica 1960), under which any
+valid lower bound keeps the search exact. The bound is a function of a
+round's candidates (``_js_bound``, ``_cosine_bound``). JS is a sum of convex
+terms, one per column, so a tangent of each at any point lies below it in
+every round: here the tangents at a point that moves the pool's rare columns
+to the counts a candidate holds there. At the rare columns that a candidate
+misses, JS takes its exact value, above the tangent's, so each candidate
+keeps the larger of the tangent plane and these support-aware tangents. A
+cosine is at most ``A / sqrt(A^2 + |B|^2)``, where A is the candidate mean's
+projection on the unit target and B its projections on a few orthonormal
+directions orthogonal to it (``_cosine_bound``): the top of the second
+moment of a size-``s`` candidate's mean, in which the pool mean weighs about
+``s`` times more than in the rows' own scatter. A candidate is skipped only when its bound is
+worse than an already-scored candidate's key by more than ``_PRUNE_SLACK``,
+far above the bounds' rounding, so every candidate that could win or tie is
+scored with the bits an exhaustive round gives it, and the winners, recorded
+scores and ids are unchanged. Singleton rounds score every candidate; an
+exhaustive one (s = 1, m at least the pool left) has one, the best-ranked
+document left, as the pool left is ranked once and winners leave in rank
+order.
 
 Which metric may score which representation and strategy is decided once,
 by ``SelectionConfig``. All strategies are deterministic for a fixed seed,
@@ -82,6 +86,7 @@ from .representations import (
     EMBEDDING,
     REPRESENTATION_KINDS,
     TERM_DIST,
+    TermDistribution,
     pool_groups,
 )
 from .similarity import (
@@ -209,9 +214,10 @@ def check_target(target_repr, metric: str):
     """The target as ``metric`` scores against it, or a ``DataError`` when it
     cannot rank: an empty distribution under JS, and under cosine a vector
     with no nonzero entry, which has no direction (cosine would score every
-    row 0), or whose squared norm is not finite, from a non-finite entry or
-    squares that overflow (every row NaN or 0). Proxy-A has no target
-    aggregate, so it is an unknown metric here."""
+    row NaN), or whose squared norm is not finite, from a non-finite entry or
+    squares that overflow (every row NaN or 0), or is 0 from squares that
+    underflow (every row 0). Proxy-A has no target aggregate, so it is an
+    unknown metric here."""
     if metric == JENSEN_SHANNON:
         if target_repr.empty:
             raise DataError("target distribution is empty")
@@ -233,8 +239,17 @@ def _score_rows(rows, target_repr, metric: str) -> np.ndarray:
     own rows, which ``ExperimentContext.item_scores`` passes to
     ``proxy_a_scores`` itself.
     """
+    return _row_scorer(target_repr, metric)(rows)
+
+
+def _row_scorer(target_repr, metric: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Rows to their scores against the target, which is checked once, here,
+    by ``check_target``; the kernel (``js_to_target``, ``cosine_to_target``)
+    is looked up at each call."""
     target = check_target(target_repr, metric)
-    return (js_to_target if metric == JENSEN_SHANNON else cosine_to_target)(rows, target)
+    if metric == JENSEN_SHANNON:
+        return lambda rows: js_to_target(rows, target)
+    return lambda rows: cosine_to_target(rows, target)
 
 
 def _check_pool(ids: Sequence[str], **aligned: Sequence) -> None:
@@ -395,7 +410,8 @@ def subset_select(
     examples are gathered or the pool is spent; the final round's winner is
     truncated to exactly ``n`` by ``item_scores`` (one per pool document),
     best first. The pool holds the documents whose item score is not NaN, as
-    instance ranking keeps them, so every candidate has a score.
+    instance ranking keeps them, so every candidate has a score; a pool with
+    none returns an empty result and builds nothing.
 
     ``matrix`` is the representation matrix of the whole corpus and
     ``pool_index`` holds each pool document's corpus row, so the document
@@ -416,22 +432,27 @@ def subset_select(
     The draws run on one helper thread, one round ahead: a round's winner
     leaves ``len(available) - size`` documents whichever candidate it is, so
     the next round's draw starts as soon as this round's candidates are
-    mapped (the first one before the bound is built), and only when another
-    round will draw. The generator is read by one thread at a time, in the
-    serial order, so every draw is the one a serial search makes. The helper
-    ends before the call returns or raises.
+    mapped (the first one before the round function is built), and only when
+    another round will draw. The generator is read by one thread at a time,
+    in the serial order, so every draw is the one a serial search makes. The
+    helper ends before the call returns or raises.
 
-    A JS round and a cosine round with subsets of two or more skip the
-    candidates that provably cannot win (``_round_scores``), through a bound
-    the search builds once, before its first round (``_js_bound``,
-    ``_cosine_bound``). A candidate whose bound is worse than the best key
-    among the first-scored candidates by more than ``_PRUNE_SLACK`` is not
-    scored. No candidate that could win or tie is skipped, and the scored
-    ones get the bits an exhaustive round gives them, so the result is that
-    of scoring every candidate.
+    Every round is scored by one function that the search builds once,
+    before its first round (``_round_scorer``). With subsets of two or more
+    it skips the candidates that provably cannot win (``_round_scores``): a
+    candidate whose bound is worse than the best key among the first-scored
+    candidates by more than ``_PRUNE_SLACK`` is not scored. No candidate that
+    could win or tie is skipped, and the scored ones get the bits an
+    exhaustive round gives them, so the result is that of scoring every
+    candidate.
     """
     SelectionConfig(n=n, strategy="subset", metric=metric, s=s, m=m)
     _check_pool(ids, rows=pool_index, scores=item_scores)
+    available = np.flatnonzero(~np.isnan(item_scores))
+    if not len(available):  # no scorable document: no round, so no scorer is built
+        return SelectionResult(
+            chosen=[], seed=seed, metric=metric, subset_scores=[], iteration_members=[]
+        )
     orientation = METRIC_ORIENTATION[metric]
     rng = np.random.default_rng(seed)
     helper = ThreadPoolExecutor(max_workers=1)
@@ -443,19 +464,13 @@ def subset_select(
             return None
         return helper.submit(_draw_subsets, rng, n_avail, min(s, n_avail), m)
 
-    available = np.flatnonzero(~np.isnan(item_scores))
     ranked = None  # the remaining pool in rank order, once s=1 rounds turn exhaustive
     chosen: list[int] = []
     iteration_members: list[list[str]] = []
     subset_scores: list[float] = []
     try:
         pending = draw(len(available))
-        bound = None
-        if s > 1:  # SelectionConfig leaves JS and cosine, each with its bound
-            bound = (
-                _js_bound(matrix, pool_index, s, target_repr) if metric == JENSEN_SHANNON
-                else _cosine_bound(matrix, pool_index, s, target_repr)
-            )
+        round_scores = _round_scorer(matrix, pool_index, item_scores, target_repr, metric, s)
 
         while len(chosen) < n and len(available):
             # candidates hold pool positions; the draw's positions within
@@ -472,9 +487,7 @@ def subset_select(
             pending = None
             if len(chosen) + candidates.shape[1] < n and n_next > 0:
                 pending = draw(n_next)
-            scores = _round_scores(
-                matrix, pool_index, item_scores, candidates, target_repr, metric, bound
-            )
+            scores = round_scores(candidates)
             best = int(np.argmin(_sort_key(scores, orientation)))
             members = candidates[best]
             room = n - len(chosen)
@@ -555,20 +568,26 @@ def _duplicate_rows(rows: np.ndarray, key: type) -> np.ndarray:
     return out
 
 
-def _candidate_scores(
-    matrix, pool_index: np.ndarray, item_scores: np.ndarray, candidates: np.ndarray,
-    target_repr, metric: str,
-) -> np.ndarray:
-    """Score each candidate subset, a row of pool positions, in blocks of
-    ``autoencoder._BLOCK_ROWS`` candidates.
+def _round_scorer(
+    matrix, pool_index: np.ndarray, item_scores: np.ndarray, target_repr, metric: str, s: int,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The search's one round function, built once: a round's candidates, each
+    a row of pool positions, to their scores, NaN for those left unscored.
 
-    Each block pools its members' rows of ``matrix`` (pool position i is row
-    ``pool_index[i]``) through ``_pooled`` and is scored by ``_score_rows``:
-    term-distribution sums are scored as counts, dense rows as member means.
-    A singleton (``s=1``) scores as its member's ``item_scores`` entry, so it
-    ranks exactly as its member does in instance ranking (the sparse product
-    emits a row's columns in reverse order, and JS summed in that order can
-    break a tie the other way).
+    The target is checked once (``_row_scorer``). A candidate of one
+    document scores as its member's ``item_scores`` entry, so it ranks exactly
+    as its member does in instance ranking (the sparse product emits a row's
+    columns in reverse order, and JS summed in that order can break a tie the
+    other way); this goes by the candidate's width, not by ``s``, since the
+    last round of a search with s >= 2 can hold one document. A wider
+    candidate pools its members' rows of ``matrix`` (pool position i is row
+    ``pool_index[i]``) through ``_pooled``, in blocks of
+    ``autoencoder._BLOCK_ROWS`` candidates, and is scored by ``js_to_target``
+    or ``cosine_to_target``, looked up at each call: term-distribution sums
+    are scored as counts, dense rows as member means. With s = 1 every
+    candidate is scored. With s >= 2 the search's bound (``_js_bound``,
+    ``_cosine_bound``) is built here, and ``_round_scores`` leaves the
+    candidates that cannot win unscored.
 
     The blocks are scored one after another on the calling thread. With the
     search's bounds leaving 5-25% of a round's candidates to score, splitting
@@ -577,146 +596,135 @@ def _candidate_scores(
     graded term_dist cosine search from 4.45 s to 5.1-5.3 s and its peak RSS
     from 95.4 to 102.6 MB.
     """
-    if candidates.shape[1] == 1:
-        return item_scores[candidates].mean(axis=1)
-    return _pooled(
-        matrix, candidates, lambda pooled: _score_rows(pooled, target_repr, metric),
-        autoencoder._BLOCK_ROWS, pool_index,
+    kernel = _row_scorer(target_repr, metric)
+
+    def score(candidates: np.ndarray) -> np.ndarray:
+        if candidates.shape[1] == 1:
+            return item_scores[candidates[:, 0]]
+        return _pooled(matrix, candidates, kernel, autoencoder._BLOCK_ROWS, pool_index)
+
+    if s == 1:
+        return score
+    bound = (_js_bound if metric == JENSEN_SHANNON else _cosine_bound)(
+        matrix, pool_index, s, target_repr
     )
+    orientation = METRIC_ORIENTATION[metric]
+    return lambda candidates: _round_scores(candidates, score, bound, orientation)
 
 
 def _round_scores(
-    matrix, pool_index: np.ndarray, item_scores: np.ndarray, candidates: np.ndarray,
-    target_repr, metric: str, bound: _Bound | None,
+    candidates: np.ndarray, score: Callable[[np.ndarray], np.ndarray], bound: _Bound,
+    orientation: str,
 ) -> np.ndarray:
-    """Scores of one round's candidates; NaN for those that provably cannot win.
+    """``score`` of one round's candidates; NaN for those that provably cannot win.
 
-    ``bound`` is the search's bound (``_js_bound``, ``_cosine_bound``) or
-    None: a function from a round's candidates to a lower bound on each one's
-    ``_sort_key``, found without pooling it. Given it, the round scores one
-    block (``autoencoder._BLOCK_ROWS``) of best-bounded candidates first; their
-    best key is the incumbent. Every other candidate whose bound exceeds the
+    ``bound`` is the search's bound (``_js_bound``, ``_cosine_bound``): a
+    function from a round's candidates to a lower bound on each one's
+    ``_sort_key``, found without pooling it. The round scores one block
+    (``autoencoder._BLOCK_ROWS``) of best-bounded candidates first; their best
+    key is the incumbent. Every other candidate whose bound exceeds the
     incumbent by more than ``_PRUNE_SLACK`` is left unscored (NaN), and the
-    rest, NaN bounds included, are scored. Each score is
-    ``_candidate_scores``'s for that candidate alone, so a scored candidate
-    gets the same bits as in an exhaustive round, and every candidate whose
-    key could reach the round's best, ties included, is scored. Without a
-    bound (the ``s=1`` rounds), every candidate is scored.
+    rest, NaN bounds included, are scored. ``score`` gives each candidate a
+    value that depends on its own members alone, so a scored candidate gets
+    the same bits as in an exhaustive round, and every candidate whose key
+    could reach the round's best, ties included, is scored.
     """
-    if bound is None:
-        return _candidate_scores(matrix, pool_index, item_scores, candidates, target_repr, metric)
-
-    def score(which):
-        out[which] = _candidate_scores(
-            matrix, pool_index, item_scores, candidates[which], target_repr, metric
-        )
-
     bounds = bound(candidates)
     out = np.full(len(candidates), np.nan)
     first = min(len(candidates), autoencoder._BLOCK_ROWS)
     best_bounded = np.argpartition(bounds, first - 1)[:first]
-    score(best_bounded)
-    incumbent = _sort_key(out[best_bounded], METRIC_ORIENTATION[metric]).min()
+    out[best_bounded] = score(candidates[best_bounded])
+    incumbent = _sort_key(out[best_bounded], orientation).min()
     rest = ~(bounds > incumbent + _PRUNE_SLACK)  # NaN bounds stay
     rest[best_bounded] = False
     if rest.any():
-        score(np.flatnonzero(rest))
+        out[rest] = score(candidates[rest])
     return out
 
 
-def _js_bound(matrix, pool_index: np.ndarray, s: int, target) -> _Bound | None:
+def _js_bound(matrix, pool_index: np.ndarray, s: int, target: TermDistribution) -> _Bound:
     """A function from a round's candidates to a lower bound on each one's JS
-    divergence to ``target``, built once per search; None when every pool
-    document is empty.
+    divergence to ``target``, built once per search from a pool that holds a
+    document with tokens.
 
     Write ``JS(P, q) = sum_i phi_i(P_i)`` with ``phi_i(p) = p/2 ln(2p/(p+q_i))
     + q_i/2 ln(2q_i/(p+q_i))``, each ``phi_i`` convex and ``phi_i(0) = q_i
-    ln2/2``. P0 is the pooled distribution of the whole pool, whose support
-    holds every candidate's in every round. The tangent of ``phi_i`` at any
-    ``x_i > 0`` lies below it: ``phi_i(p) >= phi_i(0) + d_i + g_i p`` with the
-    gradient ``g_i = 0.5 ln(2 x_i / (x_i + q_i))`` and ``d_i = -q_i/2 ln(1 +
-    x_i/q_i) <= 0`` (0 where q is 0). Where ``x_i`` is 0, g and d are 0 too,
-    which is exact at a column no pool document holds.
+    ln2/2``. The tangent of ``phi_i`` at any ``x_i > 0`` lies below it:
+    ``phi_i(p) >= phi_i(0) + d_i + g_i p`` with the gradient ``g_i = 0.5 ln(2
+    x_i / (x_i + q_i))`` and ``d_i = -q_i/2 ln(1 + x_i/q_i) <= 0`` (0 where q
+    is 0). Where ``x_i`` is 0, g and d are 0 too, which is exact at a column
+    no pool document holds. So the plane ``plane + g.P``, with ``plane = sum_i
+    phi_i(0) + d_i``, lies below JS for any x.
 
-    - The plane at x = P0 lies below JS: ``JS(P) >= plane0 + g0.P`` with g0
-      and d0 the tangents' at P0 and ``plane0 = sum_i phi_i(0) + d0_i``. It is
-      kept as a floor: on some pools it is above the support-aware tangent.
-    - The support-aware tangent at a per-column point x. At a column of R
-      that P misses, JS takes the exact ``phi_i(0)``, above the tangent's
-      ``phi_i(0) + d_i``; at one it covers, the tangent stays. P's support is
-      the union of its members', and every ``d_i`` is at most 0, so ``sum_{i
-      in R, P_i > 0} d_i`` is at least the sum over members of ``D_j``, the
-      ``d_i`` of R's columns that member j holds. This gives ``JS(P) >=
-      missed + sum_j D_j + g.P`` with ``missed = sum_i phi_i(0) + sum_{i not
-      in R} d_i``, and the plain tangent ``plane + g.P`` at x holds as well.
-      R is any set of columns; here it holds those whose pool document
-      frequency df times ``s`` is below the pool size, the columns a
-      size-``s`` candidate most likely misses. Off R, ``x_i = P0_i``. On R, a
-      covered column mostly holds one member's counts, far above the smooth
-      P0_i, where the plane at P0 is flat; so ``x_i = (colsum_i / df_i) / (s
-      total / n_pool)``, the column's mean count where it is held over a
-      typical candidate's token total.
+    The bound is support-aware. At a column of R that P misses, JS takes the
+    exact ``phi_i(0)``, above the tangent's ``phi_i(0) + d_i``; at one it
+    covers, the tangent stays. P's support is the union of its members', and
+    every ``d_i`` is at most 0, so ``sum_{i in R, P_i > 0} d_i`` is at least
+    the sum over members of ``D_j``, the ``d_i`` of R's columns that member j
+    holds. This gives ``JS(P) >= missed + sum_j D_j + g.P`` with ``missed =
+    sum_i phi_i(0) + sum_{i not in R} d_i``. R is any set of columns; here it
+    holds those whose pool document frequency df times ``s`` is below the pool
+    size, the columns a size-``s`` candidate most likely misses. Off R, x is
+    P0, the pooled distribution of the whole pool. On R, a covered column
+    mostly holds one member's counts, far above the smooth P0_i; so ``x_i =
+    (colsum_i / df_i) / (s total / n_pool)``, the column's mean count where it
+    is held over a typical candidate's token total.
 
-    Each candidate gets ``max(plane0 + g0.P, max(plane, missed + sum_j D_j) +
-    g.P)``; any x keeps each term valid, and this one only tightens them. A
-    candidate pooling count rows ``c_j`` with token totals ``T_j`` has ``g.P =
-    sum(g.c_j) / sum(T_j)``, so the four numbers ``[g0.c_j, g.c_j, T_j, D_j]``
-    per pool document, taken here from the pool rows, give every term; the
-    function pools them for every candidate of a round through ``_pooled``
-    in one slice. ``pool_groups`` averages dense rows, which leaves the
-    ratios as they are but makes the pooled D the members' mean, so it is
-    multiplied by the subset size. An empty candidate (every ``T_j`` 0, a NaN
-    score) gets a NaN bound.
+    Each candidate gets ``max(plane, missed + sum_j D_j) + g.P``; any x keeps
+    both terms valid, and this one only tightens them. The plane costs no
+    pooled column, and it is the larger term for a candidate whose members
+    share rare columns. A candidate pooling count rows ``c_j`` with token
+    totals ``T_j`` has ``g.P = sum(g.c_j) / sum(T_j)``, so the three numbers
+    ``[g.c_j, T_j, D_j]`` per pool document, taken here from the pool rows,
+    give every term; the function pools them for every candidate of a round
+    through ``_pooled`` in one slice. ``pool_groups`` averages dense rows,
+    which leaves the ratio as it is but makes the pooled D the members'
+    mean, so it is multiplied by the subset size. An empty candidate (every
+    ``T_j`` 0, a NaN score) gets a NaN bound.
 
-    On the seed-0 graded pool (s=20, m=20,000, n=1,600) this bound leaves
-    256 candidates a round to score, the first block, where the support-aware
-    bound at x = P0 left 1,064 on average (85,105 over 80 rounds). In
-    ``_SLICE_ROWS``-row slices the in-process graded search took 0.75-0.79 s
-    against 0.65 s whole, slower in 11 of 12 interleaved runs.
+    A fourth column, the tangent plane at x = P0 kept as a floor, was
+    dropped: in in-process searches (s=20, m=20,000, n=1,600, run seed 7) on
+    the graded and blended pools at generator seeds 0 and 10 and on the scale
+    corpus, the search scored the same candidates with it and without it
+    (20,516, 20,480, 20,480, 20,480 and 20,480), with equal ids and scores.
+    On the seed-0 graded pool this bound leaves 256 candidates a round to
+    score, the first block, where the support-aware bound at x = P0 left
+    1,064 on average (85,105 over 80 rounds). In ``_SLICE_ROWS``-row slices
+    the in-process graded search took 0.75-0.79 s against 0.65 s whole,
+    slower in 11 of 12 interleaved runs.
     """
     rows = sp.csr_matrix(matrix[pool_index])  # term distributions are CSR
     n_pool = rows.shape[0]
     colsum = np.asarray(rows.sum(axis=0), dtype=np.float64).ravel()
     total = colsum.sum()
-    if not total > 0:
-        return None
     q = target.probs
-
-    def tangent(x):
-        """The gradient g and the intercept's ``d = phi(x) - g x - phi(0)``
-        of each column's tangent at ``x``, both 0 where x is, and the plane's
-        intercept ``sum_i phi_i(0) + d_i``."""
-        g, d = np.zeros_like(x), np.zeros_like(x)
-        on = x > 0
-        g[on] = 0.5 * np.log(2.0 * x[on] / (x[on] + q[on]))
-        held = on & (q > 0)
-        d[held] = -0.5 * q[held] * np.log1p(x[held] / q[held])
-        return g, d, 0.5 * LN2 * q.sum() + d.sum()
-
-    p0 = colsum / total
     df = np.bincount(rows.indices, minlength=rows.shape[1])
     rare = np.flatnonzero(df * s < n_pool)
-    x = p0.copy()
+    x = colsum / total
     held_rare = rare[df[rare] > 0]
     x[held_rare] = colsum[held_rare] / df[held_rare] / (s * total / n_pool)
-    g0, _, plane0 = tangent(p0)
-    g, d, plane = tangent(x)
+    # each column's tangent at x: the gradient g and the intercept's
+    # d = phi(x) - g x - phi(0), both 0 where x is
+    g, d = np.zeros_like(x), np.zeros_like(x)
+    on = x > 0
+    g[on] = 0.5 * np.log(2.0 * x[on] / (x[on] + q[on]))
+    held = on & (q > 0)
+    d[held] = -0.5 * q[held] * np.log1p(x[held] / q[held])
+    plane = 0.5 * LN2 * q.sum() + d.sum()
+    missed = plane - d[rare].sum()
     per_doc = np.column_stack([
-        rows @ g0,
         rows @ g,
         np.asarray(rows.sum(axis=1), dtype=np.float64).ravel(),
         (rows[:, rare] != 0).astype(np.float64) @ d[rare],
     ])
-    missed = plane - d[rare].sum()
 
     def bound(candidates: np.ndarray) -> np.ndarray:
         def finish(means):
-            tokens = means[:, 2:3]
-            along0, along = np.divide(
-                means[:, :2], tokens, out=np.full((len(means), 2), np.nan), where=tokens > 0
-            ).T
-            aware = np.maximum(plane, missed + candidates.shape[1] * means[:, 3])
-            return np.maximum(plane0 + along0, aware + along)
+            tokens = means[:, 1]
+            along = np.divide(
+                means[:, 0], tokens, out=np.full(len(means), np.nan), where=tokens > 0
+            )
+            return np.maximum(plane, missed + candidates.shape[1] * means[:, 2]) + along
 
         return _pooled(per_doc, candidates, finish, len(candidates))
 
@@ -725,11 +733,11 @@ def _js_bound(matrix, pool_index: np.ndarray, s: int, target) -> _Bound | None:
 
 def _cosine_bound(
     matrix: sp.csr_matrix | np.ndarray, pool_index: np.ndarray, s: int, target
-) -> _Bound | None:
+) -> _Bound:
     """A function from a round's candidates to minus an upper bound on each
     one's cosine to ``target``, a lower bound on its ``_sort_key``, built once
     per search from the pool rows' ``_cosine_projections`` for subsets of
-    ``s``; None when those are.
+    ``s``.
 
     A candidate's mean row has projection A on the unit target and B on the
     orthonormal directions of the projections, so its norm is at least
@@ -745,8 +753,6 @@ def _cosine_bound(
     medians of 21 in two runs.
     """
     projections = _cosine_projections(matrix, pool_index, target, s)
-    if projections is None:
-        return None
 
     def finish(means):
         along = means[:, 0]
@@ -758,11 +764,10 @@ def _cosine_bound(
 
 def _cosine_projections(
     matrix: sp.csr_matrix | np.ndarray, pool_index: np.ndarray, target, s: int
-) -> np.ndarray | None:
-    """Each pool row's projections on the unit target and on up to
-    ``_COSINE_DIRECTIONS`` orthonormal directions orthogonal to it, or None
-    when the target has no finite direction (the round then goes unbounded,
-    and ``_score_rows`` rejects an all-zero target).
+) -> np.ndarray:
+    """Each pool row's projections on the unit target, which ``check_target``
+    has accepted, and on up to ``_COSINE_DIRECTIONS`` orthonormal directions
+    orthogonal to it.
 
     The directions approximate the top eigenvectors of the second moment of
     a size-``s`` candidate's mean, the directions in which candidate means
@@ -779,29 +784,30 @@ def _cosine_projections(
     each step another, in row blocks, so no d x d array is formed; the
     directions are then QR-orthonormalized against the target. Any
     orthonormal directions keep the bound valid; better ones only tighten it.
+    Rows whose squares are finite can still overflow that matrix (rows near
+    2^509); then there are no directions, and the unit alone bounds every
+    cosine by 1 where A > 0 and by 0 elsewhere.
     """
     unit = _as_vector(target)
-    norm = np.sqrt(unit @ unit)
-    if not 0.0 < norm < np.inf:
-        return None
-    unit = unit / norm
-    total = np.zeros(len(unit))
-    for start, stop in _row_blocks(len(pool_index)):
-        total += matrix[pool_index[start:stop]].T @ np.ones(stop - start)
-    mean = total / len(pool_index)
-    # R^T R + N (s - 1) mu mu^T is the scatter of R with one more row, this one
-    lift = math.sqrt(len(pool_index) * (s - 1)) * (mean - (mean @ unit) * unit)
+    unit = unit / np.sqrt(unit @ unit)
     k = min(_COSINE_DIRECTIONS, len(unit) - 1)
-    span = np.random.default_rng(0).standard_normal((len(unit), min(2 * k, len(unit) - 1)))
-    for _ in range(_POWER_STEPS):
-        span = _scatter_times(matrix, pool_index, unit, lift, _orthonormal_to(unit, span))
-    span = _orthonormal_to(unit, span)
-    rayleigh = span.T @ _scatter_times(matrix, pool_index, unit, lift, span)
-    if not np.isfinite(rayleigh).all():
-        return None
-    top = span @ np.linalg.eigh(rayleigh)[1][:, ::-1][:, :k]
-    basis = np.column_stack([unit, _orthonormal_to(unit, top)])
-    out = np.empty((len(pool_index), k + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.zeros(len(unit))
+        for start, stop in _row_blocks(len(pool_index)):
+            total += matrix[pool_index[start:stop]].T @ np.ones(stop - start)
+        mean = total / len(pool_index)
+        # R^T R + N (s - 1) mu mu^T is the scatter of R with one more row, this one
+        lift = math.sqrt(len(pool_index) * (s - 1)) * (mean - (mean @ unit) * unit)
+        span = np.random.default_rng(0).standard_normal((len(unit), min(2 * k, len(unit) - 1)))
+        for _ in range(_POWER_STEPS):
+            span = _scatter_times(matrix, pool_index, unit, lift, _orthonormal_to(unit, span))
+        span = _orthonormal_to(unit, span)
+        rayleigh = span.T @ _scatter_times(matrix, pool_index, unit, lift, span)
+    basis = unit[:, None]
+    if np.isfinite(rayleigh).all():
+        top = span @ np.linalg.eigh(rayleigh)[1][:, ::-1][:, :k]
+        basis = np.column_stack([unit, _orthonormal_to(unit, top)])
+    out = np.empty((len(pool_index), basis.shape[1]))
     for start, stop in _row_blocks(len(pool_index)):
         out[start:stop] = matrix[pool_index[start:stop]] @ basis
     return out

@@ -8,8 +8,10 @@ source example belongs to the target domain.
 Each metric has a scalar form (``js_divergence``, ``cosine``) and a batched
 form used during selection (``js_to_target``, ``cosine_to_target``). A scalar
 form returns a ``SimilarityScore``, whose only field is the value: the metric
-and its orientation (``METRIC_ORIENTATION``) are those of the function called,
-and an empty score is a NaN value.
+and its orientation (``METRIC_ORIENTATION``) are those of the function called.
+One rule holds for empty rows under both metrics: a row with no mass (an
+all-zero count row or vector, such as a document with no in-vocabulary
+token) scores NaN, an empty score that every selection scope drops.
 
 JS has one batched kernel, the CSR one (``_js_csr_to_target``); it scores
 pool rows, subset candidates and pooled domains, and ``js_to_target`` reads a
@@ -172,8 +174,9 @@ def _js_csr_to_target(rows: sp.csr_matrix, q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cosine(a: TermDistribution | np.ndarray, b: TermDistribution | np.ndarray) -> SimilarityScore:
-    """Cosine similarity; either vector having zero norm yields 0. A vector
-    with a non-finite entry or squared norm is a ``DataError``."""
+    """Cosine similarity; either vector having zero norm yields an empty (NaN)
+    score. A vector whose squared norm ``_squared_norms`` refuses is a
+    ``DataError``."""
     va, vb = _as_vector(a), _as_vector(b)
     if va.shape != vb.shape:
         raise DataError(f"vectors differ in dimension: {va.shape} vs {vb.shape}")
@@ -186,8 +189,9 @@ def cosine_to_target(rows: sp.spmatrix | np.ndarray, target: np.ndarray) -> np.n
 
     Elementwise ops instead of BLAS keep each row's result bit-identical no
     matter how the rows are batched. Sparse rows are converted to CSR once and
-    densified one block at a time. A target or row whose squared norm is not
-    finite (a non-finite entry, or squares that overflow) is a ``DataError``.
+    densified one block at a time. An all-zero row, or an all-zero target,
+    scores NaN. A target or row whose squared norm ``_squared_norms`` refuses
+    is a ``DataError``.
     """
     target = _as_vector(target)
     target_norm = np.sqrt(float(_squared_norms(target, "target vector")))
@@ -201,17 +205,23 @@ def cosine_to_target(rows: sp.spmatrix | np.ndarray, target: np.ndarray) -> np.n
         block = np.asarray(block, dtype=np.float64)
         denom = np.sqrt(_squared_norms(block, "a row")) * target_norm
         dots = (block * target).sum(axis=1)
-        out[start:stop] = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+        out[start:stop] = np.divide(dots, denom, out=np.full_like(dots, np.nan), where=denom > 0)
     return out
 
 
 def _squared_norms(vectors: np.ndarray, what: str) -> np.ndarray:
     """Sums of squares along the last axis, or a ``DataError`` naming
-    ``what`` when one is not finite, with no overflow ``RuntimeWarning``."""
+    ``what`` when one is not finite (a non-finite entry, or squares that
+    overflow) or is 0 for a vector with a nonzero entry (squares that
+    underflow, which would score it as an empty row), with no
+    ``RuntimeWarning``."""
     with np.errstate(over="ignore"):
         squares = (vectors * vectors).sum(axis=-1)
     if not np.isfinite(squares).all():
         raise DataError(f"{what} has a squared norm that is not finite; cosine cannot score it")
+    if vectors[squares == 0].any():
+        raise DataError(f"{what} has nonzero entries whose squares underflow to 0; "
+                        "cosine cannot score it")
     return squares
 
 

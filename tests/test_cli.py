@@ -384,20 +384,34 @@ class TestExitCodes:
         assert "target vector is all zeros" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["oov.txt"]
 
-    def test_cosine_target_with_overflowing_squares_is_two(self, data, tmp_path, capsys):
-        """Vectors scaled by 1e200 are finite, but their squares overflow, so
-        every cosine would be NaN or 0 and no document could be selected."""
+    @staticmethod
+    def select_with_scaled_vectors(data, tmp_path, scale):
+        """``select --strategy instance`` over the module's vectors times ``scale``."""
         lines = data["vectors"].read_text("utf-8").splitlines()
-        vectors = tmp_path / "huge.txt"
+        vectors = tmp_path / "scaled.txt"
         vectors.write_text("".join(
-            token + "".join(f" {float(v) * 1e200!r}" for v in values) + "\n"
+            token + "".join(f" {float(v) * scale!r}" for v in values) + "\n"
             for token, *values in map(str.split, lines)
         ), encoding="utf-8")
         argv = ["select", "--strategy", "instance", "--n", "5", "--representation", "embedding",
                 "--embeddings", str(vectors), "--corpus", str(data["corpus"]), "--target", "tgt",
                 "--out", str(tmp_path / "out")]
-        assert cli.main(argv) == 2
+        return cli.main(argv)
+
+    def test_cosine_target_with_overflowing_squares_is_two(self, data, tmp_path, capsys):
+        """Vectors scaled by 1e200 are finite, but their squares overflow, so
+        every cosine would be NaN or 0 and no document could be selected."""
+        assert self.select_with_scaled_vectors(data, tmp_path, 1e200) == 2
         assert "target vector has a squared norm that is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_cosine_target_with_underflowing_squares_is_two(self, data, tmp_path, capsys):
+        """Vectors scaled by 1e-163 have a direction, but their squares
+        underflow to 0, so every cosine would be 0 and the pick would be the
+        first ids by name."""
+        assert self.select_with_scaled_vectors(data, tmp_path, 1e-163) == 2
+        err = capsys.readouterr().err
+        assert "target vector has nonzero entries whose squares underflow to 0" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
@@ -822,6 +836,24 @@ class TestReruns:
         assert hashes == recorded
 
 
+def stopword_corpus(path):
+    """400 source documents, every other one stopwords only (no in-vocabulary
+    token, so an empty row), and 60 target documents."""
+    words = "good bad great poor fine movie book plot story item".split()
+    rng = np.random.default_rng(0)
+    docs = [
+        {"id": f"s{i:03d}", "domain": "src", "label": ("negative", "positive")[i // 2 % 2],
+         "text": "the and of" if i % 2 else " ".join(rng.choice(words, 8))}
+        for i in range(400)
+    ] + [
+        {"id": f"t{i:03d}", "domain": "tgt", "label": ("negative", "positive")[i % 2],
+         "text": " ".join(rng.choice(words, 8))}
+        for i in range(60)
+    ]
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    return path
+
+
 class TestSubsetSearch:
     @pytest.mark.parametrize(
         "argv",
@@ -835,25 +867,34 @@ class TestSubsetSearch:
         """Every other one of 400 source documents holds stopwords only, so
         its JS score is NaN. A subset search never draws them and, like
         instance ranking, selects 100 of the 200 others."""
-        words = "good bad great poor fine movie book plot story item".split()
-        rng = np.random.default_rng(0)
-        docs = [
-            {"id": f"s{i:03d}", "domain": "src", "label": ("negative", "positive")[i // 2 % 2],
-             "text": "the and of" if i % 2 else " ".join(rng.choice(words, 8))}
-            for i in range(400)
-        ] + [
-            {"id": f"t{i:03d}", "domain": "tgt", "label": ("negative", "positive")[i % 2],
-             "text": " ".join(rng.choice(words, 8))}
-            for i in range(60)
-        ]
-        corpus = tmp_path / "c.jsonl"
-        corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+        corpus = stopword_corpus(tmp_path / "c.jsonl")
         out = tmp_path / "out"
         assert cli.main(["select", "--corpus", str(corpus), "--target", "tgt", "--n", "100",
                          "--out", str(out), *argv]) == 0
         assert "selected 100 of 100 requested" in capsys.readouterr().out
         chosen = (out / "selection_ids.txt").read_text(encoding="utf-8").split()
         assert len(set(chosen)) == 100 and all(int(c[1:]) % 2 == 0 for c in chosen)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--strategy", "instance"],
+         ["--strategy", "subset", "--s", "1", "--m", "3"],
+         ["--strategy", "subset", "--s", "2", "--m", "3"]],
+        ids=["instance", "s1-m3", "s2-m3"],
+    )
+    def test_stopword_only_documents_are_never_chosen_under_cosine(
+        self, tmp_path, capsys, argv
+    ):
+        """Under cosine an empty row scores NaN, as under JS, so asked for
+        300 of the corpus above, every strategy selects the 200 documents
+        with tokens and none of the stopword-only ones."""
+        corpus = stopword_corpus(tmp_path / "c.jsonl")
+        out = tmp_path / "out"
+        assert cli.main(["select", "--corpus", str(corpus), "--target", "tgt", "--n", "300",
+                         "--metric", "cosine", "--out", str(out), *argv]) == 0
+        assert "selected 200 of 300 requested" in capsys.readouterr().out
+        chosen = (out / "selection_ids.txt").read_text(encoding="utf-8").split()
+        assert len(set(chosen)) == 200 and all(int(c[1:]) % 2 == 0 for c in chosen)
 
 
 class TestEvaluateOutputs:

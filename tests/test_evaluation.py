@@ -440,6 +440,11 @@ class TestContextMemory:
         assert retained - context.space.matrix.nbytes < pool_rows_nbytes / 4
 
 
+# dense entries whose squares stay above float64's underflow, as cosine
+# requires of a vector with a nonzero entry
+DENSE = st.floats(-1e3, 1e3, allow_nan=False).map(lambda v: v if abs(v) >= 1e-150 else 0.0)
+
+
 def scalar_domain_scores(space, corpus, target_domain, metric):
     """Target aggregate and domain scores as they were computed before the
     context scored all domains at once: each domain's rows are copied out and
@@ -451,7 +456,9 @@ def scalar_domain_scores(space, corpus, target_domain, metric):
             pooled = np.asarray(rows.sum(axis=0)).ravel()
             total = pooled.sum()
             return TermDistribution(probs=pooled / total if total else pooled)
-        return np.asarray(rows).mean(axis=0)
+        # summed in member order, as the pooling product sums them; np.mean's
+        # pairwise sum of 8 or more rows can differ in the last bit
+        return sum(np.asarray(rows)) / len(rows)
 
     def ids(domain):
         return [doc.id for doc in corpus if doc.domain == domain]
@@ -459,12 +466,10 @@ def scalar_domain_scores(space, corpus, target_domain, metric):
     target = aggregate(ids(target_domain))
     scores = {}
     for domain in sorted(corpus.domains - {target_domain}):
-        if metric == "jensen_shannon":
-            score = js_divergence(aggregate(ids(domain)), target)
-            if not score.empty:
-                scores[domain] = score.value
-        else:
-            scores[domain] = cosine(aggregate(ids(domain)), target).value
+        metric_fn = js_divergence if metric == "jensen_shannon" else cosine
+        score = metric_fn(aggregate(ids(domain)), target)
+        if not score.empty:
+            scores[domain] = score.value
     return target, scores
 
 
@@ -480,10 +485,11 @@ def context_over(corpus, space):
 
 def copied_rows_subset_select(s, n, m, ids, target_repr, rows, item_scores, metric, seed):
     """``subset_select`` as it was when the context copied the pool's rows out
-    of the representation matrix: ``rows[i]`` is the row of the document ``ids[i]``."""
+    of the representation matrix: ``rows[i]`` is the row of the document ``ids[i]``.
+    NaN-scored documents are never drawn, as in ``subset_select``."""
     orientation = METRIC_ORIENTATION[metric]
     rng = np.random.default_rng(seed)
-    available = np.arange(len(ids))
+    available = np.flatnonzero(~np.isnan(item_scores))
     chosen, iteration_members, subset_scores = [], [], []
     while len(chosen) < n and len(available):
         size = min(s, len(available))
@@ -500,10 +506,7 @@ def copied_rows_subset_select(s, n, m, ids, target_repr, rows, item_scores, metr
             indptr = np.arange(0, candidates.size + 1, candidates.shape[1])
             pooled = pool_groups(rows, candidates.ravel(), indptr)
             scores = selection._score_rows(pooled, target_repr, metric)
-        key = selection._sort_key(scores, orientation)
-        best = int(np.argmin(key))
-        if not np.isfinite(key[best]):
-            break
+        best = int(np.argmin(selection._sort_key(scores, orientation)))
         members = candidates[best]
         room = n - len(chosen)
         if len(members) > room:
@@ -547,7 +550,7 @@ class TestContextScores:
             full = arrays(np.float64, shape, elements=counts, fill=st.nothing())
             matrix = sp.csr_matrix(data.draw(full, label="counts"))
         else:
-            value = st.floats(-1e3, 1e3, allow_nan=False) | st.just(0.0)
+            value = DENSE
             full = arrays(np.float64, shape, elements=value, fill=st.nothing())
             matrix = data.draw(full, label="rows")
         corpus = Corpus(docs)
@@ -593,7 +596,7 @@ class TestContextScores:
             matrix = sp.csr_matrix(data.draw(full, label="counts"))
             metric = "jensen_shannon"
         else:
-            value = st.floats(-1e3, 1e3, allow_nan=False) | st.just(0.0)
+            value = DENSE
             full = arrays(np.float64, shape, elements=value, fill=st.nothing())
             matrix = data.draw(full, label="rows")
             matrix[data.draw(arrays(bool, shape[0]), label="empty rows")] = 0.0

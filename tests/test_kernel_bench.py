@@ -78,12 +78,9 @@ def test_sparse_js_round(benchmark):
     raw = rng.random(VOCAB)
     target = TermDistribution(probs=raw / raw.sum())
     candidates = round_candidates(rng)
-    scores = benchmark.pedantic(
-        selection._candidate_scores,
-        args=(rows, np.arange(POOL), None, candidates, target, "jensen_shannon"),
-        rounds=5,
-        iterations=1,
-    )
+    # an s = 1 search's round function bounds nothing: it scores every candidate
+    score = selection._round_scorer(rows, np.arange(POOL), None, target, "jensen_shannon", 1)
+    scores = benchmark.pedantic(score, args=(candidates,), rounds=5, iterations=1)
     assert scores.shape == (M,)
 
 
@@ -92,12 +89,8 @@ def test_dense_cosine_round(benchmark):
     rows = rng.standard_normal((POOL, DIM))
     target = rng.standard_normal(DIM)
     candidates = round_candidates(rng)
-    scores = benchmark.pedantic(
-        selection._candidate_scores,
-        args=(rows, np.arange(POOL), None, candidates, target, "cosine"),
-        rounds=5,
-        iterations=1,
-    )
+    score = selection._round_scorer(rows, np.arange(POOL), None, target, "cosine", 1)
+    scores = benchmark.pedantic(score, args=(candidates,), rounds=5, iterations=1)
     assert scores.shape == (M,)
 
 
@@ -119,48 +112,36 @@ def first_round(scenario, representation):
     return context, candidates
 
 
+def pruned_round(context, metric):
+    """The round function of an S-document search over the context's pool,
+    its bound built: it bounds a round's candidates and scores those that may
+    win."""
+    return selection._round_scorer(
+        context.space.matrix, context.pool_index, None, context.target_repr, metric, S
+    )
+
+
 @pytest.mark.parametrize("scenario", ["graded", "blended"])
 def test_pruned_js_round(benchmark, scenario):
     context, candidates = first_round(scenario, "term_dist")
-    bound = selection._js_bound(
-        context.space.matrix, context.pool_index, S, context.target_repr
-    )
     scores = benchmark.pedantic(
-        selection._round_scores,
-        args=(context.space.matrix, context.pool_index, None, candidates,
-              context.target_repr, "jensen_shannon", bound),
-        rounds=5,
-        iterations=1,
+        pruned_round(context, "jensen_shannon"), args=(candidates,), rounds=5, iterations=1
     )
     assert 0 < np.count_nonzero(~np.isnan(scores)) < M
 
 
 def test_pruned_cosine_round(benchmark):
     context, candidates = first_round("blended", "embedding")
-    bound = selection._cosine_bound(
-        context.space.matrix, context.pool_index, S, context.target_repr
-    )
     scores = benchmark.pedantic(
-        selection._round_scores,
-        args=(context.space.matrix, context.pool_index, None, candidates,
-              context.target_repr, "cosine", bound),
-        rounds=5,
-        iterations=1,
+        pruned_round(context, "cosine"), args=(candidates,), rounds=5, iterations=1
     )
     assert 0 < np.count_nonzero(~np.isnan(scores)) < M
 
 
 def test_pruned_sparse_cosine_round(benchmark):
     context, candidates = first_round("graded", "term_dist")
-    bound = selection._cosine_bound(
-        context.space.matrix, context.pool_index, S, context.target_repr
-    )
     scores = benchmark.pedantic(
-        selection._round_scores,
-        args=(context.space.matrix, context.pool_index, None, candidates,
-              context.target_repr, "cosine", bound),
-        rounds=5,
-        iterations=1,
+        pruned_round(context, "cosine"), args=(candidates,), rounds=5, iterations=1
     )
     assert 0 < np.count_nonzero(~np.isnan(scores)) < M
 

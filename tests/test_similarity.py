@@ -205,7 +205,9 @@ def count_rows(draw):
 @st.composite
 def dense_rows(draw):
     n, d = draw(st.integers(1, 12)), draw(st.integers(1, 8))
-    value = st.floats(-10, 10, allow_subnormal=False) | st.just(0.0)
+    # entries whose squares stay above float64's underflow, as cosine requires
+    # of a vector with a nonzero entry
+    value = st.floats(-10, 10).map(lambda v: v if abs(v) >= 1e-150 else 0.0)
     rows = draw(arrays(np.float64, (n, d), elements=value))
     rows[n - draw(st.integers(0, n)):] = 0.0
     return rows, draw(arrays(np.float64, d, elements=value))
@@ -243,8 +245,8 @@ class TestKernelProperties:
         dense = cosine_to_target(rows, target)
         sparse = cosine_to_target(sp.csr_matrix(rows), target)
         for i, row in enumerate(rows):
-            assert dense[i] == cosine(row, target).value
-        assert np.all(np.abs(sparse - dense) <= 1e-12)
+            np.testing.assert_array_equal(dense[i], cosine(row, target).value)
+        np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-12)  # NaN where dense is
         n = rows.shape[0]
         split = data.draw(st.integers(0, n))
         perm = data.draw(st.permutations(range(n)))
@@ -311,7 +313,7 @@ def whole_matrix_cosine(rows, target):
         rows = rows.toarray()
     dots = (rows * target).sum(axis=1)
     denom = np.sqrt((rows * rows).sum(axis=1)) * np.sqrt(float((target * target).sum()))
-    return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+    return np.divide(dots, denom, out=np.full_like(dots, np.nan), where=denom > 0)
 
 
 def whole_matrix_js(counts, target):
@@ -336,7 +338,7 @@ class TestRowBlocks:
         monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", block)
         rng = np.random.default_rng(block)
         rows = rng.normal(size=(2 * block + 1, 37)) * (rng.random((2 * block + 1, 37)) < 0.4)
-        rows[::5] = 0.0  # zero rows score 0.0
+        rows[::5] = 0.0  # zero rows score NaN
         target = rng.normal(size=37)
         for n in self.sizes(block):
             part = rows[:n]
@@ -373,8 +375,24 @@ class TestCosine:
         score = cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
         assert score.value == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
-    def test_zero_norm_defined_as_zero(self):
-        assert cosine(np.zeros(3), np.array([1.0, 2.0, 3.0])).value == 0.0
+    def test_zero_norm_is_empty(self):
+        """A vector with no mass scores NaN, as an empty distribution does
+        under JS, whichever side it is on."""
+        v = np.array([1.0, 2.0, 3.0])
+        assert cosine(np.zeros(3), v).empty and cosine(v, np.zeros(3)).empty
+        assert np.isnan(cosine_to_target(np.vstack([np.zeros(3), v]), v)[0])
+
+    @pytest.mark.parametrize("sparse_rows", [False, True])
+    @pytest.mark.parametrize("underflowing", ["a row", "target vector"])
+    def test_underflowing_squared_norm_is_rejected(self, underflowing, sparse_rows):
+        """Components near 1e-163 square below float64's smallest subnormal,
+        so the squared norm is 0 and the cosine would be 0 (or NaN) for a
+        vector that has a direction; that row or target is a DataError."""
+        tiny, unit = np.array([[1e-163, -2e-163, 0.0]]), np.array([[1.0, 2.0, 0.0]])
+        rows, target = (tiny, unit[0]) if underflowing == "a row" else (unit, tiny[0])
+        rows = np.vstack([unit, rows])
+        with pytest.raises(DataError, match=f"{underflowing} has nonzero entries whose squares"):
+            cosine_to_target(sp.csr_matrix(rows) if sparse_rows else rows, target)
 
     def test_symmetric_and_scale_invariant(self):
         rng = np.random.default_rng(11)
