@@ -110,14 +110,6 @@ class AEModel:
             if not np.isfinite(arr).all():
                 raise DataError("autoencoder parameters must be finite")
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.W.shape[1]
-
     def parameters(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "b": self.b, "W_out": self.W_out, "b_out": self.b_out}
 
@@ -306,9 +298,10 @@ def _row_blocks(n: int):
         start = stop
 
 
-def encode(model: AEModel, x: sp.spmatrix | np.ndarray) -> np.ndarray:
+def encode(W: np.ndarray, b: np.ndarray, x: sp.spmatrix | np.ndarray) -> np.ndarray:
     """Hidden activation sigma(Wx + b) of the uncorrupted input, one row of
-    codes per input row.
+    codes per input row, from a trained model's encoder ``W`` (h, d) and
+    ``b`` (h,) alone: the decoder is never read, so a caller may free it first.
 
     ``x`` is read as float64 CSR like ``train``'s input (a 1-D input is one
     row and gives a ``(1, h)`` result). It is encoded in row blocks of
@@ -330,12 +323,12 @@ def encode(model: AEModel, x: sp.spmatrix | np.ndarray) -> np.ndarray:
     """
     x = sp.csr_matrix(x, dtype=np.float64)
     n, d = x.shape
-    if d != model.input_dim:
-        raise DataError(f"input has dimension {d}, model expects {model.input_dim}")
-    codes = np.empty((n, model.hidden_dim))
+    if d != W.shape[1]:
+        raise DataError(f"input has dimension {d}, the encoder expects {W.shape[1]}")
+    codes = np.empty((n, W.shape[0]))
     for start, stop in _row_blocks(n):
         out = codes[start:stop]
-        np.matmul(x[start:stop].toarray(), model.W.T, out=out)
-        out += model.b
+        np.matmul(x[start:stop].toarray(), W.T, out=out)
+        out += b
         sigmoid(out, out=out)
     return codes

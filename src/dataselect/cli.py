@@ -62,7 +62,7 @@ from .evaluation import (
     t_test,
 )
 from .representations import EMBEDDING, REPRESENTATION_KINDS
-from .selection import STRATEGIES, SelectionConfig, check_target
+from .selection import STRATEGIES, SelectionConfig, row_scorer
 from .similarity import METRIC_ORIENTATION, PROXY_A
 from .synthetic import DomainSpec, _child_seed, benchmark_suite, generate
 
@@ -269,7 +269,7 @@ def _run_experiments(
 ) -> list[ExperimentResult]:
     """Run every selection config ``config.runs`` times in one shared context.
 
-    A target that a config's metric cannot rank against (``check_target``) is
+    A target that a config's metric cannot rank against (``row_scorer``) is
     rejected once, before any run, so no baseline trains first and the error
     names no run. Baselines rank nothing, and proxy-A reads the target's rows,
     not its aggregate.
@@ -278,7 +278,7 @@ def _run_experiments(
     context = _build_context(config, labeled_pool_only=True)
     for c in sel_configs:
         if c.strategy not in BASELINES and c.resolved_metric != PROXY_A:
-            check_target(context.target_repr, c.resolved_metric)
+            row_scorer(context.target_repr, c.resolved_metric)
     classifier = ClassifierConfig(seed=substream_seed(config.seed, "classifier"))
     selection_seed = substream_seed(config.seed, "selection")
     return [

@@ -28,7 +28,7 @@ norm sums the squares in another order and would change the last bits.
 
 Selection runs inside an ``ExperimentContext``, which computes the scores
 the strategies rank: one per pool document (cached for JS and cosine, which
-``selection._score_rows`` computes; fitted per run seed by
+``selection.row_scorer`` scores; fitted per run seed by
 ``selection.proxy_a_scores`` for proxy-A, the only metric that also reads the
 target's own rows) and one per source domain (cached), the domains pooled by
 ``representations.pool_groups`` like the subset search's candidates.
@@ -57,7 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import betainc
 
-from . import selection as sel
+from . import autoencoder, selection as sel
 from .autoencoder import AETrainConfig, train as ae_train
 from .corpus import Corpus, EncodedCorpus, TfidfModel
 from .embeddings import EmbeddingTable
@@ -268,7 +268,7 @@ class ExperimentContext:
     """Everything reusable across runs and strategies for one target domain.
 
     The context computes every score the strategies rank: pool item scores
-    and source-domain scores, through ``selection._score_rows``, except the
+    and source-domain scores, through ``selection.row_scorer``, except the
     proxy-A item scores, which ``selection.proxy_a_scores`` fits. It holds no
     settings; ``prepare_context`` consumed them. ``pool_index`` holds each
     pool document's corpus row.
@@ -299,7 +299,7 @@ class ExperimentContext:
             target_rows = self.space.matrix[self.corpus.domain_rows(self.target_domain)]
             scores = sel.proxy_a_scores(self.space.matrix[self.pool_index], target_rows, seed=seed)
         else:
-            scores = sel._score_rows(self.space.matrix, self.target_repr, metric)[self.pool_index]
+            scores = sel.row_scorer(self.target_repr, metric)(self.space.matrix)[self.pool_index]
         self._item_scores[key] = scores
         return scores
 
@@ -307,7 +307,7 @@ class ExperimentContext:
         """Score of each source domain's pooled documents, cached per metric.
 
         Every domain is pooled by one ``pool_groups`` call and all are scored
-        in one ``_score_rows`` call, pooled term counts by the CSR JS kernel
+        by one ``row_scorer``, pooled term counts by the CSR JS kernel
         that scores pool rows and subset candidates; it agrees with the scalar
         ``js_divergence`` of a domain's ``aggregate`` to 1e-12. An empty
         domain scores NaN.
@@ -317,7 +317,7 @@ class ExperimentContext:
             groups = [self.corpus.domain_rows(d) for d in domains]
             indptr = np.cumsum([0] + [len(g) for g in groups])
             pooled = pool_groups(self.space.matrix, np.concatenate(groups), indptr)
-            scores = sel._score_rows(pooled, self.target_repr, metric)
+            scores = sel.row_scorer(self.target_repr, metric)(pooled)
             self._domain_scores[metric] = dict(zip(domains, scores.tolist()))
         return self._domain_scores[metric]
 
@@ -342,7 +342,10 @@ def prepare_context(
     aggregate all documents of the domain, labeled or not, so unlabeled text
     still informs similarity. The autoencoder representation trains its
     model with ``ae_config`` (by default ``AETrainConfig()``) on all domains,
-    the target's text included; the embedding representation weights
+    the target's text included, and keeps only its encoder's ``W`` and
+    ``b``: the model, decoder included, is freed before ``autoencoder.encode``
+    writes the codes, which ``build_representation_space`` takes as the
+    view's rows. The embedding representation weights
     ``embedding_table``'s vectors with the SIF smoothing
     ``representations.SIF_A``.
     """
@@ -350,18 +353,20 @@ def prepare_context(
         raise ConfigError(f"unknown target domain {target_domain!r}")
     if not (corpus.domains - {target_domain}):
         raise DataError("no source domains besides the target")
-    ae_model = ae_features = None
+    ae_codes = None
     if representation == AUTOENCODER:
-        ae_features = ae_input_features(encoded, vocab)
-        ae_model, _ = ae_train(ae_features, ae_config)
+        features = ae_input_features(encoded, vocab)
+        model, _ = ae_train(features, ae_config)
+        W, b = model.W, model.b
+        del model  # the decoder, which encoding never reads, is freed before the codes exist
+        ae_codes = autoencoder.encode(W, b, features)
     space = build_representation_space(
         corpus,
         encoded,
         representation,
         vocab,
         embedding_table=embedding_table,
-        ae_model=ae_model,
-        ae_features=ae_features,
+        ae_codes=ae_codes,
     )
     pool_index = np.flatnonzero(
         [

@@ -43,7 +43,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from . import autoencoder as ae
 from .corpus import Corpus, EncodedCorpus, TfidfModel, term_counts
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, DataError
@@ -214,8 +213,7 @@ def build_representation_space(
     kind: str,
     vocab: tuple[str, ...],
     embedding_table: EmbeddingTable | None = None,
-    ae_model: ae.AEModel | None = None,
-    ae_features: sp.csr_matrix | None = None,
+    ae_codes: np.ndarray | None = None,
 ) -> RepresentationSpace:
     """Compute one representation row per document of the corpus.
 
@@ -226,9 +224,10 @@ def build_representation_space(
     the document's own domain, and the sum is divided by the number of such
     tokens (documents without any map to the zero vector). Only vocabulary
     tokens count, so table rows outside the vocabulary never contribute; the
-    CLI loads the table restricted to the vocabulary. The autoencoder view
-    encodes ``ae_features``, the ``ae_input_features`` rows the model was
-    trained on.
+    CLI loads the table restricted to the vocabulary. The autoencoder view's
+    rows are ``ae_codes``, one per document: the trained encoder's codes of
+    the ``ae_input_features`` rows, which ``evaluation.prepare_context``
+    computes.
     """
     if kind not in REPRESENTATION_KINDS:
         raise ConfigError(f"unknown representation kind {kind!r}")
@@ -239,11 +238,9 @@ def build_representation_space(
             raise ConfigError("embedding representation requires an embedding table")
         matrix = _sif_rows(corpus, encoded, vocab, embedding_table)
     else:
-        if ae_model is None or ae_features is None:
-            raise ConfigError(
-                "autoencoder representation requires a trained model and its input features"
-            )
-        matrix = ae.encode(ae_model, ae_features)
+        if ae_codes is None:
+            raise ConfigError("autoencoder representation requires its codes")
+        matrix = ae_codes
     return RepresentationSpace(kind=kind, doc_ids=[doc.id for doc in corpus], matrix=matrix)
 
 

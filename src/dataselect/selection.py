@@ -17,7 +17,7 @@ The similarity-guided strategies rank scores they are given; they call no
 metric themselves. ``evaluation.ExperimentContext`` computes the scores of
 every scope: one per pool document (item scores) and one per source domain,
 pooled by ``representations.pool_groups``. JS and cosine go through
-``_score_rows``; proxy-A item scores come from ``proxy_a_scores``, which the
+``row_scorer``; proxy-A item scores come from ``proxy_a_scores``, which the
 context calls through this module. Only the subset search scores the
 candidate groups it draws, each pooled by the same primitive straight from
 the representation matrix: pool document i is row ``pool_index[i]`` of the
@@ -47,17 +47,16 @@ round's candidates (``_js_bound``, ``_cosine_bound``). JS is a sum of convex
 terms, one per column, so a tangent of each at any point lies below it in
 every round: here the tangents at a point that moves the pool's rare columns
 to the counts a candidate holds there. At the rare columns that a candidate
-misses, JS takes its exact value, above the tangent's, so each candidate
-keeps the larger of the tangent plane and these support-aware tangents. A
-cosine is at most ``A / sqrt(A^2 + |B|^2)``, where A is the candidate mean's
-projection on the unit target and B its projections on a few orthonormal
-directions orthogonal to it (``_cosine_bound``): the top of the second
-moment of a size-``s`` candidate's mean, in which the pool mean weighs about
-``s`` times more than in the rows' own scatter. A candidate is skipped only when its bound is
-worse than an already-scored candidate's key by more than ``_PRUNE_SLACK``,
-far above the bounds' rounding, so every candidate that could win or tie is
-scored with the bits an exhaustive round gives it, and the winners, recorded
-scores and ids are unchanged. Singleton rounds score every candidate; an
+misses, JS takes its exact value, above the tangent's, and the bound takes
+it there too. A cosine is at most ``A / sqrt(A^2 + |B|^2)``, where A is the
+candidate mean's projection on the unit target and B its projections on a
+few orthonormal directions orthogonal to it (``_cosine_bound``): the top of
+the second moment of a size-``s`` candidate's mean, in which the pool mean
+weighs about ``s`` times more than in the rows' own scatter. A candidate is
+skipped only when its bound is worse than an already-scored candidate's key
+by more than ``_PRUNE_SLACK``, far above the bounds' rounding, so every
+candidate that could win or tie is scored with the bits an exhaustive round
+gives it, and the winners, recorded scores and ids are unchanged. Singleton rounds score every candidate; an
 exhaustive one (s = 1, m at least the pool left) has one, the best-ranked
 document left, as the pool left is ranked once and winners leave in rank
 order.
@@ -210,45 +209,29 @@ class SelectionResult:
 # Scoring and ranking
 # ---------------------------------------------------------------------------
 
-def check_target(target_repr, metric: str):
-    """The target as ``metric`` scores against it, or a ``DataError`` when it
-    cannot rank: an empty distribution under JS, and under cosine a vector
-    with no nonzero entry, which has no direction (cosine would score every
-    row NaN), or whose squared norm is not finite, from a non-finite entry or
-    squares that overflow (every row NaN or 0), or is 0 from squares that
-    underflow (every row 0). Proxy-A has no target aggregate, so it is an
-    unknown metric here."""
+def row_scorer(target_repr, metric: str) -> Callable[[np.ndarray], np.ndarray]:
+    """A function from representation rows to their ``metric`` scores against
+    the target, NaN marking unusable rows. The target is checked here, and
+    only here; one that cannot rank is a ``DataError``: an empty
+    distribution under JS, and under cosine a vector with no nonzero entry,
+    which has no direction (cosine would score every row NaN), or one whose
+    squared norm ``_squared_norms`` refuses. The kernel (``js_to_target``,
+    ``cosine_to_target``) is looked up in this module at each call.
+
+    Proxy-A has no target aggregate, so it is an unknown metric here: it fits
+    a discriminator against the target's own rows, which
+    ``ExperimentContext.item_scores`` passes to ``proxy_a_scores`` itself.
+    """
     if metric == JENSEN_SHANNON:
         if target_repr.empty:
             raise DataError("target distribution is empty")
-        return target_repr
+        return lambda rows: js_to_target(rows, target_repr)
     if metric != COSINE:
         raise ConfigError(f"unknown metric {metric!r}")
     target = _as_vector(target_repr)
     if not target.any():
         raise DataError("target vector is all zeros; cosine cannot rank against it")
     _squared_norms(target, "target vector")
-    return target
-
-
-def _score_rows(rows, target_repr, metric: str) -> np.ndarray:
-    """Score representation rows against the target, checked by
-    ``check_target``; NaN marks unusable rows.
-
-    Proxy-A is not scored here: it fits a discriminator against the target's
-    own rows, which ``ExperimentContext.item_scores`` passes to
-    ``proxy_a_scores`` itself.
-    """
-    return _row_scorer(target_repr, metric)(rows)
-
-
-def _row_scorer(target_repr, metric: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Rows to their scores against the target, which is checked once, here,
-    by ``check_target``; the kernel (``js_to_target``, ``cosine_to_target``)
-    is looked up at each call."""
-    target = check_target(target_repr, metric)
-    if metric == JENSEN_SHANNON:
-        return lambda rows: js_to_target(rows, target)
     return lambda rows: cosine_to_target(rows, target)
 
 
@@ -574,7 +557,7 @@ def _round_scorer(
     """The search's one round function, built once: a round's candidates, each
     a row of pool positions, to their scores, NaN for those left unscored.
 
-    The target is checked once (``_row_scorer``). A candidate of one
+    The target is checked once (``row_scorer``). A candidate of one
     document scores as its member's ``item_scores`` entry, so it ranks exactly
     as its member does in instance ranking (the sparse product emits a row's
     columns in reverse order, and JS summed in that order can break a tie the
@@ -596,7 +579,7 @@ def _round_scorer(
     graded term_dist cosine search from 4.45 s to 5.1-5.3 s and its peak RSS
     from 95.4 to 102.6 MB.
     """
-    kernel = _row_scorer(target_repr, metric)
+    kernel = row_scorer(target_repr, metric)
 
     def score(candidates: np.ndarray) -> np.ndarray:
         if candidates.shape[1] == 1:
@@ -653,8 +636,8 @@ def _js_bound(matrix, pool_index: np.ndarray, s: int, target: TermDistribution) 
     ``phi_i(p) >= phi_i(0) + d_i + g_i p`` with the gradient ``g_i = 0.5 ln(2
     x_i / (x_i + q_i))`` and ``d_i = -q_i/2 ln(1 + x_i/q_i) <= 0`` (0 where q
     is 0). Where ``x_i`` is 0, g and d are 0 too, which is exact at a column
-    no pool document holds. So the plane ``plane + g.P``, with ``plane = sum_i
-    phi_i(0) + d_i``, lies below JS for any x.
+    no pool document holds. So the plane ``sum_i (phi_i(0) + d_i) + g.P``
+    lies below JS for any x.
 
     The bound is support-aware. At a column of R that P misses, JS takes the
     exact ``phi_i(0)``, above the tangent's ``phi_i(0) + d_i``; at one it
@@ -670,28 +653,21 @@ def _js_bound(matrix, pool_index: np.ndarray, s: int, target: TermDistribution) 
     (colsum_i / df_i) / (s total / n_pool)``, the column's mean count where it
     is held over a typical candidate's token total.
 
-    Each candidate gets ``max(plane, missed + sum_j D_j) + g.P``; any x keeps
-    both terms valid, and this one only tightens them. The plane costs no
-    pooled column, and it is the larger term for a candidate whose members
-    share rare columns. A candidate pooling count rows ``c_j`` with token
-    totals ``T_j`` has ``g.P = sum(g.c_j) / sum(T_j)``, so the three numbers
-    ``[g.c_j, T_j, D_j]`` per pool document, taken here from the pool rows,
-    give every term; the function pools them for every candidate of a round
-    through ``_pooled`` in one slice. ``pool_groups`` averages dense rows,
-    which leaves the ratio as it is but makes the pooled D the members'
-    mean, so it is multiplied by the subset size. An empty candidate (every
-    ``T_j`` 0, a NaN score) gets a NaN bound.
+    Each candidate gets ``missed + sum_j D_j + g.P``. A candidate pooling
+    count rows ``c_j`` with token totals ``T_j`` has ``g.P = sum(g.c_j) /
+    sum(T_j)``, so the three numbers ``[g.c_j, T_j, D_j]`` per pool document,
+    taken here from the pool rows, give every term; the function pools them
+    for every candidate of a round through ``_pooled`` in one slice.
+    ``pool_groups`` averages dense rows, which leaves the ratio as it is but
+    makes the pooled D the members' mean, so it is multiplied by the subset
+    size. An empty candidate (every ``T_j`` 0, a NaN score) gets a NaN bound.
 
-    A fourth column, the tangent plane at x = P0 kept as a floor, was
-    dropped: in in-process searches (s=20, m=20,000, n=1,600, run seed 7) on
-    the graded and blended pools at generator seeds 0 and 10 and on the scale
-    corpus, the search scored the same candidates with it and without it
-    (20,516, 20,480, 20,480, 20,480 and 20,480), with equal ids and scores.
-    On the seed-0 graded pool this bound leaves 256 candidates a round to
-    score, the first block, where the support-aware bound at x = P0 left
-    1,064 on average (85,105 over 80 rounds). In ``_SLICE_ROWS``-row slices
-    the in-process graded search took 0.75-0.79 s against 0.65 s whole,
-    slower in 11 of 12 interleaved runs.
+    The bound reaches the search's floor: in in-process searches (s=20,
+    m=20,000, n=1,600, run seed 7) on the graded and blended pools at
+    generator seeds 0 and 10 and on the scale corpus, every round scored its
+    first block of 256 candidates alone, 20,480 over 80 rounds. In
+    ``_SLICE_ROWS``-row slices the in-process graded search took 0.75-0.79 s
+    against 0.65 s whole, slower in 11 of 12 interleaved runs.
     """
     rows = sp.csr_matrix(matrix[pool_index])  # term distributions are CSR
     n_pool = rows.shape[0]
@@ -710,8 +686,7 @@ def _js_bound(matrix, pool_index: np.ndarray, s: int, target: TermDistribution) 
     g[on] = 0.5 * np.log(2.0 * x[on] / (x[on] + q[on]))
     held = on & (q > 0)
     d[held] = -0.5 * q[held] * np.log1p(x[held] / q[held])
-    plane = 0.5 * LN2 * q.sum() + d.sum()
-    missed = plane - d[rare].sum()
+    missed = 0.5 * LN2 * q.sum() + d.sum() - d[rare].sum()
     per_doc = np.column_stack([
         rows @ g,
         np.asarray(rows.sum(axis=1), dtype=np.float64).ravel(),
@@ -724,7 +699,7 @@ def _js_bound(matrix, pool_index: np.ndarray, s: int, target: TermDistribution) 
             along = np.divide(
                 means[:, 0], tokens, out=np.full(len(means), np.nan), where=tokens > 0
             )
-            return np.maximum(plane, missed + candidates.shape[1] * means[:, 2]) + along
+            return missed + candidates.shape[1] * means[:, 2] + along
 
         return _pooled(per_doc, candidates, finish, len(candidates))
 
@@ -765,7 +740,7 @@ def _cosine_bound(
 def _cosine_projections(
     matrix: sp.csr_matrix | np.ndarray, pool_index: np.ndarray, target, s: int
 ) -> np.ndarray:
-    """Each pool row's projections on the unit target, which ``check_target``
+    """Each pool row's projections on the unit target, which ``row_scorer``
     has accepted, and on up to ``_COSINE_DIRECTIONS`` orthonormal directions
     orthogonal to it.
 

@@ -212,15 +212,16 @@ def cosine_to_target(rows: sp.spmatrix | np.ndarray, target: np.ndarray) -> np.n
 def _squared_norms(vectors: np.ndarray, what: str) -> np.ndarray:
     """Sums of squares along the last axis, or a ``DataError`` naming
     ``what`` when one is not finite (a non-finite entry, or squares that
-    overflow) or is 0 for a vector with a nonzero entry (squares that
-    underflow, which would score it as an empty row), with no
-    ``RuntimeWarning``."""
+    overflow) or is below float64's smallest normal number for a vector with
+    a nonzero entry (squares that underflow: to 0 they would score it as an
+    empty row, and to a subnormal they keep too few bits for its cosine),
+    with no ``RuntimeWarning``."""
     with np.errstate(over="ignore"):
         squares = (vectors * vectors).sum(axis=-1)
     if not np.isfinite(squares).all():
         raise DataError(f"{what} has a squared norm that is not finite; cosine cannot score it")
-    if vectors[squares == 0].any():
-        raise DataError(f"{what} has nonzero entries whose squares underflow to 0; "
+    if vectors[squares < np.finfo(np.float64).tiny].any():
+        raise DataError(f"{what} has nonzero entries whose squares underflow; "
                         "cosine cannot score it")
     return squares
 

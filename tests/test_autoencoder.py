@@ -216,16 +216,32 @@ class TestCorrupt:
         assert rng.random() == replay.random()
 
 
+class TestAEModel:
+    @pytest.mark.parametrize("name", ["W", "b", "W_out", "b_out"])
+    def test_inconsistent_shapes_are_rejected(self, name):
+        params = small_model().parameters()
+        params[name] = params[name][..., :-1]
+        with pytest.raises(DataError, match="^inconsistent autoencoder parameter shapes$"):
+            AEModel(**params)
+
+    @pytest.mark.parametrize("name", ["W", "b", "W_out", "b_out"])
+    def test_non_finite_parameters_are_rejected(self, name):
+        params = small_model().parameters()
+        params[name].flat[0] = np.inf
+        with pytest.raises(DataError, match="^autoencoder parameters must be finite$"):
+            AEModel(**params)
+
+
 class TestEncode:
     def test_zero_input_gives_sigmoid_bias(self):
         model = small_model()
-        out = encode(model, np.zeros(4))
+        out = encode(model.W, model.b, np.zeros(4))
         assert np.allclose(out, 1.0 / (1.0 + np.exp(-model.b)), atol=1e-12)
 
     def test_zero_model_gives_half(self):
         model = AEModel(W=np.zeros((3, 4)), b=np.zeros(3), W_out=np.zeros((4, 3)),
                         b_out=np.zeros(4))
-        assert np.allclose(encode(model, np.ones(4)), 0.5, atol=1e-15)
+        assert np.allclose(encode(model.W, model.b, np.ones(4)), 0.5, atol=1e-15)
 
     def test_matches_matrix_multiply_oracle(self):
         model = small_model(seed=11)
@@ -233,23 +249,25 @@ class TestEncode:
         for _ in range(20):
             x = rng.random(4)
             expected = 1.0 / (1.0 + np.exp(-(model.W @ x + model.b)))
-            assert np.allclose(encode(model, x), expected, atol=1e-9)
+            assert np.allclose(encode(model.W, model.b, x), expected, atol=1e-9)
 
     def test_outputs_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(19)
         for seed in range(5):
             model = small_model(seed=seed, d=8, h=6, scale=1.5)
             batch = rng.random((40, 8))
-            codes = encode(model, batch)
+            codes = encode(model.W, model.b, batch)
             assert np.all(codes > 0.0) and np.all(codes < 1.0)
 
     def test_dim_mismatch(self):
+        model = small_model()
         with pytest.raises(DataError):
-            encode(small_model(), np.zeros(9))
+            encode(model.W, model.b, np.zeros(9))
 
     def test_dim_mismatch_sparse(self):
+        model = small_model()
         with pytest.raises(DataError):
-            encode(small_model(), sp.csr_matrix(np.zeros((2, 9))))
+            encode(model.W, model.b, sp.csr_matrix(np.zeros((2, 9))))
 
 
 class TestBlockedEncode:
@@ -271,19 +289,19 @@ class TestBlockedEncode:
             part = rows[:n]
             want = whole_matrix_encode(model, part)
             for x in (part.toarray(), part, part.tocoo()):
-                got = encode(model, x)
-                assert got.shape == (n, model.hidden_dim)
+                got = encode(model.W, model.b, x)
+                assert got.shape == (n, model.W.shape[0])
                 assert np.array_equal(got, want), (n, type(x).__name__)
         # a 1-D input is one row and gives one row of codes
-        got = encode(model, rows[5].toarray()[0])
-        assert got.shape == (1, model.hidden_dim)
+        got = encode(model.W, model.b, rows[5].toarray()[0])
+        assert got.shape == (1, model.W.shape[0])
         assert np.array_equal(got, whole_matrix_encode(model, rows[5]))
 
     def test_integer_sparse_input(self, model):
         x = sp.random(9, 1260, density=0.01, format="csr", random_state=4,
                       data_rvs=lambda k: np.ones(k, dtype=np.int64))
         x = x.astype(np.int64)
-        assert np.array_equal(encode(model, x), whole_matrix_encode(model, x))
+        assert np.array_equal(encode(model.W, model.b, x), whole_matrix_encode(model, x))
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 256])
     def test_row_blocks_split_evenly(self, monkeypatch, block):
@@ -306,7 +324,8 @@ class TestBlockedEncode:
         # last bits (see ``encode``), but train + encode reruns are identical.
         x = tfidf_like_rows(2 * 256 + 1, 1281, seed=6)
         config = AETrainConfig(epochs=1, hidden_dim=500, seed=3)
-        runs = [encode(train(x, config)[0], x) for _ in range(2)]
+        models = [train(x, config)[0] for _ in range(2)]
+        runs = [encode(model.W, model.b, x) for model in models]
         assert runs[0].shape == (2 * 256 + 1, 500)
         assert np.array_equal(runs[0], runs[1])
 
@@ -319,7 +338,7 @@ class TestBlockedEncode:
         x = tfidf_like_rows(n, d, seed=5)
         tracemalloc.start()
         try:
-            codes = encode(model, x)
+            codes = encode(model.W, model.b, x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -551,7 +570,7 @@ class TestTrain:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert model.input_dim == d
+        assert model.W.shape[1] == d
         assert (peak - 3 * params) / params < 1.5
 
     def test_coo_input_matches_dense(self, monkeypatch):

@@ -98,6 +98,119 @@ BAD_RUN_VALUES = [
                 ["--representation", "embedding"])
 ]
 
+
+def text_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def edited_corpus(data, tmp_path, edit):
+    """The module's corpus with each document passed through ``edit``, which
+    returns the document to keep (changed or not) or None to drop it."""
+    docs = [json.loads(line) for line in data["corpus"].read_text("utf-8").splitlines()]
+    kept = (doc for doc in map(edit, docs) if doc is not None)
+    return text_file(tmp_path, "corpus.jsonl", "".join(json.dumps(doc) + "\n" for doc in kept))
+
+
+def corpus_args(corpus, *run):
+    return ["--corpus", corpus, "--target", "tgt", *run]
+
+
+# One case per error branch that only bad input reaches, by exit code: a
+# builder from the module's data and a scratch directory to the argv (without
+# --out) and the start of the one stderr line it prints.
+ERROR_BRANCHES = {
+    "config-value-outside-its-choices": (1, lambda data, tmp: (
+        ["select", "--config",
+         text_file(tmp, "run.conf", "# a comment\n\nrepresentation = nope\n"),
+         *corpus_args(str(data["corpus"]))],
+        "error: representation must be one of ('term_dist', 'embedding', 'autoencoder'), "
+        "got 'nope'\n",
+    )),
+    "unknown-strategy": (1, lambda data, tmp: (
+        ["evaluate", "--strategies", "random,bogus", *corpus_args(str(data["corpus"]))],
+        "error: unknown strategy 'bogus'\n",
+    )),
+    "no-corpus": (1, lambda data, tmp: (
+        ["select", "--target", "tgt"],
+        "error: a corpus path is required (corpus = ... or --corpus)\n",
+    )),
+    "unknown-target": (1, lambda data, tmp: (
+        ["select", "--corpus", str(data["corpus"]), "--target", "nope"],
+        "error: unknown target domain 'nope'\n",
+    )),
+    "no-n-values": (1, lambda data, tmp: (
+        ["sweep", "--n-values", ",", *corpus_args(str(data["corpus"]))],
+        "error: sweep requires at least one n value\n",
+    )),
+    "descending-n-values": (1, lambda data, tmp: (
+        ["sweep", "--n-values", "50,20", *corpus_args(str(data["corpus"]))],
+        "error: n values must be strictly ascending, got [50, 20]\n",
+    )),
+    "generate-without-catalog-or-spec": (1, lambda data, tmp: (
+        ["generate"], "error: generate needs either --catalog or a spec file\n",
+    )),
+    "spec-not-json": (1, lambda data, tmp: (
+        ["generate", "--spec", text_file(tmp, "spec.json", "{not json")],
+        f"error: {tmp / 'spec.json'}: invalid JSON (",
+    )),
+    "spec-source-without-name": (1, lambda data, tmp: (
+        ["generate", "--spec", text_file(tmp, "spec.json", json.dumps(
+            {**SPEC, "sources": [{k: v for k, v in SPEC["sources"][0].items() if k != "name"}]}
+        ))],
+        "error: bad domain spec: ",
+    )),
+    **{
+        f"spec-{key}": (1, lambda data, tmp, key=key, value=value, message=message: (
+            ["generate", "--spec", text_file(tmp, "spec.json", json.dumps(
+                {**SPEC, "target": {**SPEC["target"], key: value}}
+            ))],
+            f"error: {message}\n",
+        ))
+        for key, value, message in [
+            ("docs_per_label", 0, "vocab, lexicon, and docs-per-label sizes must be >= 1"),
+            ("private_vocab_size", -1, "private_vocab_size must be >= 0"),
+            ("labels", ["negative", "great"], "unsupported label 'great'"),
+        ]
+    },
+    "target-without-labels": (2, lambda data, tmp: (
+        ["evaluate", "--strategies", "instance", *corpus_args(edited_corpus(
+            data, tmp, lambda doc: {**doc, "label": None} if doc["domain"] == "tgt" else doc
+        ), *SMALL["evaluate"])],
+        "data error: target domain 'tgt' has no labeled documents\n",
+    )),
+    "target-alone": (2, lambda data, tmp: (
+        ["select", *corpus_args(edited_corpus(
+            data, tmp, lambda doc: doc if doc["domain"] == "tgt" else None
+        ), *SMALL["select"])],
+        "data error: no source domains besides the target\n",
+    )),
+    "no-labeled-source": (2, lambda data, tmp: (
+        ["evaluate", "--strategies", "instance", *corpus_args(edited_corpus(
+            data, tmp, lambda doc: doc if doc["domain"] == "tgt" else {**doc, "label": None}
+        ), *SMALL["evaluate"])],
+        "data error: selection pool is empty (no labeled source documents)\n",
+    )),
+    "jsonl-array-line": (2, lambda data, tmp: (
+        ["select", *corpus_args(text_file(tmp, "corpus.jsonl", "\n[]\n"))],
+        f"data error: {tmp / 'corpus.jsonl'}, line 2: expected a JSON object\n",
+    )),
+    "vector-line-without-components": (2, lambda data, tmp: (
+        ["select", "--representation", "embedding",
+         "--embeddings", text_file(tmp, "vectors.txt", "\nword\nother 1 2 3 4\n"),
+         *corpus_args(str(data["corpus"]))],
+        f"data error: {tmp / 'vectors.txt'}, line 2: no vector components\n",
+    )),
+    "stopword-only-sources": (2, lambda data, tmp: (
+        ["evaluate", "--strategies", "instance", *corpus_args(edited_corpus(
+            data, tmp, lambda doc: doc if doc["domain"] == "tgt" else {**doc, "text": "the and of"}
+        ), *SMALL["evaluate"])],
+        "data error: run 0: cannot fit tf-idf on an empty document list\n",
+    )),
+}
+
+
 # small runs, each through the flags its command has
 SMALL = {
     "select": ["--n", "10", "--s", "3", "--m", "20"],
@@ -411,8 +524,29 @@ class TestExitCodes:
         first ids by name."""
         assert self.select_with_scaled_vectors(data, tmp_path, 1e-163) == 2
         err = capsys.readouterr().err
-        assert "target vector has nonzero entries whose squares underflow to 0" in err
+        assert "target vector has nonzero entries whose squares underflow;" in err
         assert not (tmp_path / "out").exists()
+
+    def test_cosine_target_with_subnormal_squares_is_two(self, data, tmp_path, capsys):
+        """Scaled by 1e-158 the vectors' squared norms are subnormal: not 0,
+        but with too few bits left for the cosines they divide."""
+        assert self.select_with_scaled_vectors(data, tmp_path, 1e-158) == 2
+        err = capsys.readouterr().err
+        assert "target vector has nonzero entries whose squares underflow;" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_cosine_of_vectors_with_normal_squares_is_scale_free(self, data, tmp_path):
+        """Scaled by 1e-150 the squares stay normal numbers: the selection is
+        the unscaled vectors', and its scores agree to a few ulps."""
+        results = []
+        for scale in (1.0, 1e-150):
+            (tmp_path / str(scale)).mkdir()
+            assert self.select_with_scaled_vectors(data, tmp_path / str(scale), scale) == 0
+            out = tmp_path / str(scale) / "out"
+            results.append(json.loads((out / "selection.json").read_text("utf-8"))["result"])
+        assert len(results[0]["chosen"]) == 5 and results[0]["chosen"] == results[1]["chosen"]
+        for doc_id, score in results[0]["item_scores"].items():
+            assert results[1]["item_scores"][doc_id] == pytest.approx(score, rel=1e-12)
 
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_all_zero_cosine_target_fails_before_any_run(
@@ -635,6 +769,30 @@ class TestExitCodes:
         assert stopwords == [frozenset({"the", "movie"})] * 2
         assert preprocess("The movie was great", stopwords[0]) == ["was", "great"]
         assert selections[0] == selections[1]
+
+    @pytest.mark.parametrize("case", ERROR_BRANCHES)
+    def test_bad_input_exits_with_its_code_and_one_line(self, data, tmp_path, capsys, case):
+        """Each input error a command can meet fails with its exit code and a
+        one-line message, and writes no output."""
+        code, build = ERROR_BRANCHES[case]
+        argv, message = build(data, tmp_path)
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_write_is_one(self, data, tmp_path, capsys, monkeypatch):
+        """An ``OSError`` while a result file is written, a full disk say, is
+        a one-line error naming the file."""
+        def full(path, *args, **kwargs):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(Path, "write_text", full)
+        assert cli.main(["select"] + base_args(data, tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {tmp_path / 'out' / 'selection_ids.txt'}: "
+            "No space left on device\n"
+        )
 
     def test_missing_corpus_is_two(self, tmp_path):
         missing = tmp_path / "missing.jsonl"

@@ -325,6 +325,15 @@ class TestTfidf:
         assert np.allclose(norms, 1.0, atol=1e-12)
 
 
+class TestDomainRows:
+    def test_rows_of_each_domain_ascend(self, tiny_corpus):
+        assert tiny_corpus.domain_rows("dvd").tolist() == [2, 3]
+
+    def test_unknown_domain_is_rejected(self, tiny_corpus):
+        with pytest.raises(DataError, match="^unknown domain 'music'$"):
+            tiny_corpus.domain_rows("music")
+
+
 class TestDocument:
     def test_empty_domain_rejected(self):
         with pytest.raises(DataError):

@@ -168,6 +168,11 @@ class TestLookup:
         with pytest.raises(DataError, match=re.escape(f"'a' has shape {shape}, expected (2,)")):
             EmbeddingTable({"a": vec}, dim=2)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimensionality_below_one_is_rejected(self, dim):
+        with pytest.raises(DataError, match=f"^embedding dimensionality must be >= 1, got {dim}$"):
+            EmbeddingTable({}, dim=dim)
+
     def test_sequence_of_dim_numbers_is_a_vector(self):
         table = EmbeddingTable({"a": [1.0, 2.0]}, dim=2)
         assert np.array_equal(table.entries["a"], [1.0, 2.0])

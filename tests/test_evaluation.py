@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
 from unittest import mock
@@ -11,12 +12,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dataselect import evaluation, selection
+from dataselect import autoencoder, evaluation, selection
+from dataselect.autoencoder import AEModel, AETrainConfig
 from dataselect.corpus import Corpus, Document
 from dataselect.embeddings import EmbeddingTable
 from dataselect.errors import ConfigError, DataError
 from dataselect.evaluation import (
     ClassifierConfig,
+    LinearModel,
     SignificanceResult,
     evaluate,
     prepare_context,
@@ -248,11 +251,29 @@ class TestClassifierConfig:
         assert config.learning_rate * config.l2 < 1.0
 
 
+class TestLinearModel:
+    @pytest.mark.parametrize("bad", ["weights", "biases"])
+    def test_non_finite_parameters_are_rejected(self, bad):
+        params = {"weights": np.zeros((2, 3)), "biases": np.zeros(2)}
+        params[bad].flat[0] = np.nan
+        with pytest.raises(DataError, match="^classifier parameters must be finite$"):
+            LinearModel(params["weights"], params["biases"], ["negative", "positive"])
+
+    def test_unlabeled_training_document_is_rejected(self):
+        with pytest.raises(DataError, match="^every training document must be labeled$"):
+            train_classifier(sparse([[1, 0], [0, 1]]), ["negative", None])
+
+
 class TestEvaluate:
     def test_perfect_predictions(self):
         X = sparse([[1, 0], [0, 1]])
         model = train_classifier(X, ["negative", "positive"], ClassifierConfig(seed=0))
         assert evaluate(model, X, ["negative", "positive"]) == 1.0
+
+    def test_labels_that_do_not_match_the_rows_are_rejected(self):
+        model = train_classifier(sparse([[1, 0], [0, 1]]), ["negative", "positive"])
+        with pytest.raises(DataError, match="^1 labels for 2 feature rows$"):
+            evaluate(model, sparse([[1, 0], [0, 1]]), ["negative"])
 
     def test_constant_predictor_on_random_ternary_labels(self):
         rng = np.random.default_rng(7)
@@ -439,6 +460,25 @@ class TestContextMemory:
         pool_rows_nbytes = len(context.pool_index) * dim * 8
         assert retained - context.space.matrix.nbytes < pool_rows_nbytes / 4
 
+    def test_no_autoencoder_model_is_alive_while_codes_are_written(self, corpus, monkeypatch):
+        """The autoencoder view keeps the trained encoder's W and b alone:
+        when ``autoencoder.encode`` writes the codes, no ``AEModel`` holding
+        that W, whose decoder encoding never reads, is alive."""
+        encode, alive = autoencoder.encode, []
+
+        def spying(W, b, x):
+            alive.append(any(isinstance(o, AEModel) and o.W is W for o in gc.get_objects()))
+            return encode(W, b, x)
+
+        monkeypatch.setattr(autoencoder, "encode", spying)
+        encoded = tokenize_corpus(corpus, frozenset())
+        context = prepare_context(
+            corpus, encoded, build_vocabulary(encoded), "tgt", "autoencoder",
+            ae_config=AETrainConfig(epochs=1, hidden_dim=4, seed=0),
+        )
+        assert alive == [False]
+        assert context.space.matrix.shape == (len(corpus), 4)
+
 
 # dense entries whose squares stay above float64's underflow, as cosine
 # requires of a vector with a nonzero entry
@@ -505,7 +545,7 @@ def copied_rows_subset_select(s, n, m, ids, target_repr, rows, item_scores, metr
         else:
             indptr = np.arange(0, candidates.size + 1, candidates.shape[1])
             pooled = pool_groups(rows, candidates.ravel(), indptr)
-            scores = selection._score_rows(pooled, target_repr, metric)
+            scores = selection.row_scorer(target_repr, metric)(pooled)
         best = int(np.argmin(selection._sort_key(scores, orientation)))
         members = candidates[best]
         room = n - len(chosen)
@@ -561,7 +601,7 @@ class TestContextScores:
         assert [docs[row] for row in context.pool_index.tolist()] == pool
         copied = matrix[[space.index[doc.id] for doc in pool]]
 
-        expected = selection._score_rows(copied, context.target_repr, metric)
+        expected = selection.row_scorer(context.target_repr, metric)(copied)
         assert bitwise_equal(context.item_scores(metric, seed=0), expected)
 
         s = data.draw(st.integers(1, 4), label="s")

@@ -207,15 +207,10 @@ def test_ae_loss_and_gradients_batch(benchmark):
 def test_ae_encode_pool(benchmark):
     rng = np.random.default_rng(0)
     lim = np.sqrt(6.0 / (VOCAB + HIDDEN))
-    model = autoencoder.AEModel(
-        W=rng.uniform(-lim, lim, size=(HIDDEN, VOCAB)),
-        b=np.zeros(HIDDEN),
-        W_out=np.zeros((VOCAB, HIDDEN)),
-        b_out=np.zeros(VOCAB),
-    )
+    W, b = rng.uniform(-lim, lim, size=(HIDDEN, VOCAB)), np.zeros(HIDDEN)
     pool = sp.random(POOL, VOCAB, density=15 / VOCAB, format="csr", random_state=1)
     codes = benchmark.pedantic(
-        autoencoder.encode, args=(model, pool), rounds=5, iterations=1, warmup_rounds=1
+        autoencoder.encode, args=(W, b, pool), rounds=5, iterations=1, warmup_rounds=1
     )
     assert codes.shape == (POOL, HIDDEN)
 

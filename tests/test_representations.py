@@ -21,6 +21,7 @@ from dataselect.corpus import (
 )
 from dataselect.embeddings import EmbeddingTable
 from dataselect.errors import ConfigError, DataError
+from dataselect.evaluation import prepare_context
 from dataselect.representations import (
     RepresentationSpace,
     TermDistribution,
@@ -357,12 +358,10 @@ class TestAERepresentation:
 
     @staticmethod
     def codes(model, features):
+        """The autoencoder view of one document per row of ``features``."""
         corpus = make_corpus((f"d{i}", "x", "x", None) for i in range(len(features)))
-        space = build(
-            corpus, "autoencoder", vocabulary(["x"]),
-            ae_model=model, ae_features=np.asarray(features, dtype=np.float64),
-        )
-        return space.matrix
+        codes = encode(model.W, model.b, np.asarray(features, dtype=np.float64))
+        return build(corpus, "autoencoder", vocabulary(["x"]), ae_codes=codes).matrix
 
     def test_zero_input_gives_sigmoid_bias(self, model):
         code = self.codes(model, np.zeros((1, 6)))[0]
@@ -442,25 +441,26 @@ class TestRepresentationSpace:
         assert np.array_equal(space.matrix, oracle)
 
     def test_autoencoder_space_matches_direct_encode(self, corpus, vocab):
-        features = ae_input_features(tokenize_corpus(corpus, NO_STOP), vocab)
-        model, _ = train(
-            features,
-            AETrainConfig(epochs=2, hidden_dim=4, seed=1),
-        )
-        space = build(corpus, "autoencoder", vocab, ae_model=model, ae_features=features)
-        direct = encode(model, features[0])
-        assert np.allclose(space.matrix[space.index["a1"]], direct, atol=1e-12)
+        """``prepare_context``'s autoencoder view is the trained encoder's
+        codes of the ``ae_input_features`` rows."""
+        encoded = tokenize_corpus(corpus, NO_STOP)
+        config = AETrainConfig(epochs=2, hidden_dim=4, seed=1)
+        context = prepare_context(corpus, encoded, vocab, "beta", "autoencoder", ae_config=config)
+        features = ae_input_features(encoded, vocab)
+        model, _ = train(features, config)
+        assert np.array_equal(context.space.matrix, encode(model.W, model.b, features))
 
     def test_missing_embedding_table_is_config_error(self, corpus, vocab):
         with pytest.raises(ConfigError):
             build(corpus, "embedding", vocab)
 
-    def test_autoencoder_needs_model_and_its_features(self, corpus, vocab):
-        features = ae_input_features(tokenize_corpus(corpus, NO_STOP), vocab)
-        model, _ = train(features, AETrainConfig(epochs=1, hidden_dim=2, seed=1))
-        for kwargs in ({"ae_features": features}, {"ae_model": model}):
-            with pytest.raises(ConfigError):
-                build(corpus, "autoencoder", vocab, **kwargs)
+    def test_unknown_kind_is_config_error(self, corpus, vocab):
+        with pytest.raises(ConfigError, match="^unknown representation kind 'words'$"):
+            build(corpus, "words", vocab)
+
+    def test_autoencoder_needs_its_codes(self, corpus, vocab):
+        with pytest.raises(ConfigError, match="autoencoder representation requires its codes"):
+            build(corpus, "autoencoder", vocab)
 
     def test_empty_aggregate_flagged(self, corpus, vocab):
         space = build(corpus, "term_dist", vocab)

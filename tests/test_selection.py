@@ -11,8 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dataselect import autoencoder, representations, selection
-from dataselect.corpus import Document
+from dataselect import autoencoder, evaluation, representations, selection, synthetic
+from dataselect.cli import substream_seed
+from dataselect.corpus import Document, build_vocabulary, tokenize_corpus
 from dataselect.errors import ConfigError, DataError
 from dataselect.representations import TermDistribution, pool_groups
 from dataselect.selection import (
@@ -68,7 +69,7 @@ def every_row(rows):
 
 def scored(rows, target, metric):
     """Item scores of ``rows``, as the experiment context computes them."""
-    return selection._score_rows(rows, target, metric)
+    return selection.row_scorer(target, metric)(rows)
 
 
 def score_every(rows, pool_index, candidates, target, metric, item_scores=None):
@@ -113,7 +114,7 @@ class TestScoreRows:
     def test_target_without_mass_is_rejected(self, metric, target, message, sparse_rows):
         rows = sp.csr_matrix(np.eye(4)) if sparse_rows else np.eye(4)
         with pytest.raises(DataError, match=message):
-            selection._score_rows(rows, target, metric)
+            selection.row_scorer(target, metric)(rows)
 
     @pytest.mark.parametrize("sparse_rows", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -121,14 +122,29 @@ class TestScoreRows:
         """Cosine against a NaN target would score every row 0.0."""
         rows = sp.csr_matrix(np.eye(4)) if sparse_rows else np.eye(4)
         with pytest.raises(DataError, match="not finite"):
-            selection._score_rows(rows, np.array([bad, 1.0, 0.0, 0.0]), "cosine")
+            selection.row_scorer(np.array([bad, 1.0, 0.0, 0.0]), "cosine")(rows)
+
+    def test_metric_without_a_target_aggregate_is_unknown(self):
+        """Proxy-A reads the target's rows, so it has no row scorer."""
+        with pytest.raises(ConfigError, match="^unknown metric 'proxy_a'$"):
+            selection.row_scorer(target_dist(4), "proxy_a")
 
     def test_cosine_target_with_overflowing_squares_is_rejected(self):
         """Finite components near 1e200 square past float64's range, which
         would score every row NaN or 0; the RuntimeWarning filter turns a
         warning on the way into an error."""
         with pytest.raises(DataError, match="target vector has a squared norm that is not finite"):
-            selection.check_target(np.array([1e200, 0.0, -1e200, 0.0]), "cosine")
+            selection.row_scorer(np.array([1e200, 0.0, -1e200, 0.0]), "cosine")
+
+
+class TestCheckPool:
+    def test_empty_pool_is_rejected(self):
+        with pytest.raises(DataError, match="^selection pool is empty$"):
+            selection._check_pool([])
+
+    def test_misaligned_sequence_is_named(self):
+        with pytest.raises(DataError, match="^2 scores for 3 pool documents$"):
+            selection._check_pool(pool_ids(3), domains=["a"] * 3, scores=np.zeros(2))
 
 
 class TestSelectRandom:
@@ -663,8 +679,9 @@ class TestCandidateScores:
             monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", block)
             results.append(score_every(rows, every_row(rows), candidates, target, metric))
         indptr = np.arange(0, candidates.size + 1, candidates.shape[1])
-        whole = selection._score_rows(pool_groups(rows, candidates.ravel(), indptr),
-                                      target, metric)
+        whole = selection.row_scorer(target, metric)(
+            pool_groups(rows, candidates.ravel(), indptr)
+        )
         assert np.isnan(whole[-9:]).all()  # aggregates of empty rows only
         for scores in results:
             assert np.array_equal(scores, whole, equal_nan=True)
@@ -889,7 +906,7 @@ def bound_case(data, metric, s=2):
     ``s`` = 20, so candidates cover some columns and miss others; its rows are
     drawn densely or mostly zero, and as an array or CSR. As a search's pool
     does, it holds a document with mass, and the target is one that
-    ``check_target`` accepts."""
+    ``row_scorer`` accepts."""
     n_pool = data.draw(st.integers(s, 3 * s + 6), label="n_pool")
     d = data.draw(st.integers(1, 40 if s >= 20 else 6), label="d")
     if metric == "jensen_shannon":
@@ -1264,14 +1281,34 @@ class TestRoundBounds:
         assert np.array_equal(scores[scored_rows], every[scored_rows])
         assert np.nanargmax(scores) == np.argmax(every)
 
+    def test_graded_js_search_scores_each_rounds_first_block_alone(self, monkeypatch):
+        """On the graded pool of ``generate --catalog --seed 0``, the default
+        JS search (s=20, m=20,000, n=1,600, run seed 7) bounds every other
+        candidate of a round out: it scores one ``autoencoder._BLOCK_ROWS``
+        block a round, the fewest ``_round_scores`` can."""
+        scenario = synthetic.benchmark_suite(substream_seed(0, "generator"))["graded"]
+        encoded = tokenize_corpus(scenario.corpus)
+        context = evaluation.prepare_context(
+            scenario.corpus, encoded, build_vocabulary(encoded), scenario.target_domain,
+            "term_dist",
+        )
+        context.item_scores("jensen_shannon", 7)  # scored before the count starts
+        kernel, scored_rows = selection.js_to_target, []
+        monkeypatch.setattr(selection, "js_to_target",
+                            lambda rows, target: scored_rows.append(rows.shape[0])
+                            or kernel(rows, target))
+        result = evaluation.run_selection(context, SelectionConfig(n=1600, strategy="subset"), 7)
+        assert len(result.subset_scores) == 80
+        assert sum(scored_rows) == len(result.subset_scores) * autoencoder._BLOCK_ROWS
+
     @pytest.mark.parametrize("metric", ["jensen_shannon", "cosine"])
     def test_search_checks_its_target_once(self, monkeypatch, metric):
         """A search of several rounds, each scoring more than one 7-candidate
         block, checks the target once, when it builds its round function."""
         args = thread_search_args(metric)
-        check, calls = selection.check_target, []
+        check, calls = selection.row_scorer, []
         monkeypatch.setattr(
-            selection, "check_target", lambda *a: calls.append(a) or check(*a)
+            selection, "row_scorer", lambda *a: calls.append(a) or check(*a)
         )
         monkeypatch.setattr(autoencoder, "_BLOCK_ROWS", 7)
         got = subset_select(*args)
@@ -1287,7 +1324,7 @@ class TestRoundBounds:
         target = target_dist(6) if metric == "jensen_shannon" else target_dist(6).probs
         item_scores = scored(rows, target, metric)
         built = []
-        for name in ("check_target", "_js_bound", "_cosine_bound"):
+        for name in ("row_scorer", "_js_bound", "_cosine_bound"):
             monkeypatch.setattr(selection, name, lambda *a, name=name: built.append(name))
         submitted = record_submissions(monkeypatch)
         got = subset_select(5, 10, 40, pool_ids(30), target, rows, every_row(rows),
@@ -1413,6 +1450,15 @@ class TestSelectionConfig:
             SelectionConfig(n=1, strategy="best")
         with pytest.raises(ConfigError):
             SelectionConfig(n=1, strategy="subset", s=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"representation": "words"}, "unknown representation 'words'"),
+         ({"metric": "euclid"}, "unknown metric 'euclid'")],
+    )
+    def test_unknown_representation_or_metric_is_named(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SelectionConfig(n=1, strategy="instance", **kwargs)
 
     @pytest.mark.parametrize("representation", ["embedding", "autoencoder"])
     @pytest.mark.parametrize("strategy", ["random", "domain", "instance"])

@@ -144,6 +144,13 @@ class TestBatchedKernels:
         for i, row in enumerate(rows):
             assert batched[i] == cosine(row, target).value
 
+    @pytest.mark.parametrize("sparse_rows", [False, True])
+    def test_js_against_an_empty_target_is_rejected(self, sparse_rows):
+        rows = np.array([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(DataError, match="^target distribution is empty$"):
+            js_to_target(sp.csr_matrix(rows) if sparse_rows else rows,
+                         TermDistribution(probs=np.zeros(2)))
+
     def test_empty_rows_are_nan(self):
         target = TermDistribution(probs=np.array([0.5, 0.5]))
         out = js_to_target(np.array([[0.0, 0.0], [1.0, 1.0]]), target)
@@ -393,6 +400,34 @@ class TestCosine:
         rows = np.vstack([unit, rows])
         with pytest.raises(DataError, match=f"{underflowing} has nonzero entries whose squares"):
             cosine_to_target(sp.csr_matrix(rows) if sparse_rows else rows, target)
+
+    @pytest.mark.parametrize("sparse_rows", [False, True])
+    @pytest.mark.parametrize("subnormal", ["a row", "target vector"])
+    def test_subnormal_squared_norm_is_rejected(self, subnormal, sparse_rows):
+        """Components near 1e-158 square to a subnormal sum, not 0, but with
+        too few bits left for the cosine it divides; that is a DataError too."""
+        small, unit = np.array([[1e-158, -2e-158, 0.0]]), np.array([[1.0, 2.0, 0.0]])
+        assert 0 < (small * small).sum() < np.finfo(np.float64).tiny
+        rows, target = (small, unit[0]) if subnormal == "a row" else (unit, small[0])
+        rows = np.vstack([unit, rows])
+        with pytest.raises(DataError, match=f"^{subnormal} has nonzero entries whose squares "
+                                            "underflow; cosine cannot score it$"):
+            cosine_to_target(sp.csr_matrix(rows) if sparse_rows else rows, target)
+
+    @pytest.mark.parametrize("sparse_rows", [False, True])
+    def test_normal_squared_norms_score_as_unscaled(self, sparse_rows):
+        """Scaled by 1e-153 the squared norms are normal numbers just above
+        float64's smallest one, and every cosine is the unscaled one to a few
+        ulps, on either side."""
+        rows = np.array([[1.0, 2.0, 0.0], [3.0, -1.0, 0.5], [0.0, 0.0, 2.0]])
+        target = np.array([2.0, 1.0, 1.0])
+        assert (1e-153 * rows[0] @ (1e-153 * rows[0])) < 1e4 * np.finfo(np.float64).tiny
+        unscaled = cosine_to_target(rows, target)
+        for row_scale, target_scale in ((1e-153, 1.0), (1.0, 1e-153), (1e-153, 1e-153)):
+            scaled = row_scale * rows
+            got = cosine_to_target(sp.csr_matrix(scaled) if sparse_rows else scaled,
+                                   target_scale * target)
+            np.testing.assert_allclose(got, unscaled, rtol=1e-14)
 
     def test_symmetric_and_scale_invariant(self):
         rng = np.random.default_rng(11)
