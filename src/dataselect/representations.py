@@ -23,7 +23,9 @@ pass, and no sparse object is built for the picker. The subset search pools
 80 rounds of 20,000 candidates, and that work around the kernel was about a
 fifth of its time. The kernels are private to scipy, so they are called in
 this one function only, and a property test pins its output, column order
-included, to the ``picker @ matrix`` product it replaces.
+included, to the ``picker @ matrix`` product it replaces. A scipy without
+them, or whose kernels refuse these arguments with a ``TypeError`` (a changed
+signature), pools through that public product: slower, with the same output.
 
 Every view reads the ``EncodedCorpus`` and never the token strings: term
 counts are the vocabulary's columns of its count matrix, the autoencoder
@@ -41,7 +43,11 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
+
+try:
+    from scipy.sparse import _sparsetools
+except ImportError:  # pooled through the public ``picker @ matrix``
+    _sparsetools = None
 
 from .corpus import Corpus, EncodedCorpus, TfidfModel, term_counts
 from .embeddings import EmbeddingTable
@@ -157,7 +163,8 @@ def pool_groups(
     them, and the dense kernel takes them as they are, so the 400,000 bound
     members of a subset search's round are not copied (an int32 copy takes
     1.6 MB). Only the sparse product picks an index width, the one ``@``'s
-    output has.
+    output has. Where the kernels are missing or refuse their arguments, the
+    product is the public ``picker @ matrix`` itself.
 
     The picker's values, ``len(members)`` float64 ones, are a prefix of one
     read-only buffer grown to the longest grouping pooled so far, so threads
@@ -174,7 +181,32 @@ def pool_groups(
         ones.flags.writeable = False
     if sp.issparse(matrix):
         matrix = matrix.tocsr()  # as ``@`` converts its right operand
-        n_cols = matrix.shape[1]
+    else:
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    pooled = _kernel_product(matrix, members, indptr, ones)
+    if pooled is None:
+        picker = sp.csr_matrix((ones, members, indptr), shape=(n_groups, matrix.shape[0]))
+        pooled = picker @ matrix
+    if sp.issparse(pooled):
+        return pooled
+    sizes = np.diff(indptr)
+    # equal sizes (a batch of subset candidates) divide as one scalar, which
+    # costs about half of dividing by a column of sizes
+    if n_groups:
+        pooled /= sizes[0] if (sizes == sizes[0]).all() else sizes[:, None]
+    return pooled
+
+
+def _kernel_product(
+    matrix: sp.csr_matrix | np.ndarray, members: np.ndarray, indptr: np.ndarray, ones: np.ndarray
+) -> sp.csr_matrix | np.ndarray | None:
+    """``picker @ matrix`` for a CSR or float64 C-contiguous ``matrix``, run
+    by scipy's private kernels as ``pool_groups`` describes; None when this
+    scipy has no such kernels or they raise ``TypeError`` on these arguments."""
+    if _sparsetools is None:
+        return None
+    n_groups, n_cols = len(indptr) - 1, matrix.shape[1]
+    if sp.issparse(matrix):
         bound = int(np.diff(matrix.indptr)[members].sum())
         # int32 indices unless a size or the matrix's own index arrays need
         # int64, as scipy picks them; all index arrays share the one dtype
@@ -185,25 +217,25 @@ def pool_groups(
         out_indptr = np.empty(n_groups + 1, dtype=idx)
         out_indices = np.empty(bound, dtype=idx)
         out_data = np.empty(bound)
-        _sparsetools.csr_matmat(
-            n_groups, n_cols,
-            indptr.astype(idx, copy=False), members.astype(idx, copy=False), ones,
-            matrix.indptr.astype(idx, copy=False), matrix.indices.astype(idx, copy=False),
-            np.asarray(matrix.data, dtype=np.float64),
-            out_indptr, out_indices, out_data,
-        )
+        try:
+            _sparsetools.csr_matmat(
+                n_groups, n_cols,
+                indptr.astype(idx, copy=False), members.astype(idx, copy=False), ones,
+                matrix.indptr.astype(idx, copy=False), matrix.indices.astype(idx, copy=False),
+                np.asarray(matrix.data, dtype=np.float64),
+                out_indptr, out_indices, out_data,
+            )
+        except TypeError:
+            return None
         return sp.csr_matrix((out_data, out_indices, out_indptr), shape=(n_groups, n_cols))
-    rows = np.ascontiguousarray(matrix, dtype=np.float64)
-    pooled = np.zeros((n_groups, rows.shape[1]))
-    _sparsetools.csr_matvecs(
-        n_groups, rows.shape[0], rows.shape[1], indptr, members, ones,
-        rows.ravel(), pooled.ravel(),
-    )
-    sizes = np.diff(indptr)
-    # equal sizes (a batch of subset candidates) divide as one scalar, which
-    # costs about half of dividing by a column of sizes
-    if n_groups:
-        pooled /= sizes[0] if (sizes == sizes[0]).all() else sizes[:, None]
+    pooled = np.zeros((n_groups, n_cols))
+    try:
+        _sparsetools.csr_matvecs(
+            n_groups, matrix.shape[0], n_cols, indptr, members, ones,
+            matrix.ravel(), pooled.ravel(),
+        )
+    except TypeError:
+        return None
     return pooled
 
 

@@ -1,9 +1,17 @@
 import re
+import sys
+import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dataselect.embeddings import EmbeddingTable, load_embeddings
+from dataselect import embeddings
+from dataselect.corpus import _text_lines
+from dataselect.embeddings import EmbeddingTable, _looks_like_header, load_embeddings
 from dataselect.errors import DataError, ParseError
 
 from conftest import vocabulary
@@ -133,6 +141,177 @@ class TestLoadEmbeddings:
         for line in lines:
             token, *vals = line.split()
             assert np.array_equal(table.entries[token], [float(v) for v in vals])
+
+
+def reference_load(path, restrict_to=None):
+    """The line-by-line loader that the chunked scan replaced, kept as its
+    oracle: every line is split, and kept lines are parsed."""
+    path = Path(path)
+    keep = None if restrict_to is None else frozenset(restrict_to)
+    entries = {}
+    dim = None
+    for lineno, line in enumerate(_text_lines(path, "embedding file"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if dim is None:
+            if not values:
+                raise ParseError("no vector components", path, lineno)
+            dim = len(values)
+            first = lineno, parts
+        elif len(values) != dim:
+            message = f"expected {dim} vector components, found {len(values)}"
+            if lineno == first[0] + 1 and _looks_like_header(first[1]):
+                message += (
+                    f"; line {first[0]} looks like a word2vec 'count dim' header; remove it"
+                )
+            raise ParseError(message, path, lineno)
+        if keep is not None and token not in keep:
+            continue
+        if token in entries:
+            raise ParseError(f"duplicate token {token!r}", path, lineno)
+        try:
+            vector = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError:
+            raise ParseError("non-numeric vector component", path, lineno) from None
+        if not np.isfinite(vector).all():
+            raise ParseError("non-finite vector component", path, lineno)
+        entries[token] = vector
+    if dim is None:
+        raise DataError(f"embedding file is empty: {path}")
+    return EmbeddingTable(entries, dim)
+
+
+def outcome(load, path, restrict_to):
+    """What loading gives: the dimension and every (token, vector bytes) in
+    file order, or the error's class, message and line."""
+    try:
+        table = load(path, restrict_to)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return table.dim, [(token, vec.dtype, vec.tobytes()) for token, vec in table.entries.items()]
+
+
+# tokens: non-ASCII ones, a non-whitespace control byte inside one, and
+# digits for a word2vec header
+TOKENS = ["a", "b", "c", "café", "日本", "x\x01y", "2", "3"]
+# what Python's float reads: signs, exponents, underscores and a non-ASCII
+# digit; then values that are non-finite or not numbers at all
+NUMBERS = ["1", "0.5", "-2e3", "0", "1_0", "\u0663"]
+FLAWS = ["nan", "inf", "1e999", "zero"]
+# mostly single spaces, so that many chunks take the byte scan; then every
+# other character ``str.split`` splits on, ASCII or not
+SEPARATORS = [" "] * 8 + [
+    "  ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+    "\x85", "\xa0", "\u2028", "\u3000",
+]
+PADDING = [""] * 6 + [" ", "  ", "\t", "\xa0", " \x0c"]
+NEWLINES = ["\n"] * 4 + ["\r\n", "\r"]
+
+
+@st.composite
+def vector_files(draw):
+    """The bytes of a vector file and a restriction (or None). Tokens repeat;
+    blank and whitespace-only lines, a word2vec header, a byte-order mark and
+    a missing final newline all occur. In a flawed file, lines may hold one
+    component more or fewer than the dimension, and components may be
+    non-finite or not numbers."""
+    dim = draw(st.integers(1, 3))
+    flawed = draw(st.booleans())
+    pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
+    lines = [f"{draw(st.integers(1, 9))} {dim}"] if pick([True, False, False, False]) else []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = pick(["vector"] * 6 + ["blank", "whitespace"])
+        if kind == "blank":
+            lines.append("")
+        elif kind == "whitespace":
+            lines.append(pick(PADDING[6:]))
+        else:
+            n = dim + (pick([0] * 8 + [-1, 1]) if flawed else 0)
+            values = NUMBERS * 6 + FLAWS if flawed else NUMBERS
+            components = "".join(pick(SEPARATORS) + pick(values) for _ in range(n))
+            lines.append(pick(PADDING) + pick(TOKENS) + components + pick(PADDING))
+    text = "".join(line + pick(NEWLINES) for line in lines)
+    if lines and lines[-1].strip() and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    restrict = draw(st.none() | st.sets(st.sampled_from(TOKENS + ["absent"])))
+    return bom + text.encode(), restrict
+
+
+class TestChunkedScan:
+    """The chunked loader against the line-by-line oracle: the same table,
+    bit for bit, or the same error, whatever the chunk size."""
+
+    @given(vector_files(), st.sampled_from([1, 2, 3, 5, 8, 13, 64, 1 << 16]))
+    def test_matches_the_line_by_line_loader(self, tmp_path_factory, case, chunk_chars):
+        data, restrict = case
+        path = tmp_path_factory.getbasetemp() / "property-vectors.txt"
+        path.write_bytes(data)
+        want = outcome(reference_load, path, restrict)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embeddings, "_CHUNK_CHARS", chunk_chars)
+            assert outcome(load_embeddings, path, restrict) == want
+
+    def test_the_scan_gate_knows_every_space_str_split_knows(self):
+        """A chunk with any non-ASCII character ``str.split`` splits on is
+        split line by line; the gate's pattern finds exactly those."""
+        everything = "".join(map(chr, range(sys.maxunicode + 1)))
+        found = set(embeddings._UNICODE_SPACE.findall(everything))
+        assert found == {c for c in everything if c.isspace() and not c.isascii()}
+        assert "\xa0" in found and "\u2028" in found
+
+    def test_a_line_longer_than_a_chunk_is_joined_once(self, tmp_path, monkeypatch):
+        """A 2,000,000-character line read 5 characters at a time is gathered
+        in 400,000 pieces; joining it piece by piece would copy about 4e11
+        characters."""
+        monkeypatch.setattr(embeddings, "_CHUNK_CHARS", 5)
+        long = "t" * 2_000_000
+        path = write_vectors(tmp_path / "v.txt", ["a 1 0", f"{long} 2 3", "b 4 5"])
+        start = time.perf_counter()
+        table = load_embeddings(path, restrict_to=vocabulary(["b", long]))
+        elapsed = time.perf_counter() - start
+        assert list(table.entries) == [long, "b"]
+        assert np.array_equal(table.entries[long], [2.0, 3.0])
+        assert elapsed < 10
+
+    def test_peak_memory_grows_with_the_kept_rows(self, tmp_path):
+        """A 50,000-line 100-d file restricted to 1,000 tokens peaks less than
+        1 MB above what the loaded table holds: the file is never held whole."""
+        rng = np.random.default_rng(0)
+        rows = [" ".join(f"{v:.5f}" for v in rng.standard_normal(100)) for _ in range(500)]
+        path = tmp_path / "v.txt"
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(f"w{i:05d} {rows[i % 500]}\n" for i in range(50_000))
+        keep = vocabulary(f"w{i:05d}" for i in range(0, 50_000, 50))
+        tracemalloc.start()
+        try:
+            table = load_embeddings(path, restrict_to=keep)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 1000
+        assert held > 1000 * 100 * 8
+        assert peak - held < 1_000_000
+
+    @pytest.mark.parametrize("filler, error", [(2_000, "not UTF-8"), (10_000, "line 2")])
+    def test_invalid_utf8_fails_its_whole_chunk(self, tmp_path, filler, error):
+        """A chunk is decoded before any of its lines is checked: a wrong count
+        on line 2 is reported only when the invalid byte after ``filler``
+        12-byte lines falls in a later 64 Ki-character chunk."""
+        path = tmp_path / "v.txt"
+        lines = [b"a 1 0", b"b 1 2 3"] + [b"c%06d 1 0" % i for i in range(filler)]
+        path.write_bytes(b"\n".join(lines + [b"d \xff 1"]) + b"\n")
+        with pytest.raises(DataError, match=error):
+            load_embeddings(path)
+
+    def test_a_restriction_may_hold_a_lone_surrogate(self, tmp_path):
+        """A JSON corpus can hold a lone surrogate, which no UTF-8 file does:
+        such a token is kept from nothing."""
+        path = write_vectors(tmp_path / "v.txt", ["a 1 0", "b 0 1"])
+        table = load_embeddings(path, restrict_to=vocabulary(["b", "\ud800"]))
+        assert list(table.entries) == ["b"]
 
 
 class TestLookup:

@@ -40,7 +40,10 @@ rows (the labeled source pool, balanced against the target domain's rows)
 and scores the pool, as one ``blended-proxy`` run does. The exhaustive
 singleton case runs a whole s = 1 search (n = 1,600, so 1,600 rounds, with M
 above the pool size, so every round is exhaustive) on the seed-0 ``graded``
-term-distribution pool.
+term-distribution pool. The vector-file case loads a file shaped as
+perfbench's ``blended-embedding`` input, restricted to the vocabulary as
+the CLI restricts it: a 100-d vector for every seed-0 ``blended``
+vocabulary token and for 50,000 filler tokens, in shuffled order.
 """
 
 import numpy as np
@@ -49,7 +52,7 @@ import scipy.sparse as sp
 
 from dataselect import autoencoder, evaluation, selection, synthetic
 from dataselect.corpus import TfidfModel, build_vocabulary, tokenize_corpus
-from dataselect.embeddings import EmbeddingTable
+from dataselect.embeddings import EmbeddingTable, load_embeddings
 from dataselect.representations import TermDistribution, build_representation_space
 
 pytestmark = pytest.mark.bench
@@ -276,3 +279,19 @@ def test_proxy_a_fit(benchmark):
         selection.proxy_a_scores, args=(pool, target), rounds=3, iterations=1
     )
     assert scores.shape == (len(context.pool_index),)
+
+
+def test_load_embeddings_file(benchmark, tmp_path):
+    vocab = build_vocabulary(tokenize_corpus(synthetic.benchmark_suite(0)["blended"].corpus))
+    names = list(vocab) + [f"zzfill{i:06d}" for i in range(50_000)]
+    rng = np.random.default_rng(0)
+    vectors = rng.standard_normal((len(names), DIM))
+    row_format = " ".join(["%.5f"] * DIM)
+    path = tmp_path / "vectors.txt"
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(names[j] + " " + row_format % tuple(vectors[j]) + "\n"
+                      for j in rng.permutation(len(names)))
+    table = benchmark.pedantic(
+        load_embeddings, args=(path,), kwargs={"restrict_to": vocab}, rounds=5, iterations=1
+    )
+    assert len(table) == len(vocab) and table.dim == DIM
