@@ -26,10 +26,11 @@ import json
 import math
 import re
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,18 +111,26 @@ class Corpus:
             raise DataError(f"unknown domain {domain!r}") from None
 
 
-def _text_lines(path: Path, what: str, error: type[Exception] = DataError) -> Iterator[str]:
-    """The lines of the UTF-8 text file ``path``, read as they are consumed,
-    without a leading byte-order mark; ``error``, naming the file as ``what``,
-    when it is not a regular file (a missing path or a directory, say) or not
-    UTF-8."""
+@contextmanager
+def _text_file(path: Path, what: str, error: type[Exception] = DataError) -> Iterator[TextIO]:
+    """The UTF-8 text file ``path`` open for reading, without a leading
+    byte-order mark and with universal newlines; ``error``, naming the file as
+    ``what``, when it is not a regular file (a missing path or a directory,
+    say) or when what is read from it is not UTF-8."""
     if not path.is_file():
         raise error(f"{what} not found or not a regular file: {path}")
     try:
         with path.open(encoding="utf-8-sig") as fh:
-            yield from fh
+            yield fh
     except UnicodeDecodeError:
         raise error(f"{what} is not UTF-8 text: {path}") from None
+
+
+def _text_lines(path: Path, what: str, error: type[Exception] = DataError) -> Iterator[str]:
+    """The lines of ``_text_file(path, what, error)``, read as they are
+    consumed."""
+    with _text_file(path, what, error) as fh:
+        yield from fh
 
 
 def load_corpus(path: str | Path) -> Corpus:

@@ -8,32 +8,30 @@ A vector file (GloVe, word2vec) holds far more lines than a corpus
 vocabulary, and a restricted load drops most of them, so the loader splits
 no dropped line. It reads the file as text, as ``corpus._text_lines`` does
 (UTF-8, byte-order mark dropped, universal newlines), in chunks of whole
-lines of about ``_CHUNK_CHARS`` characters. Each chunk's UTF-8 bytes are
-scanned once as a numpy array: a field starts at a byte above 0x20 that
-follows a byte at or below 0x20 (or the chunk's start) and ends at the next
-byte at or below 0x20, so a line's fields are the field starts between its
-start and the next line's (one ``searchsorted`` of the line starts), and its
-token is its first field. A dropped line then costs a slice of its token and
-a set lookup. Only three kinds of line are split in Python: the first
-non-blank line, which fixes ``dim``; the first line whose count is wrong,
-which is the error; and each kept line, which is parsed by ``float`` as
-before.
+lines of about ``_CHUNK_CHARS`` characters. Each chunk's code points are
+scanned once as a numpy array, one byte each in an ASCII chunk and four
+(UTF-32) in any other, so that index i is the chunk's character i: a field
+starts at a character that is not whitespace and follows whitespace (or the
+chunk's start) and ends at the next whitespace, so a line's fields are the
+field starts between its start and the next line's (one ``searchsorted`` of
+the line starts), and its token is its first field. A dropped line then
+costs a slice of its token and a set lookup. Only three kinds of line are
+split in Python: the first non-blank line, which fixes ``dim``; the first
+line whose count is wrong, which is the error; and each kept line, which is
+parsed by ``float`` as before.
 
 **Why the scan is exact.** The reference meaning of a line's fields is
 ``line.split()``, over the lines a text-mode file yields, which end at ``\\n``
-alone once universal newlines have turned ``\\r\\n`` and ``\\r`` into it. The
-scan runs only on a chunk whose only bytes below 0x20 are ``\\n`` and which
-holds no non-ASCII character that ``str.isspace`` accepts (NBSP, U+2028 and
-the like). In such a chunk the bytes at or below 0x20 are space and ``\\n``,
-exactly the whitespace ``str.split`` sees there; every other byte, the
-continuation bytes of a multi-byte character included (all of them are
-0x80 or above), belongs to a field. A chunk is cut after a newline, so its
-lines are the file's, and the scan's fields are ``str.split``'s. A token is
-matched as its UTF-8 bytes against the restriction's, and UTF-8 gives equal
-bytes to equal strings and to no others. Any other chunk (tabs, ``\\x0b``,
-``\\x1c``, a non-whitespace control byte such as ``\\x01``, a Unicode space)
-counts each line with ``len(line.split())`` itself. Non-ASCII tokens stay on
-the scan.
+alone once universal newlines have turned ``\\r\\n`` and ``\\r`` into it.
+``str.split`` splits on the characters ``str.isspace`` accepts, and the
+scan's whitespace is exactly those: a code point at or below 0x20 is
+looked up in ``_ASCII_SPACE`` (space, ``\\t`` to ``\\r`` and ``\\x1c`` to
+``\\x1f``, but not ``\\x00`` or ``\\x1b``), one from 0x21 to 0x7F is not
+whitespace, and one above 0x7F is whitespace when it is in
+``_UNICODE_SPACES`` (NBSP, U+2028, U+3000 and the rest). A chunk ends with a
+newline or the file, so its lines are the file's, and the scan's fields are
+``str.split``'s. Tokens are slices of the chunk, so a token matches the
+restriction exactly when the strings are equal.
 
 **Chunk size.** 64 Ki characters is about 70 lines of a 100-d file. On
 perfbench's seed-0 blended vector file (44 MB, 51,224 lines, 1,224 kept), on
@@ -41,26 +39,29 @@ a shared 2-vCPU host, an in-process load took 0.30-0.49 s line by line and
 0.13-0.17 s in 64 Ki chunks; 128 and 256 Ki chunks gained under 0.03 s more.
 Loading a 50,000-line 100-d file kept to 1,000 tokens peaks, under
 tracemalloc, 0.61 MB above its table at 64 Ki, 1.12 MB at 128 Ki and 2.16 MB
-at 256 Ki. A line longer than a chunk is gathered in pieces and joined once.
+at 256 Ki. A chunk is ``_CHUNK_CHARS`` characters and the rest of the line
+they end in, so a line longer than a chunk is read whole, once.
 """
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 from typing import Callable, Collection, Iterator
 
 import numpy as np
 
+from .corpus import _text_file
 from .errors import DataError, ParseError
 
-# characters of text read per chunk, before the chunk is cut at its last
-# newline
+# characters of text read per chunk, before the chunk is completed to the end
+# of its last line
 _CHUNK_CHARS = 1 << 16
 
-# a non-ASCII character ``str.split()`` splits on: ``\s`` in a str pattern is
-# ``str.isspace``
-_UNICODE_SPACE = re.compile(r"[^\S\x00-\x7f]")
+# whether ``str.split`` splits on each ASCII character, and every other
+# character it splits on: the non-ASCII code points ``str.isspace`` accepts,
+# none of them above U+3000
+_ASCII_SPACE = np.array([chr(c).isspace() for c in range(0x80)])
+_UNICODE_SPACES = np.array([c for c in range(0x80, 0x3001) if chr(c).isspace()], dtype=np.uint32)
 
 
 class EmbeddingTable:
@@ -104,14 +105,8 @@ def load_embeddings(
     that is not UTF-8 fails as a whole, before any of its lines is checked.
     """
     path = Path(path)
-    # tokens as the UTF-8 bytes the scan slices out; a set, since membership
-    # in a tuple vocabulary would cost O(|V|) a line. A lone surrogate (a
-    # JSON corpus can hold one) encodes to bytes no UTF-8 file holds.
-    keep = (
-        None
-        if restrict_to is None
-        else frozenset(t.encode("utf-8", "surrogatepass") for t in restrict_to)
-    )
+    # a set, since membership in a tuple vocabulary would cost O(|V|) a line
+    keep = None if restrict_to is None else frozenset(restrict_to)
     entries: dict[str, np.ndarray] = {}
     dim: int | None = None
     done = 0  # lines of the chunks before this one
@@ -163,74 +158,50 @@ def load_embeddings(
 def _chunks(path: Path) -> Iterator[str]:
     """The text of the UTF-8 file ``path``, read as ``corpus._text_lines``
     reads it, in chunks of whole lines of about ``_CHUNK_CHARS`` characters;
-    a DataError when it is not a regular file or not UTF-8.
-
-    A line longer than a chunk is gathered in pieces and joined once, so its
-    length costs linear, not quadratic, copying.
-    """
-    if not path.is_file():
-        raise DataError(f"embedding file not found or not a regular file: {path}")
-    try:
-        with path.open(encoding="utf-8-sig") as fh:
-            pending: list[str] = []  # a line's start, read but not yet ended
-            while piece := fh.read(_CHUNK_CHARS):
-                cut = piece.rfind("\n") + 1
-                if not cut:
-                    pending.append(piece)
-                    continue
-                pending.append(piece[:cut])
-                # the whole lines, and no longer the piece they end in
-                pending, piece = [piece[cut:]], "".join(pending)
-                yield piece
-            if tail := "".join(pending):  # the last line, without a newline
-                yield tail
-    except UnicodeDecodeError:
-        raise DataError(f"embedding file is not UTF-8 text: {path}") from None
+    a DataError when it is not a regular file or not UTF-8."""
+    with _text_file(path, "embedding file") as fh:
+        while chunk := fh.read(_CHUNK_CHARS):
+            yield chunk + fh.readline()
 
 
 def _scan(
     chunk: str,
-) -> tuple[np.ndarray, Callable[[np.ndarray], list[bytes]], Callable[[int], list[str]]]:
+) -> tuple[np.ndarray, Callable[[np.ndarray], list[str]], Callable[[int], list[str]]]:
     """``chunk``'s lines as ``str.split`` sees them: each line's field count,
-    a function from non-blank line indices to their tokens as UTF-8 bytes,
-    and a function from a line index to its fields."""
-    data = chunk.encode()
-    raw = np.frombuffer(data, dtype=np.uint8)
-    controls = np.flatnonzero(raw < 0x20)
-    if not (raw[controls] == 10).all() or (
-        not chunk.isascii() and _UNICODE_SPACE.search(chunk)
-    ):
-        lines = chunk.split("\n")
-        if not lines[-1]:  # the chunk ends with a newline
-            lines.pop()
-        parts = [line.split() for line in lines]
-        return (
-            np.array([len(p) for p in parts], dtype=np.intp),
-            lambda rows: [parts[i][0].encode() for i in rows.tolist()],
-            parts.__getitem__,
-        )
-    # space and newline, padded on both sides: a change of state starts or
-    # ends a field, so the changes alternate field start, field end
-    space = np.empty(len(raw) + 2, dtype=bool)
+    a function from non-blank line indices to their tokens, and a function
+    from a line index to its fields."""
+    if chunk.isascii():
+        points = np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
+    else:
+        points = np.frombuffer(chunk.encode("utf-32-le"), dtype=np.uint32)
+    # whitespace, padded on both sides: a change of state starts or ends a
+    # field, so the changes alternate field start, field end
+    space = np.empty(len(points) + 2, dtype=bool)
     space[0] = space[-1] = True
-    np.less_equal(raw, 0x20, out=space[1:-1])
+    inner = space[1:-1]
+    np.less_equal(points, 0x20, out=inner)
+    controls = np.flatnonzero(points < 0x20)
+    inner[controls] = _ASCII_SPACE[points[controls]]
+    if points.itemsize > 1:
+        wide = np.flatnonzero(points > 0x7F)
+        inner[wide] = np.isin(points[wide], _UNICODE_SPACES)
     edges = np.flatnonzero(space[1:] != space[:-1])
     starts, ends = edges[0::2], edges[1::2]
-    # line k is data[bounds[k]:bounds[k + 1]], its newline included
-    bounds = np.concatenate(([0], controls + 1))
-    if data[-1] != 10:  # the file's last line, without a newline
-        bounds = np.append(bounds, len(raw))
+    # line k is chunk[bounds[k]:bounds[k + 1]], its newline included
+    bounds = np.concatenate(([0], controls[points[controls] == 10] + 1))
+    if points[-1] != 10:  # the file's last line, without a newline
+        bounds = np.append(bounds, len(points))
     # each line's first field; the chunk's field count last
     first = np.searchsorted(starts, bounds)
 
-    def tokens(rows: np.ndarray) -> list[bytes]:
+    def tokens(rows: np.ndarray) -> list[str]:
         fields = first[rows]
-        return [data[a:b] for a, b in zip(starts[fields].tolist(), ends[fields].tolist())]
+        return [chunk[a:b] for a, b in zip(starts[fields].tolist(), ends[fields].tolist())]
 
     return (
         first[1:] - first[:-1],
         tokens,
-        lambda i: data[bounds[i]:bounds[i + 1]].decode().split(),
+        lambda i: chunk[bounds[i]:bounds[i + 1]].split(),
     )
 
 

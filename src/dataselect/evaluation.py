@@ -34,8 +34,9 @@ target's own rows) and one per source domain (cached), the domains pooled by
 ``representations.pool_groups`` like the subset search's candidates.
 ``run_selection`` hands each strategy its scores and the pool's ids and
 domains. Every setting is an argument of the function that uses it: the
-representation's (embedding table, autoencoder training, SIF smoothing) of
-``prepare_context`` and the classifier's seed of ``run_experiment``.
+representation's (embedding table, autoencoder training) of
+``prepare_context`` and the classifier's seed of ``run_experiment``. SIF's
+smoothing factor is no setting but the constant ``representations.SIF_A``.
 
 A document has one address, its corpus row: its row of the representation
 matrix, of the encoded count matrix and of the corpus's documents. The

@@ -162,9 +162,15 @@ def pool_groups(
     ``members`` and ``indptr`` are read as ``intp``, as every caller holds
     them, and the dense kernel takes them as they are, so the 400,000 bound
     members of a subset search's round are not copied (an int32 copy takes
-    1.6 MB). Only the sparse product picks an index width, the one ``@``'s
-    output has. Where the kernels are missing or refuse their arguments, the
-    product is the public ``picker @ matrix`` itself.
+    1.6 MB). Only the sparse product picks an index width: its kernel runs in
+    int32 unless a size or the matrix's own index arrays need int64, and its
+    output is a ``csr_matrix`` of the values written, which holds int32
+    indices whenever they and the shape fit, int64-indexed input included.
+    ``@``'s output has that width too, except on int64-indexed input with a
+    pooled entry that sums to zero: ``@`` sized its buffers before dropping
+    it, and their unwritten tail then picks the width. Where the kernels are
+    missing or refuse their arguments, the product is the public
+    ``picker @ matrix`` itself.
 
     The picker's values, ``len(members)`` float64 ones, are a prefix of one
     read-only buffer grown to the longest grouping pooled so far, so threads
@@ -227,7 +233,12 @@ def _kernel_product(
             )
         except TypeError:
             return None
-        return sp.csr_matrix((out_data, out_indices, out_indptr), shape=(n_groups, n_cols))
+        # only the filled prefix: ``csr_matrix`` picks the index width from
+        # the values it is given, and the buffers' tail was never written
+        nnz = int(out_indptr[-1])
+        return sp.csr_matrix(
+            (out_data[:nnz], out_indices[:nnz], out_indptr), shape=(n_groups, n_cols)
+        )
     pooled = np.zeros((n_groups, n_cols))
     try:
         _sparsetools.csr_matvecs(

@@ -193,18 +193,22 @@ def outcome(load, path, restrict_to):
     return table.dim, [(token, vec.dtype, vec.tobytes()) for token, vec in table.entries.items()]
 
 
-# tokens: non-ASCII ones, a non-whitespace control byte inside one, and
-# digits for a word2vec header
-TOKENS = ["a", "b", "c", "café", "日本", "x\x01y", "2", "3"]
+# tokens: non-ASCII ones, control characters and a zero-width space inside
+# one (none of which ``str.split`` splits on), and digits for a word2vec header
+TOKENS = [
+    "a", "b", "c", "café", "日本", "x\x01y", "n\x00l", "e\x1bs", "d\x7fl", "z\u200bw",
+    "2", "3",
+]
 # what Python's float reads: signs, exponents, underscores and a non-ASCII
 # digit; then values that are non-finite or not numbers at all
 NUMBERS = ["1", "0.5", "-2e3", "0", "1_0", "\u0663"]
 FLAWS = ["nan", "inf", "1e999", "zero"]
-# mostly single spaces, so that many chunks take the byte scan; then every
-# other character ``str.split`` splits on, ASCII or not
+# mostly single spaces, so that many chunks are ASCII; then every other
+# character ``str.split`` splits on, ASCII or not
 SEPARATORS = [" "] * 8 + [
     "  ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
-    "\x85", "\xa0", "\u2028", "\u3000",
+    "\x85", "\xa0", "\u1680", "\u2000", "\u200a", "\u2028", "\u2029", "\u202f", "\u205f",
+    "\u3000",
 ]
 PADDING = [""] * 6 + [" ", "  ", "\t", "\xa0", " \x0c"]
 NEWLINES = ["\n"] * 4 + ["\r\n", "\r"]
@@ -254,18 +258,19 @@ class TestChunkedScan:
             mp.setattr(embeddings, "_CHUNK_CHARS", chunk_chars)
             assert outcome(load_embeddings, path, restrict) == want
 
-    def test_the_scan_gate_knows_every_space_str_split_knows(self):
-        """A chunk with any non-ASCII character ``str.split`` splits on is
-        split line by line; the gate's pattern finds exactly those."""
-        everything = "".join(map(chr, range(sys.maxunicode + 1)))
-        found = set(embeddings._UNICODE_SPACE.findall(everything))
-        assert found == {c for c in everything if c.isspace() and not c.isascii()}
-        assert "\xa0" in found and "\u2028" in found
+    def test_the_whitespace_tables_hold_every_space_str_split_knows(self):
+        """``_ASCII_SPACE`` and ``_UNICODE_SPACES`` together mark exactly the
+        code points ``str.isspace`` accepts, over every code point."""
+        assert len(embeddings._ASCII_SPACE) == 0x80
+        assert embeddings._UNICODE_SPACES.min() >= 0x80
+        spaces = set(np.flatnonzero(embeddings._ASCII_SPACE).tolist())
+        spaces |= set(embeddings._UNICODE_SPACES.tolist())
+        assert spaces == {c for c in range(sys.maxunicode + 1) if chr(c).isspace()}
 
     def test_a_line_longer_than_a_chunk_is_joined_once(self, tmp_path, monkeypatch):
-        """A 2,000,000-character line read 5 characters at a time is gathered
-        in 400,000 pieces; joining it piece by piece would copy about 4e11
-        characters."""
+        """With 5-character chunks, a 2,000,000-character line is read whole
+        by the ``readline`` that completes the chunk it starts in; it is not
+        gathered in pieces."""
         monkeypatch.setattr(embeddings, "_CHUNK_CHARS", 5)
         long = "t" * 2_000_000
         path = write_vectors(tmp_path / "v.txt", ["a 1 0", f"{long} 2 3", "b 4 5"])

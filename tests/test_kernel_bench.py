@@ -43,7 +43,8 @@ above the pool size, so every round is exhaustive) on the seed-0 ``graded``
 term-distribution pool. The vector-file case loads a file shaped as
 perfbench's ``blended-embedding`` input, restricted to the vocabulary as
 the CLI restricts it: a 100-d vector for every seed-0 ``blended``
-vocabulary token and for 50,000 filler tokens, in shuffled order.
+vocabulary token and for 50,000 filler tokens, in shuffled order, once
+space-separated (as perfbench writes it) and once tab-separated.
 """
 
 import numpy as np
@@ -281,15 +282,16 @@ def test_proxy_a_fit(benchmark):
     assert scores.shape == (len(context.pool_index),)
 
 
-def test_load_embeddings_file(benchmark, tmp_path):
+@pytest.mark.parametrize("sep", [" ", "\t"], ids=["space", "tab"])
+def test_load_embeddings_file(benchmark, tmp_path, sep):
     vocab = build_vocabulary(tokenize_corpus(synthetic.benchmark_suite(0)["blended"].corpus))
     names = list(vocab) + [f"zzfill{i:06d}" for i in range(50_000)]
     rng = np.random.default_rng(0)
     vectors = rng.standard_normal((len(names), DIM))
-    row_format = " ".join(["%.5f"] * DIM)
+    row_format = sep.join(["%.5f"] * DIM)
     path = tmp_path / "vectors.txt"
     with path.open("w", encoding="utf-8") as fh:
-        fh.writelines(names[j] + " " + row_format % tuple(vectors[j]) + "\n"
+        fh.writelines(names[j] + sep + row_format % tuple(vectors[j]) + "\n"
                       for j in rng.permutation(len(names)))
     table = benchmark.pedantic(
         load_embeddings, args=(path,), kwargs={"restrict_to": vocab}, rounds=5, iterations=1

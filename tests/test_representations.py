@@ -536,6 +536,16 @@ class TestPoolGroups:
             assert pooled.dtype == oracle.dtype
             assert pooled.tobytes() == oracle.tobytes()
 
+    def test_int64_indexed_rows_pool_into_int32_indices_as_the_product_does(self):
+        """The kernel runs in int64 for int64-indexed rows, but its output is
+        built from the values written alone, so it holds ``@``'s int32
+        indices, whatever the unwritten tail of its buffers holds."""
+        matrix = as_format(np.array([[1.0, 3.0]]), "csr64")
+        members, indptr = np.zeros(14, dtype=np.intp), np.arange(0, 15, 2)
+        pooled, oracle = pool_groups(matrix, members, indptr), picker_pool(matrix, members, indptr)
+        assert pooled.indices.dtype == pooled.indptr.dtype == oracle.indices.dtype == np.int32
+        assert pooled.toarray().tolist() == [[2.0, 6.0]] * 7
+
     def test_columns_keep_reverse_first_appearance(self):
         matrix = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 5.0, 0.0]]))
         pooled = pool_groups(matrix, np.array([0, 1]), np.array([0, 2]))
@@ -557,7 +567,9 @@ class TestPoolGroups:
             assert type(public) is type(kernels) and public.shape == kernels.shape
             if sp.issparse(kernels):
                 # index values compare and not their width, as against the
-                # oracle: on int64-indexed rows ``@`` can return int32 indices
+                # oracle: ``@`` sizes its buffers before it drops the pooled
+                # entries that sum to zero, and their unwritten tail then sets
+                # its width
                 assert np.array_equal(public.indptr, kernels.indptr)
                 assert np.array_equal(public.indices, kernels.indices)
                 assert public.data.dtype == kernels.data.dtype
