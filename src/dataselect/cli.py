@@ -334,7 +334,20 @@ def _write_outputs(config: RunConfig, command: str, *texts: str) -> Path:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``obj`` as strict JSON, which has no NaN or infinity: every non-finite
+    float (a NaN subset score, the infinite t of zero pooled variance) is
+    written as null."""
+    return json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _finite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +394,9 @@ def cmd_evaluate(config: RunConfig) -> int:
                     continue
                 test = t_test(result.accuracies, by_strategy[baseline].accuracies)
                 better = test.significant and result.mean > by_strategy[baseline].mean
-                # strict JSON has no infinity, the t of zero pooled variance
-                t = test.t if math.isfinite(test.t) else None
-                entry[key] = {"t": t, "df": test.df, "p": test.p, "significantly_better": better}
+                entry[key] = {
+                    "t": test.t, "df": test.df, "p": test.p, "significantly_better": better,
+                }
                 p_values[i] = f"{test.p:.6g}"
                 marks += mark if better else ""
         lines.append(_format_row([

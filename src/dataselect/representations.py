@@ -113,10 +113,10 @@ class RepresentationSpace:
 
     ``matrix`` holds one row per document, aligned with ``doc_ids``: a CSR
     matrix of in-vocabulary counts for the term-distribution view, a dense
-    array for the embedding and autoencoder views.
+    array for the embedding and autoencoder views; ``aggregate`` reads the
+    view from which of the two it is.
     """
 
-    kind: str
     doc_ids: list[str]
     matrix: sp.csr_matrix | np.ndarray
 
@@ -126,7 +126,8 @@ class RepresentationSpace:
         return {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
 
     def aggregate(self, ids: Sequence[str]) -> TermDistribution | np.ndarray:
-        """Group representation: pooled-count distribution or mean vector."""
+        """Group representation: the pooled-count distribution of sparse
+        rows, or the mean vector of dense ones."""
         if not ids:
             raise DataError("cannot aggregate an empty id list")
         try:
@@ -134,7 +135,7 @@ class RepresentationSpace:
         except KeyError as err:
             raise DataError(f"unknown document id {err.args[0]!r}") from None
         pooled = pool_groups(self.matrix, members, np.array([0, len(members)]))
-        if self.kind == TERM_DIST:
+        if sp.issparse(pooled):
             pooled = pooled.toarray().ravel()
             total = pooled.sum()
             return TermDistribution(probs=pooled / total if total else pooled)
@@ -284,7 +285,7 @@ def build_representation_space(
         if ae_codes is None:
             raise ConfigError("autoencoder representation requires its codes")
         matrix = ae_codes
-    return RepresentationSpace(kind=kind, doc_ids=[doc.id for doc in corpus], matrix=matrix)
+    return RepresentationSpace(doc_ids=[doc.id for doc in corpus], matrix=matrix)
 
 
 def _sif_rows(

@@ -42,7 +42,6 @@ solver's tolerance rather than bit for bit.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -72,12 +71,9 @@ _L2 = 1.0
 
 @dataclass(frozen=True)
 class SimilarityScore:
-    value: float
+    """A scalar metric's value; NaN is the empty score the caller must exclude."""
 
-    @property
-    def empty(self) -> bool:
-        """The score of an empty distribution, which the caller must exclude."""
-        return math.isnan(self.value)
+    value: float
 
 
 def _as_vector(rep: TermDistribution | np.ndarray) -> np.ndarray:
@@ -109,16 +105,17 @@ def js_divergence(P: TermDistribution | np.ndarray, Q: TermDistribution | np.nda
 
     An array is checked as a ``TermDistribution`` is, so one that is not a
     distribution (a negative or non-finite entry, or mass other than 1) is a
-    ``DataError``, not a score outside [0, ln 2]. An empty input distribution
-    yields an empty (NaN) score the caller must exclude.
+    ``DataError``, not a score outside [0, ln 2], and so are two inputs of
+    different lengths. Otherwise an empty input distribution yields an empty
+    (NaN) score the caller must exclude.
     """
     P, Q = (d if isinstance(d, TermDistribution) else TermDistribution(_as_vector(d))
             for d in (P, Q))
-    if P.empty or Q.empty:
-        return SimilarityScore(float("nan"))
     p, q = P.probs, Q.probs
     if p.shape != q.shape:
         raise DataError(f"distributions differ in length: {p.shape} vs {q.shape}")
+    if P.empty or Q.empty:
+        return SimilarityScore(float("nan"))
     value = float(_js_rows_from_probs(p[None, :], q)[0])
     return SimilarityScore(value)
 

@@ -812,23 +812,49 @@ class TestExitCodes:
 class TestModuleEntryPoint:
     """``python -m dataselect`` runs ``cli.main`` from a source checkout."""
 
-    def run(self, tmp_path, *argv):
+    def run(self, tmp_path, *args):
+        """This Python, with the source tree on its path, run on ``args``."""
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         return subprocess.run(
-            [sys.executable, "-m", "dataselect", *argv],
+            [sys.executable, *args],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
 
     def test_generate_catalog_exits_zero(self, tmp_path):
-        proc = self.run(tmp_path, "generate", "--catalog", "--out", str(tmp_path / "cat"))
+        proc = self.run(
+            tmp_path, "-m", "dataselect", "generate", "--catalog", "--out", str(tmp_path / "cat")
+        )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "cat" / "graded" / "all.jsonl").is_file()
 
     def test_unknown_flag_exits_one(self, tmp_path):
-        proc = self.run(tmp_path, "generate", "--catalog", "--no-such-flag")
+        proc = self.run(tmp_path, "-m", "dataselect", "generate", "--catalog", "--no-such-flag")
         assert proc.returncode == 1
         assert "unrecognized arguments: --no-such-flag" in proc.stderr
         assert not any(tmp_path.iterdir())
+
+    def test_each_module_imports_on_its_own(self, tmp_path):
+        """The package defines no name, and each of its modules imports with
+        no other ``dataselect`` module loaded first, so no import cycle hides
+        behind the order in which an earlier import loaded them."""
+        script = (
+            "import importlib, pkgutil, sys\n"
+            "import dataselect\n"
+            "print(*sorted(n for n in vars(dataselect) if not n.startswith('__')))\n"
+            "for module in list(pkgutil.iter_modules(dataselect.__path__)):\n"
+            "    for name in [n for n in sys.modules if n.partition('.')[0] == 'dataselect']:\n"
+            "        del sys.modules[name]\n"
+            "    importlib.import_module('dataselect.' + module.name)\n"
+            "    print(module.name)\n"
+        )
+        proc = self.run(tmp_path, "-c", script)
+        assert proc.returncode == 0, proc.stderr
+        defined, *imported = proc.stdout.split("\n")[:-1]
+        assert defined == ""
+        assert set(imported) == {
+            "__main__", "autoencoder", "cli", "corpus", "embeddings", "errors", "evaluation",
+            "representations", "selection", "similarity", "synthetic",
+        }
 
 
 class TestConfiguration:
@@ -1053,6 +1079,32 @@ class TestSubsetSearch:
         assert "selected 200 of 300 requested" in capsys.readouterr().out
         chosen = (out / "selection_ids.txt").read_text(encoding="utf-8").split()
         assert len(set(chosen)) == 200 and all(int(c[1:]) % 2 == 0 for c in chosen)
+
+    def test_a_nan_scored_subset_is_written_as_null(self, tmp_path, capsys):
+        """The SIF rows of ``a1`` and ``b1`` cancel, so the one size-2
+        candidate pools to the zero vector and its cosine is NaN; the search
+        still selects it, and selection.json holds its score as null."""
+        docs = [("a1", "src", "positive", "alpha"), ("b1", "src", "negative", "beta"),
+                ("t1", "tgt", "positive", "alpha gamma"), ("t2", "tgt", "negative", "beta gamma")]
+        corpus = text_file(tmp_path, "c.jsonl", "".join(
+            json.dumps(dict(zip(("id", "domain", "label", "text"), doc))) + "\n" for doc in docs
+        ))
+        vectors = text_file(tmp_path, "v.txt", "alpha 1.0 0.0\nbeta -1.0 0.0\ngamma 0.0 1.0\n")
+        out = tmp_path / "out"
+        assert cli.main(["select", *corpus_args(corpus), "--representation", "embedding",
+                         "--embeddings", vectors, "--strategy", "subset", "--s", "2", "--n", "2",
+                         "--out", str(out)]) == 0
+        assert "selected 2 of 2 requested" in capsys.readouterr().out
+        result = json.loads((out / "selection.json").read_text("utf-8"))["result"]
+        assert result["subset_scores"] == [None]
+        assert sorted(result["chosen"]) == ["a1", "b1"]
+
+
+def test_json_text_writes_every_non_finite_float_as_null():
+    nested = {"a": [1.5, math.nan, (math.inf, {"b": -math.inf})], "c": "nan", "d": 0}
+    assert json.loads(cli._json_text(nested)) == {
+        "a": [1.5, None, [None, {"b": None}]], "c": "nan", "d": 0,
+    }
 
 
 class TestEvaluateOutputs:

@@ -492,7 +492,7 @@ def scalar_domain_scores(space, corpus, target_domain, metric):
 
     def aggregate(ids):
         rows = space.matrix[[space.index[i] for i in ids]]
-        if space.kind == "term_dist":
+        if sp.issparse(space.matrix):
             pooled = np.asarray(rows.sum(axis=0)).ravel()
             total = pooled.sum()
             return TermDistribution(probs=pooled / total if total else pooled)
@@ -508,13 +508,13 @@ def scalar_domain_scores(space, corpus, target_domain, metric):
     for domain in sorted(corpus.domains - {target_domain}):
         metric_fn = js_divergence if metric == "jensen_shannon" else cosine
         score = metric_fn(aggregate(ids(domain)), target)
-        if not score.empty:
+        if not math.isnan(score.value):
             scores[domain] = score.value
     return target, scores
 
 
-def space_over(docs, kind, matrix):
-    return RepresentationSpace(kind=kind, doc_ids=[doc.id for doc in docs], matrix=matrix)
+def space_over(docs, matrix):
+    return RepresentationSpace(doc_ids=[doc.id for doc in docs], matrix=matrix)
 
 
 def context_over(corpus, space):
@@ -594,7 +594,7 @@ class TestContextScores:
             full = arrays(np.float64, shape, elements=value, fill=st.nothing())
             matrix = data.draw(full, label="rows")
         corpus = Corpus(docs)
-        space = space_over(docs, kind, matrix)
+        space = space_over(docs, matrix)
         context = context_over(corpus, space)
         assume(_as_vector(context.target_repr).any())  # an all-zero target is rejected
         pool = [doc for doc in docs if doc.domain != "tgt" and doc.label is not None]
@@ -642,7 +642,7 @@ class TestContextScores:
             matrix[data.draw(arrays(bool, shape[0]), label="empty rows")] = 0.0
             metric = "cosine"
         corpus = Corpus(docs)
-        space = space_over(docs, kind, matrix)
+        space = space_over(docs, matrix)
         target, expected = scalar_domain_scores(space, corpus, "tgt", metric)
         assume(kind != "term_dist" or not target.empty)
         pool = [doc for doc in docs if doc.domain != "tgt"]

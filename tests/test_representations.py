@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -53,8 +54,7 @@ def term_space(texts, tokens):
 
 def dense_space(vecs):
     return RepresentationSpace(
-        kind="embedding", doc_ids=[f"d{i}" for i in range(len(vecs))],
-        matrix=np.asarray(vecs, dtype=np.float64),
+        doc_ids=[f"d{i}" for i in range(len(vecs))], matrix=np.asarray(vecs, dtype=np.float64),
     )
 
 
@@ -338,6 +338,15 @@ class TestDomainRepresentation:
     def test_empty_list_error(self):
         with pytest.raises(DataError):
             dense_space([[1.0, 0.0]]).aggregate([])
+
+    def test_the_matrix_alone_picks_the_group_representation(self):
+        """A space holds ids and a matrix only: sparse count rows pool to a
+        distribution, and the same rows held dense pool to their mean."""
+        assert [f.name for f in dataclasses.fields(RepresentationSpace)] == ["doc_ids", "matrix"]
+        counts = [[1.0, 0.0], [1.0, 2.0]]
+        sparse = RepresentationSpace(doc_ids=["d0", "d1"], matrix=sp.csr_matrix(counts))
+        assert np.array_equal(sparse.aggregate(["d0", "d1"]).probs, [0.5, 0.5])
+        assert np.array_equal(dense_space(counts).aggregate(["d0", "d1"]), [1.0, 1.0])
 
     def test_mixed_dims_error(self):
         # one matrix has one width; the table is where mixed widths could enter

@@ -93,19 +93,25 @@ class TestJS:
         empty = TermDistribution(probs=np.zeros(3))
         other = TermDistribution(probs=np.array([0.5, 0.25, 0.25]))
         score = js_divergence(empty, other)
-        assert score.empty and math.isnan(score.value)
+        assert math.isnan(score.value)
 
     @pytest.mark.parametrize(
         "value, empty",
         [(float("nan"), True), (0.0, False), (LN2, False), (-1.0, False), (float("inf"), False)],
     )
     def test_empty_exactly_when_the_value_is_nan(self, value, empty):
+        """A NaN value is the empty score; no other member restates it."""
         assert [f.name for f in dataclasses.fields(SimilarityScore)] == ["value"]
-        assert SimilarityScore(value).empty is empty
+        score = SimilarityScore(value)
+        assert [n for n in dir(score) if not n.startswith("_")] == ["value"]
+        assert math.isnan(score.value) is empty
 
     def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            js_divergence(np.array([1.0]), np.array([0.5, 0.5]))
+        """Checked before emptiness: an empty side does not skip it."""
+        for p, q in (([1.0], [0.5, 0.5]), ([0.0, 0.0, 0.0], [0.5, 0.5])):
+            for a, b in ((p, q), (q, p)):
+                with pytest.raises(DataError, match="differ in length"):
+                    js_divergence(np.array(a), np.array(b))
 
     @pytest.mark.parametrize(
         "p, q",
@@ -386,7 +392,7 @@ class TestCosine:
         """A vector with no mass scores NaN, as an empty distribution does
         under JS, whichever side it is on."""
         v = np.array([1.0, 2.0, 3.0])
-        assert cosine(np.zeros(3), v).empty and cosine(v, np.zeros(3)).empty
+        assert math.isnan(cosine(np.zeros(3), v).value) and math.isnan(cosine(v, np.zeros(3)).value)
         assert np.isnan(cosine_to_target(np.vstack([np.zeros(3), v]), v)[0])
 
     @pytest.mark.parametrize("sparse_rows", [False, True])
